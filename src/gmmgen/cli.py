@@ -17,8 +17,8 @@ import numpy as np
 from . import bench, plot
 from .data import PhaseSchedule, Pose, load_trajectory, save_trajectory
 from .gmr import regress
-from .model import FitConfig, fit_gmm, load_model, save_model
-from .reparam import (ReparamConfig, TaskSpec, generalize, load_reparam_model,
+from .model import FitConfig, fit_gmm, load_model, model_from_dict, save_model
+from .reparam import (ReparamConfig, TaskSpec, generalize, reparam_from_dict,
                       save_reparam_model)
 from .scene import SuccessThresholds, default_scene, load_scene, scene_to_dict
 from .synth import SynthConfig, generate_demonstrations
@@ -50,9 +50,11 @@ def _load_any_model(path):
         raise ValueError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if "task" in obj:
-        return load_reparam_model(path)
-    return load_model(path)
+    from_dict = reparam_from_dict if isinstance(obj, dict) and "task" in obj else model_from_dict
+    try:
+        return from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _thresholds(args) -> SuccessThresholds:
@@ -320,8 +322,12 @@ def _apply_config_defaults(argv, registry) -> None:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    registry[argv[0]].set_defaults(
-        **{k.replace("-", "_"): v for k, v in values.items()})
+    sub = registry[argv[0]]
+    dests = {action.dest for action in sub._actions}
+    for key in values:
+        if key.replace("-", "_") not in dests:
+            raise ValueError(f"{path}: unknown config key '{key}' for '{argv[0]}'")
+    sub.set_defaults(**{k.replace("-", "_"): v for k, v in values.items()})
 
 
 def main(argv=None) -> int:

@@ -90,48 +90,82 @@ class SuccessThresholds:
             raise ValueError("collision_samples must be at least 2")
 
 
-def box_collides(pose: Pose, box_dims, slab: Slab) -> bool:
-    """Oriented box vs axis-aligned slab via the separating-axis test.
+def _dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, broadcasting the rest.
 
-    Checks the 3 slab face normals, the 3 box axes, and their 9 cross
-    products; touching contact counts as collision.
+    matmul takes them one (1,3)x(3,1) pair at a time, so each rounds exactly
+    like the 1-D ``a @ b`` of a single pose.
     """
-    half_box = 0.5 * np.asarray(box_dims, dtype=float).reshape(3)
-    # copy: scipy rejects the read-only view Pose hands out
-    rot = Rotation.from_rotvec(np.array(pose.orientation)).as_matrix()
-    delta = pose.position - slab.center
-    half_slab = slab.half_extents
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    axes = [np.eye(3)[i] for i in range(3)]
-    axes += [rot[:, j] for j in range(3)]
-    for i in range(3):
-        for j in range(3):
-            axes.append(np.cross(np.eye(3)[i], rot[:, j]))
-    for axis in axes:
-        norm = np.linalg.norm(axis)
-        if norm < 1e-9:
-            continue  # near-parallel edge pair, projection covered by face axes
-        axis = axis / norm
-        r_slab = float(np.abs(axis) @ half_slab)
-        r_box = float(np.abs(axis @ rot) @ half_box)
-        if abs(float(axis @ delta)) > r_slab + r_box:
-            return False
-    return True
+
+def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
+    """(N, S) bool: does the box at pose n touch or overlap slab s?
+
+    Separating-axis test of N oriented boxes against S axis-aligned slabs,
+    all at once.  Each pose has 15 candidate axes: the 3 slab face normals,
+    the 3 box axes and their 9 cross products.  A near-parallel edge pair
+    (cross product norm < 1e-9) is skipped, since the face axes cover its
+    projection.  Touching contact counts as collision.
+    """
+    positions = np.array(positions, dtype=float).reshape(-1, 3)
+    # copy: scipy rejects the read-only arrays Pose and Trajectory hand out
+    rot = Rotation.from_rotvec(np.array(rotvecs, dtype=float).reshape(-1, 3)).as_matrix()
+    n = len(positions)
+    half_box = 0.5 * np.asarray(box_dims, dtype=float).reshape(3)
+    centers = np.array([s.center for s in slabs]).reshape(-1, 3)
+    half_slabs = np.array([s.half_extents for s in slabs]).reshape(-1, 3)
+
+    basis = np.eye(3)
+    box_axes = np.swapaxes(rot, 1, 2)  # row j is the box's axis j
+    edges = np.cross(basis[None, :, None, :], box_axes[:, None, :, :]).reshape(n, 9, 3)
+    axes = np.concatenate([np.broadcast_to(basis, (n, 3, 3)), box_axes, edges], axis=1)
+    norms = np.sqrt(_dot(axes, axes))
+    usable = norms >= 1e-9
+    axes = axes / np.where(usable, norms, 1.0)[..., None]
+
+    delta = positions[:, None, :] - centers  # (N, S, 3)
+    r_slab = _dot(np.abs(axes)[:, :, None, :], half_slabs)  # (N, 15, S)
+    r_box = _dot(np.abs(axes[:, :, None, :] @ rot[:, None])[:, :, 0, :], half_box)
+    proj = _dot(axes[:, :, None, :], delta[:, None, :, :])
+    separated = usable[..., None] & (np.abs(proj) > r_slab + r_box[..., None])
+    return ~separated.any(axis=1)
+
+
+def box_collides(pose: Pose, box_dims, slab: Slab) -> bool:
+    """Does the box at pose touch or overlap the slab?  See collision_mask."""
+    return bool(collision_mask(pose.position, pose.orientation, box_dims, (slab,))[0, 0])
 
 
 def scene_collides(pose: Pose, scene: Scene) -> bool:
-    return any(box_collides(pose, scene.box_dims, slab) for slab in scene.slabs)
+    """Does the box at pose touch or overlap any slab of the scene?"""
+    return bool(collision_mask(pose.position, pose.orientation, scene.box_dims,
+                               scene.slabs).any())
 
 
 def trajectory_success(traj: Trajectory, scene: Scene, task: TaskSpec,
                        thresholds: SuccessThresholds = SuccessThresholds()):
-    """(flag, reason): collision-free at sampled poses and boundary within bounds."""
+    """(flag, reason): collision-free at sampled poses and boundary within bounds.
+
+    All sampled poses go through one collision_mask call.  A sample that
+    Pose would reject (its rotation-vector norm rounds to pi) raises Pose's
+    ValueError only at or before the first colliding sample, as it would
+    if the samples were checked one by one in time order.
+    """
     if traj.dim != 6:
         return False, FailureReason.INVALID
     sampled = resample(traj, thresholds.collision_samples)
-    for i in range(sampled.n_samples):
-        if scene_collides(sampled.pose(i), scene):
-            return False, FailureReason.COLLISION
+    rotvecs = sampled.orientations()
+    hits = np.flatnonzero(collision_mask(sampled.positions(), rotvecs, scene.box_dims,
+                                         scene.slabs).any(axis=1))
+    checked = hits[0] + 1 if len(hits) else sampled.n_samples
+    # Pose takes the norm as a 1-D dot product, which can round to pi where
+    # the Trajectory's row-wise check did not
+    rejected = np.flatnonzero(np.sqrt(_dot(rotvecs, rotvecs))[:checked] >= np.pi)
+    if len(rejected):
+        sampled.pose(int(rejected[0]))  # raises
+    if len(hits):
+        return False, FailureReason.COLLISION
     (start_mm, start_deg), (goal_mm, goal_deg) = boundary_error(traj, task)
     if (start_mm > thresholds.max_boundary_pos_mm
             or goal_mm > thresholds.max_boundary_pos_mm

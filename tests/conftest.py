@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gmmgen import FitConfig, SynthConfig, default_scene, fit_gmm, generate_demonstrations
 from gmmgen.bench import default_times, model_endpoints
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure reproduces from the test alone.
+settings.register_profile("gmmgen", derandomize=True, database=None, deadline=None)
+settings.load_profile("gmmgen")
 
 _ACCEPTANCE_LINES = []
 

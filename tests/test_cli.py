@@ -223,3 +223,41 @@ def test_config_file_invalid_exit2(tmp_path, capsys):
     code = main(["synth", "--config", str(bad), "--out-dir", str(tmp_path / "x")])
     assert code == 2
     assert "config" in capsys.readouterr().err
+
+
+def test_config_file_unknown_key_exit2(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"demos": 2, "noise-pos-mm": 1.0, "sed": 3}))
+    code = main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    assert f"{cfg}: unknown config key 'sed' for 'synth'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    # a flag of another subcommand is unknown here too
+    cfg.write_text(json.dumps({"components": 3}))
+    code = main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    assert "unknown config key 'components'" in capsys.readouterr().err
+
+
+def test_regress_parses_model_once_and_locates_errors(work, tmp_path, endpoint_args,
+                                                      monkeypatch, capsys):
+    start, goal = endpoint_args
+    gen = tmp_path / "gen.json"
+    assert main(["generalize", "--model", str(work / "model.json"),
+                 "--start", start, "--goal", goal, "--out-model", str(gen)]) == 0
+    parses = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(1) or real_loads(*a, **k))
+    assert main(["regress", "--model", str(gen), "--out", str(tmp_path / "t.csv")]) == 0
+    assert len(parses) == 1
+    monkeypatch.undo()
+
+    bad = tmp_path / "bad_task.json"
+    obj = json.loads(gen.read_text())
+    obj["task"]["start"] = obj["task"]["start"][:3]
+    bad.write_text(json.dumps(obj))
+    code = main(["regress", "--model", str(bad), "--out", str(tmp_path / "u.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: generalized-model JSON invalid" in err
+    assert not (tmp_path / "u.csv").exists()

@@ -1,16 +1,134 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from gmmgen.data import Pose, Trajectory
 from gmmgen.metrics import FailureReason
 from gmmgen.reparam import TaskSpec
 from gmmgen.scene import (REST_CLEARANCE, Scene, Slab, SuccessThresholds,
-                          box_collides, default_scene, handle_poses,
-                          load_scene, rest_height, sample_task, save_scene,
-                          scene_collides, trajectory_success)
+                          box_collides, collision_mask, default_scene,
+                          handle_poses, load_scene, rest_height, sample_task,
+                          save_scene, scene_collides, trajectory_success)
 
 UNIT_BOX = (1.0, 1.0, 1.0)
 ORIGIN = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+# every slab the hand cases below use
+HAND_SLABS = (
+    Slab((0.49, -1, -1), (1, 1, 1)), Slab((0.51, -1, -1), (1, 1, 1)),
+    Slab((0.5, -1, -1), (1, 1, 1)), Slab((5, 5, 5), (6, 6, 6)),
+    Slab((-1.0, 0.09, -1.0), (1.0, 1.0, 1.0)), Slab((-1.0, 0.11, -1.0), (1.0, 1.0, 1.0)),
+    Slab((0.138, -1, -1), (1, 1, 1)), Slab((0.145, -1, -1), (1, 1, 1)),
+)
+ORACLE_CASES = (
+    (default_scene().slabs, tuple(default_scene().box_dims)),
+    (HAND_SLABS, UNIT_BOX),
+    (HAND_SLABS, (0.2, 0.1, 0.1)),
+    (HAND_SLABS, (0.2, 0.2, 0.2)),
+)
+
+
+def oracle_box_collides(pose: Pose, box_dims, slab: Slab) -> bool:
+    """Scalar separating-axis test, one axis at a time: the reference for
+    the batched collision_mask.
+
+    Checks the 3 slab face normals, the 3 box axes, and their 9 cross
+    products; touching contact counts as collision.
+    """
+    half_box = 0.5 * np.asarray(box_dims, dtype=float).reshape(3)
+    rot = Rotation.from_rotvec(np.array(pose.orientation)).as_matrix()
+    delta = pose.position - slab.center
+    half_slab = slab.half_extents
+
+    axes = [np.eye(3)[i] for i in range(3)]
+    axes += [rot[:, j] for j in range(3)]
+    for i in range(3):
+        for j in range(3):
+            axes.append(np.cross(np.eye(3)[i], rot[:, j]))
+    for axis in axes:
+        norm = np.linalg.norm(axis)
+        if norm < 1e-9:
+            continue  # near-parallel edge pair, projection covered by face axes
+        axis = axis / norm
+        r_slab = float(np.abs(axis) @ half_slab)
+        r_box = float(np.abs(axis @ rot) @ half_box)
+        if abs(float(axis @ delta)) > r_slab + r_box:
+            return False
+    return True
+
+
+def oracle_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
+    return np.array([[oracle_box_collides(Pose(p, r), box_dims, slab) for slab in slabs]
+                     for p, r in zip(positions, rotvecs)], dtype=bool).reshape(-1, len(slabs))
+
+
+_unit = st.floats(-1.0, 1.0)
+_direction = st.tuples(_unit, _unit, _unit).map(np.array).filter(
+    lambda d: np.linalg.norm(d) > 1e-3)
+# rotation vectors of any direction with magnitude up to just below pi
+_random_rotvec = st.builds(lambda d, angle: angle * d / np.linalg.norm(d),
+                           _direction, st.floats(0.0, np.pi - 1e-6))
+
+
+def _quarter_turns(turns) -> np.ndarray:
+    rot = Rotation.identity()
+    for axis, sign in turns:
+        rot = Rotation.from_rotvec(sign * 0.5 * np.pi * np.eye(3)[axis]) * rot
+    return rot.as_rotvec()
+
+
+# compositions of exact 90-degree turns map box axes onto world axes, so the
+# near-parallel edge pairs of the norm < 1e-9 skip show up
+_quarter_rotvec = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from((-1.0, 1.0))), max_size=3,
+).map(_quarter_turns).filter(lambda r: np.linalg.norm(r) < np.pi - 1e-9)
+
+
+@st.composite
+def _oracle_batches(draw):
+    slabs, dims = draw(st.sampled_from(ORACLE_CASES))
+    reach = 0.6 * np.linalg.norm(dims)
+    positions, rotvecs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        # near one slab, so touching, overlapping and clear poses all occur
+        slab = draw(st.sampled_from(slabs))
+        offset = np.array(draw(st.tuples(_unit, _unit, _unit)))
+        positions.append(slab.center + offset * (slab.half_extents + reach))
+        rotvecs.append(draw(st.one_of(_random_rotvec, _quarter_rotvec)))
+    return np.array(positions), np.array(rotvecs), dims, slabs
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_oracle_batches())
+def test_collision_mask_matches_scalar_oracle(batch):
+    positions, rotvecs, dims, slabs = batch
+    mask = collision_mask(positions, rotvecs, dims, slabs)
+    assert mask.shape == (len(positions), len(slabs))
+    assert np.array_equal(mask, oracle_mask(positions, rotvecs, dims, slabs))
+
+
+def test_collision_mask_matches_oracle_on_scene_poses(scene):
+    rng = np.random.default_rng(5)
+    positions = rng.uniform([-0.1, -0.1, -0.05], [0.9, 0.5, 0.6], (400, 3))
+    rotvecs = rng.uniform(-1.0, 1.0, (400, 3))
+    rotvecs[:100] = 0.0
+    rotvecs[100:200, :2] = 0.0  # pure yaw, as the combined tasks draw
+    mask = collision_mask(positions, rotvecs, scene.box_dims, scene.slabs)
+    expected = oracle_mask(positions, rotvecs, scene.box_dims, scene.slabs)
+    assert np.array_equal(mask, expected)
+    assert 0 < mask.sum() < mask.size
+    # the one-pose wrappers read the same kernel
+    for i in range(0, 400, 37):
+        pose = Pose(positions[i], rotvecs[i])
+        assert scene_collides(pose, scene) == expected[i].any()
+        assert [box_collides(pose, scene.box_dims, s) for s in scene.slabs] == list(expected[i])
+
+
+def test_collision_mask_empty_inputs(scene):
+    none = np.zeros((0, 3))
+    assert collision_mask(none, none, scene.box_dims, scene.slabs).shape == (0, 6)
+    assert collision_mask(np.zeros((2, 3)), np.zeros((2, 3)), UNIT_BOX, ()).shape == (2, 0)
 
 
 def test_separating_axis_hand_cases():
@@ -59,8 +177,6 @@ def test_collision_monotone_in_box_scale():
 
 def test_collision_never_misses_contained_points(scene):
     rng = np.random.default_rng(4)
-    from scipy.spatial.transform import Rotation
-
     for _ in range(100):
         pose = Pose(rng.uniform([-0.1, -0.1, 0.0], [0.9, 0.5, 0.6]),
                     rng.uniform(-1.0, 1.0, 3))
@@ -118,6 +234,48 @@ def test_trajectory_success_reasons(scene):
     # non-pose trajectories are invalid
     flat = Trajectory([0.0, 1.0], np.zeros((2, 2)))
     assert trajectory_success(flat, scene, task) == (False, FailureReason.INVALID)
+
+
+def _rotvec_only_pose_rejects():
+    """A rotation vector the Trajectory row check accepts but Pose rejects.
+
+    Both compare the norm with pi, but Pose takes it with a 1-D dot product
+    and Trajectory row by row; the two can round differently.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(5000):
+        d = rng.normal(size=3)
+        v = np.pi * d / np.linalg.norm(d)
+        try:
+            Trajectory([0.0, 1.0], np.tile(np.r_[0.0, 0.0, 0.0, v], (2, 1)))
+        except ValueError:
+            continue
+        try:
+            Pose(np.zeros(3), v)
+        except ValueError:
+            return v
+    pytest.skip("both norm checks round alike on this platform")
+
+
+def test_trajectory_success_pose_errors_stop_at_first_collision():
+    bad = _rotvec_only_pose_rejects()
+    scene = Scene((Slab((1.0, -1.0, -1.0), (2.0, 1.0, 1.0)),), UNIT_BOX, (0.0,), (0.1, 0.9))
+    task = TaskSpec(ORIGIN, ORIGIN)
+    thresholds = SuccessThresholds(collision_samples=3)
+    clear = np.r_[-5.0, 0.0, 0.0, bad]
+    inside = np.r_[1.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    # samples 0 and 1 are rejected before sample 2 would collide
+    late_hit = Trajectory([0.0, 1.0, 2.0], np.vstack([clear, clear, inside]))
+    with pytest.raises(ValueError, match="below pi"):
+        trajectory_success(late_hit, scene, task, thresholds)
+    # the collision at sample 0 ends the check before the rejected poses
+    early_hit = Trajectory([0.0, 1.0, 2.0], np.vstack([inside, clear, clear]))
+    assert trajectory_success(early_hit, scene, task, thresholds) == (
+        False, FailureReason.COLLISION)
+    # with no collision at all every sample is checked
+    never_hit = Trajectory([0.0, 1.0, 2.0], np.vstack([clear, clear, clear]))
+    with pytest.raises(ValueError, match="below pi"):
+        trajectory_success(never_hit, scene, task, thresholds)
 
 
 def test_sample_task_translational_keeps_orientation(scene, endpoints):
