@@ -6,8 +6,8 @@ from .data import (PhaseSchedule, Pose, Trajectory, load_trajectory, resample,
 from .gmr import activation_weights, regress, regress_with_variance
 from .metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
                       phase_deviation, rotation_angle_deg, shape_deviation)
-from .model import (FitConfig, FitResult, GaussianComponent, GmmModel, blocks,
-                    em_fit, fit_gmm, kmeans_init, load_model, save_model)
+from .model import (FitConfig, FitResult, GmmModel, em_fit, fit_gmm, kmeans_init,
+                    load_model, save_model)
 from .reparam import (ReparamConfig, ReparamModel, TaskSpec, generalize,
                       load_reparam_model, reparam_covariances, reparam_means,
                       save_reparam_model)
@@ -19,10 +19,10 @@ from .synth import SynthConfig, generate_demonstrations, min_jerk_segment
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalReport", "FailureReason", "FitConfig", "FitResult", "GaussianComponent",
-    "GmmModel", "PhaseSchedule", "Pose", "ReparamConfig", "ReparamModel", "Scene",
-    "Slab", "SuccessThresholds", "SynthConfig", "TaskSpec", "Trajectory",
-    "activation_weights", "average_jerk", "blocks", "boundary_error",
+    "EvalReport", "FailureReason", "FitConfig", "FitResult", "GmmModel",
+    "PhaseSchedule", "Pose", "ReparamConfig", "ReparamModel", "Scene", "Slab",
+    "SuccessThresholds", "SynthConfig", "TaskSpec", "Trajectory",
+    "activation_weights", "average_jerk", "boundary_error",
     "box_collides", "default_scene", "em_fit", "fit_gmm", "generalize",
     "generate_demonstrations", "handle_poses", "kmeans_init", "load_model",
     "load_reparam_model", "load_scene", "load_trajectory", "min_jerk_segment",

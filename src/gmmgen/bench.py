@@ -7,7 +7,6 @@ independent of execution order and a run is reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,8 +78,8 @@ class BenchmarkResult:
 
 def model_endpoints(model: GmmModel):
     """First/last component means as poses; they anchor the task sampler."""
-    first = model.components[0].x_mean
-    last = model.components[-1].x_mean
+    first = model.means[0, 1:]
+    last = model.means[-1, 1:]
     return Pose(first[:3], first[3:6]), Pose(last[:3], last[3:6])
 
 
@@ -111,19 +110,15 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
                   config: ReparamConfig | None = None,
                   thresholds: SuccessThresholds = SuccessThresholds(),
                   reference: Trajectory | None = None,
-                  method: str | None = None, rate: float = 100.0,
-                  workers: int = 1) -> BenchmarkResult:
+                  method: str | None = None, rate: float = 100.0) -> BenchmarkResult:
     """Run seeded trials of sample-generalize-regress-evaluate.
 
     The reference trajectory for shape deviation defaults to the source
     model's own regression.  Trial i draws from default_rng([seed, i]), so
-    results do not depend on evaluation order and a parallel run is byte
-    identical to a serial one.
+    results do not depend on how many trials run before it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if workers < 1:
-        raise ValueError("need at least one worker")
     if config is None:
         config = ReparamConfig()
     times = default_times(model.duration, rate)
@@ -142,11 +137,7 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
                                      thresholds)
         return TrialRecord(i, task, report)
 
-    if workers == 1:
-        records = [run_trial(i) for i in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, range(trials)))
+    records = [run_trial(i) for i in range(trials)]
     summary = summarize(records, method)
     return BenchmarkResult(method, mode, seed, tuple(records), summary)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, plot
-from .data import PhaseSchedule, Pose, load_trajectory, save_trajectory
+from .data import PhaseSchedule, Pose, _read_json, load_trajectory, save_trajectory
 from .gmr import regress
 from .model import FitConfig, fit_gmm, load_model, model_from_dict, save_model
 from .reparam import (ReparamConfig, TaskSpec, generalize, reparam_from_dict,
@@ -43,18 +43,13 @@ def _load_scene_arg(path):
     return load_scene(path) if path else default_scene()
 
 
+def _any_model_from_dict(obj):
+    generalized = isinstance(obj, dict) and "task" in obj
+    return (reparam_from_dict if generalized else model_from_dict)(obj)
+
+
 def _load_any_model(path):
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    from_dict = reparam_from_dict if isinstance(obj, dict) and "task" in obj else model_from_dict
-    try:
-        return from_dict(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _read_json(path, _any_model_from_dict)
 
 
 def _thresholds(args) -> SuccessThresholds:
@@ -114,17 +109,14 @@ def _demo_paths(args):
     phases = None
     if len(paths) == 1 and paths[0].suffix == ".json":
         manifest_path = paths[0]
+        manifest = _read_json(manifest_path)
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            files = manifest["files"]
-        except OSError as exc:
-            raise ValueError(f"{manifest_path}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError) as exc:
+            paths = [manifest_path.parent / f for f in manifest["files"]]
+            if "phases" in manifest:
+                p = manifest["phases"]
+                phases = PhaseSchedule(p["grasp_end"], p["release_start"], p["duration"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: invalid manifest: {exc}") from exc
-        paths = [manifest_path.parent / f for f in files]
-        if "phases" in manifest:
-            p = manifest["phases"]
-            phases = PhaseSchedule(p["grasp_end"], p["release_start"], p["duration"])
     return paths, phases
 
 
@@ -191,8 +183,7 @@ def cmd_benchmark(args) -> int:
     reference = load_trajectory(args.ref) if args.ref else None
     result = bench.run_benchmark(model, scene, args.mode, args.trials, args.seed,
                                  config, _thresholds(args), reference,
-                                 method=args.method, rate=args.rate,
-                                 workers=args.workers)
+                                 method=args.method, rate=args.rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bench.write_summary_csv([result.summary], out_dir / "summary.csv")
@@ -291,8 +282,6 @@ def build_parser():
     s.add_argument("--method", default=None, help="label for the summary row")
     s.add_argument("--ref", default=None)
     s.add_argument("--rate", type=float, default=100.0)
-    s.add_argument("--workers", type=int, default=1,
-                   help="trial parallelism; results match a serial run")
     _add_threshold_flags(s)
 
     s = sub("plot", cmd_plot, help="render trajectories (and scene) to SVG")
@@ -314,12 +303,7 @@ def _apply_config_defaults(argv, registry) -> None:
             path = argv[i + 1]
     if path is None or not argv or argv[0] not in registry:
         return
-    try:
-        values = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    values = _read_json(path)
     if not isinstance(values, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     sub = registry[argv[0]]

@@ -8,6 +8,7 @@ approaching pi) are rejected at construction instead of handled.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,24 @@ def _frozen_array(values, shape=None) -> np.ndarray:
         out = out.reshape(shape)
     out.flags.writeable = False
     return out
+
+
+def _read_json(path, parse=lambda obj: obj):
+    """Parse a JSON file and hand the object to `parse`.
+
+    A read failure, invalid JSON, or a ValueError from `parse` becomes a
+    ValueError prefixed with the path.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -12,24 +12,14 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import Trajectory
-from .model import GmmModel
-from .reparam import ReparamModel, source_decomposition
 
 
-def _regression_terms(model):
-    """Extract (priors, time means, time vars, x means, slopes) as arrays."""
-    if isinstance(model, ReparamModel):
-        slopes = model.slopes
-    elif isinstance(model, GmmModel):
-        slopes, _ = source_decomposition(model)
-    else:
-        raise TypeError(f"cannot regress a {type(model).__name__}")
-    return (model.priors(), model.time_means(), model.time_vars(),
-            model.x_means(), slopes)
-
-
-def _log_activations(priors, t_means, t_vars, times) -> np.ndarray:
+def _log_activations(model, times) -> np.ndarray:
     """Log of normalized per-component weights at each query time, (n, G)."""
+    try:
+        priors, t_means, t_vars = model.priors, model.means[:, 0], model.covs[:, 0, 0]
+    except AttributeError:
+        raise TypeError(f"cannot regress a {type(model).__name__}") from None
     sq = (times[:, None] - t_means[None, :]) ** 2
     log_w = (np.log(priors)[None, :]
              - 0.5 * np.log(2.0 * np.pi * t_vars)[None, :]
@@ -42,8 +32,7 @@ def activation_weights(model, t: float) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise ValueError("query time must be finite")
-    priors, t_means, t_vars, _, _ = _regression_terms(model)
-    return np.exp(_log_activations(priors, t_means, t_vars, np.array([t])))[0]
+    return np.exp(_log_activations(model, np.array([t])))[0]
 
 
 def _validated_times(times, duration: float) -> np.ndarray:
@@ -61,36 +50,32 @@ def _validated_times(times, duration: float) -> np.ndarray:
     return times
 
 
+def _predict(model, times):
+    """(times, weights (n, G), per-component predictions (n, G, D), mixed (n, D))."""
+    times = _validated_times(times, model.duration)
+    weights = np.exp(_log_activations(model, times))
+    preds = model.means[None, :, 1:] + model.slopes[None, :, :] * (
+        times[:, None, None] - model.means[None, :, 0, None])
+    values = np.einsum("ng,ngd->nd", weights, preds)
+    return times, weights, preds, values
+
+
 def regress(model, times) -> Trajectory:
     """Expected pose at each query time.
 
     Query times must be strictly increasing within [0, duration]; the
     output trajectory is re-anchored so its first timestamp is zero.
     """
-    times = _validated_times(times, model.duration)
-    priors, t_means, t_vars, x_means, slopes = _regression_terms(model)
-    weights = np.exp(_log_activations(priors, t_means, t_vars, times))
-    preds = x_means[None, :, :] + slopes[None, :, :] * (
-        times[:, None, None] - t_means[None, :, None])
-    values = np.einsum("ng,ngd->nd", weights, preds)
+    times, _, _, values = _predict(model, times)
     return Trajectory(times - times[0], values)
 
 
 def regress_with_variance(model, times):
     """Regression plus the per-time conditional covariance of the mixture."""
-    times = _validated_times(times, model.duration)
-    priors, t_means, t_vars, x_means, slopes = _regression_terms(model)
-    if isinstance(model, ReparamModel):
-        spatial = model.spatial_covs
-    else:
-        _, spatial = source_decomposition(model)
-    weights = np.exp(_log_activations(priors, t_means, t_vars, times))
-    preds = x_means[None, :, :] + slopes[None, :, :] * (
-        times[:, None, None] - t_means[None, :, None])
-    values = np.einsum("ng,ngd->nd", weights, preds)
+    times, weights, preds, values = _predict(model, times)
     # per-component conditional covariance is constant in time
-    cond = t_vars[:, None, None] * (
-        spatial - np.einsum("gd,ge->gde", slopes, slopes))
+    cond = model.covs[:, 0, 0, None, None] * (
+        model.shapes - np.einsum("gd,ge->gde", model.slopes, model.slopes))
     second = cond[None, :, :, :] + np.einsum("ngd,nge->ngde", preds, preds)
     mixed = np.einsum("ng,ngde->nde", weights, second)
     covs = mixed - np.einsum("nd,ne->nde", values, values)

@@ -2,7 +2,8 @@
 
 The mixture is fit on rows [t, x] where x is the pose vector, so each
 component carries a scalar time block, a spatial block, and their
-cross-covariance.  Components are kept sorted by their time centers.
+cross-covariance.  One array-backed type, GmmModel, holds every
+component, sorted by time center.
 """
 
 from __future__ import annotations
@@ -16,130 +17,125 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from .data import PhaseSchedule, Trajectory, _frozen_array
+from .data import PhaseSchedule, Trajectory, _frozen_array, _read_json
 
 COLLAPSE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One mixture component over [t, x]; the leading axis is time."""
+def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
+    """Per-matrix flags, (G,): True where Cholesky rejects the matrix.
 
-    prior: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = _frozen_array(self.mean)
-        cov = np.array(self.cov, dtype=float)
-        if mean.ndim != 1 or len(mean) < 2:
-            raise ValueError("mean must be a vector [t, x] with at least 2 entries")
-        if cov.shape != (len(mean), len(mean)):
-            raise ValueError("covariance shape must match the mean")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("component parameters must be finite")
-        if not (self.prior > 0.0):
-            raise ValueError("component prior must be positive")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > 1e-9 * scale:
-            raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "prior", float(self.prior))
+    One batched factorization covers the usual all-definite case; only when
+    it fails are the matrices factored one at a time to find the culprits.
+    """
+    try:
+        np.linalg.cholesky(mats)
+        return np.zeros(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    fails = np.zeros(len(mats), dtype=bool)
+    for g, mat in enumerate(mats):
         try:
-            np.linalg.cholesky(cov)
+            np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
-            raise ValueError("covariance must be symmetric positive definite") from None
-        if not (cov[0, 0] > 0.0):
-            raise ValueError("time variance must be positive")
-
-    @property
-    def dim(self) -> int:
-        """Spatial dimensionality (mean length minus the time entry)."""
-        return len(self.mean) - 1
-
-    @property
-    def time_mean(self) -> float:
-        return float(self.mean[0])
-
-    @property
-    def x_mean(self) -> np.ndarray:
-        return self.mean[1:]
+            fails[g] = True
+    return fails
 
 
-@dataclass(frozen=True)
-class ComponentBlocks:
-    """Block decomposition of one component: time, space, and cross terms."""
-
-    time_mean: float
-    x_mean: np.ndarray
-    tt: float
-    tx: np.ndarray
-    xt: np.ndarray
-    xx: np.ndarray
-
-
-def blocks(component: GaussianComponent) -> ComponentBlocks:
-    """Slice a component into its time/space mean and covariance blocks."""
-    mean, cov = component.mean, component.cov
-    return ComponentBlocks(
-        time_mean=float(mean[0]),
-        x_mean=mean[1:],
-        tt=float(cov[0, 0]),
-        tx=cov[0, 1:],
-        xt=cov[1:, 0],
-        xx=cov[1:, 1:],
-    )
+def _first(flags: np.ndarray) -> int:
+    return int(np.flatnonzero(flags)[0])
 
 
 @dataclass(frozen=True)
 class GmmModel:
-    """A fitted mixture plus the timing metadata needed downstream."""
+    """A time-pose mixture over rows [t, x]; the leading axis is time.
 
-    components: tuple
+    priors (G,), means (G, D+1) and covs (G, D+1, D+1) hold the components,
+    strictly ordered by their time centers.  Covariances are symmetrized on
+    construction.  Regression reads each component's time-normalized slope
+    m_g = cov_xt / cov_tt, (G, D), and spatial shape C_g = cov_xx / cov_tt,
+    (G, D, D): a fitted model derives both from covs, while a generalized
+    model passes its adapted terms, whose Schur complements C - mm^T must
+    stay positive definite.
+    """
+
+    priors: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
     duration: float
     phases: PhaseSchedule
+    slopes: np.ndarray | None = None
+    shapes: np.ndarray | None = None
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        if not comps:
+        priors = _frozen_array(self.priors)
+        means = _frozen_array(self.means)
+        covs = np.array(self.covs, dtype=float)
+        if priors.ndim != 1 or len(priors) < 1:
             raise ValueError("model needs at least one component")
-        dims = {c.dim for c in comps}
-        if len(dims) != 1:
-            raise ValueError("components must share one spatial dimension")
-        total = sum(c.prior for c in comps)
+        n_comp = len(priors)
+        if means.ndim != 2 or means.shape[0] != n_comp or means.shape[1] < 2:
+            raise ValueError("means must be (G, D+1) rows [t, x] with at least 2 entries")
+        n_dim = means.shape[1]
+        if covs.shape != (n_comp, n_dim, n_dim):
+            raise ValueError("covariance shapes must match the means")
+        bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=1)
+                & np.isfinite(covs).all(axis=(1, 2)))
+        if bad.any():
+            raise ValueError(f"component {_first(bad)}: parameters must be finite")
+        if not (priors > 0.0).all():
+            raise ValueError(f"component {_first(~(priors > 0.0))}: prior must be positive")
+        scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
+        asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-9 * scale
+        if asym.any():
+            raise ValueError(f"component {_first(asym)}: covariance must be symmetric")
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        covs.flags.writeable = False
+        not_spd = _cholesky_fails(covs)
+        if not_spd.any():
+            raise ValueError(f"component {_first(not_spd)}: covariance must be "
+                             "symmetric positive definite")
+        tt = covs[:, 0, 0]
+        if not (tt > 0.0).all():
+            raise ValueError(f"component {_first(~(tt > 0.0))}: time variance must be positive")
+        total = priors.sum()
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"priors must sum to 1, got {total!r}")
-        centers = [c.time_mean for c in comps]
-        if any(b <= a for a, b in zip(centers, centers[1:])):
+            raise ValueError(f"priors must sum to 1, got {float(total)!r}")
+        if np.any(np.diff(means[:, 0]) <= 0.0):
             raise ValueError("components must be strictly ordered by time center")
         if not (self.duration > 0.0):
             raise ValueError("duration must be positive")
         if abs(self.phases.duration - self.duration) > 1e-9:
             raise ValueError("phase schedule duration must match the model duration")
+        if self.slopes is None and self.shapes is None:
+            slopes = _frozen_array(covs[:, 1:, 0] / tt[:, None])
+            shapes = _frozen_array(covs[:, 1:, 1:] / tt[:, None, None])
+        else:
+            slopes = _frozen_array(self.slopes)
+            shapes = _frozen_array(self.shapes)
+            dim = n_dim - 1
+            if slopes.shape != (n_comp, dim):
+                raise ValueError("slopes must be (G, D)")
+            if shapes.shape != (n_comp, dim, dim):
+                raise ValueError("shapes must be (G, D, D)")
+            if not (np.isfinite(slopes).all() and np.isfinite(shapes).all()):
+                raise ValueError("slopes and shapes must be finite")
+            schur = shapes - slopes[:, :, None] * slopes[:, None, :]
+            lost = _cholesky_fails(0.5 * (schur + schur.transpose(0, 2, 1)))
+            if lost.any():
+                raise ValueError(f"component {_first(lost)}: spatial shape lost definiteness")
+        for name, value in (("priors", priors), ("means", means), ("covs", covs),
+                            ("slopes", slopes), ("shapes", shapes)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        """Spatial dimensionality (mean length minus the time entry)."""
+        return self.means.shape[1] - 1
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
-
-    def priors(self) -> np.ndarray:
-        return np.array([c.prior for c in self.components])
-
-    def time_means(self) -> np.ndarray:
-        return np.array([c.time_mean for c in self.components])
-
-    def time_vars(self) -> np.ndarray:
-        return np.array([c.cov[0, 0] for c in self.components])
-
-    def x_means(self) -> np.ndarray:
-        return np.stack([c.x_mean for c in self.components])
+        return len(self.priors)
 
 
 @dataclass(frozen=True)
@@ -159,21 +155,15 @@ class FitConfig:
             raise ValueError("loglik_tol and cov_floor must be positive")
 
 
-def _cluster_component(points: np.ndarray, prior: float, cov_floor: float) -> GaussianComponent:
-    mean = points.mean(axis=0)
-    diff = points - mean
-    cov = diff.T @ diff / len(points) + cov_floor * np.eye(points.shape[1])
-    return GaussianComponent(prior, mean, cov)
-
-
 def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
                 cov_floor: float = 1e-6, max_iters: int = 300):
     """Seed mixture components by K-means over [t, x] rows.
 
     The time column is rescaled to the spatial RMS spread before clustering
     so distances are not dominated by either axis; component statistics are
-    computed on the unscaled data.  Returns (assignments, components) with
-    components sorted by time center and assignments relabeled to match.
+    computed on the unscaled data.  Returns (assignments, (priors, means,
+    covs)) with clusters sorted by time center and assignments relabeled to
+    match.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
@@ -222,11 +212,17 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     relabel = np.empty(n_clusters, dtype=int)
     relabel[order] = np.arange(n_clusters)
     assign = relabel[assign]
-    components = [
-        _cluster_component(data[assign == k], np.count_nonzero(assign == k) / n, cov_floor)
-        for k in range(n_clusters)
-    ]
-    return assign, components
+    priors = np.bincount(assign, minlength=n_clusters) / n
+    d = data.shape[1]
+    means = np.empty((n_clusters, d))
+    covs = np.empty((n_clusters, d, d))
+    for k in range(n_clusters):
+        points = data[assign == k]
+        means[k] = points.mean(axis=0)
+        diff = points - means[k]
+        cov = diff.T @ diff / len(points) + cov_floor * np.eye(d)
+        covs[k] = 0.5 * (cov + cov.T)
+    return assign, (priors, means, covs)
 
 
 def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -241,8 +237,9 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
     return out
 
 
-def em_fit(dataset: np.ndarray, init: Sequence[GaussianComponent], config: FitConfig):
-    """Run EM from the given components; returns (components, loglik trace).
+def em_fit(dataset: np.ndarray, init, config: FitConfig):
+    """Run EM from init = (priors, means, covs); returns ((priors, means,
+    covs), loglik trace).
 
     The covariance floor is re-added after every M-step.  A component whose
     responsibility mass collapses below 1e-12 is reset from the datum the
@@ -255,13 +252,11 @@ def em_fit(dataset: np.ndarray, init: Sequence[GaussianComponent], config: FitCo
     if data.ndim != 2 or len(data) < 1:
         raise ValueError("dataset must be a non-empty (n, D+1) array")
     n, d = data.shape
-    n_comp = len(init)
+    priors, means, covs = (np.array(a, dtype=float) for a in init)
+    n_comp = len(priors)
     if n_comp < 1:
         raise ValueError("need at least one initial component")
-    priors = np.array([c.prior for c in init], dtype=float)
     priors = priors / priors.sum()
-    means = np.stack([np.asarray(c.mean, dtype=float) for c in init])
-    covs = np.stack([np.asarray(c.cov, dtype=float) for c in init])
     eye = np.eye(d)
     global_mean = data.mean(axis=0)
     global_cov = (data - global_mean).T @ (data - global_mean) / n
@@ -297,8 +292,7 @@ def em_fit(dataset: np.ndarray, init: Sequence[GaussianComponent], config: FitCo
             covs[g] = 0.5 * (cov + cov.T) + config.cov_floor * eye
         priors = mass / mass.sum()
 
-    components = [GaussianComponent(priors[g], means[g], covs[g]) for g in range(n_comp)]
-    return components, np.asarray(trace)
+    return (priors, means, covs), np.asarray(trace)
 
 
 @dataclass(frozen=True)
@@ -323,11 +317,11 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
             f"{config.n_components} components need at least as many samples, got {len(dataset)}"
         )
     _, init = kmeans_init(dataset, config.n_components, config.seed, config.cov_floor)
-    components, trace = em_fit(dataset, init, config)
-    components.sort(key=lambda c: c.time_mean)
+    (priors, means, covs), trace = em_fit(dataset, init, config)
+    order = np.argsort(means[:, 0], kind="stable")
     if phases is None:
         phases = PhaseSchedule(1.0, duration - 1.0, duration)
-    model = GmmModel(tuple(components), duration, phases)
+    model = GmmModel(priors[order], means[order], covs[order], duration, phases)
     return FitResult(model, trace)
 
 
@@ -341,11 +335,11 @@ def model_to_dict(model: GmmModel) -> dict:
         },
         "components": [
             {
-                "pi": c.prior,
-                "mu": [float(v) for v in c.mean],
-                "sigma": [float(v) for v in c.cov.ravel()],
+                "pi": float(prior),
+                "mu": [float(v) for v in mean],
+                "sigma": [float(v) for v in cov.ravel()],
             }
-            for c in model.components
+            for prior, mean, cov in zip(model.priors, model.means, model.covs)
         ],
     }
 
@@ -360,23 +354,31 @@ def model_from_dict(obj: dict) -> GmmModel:
             duration,
         )
         raw = obj["components"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"model JSON missing field: {exc}") from exc
-    comps = []
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("components must be a non-empty list")
+    priors, means, covs = [], [], []
     for i, c in enumerate(raw):
-        mu = np.asarray(c["mu"], dtype=float)
-        if len(mu) != dim + 1:
+        if not isinstance(c, dict):
+            raise ValueError(f"component {i}: must be a JSON object")
+        try:
+            prior = float(c["pi"])
+            mu = np.asarray(c["mu"], dtype=float)
+            sigma = np.asarray(c["sigma"], dtype=float)
+        except KeyError as exc:
+            raise ValueError(f"component {i}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"component {i}: {exc}") from exc
+        if mu.shape != (dim + 1,):
             raise ValueError(f"component {i}: mu must have D+1={dim + 1} entries")
-        sigma = np.asarray(c["sigma"], dtype=float)
         if sigma.size != (dim + 1) ** 2:
             raise ValueError(f"component {i}: sigma must have (D+1)^2 entries")
         sigma = sigma.reshape(dim + 1, dim + 1)
-        sigma = 0.5 * (sigma + sigma.T)
-        try:
-            comps.append(GaussianComponent(float(c["pi"]), mu, sigma))
-        except ValueError as exc:
-            raise ValueError(f"component {i}: {exc}") from exc
-    return GmmModel(tuple(comps), duration, phases)
+        priors.append(prior)
+        means.append(mu)
+        covs.append(0.5 * (sigma + sigma.T))
+    return GmmModel(np.array(priors), np.stack(means), np.stack(covs), duration, phases)
 
 
 def save_model(model: GmmModel, path) -> None:
@@ -385,14 +387,4 @@ def save_model(model: GmmModel, path) -> None:
 
 
 def load_model(path) -> GmmModel:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return model_from_dict(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _read_json(path, model_from_dict)

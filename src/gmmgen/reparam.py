@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PhaseSchedule, Pose, _frozen_array
-from .model import GaussianComponent, GmmModel, blocks, model_to_dict
+from .data import Pose, _read_json
+from .model import GmmModel, _cholesky_fails, model_from_dict, model_to_dict
 
 DEFAULT_POS_EPS = 1e-4
 DEFAULT_ROT_EPS = 1e-3
@@ -90,7 +90,7 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
     if not (np.isfinite(new_start).all() and np.isfinite(new_goal).all()):
         raise ValueError("endpoints must be finite")
 
-    means = model.x_means()
+    means = model.means[:, 1:]
     first, last = means[0], means[-1]
     span = last - first
     degenerate = np.abs(span) < eps
@@ -98,7 +98,7 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
     scale = np.where(degenerate, 0.0, (new_goal - new_start) / safe_span)
     scaled = new_start + scale * (means - first)
 
-    centers = model.time_means()
+    centers = model.means[:, 0]
     alpha = (centers - centers[0]) / (centers[-1] - centers[0])
     offset = (means
               + np.outer(1.0 - alpha, new_start - first)
@@ -110,140 +110,63 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class CovarianceUpdate:
-    slopes: np.ndarray
-    spatial_covs: np.ndarray
-    covs: np.ndarray
-    repairs: int
-
-
-def _assemble_cov(tt: float, slope: np.ndarray, spatial: np.ndarray) -> np.ndarray:
-    dim = len(slope)
-    out = np.empty((dim + 1, dim + 1))
-    out[0, 0] = 1.0
-    out[0, 1:] = slope
-    out[1:, 0] = slope
-    out[1:, 1:] = spatial
-    return tt * out
-
-
 def _clamp_spd(cov: np.ndarray, floor: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
     vals = np.maximum(vals, floor)
     return (vecs * vals) @ vecs.T
 
 
-def source_decomposition(model: GmmModel):
-    """Per-component slope m_g = cov_xt/cov_tt and shape C_g = cov_xx/cov_tt."""
-    slopes = []
-    spatial = []
-    for comp in model.components:
-        b = blocks(comp)
-        slopes.append(b.xt / b.tt)
-        spatial.append(b.xx / b.tt)
-    return np.stack(slopes), np.stack(spatial)
+def _outers(vecs: np.ndarray) -> np.ndarray:
+    """Per-row outer products v v^T of a (G, D) stack, (G, D, D)."""
+    return vecs[:, :, None] * vecs[:, None, :]
 
 
 def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray,
-                        cov_floor: float = 1e-6) -> CovarianceUpdate:
+                        cov_floor: float = 1e-6):
     """Rescale slopes by the change in consecutive mean differences.
 
     Component 1 is left untouched.  For g >= 2 each slope dimension is
     multiplied by (new difference / old difference); dimensions whose old
     consecutive difference falls below eps keep their slope.  The spatial
     shape gets the rank-two update C + m'm'^T - mm^T, which leaves the
-    Schur complement C - mm^T unchanged.
+    Schur complement C - mm^T unchanged.  Returns (slopes, shapes, covs,
+    repairs), where repairs counts reassembled covariances that rounding
+    left indefinite and that were clamped to cov_floor.
     """
-    means = model.x_means()
-    slopes, spatial = source_decomposition(model)
-    new_slopes = slopes.copy()
-    new_spatial = spatial.copy()
-    covs = np.stack([c.cov for c in model.components]).astype(float)
-    repairs = 0
-    for g in range(1, model.n_components):
-        tt = float(model.components[g].cov[0, 0])
-        d_old = means[g] - means[g - 1]
-        d_new = new_means[g] - new_means[g - 1]
-        keep = np.abs(d_old) < eps
-        ratio = np.where(keep, 1.0, d_new / np.where(keep, 1.0, d_old))
-        slope = ratio * slopes[g]
-        shape = spatial[g] + np.outer(slope, slope) - np.outer(slopes[g], slopes[g])
-        cov = _assemble_cov(tt, slope, shape)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            cov = _clamp_spd(cov, cov_floor)
-            repairs += 1
-        new_slopes[g] = slope
-        new_spatial[g] = shape
-        covs[g] = cov
-    return CovarianceUpdate(new_slopes, new_spatial, covs, repairs)
+    d_old = np.diff(model.means[:, 1:], axis=0)
+    d_new = np.diff(new_means, axis=0)
+    keep = np.abs(d_old) < eps
+    ratio = np.where(keep, 1.0, d_new / np.where(keep, 1.0, d_old))
+    old = model.slopes[1:]
+    moved = ratio * old
+    shape = model.shapes[1:] + _outers(moved) - _outers(old)
+    cov = np.empty((len(moved), model.dim + 1, model.dim + 1))
+    cov[:, 0, 0] = 1.0
+    cov[:, 0, 1:] = moved
+    cov[:, 1:, 0] = moved
+    cov[:, 1:, 1:] = shape
+    cov = model.covs[1:, 0, 0, None, None] * cov
+    broken = np.flatnonzero(_cholesky_fails(cov))
+    for g in broken:
+        cov[g] = _clamp_spd(cov[g], cov_floor)
+    return (np.concatenate([model.slopes[:1], moved]),
+            np.concatenate([model.shapes[:1], shape]),
+            np.concatenate([model.covs[:1], cov]),
+            len(broken))
 
 
-@dataclass(frozen=True)
-class ReparamModel:
-    """A generalized mixture: adapted means/covariances plus regression terms.
+@dataclass(frozen=True, kw_only=True)
+class ReparamModel(GmmModel):
+    """A generalized mixture: GmmModel with adapted means, covariances,
+    slopes and shapes, plus where it came from.
 
     Priors, time centers, and time variances are carried over from the
-    source model untouched; slopes and spatial_covs are what regression
-    consumes.
+    source model untouched.
     """
 
-    components: tuple
-    duration: float
-    phases: PhaseSchedule
-    slopes: np.ndarray
-    spatial_covs: np.ndarray
     task: TaskSpec
     ablated: bool = False
     spd_repairs: int = 0
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "slopes", _frozen_array(self.slopes))
-        object.__setattr__(self, "spatial_covs", _frozen_array(self.spatial_covs))
-        if not comps:
-            raise ValueError("model needs at least one component")
-        dim = comps[0].dim
-        n_comp = len(comps)
-        if self.slopes.shape != (n_comp, dim):
-            raise ValueError("slopes must be (G, D)")
-        if self.spatial_covs.shape != (n_comp, dim, dim):
-            raise ValueError("spatial_covs must be (G, D, D)")
-        total = sum(c.prior for c in comps)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
-        centers = [c.time_mean for c in comps]
-        if any(b <= a for a, b in zip(centers, centers[1:])):
-            raise ValueError("components must be strictly ordered by time center")
-        for g in range(n_comp):
-            schur = self.spatial_covs[g] - np.outer(self.slopes[g], self.slopes[g])
-            try:
-                np.linalg.cholesky(0.5 * (schur + schur.T))
-            except np.linalg.LinAlgError:
-                raise ValueError(f"component {g}: spatial shape lost definiteness") from None
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    def priors(self) -> np.ndarray:
-        return np.array([c.prior for c in self.components])
-
-    def time_means(self) -> np.ndarray:
-        return np.array([c.time_mean for c in self.components])
-
-    def time_vars(self) -> np.ndarray:
-        return np.array([c.cov[0, 0] for c in self.components])
-
-    def x_means(self) -> np.ndarray:
-        return np.stack([c.x_mean for c in self.components])
 
 
 def generalize(model: GmmModel, task: TaskSpec,
@@ -254,30 +177,21 @@ def generalize(model: GmmModel, task: TaskSpec,
     eps = config.resolve_eps(model.dim)
     new_means = reparam_means(model, task.start_vector(), task.goal_vector(), eps)
     if config.ablate_covariance:
-        slopes, spatial = source_decomposition(model)
-        covs = np.stack([c.cov for c in model.components])
-        repairs = 0
+        slopes, shapes, covs, repairs = model.slopes, model.shapes, model.covs, 0
     else:
-        update = reparam_covariances(model, new_means, eps, config.cov_floor)
-        slopes, spatial, covs, repairs = (update.slopes, update.spatial_covs,
-                                          update.covs, update.repairs)
-    components = tuple(
-        GaussianComponent(
-            comp.prior,
-            np.concatenate([[comp.time_mean], new_means[g]]),
-            covs[g],
-        )
-        for g, comp in enumerate(model.components)
-    )
-    return ReparamModel(components, model.duration, model.phases, slopes, spatial,
-                        task, config.ablate_covariance, repairs)
+        slopes, shapes, covs, repairs = reparam_covariances(model, new_means, eps,
+                                                            config.cov_floor)
+    means = np.column_stack([model.means[:, 0], new_means])
+    return ReparamModel(model.priors, means, covs, model.duration, model.phases,
+                        slopes, shapes, task=task, ablated=config.ablate_covariance,
+                        spd_repairs=repairs)
 
 
 def reparam_to_dict(model: ReparamModel) -> dict:
-    base = model_to_dict(GmmModel(model.components, model.duration, model.phases))
-    for g, comp in enumerate(base["components"]):
-        comp["m"] = [float(v) for v in model.slopes[g]]
-        comp["C"] = [float(v) for v in model.spatial_covs[g].ravel()]
+    base = model_to_dict(model)
+    for comp, slope, shape in zip(base["components"], model.slopes, model.shapes):
+        comp["m"] = [float(v) for v in slope]
+        comp["C"] = [float(v) for v in shape.ravel()]
     base["task"] = {
         "start": [float(v) for v in model.task.start_vector()],
         "goal": [float(v) for v in model.task.goal_vector()],
@@ -288,23 +202,21 @@ def reparam_to_dict(model: ReparamModel) -> dict:
 
 
 def reparam_from_dict(obj: dict) -> ReparamModel:
-    from .model import model_from_dict
-
     base = model_from_dict(obj)
     dim = base.dim
     try:
         slopes = np.stack([np.asarray(c["m"], dtype=float) for c in obj["components"]])
-        spatial = np.stack([
+        shapes = np.stack([
             np.asarray(c["C"], dtype=float).reshape(dim, dim) for c in obj["components"]
         ])
         task = TaskSpec(Pose.from_vector(obj["task"]["start"]),
                         Pose.from_vector(obj["task"]["goal"]))
         ablated = bool(obj.get("ablate_covariance", False))
         repairs = int(obj.get("spd_repairs", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"generalized-model JSON invalid: {exc}") from exc
-    return ReparamModel(base.components, base.duration, base.phases, slopes, spatial,
-                        task, ablated, repairs)
+    return ReparamModel(base.priors, base.means, base.covs, base.duration, base.phases,
+                        slopes, shapes, task=task, ablated=ablated, spd_repairs=repairs)
 
 
 def save_reparam_model(model: ReparamModel, path) -> None:
@@ -313,14 +225,4 @@ def save_reparam_model(model: ReparamModel, path) -> None:
 
 
 def load_reparam_model(path) -> ReparamModel:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return reparam_from_dict(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _read_json(path, reparam_from_dict)

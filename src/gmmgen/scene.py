@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import Pose, Trajectory, resample
+from .data import Pose, Trajectory, _read_json, resample
 from .metrics import FailureReason, boundary_error
 from .reparam import TaskSpec
 
@@ -272,14 +272,4 @@ def save_scene(scene: Scene, path) -> None:
 
 
 def load_scene(path) -> Scene:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return scene_from_dict(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _read_json(path, scene_from_dict)

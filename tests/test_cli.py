@@ -166,11 +166,9 @@ def test_benchmark_outputs_and_reruns_byte_identical(work, tmp_path):
             "--mode", "combined", "--trials", "4", "--seed", "1"]
     assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
     assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
-    assert main(args + ["--out-dir", str(tmp_path / "c"), "--workers", "3"]) == 0
     for name in ("summary.csv", "trials.jsonl"):
         a = (tmp_path / "a" / name).read_bytes()
         assert a == (tmp_path / "b" / name).read_bytes()
-        assert a == (tmp_path / "c" / name).read_bytes()
     header, row = (tmp_path / "a" / "summary.csv").read_text().splitlines()
     assert header.startswith("method,success_rate,")
     assert row.startswith("full,")
@@ -261,3 +259,35 @@ def test_regress_parses_model_once_and_locates_errors(work, tmp_path, endpoint_a
     err = capsys.readouterr().err
     assert f"{bad}: generalized-model JSON invalid" in err
     assert not (tmp_path / "u.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["mu", "sigma", "pi"])
+def test_regress_component_missing_field_exit2(work, tmp_path, capsys, field):
+    obj = json.loads((work / "model.json").read_text())
+    del obj["components"][3][field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["regress", "--model", str(bad), "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert f"{bad}: component 3: missing field '{field}'" in capsys.readouterr().err
+
+
+def test_regress_component_not_an_object_exit2(work, tmp_path, capsys):
+    obj = json.loads((work / "model.json").read_text())
+    obj["components"][2] = [1.0, 2.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["regress", "--model", str(bad), "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert f"{bad}: component 2: must be a JSON object" in capsys.readouterr().err
+
+
+def test_fit_manifest_incomplete_phases_exit2(work, tmp_path, capsys):
+    manifest = json.loads((work / "demos" / "manifest.json").read_text())
+    manifest["files"] = [str(work / "demos" / f) for f in manifest["files"]]
+    del manifest["phases"]["release_start"]
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    code = main(["fit", "--demos", str(bad), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert f"{bad}: invalid manifest: 'release_start'" in capsys.readouterr().err

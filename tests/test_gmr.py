@@ -3,24 +3,24 @@ import pytest
 
 from gmmgen.data import PhaseSchedule
 from gmmgen.gmr import activation_weights, regress, regress_with_variance
-from gmmgen.model import GaussianComponent, GmmModel
+from gmmgen.model import GmmModel
 
 
 def two_component_model(priors=(0.5, 0.5), t_means=(1.0, 3.0), x_means=(0.0, 1.0),
                         t_var=0.25, slope=0.0, shape=1.0):
-    comps = []
-    for p, t, x in zip(priors, t_means, x_means):
-        cov = t_var * np.array([[1.0, slope], [slope, shape]])
-        comps.append(GaussianComponent(p, [t, x], cov))
+    cov = t_var * np.array([[1.0, slope], [slope, shape]])
     duration = float(t_means[-1]) + 1.0
     phases = PhaseSchedule(duration / 4.0, 3.0 * duration / 4.0, duration)
-    return GmmModel(tuple(comps), duration, phases)
+    return GmmModel(priors, np.column_stack([t_means, x_means]), [cov, cov],
+                    duration, phases)
+
+
+def single_component_model(mean, cov):
+    return GmmModel([1.0], [mean], [cov], 2.0, PhaseSchedule(0.5, 1.5, 2.0))
 
 
 def test_single_component_weight_is_one():
-    model = GmmModel(
-        (GaussianComponent(1.0, [1.0, 0.0], np.eye(2)),), 2.0,
-        PhaseSchedule(0.5, 1.5, 2.0))
+    model = single_component_model([1.0, 0.0], np.eye(2))
     for t in (0.0, 1.0, 2.0):
         assert np.array_equal(activation_weights(model, t), [1.0])
 
@@ -50,9 +50,7 @@ def test_partition_of_unity_at_extreme_times():
 
 def test_single_component_regresses_a_line():
     cov = np.array([[0.5, 0.25], [0.25, 1.0]])  # slope 0.5
-    model = GmmModel(
-        (GaussianComponent(1.0, [1.0, 2.0], cov),), 2.0,
-        PhaseSchedule(0.5, 1.5, 2.0))
+    model = single_component_model([1.0, 2.0], cov)
     times = np.linspace(0.0, 2.0, 9)
     traj = regress(model, times)
     assert np.allclose(traj.values[:, 0], 2.0 + 0.5 * (times - 1.0), atol=1e-12)
@@ -110,9 +108,7 @@ def test_variance_matches_regression_and_is_spd(model, times):
 
 def test_variance_single_component_is_conditional():
     cov = np.array([[0.5, 0.25], [0.25, 1.0]])
-    model = GmmModel(
-        (GaussianComponent(1.0, [1.0, 2.0], cov),), 2.0,
-        PhaseSchedule(0.5, 1.5, 2.0))
+    model = single_component_model([1.0, 2.0], cov)
     _, covs = regress_with_variance(model, np.linspace(0.0, 2.0, 5))
     expected = 1.0 - 0.25**2 / 0.5  # Schur complement of the time block
     assert np.allclose(covs[:, 0, 0], expected, atol=1e-12)

@@ -2,53 +2,82 @@ import numpy as np
 import pytest
 
 from gmmgen.data import PhaseSchedule, Trajectory
-from gmmgen.model import (FitConfig, GaussianComponent, GmmModel, blocks,
-                          em_fit, fit_gmm, kmeans_init, load_model,
-                          save_model)
+from gmmgen.model import (FitConfig, GmmModel, em_fit, fit_gmm, kmeans_init,
+                          load_model, save_model)
 
 from conftest import assert_monotone_loglik
 
+PHASES_1S = PhaseSchedule(0.2, 0.8, 1.0)
 
-def test_blocks_hand_case():
-    comp = GaussianComponent(1.0, [0.5, 2.0], [[2.0, 1.0], [1.0, 3.0]])
-    b = blocks(comp)
-    assert b.time_mean == 0.5
-    assert b.x_mean[0] == 2.0
-    assert b.tt == 2.0
-    assert b.tx[0] == 1.0 and b.xt[0] == 1.0
-    assert b.xx[0, 0] == 3.0
-    # slope and residual shape implied by the blocks
-    assert b.xt[0] / b.tt == pytest.approx(0.5)
-    assert b.xx[0, 0] / b.tt == pytest.approx(1.5)
+
+def one_component(prior=1.0, mean=(0.5, 2.0), cov=((2.0, 1.0), (1.0, 3.0)), **terms):
+    return GmmModel([prior], [mean], [cov], 1.0, PHASES_1S, **terms)
+
+
+def test_derived_slopes_shapes_hand_case():
+    model = one_component()
+    assert model.n_components == 1 and model.dim == 1
+    assert model.means[0, 0] == 0.5 and model.means[0, 1] == 2.0
+    assert model.covs[0, 0, 0] == 2.0
+    assert model.covs[0, 0, 1] == 1.0 and model.covs[0, 1, 0] == 1.0
+    assert model.covs[0, 1, 1] == 3.0
+    # slope m = cov_xt / cov_tt and shape C = cov_xx / cov_tt
+    assert model.slopes.shape == (1, 1) and model.shapes.shape == (1, 1, 1)
+    assert model.slopes[0, 0] == pytest.approx(0.5)
+    assert model.shapes[0, 0, 0] == pytest.approx(1.5)
+    # given terms are kept as given
+    given = one_component(slopes=[[0.25]], shapes=[[[1.0]]])
+    assert given.slopes[0, 0] == 0.25 and given.shapes[0, 0, 0] == 1.0
 
 
 def test_component_validation():
     eye = np.eye(2)
     with pytest.raises(ValueError):
-        GaussianComponent(0.0, [0.0, 0.0], eye)
+        one_component(prior=0.0, cov=eye)
     with pytest.raises(ValueError):
-        GaussianComponent(0.5, [0.0], [[1.0]])  # needs [t, x]
+        GmmModel([0.5], [[0.0]], [[[1.0]]], 1.0, PHASES_1S)  # needs [t, x]
     with pytest.raises(ValueError):
-        GaussianComponent(0.5, [0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]])  # asymmetric
+        one_component(cov=[[1.0, 0.5], [0.4, 1.0]])  # asymmetric
     with pytest.raises(ValueError):
-        GaussianComponent(0.5, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        one_component(cov=[[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(ValueError):
-        GaussianComponent(0.5, [0.0, 0.0], np.eye(3))  # shape mismatch
+        one_component(cov=np.eye(3))  # shape mismatch
+    with pytest.raises(ValueError):
+        one_component(cov=[[np.nan, 0.0], [0.0, 1.0]])
+    # construction symmetrizes within the tolerance
+    model = one_component(cov=[[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    assert np.array_equal(model.covs, model.covs.transpose(0, 2, 1))
+    assert not model.covs.flags.writeable
 
 
 def test_model_validation():
-    c1 = GaussianComponent(0.5, [0.0, 0.0], np.eye(2))
-    c2 = GaussianComponent(0.5, [1.0, 1.0], np.eye(2))
-    phases = PhaseSchedule(0.2, 0.8, 1.0)
-    model = GmmModel((c1, c2), 1.0, phases)
+    means = [[0.0, 0.0], [1.0, 1.0]]
+    covs = [np.eye(2), np.eye(2)]
+    model = GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S)
     assert model.n_components == 2 and model.dim == 1
-    assert np.allclose(model.priors(), [0.5, 0.5])
+    assert np.allclose(model.priors, [0.5, 0.5])
     with pytest.raises(ValueError):
-        GmmModel((c2, c1), 1.0, phases)  # not time sorted
+        GmmModel([0.5, 0.5], means[::-1], covs, 1.0, PHASES_1S)  # not time sorted
     with pytest.raises(ValueError):
-        GmmModel((c1, GaussianComponent(0.6, [1.0, 1.0], np.eye(2))), 1.0, phases)
+        GmmModel([0.5, 0.6], means, covs, 1.0, PHASES_1S)
     with pytest.raises(ValueError):
-        GmmModel((c1, c2), 2.0, phases)  # phase/duration mismatch
+        GmmModel([0.5, 0.5], means, covs, 2.0, PHASES_1S)  # phase/duration mismatch
+    with pytest.raises(ValueError):
+        GmmModel([], np.zeros((0, 2)), np.zeros((0, 2, 2)), 1.0, PHASES_1S)
+
+
+def test_given_terms_validation():
+    # Schur complement C - mm^T = 1.0 - 1.5^2 < 0: the shape lost definiteness
+    with pytest.raises(ValueError, match="component 0: spatial shape lost definiteness"):
+        one_component(slopes=[[1.5]], shapes=[[[1.0]]])
+    with pytest.raises(ValueError):
+        one_component(slopes=[[0.5, 0.0]], shapes=[[[1.0]]])  # slopes not (G, D)
+    with pytest.raises(ValueError):
+        one_component(slopes=[[0.5]], shapes=[[1.0]])  # shapes not (G, D, D)
+    with pytest.raises(ValueError):
+        one_component(slopes=[[0.5]])  # shapes missing
+    with pytest.raises(ValueError):
+        one_component(slopes=[[np.inf]], shapes=[[[1.0]]])
 
 
 def test_fitconfig_validation():
@@ -65,12 +94,14 @@ def test_kmeans_recovers_separated_clusters():
     a = rng.normal([0.0, 0.0], 0.05, size=(60, 2))
     b = rng.normal([5.0, 3.0], 0.05, size=(40, 2))
     data = np.vstack([a, b])
-    assign, comps = kmeans_init(data, 2, seed=0)
+    assign, (priors, means, covs) = kmeans_init(data, 2, seed=0)
     assert np.all(assign[:60] == 0) and np.all(assign[60:] == 1)
-    assert comps[0].time_mean < comps[1].time_mean
-    assert comps[0].prior == pytest.approx(0.6)
-    assert np.allclose(comps[0].mean, a.mean(axis=0))
-    assert np.allclose(comps[1].mean, b.mean(axis=0))
+    assert means[0, 0] < means[1, 0]
+    assert priors[0] == pytest.approx(0.6)
+    assert np.allclose(means[0], a.mean(axis=0))
+    assert np.allclose(means[1], b.mean(axis=0))
+    assert covs.shape == (2, 2, 2)
+    assert np.array_equal(covs, covs.transpose(0, 2, 1))
 
 
 def test_kmeans_input_validation():
@@ -86,15 +117,15 @@ def test_kmeans_input_validation():
 def test_em_single_component_closed_form():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(200, 3))
-    init = [GaussianComponent(1.0, data[0], np.eye(3))]
+    init = ([1.0], [data[0]], [np.eye(3)])
     config = FitConfig(n_components=2, max_iters=5, cov_floor=1e-6)
-    comps, trace = em_fit(data, init, config)
+    (priors, means, covs), trace = em_fit(data, init, config)
     mean = data.mean(axis=0)
     diff = data - mean
     cov = diff.T @ diff / len(data) + config.cov_floor * np.eye(3)
-    assert np.allclose(comps[0].mean, mean, atol=1e-12)
-    assert np.allclose(comps[0].cov, cov, atol=1e-12)
-    assert comps[0].prior == 1.0
+    assert np.allclose(means[0], mean, atol=1e-12)
+    assert np.allclose(covs[0], cov, atol=1e-12)
+    assert priors[0] == 1.0
     assert len(trace) <= 5
 
 
@@ -121,14 +152,15 @@ def test_em_two_component_recovery():
         rng.multivariate_normal(mean_b, cov_b, size=n - half),
     ])
     _, init = kmeans_init(data, 2, seed=0)
-    comps, trace = em_fit(data, init, FitConfig(n_components=2, seed=0))
+    (priors, means, covs), trace = em_fit(data, init, FitConfig(n_components=2, seed=0))
     assert_monotone_loglik(trace)
-    comps = sorted(comps, key=lambda c: c.time_mean)
-    assert np.allclose(comps[0].mean, mean_a, atol=0.05)
-    assert np.allclose(comps[1].mean, mean_b, atol=0.05)
-    assert np.allclose(comps[0].cov, cov_a, atol=0.05)
-    assert np.allclose(comps[1].cov, cov_b, atol=0.05)
-    assert abs(comps[0].prior - 0.5) < 0.05
+    order = np.argsort(means[:, 0])
+    priors, means, covs = priors[order], means[order], covs[order]
+    assert np.allclose(means[0], mean_a, atol=0.05)
+    assert np.allclose(means[1], mean_b, atol=0.05)
+    assert np.allclose(covs[0], cov_a, atol=0.05)
+    assert np.allclose(covs[1], cov_b, atol=0.05)
+    assert abs(priors[0] - 0.5) < 0.05
 
 
 def test_fit_gmm_validation():
@@ -145,7 +177,7 @@ def test_fit_gmm_validation():
 
 def test_fit_gmm_sorted_and_phased(demos, fit_result):
     model = fit_result.model
-    centers = model.time_means()
+    centers = model.means[:, 0]
     assert np.all(np.diff(centers) > 0.0)
     assert model.duration == pytest.approx(demos[0].duration)
     assert model.phases.grasp_end == pytest.approx(1.0)
@@ -159,11 +191,8 @@ def test_model_json_roundtrip(tmp_path, model):
     back = load_model(path)
     assert back.duration == model.duration
     assert back.phases == model.phases
-    assert back.n_components == model.n_components
-    for a, b in zip(back.components, model.components):
-        assert a.prior == b.prior
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
+    for name in ("priors", "means", "covs", "slopes", "shapes"):
+        assert np.array_equal(getattr(back, name), getattr(model, name)), name
 
 
 def test_load_model_rejects_bad_json(tmp_path):

@@ -1,31 +1,136 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmmgen.data import PhaseSchedule, Pose
-from gmmgen.model import GaussianComponent, GmmModel
+from gmmgen.model import GmmModel, load_model, save_model
 from gmmgen.reparam import (DEFAULT_POS_EPS, DEFAULT_ROT_EPS, ReparamConfig,
                             TaskSpec, _clamp_spd, generalize,
                             load_reparam_model, reparam_covariances,
-                            reparam_means, save_reparam_model,
-                            source_decomposition)
+                            reparam_means, save_reparam_model)
 from gmmgen.scene import sample_task
 
 
 def model_1d(x_means, slope=0.2, shape=1.0, tt=0.5):
     """Line of 1-D components with identical covariance structure."""
     x_means = np.asarray(x_means, dtype=float)
-    times = np.arange(len(x_means), dtype=float)
+    n = len(x_means)
+    times = np.arange(n, dtype=float)
     cov = tt * np.array([[1.0, slope], [slope, shape]])
-    comps = tuple(
-        GaussianComponent(1.0 / len(x_means), [t, x], cov)
-        for t, x in zip(times, x_means)
-    )
     duration = float(times[-1])
     phases = PhaseSchedule(duration / 4.0, 3.0 * duration / 4.0, duration)
-    return GmmModel(comps, duration, phases)
+    return GmmModel(np.full(n, 1.0 / n), np.column_stack([times, x_means]),
+                    np.tile(cov, (n, 1, 1)), duration, phases)
 
 
 EPS_1D = np.array([1e-4])
+
+
+def oracle_reparam_covariances(model, new_means, eps, cov_floor=1e-6):
+    """Per-component reference for reparam_covariances, one g at a time.
+
+    Slopes and shapes are derived here from the covariances themselves, so
+    the check does not rest on the model's own derived terms.
+    """
+    means = model.means[:, 1:]
+    slopes = np.stack([cov[1:, 0] / float(cov[0, 0]) for cov in model.covs])
+    spatial = np.stack([cov[1:, 1:] / float(cov[0, 0]) for cov in model.covs])
+    new_slopes = slopes.copy()
+    new_spatial = spatial.copy()
+    covs = np.array(model.covs, dtype=float)
+    repairs = 0
+    for g in range(1, model.n_components):
+        tt = float(model.covs[g][0, 0])
+        d_old = means[g] - means[g - 1]
+        d_new = new_means[g] - new_means[g - 1]
+        keep = np.abs(d_old) < eps
+        ratio = np.where(keep, 1.0, d_new / np.where(keep, 1.0, d_old))
+        slope = ratio * slopes[g]
+        shape = spatial[g] + np.outer(slope, slope) - np.outer(slopes[g], slopes[g])
+        out = np.empty((model.dim + 1, model.dim + 1))
+        out[0, 0] = 1.0
+        out[0, 1:] = slope
+        out[1:, 0] = slope
+        out[1:, 1:] = shape
+        cov = tt * out
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            cov = _clamp_spd(cov, cov_floor)
+            repairs += 1
+        new_slopes[g] = slope
+        new_spatial[g] = shape
+        covs[g] = cov
+    return new_slopes, new_spatial, covs, repairs
+
+
+def random_spd_mixture(rng, n_comp, dim, thin):
+    """Random time-sorted mixture of SPD components.
+
+    With thin=True every Schur complement C - mm^T is ~1e-13, so rounding in
+    the rank-two update can break definiteness and force SPD repairs.
+    """
+    t_means = np.cumsum(rng.uniform(0.2, 1.0, n_comp))
+    covs = []
+    for _ in range(n_comp):
+        slope = rng.uniform(-2.0, 2.0, dim)
+        a = rng.normal(size=(dim, dim))
+        schur = a @ a.T / dim + np.eye(dim)
+        schur *= 1e-13 if thin else 0.1
+        cov = np.empty((dim + 1, dim + 1))
+        cov[0, 0] = 1.0
+        cov[0, 1:] = slope
+        cov[1:, 0] = slope
+        cov[1:, 1:] = schur + np.outer(slope, slope)
+        covs.append(rng.uniform(0.05, 1.0) * cov)
+    duration = float(t_means[-1]) + 1.0
+    phases = PhaseSchedule(0.25 * duration, 0.75 * duration, duration)
+    return GmmModel(rng.dirichlet(np.ones(n_comp)),
+                    np.column_stack([t_means, rng.normal(size=(n_comp, dim))]),
+                    covs, duration, phases)
+
+
+def assert_bitwise_equal(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 6),
+       dim=st.integers(1, 4), thin=st.booleans(),
+       spread=st.sampled_from([0.3, 3.0, 30.0]))
+def test_reparam_covariances_matches_oracle_bitwise(seed, n_comp, dim, thin, spread):
+    rng = np.random.default_rng(seed)
+    model = random_spd_mixture(rng, n_comp, dim, thin)
+    new_means = model.means[:, 1:] * rng.uniform(-spread, spread, (n_comp, dim))
+    eps = rng.uniform(1e-4, 0.5, dim)  # some consecutive differences keep their slope
+    got = reparam_covariances(model, new_means, eps)
+    assert_bitwise_equal(got, oracle_reparam_covariances(model, new_means, eps))
+
+
+def test_reparam_covariances_repairs_match_oracle(model, scene, endpoints):
+    repairs = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        thin = random_spd_mixture(rng, 5, 3, thin=True)
+        new_means = thin.means[:, 1:] * rng.uniform(-30.0, 30.0, (5, 3))
+        got = reparam_covariances(thin, new_means, np.full(3, 1e-4))
+        assert_bitwise_equal(got, oracle_reparam_covariances(thin, new_means,
+                                                             np.full(3, 1e-4)))
+        repairs += got[3]
+    assert repairs > 0
+    # and on the fitted model over sampled tasks
+    eps = ReparamConfig().resolve_eps(6)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        task = sample_task(scene, "combined", rng, *endpoints)
+        new_means = reparam_means(model, task.start_vector(), task.goal_vector(), eps)
+        assert_bitwise_equal(reparam_covariances(model, new_means, eps),
+                             oracle_reparam_covariances(model, new_means, eps))
 
 
 def test_mean_scaling_hand_case():
@@ -58,9 +163,8 @@ def test_mean_input_validation():
         reparam_means(model, np.zeros(2), np.zeros(1), EPS_1D)
     with pytest.raises(ValueError):
         reparam_means(model, np.array([np.nan]), np.array([1.0]), EPS_1D)
-    single = GmmModel(
-        (GaussianComponent(1.0, [0.5, 0.0], np.eye(2)),), 1.0,
-        PhaseSchedule(0.25, 0.75, 1.0))
+    single = GmmModel([1.0], [[0.5, 0.0]], [np.eye(2)], 1.0,
+                      PhaseSchedule(0.25, 0.75, 1.0))
     with pytest.raises(ValueError):
         reparam_means(single, np.zeros(1), np.ones(1), EPS_1D)
 
@@ -68,36 +172,36 @@ def test_mean_input_validation():
 def test_covariance_slope_scaling_hand_case():
     model = model_1d([0.0, 1.0, 2.0], slope=0.2, shape=1.0, tt=0.5)
     new_means = reparam_means(model, np.array([0.0]), np.array([6.0]), EPS_1D)
-    update = reparam_covariances(model, new_means, EPS_1D)
+    slopes, shapes, covs, repairs = reparam_covariances(model, new_means, EPS_1D)
     # consecutive differences triple, so slopes triple for g >= 2
-    assert update.slopes[0, 0] == 0.2  # first component untouched
-    assert np.allclose(update.slopes[1:, 0], 0.6, atol=1e-14)
+    assert slopes[0, 0] == 0.2  # first component untouched
+    assert np.allclose(slopes[1:, 0], 0.6, atol=1e-14)
     # shape picks up m'm'^T - mm^T = 0.36 - 0.04
-    assert np.allclose(update.spatial_covs[1:, 0, 0], 1.32, atol=1e-14)
-    assert update.spatial_covs[0, 0, 0] == 1.0
+    assert np.allclose(shapes[1:, 0, 0], 1.32, atol=1e-14)
+    assert shapes[0, 0, 0] == 1.0
     # assembled covariance keeps tt and scales the cross term
-    assert np.allclose(update.covs[1], 0.5 * np.array([[1.0, 0.6], [0.6, 1.32]]),
+    assert np.allclose(covs[1], 0.5 * np.array([[1.0, 0.6], [0.6, 1.32]]),
                        atol=1e-14)
-    assert np.array_equal(update.covs[0], model.components[0].cov)
-    assert update.repairs == 0
+    assert np.array_equal(covs[0], model.covs[0])
+    assert repairs == 0
 
 
 def test_covariance_schur_complement_preserved():
     model = model_1d([0.0, 1.0, 2.0], slope=0.3, shape=1.5)
     new_means = reparam_means(model, np.array([-2.0]), np.array([10.0]), EPS_1D)
-    update = reparam_covariances(model, new_means, EPS_1D)
+    slopes, shapes, _, _ = reparam_covariances(model, new_means, EPS_1D)
     for g in range(model.n_components):
         old = 1.5 - 0.3**2
-        new = update.spatial_covs[g, 0, 0] - update.slopes[g, 0] ** 2
+        new = shapes[g, 0, 0] - slopes[g, 0] ** 2
         assert abs(new - old) < 1e-12
 
 
 def test_covariance_degenerate_difference_keeps_slope():
     model = model_1d([1.0, 1.0 + 1e-6])  # consecutive difference below eps
     new_means = np.array([[2.0], [5.0]])
-    update = reparam_covariances(model, new_means, np.array([0.5]))
-    assert update.slopes[1, 0] == 0.2
-    assert np.allclose(update.covs[1], model.components[1].cov, atol=1e-15)
+    slopes, _, covs, _ = reparam_covariances(model, new_means, np.array([0.5]))
+    assert slopes[1, 0] == 0.2
+    assert np.allclose(covs[1], model.covs[1], atol=1e-15)
 
 
 def test_clamp_spd_restores_definiteness():
@@ -135,39 +239,36 @@ def test_generalize_pins_endpoints_and_carryovers(model, scene, endpoints):
     rng = np.random.default_rng(123)
     task = sample_task(scene, "combined", rng, *endpoints)
     out = generalize(model, task)
-    assert np.array_equal(out.components[0].x_mean, task.start_vector())
-    assert np.array_equal(out.components[-1].x_mean, task.goal_vector())
-    for old, new in zip(model.components, out.components):
-        assert new.prior == old.prior
-        assert new.time_mean == old.time_mean
-        assert new.cov[0, 0] == old.cov[0, 0]
+    assert np.array_equal(out.means[0, 1:], task.start_vector())
+    assert np.array_equal(out.means[-1, 1:], task.goal_vector())
+    assert np.array_equal(out.priors, model.priors)
+    assert np.array_equal(out.means[:, 0], model.means[:, 0])
+    assert np.array_equal(out.covs[:, 0, 0], model.covs[:, 0, 0])
     # first component's covariance survives bitwise
-    assert np.array_equal(out.components[0].cov, model.components[0].cov)
-    slopes, spatial = source_decomposition(model)
-    assert np.array_equal(out.slopes[0], slopes[0])
-    assert np.array_equal(out.spatial_covs[0], spatial[0])
+    assert np.array_equal(out.covs[0], model.covs[0])
+    assert np.array_equal(out.slopes[0], model.slopes[0])
+    assert np.array_equal(out.shapes[0], model.shapes[0])
     assert out.spd_repairs == 0 and not out.ablated
 
 
 def test_generalize_identity_recovers_model(model, endpoints):
     out = generalize(model, TaskSpec(*endpoints))
-    for old, new in zip(model.components, out.components):
-        assert np.allclose(new.mean, old.mean, atol=1e-12)
-        assert np.allclose(new.cov, old.cov, atol=1e-12)
+    assert np.allclose(out.means, model.means, atol=1e-12)
+    assert np.allclose(out.covs, model.covs, atol=1e-12)
 
 
 def test_generalize_schur_eigenvalues_match(model, scene, endpoints):
     rng = np.random.default_rng(7)
-    slopes, spatial = source_decomposition(model)
+    slopes, shapes = model.slopes, model.shapes
     for trial in range(5):
         task = sample_task(scene, "combined", rng, *endpoints)
         out = generalize(model, task)
         for g in range(model.n_components):
-            old = np.linalg.eigvalsh(spatial[g] - np.outer(slopes[g], slopes[g]))
+            old = np.linalg.eigvalsh(shapes[g] - np.outer(slopes[g], slopes[g]))
             new = np.linalg.eigvalsh(
-                out.spatial_covs[g] - np.outer(out.slopes[g], out.slopes[g]))
+                out.shapes[g] - np.outer(out.slopes[g], out.slopes[g]))
             assert np.abs(new - old).max() < 1e-10
-            np.linalg.cholesky(out.components[g].cov)
+            np.linalg.cholesky(out.covs[g])
         assert out.spd_repairs == 0
 
 
@@ -176,14 +277,12 @@ def test_generalize_ablated_keeps_source_covariances(model, scene, endpoints):
     task = sample_task(scene, "combined", rng, *endpoints)
     out = generalize(model, task, ReparamConfig(ablate_covariance=True))
     assert out.ablated
-    slopes, spatial = source_decomposition(model)
-    assert np.array_equal(out.slopes, slopes)
-    assert np.array_equal(out.spatial_covs, spatial)
-    for old, new in zip(model.components, out.components):
-        assert np.array_equal(new.cov, old.cov)
+    assert np.array_equal(out.slopes, model.slopes)
+    assert np.array_equal(out.shapes, model.shapes)
+    assert np.array_equal(out.covs, model.covs)
     # means are still remapped onto the task
-    assert np.array_equal(out.components[0].x_mean, task.start_vector())
-    assert np.array_equal(out.components[-1].x_mean, task.goal_vector())
+    assert np.array_equal(out.means[0, 1:], task.start_vector())
+    assert np.array_equal(out.means[-1, 1:], task.goal_vector())
 
 
 def test_reparam_json_roundtrip(tmp_path, model, scene, endpoints):
@@ -193,14 +292,74 @@ def test_reparam_json_roundtrip(tmp_path, model, scene, endpoints):
     path = tmp_path / "gen.json"
     save_reparam_model(out, path)
     back = load_reparam_model(path)
-    assert np.array_equal(back.slopes, out.slopes)
-    assert np.array_equal(back.spatial_covs, out.spatial_covs)
+    for name in ("priors", "means", "covs", "slopes", "shapes"):
+        assert np.array_equal(getattr(back, name), getattr(out, name)), name
     assert np.array_equal(back.task.start_vector(), out.task.start_vector())
     assert np.array_equal(back.task.goal_vector(), out.task.goal_vector())
     assert back.ablated == out.ablated and back.spd_repairs == out.spd_repairs
-    for a, b in zip(back.components, out.components):
-        assert a.prior == b.prior
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
     with pytest.raises(ValueError):
         load_reparam_model(tmp_path / "missing.json")
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+               | st.floats() | st.text(max_size=4)
+               | st.sampled_from([float("inf"), float("nan"), -1, 0, 1e308]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated(draw, doc):
+    """The document with one to three nodes deleted or replaced.
+
+    Each mutation walks down from the root, stopping at every level with
+    probability 1/2, so top-level fields are hit as often as deep entries.
+    """
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (parent is None
+                                                          or draw(st.booleans())):
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            doc = draw(JSON_VALUES)
+        elif draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def model_documents(model, scene, endpoints, tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutations")
+    task = sample_task(scene, "combined", np.random.default_rng(4), *endpoints)
+    save_model(model, root / "model.json")
+    save_reparam_model(generalize(model, task), root / "gen.json")
+    return root, {name: json.loads((root / f"{name}.json").read_text())
+                  for name in ("model", "gen")}
+
+
+@pytest.mark.parametrize("name,loader", [("model", load_model),
+                                         ("gen", load_reparam_model)])
+def test_loaders_reject_mutated_json_with_located_error(model_documents, name, loader):
+    root, docs = model_documents
+    path = root / f"mutated_{name}.json"
+
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        try:
+            loader(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+    # integer fields set to infinity, which random mutation seldom reaches
+    for field in ("D", "spd_repairs"):
+        check(dict(docs[name], **{field: float("inf")}))
+    settings(max_examples=300)(given(doc=mutated(docs[name]))(check))()
