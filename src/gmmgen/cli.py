@@ -121,9 +121,11 @@ def _demo_paths(args):
 
 
 def cmd_fit(args) -> int:
+    if (args.grasp_end is None) != (args.release_start is None):
+        raise ValueError("--grasp-end and --release-start must be given together")
     paths, phases = _demo_paths(args)
     demos = [load_trajectory(p) for p in paths]
-    if args.grasp_end is not None and args.release_start is not None:
+    if args.grasp_end is not None:
         phases = PhaseSchedule(args.grasp_end, args.release_start,
                                demos[0].duration)
     config = FitConfig(n_components=args.components, max_iters=args.max_iters,

@@ -9,9 +9,9 @@ built from its mean and time-normalized slope.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Trajectory
+from .model import logsumexp
 
 
 def _log_activations(model, times) -> np.ndarray:
@@ -54,8 +54,9 @@ def _predict(model, times):
     """(times, weights (n, G), per-component predictions (n, G, D), mixed (n, D))."""
     times = _validated_times(times, model.duration)
     weights = np.exp(_log_activations(model, times))
-    preds = model.means[None, :, 1:] + model.slopes[None, :, :] * (
-        times[:, None, None] - model.means[None, :, 0, None])
+    # added in place: one (n, G, D) temporary per call, not two
+    preds = model.slopes[None, :, :] * (times[:, None, None] - model.means[None, :, 0, None])
+    preds += model.means[None, :, 1:]
     values = np.einsum("ng,ngd->nd", weights, preds)
     return times, weights, preds, values
 

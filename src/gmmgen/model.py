@@ -14,8 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
+from scipy.linalg.lapack import dtrtrs
 
 from .data import PhaseSchedule, Trajectory, _frozen_array, _read_json
 
@@ -155,6 +154,52 @@ class FitConfig:
             raise ValueError("loglik_tol and cov_floor must be positive")
 
 
+def _kmeans_distances(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Distance from every row to every centroid, (n, G), given the rows as
+    one contiguous (D+1, n) column array.
+
+    The squared differences are added column by column in the order numpy's
+    pairwise sum adds the entries of a contiguous row: one after another
+    below 8 entries, in 8 interleaved partial sums up to 128, and by halves
+    beyond.  The result is bitwise equal to
+    np.linalg.norm(rows[:, None, :] - centroids, axis=2), without its two
+    (n, G, D+1) temporaries.
+    """
+    def square(j):
+        diff = cols[j][:, None] - centroids[:, j]
+        return np.multiply(diff, diff, out=diff)
+
+    def total(lo, count):
+        if count > 128:
+            half = count // 2 - count // 2 % 8
+            return total(lo, half) + total(lo + half, count - half)
+        if count < 8:
+            acc = square(lo)
+            for j in range(lo + 1, lo + count):
+                acc += square(j)
+            return acc
+        tail = lo + count - count % 8
+        part = [square(j) for j in range(lo, lo + 8)]
+        for j in range(lo + 8, tail):
+            part[(j - lo) % 8] += square(j)
+        acc = (part[0] + part[1] + (part[2] + part[3])) + (part[4] + part[5] + (part[6] + part[7]))
+        for j in range(tail, lo + count):
+            acc += square(j)
+        return acc
+
+    return np.sqrt(total(0, len(cols)))
+
+
+def _cluster_means(cols: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean row of every cluster, (G, D+1), from the (D+1, n) column array.
+
+    bincount adds each cluster's entries in row order, as numpy's mean over
+    the cluster's rows does, so the result is bitwise equal to it.
+    """
+    sums = [np.bincount(assign, weights=col, minlength=len(counts)) for col in cols]
+    return np.stack(sums, axis=1) / counts[:, None]
+
+
 def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
                 cov_floor: float = 1e-6, max_iters: int = 300):
     """Seed mixture components by K-means over [t, x] rows.
@@ -183,9 +228,10 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
 
     rng = np.random.default_rng(seed)
     centroids = work[np.sort(rng.choice(n, size=n_clusters, replace=False))].copy()
+    cols = np.ascontiguousarray(work.T)
     assign = np.full(n, -1)
     for _ in range(max_iters):
-        dists = np.linalg.norm(work[:, None, :] - centroids[None, :, :], axis=2)
+        dists = _kmeans_distances(cols, centroids)
         new_assign = dists.argmin(axis=1)
         counts = np.bincount(new_assign, minlength=n_clusters)
         for _ in range(n_clusters):
@@ -204,8 +250,7 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for k in range(n_clusters):
-            centroids[k] = work[assign == k].mean(axis=0)
+        centroids = _cluster_means(cols, assign, counts)
 
     order = np.argsort([data[assign == k][:, 0].mean() for k in range(n_clusters)],
                        kind="stable")
@@ -225,14 +270,44 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     return assign, (priors, means, covs)
 
 
+def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along axis, bitwise equal to scipy.special.logsumexp.
+
+    Follows scipy's steps: the m entries equal to the maximum are left out
+    of the shifted sum s, and the result is log1p(s / m) + log(m) + max.  A
+    slice whose result is not finite (all -inf, or an infinite or nan entry)
+    takes log(sum(exp(a))) instead, as scipy's does.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis=axis, keepdims=True)
+        at_top = a == top
+        m = at_top.sum(axis=axis, keepdims=True, dtype=float)
+        rest = a.copy(order="K")
+        rest[at_top] = -np.inf
+        s = np.exp(rest - top).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+        lost = ~np.isfinite(out)
+        if lost.any():
+            out[lost] = np.log(np.exp(a).sum(axis=axis, keepdims=True))[lost]
+    return out if keepdims else out.squeeze(axis)
+
+
 def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log densities, (n, G), via Cholesky solves."""
+    """Per-component Gaussian log densities, (n, G), via Cholesky solves.
+
+    One stacked Cholesky factors every component.  Each solve calls LAPACK's
+    dtrtrs with the arguments scipy's solve_triangular(chol, b, lower=True)
+    passes for a C-ordered factor, so the result is bitwise equal to it.
+    """
     n, d = data.shape
     out = np.empty((n, len(means)))
     norm = 0.5 * d * np.log(2.0 * np.pi)
-    for g in range(len(means)):
-        chol = np.linalg.cholesky(covs[g])
-        sol = solve_triangular(chol, (data - means[g]).T, lower=True)
+    for g, chol in enumerate(np.linalg.cholesky(covs)):
+        sol, info = dtrtrs(chol.T, (data - means[g]).T, lower=0, trans=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"component {g}: triangular solve failed (info {info})")
         out[:, g] = -norm - np.log(np.diag(chol)).sum() - 0.5 * (sol**2).sum(axis=0)
     return out
 

@@ -291,3 +291,21 @@ def test_fit_manifest_incomplete_phases_exit2(work, tmp_path, capsys):
     code = main(["fit", "--demos", str(bad), "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert f"{bad}: invalid manifest: 'release_start'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--grasp-end", "--release-start"])
+def test_fit_lone_phase_flag_exit2(work, tmp_path, capsys, flag):
+    out = tmp_path / "m.json"
+    code = main(["fit", "--demos", str(work / "demos" / "manifest.json"),
+                 "--out", str(out), flag, "1.7"])
+    assert code == 2
+    assert ("error: --grasp-end and --release-start must be given together"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_fit_phase_flags_pair(work, tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["fit", "--demos", str(work / "demos" / "manifest.json"), "--out", str(out),
+                 "--max-iters", "2", "--grasp-end", "1.7", "--release-start", "5.5"]) == 0
+    assert json.loads(out.read_text())["phases"] == {"grasp_end": 1.7, "release_start": 5.5}

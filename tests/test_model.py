@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp as scipy_logsumexp
 
 from gmmgen.data import PhaseSchedule, Trajectory
-from gmmgen.model import (FitConfig, GmmModel, em_fit, fit_gmm, kmeans_init,
-                          load_model, save_model)
+from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _cluster_means,
+                          _kmeans_distances, em_fit, fit_gmm, kmeans_init,
+                          load_model, logsumexp, save_model)
 
 from conftest import assert_monotone_loglik
 
@@ -202,3 +207,242 @@ def test_load_model_rejects_bad_json(tmp_path):
         load_model(path)
     with pytest.raises(ValueError):
         load_model(tmp_path / "missing.json")
+
+
+def oracle_kmeans_init(data, n_clusters, seed, cov_floor=1e-6, max_iters=300):
+    """Reference k-means: 3-D broadcast distances and boolean-mask centroids."""
+    n = len(data)
+    t_rms = float(data[:, 0].std())
+    x_dev = data[:, 1:] - data[:, 1:].mean(axis=0)
+    x_rms = float(np.sqrt(np.mean(x_dev**2)))
+    scale = x_rms / t_rms if t_rms > 0.0 and x_rms > 0.0 else 1.0
+    work = data.copy()
+    work[:, 0] *= scale
+    rng = np.random.default_rng(seed)
+    centroids = work[np.sort(rng.choice(n, size=n_clusters, replace=False))].copy()
+    assign = np.full(n, -1)
+    for _ in range(max_iters):
+        dists = np.linalg.norm(work[:, None, :] - centroids[None, :, :], axis=2)
+        new_assign = dists.argmin(axis=1)
+        counts = np.bincount(new_assign, minlength=n_clusters)
+        for _ in range(n_clusters):
+            if not np.any(counts == 0):
+                break
+            k = int(np.flatnonzero(counts == 0)[0])
+            own = dists[np.arange(n), new_assign]
+            far = int(own.argmax())
+            centroids[k] = work[far]
+            new_assign[far] = k
+            dists[far] = np.linalg.norm(work[far] - centroids, axis=1)
+            counts = np.bincount(new_assign, minlength=n_clusters)
+        if np.any(counts == 0):
+            raise RuntimeError("k-means could not keep every cluster populated")
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for k in range(n_clusters):
+            centroids[k] = work[assign == k].mean(axis=0)
+    order = np.argsort([data[assign == k][:, 0].mean() for k in range(n_clusters)],
+                       kind="stable")
+    relabel = np.empty(n_clusters, dtype=int)
+    relabel[order] = np.arange(n_clusters)
+    assign = relabel[assign]
+    priors = np.bincount(assign, minlength=n_clusters) / n
+    d = data.shape[1]
+    means = np.empty((n_clusters, d))
+    covs = np.empty((n_clusters, d, d))
+    for k in range(n_clusters):
+        points = data[assign == k]
+        means[k] = points.mean(axis=0)
+        diff = points - means[k]
+        cov = diff.T @ diff / len(points) + cov_floor * np.eye(d)
+        covs[k] = 0.5 * (cov + cov.T)
+    return assign, (priors, means, covs)
+
+
+def oracle_log_densities(data, means, covs):
+    """Reference log densities: one Cholesky and solve_triangular per component."""
+    n, d = data.shape
+    out = np.empty((n, len(means)))
+    norm = 0.5 * d * np.log(2.0 * np.pi)
+    for g in range(len(means)):
+        chol = np.linalg.cholesky(covs[g])
+        sol = solve_triangular(chol, (data - means[g]).T, lower=True)
+        out[:, g] = -norm - np.log(np.diag(chol)).sum() - 0.5 * (sol**2).sum(axis=0)
+    return out
+
+
+def oracle_em_fit(data, init, config):
+    """Reference EM: oracle_log_densities and scipy's logsumexp."""
+    n, d = data.shape
+    priors, means, covs = (np.array(a, dtype=float) for a in init)
+    priors = priors / priors.sum()
+    eye = np.eye(d)
+    global_mean = data.mean(axis=0)
+    global_cov = (data - global_mean).T @ (data - global_mean) / n
+    trace = []
+    prev = None
+    backup = None
+    for _ in range(config.max_iters):
+        logp = oracle_log_densities(data, means, covs) + np.log(priors)
+        per_point = scipy_logsumexp(logp, axis=1)
+        loglik = float(per_point.sum())
+        if prev is not None and loglik < prev:
+            priors, means, covs = backup
+            break
+        trace.append(loglik)
+        if prev is not None and loglik - prev < config.loglik_tol * abs(prev):
+            break
+        prev = loglik
+        backup = (priors.copy(), means.copy(), covs.copy())
+        resp = np.exp(logp - per_point[:, None])
+        mass = resp.sum(axis=0)
+        for g in range(len(priors)):
+            if mass[g] < COLLAPSE_EPS:
+                worst = int(per_point.argmin())
+                means[g] = data[worst]
+                covs[g] = global_cov + config.cov_floor * eye
+                mass[g] = 1.0
+                continue
+            means[g] = resp[:, g] @ data / mass[g]
+            diff = data - means[g]
+            cov = (resp[:, g] * diff.T) @ diff / mass[g]
+            covs[g] = 0.5 * (cov + cov.T) + config.cov_floor * eye
+        priors = mass / mass.sum()
+    return (priors, means, covs), np.asarray(trace)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_fit(got, want):
+    (params, trace), (want_params, want_trace) = got, want
+    for a, b in zip(params, want_params):
+        assert_bitwise(a, b)
+    assert_bitwise(trace, want_trace)
+
+
+def clustered_rows(rng, n, dim, n_true):
+    """n rows [t, x] around n_true centers spread in time and space."""
+    centers = np.column_stack([np.sort(rng.uniform(0.0, 10.0, n_true)),
+                               rng.normal(scale=3.0, size=(n_true, dim))])
+    labels = rng.integers(0, n_true, n)
+    spread = rng.uniform(0.05, 1.0, (n_true, dim + 1))
+    return centers[labels] + spread[labels] * rng.normal(size=(n, dim + 1))
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9), n_comp=st.integers(2, 8),
+       per_comp=st.integers(3, 40), n_true=st.integers(1, 10))
+def test_fit_matches_oracle_bitwise(seed, dim, n_comp, per_comp, n_true):
+    rng = np.random.default_rng(seed)
+    data = clustered_rows(rng, n_comp * per_comp, dim, n_true)
+    assign, init = kmeans_init(data, n_comp, seed=seed % 1000)
+    want_assign, want_init = oracle_kmeans_init(data, n_comp, seed=seed % 1000)
+    assert_bitwise(assign, want_assign)
+    for a, b in zip(init, want_init):
+        assert_bitwise(a, b)
+    config = FitConfig(n_components=n_comp, max_iters=25)
+    assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, want_init, config))
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       width=st.sampled_from([2, 3, 5, 7, 8, 9, 15, 16, 17, 40, 129, 141, 300]),
+       n_clusters=st.integers(1, 20))
+def test_kmeans_steps_match_oracle_bitwise(seed, n, width, n_clusters):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, width)) * rng.uniform(1e-3, 1e3, width)
+    centroids = rng.normal(size=(n_clusters, width)) * rng.uniform(1e-3, 1e3, width)
+    cols = np.ascontiguousarray(rows.T)
+    assert_bitwise(_kmeans_distances(cols, centroids),
+                   np.linalg.norm(rows[:, None, :] - centroids[None, :, :], axis=2))
+    n_clusters = min(n_clusters, n)
+    assign = rng.permutation(np.arange(n) % n_clusters)
+    counts = np.bincount(assign, minlength=n_clusters)
+    assert_bitwise(_cluster_means(cols, assign, counts),
+                   np.stack([rows[assign == k].mean(axis=0) for k in range(n_clusters)]))
+
+
+def test_kmeans_empty_cluster_reseed_matches_oracle():
+    # three locations repeated four times, plus four lone points
+    locations = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 0.5], [2.0, -1.0, 3.0]])
+    lone = np.random.default_rng(2).normal(size=(4, 3))
+    data = np.vstack([np.repeat(locations, 4, axis=0), lone])
+    reseeded = 0
+    for seed in range(20):
+        first = np.sort(np.random.default_rng(seed).choice(len(data), 6, replace=False))
+        # two identical starting centroids leave the later one's cluster empty
+        reseeded += len(np.unique(data[first], axis=0)) < 6
+        assign, init = kmeans_init(data, 6, seed=seed)
+        want_assign, want_init = oracle_kmeans_init(data, 6, seed=seed)
+        assert np.bincount(assign, minlength=6).min() > 0
+        assert_bitwise(assign, want_assign)
+        for a, b in zip(init, want_init):
+            assert_bitwise(a, b)
+    assert reseeded >= 5
+    # with more clusters than distinct locations, both give up alike
+    dupes = np.repeat(locations, 4, axis=0)
+    for fit in (kmeans_init, oracle_kmeans_init):
+        with pytest.raises(RuntimeError, match="could not keep every cluster populated"):
+            fit(dupes, 5, seed=0)
+
+
+def test_em_collapse_reset_matches_oracle():
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(120, 3))
+    # the third component sits far from every datum, so its mass underflows
+    init = ([0.4, 0.4, 0.2], [data[0], data[1], np.full(3, 1e3)],
+            [np.eye(3), np.eye(3), 1e-4 * np.eye(3)])
+    one = FitConfig(n_components=3, max_iters=1)
+    (_, means, _), _ = em_fit(data, init, one)
+    worst = int(scipy_logsumexp(oracle_log_densities(data, np.array(init[1]),
+                                                     np.array(init[2]))
+                                + np.log(init[0]), axis=1).argmin())
+    assert_bitwise(means[2], data[worst])  # the reset happened
+    for config in (one, FitConfig(n_components=3, max_iters=40)):
+        assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, init, config))
+
+
+def test_corpus_fit_matches_oracle_bitwise(demos, fit_result):
+    data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
+    config = FitConfig(seed=0)
+    _, init = oracle_kmeans_init(data, config.n_components, config.seed)
+    (priors, means, covs), trace = oracle_em_fit(data, init, config)
+    order = np.argsort(means[:, 0], kind="stable")
+    model = fit_result.model
+    for got, want in ((model.priors, priors), (model.means, means), (model.covs, covs)):
+        assert_bitwise(got, want[order])
+    assert_bitwise(fit_result.loglik_trace, trace)
+
+
+def logsumexp_rows(rng, n_rows, n_cols):
+    """Rows of the kinds logsumexp must get right, in turn: plain, ties at
+    the max, some -inf, all equal, magnitude ~1e3, and all -inf."""
+    a = rng.normal(scale=3.0, size=(n_rows, n_cols))
+    for r in range(n_rows):
+        kind = r % 6
+        if kind == 1:
+            a[r, rng.integers(0, n_cols, 3)] = a[r].max()
+        elif kind == 2:
+            a[r, rng.integers(0, n_cols, 2)] = -np.inf
+        elif kind == 3:
+            a[r] = a[r, 0]
+        elif kind == 4:
+            a[r] = a[r] * 1e3 + rng.choice([-1e3, 1e3])
+        elif kind == 5:
+            a[r] = -np.inf
+    return a
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40), n_cols=st.integers(1, 20))
+def test_logsumexp_matches_scipy_bitwise(seed, n_rows, n_cols):
+    a = logsumexp_rows(np.random.default_rng(seed), n_rows, n_cols)
+    for axis in (0, 1):
+        for keepdims in (False, True):
+            assert_bitwise(logsumexp(a, axis=axis, keepdims=keepdims),
+                           scipy_logsumexp(a, axis=axis, keepdims=keepdims))
