@@ -14,7 +14,7 @@ from .reparam import (ReparamConfig, ReparamModel, TaskSpec, generalize,
 from .scene import (Scene, Slab, SuccessThresholds, box_collides, default_scene,
                     handle_poses, load_scene, sample_task, save_scene,
                     trajectory_success)
-from .synth import SynthConfig, generate_demonstrations, min_jerk_segment
+from .synth import SynthConfig, generate_demonstrations
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "activation_weights", "average_jerk", "boundary_error",
     "box_collides", "default_scene", "em_fit", "fit_gmm", "generalize",
     "generate_demonstrations", "handle_poses", "kmeans_init", "load_model",
-    "load_reparam_model", "load_scene", "load_trajectory", "min_jerk_segment",
+    "load_reparam_model", "load_scene", "load_trajectory",
     "phase_deviation", "regress", "regress_with_variance", "reparam_covariances",
     "reparam_means", "resample", "rotation_angle_deg", "sample_task", "save_model",
     "save_reparam_model", "save_scene", "save_trajectory", "shape_deviation",

@@ -34,14 +34,12 @@ def default_times(duration: float, rate: float = 100.0) -> np.ndarray:
 
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
                         reference: Trajectory, phases: PhaseSchedule,
-                        thresholds: SuccessThresholds = SuccessThresholds(),
-                        shape_points: int = 200,
-                        jerk_rate: float = 100.0) -> EvalReport:
+                        thresholds: SuccessThresholds = SuccessThresholds()) -> EvalReport:
     """Score one trajectory with the full metric suite plus the success check."""
     (start_mm, start_deg), (goal_mm, goal_deg) = boundary_error(traj, task)
     (grasp_mm, grasp_deg), (release_mm, release_deg) = phase_deviation(traj, phases)
-    shape = shape_deviation(traj, reference, shape_points)
-    jerk_lin, jerk_ang = average_jerk(traj, jerk_rate)
+    shape = shape_deviation(traj, reference)
+    jerk_lin, jerk_ang = average_jerk(traj)
     success, reason = trajectory_success(traj, scene, task, thresholds)
     return EvalReport(
         success=success,

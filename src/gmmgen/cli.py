@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, plot
-from .data import PhaseSchedule, Pose, _read_json, load_trajectory, save_trajectory
+from .data import (PhaseSchedule, Pose, _read_json, _write_json, load_trajectory,
+                   save_trajectory)
 from .gmr import regress
-from .model import FitConfig, fit_gmm, load_model, model_from_dict, save_model
+from .model import FitConfig, fit_gmm, model_from_dict, save_model
 from .reparam import (ReparamConfig, TaskSpec, generalize, reparam_from_dict,
                       save_reparam_model)
 from .scene import SuccessThresholds, default_scene, load_scene, scene_to_dict
@@ -98,8 +99,7 @@ def cmd_synth(args) -> int:
                    "noise_rot_deg": args.noise_rot_deg, "rate": cfg.sample_rate},
         "scene": scene_to_dict(scene),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                           encoding="utf-8")
+    _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {len(names)} demonstrations to {out_dir}")
     return EXIT_OK
 
@@ -139,7 +139,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_generalize(args) -> int:
-    model = load_model(args.model)
+    model = _load_any_model(args.model)
     task = TaskSpec(_parse_pose(args.start), _parse_pose(args.goal))
     config = ReparamConfig(ablate_covariance=args.ablate_covariance)
     adapted = generalize(model, task, config)
@@ -179,7 +179,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    model = load_model(args.model)
+    model = _load_any_model(args.model)
     scene = _load_scene_arg(args.scene)
     config = ReparamConfig(ablate_covariance=args.ablate_covariance)
     reference = load_trajectory(args.ref) if args.ref else None

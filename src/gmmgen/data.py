@@ -49,6 +49,11 @@ def _read_json(path, parse=lambda obj: obj):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _write_json(path, obj) -> None:
+    """Write obj as 2-space-indented JSON plus a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
 @dataclass(frozen=True)
 class Pose:
     """A 6-DoF pose: position (m) plus rotation vector (rad)."""

@@ -8,17 +8,16 @@ component, sorted by time center.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .data import PhaseSchedule, Trajectory, _frozen_array, _read_json
+from .data import PhaseSchedule, Trajectory, _frozen_array, _read_json, _write_json
 
 COLLAPSE_EPS = 1e-12
+KMEANS_MAX_ITERS = 300
 
 
 def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
@@ -201,7 +200,7 @@ def _cluster_means(cols: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> 
 
 
 def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
-                cov_floor: float = 1e-6, max_iters: int = 300):
+                cov_floor: float = 1e-6):
     """Seed mixture components by K-means over [t, x] rows.
 
     The time column is rescaled to the spatial RMS spread before clustering
@@ -230,7 +229,7 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     centroids = work[np.sort(rng.choice(n, size=n_clusters, replace=False))].copy()
     cols = np.ascontiguousarray(work.T)
     assign = np.full(n, -1)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dists = _kmeans_distances(cols, centroids)
         new_assign = dists.argmin(axis=1)
         counts = np.bincount(new_assign, minlength=n_clusters)
@@ -387,9 +386,11 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
         if abs(demo.duration - duration) > 1e-9 or demo.dim != dim:
             raise ValueError(f"demonstration {j} disagrees in duration or dimension")
     dataset = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
-    if len(dataset) < config.n_components:
+    distinct = len(np.unique(dataset, axis=0))
+    if distinct < config.n_components:
         raise ValueError(
-            f"{config.n_components} components need at least as many samples, got {len(dataset)}"
+            f"{config.n_components} components need at least as many distinct samples, "
+            f"got {distinct} distinct of {len(dataset)}"
         )
     _, init = kmeans_init(dataset, config.n_components, config.seed, config.cov_floor)
     (priors, means, covs), trace = em_fit(dataset, init, config)
@@ -457,8 +458,7 @@ def model_from_dict(obj: dict) -> GmmModel:
 
 
 def save_model(model: GmmModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n",
-                          encoding="utf-8")
+    _write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> GmmModel:

@@ -10,17 +10,18 @@ construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Pose, _read_json
+from .data import Pose, _frozen_array, _read_json, _write_json
 from .model import GmmModel, _cholesky_fails, model_from_dict, model_to_dict
 
-DEFAULT_POS_EPS = 1e-4
-DEFAULT_ROT_EPS = 1e-3
+# Endpoint spans and consecutive mean differences below these count as
+# degenerate: 1e-4 m on the position axes, 1e-3 rad on the rotation axes.
+DEGENERATE_EPS = _frozen_array([1e-4] * 3 + [1e-3] * 3)
+# Eigenvalue clamp for a reassembled covariance that rounding left indefinite.
+COV_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,37 +40,10 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class ReparamConfig:
-    """Knobs for the generalization step.
+    """Generalization settings: ablate_covariance keeps the source
+    covariances untouched and only remaps the means."""
 
-    degenerate_eps may be a scalar, a per-dimension sequence, or None for
-    the built-in defaults (1e-4 m on position axes, 1e-3 rad on rotation
-    axes).  ablate_covariance keeps the source covariances untouched and
-    only remaps the means.  cov_floor is the eigenvalue clamp used if
-    rounding ever breaks positive definiteness of a reassembled covariance.
-    """
-
-    degenerate_eps: object = None
     ablate_covariance: bool = False
-    cov_floor: float = 1e-6
-
-    def __post_init__(self):
-        if not (self.cov_floor > 0.0):
-            raise ValueError("cov_floor must be positive")
-        eps = self.degenerate_eps
-        if eps is not None and np.any(np.asarray(eps, dtype=float) <= 0.0):
-            raise ValueError("degenerate_eps must be positive")
-
-    def resolve_eps(self, dim: int) -> np.ndarray:
-        if self.degenerate_eps is None:
-            if dim == 6:
-                return np.array([DEFAULT_POS_EPS] * 3 + [DEFAULT_ROT_EPS] * 3)
-            return np.full(dim, DEFAULT_POS_EPS)
-        eps = np.asarray(self.degenerate_eps, dtype=float)
-        if eps.ndim == 0:
-            return np.full(dim, float(eps))
-        if eps.shape != (dim,):
-            raise ValueError(f"degenerate_eps must be scalar or length {dim}")
-        return eps.copy()
 
 
 def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
@@ -121,8 +95,7 @@ def _outers(vecs: np.ndarray) -> np.ndarray:
     return vecs[:, :, None] * vecs[:, None, :]
 
 
-def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray,
-                        cov_floor: float = 1e-6):
+def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray):
     """Rescale slopes by the change in consecutive mean differences.
 
     Component 1 is left untouched.  For g >= 2 each slope dimension is
@@ -131,7 +104,7 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray,
     shape gets the rank-two update C + m'm'^T - mm^T, which leaves the
     Schur complement C - mm^T unchanged.  Returns (slopes, shapes, covs,
     repairs), where repairs counts reassembled covariances that rounding
-    left indefinite and that were clamped to cov_floor.
+    left indefinite and that were clamped to COV_FLOOR.
     """
     d_old = np.diff(model.means[:, 1:], axis=0)
     d_new = np.diff(new_means, axis=0)
@@ -148,7 +121,7 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray,
     cov = model.covs[1:, 0, 0, None, None] * cov
     broken = np.flatnonzero(_cholesky_fails(cov))
     for g in broken:
-        cov[g] = _clamp_spd(cov[g], cov_floor)
+        cov[g] = _clamp_spd(cov[g], COV_FLOOR)
     return (np.concatenate([model.slopes[:1], moved]),
             np.concatenate([model.shapes[:1], shape]),
             np.concatenate([model.covs[:1], cov]),
@@ -174,13 +147,13 @@ def generalize(model: GmmModel, task: TaskSpec,
     """Adapt a fitted model to the task's start and goal poses."""
     if model.dim != 6:
         raise ValueError("task generalization expects 6-DoF pose models")
-    eps = config.resolve_eps(model.dim)
-    new_means = reparam_means(model, task.start_vector(), task.goal_vector(), eps)
+    new_means = reparam_means(model, task.start_vector(), task.goal_vector(),
+                              DEGENERATE_EPS)
     if config.ablate_covariance:
         slopes, shapes, covs, repairs = model.slopes, model.shapes, model.covs, 0
     else:
-        slopes, shapes, covs, repairs = reparam_covariances(model, new_means, eps,
-                                                            config.cov_floor)
+        slopes, shapes, covs, repairs = reparam_covariances(model, new_means,
+                                                            DEGENERATE_EPS)
     means = np.column_stack([model.means[:, 0], new_means])
     return ReparamModel(model.priors, means, covs, model.duration, model.phases,
                         slopes, shapes, task=task, ablated=config.ablate_covariance,
@@ -220,8 +193,7 @@ def reparam_from_dict(obj: dict) -> ReparamModel:
 
 
 def save_reparam_model(model: ReparamModel, path) -> None:
-    Path(path).write_text(json.dumps(reparam_to_dict(model), indent=2) + "\n",
-                          encoding="utf-8")
+    _write_json(path, reparam_to_dict(model))
 
 
 def load_reparam_model(path) -> ReparamModel:

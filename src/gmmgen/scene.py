@@ -9,19 +9,18 @@ collision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import Pose, Trajectory, _read_json, resample
+from .data import Pose, Trajectory, _read_json, _write_json, resample
 from .metrics import FailureReason, boundary_error
 from .reparam import TaskSpec
 
 REST_CLEARANCE = 0.003
 HANDLE_SIDE_SIGNS = (-1.0, 1.0)
+SAMPLE_ATTEMPTS = 100  # endpoint draws before sample_task gives up
 
 
 @dataclass(frozen=True)
@@ -185,9 +184,8 @@ def _yawed_orientation(base: Pose, yaw: float) -> np.ndarray:
     return turned.as_rotvec()
 
 
-def _sample_endpoint(scene: Scene, variation: str, rng, base: Pose,
-                     max_attempts: int) -> Pose:
-    for _ in range(max_attempts):
+def _sample_endpoint(scene: Scene, variation: str, rng, base: Pose) -> Pose:
+    for _ in range(SAMPLE_ATTEMPTS):
         length = float(rng.uniform(*scene.length_range))
         level = scene.levels[int(rng.integers(len(scene.levels)))]
         position = np.array([length, base.position[1], rest_height(scene, level)])
@@ -199,11 +197,11 @@ def _sample_endpoint(scene: Scene, variation: str, rng, base: Pose,
         pose = Pose(position, orientation)
         if not scene_collides(pose, scene):
             return pose
-    raise RuntimeError(f"no collision-free rest pose found in {max_attempts} draws")
+    raise RuntimeError(f"no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
 
 
 def sample_task(scene: Scene, variation: str, rng, base_start: Pose,
-                base_goal: Pose, max_attempts: int = 100) -> TaskSpec:
+                base_goal: Pose) -> TaskSpec:
     """Draw start and goal poses over the scene's (length, level) ranges.
 
     Translational tasks keep the base orientations exactly; combined tasks
@@ -212,8 +210,8 @@ def sample_task(scene: Scene, variation: str, rng, base_start: Pose,
     """
     if variation not in ("translational", "combined"):
         raise ValueError(f"unknown variation '{variation}'")
-    start = _sample_endpoint(scene, variation, rng, base_start, max_attempts)
-    goal = _sample_endpoint(scene, variation, rng, base_goal, max_attempts)
+    start = _sample_endpoint(scene, variation, rng, base_start)
+    goal = _sample_endpoint(scene, variation, rng, base_goal)
     return TaskSpec(start, goal)
 
 
@@ -267,8 +265,7 @@ def scene_from_dict(obj: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2) + "\n",
-                          encoding="utf-8")
+    _write_json(path, scene_to_dict(scene))
 
 
 def load_scene(path) -> Scene:

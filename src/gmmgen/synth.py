@@ -1,7 +1,8 @@
 """Synthetic pick-and-place demonstrations on the shelf scene.
 
-Each demonstration holds at the start pose, transports along a
-minimum-jerk arc lifted over the shelf lip, and holds at the goal pose.
+Each demonstration holds for 1 s at the start pose, transports for 5 s
+along a minimum-jerk arc lifted over the shelf lip, and holds for 1 s at
+the goal pose.  Start and goal are the scene's default endpoints.
 Smooth low-frequency noise, faded out through the holds, makes the
 demonstrations distinct while keeping their endpoints identical.
 """
@@ -19,6 +20,9 @@ from .scene import Scene, SuccessThresholds, rest_height, trajectory_success
 NOISE_WAVES = 3
 NOISE_FREQ_RANGE = (0.15, 0.6)
 MAX_ATTEMPTS = 10
+GRASP_DURATION = 1.0
+TRANSPORT_DURATION = 5.0
+RELEASE_DURATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -26,11 +30,6 @@ class SynthConfig:
     """Demonstration generator settings; distances in meters, angles in radians."""
 
     n_demos: int = 5
-    grasp_duration: float = 1.0
-    transport_duration: float = 5.0
-    release_duration: float = 1.0
-    start: Pose | None = None
-    goal: Pose | None = None
     lift_height: float = 0.10
     noise_pos: float = 0.002
     noise_rot: float = 0.5 * np.pi / 180.0
@@ -40,40 +39,20 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_demos < 1:
             raise ValueError("need at least one demonstration")
-        for name in ("grasp_duration", "transport_duration", "release_duration",
-                     "sample_rate"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.sample_rate <= 0.0:
+            raise ValueError("sample_rate must be positive")
         if self.noise_pos < 0.0 or self.noise_rot < 0.0 or self.lift_height < 0.0:
             raise ValueError("noise levels and lift height cannot be negative")
 
-    @property
-    def duration(self) -> float:
-        return self.grasp_duration + self.transport_duration + self.release_duration
-
     def phases(self) -> PhaseSchedule:
-        return PhaseSchedule(self.grasp_duration,
-                             self.grasp_duration + self.transport_duration,
-                             self.duration)
+        release_start = GRASP_DURATION + TRANSPORT_DURATION
+        return PhaseSchedule(GRASP_DURATION, release_start,
+                             release_start + RELEASE_DURATION)
 
 
 def _smooth_step(u: np.ndarray) -> np.ndarray:
     """Minimum-jerk progress profile: zero velocity and acceleration at both ends."""
     return u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-
-
-def min_jerk_segment(p0: Pose, p1: Pose, duration: float, rate: float) -> Trajectory:
-    """Quintic point-to-point segment sampled at the given rate."""
-    if duration <= 0.0 or rate <= 0.0:
-        raise ValueError("duration and rate must be positive")
-    n = int(round(duration * rate)) + 1
-    if n < 2:
-        raise ValueError("segment too short for the sampling rate")
-    times = np.linspace(0.0, duration, n)
-    a = p0.as_vector()
-    b = p1.as_vector()
-    s = _smooth_step(times / duration)
-    return Trajectory(times, a + np.outer(s, b - a))
 
 
 def default_endpoints(scene: Scene):
@@ -84,16 +63,16 @@ def default_endpoints(scene: Scene):
     return start, goal
 
 
-def _transport_progress(times: np.ndarray, cfg: SynthConfig) -> np.ndarray:
+def _transport_progress(times: np.ndarray) -> np.ndarray:
     """Smooth 0..1 progress through the transport phase, flat during holds."""
-    u = np.clip((times - cfg.grasp_duration) / cfg.transport_duration, 0.0, 1.0)
+    u = np.clip((times - GRASP_DURATION) / TRANSPORT_DURATION, 0.0, 1.0)
     return _smooth_step(u)
 
 
 def _nominal_path(times: np.ndarray, cfg: SynthConfig, start: Pose, goal: Pose) -> np.ndarray:
     a = start.as_vector()
     b = goal.as_vector()
-    s = _transport_progress(times, cfg)
+    s = _transport_progress(times)
     vals = a + np.outer(s, b - a)
     vals[:, 2] += cfg.lift_height * 4.0 * s * (1.0 - s)
     return vals
@@ -119,20 +98,16 @@ def generate_demonstrations(scene: Scene, cfg: SynthConfig = SynthConfig()):
     halved, up to 10 attempts.  Returns (demos, task) where task carries
     the shared nominal endpoints.
     """
-    start, goal = cfg.start, cfg.goal
-    if start is None or goal is None:
-        base_start, base_goal = default_endpoints(scene)
-        start = start or base_start
-        goal = goal or base_goal
+    start, goal = default_endpoints(scene)
     task = TaskSpec(start, goal)
-    total = cfg.duration
+    total = cfg.phases().duration
     n = int(round(total * cfg.sample_rate)) + 1
     times = np.linspace(0.0, total, n)
     base = _nominal_path(times, cfg, start, goal)
     sigmas = np.array([cfg.noise_pos] * 3 + [cfg.noise_rot] * 3)
     # noise fades to zero through the holds so every demonstration pins the
     # exact task endpoints; constant dimensions then stay exactly constant
-    s = _transport_progress(times, cfg)
+    s = _transport_progress(times)
     envelope = (4.0 * s * (1.0 - s))[:, None]
     thresholds = SuccessThresholds()
 

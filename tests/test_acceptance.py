@@ -18,7 +18,7 @@ from gmmgen.gmr import regress
 from gmmgen.metrics import average_jerk, boundary_error, shape_deviation
 from gmmgen.model import (FitConfig, GmmModel, em_fit, fit_gmm, kmeans_init,
                           save_model)
-from gmmgen.reparam import ReparamConfig, TaskSpec, generalize
+from gmmgen.reparam import DEGENERATE_EPS, ReparamConfig, TaskSpec, generalize
 from gmmgen.scene import Slab, box_collides, sample_task
 
 from conftest import assert_monotone_loglik, record_acceptance
@@ -161,7 +161,7 @@ def test_ac3_exact_equivariances(model, endpoints):
                                      Pose.from_vector(goal_vec)))
     x_means = model.means[:, 1:]
     span = x_means[-1] - x_means[0]
-    live = np.abs(span) >= ReparamConfig().resolve_eps(6)
+    live = np.abs(span) >= DEGENERATE_EPS
     mean_err = np.abs(out.means[:, 1:] - (start_vec + s * (x_means - start_vec)))
     slope_err = np.abs(out.slopes[1:] - s * model.slopes[1:])
     worst_affine = max(mean_err[:, live].max(), slope_err[:, live].max())

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmgen.cli import main
-from gmmgen.data import load_trajectory
+from gmmgen.cli import _parse_pose, main
+from gmmgen.data import Trajectory, load_trajectory, save_trajectory
 from gmmgen.model import load_model, save_model
+from gmmgen.reparam import TaskSpec, generalize, load_reparam_model, save_reparam_model
 
 SCENE_JSON = Path(__file__).resolve().parents[1] / "scenes" / "shelf_default.json"
 
@@ -79,6 +80,20 @@ def test_fit_too_many_components_exit2(work, capsys):
     assert "components" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("components", [5, 6])
+def test_fit_fewer_distinct_rows_than_components_exit2(tmp_path, capsys, components):
+    # 8 samples but only 4 distinct rows: one 4-row demonstration listed twice
+    rows = np.column_stack([np.linspace(0.0, 0.3, 4), np.zeros((4, 5))])
+    demo = tmp_path / "demo.csv"
+    save_trajectory(Trajectory(np.arange(4.0), rows), demo)
+    code = main(["fit", "--demos", str(demo), str(demo), "--out", str(tmp_path / "m.json"),
+                 "--components", str(components)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{components} components need at least as many distinct samples" in err
+    assert "got 4 distinct of 8" in err
+
+
 def test_generalize_identity_matches_regress(work, tmp_path, endpoint_args):
     start, goal = endpoint_args
     ref_csv = tmp_path / "ref.csv"
@@ -123,6 +138,23 @@ def test_generalize_ablation_changes_path_not_endpoints(work, tmp_path):
     goal_vec = np.array([float(v) for v in goal.split(",")])
     assert np.abs(full.values[-1][:3] - goal_vec[:3]).max() < 2e-3
     assert np.abs(ablated.values[-1][:3] - goal_vec[:3]).max() < 2e-3
+
+
+def test_generalize_reads_generalized_model_as_such(work, tmp_path):
+    gen = tmp_path / "gen.json"
+    assert main(["generalize", "--model", str(work / "model.json"),
+                 "--start", "0.15,0.25,0.063,0.0,0.0,0.2",
+                 "--goal", "0.7,0.25,0.463,0.0,0.0,-0.3", "--out-model", str(gen)]) == 0
+    start, goal = "0.25,0.25,0.463,0.0,0.0,0.1", "0.55,0.25,0.063,0.0,0.0,0.0"
+    again = tmp_path / "again.json"
+    assert main(["generalize", "--model", str(gen), "--start", start, "--goal", goal,
+                 "--out-model", str(again)]) == 0
+    # the generalized model's own slopes and shapes are the source, not ones
+    # re-derived from its covariances
+    want = tmp_path / "want.json"
+    task = TaskSpec(_parse_pose(start), _parse_pose(goal))
+    save_reparam_model(generalize(load_reparam_model(gen), task), want)
+    assert again.read_bytes() == want.read_bytes()
 
 
 def test_generalize_bad_pose_exit2(work, capsys):

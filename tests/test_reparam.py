@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gmmgen.data import PhaseSchedule, Pose
 from gmmgen.model import GmmModel, load_model, save_model
-from gmmgen.reparam import (DEFAULT_POS_EPS, DEFAULT_ROT_EPS, ReparamConfig,
+from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig,
                             TaskSpec, _clamp_spd, generalize,
                             load_reparam_model, reparam_covariances,
                             reparam_means, save_reparam_model)
@@ -29,7 +29,7 @@ def model_1d(x_means, slope=0.2, shape=1.0, tt=0.5):
 EPS_1D = np.array([1e-4])
 
 
-def oracle_reparam_covariances(model, new_means, eps, cov_floor=1e-6):
+def oracle_reparam_covariances(model, new_means, eps):
     """Per-component reference for reparam_covariances, one g at a time.
 
     Slopes and shapes are derived here from the covariances themselves, so
@@ -59,7 +59,7 @@ def oracle_reparam_covariances(model, new_means, eps, cov_floor=1e-6):
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            cov = _clamp_spd(cov, cov_floor)
+            cov = _clamp_spd(cov, COV_FLOOR)
             repairs += 1
         new_slopes[g] = slope
         new_spatial[g] = shape
@@ -124,7 +124,7 @@ def test_reparam_covariances_repairs_match_oracle(model, scene, endpoints):
         repairs += got[3]
     assert repairs > 0
     # and on the fitted model over sampled tasks
-    eps = ReparamConfig().resolve_eps(6)
+    eps = DEGENERATE_EPS
     rng = np.random.default_rng(31)
     for _ in range(5):
         task = sample_task(scene, "combined", rng, *endpoints)
@@ -211,21 +211,6 @@ def test_clamp_spd_restores_definiteness():
     assert vals[0] == pytest.approx(floor, rel=1e-9)
     assert vals[1] == pytest.approx(3.0)
     assert np.allclose(fixed, fixed.T)
-
-
-def test_resolve_eps_defaults_and_overrides():
-    cfg = ReparamConfig()
-    eps6 = cfg.resolve_eps(6)
-    assert np.array_equal(eps6, [DEFAULT_POS_EPS] * 3 + [DEFAULT_ROT_EPS] * 3)
-    assert np.array_equal(cfg.resolve_eps(2), [DEFAULT_POS_EPS] * 2)
-    assert np.array_equal(ReparamConfig(degenerate_eps=0.01).resolve_eps(3),
-                          [0.01] * 3)
-    with pytest.raises(ValueError):
-        ReparamConfig(degenerate_eps=-1.0)
-    with pytest.raises(ValueError):
-        ReparamConfig(degenerate_eps=[0.1, 0.2]).resolve_eps(3)
-    with pytest.raises(ValueError):
-        ReparamConfig(cov_floor=0.0)
 
 
 def test_generalize_requires_pose_model():

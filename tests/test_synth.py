@@ -1,28 +1,36 @@
 import numpy as np
 import pytest
 
-from gmmgen.data import Pose
 from gmmgen.scene import trajectory_success
-from gmmgen.synth import (SynthConfig, default_endpoints,
-                          generate_demonstrations, min_jerk_segment)
+from gmmgen.synth import (GRASP_DURATION, TRANSPORT_DURATION, SynthConfig,
+                          default_endpoints, generate_demonstrations)
 
 
-def test_min_jerk_midpoint_and_endpoints():
-    p0 = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    p1 = Pose([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    traj = min_jerk_segment(p0, p1, 1.0, 100.0)
-    assert traj.n_samples == 101
-    assert np.array_equal(traj.values[0], p0.as_vector())
-    assert np.array_equal(traj.values[-1], p1.as_vector())
-    assert traj.values[50, 0] == pytest.approx(0.5, abs=1e-12)
+def straight_transport(scene, rate):
+    """Times and values of a zero-noise, zero-lift demonstration's
+    transport leg, plus its task: the bare minimum-jerk profile."""
+    cfg = SynthConfig(n_demos=1, lift_height=0.0, noise_pos=0.0, noise_rot=0.0,
+                      sample_rate=rate)
+    (demo,), task = generate_demonstrations(scene, cfg)
+    leg = (demo.times >= GRASP_DURATION) & (demo.times <= GRASP_DURATION + TRANSPORT_DURATION)
+    return demo.times[leg], demo.values[leg], task
 
 
-def test_min_jerk_boundary_derivatives_vanish():
-    p0 = Pose([0.0, 0.2, 0.0], [0.0, 0.0, 0.0])
-    p1 = Pose([0.5, -0.1, 0.3], [0.1, 0.0, -0.2])
-    traj = min_jerk_segment(p0, p1, 2.0, 1000.0)
-    h = traj.times[1] - traj.times[0]
-    vel = np.diff(traj.values, axis=0) / h
+def test_min_jerk_midpoint_and_endpoints(scene):
+    times, values, task = straight_transport(scene, 100.0)
+    a, b = task.start_vector(), task.goal_vector()
+    assert len(times) == 501
+    assert np.array_equal(values[0], a)
+    assert np.array_equal(values[-1], b)
+    moving = a != b
+    progress = (values[250, moving] - a[moving]) / (b[moving] - a[moving])
+    assert progress == pytest.approx(0.5, abs=1e-12)
+
+
+def test_min_jerk_boundary_derivatives_vanish(scene):
+    times, values, _ = straight_transport(scene, 1000.0)
+    h = times[1] - times[0]
+    vel = np.diff(values, axis=0) / h
     acc = np.diff(vel, axis=0) / h
     # end derivatives vanish: tiny next to the mid-segment peaks
     peak_vel = np.abs(vel).max()
@@ -33,25 +41,16 @@ def test_min_jerk_boundary_derivatives_vanish():
     assert np.abs(acc[-1]).max() < 1e-2 * peak_acc
 
 
-def test_min_jerk_validation():
-    p = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        min_jerk_segment(p, p, 0.0, 100.0)
-    with pytest.raises(ValueError):
-        min_jerk_segment(p, p, 1.0, -1.0)
-
-
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(n_demos=0)
     with pytest.raises(ValueError):
-        SynthConfig(transport_duration=0.0)
+        SynthConfig(sample_rate=0.0)
     with pytest.raises(ValueError):
         SynthConfig(noise_pos=-1.0)
-    cfg = SynthConfig()
-    assert cfg.duration == pytest.approx(7.0)
-    phases = cfg.phases()
+    phases = SynthConfig().phases()
     assert phases.grasp_end == 1.0 and phases.release_start == 6.0
+    assert phases.duration == pytest.approx(7.0)
 
 
 def test_zero_noise_demos_are_identical(scene):
@@ -67,7 +66,7 @@ def test_zero_noise_demos_are_identical(scene):
 
 def test_demos_pin_endpoints_and_hold_still(demos, corpus, synth_config):
     _, task = corpus
-    grasp_n = int(synth_config.grasp_duration * synth_config.sample_rate)
+    grasp_n = int(GRASP_DURATION * synth_config.sample_rate)
     for demo in demos:
         # the noise envelope is zero through both holds
         assert np.abs(demo.values[:grasp_n] - task.start_vector()).max() == 0.0
@@ -117,13 +116,3 @@ def test_default_endpoints_are_restful(scene):
     assert start.position[2] == pytest.approx(0.063)
     assert goal.position[2] == pytest.approx(0.463)
     assert np.array_equal(start.orientation, np.zeros(3))
-
-
-def test_custom_endpoints_respected(scene):
-    start = Pose([0.15, 0.25, 0.063], [0.0, 0.0, 0.1])
-    goal = Pose([0.55, 0.25, 0.063], [0.0, 0.0, -0.1])
-    cfg = SynthConfig(n_demos=2, start=start, goal=goal, seed=3)
-    demos, task = generate_demonstrations(scene, cfg)
-    assert np.array_equal(task.start_vector(), start.as_vector())
-    assert np.array_equal(demos[0].values[0], start.as_vector())
-    assert np.array_equal(demos[0].values[-1], goal.as_vector())
