@@ -112,8 +112,8 @@ def phase_deviation(traj: Trajectory, phases: PhaseSchedule):
     return _window_deviation(grasp), _window_deviation(release)
 
 
-def _normalized_positions(traj: Trajectory, n: int) -> np.ndarray:
-    pts = resample(traj, n).positions().copy()
+def _normalized_positions(traj: Trajectory) -> np.ndarray:
+    pts = resample(traj, SHAPE_POINTS).positions().copy()
     pts -= pts.mean(axis=0)
     norm = float(np.linalg.norm(pts))
     if norm < 1e-12:
@@ -121,25 +121,20 @@ def _normalized_positions(traj: Trajectory, n: int) -> np.ndarray:
     return pts / norm
 
 
-def shape_deviation(traj: Trajectory, reference: Trajectory, n: int = SHAPE_POINTS) -> float:
-    """Squared Procrustes distance between position curves, in [0, 2].
+def shape_deviation(traj: Trajectory, reference: Trajectory) -> float:
+    """Squared Procrustes distance between open position paths, in [0, 2].
 
-    Both curves are resampled to n points, centered, and scaled to unit
-    Frobenius norm; the best proper rotation is searched over all circular
-    index shifts of the candidate curve.
+    Both paths are resampled to SHAPE_POINTS points on their own time grids,
+    centered, and scaled to unit Frobenius norm; sample i of one is matched
+    to sample i of the other, with no re-indexing of time.  The distance is
+    invariant to translation, uniform scale and proper rotation, not to
+    reflection.
     """
-    if n < 8:
-        raise ValueError("shape deviation needs at least eight resampled points")
-    ref = _normalized_positions(reference, n)
-    cand = _normalized_positions(traj, n)
-    best = np.inf
-    for shift in range(n):
-        rolled = np.roll(cand, -shift, axis=0)
-        m = rolled.T @ ref
-        u, s, vt = np.linalg.svd(m)
-        proper = s[0] + s[1] + np.sign(np.linalg.det(u) * np.linalg.det(vt)) * s[2]
-        best = min(best, 2.0 - 2.0 * proper)
-    return max(float(best), 0.0)
+    ref = _normalized_positions(reference)
+    cand = _normalized_positions(traj)
+    u, s, vt = np.linalg.svd(cand.T @ ref)
+    proper = s[0] + s[1] + np.sign(np.linalg.det(u) * np.linalg.det(vt)) * s[2]
+    return max(float(2.0 - 2.0 * proper), 0.0)
 
 
 def average_jerk(traj: Trajectory, rate: float = JERK_RATE):

@@ -386,11 +386,14 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
         if abs(demo.duration - duration) > 1e-9 or demo.dim != dim:
             raise ValueError(f"demonstration {j} disagrees in duration or dimension")
     dataset = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
+    # components are told apart by their time centers, so both counts bound them
     distinct = len(np.unique(dataset, axis=0))
-    if distinct < config.n_components:
+    distinct_times = len(np.unique(dataset[:, 0]))
+    if min(distinct, distinct_times) < config.n_components:
         raise ValueError(
-            f"{config.n_components} components need at least as many distinct samples, "
-            f"got {distinct} distinct of {len(dataset)}"
+            f"{config.n_components} components need at least as many distinct samples "
+            f"and distinct sample times, got {distinct} distinct of {len(dataset)} samples "
+            f"and {distinct_times} distinct times"
         )
     _, init = kmeans_init(dataset, config.n_components, config.seed, config.cov_floor)
     (priors, means, covs), trace = em_fit(dataset, init, config)

@@ -19,7 +19,6 @@ from .metrics import FailureReason, boundary_error
 from .reparam import TaskSpec
 
 REST_CLEARANCE = 0.003
-HANDLE_SIDE_SIGNS = (-1.0, 1.0)
 SAMPLE_ATTEMPTS = 100  # endpoint draws before sample_task gives up
 
 
@@ -213,17 +212,6 @@ def sample_task(scene: Scene, variation: str, rng, base_start: Pose,
     start = _sample_endpoint(scene, variation, rng, base_start)
     goal = _sample_endpoint(scene, variation, rng, base_goal)
     return TaskSpec(start, goal)
-
-
-def handle_poses(box_pose: Pose, box_width: float):
-    """Left/right handle poses on the box's width faces, sharing its orientation."""
-    if box_width <= 0.0:
-        raise ValueError("box width must be positive")
-    axis = Rotation.from_rotvec(np.array(box_pose.orientation)).as_matrix()[:, 0]
-    return tuple(
-        Pose(box_pose.position + sign * 0.5 * box_width * axis, box_pose.orientation)
-        for sign in HANDLE_SIDE_SIGNS
-    )
 
 
 def default_scene() -> Scene:

@@ -91,7 +91,24 @@ def test_fit_fewer_distinct_rows_than_components_exit2(tmp_path, capsys, compone
     assert code == 2
     err = capsys.readouterr().err
     assert f"{components} components need at least as many distinct samples" in err
-    assert "got 4 distinct of 8" in err
+    assert "got 4 distinct of 8 samples and 4 distinct times" in err
+
+
+@pytest.mark.parametrize("components", [5, 8])
+def test_fit_fewer_distinct_times_than_components_exit2(tmp_path, capsys, components):
+    # 8 distinct rows but only 4 distinct times: two demonstrations on one grid
+    times = np.arange(4.0)
+    paths = []
+    for j in range(2):
+        rows = np.column_stack([np.linspace(0.0, 0.3, 4) + 0.1 * j, np.zeros((4, 5))])
+        paths.append(tmp_path / f"d{j}.csv")
+        save_trajectory(Trajectory(times, rows), paths[-1])
+    args = ["fit", "--demos", *map(str, paths), "--out", str(tmp_path / "m.json")]
+    assert main(args + ["--components", "4"]) == 0
+    assert main(args + ["--components", str(components)]) == 2
+    err = capsys.readouterr().err
+    assert f"{components} components need at least as many distinct samples" in err
+    assert "got 8 distinct of 8 samples and 4 distinct times" in err
 
 
 def test_generalize_identity_matches_regress(work, tmp_path, endpoint_args):

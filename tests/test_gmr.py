@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gmmgen.data import PhaseSchedule
-from gmmgen.gmr import activation_weights, regress, regress_with_variance
+from gmmgen.gmr import regress
 from gmmgen.model import GmmModel
 
 
@@ -20,32 +20,49 @@ def single_component_model(mean, cov):
 
 
 def test_single_component_weight_is_one():
-    model = single_component_model([1.0, 0.0], np.eye(2))
-    for t in (0.0, 1.0, 2.0):
-        assert np.array_equal(activation_weights(model, t), [1.0])
+    # a lone component's weight is exactly 1, so regression is its own line
+    cov = np.array([[0.5, 0.25], [0.25, 1.0]])  # slope 0.5
+    model = single_component_model([1.0, 2.0], cov)
+    times = np.array([0.0, 1.0, 2.0])
+    traj = regress(model, times)
+    assert np.array_equal(traj.values[:, 0], 2.0 + 0.5 * (times - 1.0))
+
+
+def test_separated_component_center_returns_its_mean():
+    # centers 2 s apart with a 0.1 s deviation: at one center the other
+    # component's weight is about exp(-200) and vanishes next to its mean
+    model = two_component_model(t_var=0.01, x_means=(0.3, 1.7))
+    traj = regress(model, [0.0, 1.0, 3.0])
+    assert traj.values[1, 0] == 0.3
+    assert traj.values[2, 0] == 1.7
 
 
 def test_symmetric_midpoint_weights():
-    model = two_component_model()
-    w = activation_weights(model, 2.0)  # equidistant from both centers
-    assert np.allclose(w, [0.5, 0.5], atol=1e-12)
+    # equal priors and variances about the midpoint 2.0: the weights at t and
+    # 4 - t swap, so with means 0 and 1 the two predictions sum to 1
+    model = two_component_model(x_means=(0.0, 1.0))
+    times = np.linspace(0.0, 4.0, 17)
+    values = regress(model, times).values[:, 0]
+    assert values[8] == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(values + values[::-1], 1.0, atol=1e-12)
 
 
 def test_priors_reweight_at_symmetric_time():
-    model = two_component_model(priors=(0.3, 0.7))
-    w = activation_weights(model, 2.0)
-    assert np.allclose(w, [0.3, 0.7], atol=1e-12)
+    model = two_component_model(priors=(0.3, 0.7), x_means=(0.0, 1.0))
+    traj = regress(model, [0.0, 2.0, 4.0])
+    assert traj.values[1, 0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_partition_of_unity_at_extreme_times():
-    model = two_component_model()
-    for t in (-50.0, 0.0, 1.7, 4.0, 200.0):
-        w = activation_weights(model, t)
-        assert np.isfinite(w).all()
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(w >= 0.0)
-    with pytest.raises(ValueError):
-        activation_weights(model, np.inf)
+    # with a 1 ms time deviation every linear-space weight underflows far
+    # from the centers; the log-space normalization must still give a
+    # convex combination of the (zero-slope) means
+    model = two_component_model(t_var=1e-6, x_means=(-1.0, 2.0))
+    traj = regress(model, [0.0, 1.7, 2.0, 2.3, 4.0])
+    values = traj.values[:, 0]
+    assert np.isfinite(values).all()
+    assert np.all((values >= -1.0) & (values <= 2.0))
+    assert values[0] == -1.0 and values[-1] == 2.0
 
 
 def test_single_component_regresses_a_line():
@@ -87,7 +104,7 @@ def test_regress_times_validation():
     with pytest.raises(ValueError):
         regress(model, [-1.0, 1.0])
     with pytest.raises(TypeError):
-        activation_weights("not a model", 0.0)
+        regress("not a model", [0.0, 1.0])
 
 
 def test_regress_reanchors_offset_times():
@@ -95,20 +112,3 @@ def test_regress_reanchors_offset_times():
     traj = regress(model, [1.0, 2.0, 3.0])
     assert traj.times[0] == 0.0
     assert np.allclose(traj.times, [0.0, 1.0, 2.0])
-
-
-def test_variance_matches_regression_and_is_spd(model, times):
-    traj_plain = regress(model, times)
-    traj, covs = regress_with_variance(model, times)
-    assert np.array_equal(traj.values, traj_plain.values)
-    assert covs.shape == (len(times), model.dim, model.dim)
-    eigs = np.linalg.eigvalsh(covs)
-    assert eigs.min() > -1e-12
-
-
-def test_variance_single_component_is_conditional():
-    cov = np.array([[0.5, 0.25], [0.25, 1.0]])
-    model = single_component_model([1.0, 2.0], cov)
-    _, covs = regress_with_variance(model, np.linspace(0.0, 2.0, 5))
-    expected = 1.0 - 0.25**2 / 0.5  # Schur complement of the time block
-    assert np.allclose(covs[:, 0, 0], expected, atol=1e-12)

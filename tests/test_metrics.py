@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.data import PhaseSchedule, Pose, Trajectory
-from gmmgen.metrics import (EvalReport, FailureReason, average_jerk,
+from gmmgen.data import PhaseSchedule, Pose, Trajectory, resample
+from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, average_jerk,
                             boundary_error, phase_deviation,
                             rotation_angle_deg, shape_deviation)
 from gmmgen.reparam import TaskSpec
@@ -81,13 +83,70 @@ def test_shape_deviation_similarity_invariances():
     assert shape_deviation(combined, ref) < 1e-9
 
 
-def test_shape_deviation_finds_circular_shift():
-    times = np.arange(40, dtype=float)
-    angle = 2.0 * np.pi * np.arange(40) / 40.0
-    circle = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(40)])
-    ref = pose_rows(times, circle)
-    cand = pose_rows(times, np.roll(circle, 7, axis=0))
-    assert shape_deviation(cand, ref, n=40) < 1e-9
+def test_shape_deviation_scores_the_open_path():
+    # rolling the samples wraps the helix's end onto its start; an open-path
+    # metric must see that, even though some index shift would undo it
+    times = np.linspace(0.0, 1.0, 60)
+    ref = pose_rows(times, helix(times))
+    for shift in (7, 20):
+        cand = pose_rows(times, np.roll(helix(times), shift, axis=0))
+        assert shape_deviation(cand, ref) > 0.05
+        assert oracle_shape_deviation(cand, ref)[0] < 0.01
+
+
+def oracle_shape_deviation(traj, reference):
+    """The former metric: best proper Procrustes fit over all circular index
+    shifts of the candidate.  Returns (best clamped value, per-shift terms)."""
+    def normalized(t):
+        pts = resample(t, SHAPE_POINTS).positions().copy()
+        pts -= pts.mean(axis=0)
+        return pts / float(np.linalg.norm(pts))
+
+    ref = normalized(reference)
+    cand = normalized(traj)
+    terms = []
+    for shift in range(SHAPE_POINTS):
+        rolled = np.roll(cand, -shift, axis=0)
+        m = rolled.T @ ref
+        u, s, vt = np.linalg.svd(m)
+        proper = s[0] + s[1] + np.sign(np.linalg.det(u) * np.linalg.det(vt)) * s[2]
+        terms.append(2.0 - 2.0 * proper)
+    return max(float(min(terms)), 0.0), terms
+
+
+@st.composite
+def _curve_pairs(draw):
+    """Two position paths on their own time grids: random walks, helices with a
+    random phase, radius and roll, and mirrored copies of each other."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("walk", "helix", "mirror")))
+    paths = []
+    for _ in range(2):
+        n = draw(st.integers(4, 90))
+        times = np.sort(rng.uniform(0.0, 5.0, n))
+        times[0], times[-1] = 0.0, 5.0
+        times = np.unique(times)
+        if kind == "walk":
+            pts = np.cumsum(rng.normal(size=(len(times), 3)), axis=0)
+        else:
+            pts = np.roll(helix(times, rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 3.0)),
+                          int(rng.integers(len(times))), axis=0)
+        paths.append(pose_rows(times, pts))
+    if kind == "mirror":
+        a = paths[0]
+        paths[1] = pose_rows(a.times, a.positions() * np.array([-1.0, 1.0, 1.0]))
+    return paths
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_curve_pairs())
+def test_shape_deviation_is_the_oracle_shift_zero_term(pair):
+    cand, ref = pair
+    value = shape_deviation(cand, ref)
+    best, terms = oracle_shape_deviation(cand, ref)
+    assert value == max(float(terms[0]), 0.0)
+    assert value >= best
+    assert 0.0 <= value <= 2.0
 
 
 def test_shape_deviation_rejects_mirrors_and_degenerates():
@@ -99,8 +158,6 @@ def test_shape_deviation_rejects_mirrors_and_degenerates():
     flat = pose_rows(times, np.zeros((60, 3)))
     with pytest.raises(ValueError):
         shape_deviation(flat, ref)
-    with pytest.raises(ValueError):
-        shape_deviation(ref, ref, n=7)
 
 
 def test_shape_deviation_is_symmetric():

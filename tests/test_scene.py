@@ -9,8 +9,8 @@ from gmmgen.metrics import FailureReason
 from gmmgen.reparam import TaskSpec
 from gmmgen.scene import (REST_CLEARANCE, Scene, Slab, SuccessThresholds,
                           box_collides, collision_mask, default_scene,
-                          handle_poses, load_scene, rest_height, sample_task,
-                          save_scene, scene_collides, trajectory_success)
+                          load_scene, rest_height, sample_task, save_scene,
+                          scene_collides, trajectory_success)
 
 UNIT_BOX = (1.0, 1.0, 1.0)
 ORIGIN = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
@@ -316,24 +316,6 @@ def test_sample_task_deterministic(scene, endpoints):
     assert np.array_equal(a.goal.as_vector(), b.goal.as_vector())
     with pytest.raises(ValueError):
         sample_task(scene, "spiral", np.random.default_rng(0), *endpoints)
-
-
-def test_handle_poses_hand_cases():
-    box = Pose([0.4, 0.2, 0.1], [0.0, 0.0, 0.0])
-    left, right = handle_poses(box, 0.2)
-    assert np.allclose(left.position, [0.3, 0.2, 0.1])
-    assert np.allclose(right.position, [0.5, 0.2, 0.1])
-    yawed = Pose([0.0, 0.0, 0.0], [0.0, 0.0, np.pi / 2.0])
-    left, right = handle_poses(yawed, 0.2)
-    # the width axis turns into world y
-    assert np.allclose(left.position, [0.0, -0.1, 0.0], atol=1e-12)
-    assert np.allclose(right.position, [0.0, 0.1, 0.0], atol=1e-12)
-    for h in (left, right):
-        assert np.array_equal(h.orientation, yawed.orientation)
-    mid = 0.5 * (left.position + right.position)
-    assert np.array_equal(mid, yawed.position)
-    with pytest.raises(ValueError):
-        handle_poses(box, 0.0)
 
 
 def test_default_scene_geometry(scene):
