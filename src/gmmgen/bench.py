@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PhaseSchedule, Pose, Trajectory
+from .data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from .gmr import regress
 from .metrics import (EvalReport, average_jerk, boundary_error, phase_deviation,
                       shape_deviation)
 from .model import GmmModel
-from .reparam import ReparamConfig, TaskSpec, generalize
+from .reparam import ReparamConfig, generalize
 from .scene import Scene, SuccessThresholds, sample_task, trajectory_success
 
 SUMMARY_COLUMNS = (
@@ -29,6 +29,8 @@ SUMMARY_COLUMNS = (
 
 
 def default_times(duration: float, rate: float = 100.0) -> np.ndarray:
+    if not (0.0 < rate < np.inf):
+        raise ValueError(f"sample rate must be finite and positive, got {rate}")
     return np.linspace(0.0, duration, int(round(duration * rate)) + 1)
 
 
@@ -162,10 +164,7 @@ def trial_to_dict(result: BenchmarkResult, record: TrialRecord) -> dict:
         "method": result.method,
         "mode": result.mode,
         "seed": result.seed,
-        "task": {
-            "start": [float(v) for v in record.task.start_vector()],
-            "goal": [float(v) for v in record.task.goal_vector()],
-        },
+        "task": record.task.to_dict(),
         "report": record.report.to_dict(),
     }
 

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, plot
-from .data import (PhaseSchedule, Pose, _read_json, _write_json, load_trajectory,
+from .data import (PhaseSchedule, Pose, TaskSpec, _read_json, _write_json, load_trajectory,
                    save_trajectory)
 from .gmr import regress
-from .model import FitConfig, fit_gmm, model_from_dict, save_model
-from .reparam import (ReparamConfig, TaskSpec, generalize, reparam_from_dict,
-                      save_reparam_model)
+from .model import FitConfig, fit_gmm, load_model, save_model
+from .reparam import ReparamConfig, generalize
 from .scene import SuccessThresholds, default_scene, load_scene, scene_to_dict
 from .synth import SynthConfig, generate_demonstrations
 
@@ -42,15 +41,6 @@ def _parse_pose(text: str) -> Pose:
 
 def _load_scene_arg(path):
     return load_scene(path) if path else default_scene()
-
-
-def _any_model_from_dict(obj):
-    generalized = isinstance(obj, dict) and "task" in obj
-    return (reparam_from_dict if generalized else model_from_dict)(obj)
-
-
-def _load_any_model(path):
-    return _read_json(path, _any_model_from_dict)
 
 
 def _thresholds(args) -> SuccessThresholds:
@@ -92,8 +82,7 @@ def cmd_synth(args) -> int:
         "phases": {"grasp_end": phases.grasp_end,
                    "release_start": phases.release_start,
                    "duration": phases.duration},
-        "task": {"start": [float(v) for v in task.start_vector()],
-                 "goal": [float(v) for v in task.goal_vector()]},
+        "task": task.to_dict(),
         "config": {"demos": args.demos, "lift": cfg.lift_height,
                    "noise_pos_mm": args.noise_pos_mm,
                    "noise_rot_deg": args.noise_rot_deg, "rate": cfg.sample_rate},
@@ -139,20 +128,20 @@ def cmd_fit(args) -> int:
 
 
 def cmd_generalize(args) -> int:
-    model = _load_any_model(args.model)
+    model = load_model(args.model)
     task = TaskSpec(_parse_pose(args.start), _parse_pose(args.goal))
     config = ReparamConfig(ablate_covariance=args.ablate_covariance)
+    times = bench.default_times(model.duration, args.rate)
     adapted = generalize(model, task, config)
-    save_reparam_model(adapted, args.out_model)
+    save_model(adapted, args.out_model)
     if args.out_traj:
-        times = bench.default_times(model.duration, args.rate)
         save_trajectory(regress(adapted, times), args.out_traj)
     print(f"generalized model written to {args.out_model}")
     return EXIT_OK
 
 
 def cmd_regress(args) -> int:
-    model = _load_any_model(args.model)
+    model = load_model(args.model)
     times = bench.default_times(model.duration, args.rate)
     save_trajectory(regress(model, times), args.out)
     print(f"regressed {len(times)} samples to {args.out}")
@@ -160,7 +149,7 @@ def cmd_regress(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load_any_model(args.model)
+    model = load_model(args.model)
     traj = load_trajectory(args.traj)
     scene = _load_scene_arg(args.scene)
     task = TaskSpec(_parse_pose(args.start), _parse_pose(args.goal))
@@ -179,7 +168,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    model = _load_any_model(args.model)
+    model = load_model(args.model)
     scene = _load_scene_arg(args.scene)
     config = ReparamConfig(ablate_covariance=args.ablate_covariance)
     reference = load_trajectory(args.ref) if args.ref else None
@@ -296,6 +285,32 @@ def build_parser():
     return parser, registry
 
 
+# JSON types a --config value may take, by the argparse type of its flag.
+_CONFIG_KINDS = {None: ((str,), "a string"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number")}
+
+
+def _config_value(action, value):
+    """A --config value as its flag would hold it; ValueError unless the
+    command line accepts that value for the flag."""
+    if action.nargs == 0:  # a switch
+        if not isinstance(value, bool):
+            raise ValueError("must be true or false")
+        return value
+    many = action.nargs == "+"
+    if many and not (isinstance(value, list) and value):
+        raise ValueError("must be a non-empty list")
+    kinds, name = _CONFIG_KINDS[action.type]
+    items = value if many else [value]
+    if any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
+        raise ValueError(f"must be {name}" + (" in every entry" if many else ""))
+    if action.type is not None:  # parsed from the text the command line would carry
+        items = [action.type(str(v)) for v in items]
+    if action.choices is not None and not set(items) <= set(action.choices):
+        raise ValueError(f"must be one of {', '.join(action.choices)}")
+    return items if many else items[0]
+
+
 def _apply_config_defaults(argv, registry) -> None:
     if "--config" not in argv:
         return
@@ -309,11 +324,17 @@ def _apply_config_defaults(argv, registry) -> None:
     if not isinstance(values, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     sub = registry[argv[0]]
-    dests = {action.dest for action in sub._actions}
-    for key in values:
-        if key.replace("-", "_") not in dests:
+    actions = {action.dest: action for action in sub._actions}
+    defaults = {}
+    for key, value in values.items():
+        dest = key.replace("-", "_")
+        if dest not in actions:
             raise ValueError(f"{path}: unknown config key '{key}' for '{argv[0]}'")
-    sub.set_defaults(**{k.replace("-", "_"): v for k, v in values.items()})
+        try:
+            defaults[dest] = _config_value(actions[dest], value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: config key '{key}' for '{argv[0]}' {exc}") from None
+    sub.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:

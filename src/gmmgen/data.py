@@ -84,6 +84,24 @@ class Pose:
 
 
 @dataclass(frozen=True)
+class TaskSpec:
+    """Requested start and goal poses for one generalization."""
+
+    start: Pose
+    goal: Pose
+
+    def start_vector(self) -> np.ndarray:
+        return self.start.as_vector()
+
+    def goal_vector(self) -> np.ndarray:
+        return self.goal.as_vector()
+
+    def to_dict(self) -> dict:
+        return {"start": [float(v) for v in self.start_vector()],
+                "goal": [float(v) for v in self.goal_vector()]}
+
+
+@dataclass(frozen=True)
 class PhaseSchedule:
     """Grasp/transport/release boundaries of a demonstration, in seconds."""
 

@@ -13,8 +13,7 @@ from enum import Enum
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import PhaseSchedule, Trajectory, resample
-from .reparam import TaskSpec
+from .data import PhaseSchedule, TaskSpec, Trajectory, resample
 
 M_TO_MM = 1000.0
 RAD_TO_DEG = 180.0 / np.pi
@@ -137,20 +136,18 @@ def shape_deviation(traj: Trajectory, reference: Trajectory) -> float:
     return max(float(2.0 - 2.0 * proper), 0.0)
 
 
-def average_jerk(traj: Trajectory, rate: float = JERK_RATE):
+def average_jerk(traj: Trajectory):
     """Mean third-derivative magnitude: (linear m/s^3, angular deg/s^3).
 
-    The trajectory is resampled to a uniform grid at the given rate and
+    The trajectory is resampled to a uniform JERK_RATE grid and
     differentiated with the five-point central third-difference stencil;
     the two edge samples on each side are dropped.
     """
     if traj.dim != 6:
         raise ValueError("jerk needs 6-DoF trajectories")
-    if rate <= 0.0:
-        raise ValueError("sampling rate must be positive")
-    n = int(round(traj.duration * rate)) + 1
+    n = int(round(traj.duration * JERK_RATE)) + 1
     if n < 8:
-        raise ValueError("trajectory too short for jerk estimation at this rate")
+        raise ValueError("trajectory too short for jerk estimation")
     grid = resample(traj, n)
     h = traj.duration / (n - 1)
     v = grid.values

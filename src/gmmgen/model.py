@@ -3,7 +3,7 @@
 The mixture is fit on rows [t, x] where x is the pose vector, so each
 component carries a scalar time block, a spatial block, and their
 cross-covariance.  One array-backed type, GmmModel, holds every
-component, sorted by time center.
+component, sorted by time center, of fitted and generalized mixtures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .data import PhaseSchedule, Trajectory, _frozen_array, _read_json, _write_json
+from .data import (PhaseSchedule, Pose, TaskSpec, Trajectory, _frozen_array, _read_json,
+                   _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -54,7 +55,8 @@ class GmmModel:
     m_g = cov_xt / cov_tt, (G, D), and spatial shape C_g = cov_xx / cov_tt,
     (G, D, D): a fitted model derives both from covs, while a generalized
     model passes its adapted terms, whose Schur complements C - mm^T must
-    stay positive definite.
+    stay positive definite.  A generalized model also records its task,
+    whether the covariance update was ablated, and its SPD repair count.
     """
 
     priors: np.ndarray
@@ -64,6 +66,9 @@ class GmmModel:
     phases: PhaseSchedule
     slopes: np.ndarray | None = None
     shapes: np.ndarray | None = None
+    task: TaskSpec | None = None
+    ablated: bool = False
+    spd_repairs: int = 0
 
     def __post_init__(self):
         priors = _frozen_array(self.priors)
@@ -405,7 +410,8 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
 
 
 def model_to_dict(model: GmmModel) -> dict:
-    return {
+    """JSON object of a model; one with a task adds its generalization keys."""
+    out = {
         "D": model.dim,
         "T": model.duration,
         "phases": {
@@ -421,9 +427,18 @@ def model_to_dict(model: GmmModel) -> dict:
             for prior, mean, cov in zip(model.priors, model.means, model.covs)
         ],
     }
+    if model.task is not None:
+        for comp, slope, shape in zip(out["components"], model.slopes, model.shapes):
+            comp["m"] = [float(v) for v in slope]
+            comp["C"] = [float(v) for v in shape.ravel()]
+        out["task"] = model.task.to_dict()
+        out["ablate_covariance"] = model.ablated
+        out["spd_repairs"] = model.spd_repairs
+    return out
 
 
 def model_from_dict(obj: dict) -> GmmModel:
+    """Inverse of model_to_dict: reads the generalization keys iff "task" is present."""
     try:
         dim = int(obj["D"])
         duration = float(obj["T"])
@@ -457,7 +472,22 @@ def model_from_dict(obj: dict) -> GmmModel:
         priors.append(prior)
         means.append(mu)
         covs.append(0.5 * (sigma + sigma.T))
-    return GmmModel(np.array(priors), np.stack(means), np.stack(covs), duration, phases)
+    generalized = {}
+    if "task" in obj:
+        try:
+            generalized = {
+                "slopes": np.stack([np.asarray(c["m"], dtype=float) for c in raw]),
+                "shapes": np.stack([np.asarray(c["C"], dtype=float).reshape(dim, dim)
+                                    for c in raw]),
+                "task": TaskSpec(Pose.from_vector(obj["task"]["start"]),
+                                 Pose.from_vector(obj["task"]["goal"])),
+                "ablated": bool(obj.get("ablate_covariance", False)),
+                "spd_repairs": int(obj.get("spd_repairs", 0)),
+            }
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"generalized-model JSON invalid: {exc}") from exc
+    return GmmModel(np.array(priors), np.stack(means), np.stack(covs), duration, phases,
+                    **generalized)
 
 
 def save_model(model: GmmModel, path) -> None:

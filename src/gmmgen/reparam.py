@@ -14,28 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Pose, _frozen_array, _read_json, _write_json
-from .model import GmmModel, _cholesky_fails, model_from_dict, model_to_dict
+from .data import TaskSpec, _frozen_array
+from .model import GmmModel, _cholesky_fails
 
 # Endpoint spans and consecutive mean differences below these count as
 # degenerate: 1e-4 m on the position axes, 1e-3 rad on the rotation axes.
 DEGENERATE_EPS = _frozen_array([1e-4] * 3 + [1e-3] * 3)
 # Eigenvalue clamp for a reassembled covariance that rounding left indefinite.
 COV_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """Requested start and goal poses for one generalization."""
-
-    start: Pose
-    goal: Pose
-
-    def start_vector(self) -> np.ndarray:
-        return self.start.as_vector()
-
-    def goal_vector(self) -> np.ndarray:
-        return self.goal.as_vector()
 
 
 @dataclass(frozen=True)
@@ -128,23 +114,13 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
             len(broken))
 
 
-@dataclass(frozen=True, kw_only=True)
-class ReparamModel(GmmModel):
-    """A generalized mixture: GmmModel with adapted means, covariances,
-    slopes and shapes, plus where it came from.
-
-    Priors, time centers, and time variances are carried over from the
-    source model untouched.
-    """
-
-    task: TaskSpec
-    ablated: bool = False
-    spd_repairs: int = 0
-
-
 def generalize(model: GmmModel, task: TaskSpec,
-               config: ReparamConfig = ReparamConfig()) -> ReparamModel:
-    """Adapt a fitted model to the task's start and goal poses."""
+               config: ReparamConfig = ReparamConfig()) -> GmmModel:
+    """Adapt a fitted or generalized model to the task's start and goal poses.
+
+    The result carries the task.  Its priors, time centers and time
+    variances are the source model's, untouched.
+    """
     if model.dim != 6:
         raise ValueError("task generalization expects 6-DoF pose models")
     new_means = reparam_means(model, task.start_vector(), task.goal_vector(),
@@ -155,46 +131,6 @@ def generalize(model: GmmModel, task: TaskSpec,
         slopes, shapes, covs, repairs = reparam_covariances(model, new_means,
                                                             DEGENERATE_EPS)
     means = np.column_stack([model.means[:, 0], new_means])
-    return ReparamModel(model.priors, means, covs, model.duration, model.phases,
-                        slopes, shapes, task=task, ablated=config.ablate_covariance,
-                        spd_repairs=repairs)
-
-
-def reparam_to_dict(model: ReparamModel) -> dict:
-    base = model_to_dict(model)
-    for comp, slope, shape in zip(base["components"], model.slopes, model.shapes):
-        comp["m"] = [float(v) for v in slope]
-        comp["C"] = [float(v) for v in shape.ravel()]
-    base["task"] = {
-        "start": [float(v) for v in model.task.start_vector()],
-        "goal": [float(v) for v in model.task.goal_vector()],
-    }
-    base["ablate_covariance"] = model.ablated
-    base["spd_repairs"] = model.spd_repairs
-    return base
-
-
-def reparam_from_dict(obj: dict) -> ReparamModel:
-    base = model_from_dict(obj)
-    dim = base.dim
-    try:
-        slopes = np.stack([np.asarray(c["m"], dtype=float) for c in obj["components"]])
-        shapes = np.stack([
-            np.asarray(c["C"], dtype=float).reshape(dim, dim) for c in obj["components"]
-        ])
-        task = TaskSpec(Pose.from_vector(obj["task"]["start"]),
-                        Pose.from_vector(obj["task"]["goal"]))
-        ablated = bool(obj.get("ablate_covariance", False))
-        repairs = int(obj.get("spd_repairs", 0))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"generalized-model JSON invalid: {exc}") from exc
-    return ReparamModel(base.priors, base.means, base.covs, base.duration, base.phases,
-                        slopes, shapes, task=task, ablated=ablated, spd_repairs=repairs)
-
-
-def save_reparam_model(model: ReparamModel, path) -> None:
-    _write_json(path, reparam_to_dict(model))
-
-
-def load_reparam_model(path) -> ReparamModel:
-    return _read_json(path, reparam_from_dict)
+    return GmmModel(model.priors, means, covs, model.duration, model.phases,
+                    slopes, shapes, task=task, ablated=config.ablate_covariance,
+                    spd_repairs=repairs)

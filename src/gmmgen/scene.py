@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import Pose, Trajectory, _read_json, _write_json, resample
+from .data import Pose, TaskSpec, Trajectory, _read_json, _write_json, resample
 from .metrics import FailureReason, boundary_error
-from .reparam import TaskSpec
 
 REST_CLEARANCE = 0.003
 SAMPLE_ATTEMPTS = 100  # endpoint draws before sample_task gives up
@@ -67,12 +66,13 @@ class Scene:
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         object.__setattr__(self, "length_range",
                            tuple(float(v) for v in self.length_range))
-        if np.any(dims <= 0.0):
-            raise ValueError("box dimensions must be positive")
-        if not self.levels:
-            raise ValueError("scene needs at least one level height")
-        if len(self.length_range) != 2 or self.length_range[0] >= self.length_range[1]:
-            raise ValueError("length_range must be an increasing (min, max) pair")
+        if not (np.isfinite(dims).all() and (dims > 0.0).all()):
+            raise ValueError("box dimensions must be finite and positive")
+        if not (self.levels and np.isfinite(self.levels).all()):
+            raise ValueError("scene needs at least one level height, all finite")
+        if (len(self.length_range) != 2 or not np.isfinite(self.length_range).all()
+                or self.length_range[0] >= self.length_range[1]):
+            raise ValueError("length_range must be an increasing, finite (min, max) pair")
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,9 @@ class SuccessThresholds:
     collision_samples: int = 200
 
     def __post_init__(self):
-        if self.max_boundary_pos_mm <= 0.0 or self.max_boundary_rot_deg <= 0.0:
-            raise ValueError("boundary thresholds must be positive")
+        if not (0.0 < self.max_boundary_pos_mm < np.inf
+                and 0.0 < self.max_boundary_rot_deg < np.inf):
+            raise ValueError("boundary thresholds must be finite and positive")
         if self.collision_samples < 2:
             raise ValueError("collision_samples must be at least 2")
 

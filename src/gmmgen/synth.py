@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PhaseSchedule, Pose, Trajectory
-from .reparam import TaskSpec
+from .data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from .scene import Scene, SuccessThresholds, rest_height, trajectory_success
 
 NOISE_WAVES = 3
@@ -39,8 +38,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_demos < 1:
             raise ValueError("need at least one demonstration")
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
+        if not (0.0 < self.sample_rate < np.inf):
+            raise ValueError("sample_rate must be finite and positive")
         if self.noise_pos < 0.0 or self.noise_rot < 0.0 or self.lift_height < 0.0:
             raise ValueError("noise levels and lift height cannot be negative")
 

@@ -13,12 +13,12 @@ import pytest
 
 from gmmgen.bench import default_times, model_endpoints, run_benchmark
 from gmmgen.cli import main
-from gmmgen.data import PhaseSchedule, Pose, Trajectory
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.gmr import regress
 from gmmgen.metrics import average_jerk, boundary_error, shape_deviation
 from gmmgen.model import (FitConfig, GmmModel, em_fit, fit_gmm, kmeans_init,
                           save_model)
-from gmmgen.reparam import DEGENERATE_EPS, ReparamConfig, TaskSpec, generalize
+from gmmgen.reparam import DEGENERATE_EPS, ReparamConfig, generalize
 from gmmgen.scene import Slab, box_collides, sample_task
 
 from conftest import assert_monotone_loglik, record_acceptance
@@ -274,7 +274,7 @@ def test_ac8_metric_and_scene_oracles():
     u = qt / duration
     quintic = np.zeros((501, 6))
     quintic[:, 0] = 10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5
-    jerk, _ = average_jerk(Trajectory(qt, quintic), rate=100.0)
+    jerk, _ = average_jerk(Trajectory(qt, quintic))
     analytic = 40.0 / np.sqrt(3.0) / duration**3
     jerk_rel = abs(jerk - analytic) / analytic
 

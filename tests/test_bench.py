@@ -7,8 +7,9 @@ from gmmgen.bench import (SUMMARY_COLUMNS, default_times, evaluate_trajectory,
                           model_endpoints, run_benchmark, summarize,
                           summary_csv_lines, write_summary_csv,
                           write_trials_jsonl)
+from gmmgen.data import TaskSpec
 from gmmgen.gmr import regress
-from gmmgen.reparam import ReparamConfig, TaskSpec
+from gmmgen.reparam import ReparamConfig
 
 
 def test_summary_columns_are_frozen():
@@ -25,6 +26,9 @@ def test_default_times_grid():
     assert len(times) == 701
     assert times[0] == 0.0 and times[-1] == 7.0
     assert np.allclose(np.diff(times), 0.01)
+    for rate in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            default_times(7.0, rate)
 
 
 def test_model_endpoints_match_components(model):

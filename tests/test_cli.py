@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gmmgen.cli import _parse_pose, main
-from gmmgen.data import Trajectory, load_trajectory, save_trajectory
+from gmmgen.data import TaskSpec, Trajectory, load_trajectory, save_trajectory
 from gmmgen.model import load_model, save_model
-from gmmgen.reparam import TaskSpec, generalize, load_reparam_model, save_reparam_model
+from gmmgen.reparam import generalize
 
 SCENE_JSON = Path(__file__).resolve().parents[1] / "scenes" / "shelf_default.json"
 
@@ -170,7 +170,7 @@ def test_generalize_reads_generalized_model_as_such(work, tmp_path):
     # re-derived from its covariances
     want = tmp_path / "want.json"
     task = TaskSpec(_parse_pose(start), _parse_pose(goal))
-    save_reparam_model(generalize(load_reparam_model(gen), task), want)
+    save_model(generalize(load_model(gen), task), want)
     assert again.read_bytes() == want.read_bytes()
 
 
@@ -284,6 +284,66 @@ def test_config_file_unknown_key_exit2(tmp_path, capsys):
     code = main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
     assert code == 2
     assert "unknown config key 'components'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("benchmark", {"trials": 2.5}),
+    ("benchmark", {"mode": "sideways"}),
+    ("benchmark", {"ablate-covariance": 1}),
+    ("evaluate", {"collision_samples": 3.7}),
+    ("evaluate", {"rate": "100"}),
+    ("synth", {"seed": True}),
+    ("fit", {"demos": "manifest.json"}),
+])
+def test_config_file_wrong_type_exit2(tmp_path, capsys, command, config):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(config))
+    code = main([command, "--config", str(cfg)])
+    assert code == 2
+    key = next(iter(config))
+    assert f"{cfg}: config key '{key}' for '{command}' must be" in capsys.readouterr().err
+
+
+def test_config_file_number_for_float_flag(tmp_path):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"demos": 1, "lift": 0}))
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["lift"] == 0.0 and isinstance(manifest["config"]["lift"], float)
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["synth", "generalize", "regress", "evaluate",
+                                     "benchmark"])
+def test_non_finite_rate_exit2(work, tmp_path, endpoint_args, capsys, command, rate):
+    start, goal = endpoint_args
+    model = str(work / "model.json")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--out-dir", str(out)],
+        "generalize": ["--model", model, "--start", start, "--goal", goal,
+                       "--out-model", str(out), "--out-traj", str(tmp_path / "t.csv")],
+        "regress": ["--model", model, "--out", str(out)],
+        "evaluate": ["--traj", str(work / "demos" / "demo_00.csv"), "--model", model,
+                     "--start", start, "--goal", goal, "--out", str(out)],
+        "benchmark": ["--model", model, "--trials", "1", "--out-dir", str(out)],
+    }[command]
+    assert main([command, *argv, "--rate", rate]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_nan_threshold_exit2(work, tmp_path, capsys):
+    args = ["evaluate", "--traj", str(work / "demos" / "demo_00.csv"),
+            "--model", str(work / "model.json"),
+            "--start", "0.20,0.25,0.063,0,0,0", "--goal", "0.50,0.25,0.463,0,0,0"]
+    report = tmp_path / "report.json"
+    assert main(args + ["--out", str(report)]) == 0
+    assert json.loads(report.read_text())["failure_reason"] == "boundary"
+    nan_report = tmp_path / "nan.json"
+    assert main(args + ["--max-boundary-pos", "nan", "--out", str(nan_report)]) == 2
+    assert "boundary thresholds must be finite and positive" in capsys.readouterr().err
+    assert not nan_report.exists()
 
 
 def test_regress_parses_model_once_and_locates_errors(work, tmp_path, endpoint_args,

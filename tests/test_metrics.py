@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.data import PhaseSchedule, Pose, Trajectory, resample
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, resample
 from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, average_jerk,
                             boundary_error, phase_deviation,
                             rotation_angle_deg, shape_deviation)
-from gmmgen.reparam import TaskSpec
 
 
 def pose_rows(times, positions, rotvecs=None):
@@ -173,7 +172,7 @@ def test_jerk_cubic_is_exact():
     pos = np.zeros((101, 3))
     pos[:, 0] = times**3
     traj = pose_rows(times, pos)
-    linear, angular = average_jerk(traj, rate=100.0)
+    linear, angular = average_jerk(traj)
     assert linear == pytest.approx(6.0, abs=1e-8)
     assert angular == pytest.approx(0.0, abs=1e-9)
 
@@ -192,7 +191,7 @@ def test_jerk_quintic_against_analytic_mean():
     pos = np.zeros((501, 3))
     pos[:, 2] = quintic_blend(times / duration)
     traj = pose_rows(times, pos)
-    linear, _ = average_jerk(traj, rate=100.0)
+    linear, _ = average_jerk(traj)
     # mean of |60 - 360u + 360u^2| over [0,1] is 40/sqrt(3)
     analytic = 40.0 / np.sqrt(3.0) / duration**3
     assert abs(linear - analytic) / analytic < 0.02
@@ -203,20 +202,10 @@ def test_jerk_stencil_matches_analytic_profile():
     pos = np.zeros((101, 3))
     pos[:, 2] = quintic_blend(times)
     traj = pose_rows(times, pos)
-    linear, _ = average_jerk(traj, rate=100.0)
+    linear, _ = average_jerk(traj)
     # the analytic jerk sampled on the same interior grid the stencil covers
     oracle = np.abs(quintic_jerk(times[2:-2])).mean()
     assert abs(linear - oracle) / oracle < 0.005
-
-
-def test_jerk_halves_grid_consistency_on_regression(model, times):
-    from gmmgen.gmr import regress
-
-    traj = regress(model, times)
-    lin100, ang100 = average_jerk(traj, rate=100.0)
-    lin200, ang200 = average_jerk(traj, rate=200.0)
-    assert abs(lin100 - lin200) / lin200 < 0.02
-    assert abs(ang100 - ang200) / ang200 < 0.02
 
 
 def test_jerk_rotation_channel_reports_degrees():
@@ -225,18 +214,14 @@ def test_jerk_rotation_channel_reports_degrees():
     vals[:, 1] = quintic_blend(times)
     vals[:, 5] = 0.5 * quintic_blend(times)
     traj = Trajectory(times, vals)
-    lin100, ang100 = average_jerk(traj, rate=100.0)
-    expected = 0.5 * lin100 * 180.0 / np.pi
-    assert ang100 == pytest.approx(expected, rel=1e-9)
+    linear, angular = average_jerk(traj)
+    expected = 0.5 * linear * 180.0 / np.pi
+    assert angular == pytest.approx(expected, rel=1e-9)
 
 
 def test_jerk_validation():
-    times = np.linspace(0.0, 1.0, 11)
-    traj = pose_rows(times, np.zeros((11, 3)))
     with pytest.raises(ValueError):
-        average_jerk(traj, rate=0.0)
-    with pytest.raises(ValueError):
-        average_jerk(pose_rows([0.0, 0.02], np.zeros((2, 3))), rate=100.0)
+        average_jerk(pose_rows([0.0, 0.02], np.zeros((2, 3))))
     with pytest.raises(ValueError):
         average_jerk(Trajectory([0.0, 1.0], np.zeros((2, 2))))
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from gmmgen.data import PhaseSchedule, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _cluster_means,
                           _kmeans_distances, em_fit, fit_gmm, kmeans_init,
                           load_model, logsumexp, save_model)
+from gmmgen.reparam import ReparamConfig, generalize
+from gmmgen.scene import sample_task
 
 from conftest import assert_monotone_loglik
 
@@ -190,7 +194,23 @@ def test_fit_gmm_sorted_and_phased(demos, fit_result):
     assert_monotone_loglik(fit_result.loglik_trace)
 
 
-def test_model_json_roundtrip(tmp_path, model):
+def model_of_kind(kind, model, scene, endpoints):
+    """A fitted model, or one generalized from it to a sampled combined task."""
+    if kind == "fitted":
+        return model
+    task = sample_task(scene, "combined", np.random.default_rng(99), *endpoints)
+    if kind == "ablated":
+        return generalize(model, task, ReparamConfig(ablate_covariance=True))
+    out = generalize(model, task)
+    if kind == "regeneralized":
+        again = sample_task(scene, "combined", np.random.default_rng(7), *endpoints)
+        out = generalize(out, again)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["fitted", "generalized", "ablated", "regeneralized"])
+def test_model_json_roundtrip(tmp_path, model, scene, endpoints, kind):
+    model = model_of_kind(kind, model, scene, endpoints)
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
@@ -198,6 +218,19 @@ def test_model_json_roundtrip(tmp_path, model):
     assert back.phases == model.phases
     for name in ("priors", "means", "covs", "slopes", "shapes"):
         assert np.array_equal(getattr(back, name), getattr(model, name)), name
+    assert (back.task is None) == (model.task is None)
+    if model.task is not None:
+        assert np.array_equal(back.task.start_vector(), model.task.start_vector())
+        assert np.array_equal(back.task.goal_vector(), model.task.goal_vector())
+    assert back.ablated == model.ablated and back.spd_repairs == model.spd_repairs
+
+    doc = json.loads(path.read_text())
+    keys, comp_keys = ["D", "T", "phases", "components"], ["pi", "mu", "sigma"]
+    if kind != "fitted":
+        keys += ["task", "ablate_covariance", "spd_repairs"]
+        comp_keys += ["m", "C"]
+    assert list(doc) == keys
+    assert all(list(c) == comp_keys for c in doc["components"])
 
 
 def test_load_model_rejects_bad_json(tmp_path):

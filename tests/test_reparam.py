@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmmgen.data import PhaseSchedule, Pose
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.model import GmmModel, load_model, save_model
-from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig,
-                            TaskSpec, _clamp_spd, generalize,
-                            load_reparam_model, reparam_covariances,
-                            reparam_means, save_reparam_model)
+from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd,
+                            generalize, reparam_covariances, reparam_means)
 from gmmgen.scene import sample_task
 
 
@@ -270,22 +268,6 @@ def test_generalize_ablated_keeps_source_covariances(model, scene, endpoints):
     assert np.array_equal(out.means[-1, 1:], task.goal_vector())
 
 
-def test_reparam_json_roundtrip(tmp_path, model, scene, endpoints):
-    rng = np.random.default_rng(99)
-    task = sample_task(scene, "combined", rng, *endpoints)
-    out = generalize(model, task)
-    path = tmp_path / "gen.json"
-    save_reparam_model(out, path)
-    back = load_reparam_model(path)
-    for name in ("priors", "means", "covs", "slopes", "shapes"):
-        assert np.array_equal(getattr(back, name), getattr(out, name)), name
-    assert np.array_equal(back.task.start_vector(), out.task.start_vector())
-    assert np.array_equal(back.task.goal_vector(), out.task.goal_vector())
-    assert back.ablated == out.ablated and back.spd_repairs == out.spd_repairs
-    with pytest.raises(ValueError):
-        load_reparam_model(tmp_path / "missing.json")
-
-
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
                | st.floats() | st.text(max_size=4)
                | st.sampled_from([float("inf"), float("nan"), -1, 0, 1e308]))
@@ -326,21 +308,20 @@ def model_documents(model, scene, endpoints, tmp_path_factory):
     root = tmp_path_factory.mktemp("mutations")
     task = sample_task(scene, "combined", np.random.default_rng(4), *endpoints)
     save_model(model, root / "model.json")
-    save_reparam_model(generalize(model, task), root / "gen.json")
+    save_model(generalize(model, task), root / "gen.json")
     return root, {name: json.loads((root / f"{name}.json").read_text())
                   for name in ("model", "gen")}
 
 
-@pytest.mark.parametrize("name,loader", [("model", load_model),
-                                         ("gen", load_reparam_model)])
-def test_loaders_reject_mutated_json_with_located_error(model_documents, name, loader):
+@pytest.mark.parametrize("name", ["model", "gen"])
+def test_loaders_reject_mutated_json_with_located_error(model_documents, name):
     root, docs = model_documents
     path = root / f"mutated_{name}.json"
 
     def check(doc):
         path.write_text(json.dumps(doc))
         try:
-            loader(path)
+            load_model(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: ")
 

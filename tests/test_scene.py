@@ -1,16 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.data import Pose, Trajectory
+from gmmgen.data import Pose, TaskSpec, Trajectory
 from gmmgen.metrics import FailureReason
-from gmmgen.reparam import TaskSpec
 from gmmgen.scene import (REST_CLEARANCE, Scene, Slab, SuccessThresholds,
                           box_collides, collision_mask, default_scene,
                           load_scene, rest_height, sample_task, save_scene,
-                          scene_collides, trajectory_success)
+                          scene_collides, scene_to_dict, trajectory_success)
 
 UNIT_BOX = (1.0, 1.0, 1.0)
 ORIGIN = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
@@ -201,6 +202,26 @@ def test_slab_and_scene_validation():
         Scene((), (0.1, 0.1, 0.1), (0.0,), (1.0, 1.0))
     with pytest.raises(ValueError):
         SuccessThresholds(max_boundary_pos_mm=0.0)
+
+
+@pytest.mark.parametrize("field", ["max_boundary_pos_mm", "max_boundary_rot_deg"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_success_thresholds_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SuccessThresholds(**{field: value})
+
+
+@pytest.mark.parametrize("field,index,value", [("box_dims", 1, np.nan),
+                                               ("levels", 0, np.nan),
+                                               ("length_range", 1, np.inf)])
+def test_load_scene_rejects_non_finite(tmp_path, scene, field, index, value):
+    obj = scene_to_dict(scene)
+    obj[field][index] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="finite") as err:
+        load_scene(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_rest_height_includes_clearance(scene):

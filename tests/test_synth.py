@@ -44,8 +44,9 @@ def test_min_jerk_boundary_derivatives_vanish(scene):
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(n_demos=0)
-    with pytest.raises(ValueError):
-        SynthConfig(sample_rate=0.0)
+    for rate in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SynthConfig(sample_rate=rate)
     with pytest.raises(ValueError):
         SynthConfig(noise_pos=-1.0)
     phases = SynthConfig().phases()
