@@ -20,12 +20,15 @@ from .model import GmmModel
 from .reparam import ReparamConfig, generalize
 from .scene import Scene, SuccessThresholds, sample_task, trajectory_success
 
-SUMMARY_COLUMNS = (
-    "method", "success_rate",
-    "start_err_mm", "start_err_deg", "goal_err_mm", "goal_err_deg",
-    "grasp_dev_mm", "grasp_dev_deg", "release_dev_mm", "release_dev_deg",
-    "shape_dev", "jerk_lin", "jerk_ang",
-)
+# summary.csv metric column -> the EvalReport field it averages over trials
+SUMMARY_METRICS = {
+    "start_err_mm": "start_error_mm", "start_err_deg": "start_error_deg",
+    "goal_err_mm": "goal_error_mm", "goal_err_deg": "goal_error_deg",
+    "grasp_dev_mm": "grasp_dev_mm", "grasp_dev_deg": "grasp_dev_deg",
+    "release_dev_mm": "release_dev_mm", "release_dev_deg": "release_dev_deg",
+    "shape_dev": "shape_deviation", "jerk_lin": "jerk_linear", "jerk_ang": "jerk_angular",
+}
+SUMMARY_COLUMNS = ("method", "success_rate", *SUMMARY_METRICS)
 
 
 def default_times(duration: float, rate: float = 100.0) -> np.ndarray:
@@ -85,24 +88,12 @@ def model_endpoints(model: GmmModel):
 
 def summarize(records, method: str) -> dict:
     reports = [r.report for r in records]
-    means = {
-        "start_err_mm": np.mean([r.start_error_mm for r in reports]),
-        "start_err_deg": np.mean([r.start_error_deg for r in reports]),
-        "goal_err_mm": np.mean([r.goal_error_mm for r in reports]),
-        "goal_err_deg": np.mean([r.goal_error_deg for r in reports]),
-        "grasp_dev_mm": np.mean([r.grasp_dev_mm for r in reports]),
-        "grasp_dev_deg": np.mean([r.grasp_dev_deg for r in reports]),
-        "release_dev_mm": np.mean([r.release_dev_mm for r in reports]),
-        "release_dev_deg": np.mean([r.release_dev_deg for r in reports]),
-        "shape_dev": np.mean([r.shape_deviation for r in reports]),
-        "jerk_lin": np.mean([r.jerk_linear for r in reports]),
-        "jerk_ang": np.mean([r.jerk_angular for r in reports]),
-    }
     summary = {
         "method": method,
         "success_rate": 100.0 * sum(r.success for r in reports) / len(reports),
     }
-    summary.update({k: float(v) for k, v in means.items()})
+    summary.update({column: float(np.mean([getattr(r, field) for r in reports]))
+                    for column, field in SUMMARY_METRICS.items()})
     return summary
 
 

@@ -31,6 +31,23 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return out
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise unless value is a Python or numpy integer, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+
+
+def _rotvec_angles(rotvecs) -> np.ndarray:
+    """Rotation-vector magnitudes over the last axis.
+
+    Pose and Trajectory both take them here, with one rounding, so every
+    row a Trajectory accepts is a valid Pose.
+    """
+    return np.linalg.norm(rotvecs, axis=-1)
+
+
 def _read_json(path, parse=lambda obj: obj):
     """Parse a JSON file and hand the object to `parse`.
 
@@ -68,7 +85,7 @@ class Pose:
         object.__setattr__(self, "orientation", rot)
         if not (np.isfinite(pos).all() and np.isfinite(rot).all()):
             raise ValueError("pose entries must be finite")
-        angle = float(np.linalg.norm(rot))
+        angle = float(_rotvec_angles(rot))
         if angle >= np.pi:
             raise ValueError(
                 f"rotation-vector magnitude {angle:.6f} rad must stay below pi"
@@ -116,12 +133,40 @@ class PhaseSchedule:
             )
 
 
+def _first_violation(times: np.ndarray, values: np.ndarray):
+    """(sample index, problem) for the first sample that breaks a trajectory
+    rule, or None.
+
+    The rules: every entry is finite, the first time is 0, times strictly
+    increase, and 6-D rows keep their rotation-vector magnitude below pi.
+    A valid trajectory costs whole-array checks only; the offending sample
+    is located once one of them fails.
+    """
+    angles = (_rotvec_angles(values[:, 3:6]) if values.shape[1] == POSE_DIM
+              else np.zeros(len(times)))
+    if (np.isfinite(times).all() and np.isfinite(values).all()
+            and (times[:1] == 0.0).all() and (np.diff(times) > 0.0).all()
+            and (angles < np.pi).all()):
+        return None
+    finite = np.isfinite(times) & np.isfinite(values).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf between non-finite times
+        ordered = np.concatenate([times[:1] == 0.0, np.diff(times) > 0.0])
+    index = int(np.argmin(finite & ordered & (angles < np.pi)))
+    if not finite[index]:
+        return index, "non-finite value"
+    if index == 0 and not ordered[0]:
+        return index, f"first sample must start at t=0, got t={times[0]}"
+    if not ordered[index]:
+        return index, f"time {times[index]} does not increase past {times[index - 1]}"
+    return index, f"rotation-vector magnitude {angles[index]:.6f} rad must stay below pi"
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A time-indexed series of vectors, one row per sample.
 
     ``values`` holds one pose row (or a lower-dimensional test vector) per
-    timestamp.  Timestamps must be strictly increasing and start at zero.
+    timestamp.  The rules a sample must keep are those of _first_violation.
     """
 
     times: np.ndarray
@@ -139,20 +184,10 @@ class Trajectory:
             raise ValueError("times must be (n,) and values (n, D)")
         if len(times) < 2:
             raise ValueError("a trajectory needs at least two samples")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
-            raise ValueError("trajectory entries must be finite")
-        if times[0] != 0.0:
-            raise ValueError(f"first sample must start at t=0, got t={times[0]}")
-        if not np.all(np.diff(times) > 0.0):
-            bad = int(np.flatnonzero(np.diff(times) <= 0.0)[0]) + 1
-            raise ValueError(f"timestamps must be strictly increasing (sample {bad})")
-        if self.dim == POSE_DIM:
-            angles = np.linalg.norm(values[:, 3:6], axis=1)
-            if np.any(angles >= np.pi):
-                bad = int(np.argmax(angles >= np.pi))
-                raise ValueError(
-                    f"rotation-vector magnitude at sample {bad} must stay below pi"
-                )
+        found = _first_violation(times, values)
+        if found is not None:
+            index, problem = found
+            raise ValueError(f"sample {index}: {problem}")
 
     @property
     def n_samples(self) -> int:
@@ -173,17 +208,6 @@ class Trajectory:
     def orientations(self) -> np.ndarray:
         self._require_pose_dim()
         return self.values[:, 3:6]
-
-    def pose(self, index: int) -> Pose:
-        self._require_pose_dim()
-        row = self.values[index]
-        return Pose(row[:3], row[3:6])
-
-    def start_pose(self) -> Pose:
-        return self.pose(0)
-
-    def end_pose(self) -> Pose:
-        return self.pose(-1)
 
     def _require_pose_dim(self):
         if self.dim != POSE_DIM:
@@ -219,7 +243,7 @@ def load_trajectory(path) -> Trajectory:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TrajectoryFormatError(f"{path}: {exc}") from exc
     lines = text.splitlines()
     if not lines:
@@ -228,8 +252,7 @@ def load_trajectory(path) -> Trajectory:
         raise TrajectoryFormatError(
             f"{path}: row 1: expected header '{CSV_HEADER}', got '{lines[0].strip()}'"
         )
-    times = []
-    rows = []
+    rows, row_numbers = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -239,29 +262,17 @@ def load_trajectory(path) -> Trajectory:
                 f"{path}: row {lineno}: expected {len(CSV_COLUMNS)} columns, got {len(parts)}"
             )
         try:
-            nums = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError:
             raise TrajectoryFormatError(
                 f"{path}: row {lineno}: non-numeric value"
             ) from None
-        if not all(np.isfinite(nums)):
-            raise TrajectoryFormatError(f"{path}: row {lineno}: non-finite value")
-        t, pose = nums[0], nums[1:]
-        if not times and t != 0.0:
-            raise TrajectoryFormatError(
-                f"{path}: row {lineno}: first sample must start at t=0, got t={t}"
-            )
-        if times and t <= times[-1]:
-            raise TrajectoryFormatError(
-                f"{path}: row {lineno}: time {t} does not increase past {times[-1]}"
-            )
-        angle = float(np.linalg.norm(pose[3:6]))
-        if angle >= np.pi:
-            raise TrajectoryFormatError(
-                f"{path}: row {lineno}: rotation-vector magnitude {angle:.6f} exceeds pi"
-            )
-        times.append(t)
-        rows.append(pose)
+        row_numbers.append(lineno)
+    data = np.array(rows).reshape(-1, len(CSV_COLUMNS))
+    found = _first_violation(data[:, 0], data[:, 1:])
+    if found is not None:
+        index, problem = found
+        raise TrajectoryFormatError(f"{path}: row {row_numbers[index]}: {problem}")
     if len(rows) < 2:
         raise TrajectoryFormatError(f"{path}: needs at least two data rows")
-    return Trajectory(np.asarray(times), np.asarray(rows))
+    return Trajectory(data[:, 0], data[:, 1:])

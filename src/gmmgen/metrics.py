@@ -7,7 +7,7 @@ angle between orientations on SO(3).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -47,13 +47,8 @@ class EvalReport:
     jerk_angular: float
 
     def __post_init__(self):
-        numeric = [
-            self.start_error_mm, self.start_error_deg,
-            self.goal_error_mm, self.goal_error_deg,
-            self.grasp_dev_mm, self.grasp_dev_deg,
-            self.release_dev_mm, self.release_dev_deg,
-            self.shape_deviation, self.jerk_linear, self.jerk_angular,
-        ]
+        # every field after success and failure_reason is a metric value
+        numeric = [getattr(self, f.name) for f in fields(self)[2:]]
         if not all(np.isfinite(v) and v >= 0.0 for v in numeric):
             raise ValueError("metric values must be finite and non-negative")
         object.__setattr__(self, "failure_reason", FailureReason(self.failure_reason))
@@ -80,10 +75,11 @@ def rotation_angle_deg(rotvec_a, rotvec_b) -> float:
 
 def boundary_error(traj: Trajectory, task: TaskSpec):
     """((start mm, start deg), (goal mm, goal deg)) against the task endpoints."""
+    positions, rotvecs = traj.positions(), traj.orientations()
     out = []
-    for pose, target in ((traj.start_pose(), task.start), (traj.end_pose(), task.goal)):
-        pos_mm = float(np.linalg.norm(pose.position - target.position)) * M_TO_MM
-        rot_deg = rotation_angle_deg(target.orientation, pose.orientation)
+    for index, target in ((0, task.start), (-1, task.goal)):
+        pos_mm = float(np.linalg.norm(positions[index] - target.position)) * M_TO_MM
+        rot_deg = rotation_angle_deg(target.orientation, rotvecs[index])
         out.append((pos_mm, rot_deg))
     return tuple(out)
 

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .data import (PhaseSchedule, Pose, TaskSpec, Trajectory, _frozen_array, _read_json,
-                   _write_json)
+from .data import (PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int, _frozen_array,
+                   _read_json, _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -110,6 +110,9 @@ class GmmModel:
             raise ValueError("duration must be positive")
         if abs(self.phases.duration - self.duration) > 1e-9:
             raise ValueError("phase schedule duration must match the model duration")
+        if not isinstance(self.ablated, bool):
+            raise ValueError(f"ablated must be a bool, got {self.ablated!r}")
+        _check_int("spd_repairs", self.spd_repairs, 0)
         if self.slopes is None and self.shapes is None:
             slopes = _frozen_array(covs[:, 1:, 0] / tt[:, None])
             shapes = _frozen_array(covs[:, 1:, 1:] / tt[:, None, None])
@@ -150,10 +153,9 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_components < 2:
-            raise ValueError("n_components must be at least 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _check_int("n_components", self.n_components, 2)
+        _check_int("max_iters", self.max_iters, 1)
+        _check_int("seed", self.seed, 0)
         if not (self.loglik_tol > 0.0 and self.cov_floor > 0.0):
             raise ValueError("loglik_tol and cov_floor must be positive")
 
@@ -433,7 +435,7 @@ def model_to_dict(model: GmmModel) -> dict:
             comp["C"] = [float(v) for v in shape.ravel()]
         out["task"] = model.task.to_dict()
         out["ablate_covariance"] = model.ablated
-        out["spd_repairs"] = model.spd_repairs
+        out["spd_repairs"] = int(model.spd_repairs)
     return out
 
 
@@ -462,7 +464,7 @@ def model_from_dict(obj: dict) -> GmmModel:
             sigma = np.asarray(c["sigma"], dtype=float)
         except KeyError as exc:
             raise ValueError(f"component {i}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"component {i}: {exc}") from exc
         if mu.shape != (dim + 1,):
             raise ValueError(f"component {i}: mu must have D+1={dim + 1} entries")
@@ -481,8 +483,8 @@ def model_from_dict(obj: dict) -> GmmModel:
                                     for c in raw]),
                 "task": TaskSpec(Pose.from_vector(obj["task"]["start"]),
                                  Pose.from_vector(obj["task"]["goal"])),
-                "ablated": bool(obj.get("ablate_covariance", False)),
-                "spd_repairs": int(obj.get("spd_repairs", 0)),
+                "ablated": obj.get("ablate_covariance", False),
+                "spd_repairs": obj.get("spd_repairs", 0),
             }
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"generalized-model JSON invalid: {exc}") from exc

@@ -31,6 +31,11 @@ class ReparamConfig:
 
     ablate_covariance: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.ablate_covariance, bool):
+            raise ValueError(
+                f"ablate_covariance must be a bool, got {self.ablate_covariance!r}")
+
 
 def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
                   eps: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import Pose, TaskSpec, Trajectory, _read_json, _write_json, resample
+from .data import (Pose, TaskSpec, Trajectory, _check_int, _read_json, _write_json,
+                   resample)
 from .metrics import FailureReason, boundary_error
 
 REST_CLEARANCE = 0.003
@@ -85,8 +86,7 @@ class SuccessThresholds:
         if not (0.0 < self.max_boundary_pos_mm < np.inf
                 and 0.0 < self.max_boundary_rot_deg < np.inf):
             raise ValueError("boundary thresholds must be finite and positive")
-        if self.collision_samples < 2:
-            raise ValueError("collision_samples must be at least 2")
+        _check_int("collision_samples", self.collision_samples, 2)
 
 
 def _dot(a, b) -> np.ndarray:
@@ -146,24 +146,13 @@ def trajectory_success(traj: Trajectory, scene: Scene, task: TaskSpec,
                        thresholds: SuccessThresholds = SuccessThresholds()):
     """(flag, reason): collision-free at sampled poses and boundary within bounds.
 
-    All sampled poses go through one collision_mask call.  A sample that
-    Pose would reject (its rotation-vector norm rounds to pi) raises Pose's
-    ValueError only at or before the first colliding sample, as it would
-    if the samples were checked one by one in time order.
+    All sampled poses go through one collision_mask call.
     """
     if traj.dim != 6:
         return False, FailureReason.INVALID
     sampled = resample(traj, thresholds.collision_samples)
-    rotvecs = sampled.orientations()
-    hits = np.flatnonzero(collision_mask(sampled.positions(), rotvecs, scene.box_dims,
-                                         scene.slabs).any(axis=1))
-    checked = hits[0] + 1 if len(hits) else sampled.n_samples
-    # Pose takes the norm as a 1-D dot product, which can round to pi where
-    # the Trajectory's row-wise check did not
-    rejected = np.flatnonzero(np.sqrt(_dot(rotvecs, rotvecs))[:checked] >= np.pi)
-    if len(rejected):
-        sampled.pose(int(rejected[0]))  # raises
-    if len(hits):
+    if collision_mask(sampled.positions(), sampled.orientations(), scene.box_dims,
+                      scene.slabs).any():
         return False, FailureReason.COLLISION
     (start_mm, start_deg), (goal_mm, goal_deg) = boundary_error(traj, task)
     if (start_mm > thresholds.max_boundary_pos_mm
@@ -249,8 +238,10 @@ def scene_from_dict(obj: dict) -> Scene:
     try:
         slabs = tuple(Slab(s["min"], s["max"]) for s in obj["slabs"])
         return Scene(slabs, obj["box_dims"], obj["levels"], obj["length_range"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"scene JSON missing field: {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"scene JSON invalid: {exc}") from exc
 
 
 def save_scene(scene: Scene, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PhaseSchedule, Pose, TaskSpec, Trajectory
+from .data import PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int
 from .scene import Scene, SuccessThresholds, rest_height, trajectory_success
 
 NOISE_WAVES = 3
@@ -36,8 +36,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_demos < 1:
-            raise ValueError("need at least one demonstration")
+        _check_int("n_demos", self.n_demos, 1)
+        _check_int("seed", self.seed, 0)
         if not (0.0 < self.sample_rate < np.inf):
             raise ValueError("sample_rate must be finite and positive")
         if self.noise_pos < 0.0 or self.noise_rot < 0.0 or self.lift_height < 0.0:

@@ -1,8 +1,11 @@
 """Shared fixtures: one synthetic corpus and one fitted model per session."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from gmmgen import FitConfig, SynthConfig, default_scene, fit_gmm, generate_demonstrations
 from gmmgen.bench import default_times, model_endpoints
@@ -11,6 +14,41 @@ from gmmgen.bench import default_times, model_endpoints
 # database, so a failure reproduces from the test alone.
 settings.register_profile("gmmgen", derandomize=True, database=None, deadline=None)
 settings.load_profile("gmmgen")
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+               | st.floats() | st.text(max_size=4)
+               | st.sampled_from([float("inf"), float("nan"), -1, 0, 1e308, 10**400]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated(draw, doc):
+    """The document with one to three nodes deleted or replaced.
+
+    Each mutation walks down from the root, stopping at every level with
+    probability 1/2, so top-level fields are hit as often as deep entries.
+    """
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (parent is None
+                                                          or draw(st.booleans())):
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            doc = draw(JSON_VALUES)
+        elif draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return doc
+
 
 _ACCEPTANCE_LINES = []
 

@@ -58,6 +58,17 @@ def test_synth_bad_scene_exit2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["box_dims", "levels"])
+def test_synth_scene_oversized_integer_exit2(tmp_path, capsys, field):
+    scene = json.loads(SCENE_JSON.read_text())
+    scene[field][0] = 10**400
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code = main(["synth", "--out-dir", str(tmp_path / "out"), "--scene", str(path)])
+    assert code == 2
+    assert f"error: {path}: scene JSON invalid" in capsys.readouterr().err
+
+
 def test_fit_matches_library_and_reruns_identically(work, tmp_path, capsys):
     manifest = str(work / "demos" / "manifest.json")
     out1 = tmp_path / "fit1.json"

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, Trajectory,
                          TrajectoryFormatError, load_trajectory, resample,
                          save_trajectory)
+from gmmgen.model import FitConfig
+from gmmgen.scene import SuccessThresholds
+from gmmgen.synth import SynthConfig
 
 
 def line_traj():
@@ -23,6 +28,19 @@ def test_pose_roundtrip_and_validation():
     # frozen storage
     with pytest.raises(ValueError):
         p.position[0] = 9.0
+
+
+@pytest.mark.parametrize("cls,field,fraction", [
+    (SuccessThresholds, "collision_samples", 3.7), (SynthConfig, "n_demos", 2.5),
+    (SynthConfig, "seed", 0.5), (FitConfig, "n_components", 3.5),
+    (FitConfig, "max_iters", 2.5), (FitConfig, "seed", 0.5)])
+def test_integer_settings_reject_fractions_and_bools(cls, field, fraction):
+    whole = int(np.ceil(fraction))
+    for bad in (fraction, float(whole), True):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            cls(**{field: bad})
+    assert getattr(cls(**{field: np.int64(whole)}), field) == whole
+    assert getattr(cls(**{field: whole}), field) == whole
 
 
 def test_phase_schedule_ordering():
@@ -46,8 +64,8 @@ def test_trajectory_invariants():
                                 [0, 0, 0, 0, 0, 0]])  # rotvec magnitude >= pi
     t = line_traj()
     assert t.n_samples == 2 and t.dim == 6 and t.duration == 1.0
-    assert np.allclose(t.start_pose().position, [0, 0, 0])
-    assert np.allclose(t.end_pose().orientation, [0.1, 0.2, 0.3])
+    assert np.allclose(t.positions()[0], [0, 0, 0])
+    assert np.allclose(t.orientations()[-1], [0.1, 0.2, 0.3])
 
 
 def test_trajectory_1d_values_allowed():
@@ -110,10 +128,98 @@ def test_csv_errors_name_the_row(tmp_path):
     expect(CSV_HEADER + "\n0,0,0,0,0,0,inf\n", "row 2: non-finite")
     expect(CSV_HEADER + "\n0.5,0,0,0,0,0,0\n", "start at t=0")
     expect(CSV_HEADER + "\n0,0,0,0,0,0,0\n0,1,0,0,0,0,0\n", "row 3")
-    expect(CSV_HEADER + "\n0,0,0,0,0,0,0\n1,0,0,0,4,0,0\n", "exceeds pi")
+    expect(CSV_HEADER + "\n0,0,0,0,0,0,0\n1,0,0,0,4,0,0\n",
+           "row 3: rotation-vector magnitude 4.000000 rad must stay below pi")
+    # this rotation vector's norm rounds below pi as a 1-D dot product but
+    # to pi as a row-wise norm, the rounding Pose and Trajectory share
+    expect(CSV_HEADER + "\n0,0,0,0,0,0,0\n"
+           "1,0,0,0,2.560633362621825,-0.6824968009669148,1.6872934836558011\n"
+           "2,0,0,0,0,0,0\n", f"{path}: row 3: rotation-vector magnitude")
+    # every row is parsed before the trajectory rules run
+    expect(CSV_HEADER + "\n0.5,0,0,0,0,0,0\n1,0,0,0,0,0,x\n", "row 3: non-numeric")
     expect(CSV_HEADER + "\n0,0,0,0,0,0,0\n", "two data rows")
     with pytest.raises(TrajectoryFormatError):
         load_trajectory(tmp_path / "missing.csv")
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=400)
+@given(direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
+           lambda d: np.linalg.norm(d) > 0.1),
+       ulps=st.integers(-4, 4))
+def test_pose_row_and_csv_share_the_magnitude_rule(tmp_path_factory, direction, ulps):
+    # a rotation vector in any direction whose magnitude is within a few ulps of pi
+    magnitude = np.pi + ulps * np.spacing(np.pi)
+    rotvec = magnitude * np.asarray(direction) / np.linalg.norm(direction)
+    row = np.r_[0.0, 0.0, 0.0, rotvec]
+    path = tmp_path_factory.getbasetemp() / "near_pi.csv"
+    path.write_text(f"{CSV_HEADER}\n0,0,0,0,0,0,0\n1,{','.join(str(float(v)) for v in row)}\n")
+    pose_ok = _accepts(lambda: Pose(row[:3], row[3:]))
+    assert _accepts(lambda: Trajectory([0.0, 1.0], [np.zeros(6), row])) == pose_ok
+    assert _accepts(lambda: load_trajectory(path)) == pose_ok
+
+
+CSV_TOKENS = (st.sampled_from(["", "nan", "inf", "-inf", "1e400", "-0", "0", "3.2", "x",
+                               " 1 ", "1,2", "\udcff"])
+              | st.floats().map(repr) | st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def mutated_csv(draw, lines):
+    """The CSV lines with one to three rows or fields deleted, repeated,
+    swapped or replaced, encoded as bytes (a lone surrogate becomes an
+    invalid UTF-8 byte)."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            lines.append(draw(CSV_TOKENS))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["field", "drop_field", "delete", "repeat", "swap", "blank"]))
+        if op in ("field", "drop_field"):
+            fields = lines[i].split(",")
+            j = draw(st.integers(0, len(fields) - 1))
+            if op == "field":
+                fields[j] = draw(CSV_TOKENS)
+            else:
+                del fields[j]
+            lines[i] = ",".join(fields)
+        elif op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        else:
+            lines.insert(i, "")
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+def test_load_trajectory_rejects_mutated_csv_with_located_error(tmp_path_factory):
+    times = np.linspace(0.0, 1.0, 5)
+    values = np.column_stack([times, 2 * times, -times, 0.5 * times, np.full(5, 0.3),
+                              -3.0 * times])
+    root = tmp_path_factory.mktemp("mutations")
+    save_trajectory(Trajectory(times, values), root / "traj.csv")
+    lines = (root / "traj.csv").read_text().splitlines()
+    path = root / "mutated_traj.csv"
+
+    def check(content):
+        path.write_bytes(content)
+        try:
+            load_trajectory(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+    settings(max_examples=400)(given(content=mutated_csv(lines))(check))()
 
 
 def test_save_rejects_non_pose(tmp_path):

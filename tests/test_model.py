@@ -73,6 +73,17 @@ def test_model_validation():
         GmmModel([0.5, 0.5], means, covs, 2.0, PHASES_1S)  # phase/duration mismatch
     with pytest.raises(ValueError):
         GmmModel([], np.zeros((0, 2)), np.zeros((0, 2, 2)), 1.0, PHASES_1S)
+    # the generalization record is checked, not coerced
+    for bad in ("no", 0, np.True_):
+        with pytest.raises(ValueError, match="ablated must be a bool"):
+            GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S, ablated=bad)
+        with pytest.raises(ValueError, match="ablate_covariance must be a bool"):
+            ReparamConfig(ablate_covariance=bad)
+    for bad in (-3, 2.0, -2.7, True):
+        with pytest.raises(ValueError, match="spd_repairs must be"):
+            GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S, spd_repairs=bad)
+    counted = GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S, spd_repairs=np.int64(2))
+    assert counted.spd_repairs == 2
 
 
 def test_given_terms_validation():

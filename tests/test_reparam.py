@@ -11,6 +11,8 @@ from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd
                             generalize, reparam_covariances, reparam_means)
 from gmmgen.scene import sample_task
 
+from conftest import mutated
+
 
 def model_1d(x_means, slope=0.2, shape=1.0, tt=0.5):
     """Line of 1-D components with identical covariance structure."""
@@ -268,41 +270,6 @@ def test_generalize_ablated_keeps_source_covariances(model, scene, endpoints):
     assert np.array_equal(out.means[-1, 1:], task.goal_vector())
 
 
-JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
-               | st.floats() | st.text(max_size=4)
-               | st.sampled_from([float("inf"), float("nan"), -1, 0, 1e308]))
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                max_size=3),
-    max_leaves=6)
-
-
-@st.composite
-def mutated(draw, doc):
-    """The document with one to three nodes deleted or replaced.
-
-    Each mutation walks down from the root, stopping at every level with
-    probability 1/2, so top-level fields are hit as often as deep entries.
-    """
-    doc = json.loads(json.dumps(doc))
-    for _ in range(draw(st.integers(1, 3))):
-        parent, key = None, None
-        node = doc
-        while isinstance(node, (dict, list)) and node and (parent is None
-                                                          or draw(st.booleans())):
-            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
-                                       else range(len(node))))
-            parent, node = node, node[key]
-        if parent is None:
-            doc = draw(JSON_VALUES)
-        elif draw(st.booleans()):
-            del parent[key]
-        else:
-            parent[key] = draw(JSON_VALUES)
-    return doc
-
-
 @pytest.fixture(scope="module")
 def model_documents(model, scene, endpoints, tmp_path_factory):
     root = tmp_path_factory.mktemp("mutations")
@@ -328,4 +295,19 @@ def test_loaders_reject_mutated_json_with_located_error(model_documents, name):
     # integer fields set to infinity, which random mutation seldom reaches
     for field in ("D", "spd_repairs"):
         check(dict(docs[name], **{field: float("inf")}))
+    # an integer too large for a float, in each component field
+    for field in ("pi", "mu", "sigma"):
+        doc = json.loads(json.dumps(docs[name]))
+        comp = doc["components"][0]
+        comp[field] = 10**400 if field == "pi" else [10**400] + comp[field][1:]
+        check(doc)
+    if name == "gen":
+        # generalized keys of the wrong JSON type are rejected, not coerced
+        for field, value in (("ablate_covariance", "false"), ("ablate_covariance", 0),
+                             ("spd_repairs", -2.7), ("spd_repairs", 2.0),
+                             ("spd_repairs", -1), ("spd_repairs", True)):
+            path.write_text(json.dumps(dict(docs[name], **{field: value})))
+            with pytest.raises(ValueError, match="must be") as err:
+                load_model(path)
+            assert str(err.value).startswith(f"{path}: ")
     settings(max_examples=300)(given(doc=mutated(docs[name]))(check))()

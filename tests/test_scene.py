@@ -13,6 +13,8 @@ from gmmgen.scene import (REST_CLEARANCE, Scene, Slab, SuccessThresholds,
                           load_scene, rest_height, sample_task, save_scene,
                           scene_collides, scene_to_dict, trajectory_success)
 
+from conftest import mutated
+
 UNIT_BOX = (1.0, 1.0, 1.0)
 ORIGIN = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 # every slab the hand cases below use
@@ -257,48 +259,6 @@ def test_trajectory_success_reasons(scene):
     assert trajectory_success(flat, scene, task) == (False, FailureReason.INVALID)
 
 
-def _rotvec_only_pose_rejects():
-    """A rotation vector the Trajectory row check accepts but Pose rejects.
-
-    Both compare the norm with pi, but Pose takes it with a 1-D dot product
-    and Trajectory row by row; the two can round differently.
-    """
-    rng = np.random.default_rng(0)
-    for _ in range(5000):
-        d = rng.normal(size=3)
-        v = np.pi * d / np.linalg.norm(d)
-        try:
-            Trajectory([0.0, 1.0], np.tile(np.r_[0.0, 0.0, 0.0, v], (2, 1)))
-        except ValueError:
-            continue
-        try:
-            Pose(np.zeros(3), v)
-        except ValueError:
-            return v
-    pytest.skip("both norm checks round alike on this platform")
-
-
-def test_trajectory_success_pose_errors_stop_at_first_collision():
-    bad = _rotvec_only_pose_rejects()
-    scene = Scene((Slab((1.0, -1.0, -1.0), (2.0, 1.0, 1.0)),), UNIT_BOX, (0.0,), (0.1, 0.9))
-    task = TaskSpec(ORIGIN, ORIGIN)
-    thresholds = SuccessThresholds(collision_samples=3)
-    clear = np.r_[-5.0, 0.0, 0.0, bad]
-    inside = np.r_[1.5, 0.0, 0.0, 0.0, 0.0, 0.0]
-    # samples 0 and 1 are rejected before sample 2 would collide
-    late_hit = Trajectory([0.0, 1.0, 2.0], np.vstack([clear, clear, inside]))
-    with pytest.raises(ValueError, match="below pi"):
-        trajectory_success(late_hit, scene, task, thresholds)
-    # the collision at sample 0 ends the check before the rejected poses
-    early_hit = Trajectory([0.0, 1.0, 2.0], np.vstack([inside, clear, clear]))
-    assert trajectory_success(early_hit, scene, task, thresholds) == (
-        False, FailureReason.COLLISION)
-    # with no collision at all every sample is checked
-    never_hit = Trajectory([0.0, 1.0, 2.0], np.vstack([clear, clear, clear]))
-    with pytest.raises(ValueError, match="below pi"):
-        trajectory_success(never_hit, scene, task, thresholds)
-
-
 def test_sample_task_translational_keeps_orientation(scene, endpoints):
     rng = np.random.default_rng(31)
     base_start, base_goal = endpoints
@@ -374,6 +334,19 @@ def test_scene_json_roundtrip(tmp_path, scene):
     assert str(path) in str(err.value)
     with pytest.raises(ValueError):
         load_scene(tmp_path / "nope.json")
+
+
+def test_load_scene_rejects_mutated_json_with_located_error(tmp_path_factory, scene):
+    path = tmp_path_factory.mktemp("mutations") / "mutated_scene.json"
+
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        try:
+            load_scene(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+    settings(max_examples=300)(given(doc=mutated(scene_to_dict(scene)))(check))()
 
 
 def test_published_scene_file_matches_default(scene):
