@@ -81,9 +81,7 @@ class BenchmarkResult:
 
 def model_endpoints(model: GmmModel):
     """First/last component means as poses; they anchor the task sampler."""
-    first = model.means[0, 1:]
-    last = model.means[-1, 1:]
-    return Pose(first[:3], first[3:6]), Pose(last[:3], last[3:6])
+    return Pose.from_vector(model.means[0, 1:]), Pose.from_vector(model.means[-1, 1:])
 
 
 def summarize(records, method: str) -> dict:

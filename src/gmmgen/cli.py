@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, plot
-from .data import (PhaseSchedule, Pose, TaskSpec, _read_json, _write_json, load_trajectory,
-                   save_trajectory)
+from .data import (PhaseSchedule, Pose, TaskSpec, _json_numbers, _read_json, _write_json,
+                   load_trajectory, save_trajectory)
 from .gmr import regress
 from .model import FitConfig, fit_gmm, load_model, save_model
 from .reparam import ReparamConfig, generalize
@@ -29,14 +29,10 @@ EXIT_USAGE = 2
 
 
 def _parse_pose(text: str) -> Pose:
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ValueError(f"pose '{text}' must have 6 comma-separated numbers")
     try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"pose '{text}' contains a non-numeric entry") from None
-    return Pose.from_vector(values)
+        return Pose.from_vector([float(p) for p in text.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"pose '{text}': {exc}") from None
 
 
 def _load_scene_arg(path):
@@ -102,8 +98,8 @@ def _demo_paths(args):
         try:
             paths = [manifest_path.parent / f for f in manifest["files"]]
             if "phases" in manifest:
-                p = manifest["phases"]
-                phases = PhaseSchedule(p["grasp_end"], p["release_start"], p["duration"])
+                phases = PhaseSchedule(*(_json_numbers(key, manifest["phases"][key])
+                                         for key in ("grasp_end", "release_start", "duration")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: invalid manifest: {exc}") from exc
     return paths, phases

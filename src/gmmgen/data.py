@@ -39,6 +39,14 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}")
 
 
+def _json_numbers(name: str, value):
+    """value, once checked to be a JSON number or a list of them; a bool never counts."""
+    entries = value if isinstance(value, list) else [value]
+    if not all(type(v) in (int, float) for v in entries):
+        raise ValueError(f"{name} must hold only JSON numbers")
+    return value
+
+
 def _rotvec_angles(rotvecs) -> np.ndarray:
     """Rotation-vector magnitudes over the last axis.
 
@@ -96,7 +104,9 @@ class Pose:
 
     @classmethod
     def from_vector(cls, vec) -> "Pose":
-        vec = np.asarray(vec, dtype=float).reshape(POSE_DIM)
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (POSE_DIM,):
+            raise ValueError(f"a pose needs {POSE_DIM} numbers, got {vec.size}")
         return cls(vec[:3], vec[3:])
 
 
@@ -166,7 +176,8 @@ class Trajectory:
     """A time-indexed series of vectors, one row per sample.
 
     ``values`` holds one pose row (or a lower-dimensional test vector) per
-    timestamp.  The rules a sample must keep are those of _first_violation.
+    timestamp; pose columns are read through positions() and orientations(),
+    which raise for any other row size.  Samples keep _first_violation's rules.
     """
 
     times: np.ndarray
@@ -229,12 +240,8 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
 
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write a 6-DoF trajectory as CSV with header ``t,px,py,pz,rx,ry,rz``."""
-    if traj.dim != POSE_DIM:
-        raise ValueError("CSV schema is fixed to 6-DoF pose trajectories")
-    lines = [CSV_HEADER]
-    for t, row in zip(traj.times, traj.values):
-        fields = [str(float(t))] + [str(float(v)) for v in row]
-        lines.append(",".join(fields))
+    rows = np.column_stack([traj.times, traj.positions(), traj.orientations()]).tolist()
+    lines = [CSV_HEADER] + [",".join(map(str, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

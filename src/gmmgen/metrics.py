@@ -25,7 +25,6 @@ class FailureReason(str, Enum):
     NONE = "none"
     COLLISION = "collision"
     BOUNDARY = "boundary"
-    INVALID = "invalid"
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,7 @@ def boundary_error(traj: Trajectory, task: TaskSpec):
     return tuple(out)
 
 
-def _window_deviation(values: np.ndarray):
-    positions = values[:, :3]
-    rotvecs = np.array(values[:, 3:6], dtype=float)
+def _window_deviation(positions: np.ndarray, rotvecs: np.ndarray):
     mean_pos = positions.mean(axis=0)
     mean_rot = rotvecs.mean(axis=0)
     pos_dev = float(np.linalg.norm(positions - mean_pos, axis=1).mean()) * M_TO_MM
@@ -98,13 +95,11 @@ def _window_deviation(values: np.ndarray):
 
 def phase_deviation(traj: Trajectory, phases: PhaseSchedule):
     """Mean distance from the window-mean pose in the grasp and release windows."""
-    if traj.dim != 6:
-        raise ValueError("phase deviation needs 6-DoF trajectories")
-    grasp = traj.values[traj.times <= phases.grasp_end]
-    release = traj.values[traj.times >= phases.release_start]
-    if len(grasp) < 2 or len(release) < 2:
+    positions, rotvecs = traj.positions(), traj.orientations()
+    windows = (traj.times <= phases.grasp_end, traj.times >= phases.release_start)
+    if min(window.sum() for window in windows) < 2:
         raise ValueError("each phase window needs at least two samples")
-    return _window_deviation(grasp), _window_deviation(release)
+    return tuple(_window_deviation(positions[w], rotvecs[w]) for w in windows)
 
 
 def _normalized_positions(traj: Trajectory) -> np.ndarray:
@@ -139,15 +134,13 @@ def average_jerk(traj: Trajectory):
     differentiated with the five-point central third-difference stencil;
     the two edge samples on each side are dropped.
     """
-    if traj.dim != 6:
-        raise ValueError("jerk needs 6-DoF trajectories")
     n = int(round(traj.duration * JERK_RATE)) + 1
     if n < 8:
         raise ValueError("trajectory too short for jerk estimation")
     grid = resample(traj, n)
     h = traj.duration / (n - 1)
-    v = grid.values
-    third = (v[4:] - 2.0 * v[3:-1] + 2.0 * v[1:-3] - v[:-4]) / (2.0 * h**3)
-    linear = float(np.linalg.norm(third[:, :3], axis=1).mean())
-    angular = float(np.linalg.norm(third[:, 3:6], axis=1).mean()) * RAD_TO_DEG
-    return linear, angular
+    p, r = grid.positions(), grid.orientations()
+    third_p = (p[4:] - 2.0 * p[3:-1] + 2.0 * p[1:-3] - p[:-4]) / (2.0 * h**3)
+    third_r = (r[4:] - 2.0 * r[3:-1] + 2.0 * r[1:-3] - r[:-4]) / (2.0 * h**3)
+    return (float(np.linalg.norm(third_p, axis=1).mean()),
+            float(np.linalg.norm(third_r, axis=1).mean()) * RAD_TO_DEG)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .data import (PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int, _frozen_array,
-                   _read_json, _write_json)
+                   _json_numbers, _read_json, _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -156,8 +156,9 @@ class FitConfig:
         _check_int("n_components", self.n_components, 2)
         _check_int("max_iters", self.max_iters, 1)
         _check_int("seed", self.seed, 0)
-        if not (self.loglik_tol > 0.0 and self.cov_floor > 0.0):
-            raise ValueError("loglik_tol and cov_floor must be positive")
+        for name in ("loglik_tol", "cov_floor"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 def _kmeans_distances(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -442,13 +443,11 @@ def model_to_dict(model: GmmModel) -> dict:
 def model_from_dict(obj: dict) -> GmmModel:
     """Inverse of model_to_dict: reads the generalization keys iff "task" is present."""
     try:
-        dim = int(obj["D"])
-        duration = float(obj["T"])
-        phases = PhaseSchedule(
-            float(obj["phases"]["grasp_end"]),
-            float(obj["phases"]["release_start"]),
-            duration,
-        )
+        dim = obj["D"]
+        _check_int("D", dim, 1)
+        duration = float(_json_numbers("T", obj["T"]))
+        phases = PhaseSchedule(*(float(_json_numbers(key, obj["phases"][key]))
+                                 for key in ("grasp_end", "release_start")), duration)
         raw = obj["components"]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"model JSON missing field: {exc}") from exc
@@ -459,9 +458,9 @@ def model_from_dict(obj: dict) -> GmmModel:
         if not isinstance(c, dict):
             raise ValueError(f"component {i}: must be a JSON object")
         try:
-            prior = float(c["pi"])
-            mu = np.asarray(c["mu"], dtype=float)
-            sigma = np.asarray(c["sigma"], dtype=float)
+            prior = float(_json_numbers("pi", c["pi"]))
+            mu = np.asarray(_json_numbers("mu", c["mu"]), dtype=float)
+            sigma = np.asarray(_json_numbers("sigma", c["sigma"]), dtype=float)
         except KeyError as exc:
             raise ValueError(f"component {i}: missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -477,12 +476,13 @@ def model_from_dict(obj: dict) -> GmmModel:
     generalized = {}
     if "task" in obj:
         try:
+            slopes = [_json_numbers(f"component {i}: m", c["m"]) for i, c in enumerate(raw)]
+            shapes = [_json_numbers(f"component {i}: C", c["C"]) for i, c in enumerate(raw)]
+            ends = [_json_numbers(f"task {key}", obj["task"][key]) for key in ("start", "goal")]
             generalized = {
-                "slopes": np.stack([np.asarray(c["m"], dtype=float) for c in raw]),
-                "shapes": np.stack([np.asarray(c["C"], dtype=float).reshape(dim, dim)
-                                    for c in raw]),
-                "task": TaskSpec(Pose.from_vector(obj["task"]["start"]),
-                                 Pose.from_vector(obj["task"]["goal"])),
+                "slopes": np.array(slopes, dtype=float),
+                "shapes": np.array(shapes, dtype=float).reshape(len(raw), dim, dim),
+                "task": TaskSpec(*map(Pose.from_vector, ends)),
                 "ablated": obj.get("ablate_covariance", False),
                 "spd_repairs": obj.get("spd_repairs", 0),
             }

@@ -60,18 +60,17 @@ def render_svg(trajectories, scene: Scene | None = None) -> str:
     """Compose the three-panel figure; returns the SVG document text."""
     if not trajectories:
         raise ValueError("need at least one trajectory to plot")
-    for traj in trajectories:
-        if traj.dim != 6:
-            raise ValueError("plotting expects 6-DoF trajectories")
+    positions = [t.positions() for t in trajectories]
+    rotvecs = [t.orientations() for t in trajectories]
 
-    xs = np.concatenate([t.values[:, 0] for t in trajectories])
-    zs = np.concatenate([t.values[:, 2] for t in trajectories])
+    xs = np.concatenate([p[:, 0] for p in positions])
+    zs = np.concatenate([p[:, 2] for p in positions])
     if scene is not None:
         xs = np.concatenate([xs] + [[s.min_corner[0], s.max_corner[0]] for s in scene.slabs])
         zs = np.concatenate([zs] + [[s.min_corner[2], s.max_corner[2]] for s in scene.slabs])
     times = np.concatenate([t.times for t in trajectories])
-    pos = np.concatenate([t.positions().ravel() for t in trajectories])
-    rot = np.concatenate([t.orientations().ravel() for t in trajectories])
+    pos = np.concatenate([p.ravel() for p in positions])
+    rot = np.concatenate([r.ravel() for r in rotvecs])
 
     spatial = _Panel(MARGIN, "path (x-z)", _padded(xs.min(), xs.max()),
                      _padded(zs.min(), zs.max()))
@@ -93,12 +92,12 @@ def render_svg(trajectories, scene: Scene | None = None) -> str:
                                       slab.min_corner[2], slab.max_corner[2]))
     for panel in (spatial, pos_panel, rot_panel):
         parts.extend(panel.frame())
-    for k, traj in enumerate(trajectories):
+    for k, (traj, p, r) in enumerate(zip(trajectories, positions, rotvecs)):
         color = COLORS[k % len(COLORS)]
-        parts.append(spatial.polyline(traj.values[:, 0], traj.values[:, 2], color))
+        parts.append(spatial.polyline(p[:, 0], p[:, 2], color))
         for d, axis_color in zip(range(3), COLORS):
-            parts.append(pos_panel.polyline(traj.times, traj.values[:, d], axis_color))
-            parts.append(rot_panel.polyline(traj.times, traj.values[:, 3 + d], axis_color))
+            parts.append(pos_panel.polyline(traj.times, p[:, d], axis_color))
+            parts.append(rot_panel.polyline(traj.times, r[:, d], axis_color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

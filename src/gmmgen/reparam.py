@@ -95,7 +95,11 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     shape gets the rank-two update C + m'm'^T - mm^T, which leaves the
     Schur complement C - mm^T unchanged.  Returns (slopes, shapes, covs,
     repairs), where repairs counts reassembled covariances that rounding
-    left indefinite and that were clamped to COV_FLOOR.
+    left indefinite and that were clamped to COV_FLOOR.  As component 1
+    keeps its slope, scaling the goal offsets (start at the first mean, goal
+    first + s * span) scales the regression about the first mean only if
+    component 1 is static (zero slope) and each dimension with s != 1 has
+    its span and every consecutive difference at least eps.
     """
     d_old = np.diff(model.means[:, 1:], axis=0)
     d_new = np.diff(new_means, axis=0)
@@ -126,8 +130,6 @@ def generalize(model: GmmModel, task: TaskSpec,
     The result carries the task.  Its priors, time centers and time
     variances are the source model's, untouched.
     """
-    if model.dim != 6:
-        raise ValueError("task generalization expects 6-DoF pose models")
     new_means = reparam_means(model, task.start_vector(), task.goal_vector(),
                               DEGENERATE_EPS)
     if config.ablate_covariance:

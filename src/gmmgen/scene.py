@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import (Pose, TaskSpec, Trajectory, _check_int, _read_json, _write_json,
-                   resample)
+from .data import (Pose, TaskSpec, Trajectory, _check_int, _json_numbers, _read_json,
+                   _write_json, resample)
 from .metrics import FailureReason, boundary_error
 
 REST_CLEARANCE = 0.003
@@ -148,8 +148,6 @@ def trajectory_success(traj: Trajectory, scene: Scene, task: TaskSpec,
 
     All sampled poses go through one collision_mask call.
     """
-    if traj.dim != 6:
-        return False, FailureReason.INVALID
     sampled = resample(traj, thresholds.collision_samples)
     if collision_mask(sampled.positions(), sampled.orientations(), scene.box_dims,
                       scene.slabs).any():
@@ -236,8 +234,10 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(obj: dict) -> Scene:
     try:
-        slabs = tuple(Slab(s["min"], s["max"]) for s in obj["slabs"])
-        return Scene(slabs, obj["box_dims"], obj["levels"], obj["length_range"])
+        slabs = tuple(Slab(*(_json_numbers(f"slab {i} {key}", s[key]) for key in ("min", "max")))
+                      for i, s in enumerate(obj["slabs"]))
+        return Scene(slabs, *(_json_numbers(key, obj[key])
+                              for key in ("box_dims", "levels", "length_range")))
     except KeyError as exc:
         raise ValueError(f"scene JSON missing field: {exc}") from exc
     except (TypeError, OverflowError) as exc:

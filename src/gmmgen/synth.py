@@ -40,8 +40,10 @@ class SynthConfig:
         _check_int("seed", self.seed, 0)
         if not (0.0 < self.sample_rate < np.inf):
             raise ValueError("sample_rate must be finite and positive")
-        if self.noise_pos < 0.0 or self.noise_rot < 0.0 or self.lift_height < 0.0:
-            raise ValueError("noise levels and lift height cannot be negative")
+        for name in ("lift_height", "noise_pos", "noise_rot"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
 
     def phases(self) -> PhaseSchedule:
         release_start = GRASP_DURATION + TRANSPORT_DURATION

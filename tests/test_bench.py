@@ -114,4 +114,4 @@ def test_summary_csv_and_trials_jsonl_format(model, scene, tmp_path):
             "release_dev_mm", "release_dev_deg", "shape_deviation",
             "jerk_linear", "jerk_angular",
         }
-        assert report["failure_reason"] in ("none", "collision", "boundary", "invalid")
+        assert report["failure_reason"] in ("none", "collision", "boundary")

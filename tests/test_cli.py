@@ -186,11 +186,13 @@ def test_generalize_reads_generalized_model_as_such(work, tmp_path):
 
 
 def test_generalize_bad_pose_exit2(work, capsys):
-    code = main(["generalize", "--model", str(work / "model.json"),
-                 "--start", "1,2,3", "--goal", "0,0,0,0,0,0",
-                 "--out-model", "/dev/null"])
-    assert code == 2
-    assert "pose" in capsys.readouterr().err
+    # too few numbers, a non-number, and a rotation past pi all name the pose
+    for start in ("1,2,3", "1,2,3,a,0,0", "0,0,0,4,0,0"):
+        code = main(["generalize", "--model", str(work / "model.json"),
+                     "--start", start, "--goal", "0,0,0,0,0,0",
+                     "--out-model", "/dev/null"])
+        assert code == 2
+        assert f"error: pose '{start}': " in capsys.readouterr().err
 
 
 def test_evaluate_reports_success(work, tmp_path, endpoint_args):
@@ -341,6 +343,59 @@ def test_non_finite_rate_exit2(work, tmp_path, endpoint_args, capsys, command, r
     }[command]
     assert main([command, *argv, "--rate", rate]) == 2
     assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["synth", "--lift", "nan"], "lift_height"),
+    (["synth", "--noise-rot-deg", "inf"], "noise_rot"),
+    (["fit", "--tol", "inf"], "loglik_tol"),
+    (["fit", "--cov-floor", "inf"], "cov_floor")])
+def test_non_finite_settings_exit2(work, tmp_path, capsys, argv, field):
+    out = tmp_path / "out"
+    inputs = {"synth": ["--out-dir", str(out)],
+              "fit": ["--demos", str(work / "demos" / "manifest.json"), "--out", str(out)]}
+    assert main(argv + inputs[argv[0]]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite" in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc,keys,value,message", [
+    ("scene", ("levels",), "04", "levels must hold only JSON numbers"),
+    ("scene", ("box_dims",), [True, 0.15, 0.12], "box_dims must hold only JSON numbers"),
+    ("scene", ("length_range",), "19", "length_range must hold only JSON numbers"),
+    ("scene", ("slabs", 0, "min", 0), "-0.07", "slab 0 min must hold only JSON numbers"),
+    ("model", ("D",), 6.7, "D must be an integer, got 6.7"),
+    ("model", ("T",), "7.0", "T must hold only JSON numbers"),
+    ("model", ("components", 0, "pi"), "0.1", "component 0: pi must hold only JSON numbers"),
+    ("model", ("components", 1, "mu", 0), True, "component 1: mu must hold only JSON numbers"),
+    ("gen", ("components", 2, "m", 0), False,
+     "generalized-model JSON invalid: component 2: m must hold only JSON numbers"),
+    ("gen", ("task", "goal", 0), "0.7",
+     "generalized-model JSON invalid: task goal must hold only JSON numbers"),
+    ("manifest", ("phases", "grasp_end"), True,
+     "invalid manifest: grasp_end must hold only JSON numbers")])
+def test_loaders_reject_strings_and_bools_as_numbers(work, tmp_path, capsys, model, endpoints,
+                                                     doc, keys, value, message):
+    sources = {"scene": SCENE_JSON, "model": work / "model.json",
+               "gen": tmp_path / "gen.json", "manifest": work / "demos" / "manifest.json"}
+    save_model(generalize(model, TaskSpec(*endpoints)), sources["gen"])
+    obj = json.loads(sources[doc].read_text())
+    if doc == "manifest":  # the edited copy lives elsewhere, so name the demos in full
+        obj["files"] = [str(work / "demos" / name) for name in obj["files"]]
+    node = obj
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    argv = {"scene": ["synth", "--scene", str(path), "--out-dir", str(out)],
+            "manifest": ["fit", "--demos", str(path), "--out", str(out)]}.get(
+                doc, ["regress", "--model", str(path), "--out", str(out)])
+    assert main(argv) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

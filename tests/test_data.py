@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, Trajectory,
+from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, TaskSpec, Trajectory,
                          TrajectoryFormatError, load_trajectory, resample,
                          save_trajectory)
+from gmmgen.metrics import average_jerk, phase_deviation
 from gmmgen.model import FitConfig
-from gmmgen.scene import SuccessThresholds
+from gmmgen.plot import render_svg
+from gmmgen.scene import SuccessThresholds, trajectory_success
 from gmmgen.synth import SynthConfig
 
 
@@ -25,6 +27,8 @@ def test_pose_roundtrip_and_validation():
         Pose([np.nan, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError):
         Pose([0, 0, 0], [np.pi, 0, 0])  # magnitude exactly pi rejected
+    with pytest.raises(ValueError, match="^a pose needs 6 numbers, got 5$"):
+        Pose.from_vector(np.zeros(5))
     # frozen storage
     with pytest.raises(ValueError):
         p.position[0] = 9.0
@@ -41,6 +45,15 @@ def test_integer_settings_reject_fractions_and_bools(cls, field, fraction):
             cls(**{field: bad})
     assert getattr(cls(**{field: np.int64(whole)}), field) == whole
     assert getattr(cls(**{field: whole}), field) == whole
+
+
+@pytest.mark.parametrize("cls,field", [
+    (SynthConfig, "lift_height"), (SynthConfig, "noise_pos"), (SynthConfig, "noise_rot"),
+    (FitConfig, "loglik_tol"), (FitConfig, "cov_floor")])
+def test_real_settings_reject_non_finite(cls, field):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cls(**{field: bad})
 
 
 def test_phase_schedule_ordering():
@@ -220,6 +233,25 @@ def test_load_trajectory_rejects_mutated_csv_with_located_error(tmp_path_factory
             assert str(exc).startswith(f"{path}: ")
 
     settings(max_examples=400)(given(content=mutated_csv(lines))(check))()
+
+
+@pytest.mark.parametrize("consumer", ["trajectory_success", "phase_deviation",
+                                      "average_jerk", "render_svg", "save_trajectory"])
+def test_pose_consumers_share_the_pose_row_error(scene, tmp_path, consumer):
+    """Every reader of pose columns goes through Trajectory.positions() and
+    orientations(), so a non-pose trajectory fails with their one error."""
+    task = TaskSpec(Pose(np.zeros(3), np.zeros(3)), Pose(np.ones(3), np.zeros(3)))
+    call = {
+        "trajectory_success": lambda traj: trajectory_success(traj, scene, task),
+        "phase_deviation": lambda traj: phase_deviation(traj, PhaseSchedule(1.0, 2.0, 3.0)),
+        "average_jerk": average_jerk,
+        "render_svg": lambda traj: render_svg([traj]),
+        "save_trajectory": lambda traj: save_trajectory(traj, tmp_path / "x.csv"),
+    }[consumer]
+    flat = Trajectory(np.linspace(0.0, 3.0, 31), np.zeros((31, 2)))
+    with pytest.raises(ValueError, match="^operation needs 6-dimensional rows, got 2$"):
+        call(flat)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_save_rejects_non_pose(tmp_path):

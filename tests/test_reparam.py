@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gmmgen.bench import default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
+from gmmgen.gmr import regress
 from gmmgen.model import GmmModel, load_model, save_model
-from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd,
+from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd, _outers,
                             generalize, reparam_covariances, reparam_means)
 from gmmgen.scene import sample_task
 
@@ -67,19 +69,23 @@ def oracle_reparam_covariances(model, new_means, eps):
     return new_slopes, new_spatial, covs, repairs
 
 
-def random_spd_mixture(rng, n_comp, dim, thin):
+def random_spd_mixture(rng, n_comp, dim, thin, static_start=False, scale=1.0):
     """Random time-sorted mixture of SPD components.
 
     With thin=True every Schur complement C - mm^T is ~1e-13, so rounding in
-    the rank-two update can break definiteness and force SPD repairs.
+    the rank-two update can break definiteness and force SPD repairs.  With
+    static_start=True the first component has zero slope.  scale multiplies
+    every spatial length: means, slopes, and the square root of each shape.
     """
     t_means = np.cumsum(rng.uniform(0.2, 1.0, n_comp))
     covs = []
-    for _ in range(n_comp):
-        slope = rng.uniform(-2.0, 2.0, dim)
+    for g in range(n_comp):
+        slope = scale * rng.uniform(-2.0, 2.0, dim)
+        if static_start and g == 0:
+            slope[:] = 0.0
         a = rng.normal(size=(dim, dim))
         schur = a @ a.T / dim + np.eye(dim)
-        schur *= 1e-13 if thin else 0.1
+        schur *= (1e-13 if thin else 0.1) * scale**2
         cov = np.empty((dim + 1, dim + 1))
         cov[0, 0] = 1.0
         cov[0, 1:] = slope
@@ -89,7 +95,7 @@ def random_spd_mixture(rng, n_comp, dim, thin):
     duration = float(t_means[-1]) + 1.0
     phases = PhaseSchedule(0.25 * duration, 0.75 * duration, duration)
     return GmmModel(rng.dirichlet(np.ones(n_comp)),
-                    np.column_stack([t_means, rng.normal(size=(n_comp, dim))]),
+                    np.column_stack([t_means, scale * rng.normal(size=(n_comp, dim))]),
                     covs, duration, phases)
 
 
@@ -110,6 +116,67 @@ def test_reparam_covariances_matches_oracle_bitwise(seed, n_comp, dim, thin, spr
     eps = rng.uniform(1e-4, 0.5, dim)  # some consecutive differences keep their slope
     got = reparam_covariances(model, new_means, eps)
     assert_bitwise_equal(got, oracle_reparam_covariances(model, new_means, eps))
+
+
+def pose_task(start, goal):
+    """The task between two 6-vectors; hypothesis discards a draw that is no pose."""
+    assume(max(np.linalg.norm(start[3:]), np.linalg.norm(goal[3:])) < 3.0)
+    return TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+
+
+def random_pose_mixture(seed, n_comp, static_start=False):
+    rng = np.random.default_rng(seed)
+    model = random_spd_mixture(rng, n_comp, 6, thin=False, static_start=static_start,
+                               scale=0.1)
+    return rng, model, model.means[0, 1:], model.means[-1, 1:]
+
+
+def random_endpoints(rng, first, last):
+    """Any start, and a goal whose span in each dimension is the source's
+    scaled by 0.5-2 either way, so no slope is rescaled by more than ~2."""
+    start = first + rng.uniform(-0.5, 0.5, 6)
+    return start, start + rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6) * (last - first)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8))
+def test_generalize_keeps_schur_spectra_of_random_mixtures(seed, n_comp):
+    rng, model, first, last = random_pose_mixture(seed, n_comp)
+    out = generalize(model, pose_task(*random_endpoints(rng, first, last)))
+    old = np.linalg.eigvalsh(model.shapes - _outers(model.slopes))
+    new = np.linalg.eigvalsh(out.shapes - _outers(out.slopes))
+    assert np.abs(new - old).max() < 1e-10
+    assert out.spd_repairs == 0
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8))
+def test_generalize_regress_translates_with_the_task(seed, n_comp):
+    """Holds with a moving first component: moving both endpoints by one
+    vector leaves every consecutive mean difference, so every slope, as it was."""
+    rng, model, first, last = random_pose_mixture(seed, n_comp)
+    assert (model.slopes[0] != 0.0).all()
+    start, goal = random_endpoints(rng, first, last)
+    delta = rng.uniform(-0.5, 0.5, 6)
+    times = default_times(model.duration)
+    base = regress(generalize(model, pose_task(start, goal)), times)
+    moved = regress(generalize(model, pose_task(start + delta, goal + delta)), times)
+    assert np.abs(moved.values - (base.values + delta)).max() < 1e-9
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8))
+def test_generalize_regress_scales_with_the_goal_from_a_static_start(seed, n_comp):
+    """The condition in reparam_covariances: a static first component, and
+    only dimensions whose span and consecutive differences exceed eps scaled."""
+    rng, model, first, last = random_pose_mixture(seed, n_comp, static_start=True)
+    live = ((np.abs(last - first) >= DEGENERATE_EPS)
+            & (np.abs(np.diff(model.means[:, 1:], axis=0)) >= DEGENERATE_EPS).all(axis=0))
+    s = np.where(live, rng.uniform(0.5, 2.0, 6), 1.0)
+    times = default_times(model.duration)
+    base = regress(model, times)
+    scaled = regress(generalize(model, pose_task(first, first + s * (last - first))), times)
+    assert np.abs(scaled.values - (first + s * (base.values - first))).max() < 1e-9
 
 
 def test_reparam_covariances_repairs_match_oracle(model, scene, endpoints):

@@ -254,9 +254,10 @@ def test_trajectory_success_reasons(scene):
     short_goal = goal.copy(); short_goal[0] -= 0.05
     miss = Trajectory([0.0, 1.0, 6.0, 7.0], np.vstack([start, up, over, short_goal]))
     assert trajectory_success(miss, scene, task) == (False, FailureReason.BOUNDARY)
-    # non-pose trajectories are invalid
+    # a non-pose trajectory is an error, not a failed trial
     flat = Trajectory([0.0, 1.0], np.zeros((2, 2)))
-    assert trajectory_success(flat, scene, task) == (False, FailureReason.INVALID)
+    with pytest.raises(ValueError):
+        trajectory_success(flat, scene, task)
 
 
 def test_sample_task_translational_keeps_orientation(scene, endpoints):
