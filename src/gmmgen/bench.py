@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PhaseSchedule, Pose, TaskSpec, Trajectory
+from .data import SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _check_real
 from .gmr import regress
 from .metrics import (EvalReport, average_jerk, boundary_error, phase_deviation,
                       shape_deviation)
@@ -31,9 +31,8 @@ SUMMARY_METRICS = {
 SUMMARY_COLUMNS = ("method", "success_rate", *SUMMARY_METRICS)
 
 
-def default_times(duration: float, rate: float = 100.0) -> np.ndarray:
-    if not (0.0 < rate < np.inf):
-        raise ValueError(f"sample rate must be finite and positive, got {rate}")
+def default_times(duration: float, rate: float = SAMPLE_RATE) -> np.ndarray:
+    _check_real("rate", rate)
     return np.linspace(0.0, duration, int(round(duration * rate)) + 1)
 
 
@@ -99,7 +98,7 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
                   config: ReparamConfig | None = None,
                   thresholds: SuccessThresholds = SuccessThresholds(),
                   reference: Trajectory | None = None,
-                  method: str | None = None, rate: float = 100.0) -> BenchmarkResult:
+                  method: str | None = None, rate: float = SAMPLE_RATE) -> BenchmarkResult:
     """Run seeded trials of sample-generalize-regress-evaluate.
 
     The reference trajectory for shape deviation defaults to the source

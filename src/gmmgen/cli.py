@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, plot
-from .data import (PhaseSchedule, Pose, TaskSpec, _json_numbers, _read_json, _write_json,
-                   load_trajectory, save_trajectory)
+from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, _json_numbers, _read_json,
+                   _write_json, load_trajectory, save_trajectory)
 from .gmr import regress
 from .model import FitConfig, fit_gmm, load_model, save_model
 from .reparam import ReparamConfig, generalize
@@ -45,11 +45,11 @@ def _thresholds(args) -> SuccessThresholds:
 
 
 def _add_threshold_flags(sub):
-    sub.add_argument("--max-boundary-pos", type=float, default=10.0,
-                     help="boundary position threshold, mm")
-    sub.add_argument("--max-boundary-rot", type=float, default=5.0,
-                     help="boundary rotation threshold, deg")
-    sub.add_argument("--collision-samples", type=int, default=200,
+    sub.add_argument("--max-boundary-pos", type=float, help="boundary position threshold, mm",
+                     default=SuccessThresholds.max_boundary_pos_mm)
+    sub.add_argument("--max-boundary-rot", type=float, help="boundary rotation threshold, deg",
+                     default=SuccessThresholds.max_boundary_rot_deg)
+    sub.add_argument("--collision-samples", type=int, default=SuccessThresholds.collision_samples,
                      help="poses sampled along the trajectory for collision checks")
 
 
@@ -111,8 +111,7 @@ def cmd_fit(args) -> int:
     paths, phases = _demo_paths(args)
     demos = [load_trajectory(p) for p in paths]
     if args.grasp_end is not None:
-        phases = PhaseSchedule(args.grasp_end, args.release_start,
-                               demos[0].duration)
+        phases = PhaseSchedule(args.grasp_end, args.release_start, demos[0].duration)
     config = FitConfig(n_components=args.components, max_iters=args.max_iters,
                        loglik_tol=args.tol, cov_floor=args.cov_floor,
                        seed=args.seed)
@@ -205,29 +204,27 @@ def build_parser():
         registry[name] = s
         return s
 
-    synth_defaults = SynthConfig()
     s = sub("synth", cmd_synth, help="generate synthetic demonstrations")
     s.add_argument("--out-dir", required=True)
     s.add_argument("--scene", default=None, help="scene JSON (default: built-in shelf)")
-    s.add_argument("--demos", type=int, default=synth_defaults.n_demos)
-    s.add_argument("--lift", type=float, default=synth_defaults.lift_height,
+    s.add_argument("--demos", type=int, default=SynthConfig.n_demos)
+    s.add_argument("--lift", type=float, default=SynthConfig.lift_height,
                    help="transport arc lift, m")
-    s.add_argument("--noise-pos-mm", type=float,
-                   default=synth_defaults.noise_pos * 1000.0)
+    s.add_argument("--noise-pos-mm", type=float, default=SynthConfig.noise_pos * 1000.0)
     s.add_argument("--noise-rot-deg", type=float,
-                   default=float(np.rad2deg(synth_defaults.noise_rot)))
-    s.add_argument("--rate", type=float, default=synth_defaults.sample_rate)
-    s.add_argument("--seed", type=int, default=synth_defaults.seed)
+                   default=float(np.rad2deg(SynthConfig.noise_rot)))
+    s.add_argument("--rate", type=float, default=SynthConfig.sample_rate)
+    s.add_argument("--seed", type=int, default=SynthConfig.seed)
 
     s = sub("fit", cmd_fit, help="fit a mixture model to demonstrations")
     s.add_argument("--demos", nargs="+", required=True,
                    help="demo CSVs, or a single synth manifest JSON")
-    s.add_argument("--components", type=int, default=15)
+    s.add_argument("--components", type=int, default=FitConfig.n_components)
     s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-iters", type=int, default=200)
-    s.add_argument("--tol", type=float, default=1e-6)
-    s.add_argument("--cov-floor", type=float, default=1e-6)
+    s.add_argument("--seed", type=int, default=FitConfig.seed)
+    s.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
+    s.add_argument("--tol", type=float, default=FitConfig.loglik_tol)
+    s.add_argument("--cov-floor", type=float, default=FitConfig.cov_floor)
     s.add_argument("--grasp-end", type=float, default=None)
     s.add_argument("--release-start", type=float, default=None)
 
@@ -239,12 +236,12 @@ def build_parser():
                    help="keep source covariances; remap means only")
     s.add_argument("--out-model", required=True)
     s.add_argument("--out-traj", default=None)
-    s.add_argument("--rate", type=float, default=100.0)
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
 
     s = sub("regress", cmd_regress, help="regress a trajectory from a model")
     s.add_argument("--model", required=True, help="fitted or generalized model JSON")
     s.add_argument("--out", required=True)
-    s.add_argument("--rate", type=float, default=100.0)
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
 
     s = sub("evaluate", cmd_evaluate, help="score a trajectory against a task")
     s.add_argument("--traj", required=True)
@@ -254,7 +251,7 @@ def build_parser():
     s.add_argument("--scene", default=None)
     s.add_argument("--ref", default=None, help="reference CSV for shape deviation")
     s.add_argument("--out", default=None)
-    s.add_argument("--rate", type=float, default=100.0)
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
     _add_threshold_flags(s)
 
     s = sub("benchmark", cmd_benchmark, help="run randomized generalization trials")
@@ -268,7 +265,7 @@ def build_parser():
     s.add_argument("--ablate-covariance", action="store_true")
     s.add_argument("--method", default=None, help="label for the summary row")
     s.add_argument("--ref", default=None)
-    s.add_argument("--rate", type=float, default=100.0)
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
     _add_threshold_flags(s)
 
     s = sub("plot", cmd_plot, help="render trajectories (and scene) to SVG")

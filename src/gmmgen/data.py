@@ -17,6 +17,9 @@ import numpy as np
 POSE_DIM = 6
 CSV_COLUMNS = ("t", "px", "py", "pz", "rx", "ry", "rz")
 CSV_HEADER = ",".join(CSV_COLUMNS)
+SAMPLE_RATE = 100.0  # Hz, of generated demonstrations and regressed trajectories
+GRASP_DURATION = 1.0  # s, the start hold of a demonstration
+RELEASE_DURATION = 1.0  # s, the goal hold
 
 
 class TrajectoryFormatError(ValueError):
@@ -37,6 +40,15 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
+
+
+def _check_real(name: str, value, positive: bool = True) -> None:
+    """Raise unless value is a finite real number, not a bool, > 0 (>= 0 if not positive)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not ((0.0 < value if positive else 0.0 <= value) and value < np.inf):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
 
 def _json_numbers(name: str, value):
@@ -137,10 +149,9 @@ class PhaseSchedule:
     duration: float
 
     def __post_init__(self):
-        if not (0.0 < self.grasp_end < self.release_start < self.duration):
-            raise ValueError(
-                "phase boundaries must satisfy 0 < grasp_end < release_start < duration"
-            )
+        if not (0.0 < self.grasp_end < self.release_start < self.duration < np.inf):
+            raise ValueError("phase boundaries must satisfy "
+                             "0 < grasp_end < release_start < duration < inf")
 
 
 def _first_violation(times: np.ndarray, values: np.ndarray):

@@ -8,14 +8,14 @@ component, sorted by time center, of fitted and generalized mixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .data import (PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int, _frozen_array,
-                   _json_numbers, _read_json, _write_json)
+from .data import (GRASP_DURATION, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec, Trajectory,
+                   _check_int, _check_real, _frozen_array, _json_numbers, _read_json, _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -57,12 +57,12 @@ class GmmModel:
     model passes its adapted terms, whose Schur complements C - mm^T must
     stay positive definite.  A generalized model also records its task,
     whether the covariance update was ablated, and its SPD repair count.
+    The model's duration is its phase schedule's.
     """
 
     priors: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    duration: float
     phases: PhaseSchedule
     slopes: np.ndarray | None = None
     shapes: np.ndarray | None = None
@@ -99,17 +99,11 @@ class GmmModel:
             raise ValueError(f"component {_first(not_spd)}: covariance must be "
                              "symmetric positive definite")
         tt = covs[:, 0, 0]
-        if not (tt > 0.0).all():
-            raise ValueError(f"component {_first(~(tt > 0.0))}: time variance must be positive")
         total = priors.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"priors must sum to 1, got {float(total)!r}")
         if np.any(np.diff(means[:, 0]) <= 0.0):
             raise ValueError("components must be strictly ordered by time center")
-        if not (self.duration > 0.0):
-            raise ValueError("duration must be positive")
-        if abs(self.phases.duration - self.duration) > 1e-9:
-            raise ValueError("phase schedule duration must match the model duration")
         if not isinstance(self.ablated, bool):
             raise ValueError(f"ablated must be a bool, got {self.ablated!r}")
         _check_int("spd_repairs", self.spd_repairs, 0)
@@ -135,6 +129,10 @@ class GmmModel:
             object.__setattr__(self, name, value)
 
     @property
+    def duration(self) -> float:
+        return self.phases.duration
+
+    @property
     def dim(self) -> int:
         """Spatial dimensionality (mean length minus the time entry)."""
         return self.means.shape[1] - 1
@@ -156,9 +154,8 @@ class FitConfig:
         _check_int("n_components", self.n_components, 2)
         _check_int("max_iters", self.max_iters, 1)
         _check_int("seed", self.seed, 0)
-        for name in ("loglik_tol", "cov_floor"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        _check_real("loglik_tol", self.loglik_tol)
+        _check_real("cov_floor", self.cov_floor)
 
 
 def _kmeans_distances(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -208,7 +205,7 @@ def _cluster_means(cols: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> 
 
 
 def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
-                cov_floor: float = 1e-6):
+                cov_floor: float = FitConfig.cov_floor):
     """Seed mixture components by K-means over [t, x] rows.
 
     The time column is rescaled to the spatial RMS spread before clustering
@@ -393,6 +390,9 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
     for j, demo in enumerate(demos):
         if abs(demo.duration - duration) > 1e-9 or demo.dim != dim:
             raise ValueError(f"demonstration {j} disagrees in duration or dimension")
+    if phases is not None and abs(phases.duration - duration) > 1e-9:
+        raise ValueError(f"phase schedule duration {phases.duration} must match the "
+                         f"demonstrations' duration {duration}")
     dataset = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
     # components are told apart by their time centers, so both counts bound them
     distinct = len(np.unique(dataset, axis=0))
@@ -407,8 +407,9 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
     (priors, means, covs), trace = em_fit(dataset, init, config)
     order = np.argsort(means[:, 0], kind="stable")
     if phases is None:
-        phases = PhaseSchedule(1.0, duration - 1.0, duration)
-    model = GmmModel(priors[order], means[order], covs[order], duration, phases)
+        phases = PhaseSchedule(GRASP_DURATION, duration - RELEASE_DURATION, duration)
+    # the model's time axis ends exactly where the demonstrations do
+    model = GmmModel(priors[order], means[order], covs[order], replace(phases, duration=duration))
     return FitResult(model, trace)
 
 
@@ -445,9 +446,9 @@ def model_from_dict(obj: dict) -> GmmModel:
     try:
         dim = obj["D"]
         _check_int("D", dim, 1)
-        duration = float(_json_numbers("T", obj["T"]))
         phases = PhaseSchedule(*(float(_json_numbers(key, obj["phases"][key]))
-                                 for key in ("grasp_end", "release_start")), duration)
+                                 for key in ("grasp_end", "release_start")),
+                               float(_json_numbers("T", obj["T"])))
         raw = obj["components"]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"model JSON missing field: {exc}") from exc
@@ -469,10 +470,9 @@ def model_from_dict(obj: dict) -> GmmModel:
             raise ValueError(f"component {i}: mu must have D+1={dim + 1} entries")
         if sigma.size != (dim + 1) ** 2:
             raise ValueError(f"component {i}: sigma must have (D+1)^2 entries")
-        sigma = sigma.reshape(dim + 1, dim + 1)
         priors.append(prior)
         means.append(mu)
-        covs.append(0.5 * (sigma + sigma.T))
+        covs.append(sigma.reshape(dim + 1, dim + 1))
     generalized = {}
     if "task" in obj:
         try:
@@ -488,8 +488,7 @@ def model_from_dict(obj: dict) -> GmmModel:
             }
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"generalized-model JSON invalid: {exc}") from exc
-    return GmmModel(np.array(priors), np.stack(means), np.stack(covs), duration, phases,
-                    **generalized)
+    return GmmModel(np.array(priors), np.stack(means), np.stack(covs), phases, **generalized)
 
 
 def save_model(model: GmmModel, path) -> None:

@@ -138,6 +138,5 @@ def generalize(model: GmmModel, task: TaskSpec,
         slopes, shapes, covs, repairs = reparam_covariances(model, new_means,
                                                             DEGENERATE_EPS)
     means = np.column_stack([model.means[:, 0], new_means])
-    return GmmModel(model.priors, means, covs, model.duration, model.phases,
-                    slopes, shapes, task=task, ablated=config.ablate_covariance,
-                    spd_repairs=repairs)
+    return GmmModel(model.priors, means, covs, model.phases, slopes, shapes, task=task,
+                    ablated=config.ablate_covariance, spd_repairs=repairs)

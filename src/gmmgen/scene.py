@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import (Pose, TaskSpec, Trajectory, _check_int, _json_numbers, _read_json,
-                   _write_json, resample)
+from .data import (Pose, TaskSpec, Trajectory, _check_int, _check_real, _json_numbers,
+                   _read_json, _write_json, resample)
 from .metrics import FailureReason, boundary_error
 
 REST_CLEARANCE = 0.003
@@ -83,9 +83,8 @@ class SuccessThresholds:
     collision_samples: int = 200
 
     def __post_init__(self):
-        if not (0.0 < self.max_boundary_pos_mm < np.inf
-                and 0.0 < self.max_boundary_rot_deg < np.inf):
-            raise ValueError("boundary thresholds must be finite and positive")
+        _check_real("max_boundary_pos_mm", self.max_boundary_pos_mm)
+        _check_real("max_boundary_rot_deg", self.max_boundary_rot_deg)
         _check_int("collision_samples", self.collision_samples, 2)
 
 
@@ -184,7 +183,7 @@ def _sample_endpoint(scene: Scene, variation: str, rng, base: Pose) -> Pose:
         pose = Pose(position, orientation)
         if not scene_collides(pose, scene):
             return pose
-    raise RuntimeError(f"no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
+    raise ValueError(f"no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
 
 
 def sample_task(scene: Scene, variation: str, rng, base_start: Pose,

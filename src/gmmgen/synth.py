@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int
+from .data import (GRASP_DURATION, RELEASE_DURATION, SAMPLE_RATE, PhaseSchedule, Pose,
+                   TaskSpec, Trajectory, _check_int, _check_real)
 from .scene import Scene, SuccessThresholds, rest_height, trajectory_success
 
 NOISE_WAVES = 3
 NOISE_FREQ_RANGE = (0.15, 0.6)
 MAX_ATTEMPTS = 10
-GRASP_DURATION = 1.0
 TRANSPORT_DURATION = 5.0
-RELEASE_DURATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -32,23 +31,19 @@ class SynthConfig:
     lift_height: float = 0.10
     noise_pos: float = 0.002
     noise_rot: float = 0.5 * np.pi / 180.0
-    sample_rate: float = 100.0
+    sample_rate: float = SAMPLE_RATE
     seed: int = 0
 
     def __post_init__(self):
         _check_int("n_demos", self.n_demos, 1)
         _check_int("seed", self.seed, 0)
-        if not (0.0 < self.sample_rate < np.inf):
-            raise ValueError("sample_rate must be finite and positive")
+        _check_real("sample_rate", self.sample_rate)
         for name in ("lift_height", "noise_pos", "noise_rot"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {getattr(self, name)}")
+            _check_real(name, getattr(self, name), positive=False)
 
     def phases(self) -> PhaseSchedule:
         release_start = GRASP_DURATION + TRANSPORT_DURATION
-        return PhaseSchedule(GRASP_DURATION, release_start,
-                             release_start + RELEASE_DURATION)
+        return PhaseSchedule(GRASP_DURATION, release_start, release_start + RELEASE_DURATION)
 
 
 def _smooth_step(u: np.ndarray) -> np.ndarray:
@@ -123,6 +118,6 @@ def generate_demonstrations(scene: Scene, cfg: SynthConfig = SynthConfig()):
                 demos.append(traj)
                 break
         else:
-            raise RuntimeError(f"demonstration {j} kept colliding after "
-                               f"{MAX_ATTEMPTS} noise reductions")
+            raise ValueError(f"demonstration {j} kept colliding after "
+                             f"{MAX_ATTEMPTS} noise reductions")
     return demos, task

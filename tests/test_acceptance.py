@@ -120,7 +120,7 @@ def random_static_start_model(rng, n_comp=6):
         covs.append(tt * cov)
     duration = float(t_means[-1]) + 1.0
     phases = PhaseSchedule(0.25 * duration, 0.75 * duration, duration)
-    return GmmModel(priors, np.column_stack([t_means, x_means]), covs, duration, phases)
+    return GmmModel(priors, np.column_stack([t_means, x_means]), covs, phases)
 
 
 def test_ac3_exact_equivariances(model, endpoints):

@@ -408,7 +408,7 @@ def test_evaluate_nan_threshold_exit2(work, tmp_path, capsys):
     assert json.loads(report.read_text())["failure_reason"] == "boundary"
     nan_report = tmp_path / "nan.json"
     assert main(args + ["--max-boundary-pos", "nan", "--out", str(nan_report)]) == 2
-    assert "boundary thresholds must be finite and positive" in capsys.readouterr().err
+    assert "max_boundary_pos_mm must be finite and positive, got nan" in capsys.readouterr().err
     assert not nan_report.exists()
 
 
@@ -484,3 +484,116 @@ def test_fit_phase_flags_pair(work, tmp_path):
     assert main(["fit", "--demos", str(work / "demos" / "manifest.json"), "--out", str(out),
                  "--max-iters", "2", "--grasp-end", "1.7", "--release-start", "5.5"]) == 0
     assert json.loads(out.read_text())["phases"] == {"grasp_end": 1.7, "release_start": 5.5}
+
+
+def test_fit_manifest_duration_mismatch_exit2(work, tmp_path, capsys):
+    manifest = json.loads((work / "demos" / "manifest.json").read_text())
+    manifest["files"] = [str(work / "demos" / f) for f in manifest["files"]]
+    manifest["phases"]["duration"] = 8.0
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    out = tmp_path / "m.json"
+    assert main(["fit", "--demos", str(bad), "--out", str(out)]) == 2
+    assert ("error: phase schedule duration 8.0 must match the demonstrations' duration 7.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["regress", "generalize", "evaluate", "benchmark"])
+def test_infinite_model_duration_exit2(work, tmp_path, endpoint_args, capsys, command):
+    text = (work / "model.json").read_text()
+    assert '"T": 7.0,' in text
+    bad = tmp_path / "model.json"
+    bad.write_text(text.replace('"T": 7.0,', '"T": 1e999,'))
+    start, goal = endpoint_args
+    out = tmp_path / "out"
+    argv = {
+        "regress": ["--out", str(out)],
+        "generalize": ["--start", start, "--goal", goal, "--out-model", str(out)],
+        "evaluate": ["--traj", str(work / "demos" / "demo_00.csv"), "--start", start,
+                     "--goal", goal, "--out", str(out)],
+        "benchmark": ["--trials", "1", "--out-dir", str(out)],
+    }[command]
+    assert main([command, "--model", str(bad), *argv]) == 2
+    assert (f"error: {bad}: phase boundaries must satisfy "
+            "0 < grasp_end < release_start < duration < inf") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_regress_asymmetric_sigma_exit2(work, tmp_path, capsys):
+    obj = json.loads((work / "model.json").read_text())
+    obj["components"][3]["sigma"][1] *= 1.01  # the (t, px) entry only
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "t.csv"
+    assert main(["regress", "--model", str(bad), "--out", str(out)]) == 2
+    assert f"error: {bad}: component 3: covariance must be symmetric" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def scene_with_slab(tmp_path, lo, hi):
+    scene = json.loads(SCENE_JSON.read_text())
+    scene["slabs"].append({"min": lo, "max": hi})
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    return path
+
+
+@pytest.mark.parametrize("case", ["lift", "blocked start"])
+def test_synth_impossible_demonstrations_exit2(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv = (["--lift", "1.0"] if case == "lift" else
+            ["--scene", str(scene_with_slab(tmp_path, [0.15, 0.2, 0.0], [0.25, 0.3, 0.2]))])
+    assert main(["synth", "--out-dir", str(out), *argv]) == 2
+    assert ("error: demonstration 0 kept colliding after 10 noise reductions"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_benchmark_filled_cabinet_exit2(work, tmp_path, capsys):
+    filled = scene_with_slab(tmp_path, [-0.05, 0.0, 0.0], [0.85, 0.45, 0.535])
+    out = tmp_path / "out"
+    assert main(["benchmark", "--model", str(work / "model.json"), "--scene", str(filled),
+                 "--trials", "1", "--out-dir", str(out)]) == 2
+    assert ("error: no collision-free rest pose found in 100 draws"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_synth_infinite_slab_corner_exit2(tmp_path, capsys):
+    path = scene_with_slab(tmp_path, [0.0, 0.0, 0.0], [1.0, 1.0, 123.456])
+    path.write_text(path.read_text().replace("123.456", "1e999"))
+    out = tmp_path / "out"
+    assert main(["synth", "--scene", str(path), "--out-dir", str(out)]) == 2
+    assert f"error: {path}: slab corners must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_ref_and_stdout(work, tmp_path, endpoint_args, capsys):
+    start, goal = endpoint_args
+    model = str(work / "model.json")
+    reference = tmp_path / "reference.csv"
+    assert main(["regress", "--model", model, "--out", str(reference)]) == 0
+    args = ["evaluate", "--traj", str(work / "demos" / "demo_00.csv"), "--model", model,
+            "--start", start, "--goal", goal]
+    capsys.readouterr()
+    assert main(args) == 0  # no --out: the report goes to stdout
+    default_ref = capsys.readouterr().out
+    assert json.loads(default_ref)["shape_deviation"] > 0.0
+    # the model's own regression, read back from CSV, is the default reference
+    assert main(args + ["--ref", str(reference)]) == 0
+    assert capsys.readouterr().out == default_ref
+    assert main(args + ["--ref", str(work / "demos" / "demo_00.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["shape_deviation"] == 0.0
+
+
+def test_config_switch_true_matches_flag(work, tmp_path, endpoint_args):
+    start, goal = endpoint_args
+    cfg = tmp_path / "generalize.json"
+    cfg.write_text(json.dumps({"ablate-covariance": True}))
+    args = ["generalize", "--model", str(work / "model.json"), "--start", start,
+            "--goal", goal, "--out-model"]
+    assert main(args + [str(tmp_path / "flag.json"), "--ablate-covariance"]) == 0
+    assert main(args + [str(tmp_path / "cfg.json"), "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "cfg.json").read_text())["ablate_covariance"] is True
+    assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "flag.json").read_bytes()

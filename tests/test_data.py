@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmmgen.bench import default_times
 from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, TaskSpec, Trajectory,
                          TrajectoryFormatError, load_trajectory, resample,
                          save_trajectory)
@@ -56,9 +59,20 @@ def test_real_settings_reject_non_finite(cls, field):
             cls(**{field: bad})
 
 
+@pytest.mark.parametrize("build,field", [
+    (SuccessThresholds, "max_boundary_pos_mm"), (SuccessThresholds, "max_boundary_rot_deg"),
+    (FitConfig, "loglik_tol"), (FitConfig, "cov_floor"), (SynthConfig, "sample_rate"),
+    (SynthConfig, "lift_height"), (SynthConfig, "noise_pos"), (SynthConfig, "noise_rot"),
+    (partial(default_times, 7.0), "rate")])
+def test_real_settings_reject_bools(build, field):
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {bad}$"):
+            build(**{field: bad})
+
+
 def test_phase_schedule_ordering():
     PhaseSchedule(1.0, 6.0, 7.0)
-    for bad in ((0.0, 6.0, 7.0), (6.0, 1.0, 7.0), (1.0, 7.0, 7.0)):
+    for bad in ((0.0, 6.0, 7.0), (6.0, 1.0, 7.0), (1.0, 7.0, 7.0), (1.0, 6.0, np.inf)):
         with pytest.raises(ValueError):
             PhaseSchedule(*bad)
 
@@ -135,6 +149,7 @@ def test_csv_errors_name_the_row(tmp_path):
             load_trajectory(path)
         assert fragment in str(err.value), str(err.value)
 
+    expect("", f"{path}: empty file")
     expect("x,y\n", "row 1")
     expect(CSV_HEADER + "\n1,2,3\n", "row 2: expected 7 columns")
     expect(CSV_HEADER + "\n0,0,0,0,0,0,oops\n", "row 2: non-numeric")

@@ -11,12 +11,11 @@ def two_component_model(priors=(0.5, 0.5), t_means=(1.0, 3.0), x_means=(0.0, 1.0
     cov = t_var * np.array([[1.0, slope], [slope, shape]])
     duration = float(t_means[-1]) + 1.0
     phases = PhaseSchedule(duration / 4.0, 3.0 * duration / 4.0, duration)
-    return GmmModel(priors, np.column_stack([t_means, x_means]), [cov, cov],
-                    duration, phases)
+    return GmmModel(priors, np.column_stack([t_means, x_means]), [cov, cov], phases)
 
 
 def single_component_model(mean, cov):
-    return GmmModel([1.0], [mean], [cov], 2.0, PhaseSchedule(0.5, 1.5, 2.0))
+    return GmmModel([1.0], [mean], [cov], PhaseSchedule(0.5, 1.5, 2.0))
 
 
 def test_single_component_weight_is_one():

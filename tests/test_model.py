@@ -20,7 +20,7 @@ PHASES_1S = PhaseSchedule(0.2, 0.8, 1.0)
 
 
 def one_component(prior=1.0, mean=(0.5, 2.0), cov=((2.0, 1.0), (1.0, 3.0)), **terms):
-    return GmmModel([prior], [mean], [cov], 1.0, PHASES_1S, **terms)
+    return GmmModel([prior], [mean], [cov], PHASES_1S, **terms)
 
 
 def test_derived_slopes_shapes_hand_case():
@@ -44,7 +44,7 @@ def test_component_validation():
     with pytest.raises(ValueError):
         one_component(prior=0.0, cov=eye)
     with pytest.raises(ValueError):
-        GmmModel([0.5], [[0.0]], [[[1.0]]], 1.0, PHASES_1S)  # needs [t, x]
+        GmmModel([0.5], [[0.0]], [[[1.0]]], PHASES_1S)  # needs [t, x]
     with pytest.raises(ValueError):
         one_component(cov=[[1.0, 0.5], [0.4, 1.0]])  # asymmetric
     with pytest.raises(ValueError):
@@ -62,27 +62,25 @@ def test_component_validation():
 def test_model_validation():
     means = [[0.0, 0.0], [1.0, 1.0]]
     covs = [np.eye(2), np.eye(2)]
-    model = GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S)
+    model = GmmModel([0.5, 0.5], means, covs, PHASES_1S)
     assert model.n_components == 2 and model.dim == 1
     assert np.allclose(model.priors, [0.5, 0.5])
     with pytest.raises(ValueError):
-        GmmModel([0.5, 0.5], means[::-1], covs, 1.0, PHASES_1S)  # not time sorted
+        GmmModel([0.5, 0.5], means[::-1], covs, PHASES_1S)  # not time sorted
     with pytest.raises(ValueError):
-        GmmModel([0.5, 0.6], means, covs, 1.0, PHASES_1S)
+        GmmModel([0.5, 0.6], means, covs, PHASES_1S)
     with pytest.raises(ValueError):
-        GmmModel([0.5, 0.5], means, covs, 2.0, PHASES_1S)  # phase/duration mismatch
-    with pytest.raises(ValueError):
-        GmmModel([], np.zeros((0, 2)), np.zeros((0, 2, 2)), 1.0, PHASES_1S)
+        GmmModel([], np.zeros((0, 2)), np.zeros((0, 2, 2)), PHASES_1S)
     # the generalization record is checked, not coerced
     for bad in ("no", 0, np.True_):
         with pytest.raises(ValueError, match="ablated must be a bool"):
-            GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S, ablated=bad)
+            GmmModel([0.5, 0.5], means, covs, PHASES_1S, ablated=bad)
         with pytest.raises(ValueError, match="ablate_covariance must be a bool"):
             ReparamConfig(ablate_covariance=bad)
     for bad in (-3, 2.0, -2.7, True):
         with pytest.raises(ValueError, match="spd_repairs must be"):
-            GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S, spd_repairs=bad)
-    counted = GmmModel([0.5, 0.5], means, covs, 1.0, PHASES_1S, spd_repairs=np.int64(2))
+            GmmModel([0.5, 0.5], means, covs, PHASES_1S, spd_repairs=bad)
+    counted = GmmModel([0.5, 0.5], means, covs, PHASES_1S, spd_repairs=np.int64(2))
     assert counted.spd_repairs == 2
 
 

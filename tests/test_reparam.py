@@ -25,7 +25,7 @@ def model_1d(x_means, slope=0.2, shape=1.0, tt=0.5):
     duration = float(times[-1])
     phases = PhaseSchedule(duration / 4.0, 3.0 * duration / 4.0, duration)
     return GmmModel(np.full(n, 1.0 / n), np.column_stack([times, x_means]),
-                    np.tile(cov, (n, 1, 1)), duration, phases)
+                    np.tile(cov, (n, 1, 1)), phases)
 
 
 EPS_1D = np.array([1e-4])
@@ -96,7 +96,7 @@ def random_spd_mixture(rng, n_comp, dim, thin, static_start=False, scale=1.0):
     phases = PhaseSchedule(0.25 * duration, 0.75 * duration, duration)
     return GmmModel(rng.dirichlet(np.ones(n_comp)),
                     np.column_stack([t_means, scale * rng.normal(size=(n_comp, dim))]),
-                    covs, duration, phases)
+                    covs, phases)
 
 
 def assert_bitwise_equal(got, want):
@@ -230,8 +230,7 @@ def test_mean_input_validation():
         reparam_means(model, np.zeros(2), np.zeros(1), EPS_1D)
     with pytest.raises(ValueError):
         reparam_means(model, np.array([np.nan]), np.array([1.0]), EPS_1D)
-    single = GmmModel([1.0], [[0.5, 0.0]], [np.eye(2)], 1.0,
-                      PhaseSchedule(0.25, 0.75, 1.0))
+    single = GmmModel([1.0], [[0.5, 0.0]], [np.eye(2)], PhaseSchedule(0.25, 0.75, 1.0))
     with pytest.raises(ValueError):
         reparam_means(single, np.zeros(1), np.ones(1), EPS_1D)
 
