@@ -305,13 +305,17 @@ def _config_value(action, value):
 
 
 def _apply_config_defaults(argv, registry) -> None:
-    if "--config" not in argv:
+    """Pre-set the subcommand's defaults from its --config file, found as
+    argparse finds it: --config FILE, --config=FILE or an abbreviation."""
+    if not argv or argv[0] not in registry:
         return
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-    if path is None or not argv or argv[0] not in registry:
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # a --config without a path: the full parse reports it
+        return
+    if path is None:
         return
     values = _read_json(path)
     if not isinstance(values, dict):

@@ -8,7 +8,7 @@ component, sorted by time center, of fitted and generalized mixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,24 +51,24 @@ class GmmModel:
 
     priors (G,), means (G, D+1) and covs (G, D+1, D+1) hold the components,
     strictly ordered by their time centers.  Covariances are symmetrized on
-    construction.  Regression reads each component's time-normalized slope
-    m_g = cov_xt / cov_tt, (G, D), and spatial shape C_g = cov_xx / cov_tt,
-    (G, D, D): a fitted model derives both from covs, while a generalized
-    model passes its adapted terms, whose Schur complements C - mm^T must
-    stay positive definite.  A generalized model also records its task,
-    whether the covariance update was ablated, and its SPD repair count.
-    The model's duration is its phase schedule's.
+    construction and are the only stored form of a component: regression
+    reads the time-normalized slope m_g = cov_xt / cov_tt, (G, D), and
+    spatial shape C_g = cov_xx / cov_tt, (G, D, D), both derived from covs.
+    A generalized model also records its task, whether the covariance
+    update was ablated, and its SPD repair count; a model without a task
+    keeps ablated=False and spd_repairs=0.  The model's duration is its
+    phase schedule's.
     """
 
     priors: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     phases: PhaseSchedule
-    slopes: np.ndarray | None = None
-    shapes: np.ndarray | None = None
     task: TaskSpec | None = None
     ablated: bool = False
     spd_repairs: int = 0
+    slopes: np.ndarray = field(init=False)
+    shapes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         priors = _frozen_array(self.priors)
@@ -98,7 +98,6 @@ class GmmModel:
         if not_spd.any():
             raise ValueError(f"component {_first(not_spd)}: covariance must be "
                              "symmetric positive definite")
-        tt = covs[:, 0, 0]
         total = priors.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"priors must sum to 1, got {float(total)!r}")
@@ -107,23 +106,14 @@ class GmmModel:
         if not isinstance(self.ablated, bool):
             raise ValueError(f"ablated must be a bool, got {self.ablated!r}")
         _check_int("spd_repairs", self.spd_repairs, 0)
-        if self.slopes is None and self.shapes is None:
-            slopes = _frozen_array(covs[:, 1:, 0] / tt[:, None])
-            shapes = _frozen_array(covs[:, 1:, 1:] / tt[:, None, None])
-        else:
-            slopes = _frozen_array(self.slopes)
-            shapes = _frozen_array(self.shapes)
-            dim = n_dim - 1
-            if slopes.shape != (n_comp, dim):
-                raise ValueError("slopes must be (G, D)")
-            if shapes.shape != (n_comp, dim, dim):
-                raise ValueError("shapes must be (G, D, D)")
-            if not (np.isfinite(slopes).all() and np.isfinite(shapes).all()):
-                raise ValueError("slopes and shapes must be finite")
-            schur = shapes - slopes[:, :, None] * slopes[:, None, :]
-            lost = _cholesky_fails(0.5 * (schur + schur.transpose(0, 2, 1)))
-            if lost.any():
-                raise ValueError(f"component {_first(lost)}: spatial shape lost definiteness")
+        if self.task is None:
+            for name in ("ablated", "spd_repairs"):
+                if getattr(self, name):
+                    raise ValueError(f"{name}={getattr(self, name)!r} needs a task: "
+                                     "only a generalized model records it")
+        tt = covs[:, 0, 0]
+        slopes = _frozen_array(covs[:, 1:, 0] / tt[:, None])
+        shapes = _frozen_array(covs[:, 1:, 1:] / tt[:, None, None])
         for name, value in (("priors", priors), ("means", means), ("covs", covs),
                             ("slopes", slopes), ("shapes", shapes)):
             object.__setattr__(self, name, value)
@@ -432,9 +422,6 @@ def model_to_dict(model: GmmModel) -> dict:
         ],
     }
     if model.task is not None:
-        for comp, slope, shape in zip(out["components"], model.slopes, model.shapes):
-            comp["m"] = [float(v) for v in slope]
-            comp["C"] = [float(v) for v in shape.ravel()]
         out["task"] = model.task.to_dict()
         out["ablate_covariance"] = model.ablated
         out["spd_repairs"] = int(model.spd_repairs)
@@ -442,7 +429,11 @@ def model_to_dict(model: GmmModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> GmmModel:
-    """Inverse of model_to_dict: reads the generalization keys iff "task" is present."""
+    """Inverse of model_to_dict: reads the generalization keys iff "task" is present.
+
+    Per-component "m" and "C" keys, which older generalized files carry,
+    are ignored: the terms are derived from "sigma".
+    """
     try:
         dim = obj["D"]
         _check_int("D", dim, 1)
@@ -476,12 +467,8 @@ def model_from_dict(obj: dict) -> GmmModel:
     generalized = {}
     if "task" in obj:
         try:
-            slopes = [_json_numbers(f"component {i}: m", c["m"]) for i, c in enumerate(raw)]
-            shapes = [_json_numbers(f"component {i}: C", c["C"]) for i, c in enumerate(raw)]
             ends = [_json_numbers(f"task {key}", obj["task"][key]) for key in ("start", "goal")]
             generalized = {
-                "slopes": np.array(slopes, dtype=float),
-                "shapes": np.array(shapes, dtype=float).reshape(len(raw), dim, dim),
                 "task": TaskSpec(*map(Pose.from_vector, ends)),
                 "ablated": obj.get("ablate_covariance", False),
                 "spd_repairs": obj.get("spd_repairs", 0),

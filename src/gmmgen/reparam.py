@@ -93,9 +93,11 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     multiplied by (new difference / old difference); dimensions whose old
     consecutive difference falls below eps keep their slope.  The spatial
     shape gets the rank-two update C + m'm'^T - mm^T, which leaves the
-    Schur complement C - mm^T unchanged.  Returns (slopes, shapes, covs,
-    repairs), where repairs counts reassembled covariances that rounding
-    left indefinite and that were clamped to COV_FLOOR.  As component 1
+    Schur complement C - mm^T unchanged, and the covariance is reassembled
+    as cov_tt [[1, m'^T], [m', C']].  Returns (covs, repairs), where repairs
+    counts reassembled covariances that rounding left indefinite and that
+    were clamped to COV_FLOOR; the model built from covs derives its slopes
+    and shapes from them, so a repair reaches regression.  As component 1
     keeps its slope, scaling the goal offsets (start at the first mean, goal
     first + s * span) scales the regression about the first mean only if
     component 1 is static (zero slope) and each dimension with s != 1 has
@@ -107,20 +109,16 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     ratio = np.where(keep, 1.0, d_new / np.where(keep, 1.0, d_old))
     old = model.slopes[1:]
     moved = ratio * old
-    shape = model.shapes[1:] + _outers(moved) - _outers(old)
     cov = np.empty((len(moved), model.dim + 1, model.dim + 1))
     cov[:, 0, 0] = 1.0
     cov[:, 0, 1:] = moved
     cov[:, 1:, 0] = moved
-    cov[:, 1:, 1:] = shape
+    cov[:, 1:, 1:] = model.shapes[1:] + _outers(moved) - _outers(old)
     cov = model.covs[1:, 0, 0, None, None] * cov
     broken = np.flatnonzero(_cholesky_fails(cov))
     for g in broken:
         cov[g] = _clamp_spd(cov[g], COV_FLOOR)
-    return (np.concatenate([model.slopes[:1], moved]),
-            np.concatenate([model.shapes[:1], shape]),
-            np.concatenate([model.covs[:1], cov]),
-            len(broken))
+    return np.concatenate([model.covs[:1], cov]), len(broken)
 
 
 def generalize(model: GmmModel, task: TaskSpec,
@@ -133,10 +131,9 @@ def generalize(model: GmmModel, task: TaskSpec,
     new_means = reparam_means(model, task.start_vector(), task.goal_vector(),
                               DEGENERATE_EPS)
     if config.ablate_covariance:
-        slopes, shapes, covs, repairs = model.slopes, model.shapes, model.covs, 0
+        covs, repairs = model.covs, 0
     else:
-        slopes, shapes, covs, repairs = reparam_covariances(model, new_means,
-                                                            DEGENERATE_EPS)
+        covs, repairs = reparam_covariances(model, new_means, DEGENERATE_EPS)
     means = np.column_stack([model.means[:, 0], new_means])
-    return GmmModel(model.priors, means, covs, model.phases, slopes, shapes, task=task,
+    return GmmModel(model.priors, means, covs, model.phases, task=task,
                     ablated=config.ablate_covariance, spd_repairs=repairs)

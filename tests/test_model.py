@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
-from gmmgen.data import PhaseSchedule, Trajectory
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _cluster_means,
                           _kmeans_distances, em_fit, fit_gmm, kmeans_init,
                           load_model, logsumexp, save_model)
@@ -19,8 +20,8 @@ from conftest import assert_monotone_loglik
 PHASES_1S = PhaseSchedule(0.2, 0.8, 1.0)
 
 
-def one_component(prior=1.0, mean=(0.5, 2.0), cov=((2.0, 1.0), (1.0, 3.0)), **terms):
-    return GmmModel([prior], [mean], [cov], PHASES_1S, **terms)
+def one_component(prior=1.0, mean=(0.5, 2.0), cov=((2.0, 1.0), (1.0, 3.0))):
+    return GmmModel([prior], [mean], [cov], PHASES_1S)
 
 
 def test_derived_slopes_shapes_hand_case():
@@ -34,9 +35,6 @@ def test_derived_slopes_shapes_hand_case():
     assert model.slopes.shape == (1, 1) and model.shapes.shape == (1, 1, 1)
     assert model.slopes[0, 0] == pytest.approx(0.5)
     assert model.shapes[0, 0, 0] == pytest.approx(1.5)
-    # given terms are kept as given
-    given = one_component(slopes=[[0.25]], shapes=[[[1.0]]])
-    assert given.slopes[0, 0] == 0.25 and given.shapes[0, 0, 0] == 1.0
 
 
 def test_component_validation():
@@ -80,22 +78,13 @@ def test_model_validation():
     for bad in (-3, 2.0, -2.7, True):
         with pytest.raises(ValueError, match="spd_repairs must be"):
             GmmModel([0.5, 0.5], means, covs, PHASES_1S, spd_repairs=bad)
-    counted = GmmModel([0.5, 0.5], means, covs, PHASES_1S, spd_repairs=np.int64(2))
+    task = TaskSpec(Pose(np.zeros(3), np.zeros(3)), Pose(np.ones(3), np.zeros(3)))
+    counted = GmmModel([0.5, 0.5], means, covs, PHASES_1S, task=task, spd_repairs=np.int64(2))
     assert counted.spd_repairs == 2
-
-
-def test_given_terms_validation():
-    # Schur complement C - mm^T = 1.0 - 1.5^2 < 0: the shape lost definiteness
-    with pytest.raises(ValueError, match="component 0: spatial shape lost definiteness"):
-        one_component(slopes=[[1.5]], shapes=[[[1.0]]])
-    with pytest.raises(ValueError):
-        one_component(slopes=[[0.5, 0.0]], shapes=[[[1.0]]])  # slopes not (G, D)
-    with pytest.raises(ValueError):
-        one_component(slopes=[[0.5]], shapes=[[1.0]])  # shapes not (G, D, D)
-    with pytest.raises(ValueError):
-        one_component(slopes=[[0.5]])  # shapes missing
-    with pytest.raises(ValueError):
-        one_component(slopes=[[np.inf]], shapes=[[[1.0]]])
+    # only a model with a task records a generalization, so none is lost on save
+    for name, value in (("ablated", True), ("spd_repairs", 3)):
+        with pytest.raises(ValueError, match=f"{name}={value} needs a task"):
+            GmmModel([0.5, 0.5], means, covs, PHASES_1S, **{name: value})
 
 
 def test_fitconfig_validation():
@@ -234,12 +223,35 @@ def test_model_json_roundtrip(tmp_path, model, scene, endpoints, kind):
     assert back.ablated == model.ablated and back.spd_repairs == model.spd_repairs
 
     doc = json.loads(path.read_text())
-    keys, comp_keys = ["D", "T", "phases", "components"], ["pi", "mu", "sigma"]
+    keys = ["D", "T", "phases", "components"]
     if kind != "fitted":
         keys += ["task", "ablate_covariance", "spd_repairs"]
-        comp_keys += ["m", "C"]
     assert list(doc) == keys
-    assert all(list(c) == comp_keys for c in doc["components"])
+    assert all(list(c) == ["pi", "mu", "sigma"] for c in doc["components"])
+
+
+def test_model_with_stored_terms_loads_them_from_sigma():
+    """A generalized model file in the older format, whose components also
+    carry their slope "m" and shape "C", still loads.  The file was written
+    by gmmgen at b3bc441: a 3-component 6-D test_reparam.random_spd_mixture
+    (default_rng(1), scale 0.1) generalized to a task."""
+    path = Path(__file__).parent / "data" / "parent_generalized_model.json"
+    doc = json.loads(path.read_text())
+    comps = doc["components"]
+    sigma = np.array([c["sigma"] for c in comps]).reshape(len(comps), 7, 7)
+    model = load_model(path)
+    assert np.array_equal(model.priors, [c["pi"] for c in comps])
+    assert np.array_equal(model.means, [c["mu"] for c in comps])
+    assert np.array_equal(model.covs, sigma)
+    assert np.array_equal(model.task.start_vector(), doc["task"]["start"])
+    assert np.array_equal(model.task.goal_vector(), doc["task"]["goal"])
+    assert not model.ablated and model.spd_repairs == 0
+    assert np.array_equal(model.slopes, sigma[:, 1:, 0] / sigma[:, :1, 0])
+    assert np.array_equal(model.shapes, sigma[:, 1:, 1:] / sigma[:, :1, :1])
+    # the stored terms are the adapted ones, which differ from sigma's in the last bits
+    stored = np.array([c["m"] for c in comps])
+    assert not np.array_equal(model.slopes, stored)
+    assert np.abs(model.slopes - stored).max() < 1e-15
 
 
 def test_load_model_rejects_bad_json(tmp_path):

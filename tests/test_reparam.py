@@ -38,10 +38,7 @@ def oracle_reparam_covariances(model, new_means, eps):
     the check does not rest on the model's own derived terms.
     """
     means = model.means[:, 1:]
-    slopes = np.stack([cov[1:, 0] / float(cov[0, 0]) for cov in model.covs])
-    spatial = np.stack([cov[1:, 1:] / float(cov[0, 0]) for cov in model.covs])
-    new_slopes = slopes.copy()
-    new_spatial = spatial.copy()
+    slopes, spatial = terms(model.covs)
     covs = np.array(model.covs, dtype=float)
     repairs = 0
     for g in range(1, model.n_components):
@@ -63,10 +60,15 @@ def oracle_reparam_covariances(model, new_means, eps):
         except np.linalg.LinAlgError:
             cov = _clamp_spd(cov, COV_FLOOR)
             repairs += 1
-        new_slopes[g] = slope
-        new_spatial[g] = shape
         covs[g] = cov
-    return new_slopes, new_spatial, covs, repairs
+    return covs, repairs
+
+
+def terms(covs):
+    """Slopes cov_xt / cov_tt and shapes cov_xx / cov_tt of a covariance stack,
+    computed one component at a time."""
+    return (np.stack([cov[1:, 0] / float(cov[0, 0]) for cov in covs]),
+            np.stack([cov[1:, 1:] / float(cov[0, 0]) for cov in covs]))
 
 
 def random_spd_mixture(rng, n_comp, dim, thin, static_start=False, scale=1.0):
@@ -100,9 +102,9 @@ def random_spd_mixture(rng, n_comp, dim, thin, static_start=False, scale=1.0):
 
 
 def assert_bitwise_equal(got, want):
-    for a, b in zip(got[:3], want[:3]):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert got[3] == want[3]
+    (covs, repairs), (want_covs, want_repairs) = got, want
+    assert covs.shape == want_covs.shape and covs.tobytes() == want_covs.tobytes()
+    assert repairs == want_repairs
 
 
 @settings(max_examples=150)
@@ -188,7 +190,7 @@ def test_reparam_covariances_repairs_match_oracle(model, scene, endpoints):
         got = reparam_covariances(thin, new_means, np.full(3, 1e-4))
         assert_bitwise_equal(got, oracle_reparam_covariances(thin, new_means,
                                                              np.full(3, 1e-4)))
-        repairs += got[3]
+        repairs += got[1]
     assert repairs > 0
     # and on the fitted model over sampled tasks
     eps = DEGENERATE_EPS
@@ -198,6 +200,24 @@ def test_reparam_covariances_repairs_match_oracle(model, scene, endpoints):
         new_means = reparam_means(model, task.start_vector(), task.goal_vector(), eps)
         assert_bitwise_equal(reparam_covariances(model, new_means, eps),
                              oracle_reparam_covariances(model, new_means, eps))
+
+
+def test_repaired_model_regresses_from_its_own_covariances():
+    """An SPD repair reaches the covariances, so it must reach regression:
+    the result regresses exactly as a model built from its covariances.
+    The seed gives a thin mixture whose adapted covariances need repairs
+    and whose regressed rotations stay below pi."""
+    rng = np.random.default_rng(738)
+    scale = rng.choice([0.3, 1.0])
+    model = random_spd_mixture(rng, 5, 6, thin=True, scale=scale)
+    first, last = model.means[0, 1:], model.means[-1, 1:]
+    start = rng.uniform(-1.0, 1.0, 6)
+    goal = start + rng.uniform(-30.0, 30.0, 6) * (last - first)
+    out = generalize(model, TaskSpec(Pose.from_vector(start), Pose.from_vector(goal)))
+    assert out.spd_repairs > 0
+    times = default_times(model.duration)
+    rebuilt = GmmModel(out.priors, out.means, out.covs, out.phases)
+    assert np.array_equal(regress(out, times).values, regress(rebuilt, times).values)
 
 
 def test_mean_scaling_hand_case():
@@ -238,7 +258,8 @@ def test_mean_input_validation():
 def test_covariance_slope_scaling_hand_case():
     model = model_1d([0.0, 1.0, 2.0], slope=0.2, shape=1.0, tt=0.5)
     new_means = reparam_means(model, np.array([0.0]), np.array([6.0]), EPS_1D)
-    slopes, shapes, covs, repairs = reparam_covariances(model, new_means, EPS_1D)
+    covs, repairs = reparam_covariances(model, new_means, EPS_1D)
+    slopes, shapes = terms(covs)
     # consecutive differences triple, so slopes triple for g >= 2
     assert slopes[0, 0] == 0.2  # first component untouched
     assert np.allclose(slopes[1:, 0], 0.6, atol=1e-14)
@@ -255,7 +276,7 @@ def test_covariance_slope_scaling_hand_case():
 def test_covariance_schur_complement_preserved():
     model = model_1d([0.0, 1.0, 2.0], slope=0.3, shape=1.5)
     new_means = reparam_means(model, np.array([-2.0]), np.array([10.0]), EPS_1D)
-    slopes, shapes, _, _ = reparam_covariances(model, new_means, EPS_1D)
+    slopes, shapes = terms(reparam_covariances(model, new_means, EPS_1D)[0])
     for g in range(model.n_components):
         old = 1.5 - 0.3**2
         new = shapes[g, 0, 0] - slopes[g, 0] ** 2
@@ -265,8 +286,8 @@ def test_covariance_schur_complement_preserved():
 def test_covariance_degenerate_difference_keeps_slope():
     model = model_1d([1.0, 1.0 + 1e-6])  # consecutive difference below eps
     new_means = np.array([[2.0], [5.0]])
-    slopes, _, covs, _ = reparam_covariances(model, new_means, np.array([0.5]))
-    assert slopes[1, 0] == 0.2
+    covs, _ = reparam_covariances(model, new_means, np.array([0.5]))
+    assert terms(covs)[0][1, 0] == 0.2
     assert np.allclose(covs[1], model.covs[1], atol=1e-15)
 
 
