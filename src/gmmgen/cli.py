@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -128,9 +129,11 @@ def cmd_generalize(args) -> int:
     config = ReparamConfig(ablate_covariance=args.ablate_covariance)
     times = bench.default_times(model.duration, args.rate)
     adapted = generalize(model, task, config)
+    # regress before writing, so a trajectory regress rejects leaves no file
+    traj = regress(adapted, times) if args.out_traj else None
     save_model(adapted, args.out_model)
-    if args.out_traj:
-        save_trajectory(regress(adapted, times), args.out_traj)
+    if traj is not None:
+        save_trajectory(traj, args.out_traj)
     print(f"generalized model written to {args.out_model}")
     return EXIT_OK
 
@@ -334,8 +337,27 @@ def _apply_config_defaults(argv, registry) -> None:
     sub.set_defaults(**defaults)
 
 
+def _attach_negative_values(argv):
+    """Write "--flag -0.38,0.25,..." as "--flag=-0.38,0.25,...".
+
+    argparse reads a token that starts with "-" as an option unless it is
+    one plain negative number, so a pose whose first number is negative
+    would be rejected as an unknown option.  No gmmgen flag starts with a
+    digit or ".", so such a token after a long flag is always its value.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (re.match(r"-\.?\d", token) and prev.startswith("--") and prev != "--"
+                and "=" not in prev):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
         _apply_config_defaults(argv, registry)

@@ -1,9 +1,12 @@
 """Condition the joint (time, pose) mixture on time to regress pose trajectories.
 
-Activation weights are computed in log space with a logsumexp
-normalization, so extreme query times degrade gracefully instead of
-producing NaNs.  Each component contributes a linear-in-time prediction
-built from its mean and time-normalized slope.
+Each component contributes a linear-in-time prediction m_g (t - c_g) + mu_g
+built from its time-normalized slope m_g, time center c_g and spatial mean
+mu_g.  The weighted sum over components is taken in closed form: with the
+offsets b_g = mu_g - m_g c_g it is (t (A M) + A B) / sum_g A, where A is the
+activation exp(log_w - max_g log_w).  The max shift makes every row's
+largest activation exactly 1, so extreme query times degrade gracefully
+instead of underflowing to 0/0.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Trajectory
-from .model import logsumexp
 
 
 def _validated_times(times, duration: float) -> np.ndarray:
@@ -32,8 +34,11 @@ def _validated_times(times, duration: float) -> np.ndarray:
 def regress(model, times) -> Trajectory:
     """Expected pose at each query time.
 
-    Query times must be strictly increasing within [0, duration]; the
-    output trajectory is re-anchored so its first timestamp is zero.
+    The weights are the max-shifted activations (n, G) divided by their row
+    sums, applied through two (n, G) matrix products: one with the slopes
+    and one with the per-component offsets.  Query times must be strictly
+    increasing within [0, duration]; the output trajectory is re-anchored
+    so its first timestamp is zero.
     """
     try:
         priors, means, covs, slopes = model.priors, model.means, model.covs, model.slopes
@@ -46,9 +51,10 @@ def regress(model, times) -> Trajectory:
     log_w = (np.log(priors)[None, :]
              - 0.5 * np.log(2.0 * np.pi * t_vars)[None, :]
              - sq / (2.0 * t_vars[None, :]))
-    weights = np.exp(log_w - logsumexp(log_w, axis=1, keepdims=True))
-    # added in place: one (n, G, D) temporary per call, not two
-    preds = slopes[None, :, :] * (times[:, None, None] - means[None, :, 0, None])
-    preds += means[None, :, 1:]
-    values = np.einsum("ng,ngd->nd", weights, preds)
+    log_w -= log_w.max(axis=1, keepdims=True)
+    act = np.exp(log_w, out=log_w)
+    offsets = means[:, 1:] - slopes * t_means[:, None]
+    values = times[:, None] * (act @ slopes)
+    values += act @ offsets
+    values /= act.sum(axis=1, keepdims=True)
     return Trajectory(times - times[0], values)

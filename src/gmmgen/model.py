@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .data import (GRASP_DURATION, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec, Trajectory,
-                   _check_int, _check_real, _frozen_array, _json_numbers, _read_json, _write_json)
+from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec,
+                   Trajectory, _check_int, _check_real, _frozen_array, _json_numbers, _read_json,
+                   _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -54,10 +55,10 @@ class GmmModel:
     construction and are the only stored form of a component: regression
     reads the time-normalized slope m_g = cov_xt / cov_tt, (G, D), and
     spatial shape C_g = cov_xx / cov_tt, (G, D, D), both derived from covs.
-    A generalized model also records its task, whether the covariance
-    update was ablated, and its SPD repair count; a model without a task
-    keeps ablated=False and spd_repairs=0.  The model's duration is its
-    phase schedule's.
+    A generalized model also records its task, whose poses need D = 6,
+    whether the covariance update was ablated, and its SPD repair count; a
+    model without a task keeps ablated=False and spd_repairs=0.  The
+    model's duration is its phase schedule's.
     """
 
     priors: np.ndarray
@@ -111,6 +112,9 @@ class GmmModel:
                 if getattr(self, name):
                     raise ValueError(f"{name}={getattr(self, name)!r} needs a task: "
                                      "only a generalized model records it")
+        elif n_dim - 1 != POSE_DIM:
+            raise ValueError(f"task: its poses are {POSE_DIM}-D but the model is "
+                             f"{n_dim - 1}-D")
         tt = covs[:, 0, 0]
         slopes = _frozen_array(covs[:, 1:, 0] / tt[:, None])
         shapes = _frozen_array(covs[:, 1:, 1:] / tt[:, None, None])

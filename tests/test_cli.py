@@ -9,6 +9,8 @@ from gmmgen.data import TaskSpec, Trajectory, load_trajectory, save_trajectory
 from gmmgen.model import load_model, save_model
 from gmmgen.reparam import generalize
 
+from test_reparam import random_spd_mixture
+
 SCENE_JSON = Path(__file__).resolve().parents[1] / "scenes" / "shelf_default.json"
 
 
@@ -192,6 +194,47 @@ def test_generalize_bad_pose_exit2(work, capsys):
                      "--out-model", "/dev/null"])
         assert code == 2
         assert f"error: pose '{start}': " in capsys.readouterr().err
+
+
+def test_generalize_rejected_trajectory_writes_no_file(tmp_path, capsys):
+    """A thin mixture whose regressed first pose turns past pi: regress
+    rejects the trajectory, and neither output file is written."""
+    rng = np.random.default_rng(31)
+    scale = rng.choice([0.3, 1.0])
+    model = random_spd_mixture(rng, 5, 6, thin=True, scale=scale)
+    first, last = model.means[0, 1:], model.means[-1, 1:]
+    start = rng.uniform(-1.0, 1.0, 6)
+    goal = start + rng.uniform(-30.0, 30.0, 6) * (last - first)
+    save_model(model, tmp_path / "thin.json")
+    out_model, out_traj = tmp_path / "gen.json", tmp_path / "gen.csv"
+    code = main(["generalize", "--model", str(tmp_path / "thin.json"),
+                 f"--start={pose_arg(start)}", f"--goal={pose_arg(goal)}",
+                 "--out-model", str(out_model), "--out-traj", str(out_traj)])
+    assert code == 2
+    assert ("error: sample 0: rotation-vector magnitude 3.680180 rad must stay below pi"
+            in capsys.readouterr().err)
+    assert not out_model.exists()
+    assert not out_traj.exists()
+
+
+@pytest.mark.parametrize("flags", [("--start", "--goal"), ("--sta", "--go")])
+def test_pose_with_negative_first_number_as_its_own_token(work, tmp_path, flags):
+    """"--start -0.38,..." reads the pose as "--start=-0.38,..." does, in
+    generalize and evaluate, also through an abbreviated flag."""
+    start, goal = "-0.38,0.25,0.46,0.0,0.0,0.0", "-0.1,-0.25,0.063,0.0,0.0,-0.2"
+    model = str(work / "model.json")
+    spelled = {"joined": ["--start=" + start, "--goal=" + goal],
+               "separate": [flags[0], start, flags[1], goal]}
+    for name, pose in spelled.items():
+        d = tmp_path / name
+        d.mkdir()
+        assert main(["generalize", "--model", model, *pose, "--out-model", str(d / "gen.json"),
+                     "--out-traj", str(d / "gen.csv")]) == 0
+        assert main(["evaluate", "--traj", str(tmp_path / "joined" / "gen.csv"),
+                     "--model", model, *pose, "--out", str(d / "report.json")]) == 0
+    for file in ("gen.json", "gen.csv", "report.json"):
+        assert (tmp_path / "separate" / file).read_bytes() == \
+            (tmp_path / "joined" / file).read_bytes()
 
 
 def test_evaluate_reports_success(work, tmp_path, endpoint_args):

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from gmmgen.bench import default_times
 from gmmgen.data import PhaseSchedule
 from gmmgen.gmr import regress
 from gmmgen.model import GmmModel
+from gmmgen.reparam import ReparamConfig, generalize
+from gmmgen.scene import sample_task
+
+from test_reparam import random_spd_mixture
 
 
 def two_component_model(priors=(0.5, 0.5), t_means=(1.0, 3.0), x_means=(0.0, 1.0),
@@ -111,3 +119,75 @@ def test_regress_reanchors_offset_times():
     traj = regress(model, [1.0, 2.0, 3.0])
     assert traj.times[0] == 0.0
     assert np.allclose(traj.times, [0.0, 1.0, 2.0])
+
+
+def component_predictions(model, times):
+    """Every component's prediction m_g (t - c_g) + mu_g at every time, (n, G, D)."""
+    return (model.slopes[None, :, :] * (times[:, None, None] - model.means[None, :, 0, None])
+            + model.means[None, :, 1:])
+
+
+def oracle_regress(model, times):
+    """Reference regression: weights normalized through logsumexp, contracted
+    by einsum with the full (n, G, D) array of component predictions."""
+    times = np.asarray(times, dtype=float)
+    t_means, t_vars = model.means[:, 0], model.covs[:, 0, 0]
+    log_w = (np.log(model.priors)[None, :]
+             - 0.5 * np.log(2.0 * np.pi * t_vars)[None, :]
+             - (times[:, None] - t_means[None, :]) ** 2 / (2.0 * t_vars[None, :]))
+    weights = np.exp(log_w - logsumexp(log_w, axis=1, keepdims=True))
+    return np.einsum("ng,ngd->nd", weights, component_predictions(model, times))
+
+
+def assert_matches_oracle(model, times):
+    traj = regress(model, times)
+    assert np.array_equal(traj.times, times - times[0])
+    np.testing.assert_allclose(traj.values, oracle_regress(model, times), rtol=0.0, atol=1e-12)
+
+
+def test_regress_matches_oracle_on_fitted_model(model, times):
+    assert_matches_oracle(model, times)
+
+
+@pytest.mark.parametrize("ablate", [False, True])
+@pytest.mark.parametrize("mode", ["translational", "combined"])
+def test_regress_matches_oracle_on_generalized_models(model, times, scene, endpoints,
+                                                      mode, ablate):
+    rng = np.random.default_rng(5)
+    config = ReparamConfig(ablate_covariance=ablate)
+    for _ in range(10):
+        task = sample_task(scene, mode, rng, *endpoints)
+        assert_matches_oracle(generalize(model, task, config), times)
+
+
+# Random mixtures stay below 6-D: a random 6-D mean path can turn a regressed
+# rotation vector past pi, which Trajectory rejects.
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 8), dim=st.integers(1, 5),
+       thin=st.booleans(), rate=st.sampled_from([10.0, 100.0]))
+def test_regress_matches_oracle_on_random_mixtures(seed, n_comp, dim, thin, rate):
+    model = random_spd_mixture(np.random.default_rng(seed), n_comp, dim, thin)
+    assert_matches_oracle(model, default_times(model.duration, rate))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 8), dim=st.integers(1, 5),
+       spread=st.sampled_from([1e-4, 1e-6, 1e-9]))
+def test_regress_far_from_every_component_stays_in_prediction_range(seed, n_comp, dim,
+                                                                    spread):
+    """With time deviations of at most `spread` s, every query at t = 0, at a
+    midpoint between centers and at the end is at least 0.1 s, or 1e3
+    deviations, from every center, so every linear-space weight underflows.
+    Each regressed value stays finite and within the range of the
+    components' own predictions at that time."""
+    model = random_spd_mixture(np.random.default_rng(seed), n_comp, dim, thin=False)
+    covs = model.covs * (spread**2 / model.covs[:, 0, 0].max())
+    narrow = GmmModel(model.priors, model.means, covs, model.phases)
+    centers = narrow.means[:, 0]
+    times = np.concatenate([[0.0], 0.5 * (centers[1:] + centers[:-1]), [narrow.duration]])
+    values = regress(narrow, times).values
+    preds = component_predictions(narrow, times)
+    lo, hi = preds.min(axis=1), preds.max(axis=1)
+    slack = 1e-12 * np.maximum(1.0, np.abs(preds).max(axis=1))
+    assert np.isfinite(values).all()
+    assert np.all((values >= lo - slack) & (values <= hi + slack))

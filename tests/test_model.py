@@ -79,12 +79,36 @@ def test_model_validation():
         with pytest.raises(ValueError, match="spd_repairs must be"):
             GmmModel([0.5, 0.5], means, covs, PHASES_1S, spd_repairs=bad)
     task = TaskSpec(Pose(np.zeros(3), np.zeros(3)), Pose(np.ones(3), np.zeros(3)))
-    counted = GmmModel([0.5, 0.5], means, covs, PHASES_1S, task=task, spd_repairs=np.int64(2))
+    pose_means = np.column_stack([[0.0, 1.0], np.zeros((2, 6))])
+    counted = GmmModel([0.5, 0.5], pose_means, [np.eye(7)] * 2, PHASES_1S, task=task,
+                       spd_repairs=np.int64(2))
     assert counted.spd_repairs == 2
     # only a model with a task records a generalization, so none is lost on save
     for name, value in (("ablated", True), ("spd_repairs", 3)):
         with pytest.raises(ValueError, match=f"{name}={value} needs a task"):
             GmmModel([0.5, 0.5], means, covs, PHASES_1S, **{name: value})
+
+
+def test_model_task_needs_pose_dimension(tmp_path):
+    task = TaskSpec(Pose(np.zeros(3), np.zeros(3)), Pose(np.ones(3), np.zeros(3)))
+    for dim in (1, 2, 7):
+        means = np.column_stack([[0.0, 1.0], np.zeros((2, dim))])
+        covs = [np.eye(dim + 1)] * 2
+        with pytest.raises(ValueError,
+                           match=f"^task: its poses are 6-D but the model is {dim}-D$"):
+            GmmModel([0.5, 0.5], means, covs, PHASES_1S, task=task)
+        # the existing checks still come first
+        with pytest.raises(ValueError, match="priors must sum to 1"):
+            GmmModel([0.5, 0.6], means, covs, PHASES_1S, task=task)
+    # a saved 1-D model given a task's keys no longer loads
+    doc = {"D": 1, "T": 1.0, "phases": {"grasp_end": 0.2, "release_start": 0.8},
+           "components": [{"pi": 1.0, "mu": [0.5, 0.0], "sigma": [1.0, 0.0, 0.0, 1.0]}],
+           "task": task.to_dict()}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match="model.json: task: its poses are 6-D but the model is 1-D"):
+        load_model(path)
 
 
 def test_fitconfig_validation():
