@@ -9,8 +9,8 @@ from .metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
 from .model import (FitConfig, FitResult, GmmModel, em_fit, fit_gmm, kmeans_init,
                     load_model, save_model)
 from .reparam import ReparamConfig, generalize, reparam_covariances, reparam_means
-from .scene import (Scene, Slab, SuccessThresholds, box_collides, default_scene,
-                    load_scene, sample_task, save_scene, trajectory_success)
+from .scene import (Scene, Slab, SuccessThresholds, default_scene, load_scene, sample_task,
+                    save_scene, trajectory_success)
 from .synth import SynthConfig, generate_demonstrations
 
 __version__ = "0.1.0"
@@ -19,10 +19,9 @@ __all__ = [
     "EvalReport", "FailureReason", "FitConfig", "FitResult", "GmmModel",
     "PhaseSchedule", "Pose", "ReparamConfig", "Scene", "Slab",
     "SuccessThresholds", "SynthConfig", "TaskSpec", "Trajectory",
-    "average_jerk", "boundary_error", "box_collides", "default_scene", "em_fit",
-    "fit_gmm", "generalize", "generate_demonstrations", "kmeans_init", "load_model",
-    "load_scene", "load_trajectory", "phase_deviation", "regress",
-    "reparam_covariances", "reparam_means", "resample", "rotation_angle_deg",
-    "sample_task", "save_model", "save_scene", "save_trajectory", "shape_deviation",
-    "trajectory_success",
+    "average_jerk", "boundary_error", "default_scene", "em_fit", "fit_gmm",
+    "generalize", "generate_demonstrations", "kmeans_init", "load_model", "load_scene",
+    "load_trajectory", "phase_deviation", "regress", "reparam_covariances",
+    "reparam_means", "resample", "rotation_angle_deg", "sample_task", "save_model",
+    "save_scene", "save_trajectory", "shape_deviation", "trajectory_success",
 ]

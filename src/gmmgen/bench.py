@@ -39,12 +39,14 @@ def default_times(duration: float, rate: float = SAMPLE_RATE) -> np.ndarray:
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
                         reference: Trajectory, phases: PhaseSchedule,
                         thresholds: SuccessThresholds = SuccessThresholds()) -> EvalReport:
-    """Score one trajectory with the full metric suite plus the success check."""
-    (start_mm, start_deg), (goal_mm, goal_deg) = boundary_error(traj, task)
+    """Score one trajectory with the full metric suite plus the success check;
+    the report and the verdict read the same boundary errors."""
+    boundary = boundary_error(traj, task)
+    (start_mm, start_deg), (goal_mm, goal_deg) = boundary
     (grasp_mm, grasp_deg), (release_mm, release_deg) = phase_deviation(traj, phases)
     shape = shape_deviation(traj, reference)
     jerk_lin, jerk_ang = average_jerk(traj)
-    success, reason = trajectory_success(traj, scene, task, thresholds)
+    success, reason = trajectory_success(traj, scene, boundary, thresholds)
     return EvalReport(
         success=success,
         failure_reason=reason,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -52,6 +53,25 @@ def _add_threshold_flags(sub):
                      default=SuccessThresholds.max_boundary_rot_deg)
     sub.add_argument("--collision-samples", type=int, default=SuccessThresholds.collision_samples,
                      help="poses sampled along the trajectory for collision checks")
+
+
+def _save_all_or_nothing(saves) -> None:
+    """Run each (save, obj, path) as save(obj, temporary file beside path),
+    then move the files into place only once every save succeeded, so a
+    failed save leaves none of them behind."""
+    temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.{i}.tmp")
+             for i, (_, _, path) in enumerate(saves)]
+    try:
+        for (save, obj, path), temp in zip(saves, temps):
+            try:
+                save(obj, temp)
+            except OSError as exc:  # name the output, not its temporary file
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+        for (_, _, path), temp in zip(saves, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def cmd_synth(args) -> int:
@@ -129,11 +149,10 @@ def cmd_generalize(args) -> int:
     config = ReparamConfig(ablate_covariance=args.ablate_covariance)
     times = bench.default_times(model.duration, args.rate)
     adapted = generalize(model, task, config)
-    # regress before writing, so a trajectory regress rejects leaves no file
-    traj = regress(adapted, times) if args.out_traj else None
-    save_model(adapted, args.out_model)
-    if traj is not None:
-        save_trajectory(traj, args.out_traj)
+    saves = [(save_model, adapted, args.out_model)]
+    if args.out_traj:
+        saves.append((save_trajectory, regress(adapted, times), args.out_traj))
+    _save_all_or_nothing(saves)
     print(f"generalized model written to {args.out_model}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from scipy.spatial.transform import Rotation
 
 from .data import (Pose, TaskSpec, Trajectory, _check_int, _check_real, _json_numbers,
                    _read_json, _write_json, resample)
-from .metrics import FailureReason, boundary_error
+from .metrics import FailureReason
 
 REST_CLEARANCE = 0.003
 SAMPLE_ATTEMPTS = 100  # endpoint draws before sample_task gives up
@@ -130,28 +130,26 @@ def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
     return ~separated.any(axis=1)
 
 
-def box_collides(pose: Pose, box_dims, slab: Slab) -> bool:
-    """Does the box at pose touch or overlap the slab?  See collision_mask."""
-    return bool(collision_mask(pose.position, pose.orientation, box_dims, (slab,))[0, 0])
-
-
 def scene_collides(pose: Pose, scene: Scene) -> bool:
     """Does the box at pose touch or overlap any slab of the scene?"""
     return bool(collision_mask(pose.position, pose.orientation, scene.box_dims,
                                scene.slabs).any())
 
 
-def trajectory_success(traj: Trajectory, scene: Scene, task: TaskSpec,
+def trajectory_success(traj: Trajectory, scene: Scene, boundary,
                        thresholds: SuccessThresholds = SuccessThresholds()):
     """(flag, reason): collision-free at sampled poses and boundary within bounds.
 
-    All sampled poses go through one collision_mask call.
+    boundary is ((start_mm, start_deg), (goal_mm, goal_deg)), traj's errors
+    against its task as the metrics module reports them; an error equal to
+    its threshold passes.  All sampled poses go through one collision_mask
+    call, and a collision outranks a boundary failure.
     """
     sampled = resample(traj, thresholds.collision_samples)
     if collision_mask(sampled.positions(), sampled.orientations(), scene.box_dims,
                       scene.slabs).any():
         return False, FailureReason.COLLISION
-    (start_mm, start_deg), (goal_mm, goal_deg) = boundary_error(traj, task)
+    (start_mm, start_deg), (goal_mm, goal_deg) = boundary
     if (start_mm > thresholds.max_boundary_pos_mm
             or goal_mm > thresholds.max_boundary_pos_mm
             or start_deg > thresholds.max_boundary_rot_deg

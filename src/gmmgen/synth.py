@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import (GRASP_DURATION, RELEASE_DURATION, SAMPLE_RATE, PhaseSchedule, Pose,
                    TaskSpec, Trajectory, _check_int, _check_real)
+from .metrics import boundary_error
 from .scene import Scene, SuccessThresholds, rest_height, trajectory_success
 
 NOISE_WAVES = 3
@@ -113,7 +114,7 @@ def generate_demonstrations(scene: Scene, cfg: SynthConfig = SynthConfig()):
             rng = np.random.default_rng([cfg.seed, j, attempt])
             noise = _smooth_noise(times, rng, sigmas * 0.5**attempt)
             traj = Trajectory(times, base + envelope * noise)
-            ok, _ = trajectory_success(traj, scene, task, thresholds)
+            ok, _ = trajectory_success(traj, scene, boundary_error(traj, task), thresholds)
             if ok:
                 demos.append(traj)
                 break

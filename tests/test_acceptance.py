@@ -19,7 +19,7 @@ from gmmgen.metrics import average_jerk, boundary_error, shape_deviation
 from gmmgen.model import (FitConfig, GmmModel, em_fit, fit_gmm, kmeans_init,
                           save_model)
 from gmmgen.reparam import DEGENERATE_EPS, ReparamConfig, generalize
-from gmmgen.scene import Slab, box_collides, sample_task
+from gmmgen.scene import Slab, collision_mask, sample_task
 
 from conftest import assert_monotone_loglik, record_acceptance
 
@@ -264,10 +264,11 @@ def test_ac8_metric_and_scene_oracles():
                                          np.zeros((60, 3))]))
     procrustes = shape_deviation(moved, ref)
 
-    origin = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    sat_ok = (box_collides(origin, (1, 1, 1), Slab((0.49, -1, -1), (1, 1, 1)))
-              and not box_collides(origin, (1, 1, 1), Slab((0.51, -1, -1), (1, 1, 1)))
-              and box_collides(origin, (1, 1, 1), Slab((0.5, -1, -1), (1, 1, 1))))
+    # unit box at the origin: 0.01 overlap, 0.01 gap, touching faces
+    hand_slabs = (Slab((0.49, -1, -1), (1, 1, 1)), Slab((0.51, -1, -1), (1, 1, 1)),
+                  Slab((0.5, -1, -1), (1, 1, 1)))
+    sat_ok = collision_mask(np.zeros(3), np.zeros(3), (1, 1, 1),
+                            hand_slabs).tolist() == [[True, False, True]]
 
     duration = 5.0
     qt = np.linspace(0.0, duration, 501)

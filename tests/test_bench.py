@@ -3,13 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from gmmgen import bench
 from gmmgen.bench import (SUMMARY_COLUMNS, default_times, evaluate_trajectory,
                           model_endpoints, run_benchmark, summarize,
                           summary_csv_lines, write_summary_csv,
                           write_trials_jsonl)
-from gmmgen.data import TaskSpec
+from gmmgen.data import TaskSpec, resample
 from gmmgen.gmr import regress
-from gmmgen.reparam import ReparamConfig
+from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
+                            phase_deviation, shape_deviation)
+from gmmgen.reparam import ReparamConfig, generalize
+from gmmgen.scene import SuccessThresholds, collision_mask, sample_task
 
 
 def test_summary_columns_are_frozen():
@@ -47,6 +51,64 @@ def test_evaluate_identity_regression(model, scene, times, corpus):
     # the mixture blends components, so endpoints land close but not exact
     assert report.start_error_mm < 2.0 and report.goal_error_mm < 2.0
     assert report.start_error_deg < 0.5 and report.goal_error_deg < 0.5
+
+
+def oracle_trajectory_success(traj, scene, task, thresholds):
+    """The success verdict in its former two-call form: it computed the
+    boundary errors itself instead of reading the report's."""
+    sampled = resample(traj, thresholds.collision_samples)
+    if collision_mask(sampled.positions(), sampled.orientations(), scene.box_dims,
+                      scene.slabs).any():
+        return False, FailureReason.COLLISION
+    (start_mm, start_deg), (goal_mm, goal_deg) = boundary_error(traj, task)
+    if (start_mm > thresholds.max_boundary_pos_mm
+            or goal_mm > thresholds.max_boundary_pos_mm
+            or start_deg > thresholds.max_boundary_rot_deg
+            or goal_deg > thresholds.max_boundary_rot_deg):
+        return False, FailureReason.BOUNDARY
+    return True, FailureReason.NONE
+
+
+def oracle_evaluate(traj, task, scene, reference, phases, thresholds) -> EvalReport:
+    (start_mm, start_deg), (goal_mm, goal_deg) = boundary_error(traj, task)
+    (grasp_mm, grasp_deg), (release_mm, release_deg) = phase_deviation(traj, phases)
+    jerk_lin, jerk_ang = average_jerk(traj)
+    success, reason = oracle_trajectory_success(traj, scene, task, thresholds)
+    return EvalReport(success, reason, start_mm, start_deg, goal_mm, goal_deg,
+                      grasp_mm, grasp_deg, release_mm, release_deg,
+                      shape_deviation(traj, reference), jerk_lin, jerk_ang)
+
+
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+@pytest.mark.parametrize("thresholds", [SuccessThresholds(),
+                                        SuccessThresholds(max_boundary_pos_mm=0.5)],
+                         ids=["default", "tight"])
+def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkeypatch,
+                                                     mode, ablate, thresholds):
+    """Every benchmark report equals the former two-call evaluation, and
+    evaluate_trajectory computes the boundary errors once per trajectory."""
+    calls = []
+    monkeypatch.setattr(bench, "boundary_error",
+                        lambda *args: calls.append(args) or boundary_error(*args))
+    config = ReparamConfig(ablate_covariance=ablate)
+    result = run_benchmark(model, scene, mode, trials=30, seed=11, config=config,
+                           thresholds=thresholds)
+    assert len(calls) == 30
+    monkeypatch.undo()
+    reference = regress(model, times)
+    base_start, base_goal = model_endpoints(model)
+    for record in result.trials:
+        rng = np.random.default_rng([11, record.index])
+        task = sample_task(scene, mode, rng, base_start, base_goal)
+        assert task.to_dict() == record.task.to_dict()
+        traj = regress(generalize(model, task, config), times)
+        assert record.report == oracle_evaluate(traj, task, scene, reference, model.phases,
+                                                thresholds)
+    reasons = {record.report.failure_reason for record in result.trials}
+    assert FailureReason.COLLISION in reasons
+    if thresholds.max_boundary_pos_mm < 10.0:
+        assert FailureReason.BOUNDARY in reasons
 
 
 def test_summarize_hand_check(model, scene):

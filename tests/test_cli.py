@@ -217,7 +217,23 @@ def test_generalize_rejected_trajectory_writes_no_file(tmp_path, capsys):
     assert not out_traj.exists()
 
 
-@pytest.mark.parametrize("flags", [("--start", "--goal"), ("--sta", "--go")])
+@pytest.mark.parametrize("unwritable", ["--out-model", "--out-traj"])
+def test_generalize_unwritable_output_writes_no_file(work, tmp_path, endpoint_args, capsys,
+                                                     unwritable):
+    """An OSError while writing either output leaves neither output, nor a
+    temporary file, behind; the error names the output path."""
+    start, goal = endpoint_args
+    outs = {"--out-model": tmp_path / "gen.json", "--out-traj": tmp_path / "gen.csv"}
+    outs[unwritable] = tmp_path / "nodir" / outs[unwritable].name
+    code = main(["generalize", "--model", str(work / "model.json"),
+                 "--start", start, "--goal", goal,
+                 *(token for flag, path in outs.items() for token in (flag, str(path)))])
+    assert code == 2
+    assert f"No such file or directory: '{outs[unwritable]}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags",[("--start", "--goal"), ("--sta", "--go")])
 def test_pose_with_negative_first_number_as_its_own_token(work, tmp_path, flags):
     """"--start -0.38,..." reads the pose as "--start=-0.38,..." does, in
     generalize and evaluate, also through an abbreviated flag."""

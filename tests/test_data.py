@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmgen.bench import default_times
-from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, TaskSpec, Trajectory,
+from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, Trajectory,
                          TrajectoryFormatError, load_trajectory, resample,
                          save_trajectory)
 from gmmgen.metrics import average_jerk, phase_deviation
@@ -255,9 +255,9 @@ def test_load_trajectory_rejects_mutated_csv_with_located_error(tmp_path_factory
 def test_pose_consumers_share_the_pose_row_error(scene, tmp_path, consumer):
     """Every reader of pose columns goes through Trajectory.positions() and
     orientations(), so a non-pose trajectory fails with their one error."""
-    task = TaskSpec(Pose(np.zeros(3), np.zeros(3)), Pose(np.ones(3), np.zeros(3)))
     call = {
-        "trajectory_success": lambda traj: trajectory_success(traj, scene, task),
+        "trajectory_success": lambda traj: trajectory_success(traj, scene,
+                                                              ((0.0, 0.0), (0.0, 0.0))),
         "phase_deviation": lambda traj: phase_deviation(traj, PhaseSchedule(1.0, 2.0, 3.0)),
         "average_jerk": average_jerk,
         "render_svg": lambda traj: render_svg([traj]),

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from gmmgen.data import Pose, TaskSpec, Trajectory
-from gmmgen.metrics import FailureReason
-from gmmgen.scene import (REST_CLEARANCE, Scene, Slab, SuccessThresholds,
-                          box_collides, collision_mask, default_scene,
-                          load_scene, rest_height, sample_task, save_scene,
+from gmmgen.metrics import FailureReason, boundary_error
+from gmmgen.scene import (REST_CLEARANCE, Scene, Slab, SuccessThresholds, collision_mask,
+                          default_scene, load_scene, rest_height, sample_task, save_scene,
                           scene_collides, scene_to_dict, trajectory_success)
 
 from conftest import mutated
@@ -121,11 +120,9 @@ def test_collision_mask_matches_oracle_on_scene_poses(scene):
     expected = oracle_mask(positions, rotvecs, scene.box_dims, scene.slabs)
     assert np.array_equal(mask, expected)
     assert 0 < mask.sum() < mask.size
-    # the one-pose wrappers read the same kernel
+    # the one-pose wrapper reads the same kernel
     for i in range(0, 400, 37):
-        pose = Pose(positions[i], rotvecs[i])
-        assert scene_collides(pose, scene) == expected[i].any()
-        assert [box_collides(pose, scene.box_dims, s) for s in scene.slabs] == list(expected[i])
+        assert scene_collides(Pose(positions[i], rotvecs[i]), scene) == expected[i].any()
 
 
 def test_collision_mask_empty_inputs(scene):
@@ -135,36 +132,35 @@ def test_collision_mask_empty_inputs(scene):
 
 
 def test_separating_axis_hand_cases():
-    # unit box at origin vs slab approaching along +x: 0.01 overlap vs 0.01 gap
-    assert box_collides(ORIGIN, UNIT_BOX, Slab((0.49, -1, -1), (1, 1, 1)))
-    assert not box_collides(ORIGIN, UNIT_BOX, Slab((0.51, -1, -1), (1, 1, 1)))
-    # touching faces count as collision
-    assert box_collides(ORIGIN, UNIT_BOX, Slab((0.5, -1, -1), (1, 1, 1)))
-    # far away / containment
-    assert not box_collides(ORIGIN, UNIT_BOX, Slab((5, 5, 5), (6, 6, 6)))
-    assert box_collides(Pose([5.5, 5.5, 5.5], [0, 0, 0]), UNIT_BOX,
-                        Slab((5, 5, 5), (6, 6, 6)))
+    # unit box at origin vs slab approaching along +x: 0.01 overlap vs 0.01
+    # gap; touching faces count as collision; a far slab is clear
+    slabs = (Slab((0.49, -1, -1), (1, 1, 1)), Slab((0.51, -1, -1), (1, 1, 1)),
+             Slab((0.5, -1, -1), (1, 1, 1)), Slab((5, 5, 5), (6, 6, 6)))
+    mask = collision_mask(ORIGIN.position, ORIGIN.orientation, UNIT_BOX, slabs)
+    assert mask.tolist() == [[True, False, True, False]]
+    # containment
+    assert collision_mask([5.5, 5.5, 5.5], [0, 0, 0], UNIT_BOX, slabs[3:]).tolist() == [[True]]
 
 
 def test_separating_axis_respects_yaw():
     # 0.2 x 0.1 x 0.1 box yawed 90 degrees: the long side turns into y
-    yawed = Pose([0.0, 0.0, 0.0], [0.0, 0.0, np.pi / 2.0])
+    yawed = [0.0, 0.0, np.pi / 2.0]
     dims = (0.2, 0.1, 0.1)
     near = Slab((-1.0, 0.09, -1.0), (1.0, 1.0, 1.0))
-    assert box_collides(yawed, dims, near)
-    assert not box_collides(ORIGIN, dims, near)  # unrotated clears it
     far = Slab((-1.0, 0.11, -1.0), (1.0, 1.0, 1.0))
-    assert not box_collides(yawed, dims, far)
+    mask = collision_mask(np.zeros((2, 3)), [yawed, ORIGIN.orientation], dims, (near, far))
+    # only the yawed box reaches the near slab; the unrotated one clears it
+    assert mask.tolist() == [[True, False], [False, False]]
 
 
 def test_separating_axis_diagonal_support():
     # 45-degree yaw stretches the support along x to 0.1*sqrt(2) ~ 0.1414
-    pose = Pose([0.0, 0.0, 0.0], [0.0, 0.0, np.pi / 4.0])
+    rotvecs = [[0.0, 0.0, np.pi / 4.0], ORIGIN.orientation]
     dims = (0.2, 0.2, 0.2)
-    assert box_collides(pose, dims, Slab((0.138, -1, -1), (1, 1, 1)))
-    assert not box_collides(pose, dims, Slab((0.145, -1, -1), (1, 1, 1)))
+    slabs = (Slab((0.138, -1, -1), (1, 1, 1)), Slab((0.145, -1, -1), (1, 1, 1)))
+    mask = collision_mask(np.zeros((2, 3)), rotvecs, dims, slabs)
     # the same slabs straddle an axis-aligned box differently
-    assert not box_collides(ORIGIN, dims, Slab((0.138, -1, -1), (1, 1, 1)))
+    assert mask.tolist() == [[True, False], [False, False]]
 
 
 def test_collision_monotone_in_box_scale():
@@ -173,7 +169,8 @@ def test_collision_monotone_in_box_scale():
     for _ in range(200):
         pose = Pose(rng.uniform(-0.8, 0.8, 3), rng.uniform(-1.0, 1.0, 3))
         dims = rng.uniform(0.05, 0.4, 3)
-        hits = [box_collides(pose, s * dims, slab) for s in (0.5, 1.0, 1.5, 2.5)]
+        hits = [collision_mask(pose.position, pose.orientation, s * dims, (slab,))[0, 0]
+                for s in (0.5, 1.0, 1.5, 2.5)]
         # growing the box never un-collides
         assert hits == sorted(hits)
 
@@ -186,11 +183,12 @@ def test_collision_never_misses_contained_points(scene):
         rot = Rotation.from_rotvec(np.array(pose.orientation)).as_matrix()
         corners = rot @ (0.5 * scene.box_dims * rng.uniform(-1.0, 1.0, (64, 3))).T
         points = pose.position[:, None] + corners
-        for slab in scene.slabs:
+        hits = collision_mask(pose.position, pose.orientation, scene.box_dims, scene.slabs)[0]
+        for slab, hit in zip(scene.slabs, hits):
             inside = np.all((points >= slab.min_corner[:, None])
                             & (points <= slab.max_corner[:, None]), axis=0)
             if inside.any():
-                assert box_collides(pose, scene.box_dims, slab)
+                assert hit
 
 
 def test_slab_and_scene_validation():
@@ -238,26 +236,59 @@ def arc_task(scene, x0=0.15, x1=0.65):
                     Pose([x1, y, z], [0.0, 0.0, 0.0]))
 
 
-def test_trajectory_success_reasons(scene):
-    task = arc_task(scene)
+def arc_paths(task):
+    """(slide, arc): a straight slide along the base board, which runs into
+    the middle lip, and a 0.1 m lift that clears the lip under the roof."""
     start = task.start_vector()
     goal = task.goal_vector()
-    # straight slide along the base board runs into the middle lip
     slide = Trajectory([0.0, 7.0], np.vstack([start, goal]))
-    assert trajectory_success(slide, scene, task) == (False, FailureReason.COLLISION)
-    # lifting 0.1 m clears the lip and stays under the roof
     up = start.copy(); up[2] += 0.1
     over = goal.copy(); over[2] += 0.1
     arc = Trajectory([0.0, 1.0, 6.0, 7.0], np.vstack([start, up, over, goal]))
-    assert trajectory_success(arc, scene, task) == (True, FailureReason.NONE)
+    return slide, arc
+
+
+def test_trajectory_success_reasons(scene):
+    task = arc_task(scene)
+    slide, arc = arc_paths(task)
+    assert trajectory_success(slide, scene, boundary_error(slide, task)) == (
+        False, FailureReason.COLLISION)
+    assert trajectory_success(arc, scene, boundary_error(arc, task)) == (
+        True, FailureReason.NONE)
     # collision-free but ending 50 mm short of the goal
-    short_goal = goal.copy(); short_goal[0] -= 0.05
-    miss = Trajectory([0.0, 1.0, 6.0, 7.0], np.vstack([start, up, over, short_goal]))
-    assert trajectory_success(miss, scene, task) == (False, FailureReason.BOUNDARY)
+    values = arc.values.copy()
+    values[-1, 0] -= 0.05
+    miss = Trajectory(arc.times, values)
+    assert trajectory_success(miss, scene, boundary_error(miss, task)) == (
+        False, FailureReason.BOUNDARY)
     # a non-pose trajectory is an error, not a failed trial
     flat = Trajectory([0.0, 1.0], np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        trajectory_success(flat, scene, task)
+        trajectory_success(flat, scene, ((0.0, 0.0), (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("endpoint,unit", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["start_mm", "start_deg", "goal_mm", "goal_deg"])
+@pytest.mark.parametrize("thresholds", [SuccessThresholds(), SuccessThresholds(0.25, 3.0)],
+                         ids=["default", "custom"])
+def test_trajectory_success_threshold_edges(scene, endpoint, unit, thresholds):
+    """Each of the four boundary errors passes at its threshold and fails
+    one float above it; a collision outranks an out-of-bound error."""
+    slide, arc = arc_paths(arc_task(scene))
+    limit = (thresholds.max_boundary_pos_mm, thresholds.max_boundary_rot_deg)[unit]
+
+    def boundary(error):
+        errors = [[0.0, 0.0], [0.0, 0.0]]
+        errors[endpoint][unit] = error
+        return tuple(map(tuple, errors))
+
+    above = boundary(np.nextafter(limit, np.inf))
+    assert trajectory_success(arc, scene, boundary(limit), thresholds) == (
+        True, FailureReason.NONE)
+    assert trajectory_success(arc, scene, above, thresholds) == (
+        False, FailureReason.BOUNDARY)
+    assert trajectory_success(slide, scene, above, thresholds) == (
+        False, FailureReason.COLLISION)
 
 
 def test_sample_task_translational_keeps_orientation(scene, endpoints):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmmgen.metrics import boundary_error
 from gmmgen.scene import trajectory_success
 from gmmgen.synth import (GRASP_DURATION, TRANSPORT_DURATION, SynthConfig,
                           default_endpoints, generate_demonstrations)
@@ -85,7 +86,7 @@ def test_demos_vary_midway_within_noise_budget(demos, synth_config):
 def test_demos_all_pass_success_check(demos, corpus, scene):
     _, task = corpus
     for demo in demos:
-        ok, reason = trajectory_success(demo, scene, task)
+        ok, reason = trajectory_success(demo, scene, boundary_error(demo, task))
         assert ok, reason
 
 
@@ -108,7 +109,7 @@ def test_retry_shrinks_noise_until_feasible(scene):
     cfg = SynthConfig(n_demos=2, noise_pos=0.25, seed=4)
     demos, task = generate_demonstrations(scene, cfg)
     for demo in demos:
-        ok, _ = trajectory_success(demo, scene, task)
+        ok, _ = trajectory_success(demo, scene, boundary_error(demo, task))
         assert ok
 
 
