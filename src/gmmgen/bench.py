@@ -12,13 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _check_real
-from .gmr import regress
-from .metrics import (EvalReport, average_jerk, boundary_error, phase_deviation,
-                      shape_deviation)
+from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int,
+                   _check_real)
+from .gmr import regress, regress_many
+from .metrics import (EvalReport, _pose_stack, average_jerks, boundary_errors,
+                      phase_deviations, shape_deviations, shape_reference)
 from .model import GmmModel
-from .reparam import ReparamConfig, generalize
-from .scene import Scene, SuccessThresholds, sample_task, trajectory_success
+from .reparam import ReparamConfig, generalize_many
+from .scene import Scene, SuccessThresholds, sample_tasks, trajectory_success
+
+# Trials scored per stack in run_benchmark.  A chunk holds its trajectories
+# and their metric stacks, a few MB in all; outputs do not depend on it.
+BATCH_TRIALS = 16
 
 # summary.csv metric column -> the EvalReport field it averages over trials
 SUMMARY_METRICS = {
@@ -36,32 +41,52 @@ def default_times(duration: float, rate: float = SAMPLE_RATE) -> np.ndarray:
     return np.linspace(0.0, duration, int(round(duration * rate)) + 1)
 
 
+def evaluate_trajectories(trajs, tasks, scene: Scene, reference: np.ndarray,
+                          phases: PhaseSchedule,
+                          thresholds: SuccessThresholds = SuccessThresholds()) -> list:
+    """evaluate_trajectory() for trajectories sampled on one time grid, each
+    against its task, with the metrics computed on their (T, n, 6) stack.
+
+    reference is the shape_reference() of the reference trajectory.  The
+    collision check stays one trajectory_success call per trajectory, and
+    each trajectory's boundary errors feed both its report and its verdict.
+    """
+    times, values = _pose_stack(trajs)
+    boundaries = boundary_errors(values, tasks)
+    windows = phase_deviations(times, values, phases)
+    shapes = shape_deviations(times, values, reference)
+    jerks = average_jerks(times, values)
+    reports = []
+    for traj, boundary, window, shape, jerk in zip(trajs, boundaries, windows, shapes, jerks):
+        success, reason = trajectory_success(traj, scene, boundary, thresholds)
+        (start_mm, start_deg), (goal_mm, goal_deg) = boundary
+        (grasp_mm, grasp_deg), (release_mm, release_deg) = window
+        jerk_lin, jerk_ang = jerk
+        reports.append(EvalReport(
+            success=success,
+            failure_reason=reason,
+            start_error_mm=start_mm,
+            start_error_deg=start_deg,
+            goal_error_mm=goal_mm,
+            goal_error_deg=goal_deg,
+            grasp_dev_mm=grasp_mm,
+            grasp_dev_deg=grasp_deg,
+            release_dev_mm=release_mm,
+            release_dev_deg=release_deg,
+            shape_deviation=shape,
+            jerk_linear=jerk_lin,
+            jerk_angular=jerk_ang,
+        ))
+    return reports
+
+
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
                         reference: Trajectory, phases: PhaseSchedule,
                         thresholds: SuccessThresholds = SuccessThresholds()) -> EvalReport:
     """Score one trajectory with the full metric suite plus the success check;
     the report and the verdict read the same boundary errors."""
-    boundary = boundary_error(traj, task)
-    (start_mm, start_deg), (goal_mm, goal_deg) = boundary
-    (grasp_mm, grasp_deg), (release_mm, release_deg) = phase_deviation(traj, phases)
-    shape = shape_deviation(traj, reference)
-    jerk_lin, jerk_ang = average_jerk(traj)
-    success, reason = trajectory_success(traj, scene, boundary, thresholds)
-    return EvalReport(
-        success=success,
-        failure_reason=reason,
-        start_error_mm=start_mm,
-        start_error_deg=start_deg,
-        goal_error_mm=goal_mm,
-        goal_error_deg=goal_deg,
-        grasp_dev_mm=grasp_mm,
-        grasp_dev_deg=grasp_deg,
-        release_dev_mm=release_mm,
-        release_dev_deg=release_deg,
-        shape_deviation=shape,
-        jerk_linear=jerk_lin,
-        jerk_angular=jerk_ang,
-    )
+    return evaluate_trajectories([traj], [task], scene, shape_reference(reference), phases,
+                                 thresholds)[0]
 
 
 @dataclass(frozen=True)
@@ -104,30 +129,31 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     """Run seeded trials of sample-generalize-regress-evaluate.
 
     The reference trajectory for shape deviation defaults to the source
-    model's own regression.  Trial i draws from default_rng([seed, i]), so
-    results do not depend on how many trials run before it.
+    model's own regression, and is resampled and normalized once per run.
+    Trial i draws from default_rng([seed, i]), so results do not depend on
+    how many trials run before it.  Trials are scored in chunks of
+    BATCH_TRIALS, each sampled, generalized, regressed and measured as one
+    stack; a trial's record does not depend on the chunk it falls in.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     if config is None:
         config = ReparamConfig()
     times = default_times(model.duration, rate)
-    if reference is None:
-        reference = regress(model, times)
+    shape_ref = shape_reference(regress(model, times) if reference is None else reference)
     if method is None:
         method = "ablated" if config.ablate_covariance else "full"
     base_start, base_goal = model_endpoints(model)
 
-    def run_trial(i: int) -> TrialRecord:
-        rng = np.random.default_rng([seed, i])
-        task = sample_task(scene, mode, rng, base_start, base_goal)
-        adapted = generalize(model, task, config)
-        traj = regress(adapted, times)
-        report = evaluate_trajectory(traj, task, scene, reference, model.phases,
-                                     thresholds)
-        return TrialRecord(i, task, report)
-
-    records = [run_trial(i) for i in range(trials)]
+    records = []
+    for first in range(0, trials, BATCH_TRIALS):
+        indices = range(first, min(first + BATCH_TRIALS, trials))
+        rngs = [np.random.default_rng([seed, i]) for i in indices]
+        tasks = sample_tasks(scene, mode, rngs, base_start, base_goal)
+        trajs = regress_many(generalize_many(model, tasks, config), times)
+        reports = evaluate_trajectories(trajs, tasks, scene, shape_ref, model.phases,
+                                        thresholds)
+        records += map(TrialRecord, indices, tasks, reports)
     summary = summarize(records, method)
     return BenchmarkResult(method, mode, seed, tuple(records), summary)
 

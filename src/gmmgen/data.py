@@ -59,6 +59,15 @@ def _json_numbers(name: str, value):
     return value
 
 
+def _dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, broadcasting the rest.
+
+    matmul takes them one (1,3)x(3,1) pair at a time, so each rounds exactly
+    like the 1-D ``a @ b`` (and ``np.linalg.norm``) of a single vector.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _rotvec_angles(rotvecs) -> np.ndarray:
     """Rotation-vector magnitudes over the last axis.
 
@@ -242,11 +251,20 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
     Endpoints are preserved exactly; interior samples interpolate each
     dimension independently.
     """
+    return Trajectory(*_resampled(traj.times, traj.values, n))
+
+
+def _resampled(times: np.ndarray, values: np.ndarray, n: int):
+    """(grid, values on it) for resample(): values (..., len(times), D), a
+    stack of series on one time grid, interpolated one column at a time."""
     if n < 2:
         raise ValueError("resampling needs at least two output samples")
-    grid = np.linspace(0.0, traj.duration, n)
-    cols = [np.interp(grid, traj.times, traj.values[:, d]) for d in range(traj.dim)]
-    return Trajectory(grid, np.column_stack(cols))
+    grid = np.linspace(0.0, float(times[-1]), n)
+    out = np.empty((*values.shape[:-2], n, values.shape[-1]))
+    for index in np.ndindex(*values.shape[:-2], values.shape[-1]):
+        column = (*index[:-1], slice(None), index[-1])
+        out[column] = np.interp(grid, times, values[column])
+    return grid, out
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

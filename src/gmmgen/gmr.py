@@ -31,6 +31,36 @@ def _validated_times(times, duration: float) -> np.ndarray:
     return times
 
 
+def _model_arrays(model):
+    """((priors, time centers, time variances, spatial means, slopes), duration)."""
+    try:
+        arrays = (model.priors, model.means[:, 0], model.covs[:, 0, 0], model.means[:, 1:],
+                  model.slopes)
+        return arrays, model.duration
+    except AttributeError:
+        raise TypeError(f"cannot regress a {type(model).__name__}") from None
+
+
+def _expected_poses(priors, t_means, t_vars, mu, slopes, times) -> np.ndarray:
+    """Regressed values (..., n, D) of one mixture or a stack of them.
+
+    priors, t_means and t_vars are (G,) or (..., G), mu and slopes
+    (..., G, D); weights from (G,) terms are computed once and shared by
+    the whole stack.
+    """
+    log_w = (times[:, None] - t_means[..., None, :]) ** 2
+    log_w /= 2.0 * t_vars[..., None, :]
+    np.subtract((np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars))[..., None, :],
+                log_w, out=log_w)
+    log_w -= log_w.max(axis=-1, keepdims=True)
+    act = np.exp(log_w, out=log_w)
+    offsets = mu - slopes * t_means[..., None]
+    values = times[:, None] * (act @ slopes)
+    values += act @ offsets
+    values /= act.sum(axis=-1, keepdims=True)
+    return values
+
+
 def regress(model, times) -> Trajectory:
     """Expected pose at each query time.
 
@@ -40,21 +70,26 @@ def regress(model, times) -> Trajectory:
     increasing within [0, duration]; the output trajectory is re-anchored
     so its first timestamp is zero.
     """
-    try:
-        priors, means, covs, slopes = model.priors, model.means, model.covs, model.slopes
-        duration = model.duration
-    except AttributeError:
-        raise TypeError(f"cannot regress a {type(model).__name__}") from None
+    arrays, duration = _model_arrays(model)
     times = _validated_times(times, duration)
-    t_means, t_vars = means[:, 0], covs[:, 0, 0]
-    sq = (times[:, None] - t_means[None, :]) ** 2
-    log_w = (np.log(priors)[None, :]
-             - 0.5 * np.log(2.0 * np.pi * t_vars)[None, :]
-             - sq / (2.0 * t_vars[None, :]))
-    log_w -= log_w.max(axis=1, keepdims=True)
-    act = np.exp(log_w, out=log_w)
-    offsets = means[:, 1:] - slopes * t_means[:, None]
-    values = times[:, None] * (act @ slopes)
-    values += act @ offsets
-    values /= act.sum(axis=1, keepdims=True)
-    return Trajectory(times - times[0], values)
+    return Trajectory(times - times[0], _expected_poses(*arrays, times))
+
+
+def regress_many(models, times) -> list:
+    """regress() for each model, as one pass over (T, n, D) stacks.
+
+    The models must share their component count and pose dimension, and
+    the query times must suit every model's duration.  The weights depend
+    only on priors, time centers and time variances; when every model has
+    the same ones (generalize_many's models do, unless an SPD repair moved
+    a time variance) one (n, G) set of weights serves the whole stack,
+    otherwise each model gets its own row of a (T, n, G) stack.  Each
+    result is checked as its own Trajectory.
+    """
+    parts = [_model_arrays(model) for model in models]
+    arrays = [np.stack(column) for column in zip(*(arrays for arrays, _ in parts))]
+    if all((column == column[0]).all() for column in arrays[:3]):
+        arrays[:3] = [column[0] for column in arrays[:3]]
+    times = _validated_times(times, min(duration for _, duration in parts))
+    return [Trajectory(times - times[0], values)
+            for values in _expected_poses(*arrays, times)]

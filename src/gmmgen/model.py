@@ -23,22 +23,23 @@ KMEANS_MAX_ITERS = 300
 
 
 def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
-    """Per-matrix flags, (G,): True where Cholesky rejects the matrix.
+    """Per-matrix flags over a (..., D, D) stack: True where Cholesky rejects
+    the matrix.
 
     One batched factorization covers the usual all-definite case; only when
     it fails are the matrices factored one at a time to find the culprits.
     """
+    fails = np.zeros(mats.shape[:-2], dtype=bool)
     try:
         np.linalg.cholesky(mats)
-        return np.zeros(len(mats), dtype=bool)
+        return fails
     except np.linalg.LinAlgError:
         pass
-    fails = np.zeros(len(mats), dtype=bool)
-    for g, mat in enumerate(mats):
+    for index in np.ndindex(fails.shape):
         try:
-            np.linalg.cholesky(mat)
+            np.linalg.cholesky(mats[index])
         except np.linalg.LinAlgError:
-            fails[g] = True
+            fails[index] = True
     return fails
 
 

@@ -44,34 +44,34 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
     Dimensions whose demonstrated endpoint span exceeds eps are scaled
     about the first component's mean; degenerate dimensions instead blend
     the two endpoint offsets linearly in each component's time center.
-    Rows 0 and G-1 are set to the requested endpoints exactly.
+    Rows 0 and G-1 are set to the requested endpoints exactly.  Endpoints
+    of shape (..., D) give means of shape (..., G, D), one set per pair.
     """
     if model.n_components < 2:
         raise ValueError("mean reparameterization needs at least two components")
     new_start = np.asarray(new_start, dtype=float)
     new_goal = np.asarray(new_goal, dtype=float)
-    if new_start.shape != (model.dim,) or new_goal.shape != (model.dim,):
+    if new_start.shape[-1:] != (model.dim,) or new_goal.shape != new_start.shape:
         raise ValueError(f"endpoints must be vectors of length {model.dim}")
     if not (np.isfinite(new_start).all() and np.isfinite(new_goal).all()):
         raise ValueError("endpoints must be finite")
 
     means = model.means[:, 1:]
     first, last = means[0], means[-1]
+    start, goal = new_start[..., None, :], new_goal[..., None, :]
     span = last - first
     degenerate = np.abs(span) < eps
     safe_span = np.where(degenerate, 1.0, span)
-    scale = np.where(degenerate, 0.0, (new_goal - new_start) / safe_span)
-    scaled = new_start + scale * (means - first)
+    scale = np.where(degenerate, 0.0, (goal - start) / safe_span)
+    scaled = start + scale * (means - first)
 
-    centers = model.means[:, 0]
+    centers = model.means[:, 0, None]
     alpha = (centers - centers[0]) / (centers[-1] - centers[0])
-    offset = (means
-              + np.outer(1.0 - alpha, new_start - first)
-              + np.outer(alpha, new_goal - last))
+    offset = means + (1.0 - alpha) * (start - first) + alpha * (goal - last)
 
-    out = np.where(degenerate[None, :], offset, scaled)
-    out[0] = new_start
-    out[-1] = new_goal
+    out = np.where(degenerate, offset, scaled)
+    out[..., 0, :] = new_start
+    out[..., -1, :] = new_goal
     return out
 
 
@@ -82,8 +82,8 @@ def _clamp_spd(cov: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _outers(vecs: np.ndarray) -> np.ndarray:
-    """Per-row outer products v v^T of a (G, D) stack, (G, D, D)."""
-    return vecs[:, :, None] * vecs[:, None, :]
+    """Per-row outer products v v^T of a (..., D) stack, (..., D, D)."""
+    return vecs[..., :, None] * vecs[..., None, :]
 
 
 def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray):
@@ -97,28 +97,61 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     as cov_tt [[1, m'^T], [m', C']].  Returns (covs, repairs), where repairs
     counts reassembled covariances that rounding left indefinite and that
     were clamped to COV_FLOOR; the model built from covs derives its slopes
-    and shapes from them, so a repair reaches regression.  As component 1
-    keeps its slope, scaling the goal offsets (start at the first mean, goal
-    first + s * span) scales the regression about the first mean only if
-    component 1 is static (zero slope) and each dimension with s != 1 has
-    its span and every consecutive difference at least eps.
+    and shapes from them, so a repair reaches regression.  New means of
+    shape (..., G, D) give covs (..., G, D+1, D+1) and repairs (...), one
+    per set of means.  As component 1 keeps its slope, scaling the goal
+    offsets (start at the first mean, goal first + s * span) scales the
+    regression about the first mean only if component 1 is static (zero
+    slope) and each dimension with s != 1 has its span and every
+    consecutive difference at least eps.
     """
     d_old = np.diff(model.means[:, 1:], axis=0)
-    d_new = np.diff(new_means, axis=0)
+    d_new = np.diff(new_means, axis=-2)
     keep = np.abs(d_old) < eps
     ratio = np.where(keep, 1.0, d_new / np.where(keep, 1.0, d_old))
     old = model.slopes[1:]
     moved = ratio * old
-    cov = np.empty((len(moved), model.dim + 1, model.dim + 1))
-    cov[:, 0, 0] = 1.0
-    cov[:, 0, 1:] = moved
-    cov[:, 1:, 0] = moved
-    cov[:, 1:, 1:] = model.shapes[1:] + _outers(moved) - _outers(old)
-    cov = model.covs[1:, 0, 0, None, None] * cov
-    broken = np.flatnonzero(_cholesky_fails(cov))
-    for g in broken:
-        cov[g] = _clamp_spd(cov[g], COV_FLOOR)
-    return np.concatenate([model.covs[:1], cov]), len(broken)
+    covs = np.empty((*moved.shape[:-2], *model.covs.shape))
+    covs[..., 0, :, :] = model.covs[0]
+    cov = covs[..., 1:, :, :]  # a view: the updates below fill covs
+    cov[..., 0, 0] = 1.0
+    cov[..., 0, 1:] = moved
+    cov[..., 1:, 0] = moved
+    cov[..., 1:, 1:] = model.shapes[1:] + _outers(moved) - _outers(old)
+    cov *= model.covs[1:, 0, 0, None, None]
+    broken = _cholesky_fails(cov)
+    for index in zip(*np.nonzero(broken)):
+        cov[index] = _clamp_spd(cov[index], COV_FLOOR)
+    return covs, broken.sum(axis=-1)
+
+
+def _reparam(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
+             config: ReparamConfig):
+    """(means, covs, repairs) for endpoints of shape (D,), or (T, D) stacked."""
+    means = reparam_means(model, starts, goals, DEGENERATE_EPS)
+    if config.ablate_covariance:
+        lead = means.shape[:-2]
+        return (means, np.broadcast_to(model.covs, (*lead, *model.covs.shape)),
+                np.zeros(lead, dtype=int))
+    return (means, *reparam_covariances(model, means, DEGENERATE_EPS))
+
+
+def _adapted(model: GmmModel, config: ReparamConfig, task: TaskSpec, means: np.ndarray,
+             covs: np.ndarray, repairs) -> GmmModel:
+    """The checked GmmModel for one task from its remapped means and covs."""
+    return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
+                    model.phases, task=task, ablated=config.ablate_covariance,
+                    spd_repairs=int(repairs))
+
+
+def generalize_many(model: GmmModel, tasks, config: ReparamConfig = ReparamConfig()) -> list:
+    """generalize() for each task, with the tasks' means and covariances
+    computed as (T, G, D) and (T, G, D+1, D+1) stacks; every adapted
+    mixture is still built, and checked, as its own GmmModel."""
+    starts = np.array([task.start_vector() for task in tasks])
+    goals = np.array([task.goal_vector() for task in tasks])
+    stacks = _reparam(model, starts, goals, config)
+    return [_adapted(model, config, task, *one) for task, *one in zip(tasks, *stacks)]
 
 
 def generalize(model: GmmModel, task: TaskSpec,
@@ -126,14 +159,8 @@ def generalize(model: GmmModel, task: TaskSpec,
     """Adapt a fitted or generalized model to the task's start and goal poses.
 
     The result carries the task.  Its priors, time centers and time
-    variances are the source model's, untouched.
+    variances are the source model's, untouched.  This is generalize_many
+    for one task, on (G, D) arrays rather than a stack of one.
     """
-    new_means = reparam_means(model, task.start_vector(), task.goal_vector(),
-                              DEGENERATE_EPS)
-    if config.ablate_covariance:
-        covs, repairs = model.covs, 0
-    else:
-        covs, repairs = reparam_covariances(model, new_means, DEGENERATE_EPS)
-    means = np.column_stack([model.means[:, 0], new_means])
-    return GmmModel(model.priors, means, covs, model.phases, task=task,
-                    ablated=config.ablate_covariance, spd_repairs=repairs)
+    return _adapted(model, config, task,
+                    *_reparam(model, task.start_vector(), task.goal_vector(), config))

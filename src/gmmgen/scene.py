@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .data import (Pose, TaskSpec, Trajectory, _check_int, _check_real, _json_numbers,
-                   _read_json, _write_json, resample)
+from .data import (Pose, TaskSpec, Trajectory, _check_int, _check_real, _dot,
+                   _json_numbers, _read_json, _write_json, resample)
 from .metrics import FailureReason
 
 REST_CLEARANCE = 0.003
@@ -88,15 +88,6 @@ class SuccessThresholds:
         _check_int("collision_samples", self.collision_samples, 2)
 
 
-def _dot(a, b) -> np.ndarray:
-    """Dot products over the last axis, broadcasting the rest.
-
-    matmul takes them one (1,3)x(3,1) pair at a time, so each rounds exactly
-    like the 1-D ``a @ b`` of a single pose.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
     """(N, S) bool: does the box at pose n touch or overlap slab s?
 
@@ -163,25 +154,56 @@ def rest_height(scene: Scene, level: float) -> float:
     return level + 0.5 * float(scene.box_dims[2]) + REST_CLEARANCE
 
 
-def _yawed_orientation(base: Pose, yaw: float) -> np.ndarray:
-    turned = Rotation.from_rotvec([0.0, 0.0, yaw]) * Rotation.from_rotvec(np.array(base.orientation))
-    return turned.as_rotvec()
+def _yawed_orientations(bases: np.ndarray, yaws) -> np.ndarray:
+    """Each (k, 3) base rotation vector turned by its yaw about vertical."""
+    turns = np.zeros((len(yaws), 3))
+    turns[:, 2] = yaws
+    return (Rotation.from_rotvec(turns) * Rotation.from_rotvec(bases)).as_rotvec()
 
 
-def _sample_endpoint(scene: Scene, variation: str, rng, base: Pose) -> Pose:
-    for _ in range(SAMPLE_ATTEMPTS):
-        length = float(rng.uniform(*scene.length_range))
-        level = scene.levels[int(rng.integers(len(scene.levels)))]
-        position = np.array([length, base.position[1], rest_height(scene, level)])
-        if variation == "combined":
-            yaw = float(rng.uniform(-np.pi / 4.0, np.pi / 4.0))
-            orientation = _yawed_orientation(base, yaw)
-        else:
-            orientation = base.orientation
-        pose = Pose(position, orientation)
-        if not scene_collides(pose, scene):
-            return pose
-    raise ValueError(f"no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
+def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
+                 base_goal: Pose) -> list:
+    """One task per generator, each drawn exactly as sample_task draws it.
+
+    Draws run in rounds: in each, every task still missing an endpoint
+    makes one draw from its own generator, the round's yaws are composed
+    in one Rotation product, and its candidate poses are checked in one
+    collision_mask call.  A generator makes the same draws in the same
+    order as on its own (the start's draws, then the goal's), and a pose's
+    collision row does not depend on the other poses in its call, so task
+    k is sample_task(scene, variation, rngs[k], base_start, base_goal).
+    The generators must be distinct objects.
+    """
+    if variation not in ("translational", "combined"):
+        raise ValueError(f"unknown variation '{variation}'")
+    bases = (base_start, base_goal)
+    found = [[] for _ in rngs]  # accepted endpoints, start first
+    draws = [0] * len(rngs)  # draws spent on the endpoint being sampled
+    pending = list(range(len(rngs)))
+    while pending:
+        positions, yaws = [], []
+        for k in pending:
+            if draws[k] == SAMPLE_ATTEMPTS:
+                raise ValueError(
+                    f"no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
+            draws[k] += 1
+            rng, base = rngs[k], bases[len(found[k])]
+            length = float(rng.uniform(*scene.length_range))
+            level = scene.levels[int(rng.integers(len(scene.levels)))]
+            positions.append([length, base.position[1], rest_height(scene, level)])
+            if variation == "combined":
+                yaws.append(float(rng.uniform(-np.pi / 4.0, np.pi / 4.0)))
+        orientations = np.array([bases[len(found[k])].orientation for k in pending])
+        if yaws:
+            orientations = _yawed_orientations(orientations, yaws)
+        poses = [Pose(p, r) for p, r in zip(positions, orientations)]
+        hits = collision_mask(positions, orientations, scene.box_dims, scene.slabs).any(axis=1)
+        for k, pose, hit in zip(pending, poses, hits):
+            if not hit:
+                found[k].append(pose)
+                draws[k] = 0
+        pending = [k for k in pending if len(found[k]) < 2]
+    return [TaskSpec(*poses) for poses in found]
 
 
 def sample_task(scene: Scene, variation: str, rng, base_start: Pose,
@@ -190,13 +212,11 @@ def sample_task(scene: Scene, variation: str, rng, base_start: Pose,
 
     Translational tasks keep the base orientations exactly; combined tasks
     additionally yaw each endpoint independently by U(-pi/4, pi/4) about
-    vertical.  Draws that would rest inside an obstacle are rejected.
+    vertical.  Each draw takes a length, then a level, then (combined) a
+    yaw from rng; draws that would rest inside an obstacle are rejected,
+    and SAMPLE_ATTEMPTS rejections of one endpoint raise ValueError.
     """
-    if variation not in ("translational", "combined"):
-        raise ValueError(f"unknown variation '{variation}'")
-    start = _sample_endpoint(scene, variation, rng, base_start)
-    goal = _sample_endpoint(scene, variation, rng, base_goal)
-    return TaskSpec(start, goal)
+    return sample_tasks(scene, variation, [rng], base_start, base_goal)[0]
 
 
 def default_scene() -> Scene:

@@ -11,9 +11,10 @@ from gmmgen.bench import (SUMMARY_COLUMNS, default_times, evaluate_trajectory,
 from gmmgen.data import TaskSpec, resample
 from gmmgen.gmr import regress
 from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
-                            phase_deviation, shape_deviation)
+                            boundary_errors, phase_deviation, shape_deviation)
 from gmmgen.reparam import ReparamConfig, generalize
-from gmmgen.scene import SuccessThresholds, collision_mask, sample_task
+from gmmgen.scene import (SuccessThresholds, collision_mask, sample_task,
+                          trajectory_success)
 
 
 def test_summary_columns_are_frozen():
@@ -87,15 +88,33 @@ def oracle_evaluate(traj, task, scene, reference, phases, thresholds) -> EvalRep
 def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkeypatch,
                                                      mode, ablate, thresholds):
     """Every benchmark report equals the former two-call evaluation, and
-    evaluate_trajectory computes the boundary errors once per trajectory."""
-    calls = []
-    monkeypatch.setattr(bench, "boundary_error",
-                        lambda *args: calls.append(args) or boundary_error(*args))
+    each trajectory's boundary errors are computed once and shared by its
+    report and its verdict.  The 30 trials span two chunks."""
+    computed, judged = [], []
+
+    def counted_boundary_errors(values, tasks):
+        out = boundary_errors(values, tasks)
+        assert len(out) == len(values) == len(tasks)
+        computed.extend(out)
+        return out
+
+    def recorded_success(traj, scene, boundary, thresholds):
+        judged.append(boundary)
+        return trajectory_success(traj, scene, boundary, thresholds)
+
+    monkeypatch.setattr(bench, "boundary_errors", counted_boundary_errors)
+    monkeypatch.setattr(bench, "trajectory_success", recorded_success)
     config = ReparamConfig(ablate_covariance=ablate)
+    assert 30 > bench.BATCH_TRIALS
     result = run_benchmark(model, scene, mode, trials=30, seed=11, config=config,
                            thresholds=thresholds)
-    assert len(calls) == 30
     monkeypatch.undo()
+    assert len(computed) == len(judged) == 30
+    for record, boundary, verdict_input in zip(result.trials, computed, judged):
+        assert verdict_input is boundary
+        report = record.report
+        assert ((report.start_error_mm, report.start_error_deg),
+                (report.goal_error_mm, report.goal_error_deg)) == boundary
     reference = regress(model, times)
     base_start, base_goal = model_endpoints(model)
     for record in result.trials:
@@ -125,16 +144,23 @@ def test_summarize_hand_check(model, scene):
 
 
 def test_benchmark_deterministic_and_order_free(model, scene):
-    a = run_benchmark(model, scene, "combined", trials=6, seed=11)
-    b = run_benchmark(model, scene, "combined", trials=6, seed=11)
-    assert summary_csv_lines([a.summary]) == summary_csv_lines([b.summary])
-    for ra, rb in zip(a.trials, b.trials):
-        assert np.array_equal(ra.task.start_vector(), rb.task.start_vector())
-        assert ra.report == rb.report
-    # a longer run reproduces the shared prefix: trials are index-seeded
-    c = run_benchmark(model, scene, "combined", trials=8, seed=11)
-    for ra, rc in zip(a.trials, c.trials[:6]):
-        assert ra.report == rc.report
+    # a longer run reproduces the shared prefix: trials are index-seeded, and
+    # a record does not depend on its chunk (the 20-trial run ends inside
+    # one; the 40-trial run spans more than two)
+    assert 20 % bench.BATCH_TRIALS != 0 and 40 > 2 * bench.BATCH_TRIALS
+    for ablate in (False, True):
+        config = ReparamConfig(ablate_covariance=ablate)
+        a = run_benchmark(model, scene, "combined", trials=20, seed=11, config=config)
+        b = run_benchmark(model, scene, "combined", trials=20, seed=11, config=config)
+        assert summary_csv_lines([a.summary]) == summary_csv_lines([b.summary])
+        for ra, rb in zip(a.trials, b.trials):
+            assert np.array_equal(ra.task.start_vector(), rb.task.start_vector())
+            assert ra.report == rb.report
+        c = run_benchmark(model, scene, "combined", trials=40, seed=11, config=config)
+        assert [r.index for r in c.trials] == list(range(40))
+        for ra, rc in zip(a.trials, c.trials[:20]):
+            assert ra.task.to_dict() == rc.task.to_dict()
+            assert ra.report == rc.report
 
 
 def test_benchmark_ablated_method_label(model, scene):
@@ -145,10 +171,21 @@ def test_benchmark_ablated_method_label(model, scene):
 
 
 def test_benchmark_validation(model, scene):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
         run_benchmark(model, scene, "combined", trials=0, seed=0)
-    with pytest.raises(ValueError):
+    for trials in (True, 2.0, "3", None):
+        with pytest.raises(ValueError, match="^trials must be an integer, got "):
+            run_benchmark(model, scene, "combined", trials=trials, seed=0)
+    with pytest.raises(ValueError, match="^seed must be at least 0$"):
+        run_benchmark(model, scene, "combined", trials=1, seed=-1)
+    for seed in (False, 1.5, "1"):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            run_benchmark(model, scene, "combined", trials=1, seed=seed)
+    with pytest.raises(ValueError, match="unknown variation"):
         run_benchmark(model, scene, "sideways", trials=1, seed=0)
+    # numpy integers are integers
+    assert len(run_benchmark(model, scene, "combined", trials=np.int64(2),
+                             seed=np.uint8(3)).trials) == 2
 
 
 def test_summary_csv_and_trials_jsonl_format(model, scene, tmp_path):

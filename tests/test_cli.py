@@ -630,6 +630,21 @@ def test_benchmark_filled_cabinet_exit2(work, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be at least 0"),
+    ("--trials", "0", "trials must be at least 1"),
+    ("--trials", "-3", "trials must be at least 1"),
+])
+def test_benchmark_out_of_range_count_exit2(work, tmp_path, capsys, flag, value, message):
+    """The library names the value: numpy's seeding error did not."""
+    out = tmp_path / "out"
+    args = {"--seed": "0", "--trials": "1", flag: value}
+    assert main(["benchmark", "--model", str(work / "model.json"), "--out-dir", str(out),
+                 *(token for item in args.items() for token in item)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_synth_infinite_slab_corner_exit2(tmp_path, capsys):
     path = scene_with_slab(tmp_path, [0.0, 0.0, 0.0], [1.0, 1.0, 123.456])
     path.write_text(path.read_text().replace("123.456", "1e999"))

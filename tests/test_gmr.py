@@ -6,9 +6,9 @@ from scipy.special import logsumexp
 
 from gmmgen.bench import default_times
 from gmmgen.data import PhaseSchedule
-from gmmgen.gmr import regress
+from gmmgen.gmr import regress, regress_many
 from gmmgen.model import GmmModel
-from gmmgen.reparam import ReparamConfig, generalize
+from gmmgen.reparam import ReparamConfig, generalize, generalize_many
 from gmmgen.scene import sample_task
 
 from test_reparam import random_spd_mixture
@@ -158,6 +158,51 @@ def test_regress_matches_oracle_on_generalized_models(model, times, scene, endpo
     for _ in range(10):
         task = sample_task(scene, mode, rng, *endpoints)
         assert_matches_oracle(generalize(model, task, config), times)
+
+
+def assert_regress_many_matches_regress(models, times):
+    many = regress_many(models, times)
+    assert len(many) == len(models)
+    for model, traj in zip(models, many):
+        one = regress(model, times)
+        assert traj.times.tobytes() == one.times.tobytes()
+        assert traj.values.tobytes() == one.values.tobytes()
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_regress_many_matches_regress_on_generalized_models(model, times, scene, endpoints,
+                                                            ablate):
+    """generalize_many's models share their weights: one (n, G) set serves
+    the stack, and every trajectory is bitwise the one-model regression."""
+    rng = np.random.default_rng(9)
+    tasks = [sample_task(scene, mode, rng, *endpoints)
+             for mode in ("combined", "translational") for _ in range(5)]
+    assert_regress_many_matches_regress(
+        generalize_many(model, tasks, ReparamConfig(ablate_covariance=ablate)), times)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 6), dim=st.integers(1, 5),
+       n_models=st.integers(1, 4), thin=st.booleans())
+def test_regress_many_matches_regress_on_random_mixtures(seed, n_comp, dim, n_models, thin):
+    """Mixtures with their own priors, time centers and variances take the
+    (T, n, G) weight stack, one row per model; mixtures that differ only in
+    their spatial terms share one set of weights."""
+    rng = np.random.default_rng(seed)
+    models = [random_spd_mixture(rng, n_comp, dim, thin) for _ in range(n_models)]
+    times = default_times(min(m.duration for m in models))
+    assert_regress_many_matches_regress(models, times)
+    first = models[0]
+    shifted = [GmmModel(first.priors, np.column_stack([first.means[:, 0], first.means[:, 1:] + k]),
+                        first.covs, first.phases) for k in range(n_models)]
+    assert_regress_many_matches_regress(shifted, default_times(first.duration))
+
+
+def test_regress_many_validation(model, times):
+    with pytest.raises(TypeError, match="cannot regress a str"):
+        regress_many([model, "model"], times)
+    with pytest.raises(ValueError, match="within"):
+        regress_many([model], np.append(times, times[-1] + 1.0))
 
 
 # Random mixtures stay below 6-D: a random 6-D mean path can turn a regressed

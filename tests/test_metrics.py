@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, resample
-from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, average_jerk,
-                            boundary_error, phase_deviation,
-                            rotation_angle_deg, shape_deviation)
+from gmmgen.gmr import regress_many
+from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _pose_stack,
+                            average_jerk, average_jerks, boundary_error, boundary_errors,
+                            phase_deviation, phase_deviations, rotation_angle_deg,
+                            shape_deviation, shape_deviations, shape_reference)
+from gmmgen.reparam import ReparamConfig, generalize_many
+from gmmgen.scene import sample_tasks
 
 
 def pose_rows(times, positions, rotvecs=None):
@@ -241,3 +246,112 @@ def test_eval_report_roundtrip_and_validation():
     with pytest.raises(ValueError):
         EvalReport(False, FailureReason.BOUNDARY, -0.1, 0.2, 0.3, 0.4,
                    0.5, 0.6, 0.7, 0.8, 0.001, 1.5, 2.5)
+
+
+# The four metrics one trajectory at a time, in their former 1-D form: the
+# oracles for the (T, n, 6) stacks.
+def oracle_angle_deg(a, b):
+    rel = Rotation.from_rotvec(np.array(a)).inv() * Rotation.from_rotvec(np.array(b))
+    return float(rel.magnitude() * (180.0 / np.pi))
+
+
+def oracle_boundary_error(traj, task):
+    out = []
+    for index, target in ((0, task.start), (-1, task.goal)):
+        pos_mm = float(np.linalg.norm(traj.positions()[index] - target.position)) * 1000.0
+        out.append((pos_mm, oracle_angle_deg(target.orientation, traj.orientations()[index])))
+    return tuple(out)
+
+
+def oracle_phase_deviation(traj, phases):
+    out = []
+    for window in (traj.times <= phases.grasp_end, traj.times >= phases.release_start):
+        positions, rotvecs = traj.positions()[window], traj.orientations()[window]
+        pos_dev = float(np.linalg.norm(positions - positions.mean(axis=0), axis=1).mean())
+        rel = (Rotation.from_rotvec(rotvecs.mean(axis=0)).inv()
+               * Rotation.from_rotvec(rotvecs))
+        out.append((pos_dev * 1000.0, float(rel.magnitude().mean()) * (180.0 / np.pi)))
+    return tuple(out)
+
+
+def oracle_unit_path(traj):
+    pts = resample(traj, SHAPE_POINTS).positions().copy()
+    pts -= pts.mean(axis=0)
+    return pts / float(np.linalg.norm(pts))
+
+
+def oracle_procrustes(traj, reference):
+    ref, cand = oracle_unit_path(reference), oracle_unit_path(traj)
+    u, s, vt = np.linalg.svd(cand.T @ ref)
+    proper = s[0] + s[1] + np.sign(np.linalg.det(u) * np.linalg.det(vt)) * s[2]
+    return max(float(2.0 - 2.0 * proper), 0.0)
+
+
+def oracle_average_jerk(traj):
+    n = int(round(traj.duration * 100.0)) + 1
+    grid = resample(traj, n)
+    h = traj.duration / (n - 1)
+    p, r = grid.positions(), grid.orientations()
+    third_p = (p[4:] - 2.0 * p[3:-1] + 2.0 * p[1:-3] - p[:-4]) / (2.0 * h**3)
+    third_r = (r[4:] - 2.0 * r[3:-1] + 2.0 * r[1:-3] - r[:-4]) / (2.0 * h**3)
+    return (float(np.linalg.norm(third_p, axis=1).mean()),
+            float(np.linalg.norm(third_r, axis=1).mean()) * (180.0 / np.pi))
+
+
+def assert_stack_matches_oracles(trajs, tasks, phases, reference):
+    """Each stacked metric, and each one-trajectory wrapper, equals its
+    oracle exactly (== on floats: bitwise for these finite values)."""
+    times, values = _pose_stack(trajs)
+    ref = shape_reference(reference)
+    assert ref.tobytes() == oracle_unit_path(reference).tobytes()
+    stacked = zip(boundary_errors(values, tasks), phase_deviations(times, values, phases),
+                  shape_deviations(times, values, ref), average_jerks(times, values))
+    for traj, task, (bound, window, shape, jerk) in zip(trajs, tasks, stacked):
+        want = (oracle_boundary_error(traj, task), oracle_phase_deviation(traj, phases),
+                oracle_procrustes(traj, reference), oracle_average_jerk(traj))
+        assert (bound, window, shape, jerk) == want
+        assert (boundary_error(traj, task), phase_deviation(traj, phases),
+                shape_deviation(traj, reference), average_jerk(traj)) == want
+
+
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_metric_stacks_match_oracles_on_benchmark_trajectories(model, scene, times, mode,
+                                                               ablate):
+    rngs = [np.random.default_rng([23, i]) for i in range(12)]
+    tasks = sample_tasks(scene, mode, rngs, *model_endpoints(model))
+    trajs = regress_many(generalize_many(model, tasks, ReparamConfig(ablate)), times)
+    assert_stack_matches_oracles(trajs, tasks, model.phases, trajs[0])
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_trajs=st.integers(1, 5),
+       n=st.integers(40, 400), duration=st.floats(1.0, 8.0))
+def test_metric_stacks_match_oracles_on_random_paths(seed, n_trajs, n, duration):
+    """Smooth random paths on a shared, unevenly spaced time grid, with
+    rotation vectors below pi and a reference on a grid of its own."""
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
+    times *= duration / times[-1]
+
+    def path(grid):
+        freq = rng.uniform(0.2, 2.0, (1, 6))
+        values = rng.normal(size=(1, 6)) * np.sin(freq * grid[:, None] + rng.uniform(0, 6, (1, 6)))
+        values[:, 3:] *= 1.0 / (1.0 + np.abs(values[:, 3:]).sum(axis=1, keepdims=True))
+        return Trajectory(grid, values + rng.normal(scale=1e-3, size=values.shape))
+
+    trajs = [path(times) for _ in range(n_trajs)]
+    tasks = [TaskSpec(Pose.from_vector(rng.normal(size=6) * [1, 1, 1, 0.5, 0.5, 0.5]),
+                      Pose.from_vector(rng.normal(size=6) * [1, 1, 1, 0.5, 0.5, 0.5]))
+             for _ in range(n_trajs)]
+    phases = PhaseSchedule(0.2 * duration, 0.7 * duration, duration)
+    reference = path(np.linspace(0.0, rng.uniform(1.0, 8.0), 150))
+    assert_stack_matches_oracles(trajs, tasks, phases, reference)
+
+
+def test_pose_stack_needs_one_time_grid():
+    times = np.linspace(0.0, 2.0, 11)
+    a = pose_rows(times, np.zeros((11, 3)))
+    b = pose_rows(times * 1.5, np.zeros((11, 3)))
+    with pytest.raises(ValueError, match="share one time grid"):
+        _pose_stack([a, b])

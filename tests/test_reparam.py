@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gmmgen.bench import default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.gmr import regress
-from gmmgen.model import GmmModel, load_model, save_model
+from gmmgen.model import GmmModel, load_model, model_to_dict, save_model
 from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd, _outers,
-                            generalize, reparam_covariances, reparam_means)
+                            generalize, generalize_many, reparam_covariances, reparam_means)
 from gmmgen.scene import sample_task
 
 from conftest import mutated
@@ -118,6 +118,78 @@ def test_reparam_covariances_matches_oracle_bitwise(seed, n_comp, dim, thin, spr
     eps = rng.uniform(1e-4, 0.5, dim)  # some consecutive differences keep their slope
     got = reparam_covariances(model, new_means, eps)
     assert_bitwise_equal(got, oracle_reparam_covariances(model, new_means, eps))
+
+
+def oracle_reparam_means(model, new_start, new_goal, eps):
+    """reparam_means for one endpoint pair in its former 1-D form."""
+    means = model.means[:, 1:]
+    first, last = means[0], means[-1]
+    span = last - first
+    degenerate = np.abs(span) < eps
+    scale = np.where(degenerate, 0.0, (new_goal - new_start) / np.where(degenerate, 1.0, span))
+    scaled = new_start + scale * (means - first)
+    centers = model.means[:, 0]
+    alpha = (centers - centers[0]) / (centers[-1] - centers[0])
+    offset = (means + np.outer(1.0 - alpha, new_start - first)
+              + np.outer(alpha, new_goal - last))
+    out = np.where(degenerate[None, :], offset, scaled)
+    out[0] = new_start
+    out[-1] = new_goal
+    return out
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 6), dim=st.integers(1, 4),
+       thin=st.booleans(), n_sets=st.integers(1, 5))
+def test_stacked_reparam_matches_one_set_at_a_time(seed, n_comp, dim, thin, n_sets):
+    """Endpoint pairs stacked (T, D) give means (T, G, D), covs and repair
+    counts bitwise equal to the per-pair oracles, row by row; thin mixtures
+    bring SPD repairs into some rows and not others."""
+    rng = np.random.default_rng(seed)
+    model = random_spd_mixture(rng, n_comp, dim, thin)
+    span = model.means[-1, 1:] - model.means[0, 1:]
+    starts = rng.normal(size=(n_sets, dim))
+    goals = starts + rng.uniform(-30.0, 30.0, (n_sets, dim)) * span
+    eps = rng.uniform(1e-4, 0.5, dim)
+    means = reparam_means(model, starts, goals, eps)
+    covs, repairs = reparam_covariances(model, means, eps)
+    assert means.shape == (n_sets, n_comp, dim) and repairs.shape == (n_sets,)
+    for k in range(n_sets):
+        one = oracle_reparam_means(model, starts[k], goals[k], eps)
+        assert means[k].tobytes() == one.tobytes()
+        assert reparam_means(model, starts[k], goals[k], eps).tobytes() == one.tobytes()
+        assert_bitwise_equal((covs[k], repairs[k]), oracle_reparam_covariances(model, one, eps))
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_generalize_many_matches_generalize(model, scene, endpoints, ablate):
+    rng = np.random.default_rng(17)
+    tasks = [sample_task(scene, mode, rng, *endpoints)
+             for mode in ("combined", "translational") for _ in range(6)]
+    config = ReparamConfig(ablate_covariance=ablate)
+    many = generalize_many(model, tasks, config)
+    assert len(many) == len(tasks)
+    for task, got in zip(tasks, many):
+        want = generalize(model, task, config)
+        assert got.task is task and got.ablated is ablate
+        assert json.dumps(model_to_dict(got)) == json.dumps(model_to_dict(want))
+
+
+def test_generalize_many_counts_repairs_per_task():
+    """The thin mixture of the repair test below: its repairing task and a
+    task that needs none, in one call, keep their own counts."""
+    rng = np.random.default_rng(738)
+    scale = rng.choice([0.3, 1.0])
+    model = random_spd_mixture(rng, 5, 6, thin=True, scale=scale)
+    first, last = model.means[0, 1:], model.means[-1, 1:]
+    start = rng.uniform(-1.0, 1.0, 6)
+    goal = start + rng.uniform(-30.0, 30.0, 6) * (last - first)
+    tasks = [TaskSpec(Pose.from_vector(first), Pose.from_vector(last)),
+             TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))]
+    many = generalize_many(model, tasks)
+    assert [m.spd_repairs for m in many] == [generalize(model, t).spd_repairs for t in tasks]
+    assert many[0].spd_repairs == 0 < many[1].spd_repairs
+    assert all(isinstance(m.spd_repairs, int) for m in many)
 
 
 def pose_task(start, goal):

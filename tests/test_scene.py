@@ -8,9 +8,10 @@ from scipy.spatial.transform import Rotation
 
 from gmmgen.data import Pose, TaskSpec, Trajectory
 from gmmgen.metrics import FailureReason, boundary_error
-from gmmgen.scene import (REST_CLEARANCE, Scene, Slab, SuccessThresholds, collision_mask,
-                          default_scene, load_scene, rest_height, sample_task, save_scene,
-                          scene_collides, scene_to_dict, trajectory_success)
+from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, Scene, Slab, SuccessThresholds,
+                          collision_mask, default_scene, load_scene, rest_height, sample_task,
+                          sample_tasks, save_scene, scene_collides, scene_to_dict,
+                          trajectory_success)
 
 from conftest import mutated
 
@@ -108,6 +109,44 @@ def test_collision_mask_matches_scalar_oracle(batch):
     mask = collision_mask(positions, rotvecs, dims, slabs)
     assert mask.shape == (len(positions), len(slabs))
     assert np.array_equal(mask, oracle_mask(positions, rotvecs, dims, slabs))
+
+
+_near_diagonal_yaw = st.builds(lambda sign, eps: sign * (np.pi / 4.0 + eps),
+                               st.sampled_from((-1.0, 1.0)), st.floats(-1e-6, 1e-6))
+
+
+@st.composite
+def _near_face_poses(draw):
+    """1-12 default-scene box poses whose support along a slab's face
+    normal sits within 1 mm of that face, inside or outside; yaws are
+    near +-pi/4 or anywhere in the task sampler's range."""
+    scene = default_scene()
+    half_box = 0.5 * scene.box_dims
+    positions, rotvecs = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        slab = draw(st.sampled_from(scene.slabs))
+        yaw = draw(st.one_of(_near_diagonal_yaw, st.floats(-np.pi / 4.0, np.pi / 4.0)))
+        rotvec = np.array([0.0, 0.0, yaw])
+        support = np.abs(Rotation.from_rotvec(rotvec).as_matrix()) @ half_box
+        axis, side = draw(st.integers(0, 2)), draw(st.sampled_from((-1.0, 1.0)))
+        position = slab.center + np.array(draw(st.tuples(_unit, _unit, _unit))) * slab.half_extents
+        position[axis] = (slab.center[axis] + side * (slab.half_extents[axis] + support[axis])
+                          + draw(st.floats(-1e-3, 1e-3)))
+        positions.append(position)
+        rotvecs.append(rotvec)
+    return np.array(positions), np.array(rotvecs)
+
+
+@given(_near_face_poses())
+def test_collision_mask_rows_do_not_depend_on_the_batch(poses):
+    """A pose's row in an N-pose call is bitwise its row from a one-pose
+    call; the round-based task sampler relies on it."""
+    positions, rotvecs = poses
+    scene = default_scene()
+    mask = collision_mask(positions, rotvecs, scene.box_dims, scene.slabs)
+    for k in range(len(positions)):
+        one = collision_mask(positions[k:k + 1], rotvecs[k:k + 1], scene.box_dims, scene.slabs)
+        assert np.array_equal(mask[k:k + 1], one)
 
 
 def test_collision_mask_matches_oracle_on_scene_poses(scene):
@@ -329,6 +368,81 @@ def test_sample_task_deterministic(scene, endpoints):
     assert np.array_equal(a.goal.as_vector(), b.goal.as_vector())
     with pytest.raises(ValueError):
         sample_task(scene, "spiral", np.random.default_rng(0), *endpoints)
+
+
+def oracle_sample_task(scene, variation, rng, base_start, base_goal):
+    """The task sampler in its former one-endpoint-at-a-time form: the
+    reference for sample_tasks' rounds."""
+    if variation not in ("translational", "combined"):
+        raise ValueError(f"unknown variation '{variation}'")
+    poses = []
+    for base in (base_start, base_goal):
+        for _ in range(SAMPLE_ATTEMPTS):
+            length = float(rng.uniform(*scene.length_range))
+            level = scene.levels[int(rng.integers(len(scene.levels)))]
+            position = np.array([length, base.position[1], rest_height(scene, level)])
+            orientation = base.orientation
+            if variation == "combined":
+                yaw = float(rng.uniform(-np.pi / 4.0, np.pi / 4.0))
+                orientation = (Rotation.from_rotvec([0.0, 0.0, yaw])
+                               * Rotation.from_rotvec(np.array(base.orientation))).as_rotvec()
+            pose = Pose(position, orientation)
+            if not scene_collides(pose, scene):
+                poses.append(pose)
+                break
+        else:
+            raise ValueError(f"no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
+    return TaskSpec(*poses)
+
+
+def task_bytes(task):
+    return np.concatenate([task.start_vector(), task.goal_vector()]).tobytes()
+
+
+def crowded_scene():
+    """The default shelf with most of the upper level blocked, so many
+    draws are rejected and tasks finish in different rounds."""
+    scene = default_scene()
+    block = Slab((0.05, 0.0, 0.42), (0.62, 0.45, 0.535))
+    return Scene(scene.slabs + (block,), scene.box_dims, scene.levels, scene.length_range)
+
+
+@pytest.mark.parametrize("make_scene", [default_scene, crowded_scene])
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+def test_sample_tasks_draw_as_the_one_task_oracle(endpoints, make_scene, mode):
+    """Per-trial generators, as run_benchmark seeds them: each task equals
+    the former sampler's on a fresh default_rng([seed, i]), and each
+    generator is left in the same state (its next draw agrees)."""
+    scene = make_scene()
+    for seed in (1, 2, 3):
+        rngs = [np.random.default_rng([seed, i]) for i in range(24)]
+        tasks = sample_tasks(scene, mode, rngs, *endpoints)
+        for i, (rng, task) in enumerate(zip(rngs, tasks)):
+            fresh = np.random.default_rng([seed, i])
+            assert task_bytes(task) == task_bytes(oracle_sample_task(scene, mode, fresh,
+                                                                     *endpoints))
+            assert rng.random() == fresh.random()
+
+
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+def test_sample_task_on_a_shared_generator_draws_as_before(scene, endpoints, mode):
+    """One generator drawing task after task, as perfbench's adapt pool and
+    the yaw statistics test use it."""
+    rng, oracle_rng = np.random.default_rng(12), np.random.default_rng(12)
+    for _ in range(40):
+        assert task_bytes(sample_task(scene, mode, rng, *endpoints)) == task_bytes(
+            oracle_sample_task(scene, mode, oracle_rng, *endpoints))
+    assert rng.random() == oracle_rng.random()
+
+
+def test_sample_tasks_give_up_after_the_attempt_limit(endpoints):
+    scene = default_scene()
+    filled = Scene(scene.slabs + (Slab((-0.05, 0.0, 0.0), (0.85, 0.45, 0.535)),),
+                   scene.box_dims, scene.levels, scene.length_range)
+    rngs = [np.random.default_rng([0, i]) for i in range(3)]
+    with pytest.raises(ValueError, match=f"in {SAMPLE_ATTEMPTS} draws"):
+        sample_tasks(filled, "combined", rngs, *endpoints)
+    assert sample_tasks(scene, "combined", [], *endpoints) == []
 
 
 def test_default_scene_geometry(scene):
