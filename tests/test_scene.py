@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.data import Pose, TaskSpec, Trajectory
+from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, resample
+from gmmgen.gmr import regress_many
 from gmmgen.metrics import FailureReason, boundary_error
+from gmmgen.reparam import ReparamConfig, generalize_many
 from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, Scene, Slab, SuccessThresholds,
                           collision_mask, default_scene, load_scene, rest_height, sample_task,
                           sample_tasks, save_scene, scene_collides, scene_to_dict,
@@ -147,6 +149,92 @@ def test_collision_mask_rows_do_not_depend_on_the_batch(poses):
     for k in range(len(positions)):
         one = collision_mask(positions[k:k + 1], rotvecs[k:k + 1], scene.box_dims, scene.slabs)
         assert np.array_equal(mask[k:k + 1], one)
+
+
+def oracle_single_stage_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
+    """The batched kernel in its former single-stage form, all 15 axes on
+    every (pose, slab) pair: the bitwise reference for the two-stage
+    collision_mask."""
+    positions = np.array(positions, dtype=float).reshape(-1, 3)
+    # copy: scipy rejects the read-only arrays Pose and Trajectory hand out
+    rot = Rotation.from_rotvec(np.array(rotvecs, dtype=float).reshape(-1, 3)).as_matrix()
+    n = len(positions)
+    half_box = 0.5 * np.asarray(box_dims, dtype=float).reshape(3)
+    centers = np.array([s.center for s in slabs]).reshape(-1, 3)
+    half_slabs = np.array([s.half_extents for s in slabs]).reshape(-1, 3)
+
+    basis = np.eye(3)
+    box_axes = np.swapaxes(rot, 1, 2)  # row j is the box's axis j
+    edges = np.cross(basis[None, :, None, :], box_axes[:, None, :, :]).reshape(n, 9, 3)
+    axes = np.concatenate([np.broadcast_to(basis, (n, 3, 3)), box_axes, edges], axis=1)
+    norms = np.sqrt(_dot(axes, axes))
+    usable = norms >= 1e-9
+    axes = axes / np.where(usable, norms, 1.0)[..., None]
+
+    delta = positions[:, None, :] - centers  # (N, S, 3)
+    r_slab = _dot(np.abs(axes)[:, :, None, :], half_slabs)  # (N, 15, S)
+    r_box = _dot(np.abs(axes[:, :, None, :] @ rot[:, None])[:, :, 0, :], half_box)
+    proj = _dot(axes[:, :, None, :], delta[:, None, :, :])
+    separated = usable[..., None] & (np.abs(proj) > r_slab + r_box[..., None])
+    return ~separated.any(axis=1)
+
+
+def face_separated(positions, rotvecs, box_dims, slabs) -> np.ndarray:
+    """(N, S) bool: is the pair separated along one of the slab's face
+    normals?  The single-stage oracle's first 3 axes, written out."""
+    rot = Rotation.from_rotvec(np.array(rotvecs, dtype=float)).as_matrix()
+    support = _dot(np.abs(rot), 0.5 * np.asarray(box_dims, dtype=float))
+    centers = np.array([s.center for s in slabs])
+    half_slabs = np.array([s.half_extents for s in slabs])
+    delta = np.asarray(positions, dtype=float)[:, None, :] - centers
+    return (np.abs(delta) > half_slabs + support[:, None, :]).any(axis=2)
+
+
+@given(_near_face_poses())
+def test_two_stage_mask_matches_single_stage_oracle_near_faces(poses):
+    positions, rotvecs = poses
+    scene = default_scene()
+    assert np.array_equal(collision_mask(positions, rotvecs, scene.box_dims, scene.slabs),
+                          oracle_single_stage_mask(positions, rotvecs, scene.box_dims,
+                                                   scene.slabs))
+
+
+def test_two_stage_mask_matches_single_stage_oracle_on_trial_poses(model, scene, times,
+                                                                   endpoints):
+    """The 200-pose collision samples of 32 full and 32 ablated combined
+    trials (seed 11), as trajectory_success checks them.  Some pairs there
+    are separated only by a box axis or an edge axis, so the second stage
+    decides pairs the first leaves open."""
+    tasks = sample_tasks(scene, "combined", [np.random.default_rng([11, i]) for i in range(32)],
+                         *endpoints)
+    second_stage_only = 0
+    for ablate in (False, True):
+        trajs = regress_many(generalize_many(model, tasks, ReparamConfig(ablate_covariance=ablate)),
+                             times)
+        for traj in trajs:
+            sampled = resample(traj, 200)
+            args = (sampled.positions(), sampled.orientations(), scene.box_dims, scene.slabs)
+            mask = collision_mask(*args)
+            assert np.array_equal(mask, oracle_single_stage_mask(*args))
+            second_stage_only += int((~mask & ~face_separated(*args)).sum())
+    assert second_stage_only > 0
+
+
+def test_collision_mask_rejects_mismatched_pose_counts(scene):
+    with pytest.raises(ValueError, match=r"positions \(4, 3\) and rotvecs \(3, 3\)"):
+        collision_mask(np.zeros((4, 3)), np.zeros((3, 3)), scene.box_dims, scene.slabs)
+
+
+@pytest.mark.parametrize("which,value", [(0, np.nan), (1, np.inf), (1, -np.inf)],
+                         ids=["nan-position", "inf-rotvec", "minus-inf-rotvec"])
+def test_collision_mask_rejects_non_finite_poses(scene, which, value):
+    """A non-finite pose is an error naming its row, not a collision with
+    every slab."""
+    arrays = [np.full((5, 3), 0.2), np.zeros((5, 3))]
+    arrays[which][3, 1] = value
+    arrays[which][4, 0] = value
+    with pytest.raises(ValueError, match="pose 3: .*finite"):
+        collision_mask(*arrays, scene.box_dims, scene.slabs)
 
 
 def test_collision_mask_matches_oracle_on_scene_poses(scene):
