@@ -13,16 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int,
-                   _check_real)
-from .gmr import regress, regress_many
+                   _check_real, _check_samples)
+from .gmr import _expected_poses, _validated_times, regress
 from .metrics import (EvalReport, _pose_stack, average_jerks, boundary_errors,
                       phase_deviations, shape_deviations, shape_reference)
-from .model import GmmModel
-from .reparam import ReparamConfig, generalize_many
-from .scene import Scene, SuccessThresholds, sample_tasks, trajectory_success
+from .model import GmmModel, _checked_covs
+from .reparam import ReparamConfig, _reparam
+from .scene import Scene, SuccessThresholds, sample_tasks, trajectories_success
+from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
 
-# Trials scored per stack in run_benchmark.  A chunk holds its trajectories
-# and their metric stacks, a few MB in all; outputs do not depend on it.
+# Trials scored per stack in run_benchmark.  A chunk holds its (T, n, 6)
+# values and their metric stacks, a few MB in all; outputs do not depend on it.
 BATCH_TRIALS = 16
 
 # summary.csv metric column -> the EvalReport field it averages over trials
@@ -41,24 +42,25 @@ def default_times(duration: float, rate: float = SAMPLE_RATE) -> np.ndarray:
     return np.linspace(0.0, duration, int(round(duration * rate)) + 1)
 
 
-def evaluate_trajectories(trajs, tasks, scene: Scene, reference: np.ndarray,
-                          phases: PhaseSchedule,
+def evaluate_trajectories(times: np.ndarray, values: np.ndarray, tasks, scene: Scene,
+                          reference: np.ndarray, phases: PhaseSchedule,
                           thresholds: SuccessThresholds = SuccessThresholds()) -> list:
-    """evaluate_trajectory() for trajectories sampled on one time grid, each
-    against its task, with the metrics computed on their (T, n, 6) stack.
+    """evaluate_trajectory() for each (n, 6) row of a (T, n, 6) stack sampled
+    at times, each against its task.
 
-    reference is the shape_reference() of the reference trajectory.  The
-    collision check stays one trajectory_success call per trajectory, and
-    each trajectory's boundary errors feed both its report and its verdict.
+    reference is the shape_reference() of the reference trajectory.  Every
+    metric is computed on the stack, the verdicts take one
+    trajectories_success() call, and each trajectory's boundary errors feed
+    both its report and its verdict.
     """
-    times, values = _pose_stack(trajs)
     boundaries = boundary_errors(values, tasks)
     windows = phase_deviations(times, values, phases)
     shapes = shape_deviations(times, values, reference)
     jerks = average_jerks(times, values)
+    verdicts = trajectories_success(times, values, scene, boundaries, thresholds)
     reports = []
-    for traj, boundary, window, shape, jerk in zip(trajs, boundaries, windows, shapes, jerks):
-        success, reason = trajectory_success(traj, scene, boundary, thresholds)
+    for (success, reason), boundary, window, shape, jerk in zip(verdicts, boundaries, windows,
+                                                                 shapes, jerks):
         (start_mm, start_deg), (goal_mm, goal_deg) = boundary
         (grasp_mm, grasp_deg), (release_mm, release_deg) = window
         jerk_lin, jerk_ang = jerk
@@ -85,8 +87,33 @@ def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
                         thresholds: SuccessThresholds = SuccessThresholds()) -> EvalReport:
     """Score one trajectory with the full metric suite plus the success check;
     the report and the verdict read the same boundary errors."""
-    return evaluate_trajectories([traj], [task], scene, shape_reference(reference), phases,
-                                 thresholds)[0]
+    return evaluate_trajectories(*_pose_stack([traj]), [task], scene, shape_reference(reference),
+                                 phases, thresholds)[0]
+
+
+def _regressed(model: GmmModel, tasks, config: ReparamConfig, times: np.ndarray) -> np.ndarray:
+    """(T, n, D) values of regress(generalize(model, task, config), times) for
+    each task, computed as one stack and bitwise equal to them.
+
+    times must be valid query times starting at 0.  The adapted components
+    and the regressed samples pass the checks GmmModel and Trajectory run,
+    each once over the whole stack.  The (G,) priors and time centers are
+    the source model's, and its time variances serve the whole stack unless
+    an SPD repair moved one; then each task's weights are its own.
+    """
+    starts = np.array([task.start_vector() for task in tasks])
+    goals = np.array([task.goal_vector() for task in tasks])
+    means, covs, _ = _reparam(model, starts, goals, config)
+    covs = _checked_covs(model.priors, means, covs)
+    t_means, t_vars = model.means[:, 0], covs[..., 0, 0]
+    slopes = covs[..., 1:, 0] / t_vars[..., None]
+    if (t_vars == t_vars[0]).all():
+        t_vars = t_vars[0]
+    else:
+        t_means = np.broadcast_to(t_means, t_vars.shape)
+    values = _expected_poses(model.priors, t_means, t_vars, means, slopes, times)
+    _check_samples(times, values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -132,14 +159,18 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     model's own regression, and is resampled and normalized once per run.
     Trial i draws from default_rng([seed, i]), so results do not depend on
     how many trials run before it.  Trials are scored in chunks of
-    BATCH_TRIALS, each sampled, generalized, regressed and measured as one
-    stack; a trial's record does not depend on the chunk it falls in.
+    BATCH_TRIALS, each kept as arrays from its sampled tasks to its
+    reports: one (T, n, 6) stack is generalized, regressed and checked,
+    measured by the stacked metrics, and checked for collision in one
+    call.  A trial's record is the one evaluate_trajectory() gives for
+    regress(generalize(model, task, config), times), whatever chunk it
+    falls in.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
     if config is None:
         config = ReparamConfig()
-    times = default_times(model.duration, rate)
+    times = _validated_times(default_times(model.duration, rate), model.duration)
     shape_ref = shape_reference(regress(model, times) if reference is None else reference)
     if method is None:
         method = "ablated" if config.ablate_covariance else "full"
@@ -150,8 +181,8 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
         indices = range(first, min(first + BATCH_TRIALS, trials))
         rngs = [np.random.default_rng([seed, i]) for i in indices]
         tasks = sample_tasks(scene, mode, rngs, base_start, base_goal)
-        trajs = regress_many(generalize_many(model, tasks, config), times)
-        reports = evaluate_trajectories(trajs, tasks, scene, shape_ref, model.phases,
+        values = _regressed(model, tasks, config, times)
+        reports = evaluate_trajectories(times, values, tasks, scene, shape_ref, model.phases,
                                         thresholds)
         records += map(TrialRecord, indices, tasks, reports)
     summary = summarize(records, method)

@@ -8,6 +8,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -58,9 +59,14 @@ def _add_threshold_flags(sub):
 def _save_all_or_nothing(saves) -> None:
     """Run each (save, obj, path) as save(obj, temporary file beside path),
     then move the files into place only once every save succeeded, so a
-    failed save leaves none of them behind."""
+    failed save leaves none of them behind.  A path that is a directory is
+    refused before anything is saved, as moving a file onto it would fail
+    only after the files before it had been moved."""
     temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.{i}.tmp")
              for i, (_, _, path) in enumerate(saves)]
+    for _, _, path in saves:
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     try:
         for (save, obj, path), temp in zip(saves, temps):
             try:
@@ -194,8 +200,8 @@ def cmd_benchmark(args) -> int:
                                  method=args.method, rate=args.rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bench.write_summary_csv([result.summary], out_dir / "summary.csv")
-    bench.write_trials_jsonl(result, out_dir / "trials.jsonl")
+    _save_all_or_nothing([(bench.write_summary_csv, [result.summary], out_dir / "summary.csv"),
+                          (bench.write_trials_jsonl, result, out_dir / "trials.jsonl")])
     print(f"{result.method} {result.mode}: success {result.summary['success_rate']:.1f}% "
           f"over {args.trials} trials; results in {out_dir}")
     return EXIT_OK

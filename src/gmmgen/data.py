@@ -164,31 +164,48 @@ class PhaseSchedule:
 
 
 def _first_violation(times: np.ndarray, values: np.ndarray):
-    """(sample index, problem) for the first sample that breaks a trajectory
-    rule, or None.
+    """(index, problem) for the first sample that breaks a trajectory rule,
+    or None.
 
     The rules: every entry is finite, the first time is 0, times strictly
     increase, and 6-D rows keep their rotation-vector magnitude below pi.
-    A valid trajectory costs whole-array checks only; the offending sample
-    is located once one of them fails.
+    values is (n, D), one series, and index its sample; or (K, n, D), K
+    series sampled at the same times, and index is (series, sample) of the
+    first series with a violation.  Valid samples cost whole-array checks
+    only; the offending one is located once one of them fails.
     """
-    angles = (_rotvec_angles(values[:, 3:6]) if values.shape[1] == POSE_DIM
-              else np.zeros(len(times)))
+    angles = (_rotvec_angles(values[..., 3:6]) if values.shape[-1] == POSE_DIM
+              else np.zeros(values.shape[:-1]))
     if (np.isfinite(times).all() and np.isfinite(values).all()
             and (times[:1] == 0.0).all() and (np.diff(times) > 0.0).all()
             and (angles < np.pi).all()):
         return None
-    finite = np.isfinite(times) & np.isfinite(values).all(axis=1)
+    finite = np.isfinite(times) & np.isfinite(values).all(axis=-1)
     with np.errstate(invalid="ignore"):  # inf - inf between non-finite times
         ordered = np.concatenate([times[:1] == 0.0, np.diff(times) > 0.0])
-    index = int(np.argmin(finite & ordered & (angles < np.pi)))
-    if not finite[index]:
-        return index, "non-finite value"
-    if index == 0 and not ordered[0]:
-        return index, f"first sample must start at t=0, got t={times[0]}"
-    if not ordered[index]:
-        return index, f"time {times[index]} does not increase past {times[index - 1]}"
-    return index, f"rotation-vector magnitude {angles[index]:.6f} rad must stay below pi"
+    valid = finite & ordered & (angles < np.pi)
+    where = np.unravel_index(int(np.argmin(valid)), valid.shape)
+    index = int(where[-1])
+    if not finite[where]:
+        problem = "non-finite value"
+    elif index == 0 and not ordered[0]:
+        problem = f"first sample must start at t=0, got t={times[0]}"
+    elif not ordered[index]:
+        problem = f"time {times[index]} does not increase past {times[index - 1]}"
+    else:
+        problem = f"rotation-vector magnitude {angles[where]:.6f} rad must stay below pi"
+    return (index if valid.ndim == 1 else (int(where[0]), index)), problem
+
+
+def _check_samples(times: np.ndarray, values: np.ndarray) -> None:
+    """Raise ValueError naming the first sample, and in a (K, n, D) stack its
+    trajectory, that breaks a rule of _first_violation."""
+    found = _first_violation(times, values)
+    if found is not None:
+        index, problem = found
+        where = (f"sample {index}" if isinstance(index, int)
+                 else "trajectory {}, sample {}".format(*index))
+        raise ValueError(f"{where}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -215,10 +232,7 @@ class Trajectory:
             raise ValueError("times must be (n,) and values (n, D)")
         if len(times) < 2:
             raise ValueError("a trajectory needs at least two samples")
-        found = _first_violation(times, values)
-        if found is not None:
-            index, problem = found
-            raise ValueError(f"sample {index}: {problem}")
+        _check_samples(times, values)
 
     @property
     def n_samples(self) -> int:

@@ -74,22 +74,3 @@ def regress(model, times) -> Trajectory:
     times = _validated_times(times, duration)
     return Trajectory(times - times[0], _expected_poses(*arrays, times))
 
-
-def regress_many(models, times) -> list:
-    """regress() for each model, as one pass over (T, n, D) stacks.
-
-    The models must share their component count and pose dimension, and
-    the query times must suit every model's duration.  The weights depend
-    only on priors, time centers and time variances; when every model has
-    the same ones (generalize_many's models do, unless an SPD repair moved
-    a time variance) one (n, G) set of weights serves the whole stack,
-    otherwise each model gets its own row of a (T, n, G) stack.  Each
-    result is checked as its own Trajectory.
-    """
-    parts = [_model_arrays(model) for model in models]
-    arrays = [np.stack(column) for column in zip(*(arrays for arrays, _ in parts))]
-    if all((column == column[0]).all() for column in arrays[:3]):
-        arrays[:3] = [column[0] for column in arrays[:3]]
-    times = _validated_times(times, min(duration for _, duration in parts))
-    return [Trajectory(times - times[0], values)
-            for values in _expected_poses(*arrays, times)]

@@ -43,8 +43,41 @@ def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
     return fails
 
 
-def _first(flags: np.ndarray) -> int:
-    return int(np.flatnonzero(flags)[0])
+def _first(flags: np.ndarray) -> str:
+    """The first flagged component of a (G,) or (K, G) flag array, named
+    "component g" or, in a stack, "mixture k, component g"."""
+    *mixture, component = np.unravel_index(np.flatnonzero(flags)[0], flags.shape)
+    label = f"component {component}"
+    return f"mixture {mixture[0]}, {label}" if mixture else label
+
+
+def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """covs symmetrized and read-only, once every component passes its checks.
+
+    priors are (G,), means (G, k) and covs (G, D+1, D+1), or means and covs
+    stacked (K, G, ...) as K mixtures sharing the priors.  Every parameter
+    must be finite, every prior positive, and every covariance symmetric to
+    1e-9 of its largest entry and, once symmetrized, accepted by Cholesky;
+    one batched factorization checks the whole stack.
+    """
+    bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=-1)
+            & np.isfinite(covs).all(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"{_first(bad)}: parameters must be finite")
+    if not (priors > 0.0).all():
+        raise ValueError(f"{_first(~(priors > 0.0))}: prior must be positive")
+    flipped = np.swapaxes(covs, -2, -1)
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    asym = np.abs(covs - flipped).max(axis=(-2, -1)) > 1e-9 * scale
+    if asym.any():
+        raise ValueError(f"{_first(asym)}: covariance must be symmetric")
+    covs = 0.5 * (covs + flipped)
+    covs.flags.writeable = False
+    not_spd = _cholesky_fails(covs)
+    if not_spd.any():
+        raise ValueError(f"{_first(not_spd)}: covariance must be "
+                         "symmetric positive definite")
+    return covs
 
 
 @dataclass(frozen=True)
@@ -84,22 +117,7 @@ class GmmModel:
         n_dim = means.shape[1]
         if covs.shape != (n_comp, n_dim, n_dim):
             raise ValueError("covariance shapes must match the means")
-        bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=1)
-                & np.isfinite(covs).all(axis=(1, 2)))
-        if bad.any():
-            raise ValueError(f"component {_first(bad)}: parameters must be finite")
-        if not (priors > 0.0).all():
-            raise ValueError(f"component {_first(~(priors > 0.0))}: prior must be positive")
-        scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
-        asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-9 * scale
-        if asym.any():
-            raise ValueError(f"component {_first(asym)}: covariance must be symmetric")
-        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-        covs.flags.writeable = False
-        not_spd = _cholesky_fails(covs)
-        if not_spd.any():
-            raise ValueError(f"component {_first(not_spd)}: covariance must be "
-                             "symmetric positive definite")
+        covs = _checked_covs(priors, means, covs)
         total = priors.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"priors must sum to 1, got {float(total)!r}")

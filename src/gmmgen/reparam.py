@@ -136,31 +136,15 @@ def _reparam(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
     return (means, *reparam_covariances(model, means, DEGENERATE_EPS))
 
 
-def _adapted(model: GmmModel, config: ReparamConfig, task: TaskSpec, means: np.ndarray,
-             covs: np.ndarray, repairs) -> GmmModel:
-    """The checked GmmModel for one task from its remapped means and covs."""
-    return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
-                    model.phases, task=task, ablated=config.ablate_covariance,
-                    spd_repairs=int(repairs))
-
-
-def generalize_many(model: GmmModel, tasks, config: ReparamConfig = ReparamConfig()) -> list:
-    """generalize() for each task, with the tasks' means and covariances
-    computed as (T, G, D) and (T, G, D+1, D+1) stacks; every adapted
-    mixture is still built, and checked, as its own GmmModel."""
-    starts = np.array([task.start_vector() for task in tasks])
-    goals = np.array([task.goal_vector() for task in tasks])
-    stacks = _reparam(model, starts, goals, config)
-    return [_adapted(model, config, task, *one) for task, *one in zip(tasks, *stacks)]
-
-
 def generalize(model: GmmModel, task: TaskSpec,
                config: ReparamConfig = ReparamConfig()) -> GmmModel:
     """Adapt a fitted or generalized model to the task's start and goal poses.
 
-    The result carries the task.  Its priors, time centers and time
-    variances are the source model's, untouched.  This is generalize_many
-    for one task, on (G, D) arrays rather than a stack of one.
+    The result carries the task.  Its priors and time centers are the
+    source model's, untouched, and so are its time variances unless an SPD
+    repair moved one.
     """
-    return _adapted(model, config, task,
-                    *_reparam(model, task.start_vector(), task.goal_vector(), config))
+    means, covs, repairs = _reparam(model, task.start_vector(), task.goal_vector(), config)
+    return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
+                    model.phases, task=task, ablated=config.ablate_covariance,
+                    spd_repairs=int(repairs))

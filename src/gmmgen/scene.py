@@ -15,8 +15,8 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .data import (Pose, TaskSpec, Trajectory, _check_int, _check_real, _dot,
-                   _json_numbers, _read_json, _write_json, resample)
-from .metrics import FailureReason
+                   _json_numbers, _read_json, _resampled, _write_json)
+from .metrics import FailureReason, _pose_stack
 
 REST_CLEARANCE = 0.003
 SAMPLE_ATTEMPTS = 100  # endpoint draws before sample_task gives up
@@ -88,6 +88,12 @@ class SuccessThresholds:
         _check_int("collision_samples", self.collision_samples, 2)
 
 
+# e_i x v is a signed permutation of v: entry c is _CROSS_SIGN[i, c] times
+# entry _CROSS_INDEX[i, c] of v padded with a trailing 0.
+_CROSS_INDEX = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])
+_CROSS_SIGN = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+
+
 def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
     """(N, S) bool: does the box at pose n touch or overlap slab s?
 
@@ -132,7 +138,8 @@ def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
     pose, slab = np.nonzero(mask)  # the P pairs no face normal separates
     rot = rot[pose]
     box_axes = np.swapaxes(rot, 1, 2)  # row j is the box's axis j
-    edges = np.cross(np.eye(3)[None, :, None, :], box_axes[:, None, :, :])
+    padded = np.concatenate([box_axes, np.zeros((len(pose), 3, 1))], axis=2)
+    edges = np.swapaxes(padded[:, :, _CROSS_INDEX] * _CROSS_SIGN, 1, 2)  # e_i x axis j
     axes = np.concatenate([box_axes, edges.reshape(-1, 9, 3)], axis=1)  # (P, 12, 3)
     norms = np.sqrt(_dot(axes, axes))
     usable = norms >= 1e-9
@@ -152,26 +159,43 @@ def scene_collides(pose: Pose, scene: Scene) -> bool:
                                scene.slabs).any())
 
 
+def trajectories_success(times: np.ndarray, values: np.ndarray, scene: Scene, boundaries,
+                         thresholds: SuccessThresholds = SuccessThresholds()) -> list:
+    """trajectory_success() for each (n, 6) row of a (T, n, 6) stack sampled
+    at times, with its boundary errors from boundaries.
+
+    Every trajectory is resampled in one pass, and all T x collision_samples
+    poses go through one collision_mask call: a pose's collision row does
+    not depend on the other poses in the call.
+    """
+    sampled = _resampled(times, values, thresholds.collision_samples)[1].reshape(-1, 6)
+    hits = collision_mask(sampled[:, :3], sampled[:, 3:], scene.box_dims, scene.slabs)
+    verdicts = []
+    for hit, ((start_mm, start_deg), (goal_mm, goal_deg)) in zip(
+            hits.reshape(len(values), -1).any(axis=1), boundaries):
+        if hit:
+            verdicts.append((False, FailureReason.COLLISION))
+        elif (start_mm > thresholds.max_boundary_pos_mm
+                or goal_mm > thresholds.max_boundary_pos_mm
+                or start_deg > thresholds.max_boundary_rot_deg
+                or goal_deg > thresholds.max_boundary_rot_deg):
+            verdicts.append((False, FailureReason.BOUNDARY))
+        else:
+            verdicts.append((True, FailureReason.NONE))
+    return verdicts
+
+
 def trajectory_success(traj: Trajectory, scene: Scene, boundary,
                        thresholds: SuccessThresholds = SuccessThresholds()):
     """(flag, reason): collision-free at sampled poses and boundary within bounds.
 
     boundary is ((start_mm, start_deg), (goal_mm, goal_deg)), traj's errors
     against its task as the metrics module reports them; an error equal to
-    its threshold passes.  All sampled poses go through one collision_mask
-    call, and a collision outranks a boundary failure.
+    its threshold passes.  collision_samples poses, evenly spaced in time,
+    are checked for collision, and a collision outranks a boundary failure.
+    This is trajectories_success() for a stack of one.
     """
-    sampled = resample(traj, thresholds.collision_samples)
-    if collision_mask(sampled.positions(), sampled.orientations(), scene.box_dims,
-                      scene.slabs).any():
-        return False, FailureReason.COLLISION
-    (start_mm, start_deg), (goal_mm, goal_deg) = boundary
-    if (start_mm > thresholds.max_boundary_pos_mm
-            or goal_mm > thresholds.max_boundary_pos_mm
-            or start_deg > thresholds.max_boundary_rot_deg
-            or goal_deg > thresholds.max_boundary_rot_deg):
-        return False, FailureReason.BOUNDARY
-    return True, FailureReason.NONE
+    return trajectories_success(*_pose_stack([traj]), scene, [boundary], thresholds)[0]
 
 
 def rest_height(scene: Scene, level: float) -> float:

@@ -14,7 +14,9 @@ from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_er
                             boundary_errors, phase_deviation, shape_deviation)
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import (SuccessThresholds, collision_mask, sample_task,
-                          trajectory_success)
+                          trajectories_success)
+
+from test_reparam import thin_past_pi_tasks, thin_repair_tasks
 
 
 def test_summary_columns_are_frozen():
@@ -98,12 +100,12 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
         computed.extend(out)
         return out
 
-    def recorded_success(traj, scene, boundary, thresholds):
-        judged.append(boundary)
-        return trajectory_success(traj, scene, boundary, thresholds)
+    def recorded_success(times, values, scene, boundaries, thresholds):
+        judged.extend(boundaries)
+        return trajectories_success(times, values, scene, boundaries, thresholds)
 
     monkeypatch.setattr(bench, "boundary_errors", counted_boundary_errors)
-    monkeypatch.setattr(bench, "trajectory_success", recorded_success)
+    monkeypatch.setattr(bench, "trajectories_success", recorded_success)
     config = ReparamConfig(ablate_covariance=ablate)
     assert 30 > bench.BATCH_TRIALS
     result = run_benchmark(model, scene, mode, trials=30, seed=11, config=config,
@@ -128,6 +130,61 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
     assert FailureReason.COLLISION in reasons
     if thresholds.max_boundary_pos_mm < 10.0:
         assert FailureReason.BOUNDARY in reasons
+
+
+def assert_records_match_one_trial_evaluation(result, model, scene, config, times,
+                                              reference):
+    """Every record is, field for field and bitwise (json.dumps writes the
+    shortest repr of each float, and keeps the sign of a zero),
+    evaluate_trajectory() of regress(generalize(...)) for its task."""
+    for record in result.trials:
+        traj = regress(generalize(model, record.task, config), times)
+        want = evaluate_trajectory(traj, record.task, scene, reference, model.phases)
+        assert json.dumps(record.report.to_dict()) == json.dumps(want.to_dict())
+
+
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_benchmark_records_match_one_trial_evaluation(model, scene, times, mode, ablate):
+    """The chunk pipeline, kept as arrays from the adapted components to the
+    verdicts, scores every trial as the one-trial functions do.  The 20
+    trials span two chunks."""
+    config = ReparamConfig(ablate_covariance=ablate)
+    result = run_benchmark(model, scene, mode, trials=20, seed=4, config=config)
+    assert_records_match_one_trial_evaluation(result, model, scene, config, times,
+                                              regress(model, times))
+
+
+def test_benchmark_chunk_mixing_repaired_and_unrepaired_tasks(scene, monkeypatch):
+    """A chunk where an SPD repair moved a time variance of one task only:
+    each task weighs its components with its own time variances, and every
+    record still matches the one-trial evaluation."""
+    model, tasks = thin_repair_tasks()
+    monkeypatch.setattr(bench, "sample_tasks", lambda scene, mode, rngs, *bases: tasks)
+    result = run_benchmark(model, scene, "combined", trials=len(tasks), seed=0)
+    monkeypatch.undo()
+    adapted = [generalize(model, task) for task in tasks]
+    assert [m.spd_repairs > 0 for m in adapted] == [False, True]
+    assert not np.array_equal(adapted[0].covs[:, 0, 0], adapted[1].covs[:, 0, 0])
+    assert [record.task for record in result.trials] == tasks
+    times = default_times(model.duration)
+    assert_records_match_one_trial_evaluation(result, model, scene, ReparamConfig(), times,
+                                              regress(model, times))
+
+
+def test_benchmark_chunk_turning_past_pi_raises(scene, monkeypatch):
+    """A chunk whose regression turns a rotation vector past pi is rejected,
+    naming the trajectory in the chunk and its sample, as regress() rejects
+    that task's trajectory on its own."""
+    model, tasks = thin_past_pi_tasks()
+    times = default_times(model.duration)
+    with pytest.raises(ValueError, match="^sample 0: rotation-vector magnitude 3.680180 rad"):
+        regress(generalize(model, tasks[1]), times)
+    monkeypatch.setattr(bench, "sample_tasks", lambda scene, mode, rngs, *bases: tasks)
+    with pytest.raises(ValueError, match="^trajectory 1, sample 0: rotation-vector magnitude "
+                                         "3.680180 rad must stay below pi$"):
+        run_benchmark(model, scene, "combined", trials=len(tasks), seed=0,
+                      reference=regress(generalize(model, tasks[0]), times))
 
 
 def test_summarize_hand_check(model, scene):

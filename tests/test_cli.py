@@ -294,6 +294,17 @@ def test_benchmark_outputs_and_reruns_byte_identical(work, tmp_path):
     assert row.startswith("full,")
 
 
+def test_benchmark_unwritable_trials_writes_no_summary(work, tmp_path, capsys):
+    """When trials.jsonl cannot be written, summary.csv is not written
+    either, nor is a temporary file left behind: a stale trials file never
+    sits beside a fresh summary."""
+    (tmp_path / "trials.jsonl").mkdir()
+    assert main(["benchmark", "--model", str(work / "model.json"), "--trials", "2",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"Is a directory: '{tmp_path / 'trials.jsonl'}'" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["trials.jsonl"]
+
+
 def test_benchmark_ablated_label(work, tmp_path):
     assert main(["benchmark", "--model", str(work / "model.json"),
                  "--mode", "translational", "--trials", "2", "--seed", "3",

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gmmgen.bench import default_times
 from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, Trajectory,
-                         TrajectoryFormatError, load_trajectory, resample,
-                         save_trajectory)
+                         TrajectoryFormatError, _check_samples, _first_violation,
+                         load_trajectory, resample, save_trajectory)
 from gmmgen.metrics import average_jerk, phase_deviation
 from gmmgen.model import FitConfig
 from gmmgen.plot import render_svg
@@ -93,6 +93,39 @@ def test_trajectory_invariants():
     assert t.n_samples == 2 and t.dim == 6 and t.duration == 1.0
     assert np.allclose(t.positions()[0], [0, 0, 0])
     assert np.allclose(t.orientations()[-1], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("broken,problem", [
+    (lambda row: row.__setitem__(1, np.nan), "non-finite value"),
+    (lambda row: row.__setitem__(slice(3, 6), [np.pi, 0.0, 0.0]),
+     "rotation-vector magnitude 3.141593 rad must stay below pi"),
+], ids=["nan", "pi"])
+def test_stacked_first_violation_names_trajectory_and_sample(k, broken, problem):
+    """In a (T, n, 6) stack, the first trajectory with a violation and its
+    sample are named, with the problem a lone trajectory would report."""
+    times = np.linspace(0.0, 1.0, 7)
+    values = np.tile(np.linspace(0.0, 0.3, 7)[:, None], (5, 1, 6))
+    assert _first_violation(times, values) is None
+    _check_samples(times, values)
+    broken(values[k, 3])
+    broken(values[4, 5])  # a later violation is not the one reported
+    assert _first_violation(times, values) == ((k, 3), problem)
+    with pytest.raises(ValueError, match=rf"^trajectory {k}, sample 3: {problem}$"):
+        _check_samples(times, values)
+    # the same row alone: the single-trajectory index and message
+    assert _first_violation(times, values[k]) == (3, problem)
+    with pytest.raises(ValueError, match=rf"^sample 3: {problem}$"):
+        Trajectory(times, values[k])
+
+
+def test_stacked_first_violation_on_shared_times():
+    """A time-grid violation breaks every trajectory; the first is named."""
+    values = np.zeros((3, 4, 6))
+    assert _first_violation(np.array([0.0, 1.0, 1.0, 2.0]), values) == (
+        (0, 2), "time 1.0 does not increase past 1.0")
+    assert _first_violation(np.array([0.5, 1.0, 1.5, 2.0]), values) == (
+        (0, 0), "first sample must start at t=0, got t=0.5")
 
 
 def test_trajectory_1d_values_allowed():

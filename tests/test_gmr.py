@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from gmmgen.bench import default_times
+from gmmgen.bench import _regressed, default_times
 from gmmgen.data import PhaseSchedule
-from gmmgen.gmr import regress, regress_many
+from gmmgen.gmr import _expected_poses, _model_arrays, regress
 from gmmgen.model import GmmModel
-from gmmgen.reparam import ReparamConfig, generalize, generalize_many
+from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import sample_task
 
-from test_reparam import random_spd_mixture
+from test_reparam import random_spd_mixture, thin_past_pi_tasks
 
 
 def two_component_model(priors=(0.5, 0.5), t_means=(1.0, 3.0), x_means=(0.0, 1.0),
@@ -160,25 +160,34 @@ def test_regress_matches_oracle_on_generalized_models(model, times, scene, endpo
         assert_matches_oracle(generalize(model, task, config), times)
 
 
-def assert_regress_many_matches_regress(models, times):
-    many = regress_many(models, times)
-    assert len(many) == len(models)
-    for model, traj in zip(models, many):
-        one = regress(model, times)
-        assert traj.times.tobytes() == one.times.tobytes()
-        assert traj.values.tobytes() == one.values.tobytes()
+def assert_stack_matches_regress(models, times, values):
+    """values, (T, n, D), is bitwise regress() of each of the T models."""
+    assert values.shape[0] == len(models)
+    for model, row in zip(models, values):
+        assert row.tobytes() == regress(model, times).values.tobytes()
 
 
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_regress_many_matches_regress_on_generalized_models(model, times, scene, endpoints,
                                                             ablate):
-    """generalize_many's models share their weights: one (n, G) set serves
-    the stack, and every trajectory is bitwise the one-model regression."""
+    """Many generalized models regressed as one stack share their weights:
+    one (n, G) set serves the stack, and every trajectory is bitwise the
+    one-model regression."""
     rng = np.random.default_rng(9)
     tasks = [sample_task(scene, mode, rng, *endpoints)
              for mode in ("combined", "translational") for _ in range(5)]
-    assert_regress_many_matches_regress(
-        generalize_many(model, tasks, ReparamConfig(ablate_covariance=ablate)), times)
+    config = ReparamConfig(ablate_covariance=ablate)
+    assert_stack_matches_regress([generalize(model, task, config) for task in tasks], times,
+                                 _regressed(model, tasks, config, times))
+
+
+def stacked_regression(models, times):
+    """_expected_poses() on the models' stacked arrays; weight terms that
+    every model shares go in once, as (G,) arrays."""
+    arrays = [np.stack(column) for column in zip(*(_model_arrays(m)[0] for m in models))]
+    if all((column == column[0]).all() for column in arrays[:3]):
+        arrays[:3] = [column[0] for column in arrays[:3]]
+    return _expected_poses(*arrays, times)
 
 
 @settings(max_examples=60)
@@ -191,18 +200,26 @@ def test_regress_many_matches_regress_on_random_mixtures(seed, n_comp, dim, n_mo
     rng = np.random.default_rng(seed)
     models = [random_spd_mixture(rng, n_comp, dim, thin) for _ in range(n_models)]
     times = default_times(min(m.duration for m in models))
-    assert_regress_many_matches_regress(models, times)
+    assert_stack_matches_regress(models, times, stacked_regression(models, times))
     first = models[0]
     shifted = [GmmModel(first.priors, np.column_stack([first.means[:, 0], first.means[:, 1:] + k]),
                         first.covs, first.phases) for k in range(n_models)]
-    assert_regress_many_matches_regress(shifted, default_times(first.duration))
+    times = default_times(first.duration)
+    assert_stack_matches_regress(shifted, times, stacked_regression(shifted, times))
 
 
 def test_regress_many_validation(model, times):
+    """Regression, of one model or of a stack, takes only models and query
+    times within their duration, and rejects a stack whose regression
+    breaks a trajectory rule, naming the trajectory and the sample."""
     with pytest.raises(TypeError, match="cannot regress a str"):
-        regress_many([model, "model"], times)
+        regress("model", times)
     with pytest.raises(ValueError, match="within"):
-        regress_many([model], np.append(times, times[-1] + 1.0))
+        regress(model, np.append(times, times[-1] + 1.0))
+    thin, tasks = thin_past_pi_tasks()
+    with pytest.raises(ValueError, match="^trajectory 1, sample 0: rotation-vector magnitude "
+                                         "3.680180 rad must stay below pi$"):
+        _regressed(thin, tasks, ReparamConfig(), default_times(thin.duration))
 
 
 # Random mixtures stay below 6-D: a random 6-D mean path can turn a regressed

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.bench import model_endpoints
+from gmmgen.bench import _regressed, model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, resample
-from gmmgen.gmr import regress_many
 from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _pose_stack,
                             average_jerk, average_jerks, boundary_error, boundary_errors,
                             phase_deviation, phase_deviations, rotation_angle_deg,
                             shape_deviation, shape_deviations, shape_reference)
-from gmmgen.reparam import ReparamConfig, generalize_many
+from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import sample_tasks
 
 
@@ -320,7 +319,8 @@ def test_metric_stacks_match_oracles_on_benchmark_trajectories(model, scene, tim
                                                                ablate):
     rngs = [np.random.default_rng([23, i]) for i in range(12)]
     tasks = sample_tasks(scene, mode, rngs, *model_endpoints(model))
-    trajs = regress_many(generalize_many(model, tasks, ReparamConfig(ablate)), times)
+    trajs = [Trajectory(times, values)
+             for values in _regressed(model, tasks, ReparamConfig(ablate), times)]
     assert_stack_matches_oracles(trajs, tasks, model.phases, trajs[0])
 
 

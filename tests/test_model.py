@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
-from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _cluster_means,
+from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
                           _kmeans_distances, em_fit, fit_gmm, kmeans_init,
                           load_model, logsumexp, save_model)
 from gmmgen.reparam import ReparamConfig, generalize
@@ -55,6 +55,29 @@ def test_component_validation():
     model = one_component(cov=[[1.0, 0.5], [0.5 + 1e-12, 1.0]])
     assert np.array_equal(model.covs, model.covs.transpose(0, 2, 1))
     assert not model.covs.flags.writeable
+
+
+@pytest.mark.parametrize("mutate,problem", [
+    (lambda covs, means: covs.__setitem__((1, 0, 0), np.nan), "parameters must be finite"),
+    (lambda covs, means: means.__setitem__((1, 0), np.inf), "parameters must be finite"),
+    (lambda covs, means: covs.__setitem__((1, 0, 1), 0.9), "covariance must be symmetric"),
+    (lambda covs, means: covs.__setitem__(1, [[1.0, 2.0], [2.0, 1.0]]),
+     "covariance must be symmetric positive definite"),
+], ids=["nan-cov", "inf-mean", "asymmetric", "indefinite"])
+def test_checked_covs_names_mixture_and_component_in_a_stack(mutate, problem):
+    """The checker GmmModel runs takes a (K, G, ...) stack of mixtures that
+    share their priors, and names the first failing mixture and component."""
+    priors = np.array([0.25, 0.75])
+    covs = np.tile(np.array([[1.0, 0.5], [0.5, 1.0]]), (4, 2, 1, 1))
+    means = np.zeros((4, 2, 1))
+    checked = _checked_covs(priors, means, covs)
+    assert checked.tobytes() == covs.tobytes() and not checked.flags.writeable
+    mutate(covs[2], means[2])
+    mutate(covs[3], means[3])  # a later failure is not the one named
+    with pytest.raises(ValueError, match=f"^mixture 2, component 1: {problem}$"):
+        _checked_covs(priors, means, covs)
+    with pytest.raises(ValueError, match=f"^component 1: {problem}$"):
+        _checked_covs(priors, means[2], covs[2])
 
 
 def test_model_validation():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gmmgen.bench import default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.gmr import regress
-from gmmgen.model import GmmModel, load_model, model_to_dict, save_model
+from gmmgen.model import GmmModel, _checked_covs, load_model, model_to_dict, save_model
 from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd, _outers,
-                            generalize, generalize_many, reparam_covariances, reparam_means)
+                            _reparam, generalize, reparam_covariances, reparam_means)
 from gmmgen.scene import sample_task
 
 from conftest import mutated
@@ -161,35 +161,73 @@ def test_stacked_reparam_matches_one_set_at_a_time(seed, n_comp, dim, thin, n_se
         assert_bitwise_equal((covs[k], repairs[k]), oracle_reparam_covariances(model, one, eps))
 
 
+def reparam_stack(model, tasks, config=ReparamConfig()):
+    """(means, covs, repairs) of many tasks generalized as one stack."""
+    return _reparam(model, np.array([task.start_vector() for task in tasks]),
+                    np.array([task.goal_vector() for task in tasks]), config)
+
+
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_generalize_many_matches_generalize(model, scene, endpoints, ablate):
+    """Many tasks generalized as one stack, with their components checked
+    once by the checker GmmModel runs, give each task's generalize() means,
+    covariances and repair count bitwise."""
     rng = np.random.default_rng(17)
     tasks = [sample_task(scene, mode, rng, *endpoints)
              for mode in ("combined", "translational") for _ in range(6)]
     config = ReparamConfig(ablate_covariance=ablate)
-    many = generalize_many(model, tasks, config)
-    assert len(many) == len(tasks)
-    for task, got in zip(tasks, many):
+    means, covs, repairs = reparam_stack(model, tasks, config)
+    covs = _checked_covs(model.priors, means, covs)
+    assert len(means) == len(covs) == len(repairs) == len(tasks)
+    for task, mean, cov, repair in zip(tasks, means, covs, repairs):
         want = generalize(model, task, config)
-        assert got.task is task and got.ablated is ablate
-        assert json.dumps(model_to_dict(got)) == json.dumps(model_to_dict(want))
+        assert want.task is task and want.ablated is ablate
+        assert mean.tobytes() == want.means[:, 1:].tobytes()
+        assert cov.tobytes() == want.covs.tobytes()
+        assert repair == want.spd_repairs
+        assert json.dumps(model_to_dict(want)) == json.dumps(model_to_dict(
+            GmmModel(model.priors, np.column_stack([model.means[:, 0], mean]), cov,
+                     model.phases, task=task, ablated=ablate, spd_repairs=int(repair))))
 
 
-def test_generalize_many_counts_repairs_per_task():
-    """The thin mixture of the repair test below: its repairing task and a
-    task that needs none, in one call, keep their own counts."""
-    rng = np.random.default_rng(738)
+def thin_mixture_and_task(seed):
+    """A thin 6-D mixture and a far task drawn as the repair test below
+    draws them: seed 738 gives a task that needs repairs, and seed 31 one
+    whose regressed first pose turns past pi (as in test_cli)."""
+    rng = np.random.default_rng(seed)
     scale = rng.choice([0.3, 1.0])
     model = random_spd_mixture(rng, 5, 6, thin=True, scale=scale)
     first, last = model.means[0, 1:], model.means[-1, 1:]
     start = rng.uniform(-1.0, 1.0, 6)
     goal = start + rng.uniform(-30.0, 30.0, 6) * (last - first)
-    tasks = [TaskSpec(Pose.from_vector(first), Pose.from_vector(last)),
-             TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))]
-    many = generalize_many(model, tasks)
-    assert [m.spd_repairs for m in many] == [generalize(model, t).spd_repairs for t in tasks]
-    assert many[0].spd_repairs == 0 < many[1].spd_repairs
-    assert all(isinstance(m.spd_repairs, int) for m in many)
+    return model, TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+
+
+def thin_repair_tasks():
+    """Seed 738's mixture, with a task that needs no repair (the model's
+    own endpoints) and then one that does."""
+    model, far = thin_mixture_and_task(738)
+    own = TaskSpec(Pose.from_vector(model.means[0, 1:]), Pose.from_vector(model.means[-1, 1:]))
+    return model, [own, far]
+
+
+def thin_past_pi_tasks():
+    """Seed 31's mixture, with a task it regresses validly and then one
+    whose regression turns past pi."""
+    model, far = thin_mixture_and_task(31)
+    rest = Pose.from_vector(np.zeros(6))
+    return model, [TaskSpec(rest, rest), far]
+
+
+def test_generalize_many_counts_repairs_per_task():
+    """The repairing task and a task that needs none, in one stack, keep
+    their own counts."""
+    model, tasks = thin_repair_tasks()
+    repairs = reparam_stack(model, tasks)[2]
+    singles = [generalize(model, t).spd_repairs for t in tasks]
+    assert list(repairs) == singles
+    assert repairs[0] == 0 < repairs[1]
+    assert all(isinstance(count, int) for count in singles)
 
 
 def pose_task(start, goal):

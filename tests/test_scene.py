@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from gmmgen.bench import _regressed
 from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, resample
-from gmmgen.gmr import regress_many
 from gmmgen.metrics import FailureReason, boundary_error
-from gmmgen.reparam import ReparamConfig, generalize_many
+from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, Scene, Slab, SuccessThresholds,
                           collision_mask, default_scene, load_scene, rest_height, sample_task,
                           sample_tasks, save_scene, scene_collides, scene_to_dict,
@@ -209,10 +209,8 @@ def test_two_stage_mask_matches_single_stage_oracle_on_trial_poses(model, scene,
                          *endpoints)
     second_stage_only = 0
     for ablate in (False, True):
-        trajs = regress_many(generalize_many(model, tasks, ReparamConfig(ablate_covariance=ablate)),
-                             times)
-        for traj in trajs:
-            sampled = resample(traj, 200)
+        for values in _regressed(model, tasks, ReparamConfig(ablate_covariance=ablate), times):
+            sampled = resample(Trajectory(times, values), 200)
             args = (sampled.positions(), sampled.orientations(), scene.box_dims, scene.slabs)
             mask = collision_mask(*args)
             assert np.array_equal(mask, oracle_single_stage_mask(*args))
