@@ -18,7 +18,7 @@ from .gmr import _expected_poses, _validated_times, regress
 from .metrics import (EvalReport, _pose_stack, average_jerks, boundary_errors,
                       phase_deviations, shape_deviations, shape_reference)
 from .model import GmmModel, _checked_covs
-from .reparam import ReparamConfig, _reparam
+from .reparam import ReparamConfig, _reparam, generalize
 from .scene import Scene, SuccessThresholds, sample_tasks, trajectories_success
 from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
 
@@ -49,37 +49,19 @@ def evaluate_trajectories(times: np.ndarray, values: np.ndarray, tasks, scene: S
     at times, each against its task.
 
     reference is the shape_reference() of the reference trajectory.  Every
-    metric is computed on the stack, the verdicts take one
-    trajectories_success() call, and each trajectory's boundary errors feed
-    both its report and its verdict.
+    metric returns an array over the stack, and the verdicts take one
+    trajectories_success() call that reads the (T, 2, 2) boundary errors
+    the reports show.  Each report's metric values are one row of a (T, 11)
+    array whose columns follow the EvalReport fields, read as Python floats.
     """
     boundaries = boundary_errors(values, tasks)
-    windows = phase_deviations(times, values, phases)
-    shapes = shape_deviations(times, values, reference)
-    jerks = average_jerks(times, values)
     verdicts = trajectories_success(times, values, scene, boundaries, thresholds)
-    reports = []
-    for (success, reason), boundary, window, shape, jerk in zip(verdicts, boundaries, windows,
-                                                                 shapes, jerks):
-        (start_mm, start_deg), (goal_mm, goal_deg) = boundary
-        (grasp_mm, grasp_deg), (release_mm, release_deg) = window
-        jerk_lin, jerk_ang = jerk
-        reports.append(EvalReport(
-            success=success,
-            failure_reason=reason,
-            start_error_mm=start_mm,
-            start_error_deg=start_deg,
-            goal_error_mm=goal_mm,
-            goal_error_deg=goal_deg,
-            grasp_dev_mm=grasp_mm,
-            grasp_dev_deg=grasp_deg,
-            release_dev_mm=release_mm,
-            release_dev_deg=release_deg,
-            shape_deviation=shape,
-            jerk_linear=jerk_lin,
-            jerk_angular=jerk_ang,
-        ))
-    return reports
+    rows = np.concatenate([boundaries.reshape(-1, 4),
+                           phase_deviations(times, values, phases).reshape(-1, 4),
+                           shape_deviations(times, values, reference)[:, None],
+                           average_jerks(times, values)], axis=1)
+    return [EvalReport(success, reason, *row)
+            for (success, reason), row in zip(verdicts, rows.tolist())]
 
 
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
@@ -164,16 +146,21 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     measured by the stacked metrics, and checked for collision in one
     call.  A trial's record is the one evaluate_trajectory() gives for
     regress(generalize(model, task, config), times), whatever chunk it
-    falls in.
+    falls in.  When a chunk's adapted components or samples fail their
+    checks, its tasks are run again one by one, and the ValueError names
+    the first failing trial with that task's own message.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
     if config is None:
         config = ReparamConfig()
-    times = _validated_times(default_times(model.duration, rate), model.duration)
-    shape_ref = shape_reference(regress(model, times) if reference is None else reference)
     if method is None:
         method = "ablated" if config.ablate_covariance else "full"
+    if not (isinstance(method, str) and method) or any(c in method for c in ',"\r\n'):
+        raise ValueError(f"method must be a non-empty string with no comma, double quote or "
+                         f"line break (it is a summary.csv field), got {method!r}")
+    times = _validated_times(default_times(model.duration, rate), model.duration)
+    shape_ref = shape_reference(regress(model, times) if reference is None else reference)
     base_start, base_goal = model_endpoints(model)
 
     records = []
@@ -181,7 +168,15 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
         indices = range(first, min(first + BATCH_TRIALS, trials))
         rngs = [np.random.default_rng([seed, i]) for i in indices]
         tasks = sample_tasks(scene, mode, rngs, base_start, base_goal)
-        values = _regressed(model, tasks, config, times)
+        try:
+            values = _regressed(model, tasks, config, times)
+        except ValueError:  # name the first failing trial with its one-task message
+            for i, task in zip(indices, tasks):
+                try:
+                    regress(generalize(model, task, config), times)
+                except ValueError as exc:
+                    raise ValueError(f"trial {i}: {exc}") from None
+            raise
         reports = evaluate_trajectories(times, values, tasks, scene, shape_ref, model.phases,
                                         thresholds)
         records += map(TrialRecord, indices, tasks, reports)

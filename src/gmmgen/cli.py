@@ -123,7 +123,10 @@ def _demo_paths(args):
         manifest_path = paths[0]
         manifest = _read_json(manifest_path)
         try:
-            paths = [manifest_path.parent / f for f in manifest["files"]]
+            files = manifest["files"]
+            if not (isinstance(files, list) and files and all(isinstance(f, str) for f in files)):
+                raise ValueError(f"\"files\" must be a non-empty list of strings, got {files!r}")
+            paths = [manifest_path.parent / f for f in files]
             if "phases" in manifest:
                 phases = PhaseSchedule(*(_json_numbers(key, manifest["phases"][key])
                                          for key in ("grasp_end", "release_start", "duration")))
@@ -210,9 +213,10 @@ def cmd_benchmark(args) -> int:
 def cmd_plot(args) -> int:
     trajectories = [load_trajectory(p) for p in args.traj]
     scene = load_scene(args.scene) if args.scene else None
-    plot.save_svg(trajectories, args.out, scene)
+    saves = [(lambda trajs, path: plot.save_svg(trajs, path, scene), trajectories, args.out)]
     if args.out_csv:
-        save_trajectory(trajectories[0], args.out_csv)
+        saves.append((save_trajectory, trajectories[0], args.out_csv))
+    _save_all_or_nothing(saves)
     print(f"plot written to {args.out}")
     return EXIT_OK
 

@@ -92,52 +92,49 @@ def rotation_angle_deg(rotvec_a, rotvec_b) -> float:
                                   np.reshape(rotvec_b, (1, 3)))[0] * RAD_TO_DEG)
 
 
-def boundary_errors(values: np.ndarray, tasks) -> list:
-    """boundary_error() for each (n, 6) row of a (T, n, 6) stack and its task."""
+def boundary_errors(values: np.ndarray, tasks) -> np.ndarray:
+    """(T, 2, 2) boundary_error() of each (n, 6) row of a (T, n, 6) stack
+    against its task, indexed [trajectory, start | goal, mm | deg]."""
     ends = values[:, [0, -1]]
     targets = np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
     gaps = ends[..., :3] - targets[..., :3]
     pos_mm = np.sqrt(_dot(gaps, gaps)) * M_TO_MM
     rot_deg = (_geodesic_angles(targets[..., 3:].reshape(-1, 3), ends[..., 3:].reshape(-1, 3))
                * RAD_TO_DEG).reshape(-1, 2)
-    return [((float(mm[0]), float(deg[0])), (float(mm[1]), float(deg[1])))
-            for mm, deg in zip(pos_mm, rot_deg)]
+    return np.stack([pos_mm, rot_deg], axis=-1)
 
 
 def boundary_error(traj: Trajectory, task: TaskSpec):
     """((start mm, start deg), (goal mm, goal deg)) against the task endpoints."""
-    return boundary_errors(_pose_stack([traj])[1], [task])[0]
+    return tuple(map(tuple, boundary_errors(_pose_stack([traj])[1], [task])[0].tolist()))
 
 
-def phase_deviations(times: np.ndarray, values: np.ndarray, phases: PhaseSchedule) -> list:
-    """phase_deviation() for each (n, 6) row of a (T, n, 6) stack sampled at times.
+def phase_deviations(times: np.ndarray, values: np.ndarray, phases: PhaseSchedule) -> np.ndarray:
+    """(T, 2, 2) phase_deviation() of each (n, 6) row of a (T, n, 6) stack
+    sampled at times, indexed [trajectory, grasp | release, mm | deg].
 
-    Window means over samples are stacked, and both windows' rotations go
-    through one Rotation product.  Each mean over one trajectory's
-    deviations is taken on its own 1-D row: a stacked (T, k) mean can round
-    differently.
+    Each trajectory's means run along the last axis of a C-contiguous
+    (T, k) array, which numpy sums row by row exactly as it sums one row.
     """
     windows = (times <= phases.grasp_end, times >= phases.release_start)
     if min(window.sum() for window in windows) < 2:
         raise ValueError("each phase window needs at least two samples")
-    samples = [np.ascontiguousarray(values[:, window]) for window in windows]  # (T, k, 6)
-    centers = [rows.mean(axis=1, keepdims=True) for rows in samples]
-    angles = _geodesic_angles(
-        np.concatenate([np.broadcast_to(center[..., 3:], rows[..., 3:].shape).reshape(-1, 3)
-                        for rows, center in zip(samples, centers)]),
-        np.concatenate([rows[..., 3:].reshape(-1, 3) for rows in samples]))
-    out = []
-    for rows, center, turns in zip(samples, centers,
-                                   np.split(angles, [samples[0][..., 0].size])):
+    out = np.empty((len(values), 2, 2))
+    for side, window in enumerate(windows):
+        rows = np.ascontiguousarray(values[:, window])  # (T, k, 6)
+        center = rows.mean(axis=1, keepdims=True)
         dists = np.linalg.norm(rows[..., :3] - center[..., :3], axis=-1)
-        out.append([(float(d.mean()) * M_TO_MM, float(a.mean()) * RAD_TO_DEG)
-                    for d, a in zip(dists, turns.reshape(dists.shape))])
-    return list(zip(*out))
+        turns = _geodesic_angles(
+            np.broadcast_to(center[..., 3:], rows[..., 3:].shape).reshape(-1, 3),
+            rows[..., 3:].reshape(-1, 3)).reshape(dists.shape)
+        out[:, side, 0] = dists.mean(axis=1) * M_TO_MM
+        out[:, side, 1] = turns.mean(axis=1) * RAD_TO_DEG
+    return out
 
 
 def phase_deviation(traj: Trajectory, phases: PhaseSchedule):
     """Mean distance from the window-mean pose in the grasp and release windows."""
-    return phase_deviations(*_pose_stack([traj]), phases)[0]
+    return tuple(map(tuple, phase_deviations(*_pose_stack([traj]), phases)[0].tolist()))
 
 
 def _unit_paths(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -155,13 +152,13 @@ def shape_reference(reference: Trajectory) -> np.ndarray:
     return _unit_paths(*_pose_stack([reference]))[0]
 
 
-def shape_deviations(times: np.ndarray, values: np.ndarray, reference: np.ndarray) -> list:
-    """shape_deviation() for each (n, 6) row of a (T, n, 6) stack sampled at
-    times, against a shape_reference()."""
+def shape_deviations(times: np.ndarray, values: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """(T,) shape_deviation() of each (n, 6) row of a (T, n, 6) stack sampled
+    at times, against a shape_reference()."""
     cand = _unit_paths(times, values)
     u, s, vt = np.linalg.svd(np.swapaxes(cand, 1, 2) @ reference)
     proper = s[:, 0] + s[:, 1] + np.sign(np.linalg.det(u) * np.linalg.det(vt)) * s[:, 2]
-    return [max(float(2.0 - 2.0 * p), 0.0) for p in proper]
+    return np.maximum(2.0 - 2.0 * proper, 0.0)
 
 
 def shape_deviation(traj: Trajectory, reference: Trajectory) -> float:
@@ -173,12 +170,12 @@ def shape_deviation(traj: Trajectory, reference: Trajectory) -> float:
     invariant to translation, uniform scale and proper rotation, not to
     reflection.
     """
-    return shape_deviations(*_pose_stack([traj]), shape_reference(reference))[0]
+    return float(shape_deviations(*_pose_stack([traj]), shape_reference(reference))[0])
 
 
-def average_jerks(times: np.ndarray, values: np.ndarray) -> list:
-    """average_jerk() for each (n, 6) row of a (T, n, 6) stack sampled at times;
-    each trajectory's mean is taken on its own row."""
+def average_jerks(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(T, 2) average_jerk() of each (n, 6) row of a (T, n, 6) stack sampled
+    at times; its means are taken as in phase_deviations()."""
     duration = float(times[-1])
     n = int(round(duration * JERK_RATE)) + 1
     if n < 8:
@@ -186,9 +183,8 @@ def average_jerks(times: np.ndarray, values: np.ndarray) -> list:
     grid = _resampled(times, values, n)[1]
     h = duration / (n - 1)
     third = (grid[:, 4:] - 2.0 * grid[:, 3:-1] + 2.0 * grid[:, 1:-3] - grid[:, :-4]) / (2.0 * h**3)
-    lin = np.linalg.norm(third[..., :3], axis=-1)
-    ang = np.linalg.norm(third[..., 3:], axis=-1)
-    return [(float(p.mean()), float(r.mean()) * RAD_TO_DEG) for p, r in zip(lin, ang)]
+    return np.stack([np.linalg.norm(third[..., :3], axis=-1).mean(axis=1),
+                     np.linalg.norm(third[..., 3:], axis=-1).mean(axis=1) * RAD_TO_DEG], axis=-1)
 
 
 def average_jerk(traj: Trajectory):
@@ -198,4 +194,4 @@ def average_jerk(traj: Trajectory):
     differentiated with the five-point central third-difference stencil;
     the two edge samples on each side are dropped.
     """
-    return average_jerks(*_pose_stack([traj]))[0]
+    return tuple(average_jerks(*_pose_stack([traj]))[0].tolist())

@@ -162,7 +162,8 @@ def scene_collides(pose: Pose, scene: Scene) -> bool:
 def trajectories_success(times: np.ndarray, values: np.ndarray, scene: Scene, boundaries,
                          thresholds: SuccessThresholds = SuccessThresholds()) -> list:
     """trajectory_success() for each (n, 6) row of a (T, n, 6) stack sampled
-    at times, with its boundary errors from boundaries.
+    at times, with its boundary errors from the (T, 2, 2) boundaries that
+    metrics.boundary_errors() returns.
 
     Every trajectory is resampled in one pass, and all T x collision_samples
     poses go through one collision_mask call: a pose's collision row does
@@ -170,19 +171,13 @@ def trajectories_success(times: np.ndarray, values: np.ndarray, scene: Scene, bo
     """
     sampled = _resampled(times, values, thresholds.collision_samples)[1].reshape(-1, 6)
     hits = collision_mask(sampled[:, :3], sampled[:, 3:], scene.box_dims, scene.slabs)
-    verdicts = []
-    for hit, ((start_mm, start_deg), (goal_mm, goal_deg)) in zip(
-            hits.reshape(len(values), -1).any(axis=1), boundaries):
-        if hit:
-            verdicts.append((False, FailureReason.COLLISION))
-        elif (start_mm > thresholds.max_boundary_pos_mm
-                or goal_mm > thresholds.max_boundary_pos_mm
-                or start_deg > thresholds.max_boundary_rot_deg
-                or goal_deg > thresholds.max_boundary_rot_deg):
-            verdicts.append((False, FailureReason.BOUNDARY))
-        else:
-            verdicts.append((True, FailureReason.NONE))
-    return verdicts
+    limits = np.array([thresholds.max_boundary_pos_mm, thresholds.max_boundary_rot_deg])
+    collided = hits.reshape(len(values), -1).any(axis=1).tolist()
+    missed = (boundaries > limits).any(axis=(1, 2)).tolist()
+    return [(False, FailureReason.COLLISION) if hit
+            else (False, FailureReason.BOUNDARY) if miss
+            else (True, FailureReason.NONE)
+            for hit, miss in zip(collided, missed)]
 
 
 def trajectory_success(traj: Trajectory, scene: Scene, boundary,
@@ -195,7 +190,7 @@ def trajectory_success(traj: Trajectory, scene: Scene, boundary,
     are checked for collision, and a collision outranks a boundary failure.
     This is trajectories_success() for a stack of one.
     """
-    return trajectories_success(*_pose_stack([traj]), scene, [boundary], thresholds)[0]
+    return trajectories_success(*_pose_stack([traj]), scene, np.array([boundary]), thresholds)[0]
 
 
 def rest_height(scene: Scene, level: float) -> float:
@@ -221,10 +216,12 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
     order as on its own (the start's draws, then the goal's), and a pose's
     collision row does not depend on the other poses in its call, so task
     k is sample_task(scene, variation, rngs[k], base_start, base_goal).
-    The generators must be distinct objects.
+    The generators must be distinct objects: one passed twice is a ValueError.
     """
     if variation not in ("translational", "combined"):
         raise ValueError(f"unknown variation '{variation}'")
+    if len({id(rng) for rng in rngs}) < len(rngs):
+        raise ValueError("each task needs a generator of its own; one was passed twice")
     bases = (base_start, base_goal)
     found = [[] for _ in rngs]  # accepted endpoints, start first
     draws = [0] * len(rngs)  # draws spent on the endpoint being sampled

@@ -90,18 +90,19 @@ def oracle_evaluate(traj, task, scene, reference, phases, thresholds) -> EvalRep
 def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkeypatch,
                                                      mode, ablate, thresholds):
     """Every benchmark report equals the former two-call evaluation, and
-    each trajectory's boundary errors are computed once and shared by its
-    report and its verdict.  The 30 trials span two chunks."""
+    each chunk's (T, 2, 2) boundary errors are computed once: the one array
+    reaches both the verdicts and the report rows.  The 30 trials span two
+    chunks."""
     computed, judged = [], []
 
     def counted_boundary_errors(values, tasks):
         out = boundary_errors(values, tasks)
-        assert len(out) == len(values) == len(tasks)
-        computed.extend(out)
+        assert out.shape == (len(values), 2, 2) and len(tasks) == len(values)
+        computed.append(out)
         return out
 
     def recorded_success(times, values, scene, boundaries, thresholds):
-        judged.extend(boundaries)
+        judged.append(boundaries)
         return trajectories_success(times, values, scene, boundaries, thresholds)
 
     monkeypatch.setattr(bench, "boundary_errors", counted_boundary_errors)
@@ -111,12 +112,12 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
     result = run_benchmark(model, scene, mode, trials=30, seed=11, config=config,
                            thresholds=thresholds)
     monkeypatch.undo()
-    assert len(computed) == len(judged) == 30
-    for record, boundary, verdict_input in zip(result.trials, computed, judged):
-        assert verdict_input is boundary
+    assert len(computed) == len(judged) == 2
+    assert all(verdict_input is boundaries for boundaries, verdict_input in zip(computed, judged))
+    for record, boundary in zip(result.trials, np.concatenate(computed)):
         report = record.report
-        assert ((report.start_error_mm, report.start_error_deg),
-                (report.goal_error_mm, report.goal_error_deg)) == boundary
+        assert [report.start_error_mm, report.start_error_deg,
+                report.goal_error_mm, report.goal_error_deg] == boundary.reshape(4).tolist()
     reference = regress(model, times)
     base_start, base_goal = model_endpoints(model)
     for record in result.trials:
@@ -173,18 +174,37 @@ def test_benchmark_chunk_mixing_repaired_and_unrepaired_tasks(scene, monkeypatch
 
 
 def test_benchmark_chunk_turning_past_pi_raises(scene, monkeypatch):
-    """A chunk whose regression turns a rotation vector past pi is rejected,
-    naming the trajectory in the chunk and its sample, as regress() rejects
-    that task's trajectory on its own."""
-    model, tasks = thin_past_pi_tasks()
+    """A chunk whose regression turns a rotation vector past pi is rejected
+    with the message regress() gives for that task on its own, under the
+    index of its trial, in the first chunk and in the second."""
+    model, (good_task, past_pi) = thin_past_pi_tasks()
     times = default_times(model.duration)
     with pytest.raises(ValueError, match="^sample 0: rotation-vector magnitude 3.680180 rad"):
-        regress(generalize(model, tasks[1]), times)
-    monkeypatch.setattr(bench, "sample_tasks", lambda scene, mode, rngs, *bases: tasks)
-    with pytest.raises(ValueError, match="^trajectory 1, sample 0: rotation-vector magnitude "
-                                         "3.680180 rad must stay below pi$"):
-        run_benchmark(model, scene, "combined", trials=len(tasks), seed=0,
-                      reference=regress(generalize(model, tasks[0]), times))
+        regress(generalize(model, past_pi), times)
+    for trials, bad in ((2, 1), (20, 17)):
+        drawn = iter([past_pi if i == bad else good_task for i in range(trials)])
+        monkeypatch.setattr(bench, "sample_tasks",
+                            lambda scene, mode, rngs, *bases: [next(drawn) for _ in rngs])
+        with pytest.raises(ValueError, match=f"^trial {bad}: sample 0: rotation-vector "
+                                             "magnitude 3.680180 rad must stay below pi$"):
+            run_benchmark(model, scene, "combined", trials=trials, seed=0,
+                          reference=regress(generalize(model, good_task), times))
+
+
+def test_benchmark_chunk_failure_without_a_failing_task_reraises(model, scene, monkeypatch):
+    """When no task fails on its own, the chunk's own error is raised."""
+    def failing(*args):
+        raise ValueError("trajectory 3, sample 9: non-finite value")
+
+    monkeypatch.setattr(bench, "_regressed", failing)
+    with pytest.raises(ValueError, match="^trajectory 3, sample 9: non-finite value$"):
+        run_benchmark(model, scene, "combined", trials=4, seed=0)
+
+
+@pytest.mark.parametrize("method", ["", "full,v2", 'a"b', "a\nb", "a\rb", 7])
+def test_benchmark_rejects_a_method_label_that_breaks_the_csv(model, scene, method):
+    with pytest.raises(ValueError, match="^method must be a non-empty string"):
+        run_benchmark(model, scene, "combined", trials=1, seed=0, method=method)
 
 
 def test_summarize_hand_check(model, scene):

@@ -313,6 +313,24 @@ def test_benchmark_ablated_label(work, tmp_path):
     assert row.startswith("ablated,")
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_benchmark_method_label_with_a_comma_exit2(work, tmp_path, capsys, via_config):
+    """A label that would add a field to the summary.csv row is refused
+    before anything is written."""
+    out = tmp_path / "out"
+    args = ["benchmark", "--model", str(work / "model.json"), "--trials", "1",
+            "--out-dir", str(out)]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "full,v2"}))
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--method", "full,v2"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: method must be a non-empty string")
+    assert not out.exists()
+
+
 def test_plot_svg_structure(work, tmp_path):
     demo_files = sorted(str(p) for p in (work / "demos").glob("demo_*.csv"))
     out_svg = tmp_path / "fig.svg"
@@ -333,6 +351,15 @@ def test_plot_svg_structure(work, tmp_path):
     bare = tmp_path / "bare.svg"
     assert main(["plot", "--traj", demo_files[0], "--out", str(bare)]) == 0
     assert bare.read_text().count("<rect") == 1 + 3
+
+
+def test_plot_unwritable_csv_leaves_no_svg(work, tmp_path, capsys):
+    out_svg = tmp_path / "p.svg"
+    missing = tmp_path / "nodir" / "x.csv"
+    assert main(["plot", "--traj", str(work / "demos" / "demo_00.csv"), "--out", str(out_svg),
+                 "--out-csv", str(missing)]) == 2
+    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_defaults_and_flag_priority(tmp_path):
@@ -547,6 +574,20 @@ def test_fit_manifest_incomplete_phases_exit2(work, tmp_path, capsys):
     code = main(["fit", "--demos", str(bad), "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert f"{bad}: invalid manifest: 'release_start'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files", ["demo_00.csv", [], ["demo_00.csv", 3], None])
+def test_fit_manifest_files_not_a_list_of_names_exit2(work, tmp_path, capsys, files):
+    """A string is not read one character at a time as a list of names."""
+    manifest = json.loads((work / "demos" / "manifest.json").read_text())
+    manifest["files"] = files
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    out = tmp_path / "m.json"
+    assert main(["fit", "--demos", str(bad), "--out", str(out)]) == 2
+    assert (f'error: {bad}: invalid manifest: "files" must be a non-empty list of strings, '
+            f"got {files!r}\n") == capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--grasp-end", "--release-start"])

@@ -298,17 +298,20 @@ def oracle_average_jerk(traj):
 
 
 def assert_stack_matches_oracles(trajs, tasks, phases, reference):
-    """Each stacked metric, and each one-trajectory wrapper, equals its
-    oracle exactly (== on floats: bitwise for these finite values)."""
+    """Each stacked metric's .tolist() row, and each one-trajectory wrapper,
+    equals its oracle exactly (== on floats: bitwise for these finite
+    values)."""
     times, values = _pose_stack(trajs)
     ref = shape_reference(reference)
     assert ref.tobytes() == oracle_unit_path(reference).tobytes()
-    stacked = zip(boundary_errors(values, tasks), phase_deviations(times, values, phases),
-                  shape_deviations(times, values, ref), average_jerks(times, values))
-    for traj, task, (bound, window, shape, jerk) in zip(trajs, tasks, stacked):
+    stacks = (boundary_errors(values, tasks), phase_deviations(times, values, phases),
+              shape_deviations(times, values, ref), average_jerks(times, values))
+    assert [stack.shape for stack in stacks] == [(len(trajs), 2, 2), (len(trajs), 2, 2),
+                                                 (len(trajs),), (len(trajs), 2)]
+    for traj, task, *rows in zip(trajs, tasks, *(stack.tolist() for stack in stacks)):
         want = (oracle_boundary_error(traj, task), oracle_phase_deviation(traj, phases),
                 oracle_procrustes(traj, reference), oracle_average_jerk(traj))
-        assert (bound, window, shape, jerk) == want
+        assert rows == [np.array(value).tolist() for value in want]
         assert (boundary_error(traj, task), phase_deviation(traj, phases),
                 shape_deviation(traj, reference), average_jerk(traj)) == want
 

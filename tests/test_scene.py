@@ -531,6 +531,15 @@ def test_sample_tasks_give_up_after_the_attempt_limit(endpoints):
     assert sample_tasks(scene, "combined", [], *endpoints) == []
 
 
+def test_sample_tasks_refuse_a_generator_passed_twice(endpoints):
+    """Two tasks drawing from one generator would not be the tasks
+    sample_task draws from each."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="one was passed twice"):
+        sample_tasks(default_scene(), "combined", [rng, np.random.default_rng(1), rng],
+                     *endpoints)
+
+
 def test_default_scene_geometry(scene):
     assert len(scene.slabs) == 6
     assert scene.levels == (0.0, 0.40)
