@@ -93,11 +93,7 @@ def cmd_synth(args) -> int:
     demos, task = generate_demonstrations(scene, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for j, demo in enumerate(demos):
-        name = f"demo_{j:02d}.csv"
-        save_trajectory(demo, out_dir / name)
-        names.append(name)
+    names = [f"demo_{j:02d}.csv" for j in range(len(demos))]
     phases = cfg.phases()
     manifest = {
         "files": names,
@@ -111,7 +107,10 @@ def cmd_synth(args) -> int:
                    "noise_rot_deg": args.noise_rot_deg, "rate": cfg.sample_rate},
         "scene": scene_to_dict(scene),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    _save_all_or_nothing([*((save_trajectory, demo, out_dir / name)
+                            for demo, name in zip(demos, names)),
+                          (lambda obj, path: _write_json(path, obj), manifest,
+                           out_dir / "manifest.json")])
     print(f"wrote {len(names)} demonstrations to {out_dir}")
     return EXIT_OK
 

@@ -270,15 +270,22 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
 
 def _resampled(times: np.ndarray, values: np.ndarray, n: int):
     """(grid, values on it) for resample(): values (..., len(times), D), a
-    stack of series on one time grid, interpolated one column at a time."""
+    stack of series on one time grid, as a new C-contiguous array.  Every
+    column at once takes np.interp's slope * (x - x_j) + y_j from knot j,
+    and its copy of y_j on a knot and at the end."""
     if n < 2:
         raise ValueError("resampling needs at least two output samples")
     grid = np.linspace(0.0, float(times[-1]), n)
-    out = np.empty((*values.shape[:-2], n, values.shape[-1]))
-    for index in np.ndindex(*values.shape[:-2], values.shape[-1]):
-        column = (*index[:-1], slice(None), index[-1])
-        out[column] = np.interp(grid, times, values[column])
-    return grid, out
+    if np.array_equal(grid, times):
+        return grid, np.array(values, dtype=float, order="C")
+    j = np.minimum(np.searchsorted(times, grid, side="right") - 1, len(times) - 2)
+    columns = np.swapaxes(np.asarray(values, dtype=float), -1, -2)
+    y0, y1 = np.take(columns, j, axis=-1), np.take(columns, j + 1, axis=-1)
+    out = (y1 - y0) / (times[j + 1] - times[j]) * (grid - times[j]) + y0
+    on_knot = grid == times[j]
+    out[..., on_knot] = y0[..., on_knot]
+    out[..., -1] = y1[..., -1]
+    return grid, np.ascontiguousarray(np.swapaxes(out, -1, -2))
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

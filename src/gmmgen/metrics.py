@@ -78,12 +78,27 @@ def _pose_stack(trajs):
     return times, values
 
 
+def _quaternions(rotvecs) -> np.ndarray:
+    """(4, ...) scalar-last quaternion components of (..., 3) rotation vectors."""
+    rotvecs = np.array(rotvecs, dtype=float)  # copy: scipy rejects read-only views
+    return Rotation.from_rotvec(rotvecs.reshape(-1, 3)).as_quat().T.reshape(4, *rotvecs.shape[:-1])
+
+
 def _geodesic_angles(rotvecs_a, rotvecs_b) -> np.ndarray:
-    """Geodesic angles (rad) between (k, 3) rotation vectors, row by row."""
-    # copies: scipy rejects the read-only views Pose/Trajectory hand out
-    ra = Rotation.from_rotvec(np.array(rotvecs_a, dtype=float))
-    rb = Rotation.from_rotvec(np.array(rotvecs_b, dtype=float))
-    return (ra.inv() * rb).magnitude()
+    """Geodesic angles (rad) between broadcastable (..., 3) rotation vectors:
+    bitwise (from_rotvec(a).inv() * from_rotvec(b)).magnitude(), with the
+    product and its normalization taken column by column in scipy's order."""
+    ax, ay, az, pw = _quaternions(rotvecs_a)
+    qx, qy, qz, qw = _quaternions(rotvecs_b)
+    px, py, pz = -ax, -ay, -az
+    x = pw * qx + qw * px + (py * qz - pz * qy)
+    y = pw * qy + qw * py + (pz * qx - px * qz)
+    z = pw * qz + qw * pz + (px * qy - py * qx)
+    w = pw * qw - px * qx - py * qy - pz * qz
+    quat = np.stack([x, y, z, w], axis=-1)
+    quat /= np.sqrt(x * x + y * y + z * z + w * w)[..., None]
+    angles = Rotation(quat.reshape(-1, 4), normalize=False, copy=False).magnitude()
+    return angles.reshape(quat.shape[:-1])
 
 
 def rotation_angle_deg(rotvec_a, rotvec_b) -> float:
@@ -99,8 +114,7 @@ def boundary_errors(values: np.ndarray, tasks) -> np.ndarray:
     targets = np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
     gaps = ends[..., :3] - targets[..., :3]
     pos_mm = np.sqrt(_dot(gaps, gaps)) * M_TO_MM
-    rot_deg = (_geodesic_angles(targets[..., 3:].reshape(-1, 3), ends[..., 3:].reshape(-1, 3))
-               * RAD_TO_DEG).reshape(-1, 2)
+    rot_deg = _geodesic_angles(targets[..., 3:], ends[..., 3:]) * RAD_TO_DEG
     return np.stack([pos_mm, rot_deg], axis=-1)
 
 
@@ -124,9 +138,7 @@ def phase_deviations(times: np.ndarray, values: np.ndarray, phases: PhaseSchedul
         rows = np.ascontiguousarray(values[:, window])  # (T, k, 6)
         center = rows.mean(axis=1, keepdims=True)
         dists = np.linalg.norm(rows[..., :3] - center[..., :3], axis=-1)
-        turns = _geodesic_angles(
-            np.broadcast_to(center[..., 3:], rows[..., 3:].shape).reshape(-1, 3),
-            rows[..., 3:].reshape(-1, 3)).reshape(dists.shape)
+        turns = _geodesic_angles(center[..., 3:], rows[..., 3:])
         out[:, side, 0] = dists.mean(axis=1) * M_TO_MM
         out[:, side, 1] = turns.mean(axis=1) * RAD_TO_DEG
     return out
@@ -183,8 +195,9 @@ def average_jerks(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     grid = _resampled(times, values, n)[1]
     h = duration / (n - 1)
     third = (grid[:, 4:] - 2.0 * grid[:, 3:-1] + 2.0 * grid[:, 1:-3] - grid[:, :-4]) / (2.0 * h**3)
-    return np.stack([np.linalg.norm(third[..., :3], axis=-1).mean(axis=1),
-                     np.linalg.norm(third[..., 3:], axis=-1).mean(axis=1) * RAD_TO_DEG], axis=-1)
+    sq = third * third  # each norm adds its 3 squares in np.linalg.norm's order
+    norms = [np.sqrt(sq[..., i] + sq[..., i + 1] + sq[..., i + 2]).mean(axis=1) for i in (0, 3)]
+    return np.stack([norms[0], norms[1] * RAD_TO_DEG], axis=-1)
 
 
 def average_jerk(traj: Trajectory):

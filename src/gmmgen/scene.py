@@ -74,6 +74,7 @@ class Scene:
         if (len(self.length_range) != 2 or not np.isfinite(self.length_range).all()
                 or self.length_range[0] >= self.length_range[1]):
             raise ValueError("length_range must be an increasing, finite (min, max) pair")
+        object.__setattr__(self, "_obstacles", _obstacles(dims, self.slabs))  # built once
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,23 @@ _CROSS_INDEX = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])
 _CROSS_SIGN = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
 
 
+def _obstacles(box_dims, slabs):
+    """_collision_mask()'s arrays: half the box (3,), slab centers and half extents (S, 3)."""
+    return (0.5 * np.asarray(box_dims, dtype=float).reshape(3),
+            np.array([s.center for s in slabs]).reshape(-1, 3),
+            np.array([s.half_extents for s in slabs]).reshape(-1, 3))
+
+
 def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
     """(N, S) bool: does the box at pose n touch or overlap slab s?
 
     Separating-axis test of N oriented boxes against S axis-aligned slabs,
     all at once, in two stages over the 15 candidate axes of a pair:
 
-    1. Every pair is tested on the slab's 3 face normals.  On a world axis
-       e_i the norm is 1, the slab radius is half-extent i, the projection
-       is delta_i and e_i @ R is row i of R: each product has a 0 or 1
+    1. Every pair is tested on the slab's 3 face normals, slab-major in
+       (S, N) arrays, one world axis at a time.  On a world axis e_i the
+       norm is 1, the slab radius is half-extent i, the projection is
+       delta_i and e_i @ R is row i of R: each product has a 0 or 1
        factor, so these are the very floats a full 15-axis test computes.
     2. The pairs no face normal separates (a few per thousand on the
        benchmark's trajectories) are tested on the 3 box axes and their 9
@@ -116,6 +125,11 @@ def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
     collision.  positions and rotvecs must hold the same number of finite
     rows.
     """
+    return _collision_mask(positions, rotvecs, *_obstacles(box_dims, slabs))
+
+
+def _collision_mask(positions, rotvecs, half_box, centers, half_slabs) -> np.ndarray:
+    """collision_mask() on the arrays _obstacles() builds."""
     positions = np.array(positions, dtype=float).reshape(-1, 3)
     # copy: scipy rejects the read-only arrays Pose and Trajectory hand out
     rotvecs = np.array(rotvecs, dtype=float).reshape(-1, 3)
@@ -127,15 +141,12 @@ def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
         raise ValueError(f"pose {int(np.argmin(finite))}: position and rotation "
                          "vector must be finite")
     rot = Rotation.from_rotvec(rotvecs).as_matrix()
-    half_box = 0.5 * np.asarray(box_dims, dtype=float).reshape(3)
-    centers = np.array([s.center for s in slabs]).reshape(-1, 3)
-    half_slabs = np.array([s.half_extents for s in slabs]).reshape(-1, 3)
+    face_r_box = _dot(np.abs(rot), half_box).T  # (3, N): the box's support on e_i
+    apart = np.zeros((len(centers), len(positions)), dtype=bool)  # (S, N)
+    for i, p in enumerate(np.ascontiguousarray(positions.T)):
+        apart |= np.abs(p - centers[:, i, None]) > half_slabs[:, i, None] + face_r_box[i]
 
-    delta = positions[:, None, :] - centers  # (N, S, 3)
-    face_r_box = _dot(np.abs(rot), half_box)  # (N, 3): the box's support on e_i
-    mask = ~(np.abs(delta) > half_slabs + face_r_box[:, None, :]).any(axis=2)
-
-    pose, slab = np.nonzero(mask)  # the P pairs no face normal separates
+    slab, pose = np.nonzero(~apart)  # the P pairs no face normal separates
     rot = rot[pose]
     box_axes = np.swapaxes(rot, 1, 2)  # row j is the box's axis j
     padded = np.concatenate([box_axes, np.zeros((len(pose), 3, 1))], axis=2)
@@ -147,16 +158,15 @@ def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
 
     r_slab = _dot(np.abs(axes), half_slabs[slab][:, None, :])
     r_box = _dot(np.abs(axes[:, :, None, :] @ rot[:, None])[:, :, 0, :], half_box)
-    proj = _dot(axes, delta[pose, slab][:, None, :])
+    proj = _dot(axes, (positions[pose] - centers[slab])[:, None, :])
     separated = (usable & (np.abs(proj) > r_slab + r_box)).any(axis=1)
-    mask[pose[separated], slab[separated]] = False
-    return mask
+    apart[slab[separated], pose[separated]] = True
+    return ~apart.T
 
 
 def scene_collides(pose: Pose, scene: Scene) -> bool:
     """Does the box at pose touch or overlap any slab of the scene?"""
-    return bool(collision_mask(pose.position, pose.orientation, scene.box_dims,
-                               scene.slabs).any())
+    return bool(_collision_mask(pose.position, pose.orientation, *scene._obstacles).any())
 
 
 def trajectories_success(times: np.ndarray, values: np.ndarray, scene: Scene, boundaries,
@@ -170,7 +180,7 @@ def trajectories_success(times: np.ndarray, values: np.ndarray, scene: Scene, bo
     not depend on the other poses in the call.
     """
     sampled = _resampled(times, values, thresholds.collision_samples)[1].reshape(-1, 6)
-    hits = collision_mask(sampled[:, :3], sampled[:, 3:], scene.box_dims, scene.slabs)
+    hits = _collision_mask(sampled[:, :3], sampled[:, 3:], *scene._obstacles)
     limits = np.array([thresholds.max_boundary_pos_mm, thresholds.max_boundary_rot_deg])
     collided = hits.reshape(len(values), -1).any(axis=1).tolist()
     missed = (boundaries > limits).any(axis=(1, 2)).tolist()
@@ -243,7 +253,7 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
         if yaws:
             orientations = _yawed_orientations(orientations, yaws)
         poses = [Pose(p, r) for p, r in zip(positions, orientations)]
-        hits = collision_mask(positions, orientations, scene.box_dims, scene.slabs).any(axis=1)
+        hits = _collision_mask(positions, orientations, *scene._obstacles).any(axis=1)
         for k, pose, hit in zip(pending, poses, hits):
             if not hit:
                 found[k].append(pose)

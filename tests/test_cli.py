@@ -60,6 +60,15 @@ def test_synth_bad_scene_exit2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_synth_unwritable_manifest_writes_no_demo(tmp_path, capsys):
+    """When manifest.json cannot be written, no demo_XX.csv is written
+    either, nor is a temporary file left behind."""
+    (tmp_path / "manifest.json").mkdir()
+    assert main(["synth", "--out-dir", str(tmp_path)]) == 2
+    assert f"Is a directory: '{tmp_path / 'manifest.json'}'" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["manifest.json"]
+
+
 @pytest.mark.parametrize("field", ["box_dims", "levels"])
 def test_synth_scene_oversized_integer_exit2(tmp_path, capsys, field):
     scene = json.loads(SCENE_JSON.read_text())

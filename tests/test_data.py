@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gmmgen.bench import default_times
 from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, Trajectory,
                          TrajectoryFormatError, _check_samples, _first_violation,
-                         load_trajectory, resample, save_trajectory)
+                         _resampled, load_trajectory, resample, save_trajectory)
 from gmmgen.metrics import average_jerk, phase_deviation
 from gmmgen.model import FitConfig
 from gmmgen.plot import render_svg
@@ -158,6 +158,84 @@ def test_resample_piecewise_example():
     assert np.allclose(out.values[:, 0], [0.0, 1.0, 2.0, 2.0, 2.0])
     with pytest.raises(ValueError):
         resample(traj, 1)
+
+
+def oracle_resampled(times, values, n):
+    """The former _resampled(): np.interp one column at a time."""
+    grid = np.linspace(0.0, float(times[-1]), n)
+    out = np.empty((*values.shape[:-2], n, values.shape[-1]))
+    for index in np.ndindex(*values.shape[:-2], values.shape[-1]):
+        column = (*index[:-1], slice(None), index[-1])
+        out[column] = np.interp(grid, times, values[column])
+    return grid, out
+
+
+@st.composite
+def resample_cases(draw):
+    """(times, values, n): uniform or uneven times, n below, equal to or
+    above their count, (m, D) or stacked values, some of them strided views."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 40))
+    duration = rng.uniform(0.01, 20.0)
+    if draw(st.booleans()):
+        times = np.linspace(0.0, duration, m)
+    else:
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, m - 1))])
+        times *= duration / times[-1]
+    n = draw(st.sampled_from(["below", "equal", "above"]))
+    n = {"below": draw(st.integers(2, max(m - 1, 2))), "equal": m,
+         "above": draw(st.integers(m + 1, 3 * m + 1))}[n]
+    lead = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    dim = draw(st.integers(1, 6))
+    scale = 10.0 ** rng.uniform(-6, 3)
+    layout = draw(st.sampled_from(["contiguous", "column slice", "every other sample",
+                                   "swapped"]))
+    if layout == "contiguous":
+        values = rng.normal(size=(*lead, m, dim)) * scale
+    elif layout == "column slice":
+        values = (rng.normal(size=(*lead, m, dim + 2)) * scale)[..., 1:-1]
+    elif layout == "every other sample":
+        values = (rng.normal(size=(*lead, 2 * m, dim)) * scale)[..., ::2, :]
+    else:
+        values = np.swapaxes(rng.normal(size=(*lead, dim, m)) * scale, -1, -2)
+    return times, values, n
+
+
+@given(resample_cases())
+@settings(max_examples=300)
+def test_resampled_matches_per_column_interp(case):
+    """Bitwise np.interp's values, as a fresh C-contiguous array."""
+    times, values, n = case
+    grid, out = _resampled(times, values, n)
+    want_grid, want = oracle_resampled(times, values, n)
+    assert np.array_equal(grid, want_grid)
+    assert np.array_equal(out, want)
+    assert out.flags.c_contiguous and not np.shares_memory(out, values)
+
+
+def test_resampled_copies_knot_values_where_the_slope_overflows():
+    """On a knot the value is copied, as np.interp copies it, rather than
+    computed as inf * 0 + y."""
+    times = np.array([0.0, 1.0, 2.0, 4.0])
+    values = np.array([[-1e308, 1.0], [1e308, 2.0], [0.0, 3.0], [1.0, 4.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _resampled(times, values, 5)[1]
+    assert np.array_equal(out, oracle_resampled(times, values, 5)[1])
+    assert out[:, 0].tolist() == [-1e308, 1e308, 0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("n", [9, 5, 17], ids=["identity grid", "fewer", "more"])
+def test_resampled_result_is_c_contiguous_and_owns_its_memory(n):
+    """Callers sum the result along its rows and subtract from it in place:
+    it must be C-contiguous and share no memory with the input."""
+    times = np.linspace(0.0, 2.0, 9)
+    base = np.random.default_rng(5).normal(size=(3, 9, 8))
+    for values in (base, base[0], base[..., :6], base[::2, ::-1, 1:7]):
+        grid, out = _resampled(times, values, n)
+        assert out.shape == (*values.shape[:-2], n, values.shape[-1])
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, values)
+        assert np.array_equal(out, oracle_resampled(times, values, n)[1])
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from gmmgen.bench import _regressed, model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, resample
-from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _pose_stack,
+from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_angles, _pose_stack,
                             average_jerk, average_jerks, boundary_error, boundary_errors,
                             phase_deviation, phase_deviations, rotation_angle_deg,
                             shape_deviation, shape_deviations, shape_reference)
@@ -26,6 +26,57 @@ def test_rotation_angle_hand_cases():
     assert rotation_angle_deg([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]) == pytest.approx(0.0, abs=1e-12)
     # two 90-degree turns about orthogonal axes sit 120 degrees apart
     assert rotation_angle_deg([np.pi / 2, 0, 0], [0, np.pi / 2, 0]) == pytest.approx(120.0)
+
+
+def oracle_geodesic_angles(rotvecs_a, rotvecs_b):
+    """The former _geodesic_angles(): scipy's composition of (k, 3) rows."""
+    ra = Rotation.from_rotvec(np.array(rotvecs_a, dtype=float))
+    rb = Rotation.from_rotvec(np.array(rotvecs_b, dtype=float))
+    return (ra.inv() * rb).magnitude()
+
+
+# rotation-vector norms: none, scipy's Taylor branch (<= 1e-3), any, just below pi
+ANGLE_RANGES = {"zero": (0.0, 0.0), "taylor": (0.0, 1e-3), "any": (0.0, 3.0),
+                "near pi": (np.pi - 1e-4, np.pi - 1e-12)}
+
+
+def random_rotvecs(rng, shape, kind):
+    axes = rng.normal(size=(*shape, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    return axes * rng.uniform(*ANGLE_RANGES[kind], size=(*shape, 1))
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 60),
+       kinds=st.tuples(*[st.sampled_from(sorted(ANGLE_RANGES))] * 2),
+       nearby=st.booleans())
+@settings(max_examples=200)
+def test_geodesic_angles_match_scipy_composition(seed, k, kinds, nearby):
+    """Bitwise the angles of scipy's inv() * composition, for rows of every
+    angle range, and for rows a small turn apart."""
+    rng = np.random.default_rng(seed)
+    a = random_rotvecs(rng, (k,), kinds[0])
+    b = random_rotvecs(rng, (k,), kinds[1])
+    if nearby:
+        b = a + 10.0 ** rng.uniform(-9, -2) * random_rotvecs(rng, (k,), "any")
+        b *= np.minimum(1.0, (np.pi - 1e-12) / np.linalg.norm(b, axis=-1, keepdims=True))
+    assert np.array_equal(_geodesic_angles(a, b), oracle_geodesic_angles(a, b))
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 5), st.integers(1, 30)),
+       kind=st.sampled_from(sorted(ANGLE_RANGES)))
+@settings(max_examples=100)
+def test_geodesic_angles_broadcast_centre_matches_scipy(seed, shape, kind):
+    """A (T, 1, 3) centre against (T, k, 3) rows, as phase_deviations() passes
+    them, gives the (T, k) angles of the broadcast rows, bitwise."""
+    rng = np.random.default_rng(seed)
+    center = random_rotvecs(rng, (shape[0], 1), kind)
+    rows = center + 1e-2 * random_rotvecs(rng, shape, "any")
+    rows *= np.minimum(1.0, (np.pi - 1e-12) / np.linalg.norm(rows, axis=-1, keepdims=True))
+    want = oracle_geodesic_angles(np.broadcast_to(center, rows.shape).reshape(-1, 3),
+                                  rows.reshape(-1, 3)).reshape(shape)
+    got = _geodesic_angles(center, rows)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 def test_boundary_error_345_triangle():
