@@ -69,7 +69,7 @@ def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
                         thresholds: SuccessThresholds = SuccessThresholds()) -> EvalReport:
     """Score one trajectory with the full metric suite plus the success check;
     the report and the verdict read the same boundary errors."""
-    return evaluate_trajectories(*_pose_stack([traj]), [task], scene, shape_reference(reference),
+    return evaluate_trajectories(*_pose_stack(traj), [task], scene, shape_reference(reference),
                                  phases, thresholds)[0]
 
 
@@ -79,21 +79,14 @@ def _regressed(model: GmmModel, tasks, config: ReparamConfig, times: np.ndarray)
 
     times must be valid query times starting at 0.  The adapted components
     and the regressed samples pass the checks GmmModel and Trajectory run,
-    each once over the whole stack.  The (G,) priors and time centers are
-    the source model's, and its time variances serve the whole stack unless
-    an SPD repair moved one; then each task's weights are its own.
+    each once over the whole stack.  The priors and time centers are the
+    source model's, as generalize() keeps them.
     """
     starts = np.array([task.start_vector() for task in tasks])
     goals = np.array([task.goal_vector() for task in tasks])
     means, covs, _ = _reparam(model, starts, goals, config)
     covs = _checked_covs(model.priors, means, covs)
-    t_means, t_vars = model.means[:, 0], covs[..., 0, 0]
-    slopes = covs[..., 1:, 0] / t_vars[..., None]
-    if (t_vars == t_vars[0]).all():
-        t_vars = t_vars[0]
-    else:
-        t_means = np.broadcast_to(t_means, t_vars.shape)
-    values = _expected_poses(model.priors, t_means, t_vars, means, slopes, times)
+    values = _expected_poses(model.priors, model.means[:, 0], means, covs, times)
     _check_samples(times, values)
     return values
 

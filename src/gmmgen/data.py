@@ -164,14 +164,13 @@ class PhaseSchedule:
 
 
 def _first_violation(times: np.ndarray, values: np.ndarray):
-    """(index, problem) for the first sample that breaks a trajectory rule,
-    or None.
+    """(sample index, problem) for the first sample that breaks a trajectory
+    rule, or None.
 
     The rules: every entry is finite, the first time is 0, times strictly
     increase, and 6-D rows keep their rotation-vector magnitude below pi.
-    values is (n, D), one series, and index its sample; or (K, n, D), K
-    series sampled at the same times, and index is (series, sample) of the
-    first series with a violation.  Valid samples cost whole-array checks
+    values is (n, D), or (K, n, D) series on the same times whose first
+    violating series is reported.  Valid samples cost whole-array checks
     only; the offending one is located once one of them fails.
     """
     angles = (_rotvec_angles(values[..., 3:6]) if values.shape[-1] == POSE_DIM
@@ -194,18 +193,14 @@ def _first_violation(times: np.ndarray, values: np.ndarray):
         problem = f"time {times[index]} does not increase past {times[index - 1]}"
     else:
         problem = f"rotation-vector magnitude {angles[where]:.6f} rad must stay below pi"
-    return (index if valid.ndim == 1 else (int(where[0]), index)), problem
+    return index, problem
 
 
 def _check_samples(times: np.ndarray, values: np.ndarray) -> None:
-    """Raise ValueError naming the first sample, and in a (K, n, D) stack its
-    trajectory, that breaks a rule of _first_violation."""
+    """Raise ValueError naming the first sample that breaks a _first_violation rule."""
     found = _first_violation(times, values)
     if found is not None:
-        index, problem = found
-        where = (f"sample {index}" if isinstance(index, int)
-                 else "trajectory {}, sample {}".format(*index))
-        raise ValueError(f"{where}: {problem}")
+        raise ValueError("sample {}: {}".format(*found))
 
 
 @dataclass(frozen=True)

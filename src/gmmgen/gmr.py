@@ -31,23 +31,16 @@ def _validated_times(times, duration: float) -> np.ndarray:
     return times
 
 
-def _model_arrays(model):
-    """((priors, time centers, time variances, spatial means, slopes), duration)."""
-    try:
-        arrays = (model.priors, model.means[:, 0], model.covs[:, 0, 0], model.means[:, 1:],
-                  model.slopes)
-        return arrays, model.duration
-    except AttributeError:
-        raise TypeError(f"cannot regress a {type(model).__name__}") from None
-
-
-def _expected_poses(priors, t_means, t_vars, mu, slopes, times) -> np.ndarray:
-    """Regressed values (..., n, D) of one mixture or a stack of them.
-
-    priors, t_means and t_vars are (G,) or (..., G), mu and slopes
-    (..., G, D); weights from (G,) terms are computed once and shared by
-    the whole stack.
-    """
+def _expected_poses(priors, t_means, mu, covs, times) -> np.ndarray:
+    """Regressed values (..., n, D) of one mixture, or of a stack sharing its
+    (G,) priors and time centers, from mu (..., G, D) and covs (..., G, D+1,
+    D+1).  Time variances and slopes come from covs; a stack whose time
+    variances all agree shares one (n, G) weight set."""
+    t_vars = covs[..., 0, 0]
+    slopes = covs[..., 1:, 0] / t_vars[..., None]
+    if t_vars.ndim > 1 and (t_vars == t_vars[0]).all():
+        t_vars = t_vars[0]
+    t_means = t_means if t_vars.ndim == 1 else np.broadcast_to(t_means, t_vars.shape)
     log_w = (times[:, None] - t_means[..., None, :]) ** 2
     log_w /= 2.0 * t_vars[..., None, :]
     np.subtract((np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars))[..., None, :],
@@ -70,7 +63,10 @@ def regress(model, times) -> Trajectory:
     increasing within [0, duration]; the output trajectory is re-anchored
     so its first timestamp is zero.
     """
-    arrays, duration = _model_arrays(model)
+    try:
+        priors, means, covs, duration = model.priors, model.means, model.covs, model.duration
+    except AttributeError:
+        raise TypeError(f"cannot regress a {type(model).__name__}") from None
     times = _validated_times(times, duration)
-    return Trajectory(times - times[0], _expected_poses(*arrays, times))
-
+    return Trajectory(times - times[0], _expected_poses(priors, means[:, 0], means[:, 1:], covs,
+                                                        times))

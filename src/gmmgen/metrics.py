@@ -64,18 +64,10 @@ class EvalReport:
         return cls(**obj)
 
 
-def _pose_stack(trajs):
-    """(times, values) of trajectories sampled on one time grid: times (n,)
-    and values (T, n, 6), positions then rotation vectors, each trajectory
-    read through positions() and orientations()."""
-    times = trajs[0].times
-    if not all(np.array_equal(traj.times, times) for traj in trajs[1:]):
-        raise ValueError("stacked trajectories must share one time grid")
-    values = np.empty((len(trajs), len(times), 6))
-    for row, traj in zip(values, trajs):
-        row[:, :3] = traj.positions()
-        row[:, 3:] = traj.orientations()
-    return times, values
+def _pose_stack(traj: Trajectory):
+    """(times (n,), values (1, n, 6)): one trajectory as a stack of one, its
+    positions() then its orientations()."""
+    return traj.times, np.concatenate([traj.positions(), traj.orientations()], axis=1)[None]
 
 
 def _quaternions(rotvecs) -> np.ndarray:
@@ -120,7 +112,7 @@ def boundary_errors(values: np.ndarray, tasks) -> np.ndarray:
 
 def boundary_error(traj: Trajectory, task: TaskSpec):
     """((start mm, start deg), (goal mm, goal deg)) against the task endpoints."""
-    return tuple(map(tuple, boundary_errors(_pose_stack([traj])[1], [task])[0].tolist()))
+    return tuple(map(tuple, boundary_errors(_pose_stack(traj)[1], [task])[0].tolist()))
 
 
 def phase_deviations(times: np.ndarray, values: np.ndarray, phases: PhaseSchedule) -> np.ndarray:
@@ -130,11 +122,13 @@ def phase_deviations(times: np.ndarray, values: np.ndarray, phases: PhaseSchedul
     Each trajectory's means run along the last axis of a C-contiguous
     (T, k) array, which numpy sums row by row exactly as it sums one row.
     """
-    windows = (times <= phases.grasp_end, times >= phases.release_start)
-    if min(window.sum() for window in windows) < 2:
-        raise ValueError("each phase window needs at least two samples")
+    windows = (("grasp", times <= phases.grasp_end, 0.0, phases.grasp_end),
+               ("release", times >= phases.release_start, phases.release_start, phases.duration))
     out = np.empty((len(values), 2, 2))
-    for side, window in enumerate(windows):
+    for side, (name, window, lo, hi) in enumerate(windows):
+        if window.sum() < 2:
+            raise ValueError(f"the {name} window [{lo}, {hi}] s holds {window.sum()} of the "
+                             f"{len(times)} samples; each phase window needs at least two")
         rows = np.ascontiguousarray(values[:, window])  # (T, k, 6)
         center = rows.mean(axis=1, keepdims=True)
         dists = np.linalg.norm(rows[..., :3] - center[..., :3], axis=-1)
@@ -146,7 +140,7 @@ def phase_deviations(times: np.ndarray, values: np.ndarray, phases: PhaseSchedul
 
 def phase_deviation(traj: Trajectory, phases: PhaseSchedule):
     """Mean distance from the window-mean pose in the grasp and release windows."""
-    return tuple(map(tuple, phase_deviations(*_pose_stack([traj]), phases)[0].tolist()))
+    return tuple(map(tuple, phase_deviations(*_pose_stack(traj), phases)[0].tolist()))
 
 
 def _unit_paths(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -161,7 +155,7 @@ def _unit_paths(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def shape_reference(reference: Trajectory) -> np.ndarray:
     """The reference path as shape_deviations() takes it: (SHAPE_POINTS, 3)."""
-    return _unit_paths(*_pose_stack([reference]))[0]
+    return _unit_paths(*_pose_stack(reference))[0]
 
 
 def shape_deviations(times: np.ndarray, values: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -182,7 +176,7 @@ def shape_deviation(traj: Trajectory, reference: Trajectory) -> float:
     invariant to translation, uniform scale and proper rotation, not to
     reflection.
     """
-    return float(shape_deviations(*_pose_stack([traj]), shape_reference(reference))[0])
+    return float(shape_deviations(*_pose_stack(traj), shape_reference(reference))[0])
 
 
 def average_jerks(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -207,4 +201,4 @@ def average_jerk(traj: Trajectory):
     differentiated with the five-point central third-difference stencil;
     the two edge samples on each side are dropped.
     """
-    return tuple(average_jerks(*_pose_stack([traj]))[0].tolist())
+    return tuple(average_jerks(*_pose_stack(traj))[0].tolist())

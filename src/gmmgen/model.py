@@ -45,10 +45,8 @@ def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
 
 def _first(flags: np.ndarray) -> str:
     """The first flagged component of a (G,) or (K, G) flag array, named
-    "component g" or, in a stack, "mixture k, component g"."""
-    *mixture, component = np.unravel_index(np.flatnonzero(flags)[0], flags.shape)
-    label = f"component {component}"
-    return f"mixture {mixture[0]}, {label}" if mixture else label
+    "component g" as one mixture names it."""
+    return f"component {np.flatnonzero(flags)[0] % flags.shape[-1]}"
 
 
 def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -58,7 +56,8 @@ def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np
     stacked (K, G, ...) as K mixtures sharing the priors.  Every parameter
     must be finite, every prior positive, and every covariance symmetric to
     1e-9 of its largest entry and, once symmetrized, accepted by Cholesky;
-    one batched factorization checks the whole stack.
+    one batched factorization checks the whole stack, and an error names
+    the first failing component of the first failing mixture.
     """
     bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=-1)
             & np.isfinite(covs).all(axis=(-2, -1)))
@@ -173,38 +172,22 @@ class FitConfig:
 
 def _kmeans_distances(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Distance from every row to every centroid, (n, G), given the rows as
-    one contiguous (D+1, n) column array.
-
-    The squared differences are added column by column in the order numpy's
-    pairwise sum adds the entries of a contiguous row: one after another
-    below 8 entries, in 8 interleaved partial sums up to 128, and by halves
-    beyond.  The result is bitwise equal to
-    np.linalg.norm(rows[:, None, :] - centroids, axis=2), without its two
-    (n, G, D+1) temporaries.
+    one contiguous (D+1, n) column array: bitwise
+    np.linalg.norm(rows[:, None, :] - centroids, axis=2).  Below 8 columns,
+    where numpy's pairwise sum adds a row one entry after another, the
+    squared differences are added column by column without its temporaries.
     """
+    if len(cols) >= 8:
+        return np.linalg.norm(np.ascontiguousarray(cols.T)[:, None, :] - centroids, axis=2)
+
     def square(j):
         diff = cols[j][:, None] - centroids[:, j]
         return np.multiply(diff, diff, out=diff)
 
-    def total(lo, count):
-        if count > 128:
-            half = count // 2 - count // 2 % 8
-            return total(lo, half) + total(lo + half, count - half)
-        if count < 8:
-            acc = square(lo)
-            for j in range(lo + 1, lo + count):
-                acc += square(j)
-            return acc
-        tail = lo + count - count % 8
-        part = [square(j) for j in range(lo, lo + 8)]
-        for j in range(lo + 8, tail):
-            part[(j - lo) % 8] += square(j)
-        acc = (part[0] + part[1] + (part[2] + part[3])) + (part[4] + part[5] + (part[6] + part[7]))
-        for j in range(tail, lo + count):
-            acc += square(j)
-        return acc
-
-    return np.sqrt(total(0, len(cols)))
+    acc = square(0)
+    for j in range(1, len(cols)):
+        acc += square(j)  # each square is freed before the next is made
+    return np.sqrt(acc)
 
 
 def _cluster_means(cols: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -464,8 +447,10 @@ def model_from_dict(obj: dict) -> GmmModel:
                                  for key in ("grasp_end", "release_start")),
                                float(_json_numbers("T", obj["T"])))
         raw = obj["components"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except KeyError as exc:
         raise ValueError(f"model JSON missing field: {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"model JSON invalid: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise ValueError("components must be a non-empty list")
     priors, means, covs = [], [], []

@@ -200,7 +200,7 @@ def trajectory_success(traj: Trajectory, scene: Scene, boundary,
     are checked for collision, and a collision outranks a boundary failure.
     This is trajectories_success() for a stack of one.
     """
-    return trajectories_success(*_pose_stack([traj]), scene, np.array([boundary]), thresholds)[0]
+    return trajectories_success(*_pose_stack(traj), scene, np.array([boundary]), thresholds)[0]
 
 
 def rest_height(scene: Scene, level: float) -> float:
@@ -305,12 +305,19 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _triple(name: str, value):
+    """value, once checked to be a list of exactly 3 JSON numbers."""
+    if not (isinstance(_json_numbers(name, value), list) and len(value) == 3):
+        raise ValueError(f"{name} must hold exactly 3 numbers")
+    return value
+
+
 def scene_from_dict(obj: dict) -> Scene:
     try:
-        slabs = tuple(Slab(*(_json_numbers(f"slab {i} {key}", s[key]) for key in ("min", "max")))
+        slabs = tuple(Slab(*(_triple(f"slab {i} {key}", s[key]) for key in ("min", "max")))
                       for i, s in enumerate(obj["slabs"]))
-        return Scene(slabs, *(_json_numbers(key, obj[key])
-                              for key in ("box_dims", "levels", "length_range")))
+        return Scene(slabs, _triple("box_dims", obj["box_dims"]),
+                     *(_json_numbers(key, obj[key]) for key in ("levels", "length_range")))
     except KeyError as exc:
         raise ValueError(f"scene JSON missing field: {exc}") from exc
     except (TypeError, OverflowError) as exc:

@@ -194,10 +194,10 @@ def test_benchmark_chunk_turning_past_pi_raises(scene, monkeypatch):
 def test_benchmark_chunk_failure_without_a_failing_task_reraises(model, scene, monkeypatch):
     """When no task fails on its own, the chunk's own error is raised."""
     def failing(*args):
-        raise ValueError("trajectory 3, sample 9: non-finite value")
+        raise ValueError("sample 9: non-finite value")
 
     monkeypatch.setattr(bench, "_regressed", failing)
-    with pytest.raises(ValueError, match="^trajectory 3, sample 9: non-finite value$"):
+    with pytest.raises(ValueError, match="^sample 9: non-finite value$"):
         run_benchmark(model, scene, "combined", trials=4, seed=0)
 
 

@@ -102,30 +102,33 @@ def test_trajectory_invariants():
      "rotation-vector magnitude 3.141593 rad must stay below pi"),
 ], ids=["nan", "pi"])
 def test_stacked_first_violation_names_trajectory_and_sample(k, broken, problem):
-    """In a (T, n, 6) stack, the first trajectory with a violation and its
-    sample are named, with the problem a lone trajectory would report."""
+    """In a (T, n, 6) stack, the first trajectory with a violation is the
+    one reported, with the sample and problem it reports alone."""
     times = np.linspace(0.0, 1.0, 7)
     values = np.tile(np.linspace(0.0, 0.3, 7)[:, None], (5, 1, 6))
     assert _first_violation(times, values) is None
     _check_samples(times, values)
     broken(values[k, 3])
     broken(values[4, 5])  # a later violation is not the one reported
-    assert _first_violation(times, values) == ((k, 3), problem)
-    with pytest.raises(ValueError, match=rf"^trajectory {k}, sample 3: {problem}$"):
+    assert _first_violation(times, values) == (3, problem)
+    with pytest.raises(ValueError, match=rf"^sample 3: {problem}$"):
         _check_samples(times, values)
-    # the same row alone: the single-trajectory index and message
+    # the same row alone: the same index and message
     assert _first_violation(times, values[k]) == (3, problem)
     with pytest.raises(ValueError, match=rf"^sample 3: {problem}$"):
         Trajectory(times, values[k])
+    if k < 4:  # the later violation is reported once the first is mended
+        values[k, 3] = values[k, 2]
+        assert _first_violation(times, values) == (5, problem)
 
 
 def test_stacked_first_violation_on_shared_times():
-    """A time-grid violation breaks every trajectory; the first is named."""
+    """A time-grid violation breaks every trajectory; its sample is named."""
     values = np.zeros((3, 4, 6))
     assert _first_violation(np.array([0.0, 1.0, 1.0, 2.0]), values) == (
-        (0, 2), "time 1.0 does not increase past 1.0")
+        2, "time 1.0 does not increase past 1.0")
     assert _first_violation(np.array([0.5, 1.0, 1.5, 2.0]), values) == (
-        (0, 0), "first sample must start at t=0, got t=0.5")
+        0, "first sample must start at t=0, got t=0.5")
 
 
 def test_trajectory_1d_values_allowed():

@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 
 from gmmgen.bench import _regressed, default_times
 from gmmgen.data import PhaseSchedule
-from gmmgen.gmr import _expected_poses, _model_arrays, regress
+from gmmgen.gmr import _expected_poses, regress
 from gmmgen.model import GmmModel
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import sample_task
@@ -182,42 +182,53 @@ def test_regress_many_matches_regress_on_generalized_models(model, times, scene,
 
 
 def stacked_regression(models, times):
-    """_expected_poses() on the models' stacked arrays; weight terms that
-    every model shares go in once, as (G,) arrays."""
-    arrays = [np.stack(column) for column in zip(*(_model_arrays(m)[0] for m in models))]
-    if all((column == column[0]).all() for column in arrays[:3]):
-        arrays[:3] = [column[0] for column in arrays[:3]]
-    return _expected_poses(*arrays, times)
+    """_expected_poses() on the models' stacked means and covariances; the
+    models share the first one's priors and time centers."""
+    first = models[0]
+    return _expected_poses(first.priors, first.means[:, 0],
+                           np.stack([m.means[:, 1:] for m in models]),
+                           np.stack([m.covs for m in models]), times)
+
+
+def with_source_weights(first, model):
+    """model's spatial means and covariances on first's priors and time centers."""
+    return GmmModel(first.priors, np.column_stack([first.means[:, 0], model.means[:, 1:]]),
+                    model.covs, first.phases)
 
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 6), dim=st.integers(1, 5),
        n_models=st.integers(1, 4), thin=st.booleans())
 def test_regress_many_matches_regress_on_random_mixtures(seed, n_comp, dim, n_models, thin):
-    """Mixtures with their own priors, time centers and variances take the
-    (T, n, G) weight stack, one row per model; mixtures that differ only in
-    their spatial terms share one set of weights."""
+    """Mixtures that share priors and time centers but have their own time
+    variances take the (T, n, G) weight stack, one row per model; mixtures
+    whose time variances agree share one set of weights."""
     rng = np.random.default_rng(seed)
-    models = [random_spd_mixture(rng, n_comp, dim, thin) for _ in range(n_models)]
-    times = default_times(min(m.duration for m in models))
-    assert_stack_matches_regress(models, times, stacked_regression(models, times))
-    first = models[0]
-    shifted = [GmmModel(first.priors, np.column_stack([first.means[:, 0], first.means[:, 1:] + k]),
-                        first.covs, first.phases) for k in range(n_models)]
+    first = random_spd_mixture(rng, n_comp, dim, thin)
+    models = [first] + [with_source_weights(first, random_spd_mixture(rng, n_comp, dim, thin))
+                        for _ in range(n_models - 1)]
+    variances = np.stack([m.covs[:, 0, 0] for m in models])
+    assert n_models == 1 or not (variances == variances[0]).all()
     times = default_times(first.duration)
-    assert_stack_matches_regress(shifted, times, stacked_regression(shifted, times))
+    assert_stack_matches_regress(models, times, stacked_regression(models, times))
+    # spatial axes scaled by a power of two: exact, SPD, and the time variances kept
+    scales = [np.array([1.0] + [2.0**k] * dim) for k in range(n_models)]
+    scaled = [GmmModel(first.priors, first.means * s, first.covs * s[:, None] * s, first.phases)
+              for s in scales]
+    assert all(np.array_equal(m.covs[:, 0, 0], first.covs[:, 0, 0]) for m in scaled)
+    assert_stack_matches_regress(scaled, times, stacked_regression(scaled, times))
 
 
 def test_regress_many_validation(model, times):
     """Regression, of one model or of a stack, takes only models and query
     times within their duration, and rejects a stack whose regression
-    breaks a trajectory rule, naming the trajectory and the sample."""
+    breaks a trajectory rule, naming the sample as one trajectory does."""
     with pytest.raises(TypeError, match="cannot regress a str"):
         regress("model", times)
     with pytest.raises(ValueError, match="within"):
         regress(model, np.append(times, times[-1] + 1.0))
     thin, tasks = thin_past_pi_tasks()
-    with pytest.raises(ValueError, match="^trajectory 1, sample 0: rotation-vector magnitude "
+    with pytest.raises(ValueError, match="^sample 0: rotation-vector magnitude "
                                          "3.680180 rad must stay below pi$"):
         _regressed(thin, tasks, ReparamConfig(), default_times(thin.duration))
 

@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from gmmgen.bench import _regressed, model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, resample
-from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_angles, _pose_stack,
+from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_angles,
                             average_jerk, average_jerks, boundary_error, boundary_errors,
                             phase_deviation, phase_deviations, rotation_angle_deg,
                             shape_deviation, shape_deviations, shape_reference)
@@ -111,7 +111,12 @@ def test_phase_deviation_alternating_offsets():
 
 def test_phase_deviation_needs_window_samples():
     traj = pose_rows([0.0, 3.0, 7.0], np.zeros((3, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the grasp window \[0\.0, 1\.0\] s holds 1 of the 3 "
+                                         "samples; each phase window needs at least two$"):
+        phase_deviation(traj, PhaseSchedule(1.0, 6.0, 7.0))
+    traj = pose_rows([0.0, 0.5, 1.0, 7.0], np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"^the release window \[6\.0, 7\.0\] s holds 1 of the 4 "
+                                         "samples; each phase window needs at least two$"):
         phase_deviation(traj, PhaseSchedule(1.0, 6.0, 7.0))
 
 
@@ -352,7 +357,9 @@ def assert_stack_matches_oracles(trajs, tasks, phases, reference):
     """Each stacked metric's .tolist() row, and each one-trajectory wrapper,
     equals its oracle exactly (== on floats: bitwise for these finite
     values)."""
-    times, values = _pose_stack(trajs)
+    times = trajs[0].times
+    assert all(np.array_equal(traj.times, times) for traj in trajs)
+    values = np.stack([traj.values for traj in trajs])
     ref = shape_reference(reference)
     assert ref.tobytes() == oracle_unit_path(reference).tobytes()
     stacks = (boundary_errors(values, tasks), phase_deviations(times, values, phases),
@@ -401,11 +408,3 @@ def test_metric_stacks_match_oracles_on_random_paths(seed, n_trajs, n, duration)
     phases = PhaseSchedule(0.2 * duration, 0.7 * duration, duration)
     reference = path(np.linspace(0.0, rng.uniform(1.0, 8.0), 150))
     assert_stack_matches_oracles(trajs, tasks, phases, reference)
-
-
-def test_pose_stack_needs_one_time_grid():
-    times = np.linspace(0.0, 2.0, 11)
-    a = pose_rows(times, np.zeros((11, 3)))
-    b = pose_rows(times * 1.5, np.zeros((11, 3)))
-    with pytest.raises(ValueError, match="share one time grid"):
-        _pose_stack([a, b])

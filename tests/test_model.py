@@ -11,7 +11,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
                           _kmeans_distances, em_fit, fit_gmm, kmeans_init,
-                          load_model, logsumexp, save_model)
+                          load_model, logsumexp, model_to_dict, save_model)
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import sample_task
 
@@ -66,7 +66,8 @@ def test_component_validation():
 ], ids=["nan-cov", "inf-mean", "asymmetric", "indefinite"])
 def test_checked_covs_names_mixture_and_component_in_a_stack(mutate, problem):
     """The checker GmmModel runs takes a (K, G, ...) stack of mixtures that
-    share their priors, and names the first failing mixture and component."""
+    share their priors; the first failing mixture's component is named as
+    that mixture alone names it."""
     priors = np.array([0.25, 0.75])
     covs = np.tile(np.array([[1.0, 0.5], [0.5, 1.0]]), (4, 2, 1, 1))
     means = np.zeros((4, 2, 1))
@@ -74,10 +75,13 @@ def test_checked_covs_names_mixture_and_component_in_a_stack(mutate, problem):
     assert checked.tobytes() == covs.tobytes() and not checked.flags.writeable
     mutate(covs[2], means[2])
     mutate(covs[3], means[3])  # a later failure is not the one named
-    with pytest.raises(ValueError, match=f"^mixture 2, component 1: {problem}$"):
+    with pytest.raises(ValueError, match=f"^component 1: {problem}$"):
         _checked_covs(priors, means, covs)
     with pytest.raises(ValueError, match=f"^component 1: {problem}$"):
         _checked_covs(priors, means[2], covs[2])
+    mutate(covs[3, ::-1], means[3, ::-1])  # mixture 3 now fails first at component 0
+    with pytest.raises(ValueError, match=f"^component 1: {problem}$"):
+        _checked_covs(priors, means, covs)
 
 
 def test_model_validation():
@@ -308,6 +312,22 @@ def test_load_model_rejects_bad_json(tmp_path):
         load_model(path)
     with pytest.raises(ValueError):
         load_model(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda obj: [obj], "model JSON invalid: list indices must be integers or slices, not str"),
+    (lambda obj: {**obj, "phases": [0.5, 1.5]},
+     "model JSON invalid: list indices must be integers or slices, not str"),
+    (lambda obj: {k: v for k, v in obj.items() if k != "phases"},
+     "model JSON missing field: 'phases'"),
+], ids=["document-list", "phases-list", "phases-missing"])
+def test_load_model_tells_a_wrong_type_from_a_missing_field(tmp_path, edit, message):
+    """A field of the wrong JSON type is invalid; only an absent one is missing."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(model_to_dict(one_component()))))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def oracle_kmeans_init(data, n_clusters, seed, cov_floor=1e-6, max_iters=300):

@@ -349,6 +349,25 @@ def test_load_scene_rejects_non_finite(tmp_path, scene, field, index, value):
     assert str(err.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("edit,field", [
+    (lambda obj: obj["box_dims"].pop(), "box_dims"),
+    (lambda obj: obj["box_dims"].append(0.1), "box_dims"),
+    (lambda obj: obj.__setitem__("box_dims", 0.2), "box_dims"),
+    (lambda obj: obj["slabs"][2]["min"].pop(), "slab 2 min"),
+    (lambda obj: obj["slabs"][4]["max"].append(0.1), "slab 4 max"),
+    (lambda obj: obj["slabs"][0].__setitem__("max", 0.5), "slab 0 max"),
+], ids=["box_dims-2", "box_dims-4", "box_dims-number", "slab-min-2", "slab-max-4",
+        "slab-max-number"])
+def test_load_scene_names_a_field_without_3_numbers(tmp_path, scene, edit, field):
+    obj = scene_to_dict(scene)
+    edit(obj)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as err:
+        load_scene(path)
+    assert str(err.value) == f"{path}: {field} must hold exactly 3 numbers"
+
+
 def test_rest_height_includes_clearance(scene):
     assert rest_height(scene, 0.0) == pytest.approx(0.5 * 0.12 + REST_CLEARANCE)
     assert rest_height(scene, 0.40) == pytest.approx(0.40 + 0.063)
