@@ -188,8 +188,13 @@ def average_jerks(times: np.ndarray, values: np.ndarray) -> np.ndarray:
         raise ValueError("trajectory too short for jerk estimation")
     grid = _resampled(times, values, n)[1]
     h = duration / (n - 1)
-    third = (grid[:, 4:] - 2.0 * grid[:, 3:-1] + 2.0 * grid[:, 1:-3] - grid[:, :-4]) / (2.0 * h**3)
-    sq = third * third  # each norm adds its 3 squares in np.linalg.norm's order
+    # (g[4:] - 2 g[3:-1] + 2 g[1:-3] - g[:-4]) / (2 h^3) and its square, op by op in place
+    sq = np.multiply(grid[:, 3:-1], 2.0)
+    np.subtract(grid[:, 4:], sq, out=sq)
+    sq += 2.0 * grid[:, 1:-3]
+    sq -= grid[:, :-4]
+    sq /= 2.0 * h**3
+    sq *= sq  # each norm adds its 3 squares in np.linalg.norm's order
     norms = [np.sqrt(sq[..., i] + sq[..., i + 1] + sq[..., i + 2]).mean(axis=1) for i in (0, 3)]
     return np.stack([norms[0], norms[1] * RAD_TO_DEG], axis=-1)
 

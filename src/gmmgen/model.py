@@ -209,6 +209,23 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     computed on the unscaled data.  Returns (assignments, (priors, means,
     covs)) with clusters sorted by time center and assignments relabeled to
     match.
+
+    Lloyd's passes are bounded (Hamerly, SDM 2010): each row keeps an upper
+    bound on the distance the full loop would compute to its own centroid,
+    and a lower bound on those to every other centroid.  A centroid update
+    adds the own centroid's shift to the first and takes the largest shift
+    from the second, each shift and bound moved outward by a relative
+    margin of 1e-12, far above the rounding of a computed distance (a few
+    dozen ulps at most), so the bounds hold for the computed distances of
+    the next pass.  Only rows with not (upper < lower) have their distance
+    rows computed, with _kmeans_distances, and take their argmin and fresh
+    bounds from them.  A skipped row's own distance is strictly below every
+    other it would compute, so its argmin can neither tie nor move; and a
+    row's distances are bitwise the same computed alone or in the full
+    matrix.  The assignments, centroids and pass count are therefore
+    bitwise those of the full Lloyd loop.  A pass that leaves a cluster
+    empty computes the full matrix for the reseed, and the next pass
+    computes every row again.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
@@ -230,27 +247,44 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     centroids = work[np.sort(rng.choice(n, size=n_clusters, replace=False))].copy()
     cols = np.ascontiguousarray(work.T)
     assign = np.full(n, -1)
+    upper = np.full(n, np.inf)  # >= distance to the own centroid
+    lower = np.zeros(n)  # <= distance to every other centroid
+    widen, narrow = 1.0 + 1e-12, 1.0 - 1e-12
     for _ in range(KMEANS_MAX_ITERS):
-        dists = _kmeans_distances(cols, centroids)
-        new_assign = dists.argmin(axis=1)
+        stale = np.flatnonzero(~(upper < lower))
+        dists = _kmeans_distances(cols[:, stale], centroids)
+        new_assign = assign.copy()
+        new_assign[stale] = dists.argmin(axis=1)
         counts = np.bincount(new_assign, minlength=n_clusters)
-        for _ in range(n_clusters):
-            if not np.any(counts == 0):
-                break
-            # re-seed an empty cluster from the point farthest from its centroid
-            k = int(np.flatnonzero(counts == 0)[0])
-            own = dists[np.arange(n), new_assign]
-            far = int(own.argmax())
-            centroids[k] = work[far]
-            new_assign[far] = k
-            dists[far] = np.linalg.norm(work[far] - centroids, axis=1)
-            counts = np.bincount(new_assign, minlength=n_clusters)
         if np.any(counts == 0):
-            raise RuntimeError("k-means could not keep every cluster populated")
+            dists = _kmeans_distances(cols, centroids)
+            for _ in range(n_clusters):
+                if not np.any(counts == 0):
+                    break
+                # re-seed an empty cluster from the point farthest from its centroid
+                k = int(np.flatnonzero(counts == 0)[0])
+                own = dists[np.arange(n), new_assign]
+                far = int(own.argmax())
+                centroids[k] = work[far]
+                new_assign[far] = k
+                dists[far] = np.linalg.norm(work[far] - centroids, axis=1)
+                counts = np.bincount(new_assign, minlength=n_clusters)
+            if np.any(counts == 0):
+                raise RuntimeError("k-means could not keep every cluster populated")
+            upper[:] = np.inf  # reseeded centroids: the next pass computes every row
+        else:
+            rows = np.arange(len(stale))
+            upper[stale] = dists[rows, new_assign[stale]]
+            dists[rows, new_assign[stale]] = np.inf
+            lower[stale] = dists.min(axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        centroids = _cluster_means(cols, assign, counts)
+        moved = _cluster_means(cols, assign, counts)
+        shift = np.sqrt(((moved - centroids) ** 2).sum(axis=1)) * widen
+        centroids = moved
+        upper = upper * widen + shift[assign]
+        lower = lower * narrow - shift.max()
 
     order = np.argsort([data[assign == k][:, 0].mean() for k in range(n_clusters)],
                        kind="stable")

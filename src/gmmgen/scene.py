@@ -312,12 +312,26 @@ def _triple(name: str, value):
     return value
 
 
+def _list(name: str, value, items: str) -> list:
+    """value, once checked to be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of {items}")
+    return value
+
+
+def _slab(i: int, entry) -> Slab:
+    if not isinstance(entry, dict):
+        raise ValueError(f'slab {i} must be an object with "min" and "max"')
+    return Slab(*(_triple(f"slab {i} {key}", entry[key]) for key in ("min", "max")))
+
+
 def scene_from_dict(obj: dict) -> Scene:
     try:
-        slabs = tuple(Slab(*(_triple(f"slab {i} {key}", s[key]) for key in ("min", "max")))
-                      for i, s in enumerate(obj["slabs"]))
+        slabs = tuple(_slab(i, entry)
+                      for i, entry in enumerate(_list("slabs", obj["slabs"], "slab objects")))
         return Scene(slabs, _triple("box_dims", obj["box_dims"]),
-                     *(_json_numbers(key, obj[key]) for key in ("levels", "length_range")))
+                     *(_list(key, _json_numbers(key, obj[key]), "numbers")
+                       for key in ("levels", "length_range")))
     except KeyError as exc:
         raise ValueError(f"scene JSON missing field: {exc}") from exc
     except (TypeError, OverflowError) as exc:

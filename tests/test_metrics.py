@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from gmmgen.bench import _regressed, model_endpoints
-from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, resample
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, _resampled, resample
 from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_angles,
                             average_jerk, average_jerks, boundary_error, boundary_errors,
                             phase_deviation, phase_deviations, rotation_angle_deg,
@@ -284,6 +284,33 @@ def test_jerk_validation():
         average_jerk(pose_rows([0.0, 0.02], np.zeros((2, 3))))
     with pytest.raises(ValueError):
         average_jerk(Trajectory([0.0, 1.0], np.zeros((2, 2))))
+
+
+def oracle_average_jerks(times, values):
+    """average_jerks() with its stencil as one expression of fresh temporaries."""
+    duration = float(times[-1])
+    n = int(round(duration * 100.0)) + 1
+    grid = _resampled(times, values, n)[1]
+    h = duration / (n - 1)
+    third = (grid[:, 4:] - 2.0 * grid[:, 3:-1] + 2.0 * grid[:, 1:-3] - grid[:, :-4]) / (2.0 * h**3)
+    sq = third * third
+    norms = [np.sqrt(sq[..., i] + sq[..., i + 1] + sq[..., i + 2]).mean(axis=1) for i in (0, 3)]
+    return np.stack([norms[0], norms[1] * (180.0 / np.pi)], axis=-1)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_trajs=st.integers(1, 6), n=st.integers(2, 300),
+       duration=st.floats(0.07, 9.0), log_scale=st.integers(-8, 8))
+def test_average_jerks_stencil_matches_one_expression_bitwise(seed, n_trajs, n, duration,
+                                                              log_scale):
+    """Rough random rows on an uneven grid, at magnitudes from 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, n - 1))])
+    times *= duration / times[-1]
+    values = rng.normal(scale=10.0 ** log_scale, size=(n_trajs, n, 6))
+    got, want = average_jerks(times, values), oracle_average_jerks(times, values)
+    assert got.shape == want.shape == (n_trajs, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_eval_report_roundtrip_and_validation():

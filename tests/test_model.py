@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
+from gmmgen import SynthConfig, generate_demonstrations
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
                           _kmeans_distances, em_fit, fit_gmm, kmeans_init,
@@ -512,6 +513,73 @@ def test_kmeans_empty_cluster_reseed_matches_oracle():
             fit(dupes, 5, seed=0)
 
 
+def lattice_rows(rng, n, width):
+    """n rows drawn from a few integer-lattice points, so that rows repeat
+    and distances tie exactly; half the cases hold the time column
+    constant, which keeps the time scale 1 and every coordinate an integer."""
+    span = int(rng.integers(1, 4))
+    points = rng.integers(-span, span + 1, size=(int(rng.integers(2, 12)), width))
+    data = points[rng.integers(0, len(points), n)].astype(float)
+    if rng.integers(2):
+        data[:, 0] = 1.0
+    return data
+
+
+@pytest.fixture
+def kmeans_events(monkeypatch):
+    """The calls kmeans_init makes, in order: "D" for _kmeans_distances, "M"
+    for _cluster_means.  A pass computes distances once, twice when it
+    reseeds, and ends with a centroid update unless it is the last, so "MDD"
+    marks a reseed after the first pass."""
+    events = []
+    for name, tag, real in (("_kmeans_distances", "D", _kmeans_distances),
+                            ("_cluster_means", "M", _cluster_means)):
+        monkeypatch.setattr(f"gmmgen.model.{name}",
+                            lambda *args, tag=tag, real=real: events.append(tag) or real(*args))
+    return events
+
+
+def test_bounded_kmeans_matches_oracle_on_lattice_ties(kmeans_events):
+    events = kmeans_events
+    later_reseeds = []
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([2, 7, 9]),
+           n=st.integers(4, 60), n_clusters=st.integers(1, 12))
+    def check(seed, width, n, n_clusters):
+        data = lattice_rows(np.random.default_rng(seed), n, width)
+        n_clusters = min(n_clusters, n)
+        try:
+            want_assign, want_init = oracle_kmeans_init(data, n_clusters, seed % 1000)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="could not keep every cluster populated"):
+                kmeans_init(data, n_clusters, seed % 1000)
+            return
+        events.clear()
+        assign, init = kmeans_init(data, n_clusters, seed % 1000)
+        assert_bitwise(assign, want_assign)
+        for a, b in zip(init, want_init):
+            assert_bitwise(a, b)
+        later_reseeds.append("MDD" in "".join(events))
+
+    check()
+    assert sum(later_reseeds) >= 20
+
+
+def test_kmeans_bounds_rebuilt_after_a_later_reseed(kmeans_events):
+    # points on a line: the reseed in a later pass moves a centroid next to
+    # rows whose bounds were last computed against its old place
+    line = [-10, -31, -11, 1, 35, -9, 1, -30, -8, -29, 39, -8, -1, -1, -7, -8, -34, -8, -33,
+            -29, -9, -7, 41, -30, 1, -32]
+    data = np.column_stack([np.ones(len(line)), line])
+    assign, init = kmeans_init(data, 7, seed=320)
+    assert "MDD" in "".join(kmeans_events)
+    want_assign, want_init = oracle_kmeans_init(data, 7, seed=320)
+    assert_bitwise(assign, want_assign)
+    for a, b in zip(init, want_init):
+        assert_bitwise(a, b)
+
+
 def test_em_collapse_reset_matches_oracle():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(120, 3))
@@ -528,7 +596,7 @@ def test_em_collapse_reset_matches_oracle():
         assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, init, config))
 
 
-def test_corpus_fit_matches_oracle_bitwise(demos, fit_result):
+def assert_corpus_fit_matches_oracle(demos, fit_result):
     data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
     config = FitConfig(seed=0)
     _, init = oracle_kmeans_init(data, config.n_components, config.seed)
@@ -538,6 +606,19 @@ def test_corpus_fit_matches_oracle_bitwise(demos, fit_result):
     for got, want in ((model.priors, priors), (model.means, means), (model.covs, covs)):
         assert_bitwise(got, want[order])
     assert_bitwise(fit_result.loglik_trace, trace)
+
+
+def test_corpus_fit_matches_oracle_bitwise(demos, fit_result):
+    assert_corpus_fit_matches_oracle(demos, fit_result)
+
+
+def test_second_corpus_fit_matches_oracle_bitwise(scene, fit_result):
+    # the synth seed-7 corpus, whose fit stops after another EM iteration count
+    synth = SynthConfig(seed=7)
+    demos, _ = generate_demonstrations(scene, synth)
+    other = fit_gmm(demos, FitConfig(seed=0), phases=synth.phases())
+    assert len(other.loglik_trace) != len(fit_result.loglik_trace)
+    assert_corpus_fit_matches_oracle(demos, other)
 
 
 def logsumexp_rows(rng, n_rows, n_cols):

@@ -368,6 +368,25 @@ def test_load_scene_names_a_field_without_3_numbers(tmp_path, scene, edit, field
     assert str(err.value) == f"{path}: {field} must hold exactly 3 numbers"
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda obj: obj.__setitem__("levels", 0.4), "levels must be a list of numbers"),
+    (lambda obj: obj.__setitem__("length_range", 0.5),
+     "length_range must be a list of numbers"),
+    (lambda obj: obj.__setitem__("slabs", {"min": [0, 0, 0], "max": [1, 1, 1]}),
+     "slabs must be a list of slab objects"),
+    (lambda obj: obj["slabs"].__setitem__(3, [[0, 0, 0], [1, 1, 1]]),
+     'slab 3 must be an object with "min" and "max"'),
+], ids=["levels-number", "length_range-number", "slabs-object", "slab-list"])
+def test_load_scene_names_a_field_of_the_wrong_json_type(tmp_path, scene, edit, message):
+    obj = scene_to_dict(scene)
+    edit(obj)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as err:
+        load_scene(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_rest_height_includes_clearance(scene):
     assert rest_height(scene, 0.0) == pytest.approx(0.5 * 0.12 + REST_CLEARANCE)
     assert rest_height(scene, 0.40) == pytest.approx(0.40 + 0.063)
