@@ -334,6 +334,11 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
     One stacked Cholesky factors every component.  Each solve calls LAPACK's
     dtrtrs with the arguments scipy's solve_triangular(chol, b, lower=True)
     passes for a C-ordered factor, so the result is bitwise equal to it.
+    The (D+1, n) solution's squared column norms are added row by row below
+    D+1 = 8, where numpy's pairwise sum adds a column one entry after
+    another, so they are bitwise its sum; wider rows take numpy's sum.  A
+    row's densities do not depend on the other rows passed with it, which
+    lets em_fit pass only the distinct rows.
     """
     n, d = data.shape
     out = np.empty((n, len(means)))
@@ -342,7 +347,13 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
         sol, info = dtrtrs(chol.T, (data - means[g]).T, lower=0, trans=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"component {g}: triangular solve failed (info {info})")
-        out[:, g] = -norm - np.log(np.diag(chol)).sum() - 0.5 * (sol**2).sum(axis=0)
+        if d >= 8:
+            sq_norms = (sol**2).sum(axis=0)
+        else:
+            sq_norms = sol[0] * sol[0]
+            for row in sol[1:]:
+                sq_norms += row * row
+        out[:, g] = -norm - np.log(np.diag(chol)).sum() - 0.5 * sq_norms
     return out
 
 
@@ -355,27 +366,57 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     current mixture explains worst.  Floored updates and resets are not
     exact M-steps, so an iteration can lower the log-likelihood; when that
     happens the previous iterate is kept and the fit stops, which keeps the
-    trace non-decreasing.
+    trace non-decreasing.  The dataset must be finite, and init must hold
+    (G,) positive priors, (G, D+1) finite means as wide as the dataset and
+    (G, D+1, D+1) symmetric positive definite covs; an error names the
+    failing row, argument or component.
+
+    The E-step works once per distinct row: the log densities, logsumexp
+    and responsibilities of a row depend on that row alone, so they are
+    computed on np.unique's rows and gathered back to every row through the
+    inverse index.  (np.unique merges rows that differ only in the sign of
+    a zero; their densities are the same.)  The log-likelihood sum, the
+    reset's worst datum (its first occurrence) and the M-step read the
+    gathered full-length arrays, so every reduction adds in the same order
+    as on the full rows and the result is bitwise the same.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or len(data) < 1:
         raise ValueError("dataset must be a non-empty (n, D+1) array")
     n, d = data.shape
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"dataset row {int(np.argmin(finite))} must be finite")
     priors, means, covs = (np.array(a, dtype=float) for a in init)
-    n_comp = len(priors)
+    if means.ndim != 2 or means.shape[1] != d:
+        raise ValueError(f"init means must be (G, {d}) rows as wide as the dataset, "
+                         f"got shape {means.shape}")
+    n_comp = len(means)
     if n_comp < 1:
         raise ValueError("need at least one initial component")
+    if priors.shape != (n_comp,):
+        raise ValueError(f"init priors must be ({n_comp},), one per mean, "
+                         f"got shape {priors.shape}")
+    if covs.shape != (n_comp, d, d):
+        raise ValueError(f"init covs must be ({n_comp}, {d}, {d}), one per mean, "
+                         f"got shape {covs.shape}")
+    try:
+        _checked_covs(priors, means, covs)  # checks only: EM starts from covs as given
+    except ValueError as exc:
+        raise ValueError(f"init {exc}") from exc
     priors = priors / priors.sum()
     eye = np.eye(d)
     global_mean = data.mean(axis=0)
     global_cov = (data - global_mean).T @ (data - global_mean) / n
+    rows, inverse = np.unique(data, axis=0, return_inverse=True)
 
     trace = []
     prev = None
     backup = None
     for _ in range(config.max_iters):
-        logp = _log_densities(data, means, covs) + np.log(priors)
-        per_point = logsumexp(logp, axis=1)
+        logp = _log_densities(rows, means, covs) + np.log(priors)
+        row_loglik = logsumexp(logp, axis=1)
+        per_point = row_loglik[inverse]
         loglik = float(per_point.sum())
         if prev is not None and loglik < prev:
             priors, means, covs = backup
@@ -386,7 +427,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
         prev = loglik
         backup = (priors.copy(), means.copy(), covs.copy())
 
-        resp = np.exp(logp - per_point[:, None])
+        resp = np.exp(logp - row_loglik[:, None])[inverse]
         mass = resp.sum(axis=0)
         for g in range(n_comp):
             if mass[g] < COLLAPSE_EPS:

@@ -320,9 +320,17 @@ def _list(name: str, value, items: str) -> list:
 
 
 def _slab(i: int, entry) -> Slab:
+    """Slab i of a scene document; every error names the slab."""
     if not isinstance(entry, dict):
         raise ValueError(f'slab {i} must be an object with "min" and "max"')
-    return Slab(*(_triple(f"slab {i} {key}", entry[key]) for key in ("min", "max")))
+    try:
+        corners = [_triple(f"slab {i} {key}", entry[key]) for key in ("min", "max")]
+    except KeyError as exc:
+        raise ValueError(f"slab {i}: scene JSON missing field: {exc}") from exc
+    try:
+        return Slab(*corners)
+    except ValueError as exc:
+        raise ValueError(f"slab {i}: {exc}") from exc
 
 
 def scene_from_dict(obj: dict) -> Scene:

@@ -711,7 +711,8 @@ def test_synth_infinite_slab_corner_exit2(tmp_path, capsys):
     path.write_text(path.read_text().replace("123.456", "1e999"))
     out = tmp_path / "out"
     assert main(["synth", "--scene", str(path), "--out-dir", str(out)]) == 2
-    assert f"error: {path}: slab corners must be finite" in capsys.readouterr().err
+    # the default scene's 6 slabs come first, so the appended one is slab 6
+    assert f"error: {path}: slab 6: slab corners must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

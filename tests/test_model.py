@@ -11,7 +11,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from gmmgen import SynthConfig, generate_demonstrations
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
-                          _kmeans_distances, em_fit, fit_gmm, kmeans_init,
+                          _kmeans_distances, _log_densities, em_fit, fit_gmm, kmeans_init,
                           load_model, logsumexp, model_to_dict, save_model)
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import sample_task
@@ -171,6 +171,46 @@ def test_kmeans_input_validation():
         kmeans_init(data, 0, seed=0)
     with pytest.raises(ValueError):
         kmeans_init(data[:, 0], 2, seed=0)
+
+
+def em_input(edit):
+    """(data, init) of 50 rows of width 3 and two components, after edit."""
+    rng = np.random.default_rng(8)
+    data = rng.normal(size=(50, 3))
+    init = [np.array([0.5, 0.5]), data[:2].copy(), np.stack([np.eye(3)] * 2)]
+    edit(data, init)
+    return data, init
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda data, init: init.__setitem__(1, np.zeros((2, 4))),
+     r"init means must be \(G, 3\) rows as wide as the dataset, got shape \(2, 4\)"),
+    (lambda data, init: init.__setitem__(1, np.zeros(3)),
+     r"init means must be \(G, 3\) rows as wide as the dataset, got shape \(3,\)"),
+    (lambda data, init: init.__setitem__(1, np.zeros((0, 3))),
+     "need at least one initial component"),
+    (lambda data, init: init.__setitem__(0, np.array([1.0])),
+     r"init priors must be \(2,\), one per mean, got shape \(1,\)"),
+    (lambda data, init: init.__setitem__(0, np.array(1.0)),
+     r"init priors must be \(2,\), one per mean, got shape \(\)"),
+    (lambda data, init: init.__setitem__(2, np.stack([np.eye(2)] * 2)),
+     r"init covs must be \(2, 3, 3\), one per mean, got shape \(2, 2, 2\)"),
+    (lambda data, init: init.__setitem__(2, np.stack([np.eye(3)] * 3)),
+     r"init covs must be \(2, 3, 3\), one per mean, got shape \(3, 3, 3\)"),
+    (lambda data, init: data.__setitem__((17, 1), np.nan), "dataset row 17 must be finite"),
+    (lambda data, init: data.__setitem__((4, 0), -np.inf), "dataset row 4 must be finite"),
+    (lambda data, init: init[1].__setitem__((1, 2), np.nan),
+     "init component 1: parameters must be finite"),
+    (lambda data, init: init[0].__setitem__(0, 0.0), "init component 0: prior must be positive"),
+    (lambda data, init: init[2].__setitem__((1, 0, 0), -1.0),
+     "init component 1: covariance must be symmetric positive definite"),
+], ids=["means-wider", "means-1d", "means-empty", "priors-short", "priors-scalar",
+        "covs-narrower", "covs-more", "data-nan", "data-inf", "means-nan", "prior-zero",
+        "covs-indefinite"])
+def test_em_fit_rejects_bad_input_naming_the_argument(edit, message):
+    data, init = em_input(edit)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        em_fit(data, init, FitConfig(n_components=2))
 
 
 def test_em_single_component_closed_form():
@@ -594,6 +634,68 @@ def test_em_collapse_reset_matches_oracle():
     assert_bitwise(means[2], data[worst])  # the reset happened
     for config in (one, FitConfig(n_components=3, max_iters=40)):
         assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, init, config))
+
+
+def test_em_collapse_reset_takes_the_first_occurrence_of_a_repeated_worst_datum():
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(120, 3))
+    # the worst datum occurs three times; the copies differ only in the sign
+    # of their zeros, which np.unique merges into one row that need not be
+    # the first copy, so only the first occurrence itself gives data[30]'s bits
+    data[30] = [-0.0, 9.0, -0.0]
+    data[70] = [0.0, 9.0, 0.0]
+    data[100] = [0.0, 9.0, -0.0]
+    init = ([0.4, 0.4, 0.2], [data[0], data[1], np.full(3, 1e3)],
+            [np.eye(3), np.eye(3), 1e-4 * np.eye(3)])
+    one = FitConfig(n_components=3, max_iters=1)
+    (_, means, _), _ = em_fit(data, init, one)
+    assert_bitwise(means[2], data[30])
+    assert np.signbit(means[2]).tolist() == [True, False, True]
+    for config in (one, FitConfig(n_components=3, max_iters=40)):
+        assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, init, config))
+
+
+def signed_zero_lattice_rows(rng, n, width):
+    """lattice_rows with the zeros of about half the rows made -0.0, so that
+    some rows differ from others only in the sign of a zero."""
+    data = lattice_rows(rng, n, width)
+    flip = (rng.random(n) < 0.5)[:, None] & (data == 0.0)
+    data[flip] = -0.0
+    return data
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([2, 7, 8, 9]),
+       n=st.integers(4, 60), n_comp=st.integers(1, 8))
+def test_em_fit_matches_oracle_on_repeated_rows(seed, width, n, n_comp):
+    """The E-step runs on the distinct rows and gathers back; rows repeat
+    here, and the widths take the squared norms both row by row (below 8)
+    and through numpy's sum."""
+    rng = np.random.default_rng(seed)
+    data = signed_zero_lattice_rows(rng, n, width)
+    n_comp = min(n_comp, n)
+    means = data[rng.choice(n, n_comp, replace=False)] + rng.normal(scale=0.3,
+                                                                    size=(n_comp, width))
+    covs = rng.uniform(0.1, 3.0, (n_comp, 1, 1)) * np.eye(width)
+    init = (rng.uniform(0.5, 2.0, n_comp), means, covs)
+    config = FitConfig(max_iters=25)
+    assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, init, config))
+
+
+def test_em_densities_run_on_distinct_corpus_rows(demos, monkeypatch):
+    """808 of the seed-0 corpus's 3505 rows repeat another, mostly in the
+    grasp and release holds; EM computes densities for the 2697 others."""
+    seen = []
+
+    def counted(data, means, covs):
+        seen.append(len(data))
+        return _log_densities(data, means, covs)
+
+    monkeypatch.setattr("gmmgen.model._log_densities", counted)
+    data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
+    _, init = kmeans_init(data, 15, seed=0)
+    em_fit(data, init, FitConfig(max_iters=3))
+    assert len(data) == 3505 and seen == [2697] * 3
 
 
 def assert_corpus_fit_matches_oracle(demos, fit_result):

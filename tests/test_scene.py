@@ -387,6 +387,26 @@ def test_load_scene_names_a_field_of_the_wrong_json_type(tmp_path, scene, edit, 
     assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda obj: obj["slabs"][2].pop("min"), "slab 2: scene JSON missing field: 'min'"),
+    (lambda obj: obj["slabs"][5].pop("max"), "slab 5: scene JSON missing field: 'max'"),
+    (lambda obj: obj["slabs"][1].__setitem__("max", obj["slabs"][1]["min"]),
+     "slab 1: slab max corner must exceed min corner on every axis"),
+    (lambda obj: obj["slabs"][3]["min"].__setitem__(2, 1.0),
+     "slab 3: slab max corner must exceed min corner on every axis"),
+    (lambda obj: obj["slabs"][4]["max"].__setitem__(0, float("inf")),
+     "slab 4: slab corners must be finite"),
+], ids=["min-missing", "max-missing", "equal-corners", "crossed-z", "infinite-corner"])
+def test_load_scene_names_the_slab_in_every_slab_error(tmp_path, scene, edit, message):
+    obj = scene_to_dict(scene)
+    edit(obj)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as err:
+        load_scene(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_rest_height_includes_clearance(scene):
     assert rest_height(scene, 0.0) == pytest.approx(0.5 * 0.12 + REST_CLEARANCE)
     assert rest_height(scene, 0.40) == pytest.approx(0.40 + 0.063)
