@@ -7,13 +7,20 @@ offsets b_g = mu_g - m_g c_g it is (t (A M) + A B) / sum_g A, where A is the
 activation exp(log_w - max_g log_w).  The max shift makes every row's
 largest activation exactly 1, so extreme query times degrade gracefully
 instead of underflowing to 0/0.
+
+A generalized model keeps its source's priors, time centers and (unless
+an SPD repair moved one) time variances, so the activations and their
+row sums are the same for every task on one time grid.  They come from a
+one-entry memo keyed by the dtype, shape and bytes of the priors, time
+centers, time variances and query times; a miss computes them as a
+query always did, so a hit gives bitwise the same values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Trajectory
+from .data import Trajectory, _memoized
 
 
 def _validated_times(times, duration: float) -> np.ndarray:
@@ -31,6 +38,26 @@ def _validated_times(times, duration: float) -> np.ndarray:
     return times
 
 
+# The (n, G) activations and their row sums of the last query, see _weights.
+_WEIGHTS_MEMO = []
+
+
+def _weights(priors, t_means, t_vars, times):
+    """(act, sums): the max-shifted activations (..., n, G) of t_vars (G,) or
+    (K, G) and their row sums (..., n, 1), from a one-entry memo keyed by the
+    bytes of all four inputs, so a hit returns exactly what a miss computes."""
+    def compute():
+        centers = t_means if t_vars.ndim == 1 else np.broadcast_to(t_means, t_vars.shape)
+        log_w = (times[:, None] - centers[..., None, :]) ** 2
+        log_w /= 2.0 * t_vars[..., None, :]
+        np.subtract((np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars))[..., None, :],
+                    log_w, out=log_w)
+        log_w -= log_w.max(axis=-1, keepdims=True)
+        act = np.exp(log_w, out=log_w)
+        return act, act.sum(axis=-1, keepdims=True)
+    return _memoized(_WEIGHTS_MEMO, (priors, t_means, t_vars, times), compute)
+
+
 def _expected_poses(priors, t_means, mu, covs, times) -> np.ndarray:
     """Regressed values (..., n, D) of one mixture, or of a stack sharing its
     (G,) priors and time centers, from mu (..., G, D) and covs (..., G, D+1,
@@ -40,17 +67,11 @@ def _expected_poses(priors, t_means, mu, covs, times) -> np.ndarray:
     slopes = covs[..., 1:, 0] / t_vars[..., None]
     if t_vars.ndim > 1 and (t_vars == t_vars[0]).all():
         t_vars = t_vars[0]
-    t_means = t_means if t_vars.ndim == 1 else np.broadcast_to(t_means, t_vars.shape)
-    log_w = (times[:, None] - t_means[..., None, :]) ** 2
-    log_w /= 2.0 * t_vars[..., None, :]
-    np.subtract((np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars))[..., None, :],
-                log_w, out=log_w)
-    log_w -= log_w.max(axis=-1, keepdims=True)
-    act = np.exp(log_w, out=log_w)
+    act, sums = _weights(priors, t_means, t_vars, times)
     offsets = mu - slopes * t_means[..., None]
     values = times[:, None] * (act @ slopes)
     values += act @ offsets
-    values /= act.sum(axis=-1, keepdims=True)
+    values /= sums
     return values
 
 

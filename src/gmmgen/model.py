@@ -15,8 +15,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec,
-                   Trajectory, _check_int, _check_real, _frozen_array, _json_numbers, _read_json,
-                   _write_json)
+                   Trajectory, _check_int, _check_real, _frozen_array, _json_numbers, _memoized,
+                   _read_json, _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -357,6 +357,18 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
     return out
 
 
+# np.unique's rows and inverse index of the last dataset, see _distinct_rows.
+_DISTINCT_MEMO = []
+
+
+def _distinct_rows(data: np.ndarray):
+    """(rows, inverse) of np.unique(data, axis=0, return_inverse=True), from
+    a one-entry memo keyed by data's bytes: fit_gmm counts the distinct rows
+    and em_fit then reuses the same call."""
+    return _memoized(_DISTINCT_MEMO, (data,),
+                     lambda: np.unique(data, axis=0, return_inverse=True))
+
+
 def em_fit(dataset: np.ndarray, init, config: FitConfig):
     """Run EM from init = (priors, means, covs); returns ((priors, means,
     covs), loglik trace).
@@ -408,7 +420,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     eye = np.eye(d)
     global_mean = data.mean(axis=0)
     global_cov = (data - global_mean).T @ (data - global_mean) / n
-    rows, inverse = np.unique(data, axis=0, return_inverse=True)
+    rows, inverse = _distinct_rows(data)
 
     trace = []
     prev = None
@@ -466,7 +478,7 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
                          f"demonstrations' duration {duration}")
     dataset = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
     # components are told apart by their time centers, so both counts bound them
-    distinct = len(np.unique(dataset, axis=0))
+    distinct = len(_distinct_rows(dataset)[0])
     distinct_times = len(np.unique(dataset[:, 0]))
     if min(distinct, distinct_times) < config.n_components:
         raise ValueError(

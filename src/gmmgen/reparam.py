@@ -6,15 +6,23 @@ time-normalized slope and spatial shape are rescaled by the change in
 consecutive mean differences.  The spatial shape gets a rank-two update
 that preserves its Schur complement, so adapted covariances stay SPD by
 construction.
+
+The terms that depend on the source model and eps alone (spans, masks,
+time fractions, old differences, old slope outer products, time
+variances) come from a one-entry memo keyed by the bytes of the model's
+means, of its covariances' first column and of eps.  A hit returns the
+arrays a miss computes with the same operations, and the task-dependent
+arithmetic keeps its order, so the output is bitwise the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import TaskSpec, _frozen_array
+from .data import TaskSpec, _frozen_array, _memoized
 from .model import GmmModel, _cholesky_fails
 
 # Endpoint spans and consecutive mean differences below these count as
@@ -35,6 +43,44 @@ class ReparamConfig:
         if not isinstance(self.ablate_covariance, bool):
             raise ValueError(
                 f"ablate_covariance must be a bool, got {self.ablate_covariance!r}")
+
+
+class _SourceTerms(NamedTuple):
+    """What reparam_means and reparam_covariances compute from the source
+    model and eps alone, the same for every pair of endpoints."""
+
+    degenerate: np.ndarray  # (D,) endpoint span below eps
+    safe_span: np.ndarray  # (D,) that span, 1 where degenerate
+    alpha: np.ndarray  # (G, 1) time-center fraction from first to last component
+    keep: np.ndarray  # (G-1, D) consecutive mean difference below eps
+    safe_d_old: np.ndarray  # (G-1, D) that difference, 1 where kept
+    old_outers: np.ndarray  # (G-1, D, D) outer products of slopes[1:]
+    t_vars: np.ndarray  # (G-1, 1, 1) covs[1:, 0, 0]
+
+
+# The _SourceTerms of the last source model and eps, see _source_terms.
+_SOURCE_MEMO = []
+
+
+def _source_terms(model: GmmModel, eps) -> _SourceTerms:
+    """The model's _SourceTerms for eps, from a one-entry memo keyed by the
+    bytes of the means, of covs[:, :, 0] (time variances and the slopes'
+    numerators) and of eps, so a hit returns exactly what a miss computes."""
+    eps = np.asarray(eps, dtype=float)
+
+    def compute():
+        means = model.means[:, 1:]
+        span = means[-1] - means[0]
+        degenerate = np.abs(span) < eps
+        centers = model.means[:, 0, None]
+        with np.errstate(invalid="ignore"):  # 0/0 for one component; reparam_means rejects it
+            alpha = (centers - centers[0]) / (centers[-1] - centers[0])
+        d_old = np.diff(means, axis=0)
+        keep = np.abs(d_old) < eps
+        return _SourceTerms(degenerate, np.where(degenerate, 1.0, span), alpha, keep,
+                            np.where(keep, 1.0, d_old), _outers(model.slopes[1:]),
+                            model.covs[1:, 0, 0, None, None])
+    return _memoized(_SOURCE_MEMO, (model.means, model.covs[:, :, 0], eps), compute)
 
 
 def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
@@ -59,17 +105,12 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
     means = model.means[:, 1:]
     first, last = means[0], means[-1]
     start, goal = new_start[..., None, :], new_goal[..., None, :]
-    span = last - first
-    degenerate = np.abs(span) < eps
-    safe_span = np.where(degenerate, 1.0, span)
-    scale = np.where(degenerate, 0.0, (goal - start) / safe_span)
+    src = _source_terms(model, eps)
+    scale = np.where(src.degenerate, 0.0, (goal - start) / src.safe_span)
     scaled = start + scale * (means - first)
+    offset = means + (1.0 - src.alpha) * (start - first) + src.alpha * (goal - last)
 
-    centers = model.means[:, 0, None]
-    alpha = (centers - centers[0]) / (centers[-1] - centers[0])
-    offset = means + (1.0 - alpha) * (start - first) + alpha * (goal - last)
-
-    out = np.where(degenerate, offset, scaled)
+    out = np.where(src.degenerate, offset, scaled)
     out[..., 0, :] = new_start
     out[..., -1, :] = new_goal
     return out
@@ -105,20 +146,18 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     slope) and each dimension with s != 1 has its span and every
     consecutive difference at least eps.
     """
-    d_old = np.diff(model.means[:, 1:], axis=0)
+    src = _source_terms(model, eps)
     d_new = np.diff(new_means, axis=-2)
-    keep = np.abs(d_old) < eps
-    ratio = np.where(keep, 1.0, d_new / np.where(keep, 1.0, d_old))
-    old = model.slopes[1:]
-    moved = ratio * old
+    ratio = np.where(src.keep, 1.0, d_new / src.safe_d_old)
+    moved = ratio * model.slopes[1:]
     covs = np.empty((*moved.shape[:-2], *model.covs.shape))
     covs[..., 0, :, :] = model.covs[0]
     cov = covs[..., 1:, :, :]  # a view: the updates below fill covs
     cov[..., 0, 0] = 1.0
     cov[..., 0, 1:] = moved
     cov[..., 1:, 0] = moved
-    cov[..., 1:, 1:] = model.shapes[1:] + _outers(moved) - _outers(old)
-    cov *= model.covs[1:, 0, 0, None, None]
+    cov[..., 1:, 1:] = model.shapes[1:] + _outers(moved) - src.old_outers
+    cov *= src.t_vars
     broken = _cholesky_fails(cov)
     for index in zip(*np.nonzero(broken)):
         cov[index] = _clamp_spd(cov[index], COV_FLOOR)
@@ -144,6 +183,10 @@ def generalize(model: GmmModel, task: TaskSpec,
     source model's, untouched, and so are its time variances unless an SPD
     repair moved one.
     """
+    if not isinstance(task, TaskSpec):
+        raise TypeError(f"task must be a TaskSpec, got {type(task).__name__}")
+    if not isinstance(config, ReparamConfig):
+        raise TypeError(f"config must be a ReparamConfig, got {type(config).__name__}")
     means, covs, repairs = _reparam(model, task.start_vector(), task.goal_vector(), config)
     return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
                     model.phases, task=task, ablated=config.ablate_covariance,

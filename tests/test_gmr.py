@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from gmmgen.bench import _regressed, default_times
-from gmmgen.data import PhaseSchedule
-from gmmgen.gmr import _expected_poses, regress
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec
+from gmmgen.gmr import _WEIGHTS_MEMO, _expected_poses, regress
 from gmmgen.model import GmmModel
-from gmmgen.reparam import ReparamConfig, generalize
+from gmmgen.reparam import _SOURCE_MEMO, ReparamConfig, generalize
 from gmmgen.scene import sample_task
 
-from test_reparam import random_spd_mixture, thin_past_pi_tasks
+from test_reparam import (pose_task, random_endpoints, random_pose_mixture, random_spd_mixture,
+                          thin_past_pi_tasks, thin_repair_tasks)
 
 
 def two_component_model(priors=(0.5, 0.5), t_means=(1.0, 3.0), x_means=(0.0, 1.0),
@@ -264,3 +265,93 @@ def test_regress_far_from_every_component_stays_in_prediction_range(seed, n_comp
     slack = 1e-12 * np.maximum(1.0, np.abs(preds).max(axis=1))
     assert np.isfinite(values).all()
     assert np.all((values >= lo - slack) & (values <= hi + slack))
+
+
+def warm_and_cold(queries):
+    """Each query's values with the memos the queries before it left, then
+    with the memos cleared just before it, and how many of the warm queries
+    took their GMR weights from the memo."""
+    _WEIGHTS_MEMO.clear()
+    _SOURCE_MEMO.clear()
+    warm, hits = [], 0
+    for query in queries:
+        entry = _WEIGHTS_MEMO[0] if _WEIGHTS_MEMO else None
+        warm.append(query())
+        hits += _WEIGHTS_MEMO[0] is entry
+    cold = []
+    for query in queries:
+        _WEIGHTS_MEMO.clear()
+        _SOURCE_MEMO.clear()
+        cold.append(query())
+    return warm, cold, hits
+
+
+def assert_warm_is_cold(queries, min_hits):
+    warm, cold, hits = warm_and_cold(queries)
+    for got, want in zip(warm, cold):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert hits >= min_hits
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 2), n_comp=st.integers(2, 8), ablate=st.booleans())
+def test_memoized_queries_regress_bitwise_as_cold_ones(seed, n_comp, ablate):
+    """regress(generalize()) with the weights and source terms the previous
+    queries left in their memos is bitwise the result with both memos
+    cleared: for models A, B, A, at two rates, for a model generalized
+    twice (same priors and time centers, other means), for A with other
+    priors or shifted time centers, full or ablated."""
+    rng, a, first, last = random_pose_mixture(seed, n_comp)
+    b = random_pose_mixture(seed + 1, n_comp)[1]
+    one, two = (pose_task(*random_endpoints(rng, first, last)) for _ in range(2))
+    other = pose_task(*random_endpoints(rng, b.means[0, 1:], b.means[-1, 1:]))
+    config = ReparamConfig(ablate_covariance=ablate)
+    fast, slow = default_times(a.duration), default_times(a.duration, 10.0)
+
+    def query(model, task, times):
+        return lambda: regress(generalize(model, task, config), times).values
+
+    twice = generalize(a, one, config)
+    assert twice.means[:, 1:].tobytes() != a.means[:, 1:].tobytes()
+    reweighted = GmmModel(rng.dirichlet(np.ones(n_comp)), a.means, a.covs, a.phases)
+    shifted = GmmModel(a.priors, a.means + np.array([0.05] + [0.0] * 6), a.covs, a.phases)
+    assert_warm_is_cold([query(a, one, fast), query(a, two, fast),
+                         query(b, other, default_times(b.duration)),
+                         query(a, one, fast), query(a, two, slow), query(a, one, fast),
+                         query(twice, two, fast), query(a, two, fast),
+                         query(reweighted, two, fast), query(shifted, two, fast),
+                         query(a, one, fast)], min_hits=3)
+
+
+def test_memoized_weights_follow_a_repair_that_moves_a_time_variance():
+    """A repair that moves a time variance gives that task, alone or in a
+    stack, weights of its own; the tasks around it still share the source's."""
+    model, (own, far) = thin_repair_tasks()
+    repaired = generalize(model, far)
+    assert repaired.spd_repairs > 0
+    assert (repaired.covs[:, 0, 0] != model.covs[:, 0, 0]).any()
+    times = default_times(model.duration)
+    config = ReparamConfig()
+    assert_warm_is_cold([lambda: regress(model, times).values,
+                         lambda: regress(generalize(model, own), times).values,
+                         lambda: regress(generalize(model, far), times).values,
+                         lambda: regress(generalize(model, own), times).values,
+                         lambda: _regressed(model, [own, far], config, times),
+                         lambda: _regressed(model, [far, own], config, times),
+                         lambda: _regressed(model, [own, own], config, times),
+                         lambda: regress(generalize(model, own), times).values], min_hits=2)
+
+
+def test_memos_hold_one_read_only_entry():
+    """After 50 distinct models each memo holds one entry, and no cached
+    array can be written."""
+    for seed in range(50):
+        rng, model, first, last = random_pose_mixture(seed, 2 + seed % 7)
+        start, goal = random_endpoints(rng, first, last)
+        task = TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+        regress(generalize(model, task), default_times(model.duration))
+        assert len(_WEIGHTS_MEMO) == len(_SOURCE_MEMO) == 1
+    for memo in (_WEIGHTS_MEMO, _SOURCE_MEMO):
+        for array in memo[0][1]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0

@@ -10,9 +10,9 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from gmmgen import SynthConfig, generate_demonstrations
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
-from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
-                          _kmeans_distances, _log_densities, em_fit, fit_gmm, kmeans_init,
-                          load_model, logsumexp, model_to_dict, save_model)
+from gmmgen.model import (_DISTINCT_MEMO, COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs,
+                          _cluster_means, _kmeans_distances, _log_densities, em_fit, fit_gmm,
+                          kmeans_init, load_model, logsumexp, model_to_dict, save_model)
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import sample_task
 
@@ -696,6 +696,30 @@ def test_em_densities_run_on_distinct_corpus_rows(demos, monkeypatch):
     _, init = kmeans_init(data, 15, seed=0)
     em_fit(data, init, FitConfig(max_iters=3))
     assert len(data) == 3505 and seen == [2697] * 3
+
+
+def test_fit_sorts_the_corpus_rows_once(demos, monkeypatch):
+    """fit_gmm's distinct-row count and em_fit's E-step share one
+    np.unique over the corpus rows (the fit's bits are checked against the
+    oracle below)."""
+    calls = []
+    unique = np.unique
+
+    def counted(ar, *args, **kwargs):
+        if kwargs.get("axis") == 0:
+            calls.append(len(ar))
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    _DISTINCT_MEMO.clear()
+    fit_gmm(demos, FitConfig(seed=0, max_iters=3))
+    assert calls == [3505]
+    # a fresh em_fit on other rows misses, and on the same rows hits
+    data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
+    _, init = kmeans_init(data, 15, seed=0)
+    em_fit(data[1:], init, FitConfig(max_iters=1))
+    em_fit(data[1:], init, FitConfig(max_iters=1))
+    assert calls == [3505, 3504] and len(_DISTINCT_MEMO) == 1
 
 
 def assert_corpus_fit_matches_oracle(demos, fit_result):

@@ -9,8 +9,8 @@ from gmmgen.bench import default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.gmr import regress
 from gmmgen.model import GmmModel, _checked_covs, load_model, model_to_dict, save_model
-from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd, _outers,
-                            _reparam, generalize, reparam_covariances, reparam_means)
+from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd,
+                            _outers, _reparam, generalize, reparam_covariances, reparam_means)
 from gmmgen.scene import sample_task
 
 from conftest import mutated
@@ -159,6 +159,37 @@ def test_stacked_reparam_matches_one_set_at_a_time(seed, n_comp, dim, thin, n_se
         assert means[k].tobytes() == one.tobytes()
         assert reparam_means(model, starts[k], goals[k], eps).tobytes() == one.tobytes()
         assert_bitwise_equal((covs[k], repairs[k]), oracle_reparam_covariances(model, one, eps))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 6), dim=st.integers(1, 4),
+       thin=st.booleans())
+def test_memoized_source_terms_match_the_oracles(seed, n_comp, dim, thin):
+    """reparam_means and reparam_covariances, with the source terms the
+    calls before them left in the memo, stay bitwise equal to the oracles:
+    models A, B, A, a second eps, A's covariances under other spatial means
+    and A's means with other covariances (each a miss)."""
+    rng = np.random.default_rng(seed)
+    a, b = (random_spd_mixture(rng, n_comp, dim, thin) for _ in range(2))
+    moved = GmmModel(a.priors, np.column_stack([a.means[:, 0], b.means[:, 1:]]), a.covs, a.phases)
+    recast = GmmModel(a.priors, a.means, b.covs, a.phases)
+    eps = rng.uniform(1e-4, 0.5, dim)
+    wide = 2.0 * eps
+    _SOURCE_MEMO.clear()
+    hits = 0
+    for model, e in [(a, eps), (a, eps), (b, eps), (a, eps), (a, wide), (a, eps), (moved, eps),
+                     (moved, eps), (a, eps), (recast, eps), (a, eps)]:
+        entry = _SOURCE_MEMO[0] if _SOURCE_MEMO else None
+        span = model.means[-1, 1:] - model.means[0, 1:]
+        start = rng.normal(size=dim)
+        goal = start + rng.uniform(-30.0, 30.0, dim) * span
+        means = reparam_means(model, start, goal, e)
+        assert means.tobytes() == oracle_reparam_means(model, start, goal, e).tobytes()
+        assert_bitwise_equal(reparam_covariances(model, means, e),
+                             oracle_reparam_covariances(model, means, e))
+        hits += _SOURCE_MEMO[0] is entry
+        assert len(_SOURCE_MEMO) == 1
+    assert hits == 2
 
 
 def reparam_stack(model, tasks, config=ReparamConfig()):
@@ -415,6 +446,18 @@ def test_generalize_requires_pose_model():
         generalize(model_1d([0.0, 1.0]),
                    TaskSpec(Pose(np.zeros(3), np.zeros(3)),
                             Pose(np.ones(3), np.zeros(3))))
+
+
+def test_generalize_rejects_a_task_or_config_of_another_type(model, endpoints):
+    task = TaskSpec(*endpoints)
+    for bad in (None, True):
+        with pytest.raises(TypeError, match=f"^config must be a ReparamConfig, got "
+                                            f"{type(bad).__name__}$"):
+            generalize(model, task, bad)
+    for bad in (None, endpoints):
+        with pytest.raises(TypeError, match=f"^task must be a TaskSpec, got "
+                                            f"{type(bad).__name__}$"):
+            generalize(model, bad)
 
 
 def test_generalize_pins_endpoints_and_carryovers(model, scene, endpoints):
