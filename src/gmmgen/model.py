@@ -15,8 +15,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec,
-                   Trajectory, _check_int, _check_real, _frozen_array, _json_numbers, _memoized,
-                   _read_json, _write_json)
+                   Trajectory, _check_int, _check_real, _frozen_array, _json_numbers, _read_json,
+                   _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -357,18 +357,6 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
     return out
 
 
-# np.unique's rows and inverse index of the last dataset, see _distinct_rows.
-_DISTINCT_MEMO = []
-
-
-def _distinct_rows(data: np.ndarray):
-    """(rows, inverse) of np.unique(data, axis=0, return_inverse=True), from
-    a one-entry memo keyed by data's bytes: fit_gmm counts the distinct rows
-    and em_fit then reuses the same call."""
-    return _memoized(_DISTINCT_MEMO, (data,),
-                     lambda: np.unique(data, axis=0, return_inverse=True))
-
-
 def em_fit(dataset: np.ndarray, init, config: FitConfig):
     """Run EM from init = (priors, means, covs); returns ((priors, means,
     covs), loglik trace).
@@ -385,9 +373,10 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
 
     The E-step works once per distinct row: the log densities, logsumexp
     and responsibilities of a row depend on that row alone, so they are
-    computed on np.unique's rows and gathered back to every row through the
-    inverse index.  (np.unique merges rows that differ only in the sign of
-    a zero; their densities are the same.)  The log-likelihood sum, the
+    computed on the rows of one np.unique(axis=0) call, made before the
+    loop, and gathered back to every row through the inverse index.
+    (np.unique merges rows that differ only in the sign of a zero; their
+    densities are the same.)  The log-likelihood sum, the
     reset's worst datum (its first occurrence) and the M-step read the
     gathered full-length arrays, so every reduction adds in the same order
     as on the full rows and the result is bitwise the same.
@@ -420,7 +409,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     eye = np.eye(d)
     global_mean = data.mean(axis=0)
     global_cov = (data - global_mean).T @ (data - global_mean) / n
-    rows, inverse = _distinct_rows(data)
+    rows, inverse = np.unique(data, axis=0, return_inverse=True)
 
     trace = []
     prev = None
@@ -465,7 +454,13 @@ class FitResult:
 
 def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
             phases: PhaseSchedule | None = None) -> FitResult:
-    """Fit a sorted time-pose mixture on the pooled demonstration samples."""
+    """Fit a sorted time-pose mixture on the pooled demonstration samples.
+
+    Components are told apart by their time centers: fewer distinct sample
+    times than n_components is a ValueError giving the distinct row and
+    time counts.  The distinct rows, never fewer than the times, cannot
+    fall short first.
+    """
     if not demos:
         raise ValueError("need at least one demonstration")
     duration = demos[0].duration
@@ -477,10 +472,10 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
         raise ValueError(f"phase schedule duration {phases.duration} must match the "
                          f"demonstrations' duration {duration}")
     dataset = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
-    # components are told apart by their time centers, so both counts bound them
-    distinct = len(_distinct_rows(dataset)[0])
+    # distinct rows >= distinct times, so only the times can bind
     distinct_times = len(np.unique(dataset[:, 0]))
-    if min(distinct, distinct_times) < config.n_components:
+    if distinct_times < config.n_components:
+        distinct = len(np.unique(dataset, axis=0))
         raise ValueError(
             f"{config.n_components} components need at least as many distinct samples "
             f"and distinct sample times, got {distinct} distinct of {len(dataset)} samples "

@@ -65,10 +65,13 @@ _SOURCE_MEMO = []
 def _source_terms(model: GmmModel, eps) -> _SourceTerms:
     """The model's _SourceTerms for eps, from a one-entry memo keyed by the
     bytes of the means, of covs[:, :, 0] (time variances and the slopes'
-    numerators) and of eps, so a hit returns exactly what a miss computes."""
+    numerators) and of eps, so a hit returns exactly what a miss computes.
+    eps is checked on a miss only, so a rejected eps never becomes the entry."""
     eps = np.asarray(eps, dtype=float)
 
     def compute():
+        if eps.shape != (model.dim,) or not np.all((0.0 <= eps) & (eps < np.inf)):
+            raise ValueError(f"eps must be a finite, non-negative vector of length {model.dim}")
         means = model.means[:, 1:]
         span = means[-1] - means[0]
         degenerate = np.abs(span) < eps
@@ -92,6 +95,8 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
     the two endpoint offsets linearly in each component's time center.
     Rows 0 and G-1 are set to the requested endpoints exactly.  Endpoints
     of shape (..., D) give means of shape (..., G, D), one set per pair.
+    Endpoints must be finite, and eps a finite, non-negative (D,) vector;
+    a ValueError names the argument that is not.
     """
     if model.n_components < 2:
         raise ValueError("mean reparameterization needs at least two components")
@@ -144,8 +149,17 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     offsets (start at the first mean, goal first + s * span) scales the
     regression about the first mean only if component 1 is static (zero
     slope) and each dimension with s != 1 has its span and every
-    consecutive difference at least eps.
+    consecutive difference at least eps.  new_means must be finite and
+    (..., G, D), and eps a finite, non-negative (D,) vector; a ValueError
+    names the argument that is not.
     """
+    new_means = np.asarray(new_means, dtype=float)
+    shape = (model.n_components, model.dim)
+    if new_means.shape[-2:] != shape:
+        raise ValueError(f"new_means must be (..., {shape[0]}, {shape[1]}), "
+                         f"got shape {new_means.shape}")
+    if not np.isfinite(new_means).all():
+        raise ValueError("new_means must be finite")
     src = _source_terms(model, eps)
     d_new = np.diff(new_means, axis=-2)
     ratio = np.where(src.keep, 1.0, d_new / src.safe_d_old)

@@ -252,11 +252,10 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
         orientations = np.array([bases[len(found[k])].orientation for k in pending])
         if yaws:
             orientations = _yawed_orientations(orientations, yaws)
-        poses = [Pose(p, r) for p, r in zip(positions, orientations)]
         hits = _collision_mask(positions, orientations, *scene._obstacles).any(axis=1)
-        for k, pose, hit in zip(pending, poses, hits):
+        for k, p, r, hit in zip(pending, positions, orientations, hits):
             if not hit:
-                found[k].append(pose)
+                found[k].append(Pose(p, r))
                 draws[k] = 0
         pending = [k for k in pending if len(found[k]) < 2]
     return [TaskSpec(*poses) for poses in found]

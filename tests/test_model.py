@@ -10,9 +10,9 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from gmmgen import SynthConfig, generate_demonstrations
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
-from gmmgen.model import (_DISTINCT_MEMO, COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs,
-                          _cluster_means, _kmeans_distances, _log_densities, em_fit, fit_gmm,
-                          kmeans_init, load_model, logsumexp, model_to_dict, save_model)
+from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
+                          _kmeans_distances, _log_densities, em_fit, fit_gmm, kmeans_init,
+                          load_model, logsumexp, model_to_dict, save_model)
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import sample_task
 
@@ -699,9 +699,8 @@ def test_em_densities_run_on_distinct_corpus_rows(demos, monkeypatch):
 
 
 def test_fit_sorts_the_corpus_rows_once(demos, monkeypatch):
-    """fit_gmm's distinct-row count and em_fit's E-step share one
-    np.unique over the corpus rows (the fit's bits are checked against the
-    oracle below)."""
+    """A successful fit runs one np.unique over the corpus rows, em_fit's
+    (the fit's bits are checked against the oracle below)."""
     calls = []
     unique = np.unique
 
@@ -711,15 +710,42 @@ def test_fit_sorts_the_corpus_rows_once(demos, monkeypatch):
         return unique(ar, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counted)
-    _DISTINCT_MEMO.clear()
     fit_gmm(demos, FitConfig(seed=0, max_iters=3))
     assert calls == [3505]
-    # a fresh em_fit on other rows misses, and on the same rows hits
-    data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
-    _, init = kmeans_init(data, 15, seed=0)
-    em_fit(data[1:], init, FitConfig(max_iters=1))
-    em_fit(data[1:], init, FitConfig(max_iters=1))
-    assert calls == [3505, 3504] and len(_DISTINCT_MEMO) == 1
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n_demos=st.integers(1, 5), n_comp=st.integers(2, 12))
+def test_fit_capacity_error_exactly_when_distinct_times_fall_short(seed, n_demos, n_comp):
+    """Demonstrations repeat whole (repeated rows) and share 0.1 s lattice
+    grids (repeated times).  Rows at distinct times differ, so the distinct
+    rows never fall short first: the fit raises the capacity error exactly
+    when the distinct times do, and the message gives np.unique's counts.
+    (A fit that passes the check may still fail later, for example with two
+    components on one time center.)"""
+    rng = np.random.default_rng(seed)
+    grids = [np.r_[0.0, np.sort(rng.choice(np.arange(1, 10), rng.integers(0, 10),
+                                           replace=False)) / 10, 1.0] for _ in range(2)]
+    demos = []
+    for _ in range(n_demos):
+        if demos and rng.random() < 0.4:
+            demos.append(demos[rng.integers(len(demos))])
+        else:
+            times = grids[rng.integers(2)]
+            demos.append(Trajectory(times, rng.normal(size=(len(times), 2))))
+    rows = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
+    distinct, distinct_times = len(np.unique(rows, axis=0)), len(np.unique(rows[:, 0]))
+    assert distinct >= distinct_times
+    error = ""
+    try:
+        fit_gmm(demos, FitConfig(n_components=n_comp, max_iters=1), PHASES_1S)
+    except ValueError as exc:
+        error = str(exc)
+    capacity = f"{n_comp} components need at least as many distinct samples"
+    assert error.startswith(capacity) == (distinct_times < n_comp)
+    if distinct_times < n_comp:
+        assert error == (f"{capacity} and distinct sample times, got {distinct} distinct of "
+                         f"{len(rows)} samples and {distinct_times} distinct times")
 
 
 def assert_corpus_fit_matches_oracle(demos, fit_result):

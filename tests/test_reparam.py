@@ -432,6 +432,36 @@ def test_covariance_degenerate_difference_keeps_slope():
     assert np.allclose(covs[1], model.covs[1], atol=1e-15)
 
 
+def test_reparam_covariances_rejects_bad_new_means(model):
+    """Non-finite means used to give NaN covariances with no repair counted,
+    and wrong shapes a numpy broadcast or axis error."""
+    means = np.array(model.means[:, 1:])
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.stack([means, means])
+        bad[1, 3, 2] = value
+        with pytest.raises(ValueError, match="new_means must be finite"):
+            reparam_covariances(model, bad, DEGENERATE_EPS)
+    for bad in (means[:3], means[:, :5], means[0]):
+        with pytest.raises(ValueError, match=r"new_means must be \(\.\.\., 15, 6\), got shape"):
+            reparam_covariances(model, bad, DEGENERATE_EPS)
+
+
+@pytest.mark.parametrize("eps", [DEGENERATE_EPS[:5], np.r_[DEGENERATE_EPS[:5], np.nan],
+                                 np.r_[DEGENERATE_EPS[:5], -1e-3],
+                                 np.r_[DEGENERATE_EPS[:5], np.inf]],
+                         ids=["short", "nan", "negative", "inf"])
+def test_reparam_rejects_a_bad_eps_and_keeps_the_memo(model, eps):
+    start, goal = model.means[0, 1:], model.means[-1, 1:]
+    means = reparam_means(model, start, goal, DEGENERATE_EPS)
+    entry = _SOURCE_MEMO[0]
+    message = "eps must be a finite, non-negative vector of length 6"
+    with pytest.raises(ValueError, match=message):
+        reparam_means(model, start, goal, eps)
+    with pytest.raises(ValueError, match=message):
+        reparam_covariances(model, means, eps)
+    assert len(_SOURCE_MEMO) == 1 and _SOURCE_MEMO[0] is entry
+
+
 def test_clamp_spd_restores_definiteness():
     floor = 1e-6
     fixed = _clamp_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), floor)

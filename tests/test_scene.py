@@ -11,8 +11,8 @@ from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, resample
 from gmmgen.metrics import FailureReason, boundary_error
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, Scene, Slab, SuccessThresholds,
-                          collision_mask, default_scene, load_scene, rest_height, sample_task,
-                          sample_tasks, save_scene, scene_collides, scene_to_dict,
+                          _collision_mask, collision_mask, default_scene, load_scene, rest_height,
+                          sample_task, sample_tasks, save_scene, scene_collides, scene_to_dict,
                           trajectory_success)
 
 from conftest import mutated
@@ -577,6 +577,28 @@ def test_sample_task_on_a_shared_generator_draws_as_before(scene, endpoints, mod
         assert task_bytes(sample_task(scene, mode, rng, *endpoints)) == task_bytes(
             oracle_sample_task(scene, mode, oracle_rng, *endpoints))
     assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+def test_sample_tasks_build_poses_only_for_kept_endpoints(monkeypatch, endpoints, mode):
+    """A candidate that collides is dropped before it becomes a Pose, so
+    every Pose built is a task's start or goal."""
+    built, rejected = [], []
+
+    def counted_pose(*args):
+        built.append(args)
+        return Pose(*args)
+
+    def counted_mask(*args):
+        hits = _collision_mask(*args)
+        rejected.append(int(hits.any(axis=1).sum()))
+        return hits
+
+    monkeypatch.setattr("gmmgen.scene.Pose", counted_pose)
+    monkeypatch.setattr("gmmgen.scene._collision_mask", counted_mask)
+    rngs = [np.random.default_rng([1, i]) for i in range(24)]
+    tasks = sample_tasks(crowded_scene(), mode, rngs, *endpoints)
+    assert sum(rejected) > 0 and len(built) == 2 * len(tasks) == 48
 
 
 def test_sample_tasks_give_up_after_the_attempt_limit(endpoints):
