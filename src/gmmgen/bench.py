@@ -17,7 +17,7 @@ from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _chec
 from .gmr import _expected_poses, _validated_times, regress
 from .metrics import (EvalReport, _pose_stack, average_jerks, boundary_errors,
                       phase_deviations, shape_deviations, shape_reference)
-from .model import GmmModel, _checked_covs
+from .model import GmmModel
 from .reparam import ReparamConfig, _reparam, generalize
 from .scene import Scene, SuccessThresholds, sample_tasks, trajectories_success
 from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
@@ -75,18 +75,24 @@ def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
 
 def _regressed(model: GmmModel, tasks, config: ReparamConfig, times: np.ndarray) -> np.ndarray:
     """(T, n, D) values of regress(generalize(model, task, config), times) for
-    each task, computed as one stack and bitwise equal to them.
+    each task, bitwise equal to them.  times must be valid query times from 0.
 
-    times must be valid query times starting at 0.  The adapted components
-    and the regressed samples pass the checks GmmModel and Trajectory run,
-    each once over the whole stack.  The priors and time centers are the
-    source model's, as generalize() keeps them.
+    Tasks with no SPD repair, finite means and covariance entries at most half
+    the largest float are one stack, regressed on the source's time variances:
+    GmmModel would store their components unchanged, as they passed reparam's
+    Cholesky (or are the source's) and, symmetric by construction, come back
+    from its symmetrize.  Every other task goes through regress(generalize()).
     """
     starts = np.array([task.start_vector() for task in tasks])
     goals = np.array([task.goal_vector() for task in tasks])
-    means, covs, _ = _reparam(model, starts, goals, config)
-    covs = _checked_covs(model.priors, means, covs)
-    values = _expected_poses(model.priors, model.means[:, 0], means, covs, times)
+    means, covs, repairs = _reparam(model, starts, goals, config)
+    stacked = ((repairs == 0) & np.isfinite(means).all(axis=(1, 2))
+               & (np.abs(covs) <= np.finfo(float).max / 2).all(axis=(1, 2, 3)))
+    values = np.empty((len(tasks), len(times), model.dim))
+    values[stacked] = _expected_poses(model.priors, model.means[:, 0], model.covs[:, 0, 0],
+                                      means[stacked], covs[stacked], times)
+    for k in np.flatnonzero(~stacked):
+        values[k] = regress(generalize(model, tasks[k], config), times).values
     _check_samples(times, values)
     return values
 
@@ -135,13 +141,13 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     Trial i draws from default_rng([seed, i]), so results do not depend on
     how many trials run before it.  Trials are scored in chunks of
     BATCH_TRIALS, each kept as arrays from its sampled tasks to its
-    reports: one (T, n, 6) stack is generalized, regressed and checked,
-    measured by the stacked metrics, and checked for collision in one
-    call.  A trial's record is the one evaluate_trajectory() gives for
-    regress(generalize(model, task, config), times), whatever chunk it
-    falls in.  When a chunk's adapted components or samples fail their
-    checks, its tasks are run again one by one, and the ValueError names
-    the first failing trial with that task's own message.
+    reports: one (T, n, 6) stack is generalized, regressed (see
+    _regressed) and checked, measured by the stacked metrics, and checked
+    for collision in one call.  A trial's record is the one
+    evaluate_trajectory() gives for regress(generalize(model, task, config),
+    times), whatever chunk it falls in.  When a chunk raises a ValueError,
+    its tasks are run again one by one, and the error names the first
+    failing trial with that task's own message.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)

@@ -43,32 +43,27 @@ _WEIGHTS_MEMO = []
 
 
 def _weights(priors, t_means, t_vars, times):
-    """(act, sums): the max-shifted activations (..., n, G) of t_vars (G,) or
-    (K, G) and their row sums (..., n, 1), from a one-entry memo keyed by the
-    bytes of all four inputs, so a hit returns exactly what a miss computes."""
+    """(act, sums): the max-shifted activations (n, G) of (G,) time variances
+    and their row sums (n, 1), from a one-entry memo keyed by the bytes of
+    all four inputs, so a hit returns exactly what a miss computes."""
     def compute():
-        centers = t_means if t_vars.ndim == 1 else np.broadcast_to(t_means, t_vars.shape)
-        log_w = (times[:, None] - centers[..., None, :]) ** 2
-        log_w /= 2.0 * t_vars[..., None, :]
-        np.subtract((np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars))[..., None, :],
-                    log_w, out=log_w)
-        log_w -= log_w.max(axis=-1, keepdims=True)
+        log_w = (times[:, None] - t_means) ** 2
+        log_w /= 2.0 * t_vars
+        np.subtract(np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars), log_w, out=log_w)
+        log_w -= log_w.max(axis=1, keepdims=True)
         act = np.exp(log_w, out=log_w)
-        return act, act.sum(axis=-1, keepdims=True)
+        return act, act.sum(axis=1, keepdims=True)
     return _memoized(_WEIGHTS_MEMO, (priors, t_means, t_vars, times), compute)
 
 
-def _expected_poses(priors, t_means, mu, covs, times) -> np.ndarray:
-    """Regressed values (..., n, D) of one mixture, or of a stack sharing its
-    (G,) priors and time centers, from mu (..., G, D) and covs (..., G, D+1,
-    D+1).  Time variances and slopes come from covs; a stack whose time
-    variances all agree shares one (n, G) weight set."""
-    t_vars = covs[..., 0, 0]
-    slopes = covs[..., 1:, 0] / t_vars[..., None]
-    if t_vars.ndim > 1 and (t_vars == t_vars[0]).all():
-        t_vars = t_vars[0]
+def _expected_poses(priors, t_means, t_vars, mu, covs, times) -> np.ndarray:
+    """Regressed values (..., n, D) of one mixture, or of a stack of mixtures
+    that share its (G,) priors, time centers and time variances t_vars, from
+    mu (..., G, D) and covs (..., G, D+1, D+1), whose first columns give the
+    slopes.  Every mixture is weighed with the one (n, G) weight set."""
+    slopes = covs[..., 1:, 0] / t_vars[:, None]
     act, sums = _weights(priors, t_means, t_vars, times)
-    offsets = mu - slopes * t_means[..., None]
+    offsets = mu - slopes * t_means[:, None]
     values = times[:, None] * (act @ slopes)
     values += act @ offsets
     values /= sums
@@ -89,5 +84,5 @@ def regress(model, times) -> Trajectory:
     except AttributeError:
         raise TypeError(f"cannot regress a {type(model).__name__}") from None
     times = _validated_times(times, duration)
-    return Trajectory(times - times[0], _expected_poses(priors, means[:, 0], means[:, 1:], covs,
-                                                        times))
+    return Trajectory(times - times[0], _expected_poses(priors, means[:, 0], covs[:, 0, 0],
+                                                        means[:, 1:], covs, times))

@@ -65,9 +65,11 @@ class EvalReport:
 
 
 def _pose_stack(traj: Trajectory):
-    """(times (n,), values (1, n, 6)): one trajectory as a stack of one, its
-    positions() then its orientations()."""
-    return traj.times, np.concatenate([traj.positions(), traj.orientations()], axis=1)[None]
+    """(times (n,), values (1, n, 6)): one trajectory as a stack of one, a
+    read-only view of its values once positions() and orientations() would
+    accept them."""
+    traj._require_pose_dim()
+    return traj.times, traj.values[None]
 
 
 def _quaternions(rotvecs) -> np.ndarray:

@@ -44,20 +44,17 @@ def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
 
 
 def _first(flags: np.ndarray) -> str:
-    """The first flagged component of a (G,) or (K, G) flag array, named
-    "component g" as one mixture names it."""
-    return f"component {np.flatnonzero(flags)[0] % flags.shape[-1]}"
+    """The first flagged component of a (G,) flag array, as "component g"."""
+    return f"component {np.flatnonzero(flags)[0]}"
 
 
 def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """covs symmetrized and read-only, once every component passes its checks.
 
-    priors are (G,), means (G, k) and covs (G, D+1, D+1), or means and covs
-    stacked (K, G, ...) as K mixtures sharing the priors.  Every parameter
-    must be finite, every prior positive, and every covariance symmetric to
-    1e-9 of its largest entry and, once symmetrized, accepted by Cholesky;
-    one batched factorization checks the whole stack, and an error names
-    the first failing component of the first failing mixture.
+    priors are (G,), means (G, k) and covs (G, D+1, D+1) of one mixture.
+    Every parameter must be finite, every prior positive, and every covariance
+    symmetric to 1e-9 of its largest entry and, once symmetrized, accepted by
+    Cholesky; an error names the first failing component.
     """
     bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=-1)
             & np.isfinite(covs).all(axis=(-2, -1)))
@@ -459,7 +456,11 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
     Components are told apart by their time centers: fewer distinct sample
     times than n_components is a ValueError giving the distinct row and
     time counts.  The distinct rows, never fewer than the times, cannot
-    fall short first.
+    fall short first.  Two components that end EM on one time center are a
+    ValueError naming them, in time order, and their center.  Without
+    phases the default schedule holds the grasp for GRASP_DURATION and the
+    release for RELEASE_DURATION, so the demonstrations must last longer
+    than both together; that is checked after the capacity, before k-means.
     """
     if not demos:
         raise ValueError("need at least one demonstration")
@@ -481,11 +482,22 @@ def fit_gmm(demos: Sequence[Trajectory], config: FitConfig = FitConfig(),
             f"and distinct sample times, got {distinct} distinct of {len(dataset)} samples "
             f"and {distinct_times} distinct times"
         )
+    if phases is None:
+        if not duration - RELEASE_DURATION > GRASP_DURATION:
+            raise ValueError(
+                f"demonstrations of {duration} s have no default phases: their duration must "
+                f"exceed the {GRASP_DURATION} s grasp hold plus the {RELEASE_DURATION} s "
+                "release hold, or phases must be passed")
+        phases = PhaseSchedule(GRASP_DURATION, duration - RELEASE_DURATION, duration)
     _, init = kmeans_init(dataset, config.n_components, config.seed, config.cov_floor)
     (priors, means, covs), trace = em_fit(dataset, init, config)
     order = np.argsort(means[:, 0], kind="stable")
-    if phases is None:
-        phases = PhaseSchedule(GRASP_DURATION, duration - RELEASE_DURATION, duration)
+    centers = means[order, 0]
+    tied = np.flatnonzero(np.diff(centers) <= 0.0)
+    if len(tied):
+        g = int(tied[0])
+        raise ValueError(f"components {g} and {g + 1} (in time order) share the time center "
+                         f"{float(centers[g])} after EM; fewer components may separate them")
     # the model's time axis ends exactly where the demonstrations do
     model = GmmModel(priors[order], means[order], covs[order], replace(phases, duration=duration))
     return FitResult(model, trace)

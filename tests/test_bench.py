@@ -2,16 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmmgen import bench
-from gmmgen.bench import (SUMMARY_COLUMNS, default_times, evaluate_trajectory,
+from gmmgen.bench import (SUMMARY_COLUMNS, _regressed, default_times, evaluate_trajectory,
                           model_endpoints, run_benchmark, summarize,
                           summary_csv_lines, write_summary_csv,
                           write_trials_jsonl)
-from gmmgen.data import TaskSpec, resample
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, resample
 from gmmgen.gmr import regress
 from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
                             boundary_errors, phase_deviation, shape_deviation)
+from gmmgen.model import GmmModel
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import (SuccessThresholds, collision_mask, sample_task,
                           trajectories_success)
@@ -171,6 +174,146 @@ def test_benchmark_chunk_mixing_repaired_and_unrepaired_tasks(scene, monkeypatch
     times = default_times(model.duration)
     assert_records_match_one_trial_evaluation(result, model, scene, ReparamConfig(), times,
                                               regress(model, times))
+
+
+def x_heavy_model(t_var, slope, shape):
+    """A 3-component 6-D source whose components 1-2 have time variance
+    t_var, and slope and spatial shape on x; component 0 is small and static."""
+    covs = np.tile(0.01 * np.eye(7), (3, 1, 1))
+    covs[:, 0, 0] = 1.0
+    covs[1:, 0, 1] = covs[1:, 1, 0] = slope
+    covs[1:, 1, 1] = shape
+    covs *= np.array([0.1, t_var, t_var])[:, None, None]
+    means = np.zeros((3, 7))
+    means[:, 0] = [0.5, 1.5, 2.5]
+    means[:, 1] = [0.0, 0.5, 1.0]
+    return GmmModel(np.full(3, 1.0 / 3.0), means, covs, PhaseSchedule(1.0, 2.0, 3.0))
+
+
+def x_task(model, start_x, goal_x):
+    """The source's first mean pose with x at start_x, to that pose with x at
+    goal_x; x_heavy_model's x span is 1, so goal_x - start_x scales it."""
+    start = model.means[0, 1:].copy()
+    start[0] = start_x
+    goal = start.copy()
+    goal[0] = goal_x
+    return TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+
+
+class TaskPools(dict):
+    """(source model, tasks) by pool name, with a repr short enough for
+    hypothesis to print beside a failing example."""
+
+    def __repr__(self):
+        return f"TaskPools({list(self)})"
+
+
+@pytest.fixture(scope="module")
+def chunk_pools(model, scene, endpoints):
+    """Per source model, the tasks a chunk draws from.
+
+    fitted: tasks sampled as the benchmark samples them, none repaired.
+    thin: seed 738's thin mixture, its own endpoints and the far task, whose
+    repairs move 2 time variances by about 1e-6.  overflow: slope 1e152 and
+    shape 2e304 on x, where a goal scaling the x span by 1000 overflows
+    outer(moved) to +inf that Cholesky accepts with no repair, and where
+    endpoints at -1e308 and 1e308 give non-finite means.  half-max: time
+    variance 7e307, where doubling the x span gives a finite cross
+    covariance above half the largest float, which GmmModel's symmetrize
+    turns into inf, so the regressed samples are not finite.  The other
+    x-span tasks scale the span by 0.5 to 2 and regress.
+    """
+    rng = np.random.default_rng(23)
+    sampled = [sample_task(scene, mode, rng, *endpoints)
+               for mode in ("combined", "translational") for _ in range(4)]
+    overflow = x_heavy_model(0.1, 1e152, 2e304)
+    half_max = x_heavy_model(7e307, 0.7, 0.491)
+    return TaskPools({
+        "fitted": (model, sampled),
+        "thin": thin_repair_tasks(),
+        "overflow": (overflow, [x_task(overflow, 0.0, x) for x in (0.5, 1.0, 2.0, 1000.0)]
+                     + [x_task(overflow, -1e308, 1e308)]),
+        "half-max": (half_max, [x_task(half_max, 0.0, x) for x in (0.5, 1.2, 2.0)]),
+    })
+
+
+def one_task_reference(model, task, config, times):
+    """(values, spd_repairs) of regress(generalize()) for one task, or its
+    ValueError message."""
+    try:
+        adapted = generalize(model, task, config)
+        return regress(adapted, times).values, adapted.spd_repairs
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120)
+@given(pool=st.sampled_from(["fitted", "thin", "overflow", "half-max"]), ablate=st.booleans(),
+       picks=st.lists(st.integers(0, 7), min_size=1, max_size=6))
+def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, ablate, picks):
+    """A chunk of 1-6 tasks in any order gives, bitwise, each task's
+    regress(generalize()) values, or raises the message one of its tasks
+    raises alone.  The reference path runs once for every routed task: a
+    repaired one, or one whose components GmmModel rejects or changes
+    (+inf or non-finite entries, an entry it symmetrizes to inf), up to
+    the first that raises; none when reparam rejects the whole chunk."""
+    source, pool_tasks = chunk_pools[pool]
+    tasks = [pool_tasks[i % len(pool_tasks)] for i in picks]
+    config = ReparamConfig(ablate_covariance=ablate)
+    times = default_times(source.duration)
+    calls = []
+
+    def counted_generalize(*args):
+        calls.append(args[1])
+        return generalize(*args)
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        refs = [one_task_reference(source, task, config, times) for task in tasks]
+        patch.setattr(bench, "generalize", counted_generalize)
+        try:
+            got, message = _regressed(source, tasks, config, times), None
+        except ValueError as exc:
+            got, message = None, str(exc)
+    failed = [ref for ref in refs if isinstance(ref, str)]
+    if message is None:
+        assert not failed
+        assert got.tobytes() == np.stack([values for values, _ in refs]).tobytes()
+    else:
+        assert message in failed
+    routed = []
+    if message != "new_means must be finite":  # reparam's own check of the whole chunk
+        for task, ref in zip(tasks, refs):
+            if isinstance(ref, str) or ref[1] > 0:
+                routed.append(task)
+                if isinstance(ref, str):
+                    break
+    assert calls == routed
+
+
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_benchmark_chunk_factors_adapted_covariances_once(model, scene, monkeypatch, mode,
+                                                          ablate):
+    """On the fitted model, 200 sampled trials route no task to
+    regress(generalize()); each full chunk makes one Cholesky call, reparam's
+    over its adapted covariances, and an ablated chunk none."""
+    counts = {"cholesky": 0, "generalize": 0}
+    cholesky = np.linalg.cholesky
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+    monkeypatch.setattr(bench, "generalize", counted("generalize", generalize))
+    result = run_benchmark(model, scene, mode, trials=200, seed=11,
+                           config=ReparamConfig(ablate_covariance=ablate))
+    monkeypatch.undo()
+    assert len(result.trials) == 200
+    chunks = -(-200 // bench.BATCH_TRIALS)
+    assert counts == {"cholesky": 0 if ablate else chunks, "generalize": 0}
 
 
 def test_benchmark_chunk_turning_past_pi_raises(scene, monkeypatch):

@@ -133,6 +133,23 @@ def test_fit_fewer_distinct_times_than_components_exit2(tmp_path, capsys, compon
     assert "got 8 distinct of 8 samples and 4 distinct times" in err
 
 
+def test_fit_csv_demos_too_short_for_default_phases_exit2(tmp_path, capsys):
+    """CSV demonstrations carry no phases, so 1.5 s ones cannot take the
+    default 1 s holds; the error says so."""
+    times = np.linspace(0.0, 1.5, 151)
+    paths = []
+    for j in range(2):
+        rows = np.column_stack([np.linspace(0.0, 0.3, 151) + 0.1 * j, np.zeros((151, 5))])
+        paths.append(tmp_path / f"d{j}.csv")
+        save_trajectory(Trajectory(times, rows), paths[-1])
+    code = main(["fit", "--demos", *map(str, paths), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert ("demonstrations of 1.5 s have no default phases: their duration must exceed the "
+            "1.0 s grasp hold plus the 1.0 s release hold, or phases must be passed"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_generalize_identity_matches_regress(work, tmp_path, endpoint_args):
     start, goal = endpoint_args
     ref_csv = tmp_path / "ref.csv"

@@ -367,8 +367,9 @@ def test_load_trajectory_rejects_mutated_csv_with_located_error(tmp_path_factory
 @pytest.mark.parametrize("consumer", ["trajectory_success", "phase_deviation",
                                       "average_jerk", "render_svg", "save_trajectory"])
 def test_pose_consumers_share_the_pose_row_error(scene, tmp_path, consumer):
-    """Every reader of pose columns goes through Trajectory.positions() and
-    orientations(), so a non-pose trajectory fails with their one error."""
+    """Every reader of pose columns goes through Trajectory's pose-row rule
+    (positions(), orientations()), so a non-pose trajectory fails with its
+    one error."""
     call = {
         "trajectory_success": lambda traj: trajectory_success(traj, scene,
                                                               ((0.0, 0.0), (0.0, 0.0))),

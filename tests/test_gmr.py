@@ -184,39 +184,26 @@ def test_regress_many_matches_regress_on_generalized_models(model, times, scene,
 
 def stacked_regression(models, times):
     """_expected_poses() on the models' stacked means and covariances; the
-    models share the first one's priors and time centers."""
+    models share the first one's priors, time centers and time variances."""
     first = models[0]
-    return _expected_poses(first.priors, first.means[:, 0],
+    return _expected_poses(first.priors, first.means[:, 0], first.covs[:, 0, 0],
                            np.stack([m.means[:, 1:] for m in models]),
                            np.stack([m.covs for m in models]), times)
-
-
-def with_source_weights(first, model):
-    """model's spatial means and covariances on first's priors and time centers."""
-    return GmmModel(first.priors, np.column_stack([first.means[:, 0], model.means[:, 1:]]),
-                    model.covs, first.phases)
 
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 6), dim=st.integers(1, 5),
        n_models=st.integers(1, 4), thin=st.booleans())
 def test_regress_many_matches_regress_on_random_mixtures(seed, n_comp, dim, n_models, thin):
-    """Mixtures that share priors and time centers but have their own time
-    variances take the (T, n, G) weight stack, one row per model; mixtures
-    whose time variances agree share one set of weights."""
-    rng = np.random.default_rng(seed)
-    first = random_spd_mixture(rng, n_comp, dim, thin)
-    models = [first] + [with_source_weights(first, random_spd_mixture(rng, n_comp, dim, thin))
-                        for _ in range(n_models - 1)]
-    variances = np.stack([m.covs[:, 0, 0] for m in models])
-    assert n_models == 1 or not (variances == variances[0]).all()
-    times = default_times(first.duration)
-    assert_stack_matches_regress(models, times, stacked_regression(models, times))
+    """Mixtures that share priors, time centers and time variances regress
+    as one stack, sharing one set of weights, bitwise as one by one."""
+    first = random_spd_mixture(np.random.default_rng(seed), n_comp, dim, thin)
     # spatial axes scaled by a power of two: exact, SPD, and the time variances kept
     scales = [np.array([1.0] + [2.0**k] * dim) for k in range(n_models)]
     scaled = [GmmModel(first.priors, first.means * s, first.covs * s[:, None] * s, first.phases)
               for s in scales]
     assert all(np.array_equal(m.covs[:, 0, 0], first.covs[:, 0, 0]) for m in scaled)
+    times = default_times(first.duration)
     assert_stack_matches_regress(scaled, times, stacked_regression(scaled, times))
 
 
@@ -324,8 +311,9 @@ def test_memoized_queries_regress_bitwise_as_cold_ones(seed, n_comp, ablate):
 
 
 def test_memoized_weights_follow_a_repair_that_moves_a_time_variance():
-    """A repair that moves a time variance gives that task, alone or in a
-    stack, weights of its own; the tasks around it still share the source's."""
+    """A repair that moves a time variance gives that task weights of its
+    own (in a chunk it regresses alone); the tasks around it still share
+    the source's."""
     model, (own, far) = thin_repair_tasks()
     repaired = generalize(model, far)
     assert repaired.spd_repairs > 0

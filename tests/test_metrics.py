@@ -7,6 +7,7 @@ from scipy.spatial.transform import Rotation
 from gmmgen.bench import _regressed, model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, _resampled, resample
 from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_angles,
+                            _pose_stack,
                             average_jerk, average_jerks, boundary_error, boundary_errors,
                             phase_deviation, phase_deviations, rotation_angle_deg,
                             shape_deviation, shape_deviations, shape_reference)
@@ -77,6 +78,20 @@ def test_geodesic_angles_broadcast_centre_matches_scipy(seed, shape, kind):
     got = _geodesic_angles(center, rows)
     assert got.shape == shape and got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+def test_pose_stack_is_a_read_only_view_of_the_values():
+    """One trajectory enters the stacked metrics as a read-only (1, n, 6)
+    view of its values, bitwise its positions then its orientations, so no
+    metric can write into it."""
+    rng = np.random.default_rng(2)
+    traj = pose_rows(np.linspace(0.0, 3.0, 31), rng.normal(size=(31, 3)),
+                     0.3 * rng.normal(size=(31, 3)))
+    times, values = _pose_stack(traj)
+    assert times is traj.times and values.shape == (1, 31, 6)
+    assert np.shares_memory(values, traj.values) and not values.flags.writeable
+    want = np.concatenate([traj.positions(), traj.orientations()], axis=1)
+    assert values[0].tobytes() == want.tobytes()
 
 
 def test_boundary_error_345_triangle():

@@ -9,6 +9,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
 from gmmgen import SynthConfig, generate_demonstrations
+from gmmgen import model as model_module
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
                           _kmeans_distances, _log_densities, em_fit, fit_gmm, kmeans_init,
@@ -65,22 +66,16 @@ def test_component_validation():
     (lambda covs, means: covs.__setitem__(1, [[1.0, 2.0], [2.0, 1.0]]),
      "covariance must be symmetric positive definite"),
 ], ids=["nan-cov", "inf-mean", "asymmetric", "indefinite"])
-def test_checked_covs_names_mixture_and_component_in_a_stack(mutate, problem):
-    """The checker GmmModel runs takes a (K, G, ...) stack of mixtures that
-    share their priors; the first failing mixture's component is named as
-    that mixture alone names it."""
-    priors = np.array([0.25, 0.75])
-    covs = np.tile(np.array([[1.0, 0.5], [0.5, 1.0]]), (4, 2, 1, 1))
-    means = np.zeros((4, 2, 1))
+def test_checked_covs_names_the_first_failing_component(mutate, problem):
+    """The checker GmmModel runs names the first failing component of its
+    one mixture."""
+    priors = np.array([0.25, 0.25, 0.5])
+    covs = np.tile(np.array([[1.0, 0.5], [0.5, 1.0]]), (3, 1, 1))
+    means = np.zeros((3, 1))
     checked = _checked_covs(priors, means, covs)
     assert checked.tobytes() == covs.tobytes() and not checked.flags.writeable
-    mutate(covs[2], means[2])
-    mutate(covs[3], means[3])  # a later failure is not the one named
-    with pytest.raises(ValueError, match=f"^component 1: {problem}$"):
-        _checked_covs(priors, means, covs)
-    with pytest.raises(ValueError, match=f"^component 1: {problem}$"):
-        _checked_covs(priors, means[2], covs[2])
-    mutate(covs[3, ::-1], means[3, ::-1])  # mixture 3 now fails first at component 0
+    mutate(covs, means)
+    mutate(covs[1:], means[1:])  # component 2 fails too, later, so it is not the one named
     with pytest.raises(ValueError, match=f"^component 1: {problem}$"):
         _checked_covs(priors, means, covs)
 
@@ -272,6 +267,43 @@ def test_fit_gmm_validation():
     with pytest.raises(ValueError) as err:
         fit_gmm([base], FitConfig(n_components=15))
     assert "15 components" in str(err.value)
+
+
+@pytest.mark.parametrize("max_iters", [1, 100])
+def test_fit_names_two_components_on_one_time_center(max_iters):
+    """Two components that end EM on one time center are named, with the
+    center, instead of failing GmmModel's ordering rule."""
+    rng = np.random.default_rng(0)
+    times = np.linspace(0.0, 1.0, 6)
+    demos = [Trajectory(times, rng.normal(size=(6, 2))) for _ in range(2)]
+    with pytest.raises(ValueError, match=r"^components 0 and 1 \(in time order\) share the time "
+                                         r"center 0\.1 after EM; fewer components may separate "
+                                         r"them$"):
+        fit_gmm(demos, FitConfig(n_components=6, max_iters=max_iters), PHASES_1S)
+
+
+@pytest.mark.parametrize("duration", [1.5, 2.0])
+def test_fit_without_phases_rejects_short_demonstrations_before_kmeans(duration, monkeypatch):
+    """Without phases, demonstrations must outlast the default grasp and
+    release holds; shorter ones fail before k-means, naming both holds,
+    and a schedule passed for them fits."""
+    times = np.linspace(0.0, duration, int(round(duration * 100)) + 1)
+    rng = np.random.default_rng(5)
+    demos = [Trajectory(times, 0.1 * rng.normal(size=(len(times), 6))) for _ in range(5)]
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran")
+
+    monkeypatch.setattr(model_module, "kmeans_init", no_kmeans)
+    with pytest.raises(ValueError, match=rf"^demonstrations of {duration} s have no default "
+                                         r"phases: their duration must exceed the 1\.0 s grasp "
+                                         r"hold plus the 1\.0 s release hold, or phases must be "
+                                         r"passed$"):
+        fit_gmm(demos)
+    monkeypatch.undo()
+    phases = PhaseSchedule(0.5, duration - 0.5, duration)
+    model = fit_gmm(demos, FitConfig(max_iters=2), phases).model
+    assert model.phases == phases
 
 
 def test_fit_gmm_sorted_and_phased(demos, fit_result):
