@@ -2,6 +2,13 @@
 
 Per-trial RNGs are derived from (seed, trial index), so trials are
 independent of execution order and a run is reproducible byte for byte.
+
+A run compiles generalize-then-regress into three curves, a + b * start +
+c * goal dimension by dimension, and applies every metric's linear map to
+them once (_Compiled).  A trial's scores then match the one-trial
+evaluate_trajectory(regress(generalize())) to rounding, with the same
+success flag and failure reason; regress, generalize, the sampled tasks
+and evaluate_trajectory themselves are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -13,17 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int,
-                   _check_real, _check_samples)
-from .gmr import _expected_poses, _validated_times, regress
-from .metrics import (EvalReport, _pose_stack, average_jerks, boundary_errors,
-                      phase_deviations, shape_deviations, shape_reference)
+                   _check_real, _resampled, _rotvec_angles)
+from .gmr import _validated_times, regress
+from .metrics import (EvalReport, _centered_paths, _jerk_differences, _mean_jerks, _phase_windows,
+                      _pose_stack, _procrustes, _window_deviations, boundary_errors,
+                      shape_reference)
 from .model import GmmModel
-from .reparam import ReparamConfig, _reparam, generalize
-from .scene import Scene, SuccessThresholds, sample_tasks, trajectories_success
+from .reparam import ReparamConfig, _curves, _reparam, generalize
+from .scene import Scene, SuccessThresholds, _verdicts, sample_tasks
 from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
 
-# Trials scored per stack in run_benchmark.  A chunk holds its (T, n, 6)
-# values and their metric stacks, a few MB in all; outputs do not depend on it.
+# Trials scored per chunk in run_benchmark.  A chunk holds its tasks' rows of
+# the mapped curves, about 1 MB in all; outputs do not depend on it.
 BATCH_TRIALS = 16
 
 # summary.csv metric column -> the EvalReport field it averages over trials
@@ -42,26 +50,44 @@ def default_times(duration: float, rate: float = SAMPLE_RATE) -> np.ndarray:
     return np.linspace(0.0, duration, int(round(duration * rate)) + 1)
 
 
+def _features(times: np.ndarray, values: np.ndarray, phases: PhaseSchedule, samples: int):
+    """The fixed linear maps of (..., n, 6) values sampled at times that the
+    scores read: the boundary rows (..., 2, 6), the grasp and release window
+    rows (..., k, 6), the centered shape paths (..., SHAPE_POINTS, 3), the
+    jerk differences (..., m, 6) and the collision samples (..., samples, 6)."""
+    return (values[..., [0, -1], :],
+            *(np.ascontiguousarray(values[..., window, :])
+              for window in _phase_windows(times, phases)),
+            _centered_paths(times, values), _jerk_differences(times, values),
+            _resampled(times, values, samples)[1])
+
+
+def _scores(features, tasks, scene: Scene, reference: np.ndarray,
+            thresholds: SuccessThresholds) -> list:
+    """The EvalReport of each task from its _features() rows, stacked (T, ...).
+
+    The verdicts take one _verdicts() call that reads the (T, 2, 2) boundary
+    errors the reports show.  Each report's metric values are one row of a
+    (T, 11) array whose columns follow the EvalReport fields.
+    """
+    ends, grasp, release, paths, diffs, sampled = features
+    boundaries = boundary_errors(ends, tasks)
+    verdicts = _verdicts(sampled, scene, boundaries, thresholds)
+    rows = np.concatenate([boundaries.reshape(-1, 4),
+                           _window_deviations((grasp, release)).reshape(-1, 4),
+                           _procrustes(paths, reference)[:, None], _mean_jerks(diffs)], axis=1)
+    return [EvalReport(success, reason, *row)
+            for (success, reason), row in zip(verdicts, rows.tolist())]
+
+
 def evaluate_trajectories(times: np.ndarray, values: np.ndarray, tasks, scene: Scene,
                           reference: np.ndarray, phases: PhaseSchedule,
                           thresholds: SuccessThresholds = SuccessThresholds()) -> list:
     """evaluate_trajectory() for each (n, 6) row of a (T, n, 6) stack sampled
-    at times, each against its task.
-
-    reference is the shape_reference() of the reference trajectory.  Every
-    metric returns an array over the stack, and the verdicts take one
-    trajectories_success() call that reads the (T, 2, 2) boundary errors
-    the reports show.  Each report's metric values are one row of a (T, 11)
-    array whose columns follow the EvalReport fields, read as Python floats.
-    """
-    boundaries = boundary_errors(values, tasks)
-    verdicts = trajectories_success(times, values, scene, boundaries, thresholds)
-    rows = np.concatenate([boundaries.reshape(-1, 4),
-                           phase_deviations(times, values, phases).reshape(-1, 4),
-                           shape_deviations(times, values, reference)[:, None],
-                           average_jerks(times, values)], axis=1)
-    return [EvalReport(success, reason, *row)
-            for (success, reason), row in zip(verdicts, rows.tolist())]
+    at times, each against its task; reference is the shape_reference() of
+    the reference trajectory."""
+    return _scores(_features(times, values, phases, thresholds.collision_samples), tasks, scene,
+                   reference, thresholds)
 
 
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
@@ -73,28 +99,78 @@ def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
                                  phases, thresholds)[0]
 
 
-def _regressed(model: GmmModel, tasks, config: ReparamConfig, times: np.ndarray) -> np.ndarray:
-    """(T, n, D) values of regress(generalize(model, task, config), times) for
-    each task, bitwise equal to them.  times must be valid query times from 0.
+def _mapped(feature: np.ndarray, dims: slice):
+    """(columns (d, 3, M), long shape, dims) of a (3, ..., d) feature of the
+    curves a, b, c over the pose dimensions dims, as _combined() takes it."""
+    columns = feature.transpose(-1, *range(feature.ndim - 1)).reshape(feature.shape[-1], 3, -1)
+    return np.ascontiguousarray(columns), feature.shape[1:-1], dims
 
-    Tasks with no SPD repair, finite means and covariance entries at most half
-    the largest float are one stack, regressed on the source's time variances:
-    GmmModel would store their components unchanged, as they passed reparam's
-    Cholesky (or are the source's) and, symmetric by construction, come back
-    from its symmetrize.  Every other task goes through regress(generalize()).
+
+def _combined(mapped, coefs: np.ndarray) -> np.ndarray:
+    """(T, ..., d): a + b * start + c * goal of a _mapped() feature for T
+    (start, goal) pairs given as coefs (D, T, 3), rows [1, start_i, goal_i]
+    per dimension i; a view of a (d, T, ...) array."""
+    columns, shape, dims = mapped
+    out = (coefs[dims] @ columns).reshape(len(columns), coefs.shape[1], *shape)
+    return out.transpose(*range(1, out.ndim), 0)
+
+
+class _Compiled:
+    """One run's trials scored on curves compiled once.
+
+    With the source model and the time grid fixed, regress(generalize(model,
+    task, config), times).values is a + b * start + c * goal, dimension by
+    dimension (reparam._curves).  Every map in _features() is linear, so it
+    is applied once to the three curves, and a task's rows are the same
+    combination of the mapped curves.  A task's scores then match the
+    one-trial evaluation to rounding, not bit for bit.
+
+    A chunk still runs _reparam over its tasks, with its one batched
+    Cholesky for the full method.  A task goes through the one-trajectory
+    path, evaluate_trajectory(regress(generalize())), which raises that
+    task's own error, when reparam repaired one of its covariances, when
+    its means are not finite or a covariance entry exceeds half the largest
+    float (GmmModel would not store them unchanged), when its combination
+    could overflow, or when a combined rotation row does not stay below pi.
     """
-    starts = np.array([task.start_vector() for task in tasks])
-    goals = np.array([task.goal_vector() for task in tasks])
-    means, covs, repairs = _reparam(model, starts, goals, config)
-    stacked = ((repairs == 0) & np.isfinite(means).all(axis=(1, 2))
-               & (np.abs(covs) <= np.finfo(float).max / 2).all(axis=(1, 2, 3)))
-    values = np.empty((len(tasks), len(times), model.dim))
-    values[stacked] = _expected_poses(model.priors, model.means[:, 0], model.covs[:, 0, 0],
-                                      means[stacked], covs[stacked], times)
-    for k in np.flatnonzero(~stacked):
-        values[k] = regress(generalize(model, tasks[k], config), times).values
-    _check_samples(times, values)
-    return values
+
+    def __init__(self, model: GmmModel, config: ReparamConfig, times: np.ndarray, scene: Scene,
+                 reference: np.ndarray, thresholds: SuccessThresholds):
+        self.model, self.config, self.times = model, config, times
+        self.scene, self.reference, self.thresholds = scene, reference, thresholds
+        curves = _curves(model, times, config.ablate_covariance)
+        self.reach = np.abs(curves).max(axis=1)  # (3, 6): bounds every combined entry
+        self.rotations = _mapped(curves[..., 3:], slice(3, 6))
+        self.features = [_mapped(feature, slice(0, feature.shape[-1]))
+                         for feature in _features(times, curves, model.phases,
+                                                  thresholds.collision_samples)]
+
+    def reports(self, tasks) -> list:
+        """The EvalReport of each task."""
+        starts = np.array([task.start_vector() for task in tasks])
+        goals = np.array([task.goal_vector() for task in tasks])
+        means, covs, repairs = _reparam(self.model, starts, goals, self.config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = self.reach[0] + self.reach[1] * np.abs(starts) + self.reach[2] * np.abs(goals)
+        compiled = ((repairs == 0) & np.isfinite(means).all(axis=(1, 2))
+                    & (np.abs(covs) <= np.finfo(float).max / 2).all(axis=(1, 2, 3))
+                    & np.isfinite(reach).all(axis=1))
+        coefs = np.stack([np.ones(starts.shape), starts, goals]).transpose(2, 1, 0)  # (D, T, 3)
+        rotations = _combined(self.rotations, coefs[:, compiled])
+        compiled[compiled] = (_rotvec_angles(rotations) < np.pi).all(axis=1)
+        reports = [None] * len(tasks)
+        for k in np.flatnonzero(~compiled):
+            traj = regress(generalize(self.model, tasks[k], self.config), self.times)
+            reports[k] = evaluate_trajectories(*_pose_stack(traj), [tasks[k]], self.scene,
+                                               self.reference, self.model.phases,
+                                               self.thresholds)[0]
+        picked = np.flatnonzero(compiled)
+        if len(picked):
+            features = [_combined(f, coefs[:, picked]) for f in self.features]
+            for k, report in zip(picked, _scores(features, [tasks[k] for k in picked],
+                                                 self.scene, self.reference, self.thresholds)):
+                reports[k] = report
+        return reports
 
 
 @dataclass(frozen=True)
@@ -139,15 +215,16 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     The reference trajectory for shape deviation defaults to the source
     model's own regression, and is resampled and normalized once per run.
     Trial i draws from default_rng([seed, i]), so results do not depend on
-    how many trials run before it.  Trials are scored in chunks of
-    BATCH_TRIALS, each kept as arrays from its sampled tasks to its
-    reports: one (T, n, 6) stack is generalized, regressed (see
-    _regressed) and checked, measured by the stacked metrics, and checked
-    for collision in one call.  A trial's record is the one
-    evaluate_trajectory() gives for regress(generalize(model, task, config),
-    times), whatever chunk it falls in.  When a chunk raises a ValueError,
-    its tasks are run again one by one, and the error names the first
-    failing trial with that task's own message.
+    how many trials run before it.  Generalization and regression are
+    compiled once per run into curves, and every metric's linear map is
+    applied to them once (see _Compiled).  Trials are scored in chunks of
+    BATCH_TRIALS: each task's rows are a combination of the mapped curves,
+    and the chunk's poses are checked for collision in one call.  A
+    trial's record matches, to rounding, the one evaluate_trajectory()
+    gives for regress(generalize(model, task, config), times), whatever
+    chunk it falls in, and a rerun reproduces it bit for bit.  When a
+    chunk raises a ValueError, its tasks are run again one by one, and the
+    error names the first failing trial with that task's own message.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
@@ -161,6 +238,7 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     times = _validated_times(default_times(model.duration, rate), model.duration)
     shape_ref = shape_reference(regress(model, times) if reference is None else reference)
     base_start, base_goal = model_endpoints(model)
+    compiled = _Compiled(model, config, times, scene, shape_ref, thresholds)
 
     records = []
     for first in range(0, trials, BATCH_TRIALS):
@@ -168,7 +246,7 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
         rngs = [np.random.default_rng([seed, i]) for i in indices]
         tasks = sample_tasks(scene, mode, rngs, base_start, base_goal)
         try:
-            values = _regressed(model, tasks, config, times)
+            reports = compiled.reports(tasks)
         except ValueError:  # name the first failing trial with its one-task message
             for i, task in zip(indices, tasks):
                 try:
@@ -176,8 +254,6 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
                 except ValueError as exc:
                     raise ValueError(f"trial {i}: {exc}") from None
             raise
-        reports = evaluate_trajectories(times, values, tasks, scene, shape_ref, model.phases,
-                                        thresholds)
         records += map(TrialRecord, indices, tasks, reports)
     summary = summarize(records, method)
     return BenchmarkResult(method, mode, seed, tuple(records), summary)

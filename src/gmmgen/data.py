@@ -88,12 +88,15 @@ def _dot(a, b) -> np.ndarray:
 
 
 def _rotvec_angles(rotvecs) -> np.ndarray:
-    """Rotation-vector magnitudes over the last axis.
+    """Rotation-vector magnitudes over the last axis, sqrt(x*x + y*y + z*z)
+    column by column: bitwise np.linalg.norm(rotvecs, axis=-1), which adds
+    the three squares in that order, without its strided reduction.
 
     Pose and Trajectory both take them here, with one rounding, so every
     row a Trajectory accepts is a valid Pose.
     """
-    return np.linalg.norm(rotvecs, axis=-1)
+    x, y, z = (rotvecs[..., i] for i in range(3))
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _read_json(path, parse=lambda obj: obj):

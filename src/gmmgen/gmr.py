@@ -13,7 +13,10 @@ an SPD repair moved one) time variances, so the activations and their
 row sums are the same for every task on one time grid.  They come from a
 one-entry memo keyed by the dtype, shape and bytes of the priors, time
 centers, time variances and query times; a miss computes them as a
-query always did, so a hit gives bitwise the same values.
+query always did, so a hit gives bitwise the same values.  Regression is
+linear in the means and slopes, so the benchmark's compiled curves
+(reparam._curves) regress their coefficient sets side by side as the
+columns of one (G, 3D) mixture.
 """
 
 from __future__ import annotations
@@ -56,12 +59,10 @@ def _weights(priors, t_means, t_vars, times):
     return _memoized(_WEIGHTS_MEMO, (priors, t_means, t_vars, times), compute)
 
 
-def _expected_poses(priors, t_means, t_vars, mu, covs, times) -> np.ndarray:
-    """Regressed values (..., n, D) of one mixture, or of a stack of mixtures
-    that share its (G,) priors, time centers and time variances t_vars, from
-    mu (..., G, D) and covs (..., G, D+1, D+1), whose first columns give the
-    slopes.  Every mixture is weighed with the one (n, G) weight set."""
-    slopes = covs[..., 1:, 0] / t_vars[:, None]
+def _expected_poses(priors, t_means, t_vars, mu, slopes, times) -> np.ndarray:
+    """Regressed values (n, k) of one mixture: its (G,) priors, time centers
+    and time variances weigh the (G, k) spatial means mu and time-normalized
+    slopes at each of the n query times."""
     act, sums = _weights(priors, t_means, t_vars, times)
     offsets = mu - slopes * t_means[:, None]
     values = times[:, None] * (act @ slopes)
@@ -84,5 +85,7 @@ def regress(model, times) -> Trajectory:
     except AttributeError:
         raise TypeError(f"cannot regress a {type(model).__name__}") from None
     times = _validated_times(times, duration)
-    return Trajectory(times - times[0], _expected_poses(priors, means[:, 0], covs[:, 0, 0],
-                                                        means[:, 1:], covs, times))
+    t_vars = covs[:, 0, 0]
+    return Trajectory(times - times[0],
+                      _expected_poses(priors, means[:, 0], t_vars, means[:, 1:],
+                                      covs[:, 1:, 0] / t_vars[:, None], times))

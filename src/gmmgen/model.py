@@ -52,22 +52,27 @@ def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np
     """covs symmetrized and read-only, once every component passes its checks.
 
     priors are (G,), means (G, k) and covs (G, D+1, D+1) of one mixture.
-    Every parameter must be finite, every prior positive, and every covariance
-    symmetric to 1e-9 of its largest entry and, once symmetrized, accepted by
-    Cholesky; an error names the first failing component.
+    Every parameter must be finite, the covariances once symmetrized (an
+    entry above half the largest float doubles past it), every prior
+    positive, and every covariance symmetric to 1e-9 of its largest entry
+    and, once symmetrized, accepted by Cholesky; an error names the first
+    failing component.
     """
+    flipped = np.swapaxes(covs, -2, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = 0.5 * (covs + flipped)
+        gaps = np.abs(covs - flipped).max(axis=(-2, -1))
     bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=-1)
-            & np.isfinite(covs).all(axis=(-2, -1)))
+            & np.isfinite(symmetric).all(axis=(-2, -1)))
     if bad.any():
         raise ValueError(f"{_first(bad)}: parameters must be finite")
     if not (priors > 0.0).all():
         raise ValueError(f"{_first(~(priors > 0.0))}: prior must be positive")
-    flipped = np.swapaxes(covs, -2, -1)
     scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
-    asym = np.abs(covs - flipped).max(axis=(-2, -1)) > 1e-9 * scale
+    asym = gaps > 1e-9 * scale
     if asym.any():
         raise ValueError(f"{_first(asym)}: covariance must be symmetric")
-    covs = 0.5 * (covs + flipped)
+    covs = symmetric
     covs.flags.writeable = False
     not_spd = _cholesky_fails(covs)
     if not_spd.any():

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import TaskSpec, _frozen_array, _memoized
+from .gmr import _expected_poses
 from .model import GmmModel, _cholesky_fails
 
 # Endpoint spans and consecutive mean differences below these count as
@@ -187,6 +188,39 @@ def _reparam(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
         return (means, np.broadcast_to(model.covs, (*lead, *model.covs.shape)),
                 np.zeros(lead, dtype=int))
     return (means, *reparam_covariances(model, means, DEGENERATE_EPS))
+
+
+def _curves(model: GmmModel, times: np.ndarray, ablate: bool) -> np.ndarray:
+    """(3, n, D) curves a, b, c such that regress(generalize(model, task),
+    times).values is a + b * start + c * goal, dimension by dimension, up
+    to rounding, for any task that needs no SPD repair.  times must be
+    valid query times from 0.
+
+    reparam_means() is affine in the endpoints, one dimension at a time,
+    and the slope ratios of reparam_covariances() are affine in the new
+    means; priors, time centers and time variances stay the source's, so
+    the GMR weights are the same for every task.  Each curve is the
+    regression of one coefficient set of means and slopes, taken from the
+    formulas above, not from differences of regressions.
+    """
+    src = _source_terms(model, DEGENERATE_EPS)
+    means = model.means[:, 1:]
+    first, last = means[0], means[-1]
+    fraction = (means - first) / src.safe_span  # where each scaled mean sits on the span
+    mu = np.stack([np.where(src.degenerate, means - (1.0 - src.alpha) * first - src.alpha * last,
+                            0.0),
+                   np.where(src.degenerate, 1.0 - src.alpha, 1.0 - fraction),
+                   np.where(src.degenerate, src.alpha, fraction)])
+    mu[:, [0, -1]] = 0.0  # the endpoints themselves
+    mu[1, 0] = mu[2, -1] = 1.0
+    slopes = np.zeros_like(mu)
+    slopes[0] = model.slopes
+    if not ablate:
+        ratio = np.diff(mu, axis=1) / src.safe_d_old
+        slopes[:, 1:] = np.where(src.keep, slopes[:, 1:], ratio * model.slopes[1:])
+    flat = [np.concatenate(list(terms), axis=1) for terms in (mu, slopes)]  # (G, 3D)
+    values = _expected_poses(model.priors, model.means[:, 0], model.covs[:, 0, 0], *flat, times)
+    return values.reshape(len(times), 3, -1).transpose(1, 0, 2)
 
 
 def generalize(model: GmmModel, task: TaskSpec,

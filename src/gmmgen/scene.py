@@ -179,10 +179,17 @@ def trajectories_success(times: np.ndarray, values: np.ndarray, scene: Scene, bo
     poses go through one collision_mask call: a pose's collision row does
     not depend on the other poses in the call.
     """
-    sampled = _resampled(times, values, thresholds.collision_samples)[1].reshape(-1, 6)
-    hits = _collision_mask(sampled[:, :3], sampled[:, 3:], *scene._obstacles)
+    return _verdicts(_resampled(times, values, thresholds.collision_samples)[1], scene,
+                     boundaries, thresholds)
+
+
+def _verdicts(sampled: np.ndarray, scene: Scene, boundaries, thresholds) -> list:
+    """trajectories_success() from each trajectory's (T, collision_samples, 6)
+    resampled poses."""
+    poses = sampled.reshape(-1, 6)
+    hits = _collision_mask(poses[:, :3], poses[:, 3:], *scene._obstacles)
     limits = np.array([thresholds.max_boundary_pos_mm, thresholds.max_boundary_rot_deg])
-    collided = hits.reshape(len(values), -1).any(axis=1).tolist()
+    collided = hits.reshape(len(sampled), -1).any(axis=1).tolist()
     missed = (boundaries > limits).any(axis=(1, 2)).tolist()
     return [(False, FailureReason.COLLISION) if hit
             else (False, FailureReason.BOUNDARY) if miss

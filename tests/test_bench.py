@@ -6,20 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmgen import bench
-from gmmgen.bench import (SUMMARY_COLUMNS, _regressed, default_times, evaluate_trajectory,
-                          model_endpoints, run_benchmark, summarize,
-                          summary_csv_lines, write_summary_csv,
+from gmmgen.bench import (SUMMARY_COLUMNS, SUMMARY_METRICS, _Compiled, default_times,
+                          evaluate_trajectories, evaluate_trajectory, model_endpoints,
+                          run_benchmark, summarize, summary_csv_lines, write_summary_csv,
                           write_trials_jsonl)
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, resample
 from gmmgen.gmr import regress
-from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
-                            boundary_errors, phase_deviation, shape_deviation)
+from gmmgen.metrics import (EvalReport, FailureReason, _pose_stack, average_jerk,
+                            boundary_error, boundary_errors, phase_deviation, shape_deviation,
+                            shape_reference)
 from gmmgen.model import GmmModel
 from gmmgen.reparam import ReparamConfig, generalize
-from gmmgen.scene import (SuccessThresholds, collision_mask, sample_task,
-                          trajectories_success)
+from gmmgen.scene import SuccessThresholds, _verdicts, collision_mask, sample_task, sample_tasks
 
-from test_reparam import thin_past_pi_tasks, thin_repair_tasks
+from test_reparam import compiled_values, thin_past_pi_tasks, thin_repair_tasks
+
+# A chunk scores compiled curves (bench._Compiled), so its records match the
+# one-trial evaluation to rounding: every metric within these tolerances,
+# and the success flag and failure reason exactly.
+RTOL, ATOL = 1e-9, 1e-12
+
+
+def assert_report_close(got: EvalReport, want: EvalReport) -> None:
+    assert (got.success, got.failure_reason) == (want.success, want.failure_reason)
+    for field in SUMMARY_METRICS.values():
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=RTOL, abs=ATOL), field
 
 
 def test_summary_columns_are_frozen():
@@ -92,10 +103,11 @@ def oracle_evaluate(traj, task, scene, reference, phases, thresholds) -> EvalRep
                          ids=["default", "tight"])
 def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkeypatch,
                                                      mode, ablate, thresholds):
-    """Every benchmark report equals the former two-call evaluation, and
-    each chunk's (T, 2, 2) boundary errors are computed once: the one array
-    reaches both the verdicts and the report rows.  The 30 trials span two
-    chunks."""
+    """evaluate_trajectory() equals the former two-call evaluation bit for
+    bit, and every benchmark report matches it to rounding (a chunk scores
+    compiled curves).  Each chunk's (T, 2, 2) boundary errors are computed
+    once: the one array reaches both the verdicts and the report rows.  The
+    30 trials span two chunks."""
     computed, judged = [], []
 
     def counted_boundary_errors(values, tasks):
@@ -104,12 +116,12 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
         computed.append(out)
         return out
 
-    def recorded_success(times, values, scene, boundaries, thresholds):
+    def recorded_verdicts(sampled, scene, boundaries, thresholds):
         judged.append(boundaries)
-        return trajectories_success(times, values, scene, boundaries, thresholds)
+        return _verdicts(sampled, scene, boundaries, thresholds)
 
     monkeypatch.setattr(bench, "boundary_errors", counted_boundary_errors)
-    monkeypatch.setattr(bench, "trajectories_success", recorded_success)
+    monkeypatch.setattr(bench, "_verdicts", recorded_verdicts)
     config = ReparamConfig(ablate_covariance=ablate)
     assert 30 > bench.BATCH_TRIALS
     result = run_benchmark(model, scene, mode, trials=30, seed=11, config=config,
@@ -128,8 +140,10 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
         task = sample_task(scene, mode, rng, base_start, base_goal)
         assert task.to_dict() == record.task.to_dict()
         traj = regress(generalize(model, task, config), times)
-        assert record.report == oracle_evaluate(traj, task, scene, reference, model.phases,
-                                                thresholds)
+        want = oracle_evaluate(traj, task, scene, reference, model.phases, thresholds)
+        assert evaluate_trajectory(traj, task, scene, reference, model.phases,
+                                   thresholds) == want
+        assert_report_close(record.report, want)
     reasons = {record.report.failure_reason for record in result.trials}
     assert FailureReason.COLLISION in reasons
     if thresholds.max_boundary_pos_mm < 10.0:
@@ -138,31 +152,34 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
 
 def assert_records_match_one_trial_evaluation(result, model, scene, config, times,
                                               reference):
-    """Every record is, field for field and bitwise (json.dumps writes the
-    shortest repr of each float, and keeps the sign of a zero),
-    evaluate_trajectory() of regress(generalize(...)) for its task."""
+    """Every record matches, to rounding, evaluate_trajectory() of
+    regress(generalize(...)) for its task; returns those one-trial reports."""
+    wants = []
     for record in result.trials:
         traj = regress(generalize(model, record.task, config), times)
-        want = evaluate_trajectory(traj, record.task, scene, reference, model.phases)
-        assert json.dumps(record.report.to_dict()) == json.dumps(want.to_dict())
+        wants.append(evaluate_trajectory(traj, record.task, scene, reference, model.phases))
+        assert_report_close(record.report, wants[-1])
+    return wants
 
 
 @pytest.mark.parametrize("mode", ["combined", "translational"])
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_benchmark_records_match_one_trial_evaluation(model, scene, times, mode, ablate):
-    """The chunk pipeline, kept as arrays from the adapted components to the
-    verdicts, scores every trial as the one-trial functions do.  The 20
-    trials span two chunks."""
+    """The chunk pipeline, scoring each task on compiled curves, scores
+    every trial as the one-trial functions do, to rounding, with the same
+    success flag and failure reason in all 200 trials (13 chunks)."""
     config = ReparamConfig(ablate_covariance=ablate)
-    result = run_benchmark(model, scene, mode, trials=20, seed=4, config=config)
+    result = run_benchmark(model, scene, mode, trials=200, seed=4, config=config)
     assert_records_match_one_trial_evaluation(result, model, scene, config, times,
                                               regress(model, times))
 
 
 def test_benchmark_chunk_mixing_repaired_and_unrepaired_tasks(scene, monkeypatch):
     """A chunk where an SPD repair moved a time variance of one task only:
-    each task weighs its components with its own time variances, and every
-    record still matches the one-trial evaluation."""
+    the repaired task goes through the one-trial evaluation, so its record
+    is that evaluation bit for bit (json.dumps writes the shortest repr of
+    each float, and keeps the sign of a zero), and the other task's record
+    matches it to rounding."""
     model, tasks = thin_repair_tasks()
     monkeypatch.setattr(bench, "sample_tasks", lambda scene, mode, rngs, *bases: tasks)
     result = run_benchmark(model, scene, "combined", trials=len(tasks), seed=0)
@@ -172,8 +189,9 @@ def test_benchmark_chunk_mixing_repaired_and_unrepaired_tasks(scene, monkeypatch
     assert not np.array_equal(adapted[0].covs[:, 0, 0], adapted[1].covs[:, 0, 0])
     assert [record.task for record in result.trials] == tasks
     times = default_times(model.duration)
-    assert_records_match_one_trial_evaluation(result, model, scene, ReparamConfig(), times,
-                                              regress(model, times))
+    wants = assert_records_match_one_trial_evaluation(result, model, scene, ReparamConfig(),
+                                                      times, regress(model, times))
+    assert json.dumps(result.trials[1].report.to_dict()) == json.dumps(wants[1].to_dict())
 
 
 def x_heavy_model(t_var, slope, shape):
@@ -220,47 +238,75 @@ def chunk_pools(model, scene, endpoints):
     endpoints at -1e308 and 1e308 give non-finite means.  half-max: time
     variance 7e307, where doubling the x span gives a finite cross
     covariance above half the largest float, which GmmModel's symmetrize
-    turns into inf, so the regressed samples are not finite.  The other
-    x-span tasks scale the span by 0.5 to 2 and regress.
+    would turn into inf, so GmmModel rejects it.  The other x-span tasks
+    scale the span by 0.5 to 2 and regress.
     """
     rng = np.random.default_rng(23)
     sampled = [sample_task(scene, mode, rng, *endpoints)
                for mode in ("combined", "translational") for _ in range(4)]
     overflow = x_heavy_model(0.1, 1e152, 2e304)
     half_max = x_heavy_model(7e307, 0.7, 0.491)
-    return TaskPools({
+    pools = TaskPools({
         "fitted": (model, sampled),
         "thin": thin_repair_tasks(),
         "overflow": (overflow, [x_task(overflow, 0.0, x) for x in (0.5, 1.0, 2.0, 1000.0)]
                      + [x_task(overflow, -1e308, 1e308)]),
         "half-max": (half_max, [x_task(half_max, 0.0, x) for x in (0.5, 1.2, 2.0)]),
     })
+    pools.scene = scene
+    # the fitted source's regression: the x-heavy sources regress to a static path
+    pools.reference = shape_reference(regress(model, default_times(model.duration)))
+    return pools
 
 
-def one_task_reference(model, task, config, times):
-    """(values, spd_repairs) of regress(generalize()) for one task, or its
-    ValueError message."""
+def test_generalize_rejects_a_covariance_entry_above_half_the_largest_float(chunk_pools):
+    """On the half-max source, the tasks that scale the x span by 0.5 and
+    1.2 generalize; doubling it gives a cross covariance that GmmModel's
+    symmetrize would turn into inf, so generalize names its component."""
+    source, tasks = chunk_pools["half-max"]
+    for task in tasks[:2]:
+        assert np.isfinite(generalize(source, task).covs).all()
+    with pytest.raises(ValueError, match="^component 1: parameters must be finite$"):
+        generalize(source, tasks[2])
+
+
+def one_task_outcome(model, task, config, times, scene, reference):
+    """(routed, outcome): whether a chunk routes the task to the one-trial
+    path, as generalize() raises or repairs for it, and its one-trial
+    EvalReport or its ValueError message."""
     try:
         adapted = generalize(model, task, config)
-        return regress(adapted, times).values, adapted.spd_repairs
     except ValueError as exc:
-        return str(exc)
+        return True, str(exc)
+    try:
+        traj = regress(adapted, times)
+        return adapted.spd_repairs > 0, evaluate_trajectories(
+            *_pose_stack(traj), [task], scene, reference, model.phases)[0]
+    except ValueError as exc:
+        return adapted.spd_repairs > 0, str(exc)
+
+
+def compiled_chunk(model, config, pools):
+    """The _Compiled scorer of a benchmark run on model in the pools' scene,
+    against their reference path, at the default thresholds."""
+    return _Compiled(model, config, default_times(model.duration), pools.scene, pools.reference,
+                     SuccessThresholds())
 
 
 @settings(max_examples=120)
 @given(pool=st.sampled_from(["fitted", "thin", "overflow", "half-max"]), ablate=st.booleans(),
        picks=st.lists(st.integers(0, 7), min_size=1, max_size=6))
 def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, ablate, picks):
-    """A chunk of 1-6 tasks in any order gives, bitwise, each task's
-    regress(generalize()) values, or raises the message one of its tasks
-    raises alone.  The reference path runs once for every routed task: a
-    repaired one, or one whose components GmmModel rejects or changes
-    (+inf or non-finite entries, an entry it symmetrizes to inf), up to
-    the first that raises; none when reparam rejects the whole chunk."""
+    """A chunk of 1-6 tasks in any order gives each task's one-trial
+    evaluation, to rounding for a compiled task and bit for bit for a
+    routed one, or raises the message one of its tasks raises alone.  The
+    one-trial path runs once for every routed task, a repaired one or one
+    whose components GmmModel rejects (+inf or non-finite entries, an entry
+    it would symmetrize to inf), in order up to the first that raises; none
+    when reparam rejects the whole chunk."""
     source, pool_tasks = chunk_pools[pool]
     tasks = [pool_tasks[i % len(pool_tasks)] for i in picks]
     config = ReparamConfig(ablate_covariance=ablate)
-    times = default_times(source.duration)
     calls = []
 
     def counted_generalize(*args):
@@ -268,26 +314,87 @@ def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, a
         return generalize(*args)
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
-        refs = [one_task_reference(source, task, config, times) for task in tasks]
+        chunk = compiled_chunk(source, config, chunk_pools)
+        outcomes = [one_task_outcome(source, task, config, chunk.times, chunk.scene,
+                                     chunk.reference) for task in tasks]
         patch.setattr(bench, "generalize", counted_generalize)
         try:
-            got, message = _regressed(source, tasks, config, times), None
+            got, message = chunk.reports(tasks), None
         except ValueError as exc:
             got, message = None, str(exc)
-    failed = [ref for ref in refs if isinstance(ref, str)]
+    failed = [outcome for _, outcome in outcomes if isinstance(outcome, str)]
     if message is None:
         assert not failed
-        assert got.tobytes() == np.stack([values for values, _ in refs]).tobytes()
+        for report, (routed, want) in zip(got, outcomes):
+            if routed:
+                assert report == want
+            assert_report_close(report, want)
     else:
         assert message in failed
     routed = []
     if message != "new_means must be finite":  # reparam's own check of the whole chunk
-        for task, ref in zip(tasks, refs):
-            if isinstance(ref, str) or ref[1] > 0:
+        for task, (is_routed, outcome) in zip(tasks, outcomes):
+            if is_routed:
                 routed.append(task)
-                if isinstance(ref, str):
+                if isinstance(outcome, str):
                     break
     assert calls == routed
+
+
+@pytest.mark.parametrize("mode", ["combined", "translational"])
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_compiled_curves_match_regress_generalize(model, scene, chunk_pools, monkeypatch, mode,
+                                                  ablate):
+    """On the fitted source, a + b * start + c * goal of the compiled curves
+    is regress(generalize()).values to 1e-12 for 40 sampled tasks.  A chunk
+    routes thin_repair_tasks()' repaired task to the one-trial path and
+    compiles the other, routes a task whose combination could overflow and
+    one whose rotation rows pass pi, and a benchmark over the overflow and
+    half-max pools raises the message the failing task raises alone."""
+    config = ReparamConfig(ablate_covariance=ablate)
+    times = default_times(model.duration)
+    tasks = sample_tasks(scene, mode, [np.random.default_rng([29, i]) for i in range(40)],
+                         *model_endpoints(model))
+    want = np.stack([regress(generalize(model, task, config), times).values for task in tasks])
+    assert np.abs(compiled_values(model, tasks, config, times) - want).max() <= 1e-12
+
+    thin, (own, far) = thin_repair_tasks()
+    calls = []
+    monkeypatch.setattr(bench, "generalize", lambda *args: calls.append(args[1])
+                        or generalize(*args))
+    compiled_chunk(thin, config, chunk_pools).reports([own, far, own])
+    assert calls == ([] if ablate else [far])
+
+    # unrepaired tasks routed all the same, so the chunk raises the message
+    # each raises alone: one whose a + b * start + c * goal could overflow
+    # (its means are finite), and one whose rotation rows pass pi mid-way
+    for column, value, message in ((0, 1e308, "sample 131: non-finite value"),
+                                   (3, 3.14, "sample 235: rotation-vector magnitude 3.141674 "
+                                             "rad must stay below pi")):
+        start, goal = (pose.as_vector() for pose in model_endpoints(model))
+        start[column] = goal[column] = value
+        odd = TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as alone:
+                regress(generalize(model, odd, config), times)
+            calls.clear()
+            with pytest.raises(ValueError) as chunked:
+                compiled_chunk(model, config, chunk_pools).reports([tasks[0], odd])
+        assert str(chunked.value) == str(alone.value) == message
+        assert calls == [odd]
+
+    # without the covariance update only the infinite span fails
+    for pool, bad in ((("overflow", 4),) if ablate else (("overflow", 3), ("half-max", 2))):
+        source, pool_tasks = chunk_pools[pool]
+        with pytest.raises(ValueError) as alone, np.errstate(over="ignore", invalid="ignore"):
+            regress(generalize(source, pool_tasks[bad], config), default_times(source.duration))
+        drawn = iter(pool_tasks[:bad + 1])
+        monkeypatch.setattr(bench, "sample_tasks",
+                            lambda scene, mode, rngs, *bases: [next(drawn) for _ in rngs])
+        with pytest.raises(ValueError) as chunked, np.errstate(over="ignore", invalid="ignore"):
+            run_benchmark(source, scene, mode, trials=bad + 1, seed=0, config=config,
+                          reference=regress(model, times))
+        assert str(chunked.value) == f"trial {bad}: {alone.value}"
 
 
 @pytest.mark.parametrize("mode", ["combined", "translational"])
@@ -339,7 +446,7 @@ def test_benchmark_chunk_failure_without_a_failing_task_reraises(model, scene, m
     def failing(*args):
         raise ValueError("sample 9: non-finite value")
 
-    monkeypatch.setattr(bench, "_regressed", failing)
+    monkeypatch.setattr(bench._Compiled, "reports", failing)
     with pytest.raises(ValueError, match="^sample 9: non-finite value$"):
         run_benchmark(model, scene, "combined", trials=4, seed=0)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gmmgen.bench import default_times
 from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, Trajectory,
                          TrajectoryFormatError, _check_samples, _first_violation,
-                         _resampled, load_trajectory, resample, save_trajectory)
+                         _resampled, _rotvec_angles, load_trajectory, resample, save_trajectory)
 from gmmgen.metrics import average_jerk, phase_deviation
 from gmmgen.model import FitConfig
 from gmmgen.plot import render_svg
@@ -290,6 +290,29 @@ def _accepts(build) -> bool:
     except ValueError:
         return False
     return True
+
+
+ROTVEC_ENTRIES = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                  | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     np.inf, -np.inf, np.nan, 1e154, 1e-160]))
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(ROTVEC_ENTRIES, min_size=3, max_size=3), min_size=1,
+                     max_size=6),
+       strided=st.booleans())
+def test_rotvec_angles_are_bitwise_numpys_row_norms(rows, strided):
+    """sqrt(x*x + y*y + z*z) column by column rounds as np.linalg.norm over
+    the last axis, for one vector, for rows, and for the rotation columns of
+    pose rows, with signed zeros, subnormals, overflowing squares, inf and nan."""
+    rotvecs = np.array(rows, dtype=float)
+    if strided:
+        rotvecs = np.concatenate([np.ones((len(rows), 3)), rotvecs], axis=1)[:, 3:]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for vecs in (rotvecs, rotvecs[0]):
+            got, want = _rotvec_angles(vecs), np.linalg.norm(vecs, axis=-1)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @settings(max_examples=400)

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from gmmgen.bench import _regressed, default_times
+from gmmgen.bench import _Compiled, default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
-from gmmgen.gmr import _WEIGHTS_MEMO, _expected_poses, regress
+from gmmgen.gmr import _WEIGHTS_MEMO, regress
+from gmmgen.metrics import shape_reference
 from gmmgen.model import GmmModel
-from gmmgen.reparam import _SOURCE_MEMO, ReparamConfig, generalize
-from gmmgen.scene import sample_task
+from gmmgen.reparam import _SOURCE_MEMO, ReparamConfig, _curves, generalize
+from gmmgen.scene import SuccessThresholds, default_scene, sample_task
 
-from test_reparam import (pose_task, random_endpoints, random_pose_mixture, random_spd_mixture,
-                          thin_past_pi_tasks, thin_repair_tasks)
+from test_reparam import (compiled_values, pose_task, random_endpoints, random_pose_mixture,
+                          random_spd_mixture, thin_past_pi_tasks, thin_repair_tasks)
 
 
 def two_component_model(priors=(0.5, 0.5), t_means=(1.0, 3.0), x_means=(0.0, 1.0),
@@ -161,64 +162,59 @@ def test_regress_matches_oracle_on_generalized_models(model, times, scene, endpo
         assert_matches_oracle(generalize(model, task, config), times)
 
 
-def assert_stack_matches_regress(models, times, values):
-    """values, (T, n, D), is bitwise regress() of each of the T models."""
-    assert values.shape[0] == len(models)
-    for model, row in zip(models, values):
-        assert row.tobytes() == regress(model, times).values.tobytes()
-
-
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_regress_many_matches_regress_on_generalized_models(model, times, scene, endpoints,
                                                             ablate):
-    """Many generalized models regressed as one stack share their weights:
-    one (n, G) set serves the stack, and every trajectory is bitwise the
-    one-model regression."""
+    """Many tasks regressed through the compiled curves, one (n, G) weight
+    set for all of them, give each task's regress(generalize()) values to
+    1e-12."""
     rng = np.random.default_rng(9)
     tasks = [sample_task(scene, mode, rng, *endpoints)
              for mode in ("combined", "translational") for _ in range(5)]
     config = ReparamConfig(ablate_covariance=ablate)
-    assert_stack_matches_regress([generalize(model, task, config) for task in tasks], times,
-                                 _regressed(model, tasks, config, times))
-
-
-def stacked_regression(models, times):
-    """_expected_poses() on the models' stacked means and covariances; the
-    models share the first one's priors, time centers and time variances."""
-    first = models[0]
-    return _expected_poses(first.priors, first.means[:, 0], first.covs[:, 0, 0],
-                           np.stack([m.means[:, 1:] for m in models]),
-                           np.stack([m.covs for m in models]), times)
+    want = np.stack([regress(generalize(model, task, config), times).values for task in tasks])
+    assert np.abs(compiled_values(model, tasks, config, times) - want).max() <= 1e-12
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 6), dim=st.integers(1, 5),
-       n_models=st.integers(1, 4), thin=st.booleans())
-def test_regress_many_matches_regress_on_random_mixtures(seed, n_comp, dim, n_models, thin):
-    """Mixtures that share priors, time centers and time variances regress
-    as one stack, sharing one set of weights, bitwise as one by one."""
-    first = random_spd_mixture(np.random.default_rng(seed), n_comp, dim, thin)
-    # spatial axes scaled by a power of two: exact, SPD, and the time variances kept
-    scales = [np.array([1.0] + [2.0**k] * dim) for k in range(n_models)]
-    scaled = [GmmModel(first.priors, first.means * s, first.covs * s[:, None] * s, first.phases)
-              for s in scales]
-    assert all(np.array_equal(m.covs[:, 0, 0], first.covs[:, 0, 0]) for m in scaled)
-    times = default_times(first.duration)
-    assert_stack_matches_regress(scaled, times, stacked_regression(scaled, times))
+@given(seed=st.integers(0, 2**32 - 2), n_comp=st.integers(2, 8), n_tasks=st.integers(1, 4),
+       ablate=st.booleans())
+def test_regress_many_matches_regress_on_random_mixtures(seed, n_comp, n_tasks, ablate):
+    """On random 6-D mixtures, with or without a moving first component,
+    the compiled curves give every unrepaired task's regress(generalize())
+    values to 1e-12 of their scale."""
+    rng, model, first, last = random_pose_mixture(seed, n_comp, static_start=seed % 2 == 0)
+    config = ReparamConfig(ablate_covariance=ablate)
+    times = default_times(model.duration)
+    tasks, want = [], []
+    for _ in range(n_tasks):
+        task = pose_task(*random_endpoints(rng, first, last))
+        adapted = generalize(model, task, config)
+        if adapted.spd_repairs == 0:
+            tasks.append(task)
+            want.append(regress(adapted, times).values)
+    if tasks:
+        want = np.stack(want)
+        got = compiled_values(model, tasks, config, times)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_regress_many_validation(model, times):
-    """Regression, of one model or of a stack, takes only models and query
-    times within their duration, and rejects a stack whose regression
-    breaks a trajectory rule, naming the sample as one trajectory does."""
+    """Regression takes only models and query times within their duration,
+    and a benchmark chunk whose task regresses past a trajectory rule
+    raises the error naming the sample that task raises alone."""
     with pytest.raises(TypeError, match="cannot regress a str"):
         regress("model", times)
     with pytest.raises(ValueError, match="within"):
         regress(model, np.append(times, times[-1] + 1.0))
     thin, tasks = thin_past_pi_tasks()
+    thin_times = default_times(thin.duration)
+    reference = shape_reference(regress(generalize(thin, tasks[0]), thin_times))
+    chunk = _Compiled(thin, ReparamConfig(), thin_times, default_scene(), reference,
+                      SuccessThresholds())
     with pytest.raises(ValueError, match="^sample 0: rotation-vector magnitude "
                                          "3.680180 rad must stay below pi$"):
-        _regressed(thin, tasks, ReparamConfig(), default_times(thin.duration))
+        chunk.reports(tasks)
 
 
 # Random mixtures stay below 6-D: a random 6-D mean path can turn a regressed
@@ -312,21 +308,20 @@ def test_memoized_queries_regress_bitwise_as_cold_ones(seed, n_comp, ablate):
 
 def test_memoized_weights_follow_a_repair_that_moves_a_time_variance():
     """A repair that moves a time variance gives that task weights of its
-    own (in a chunk it regresses alone); the tasks around it still share
-    the source's."""
+    own (a chunk regresses it alone); the tasks around it and the compiled
+    curves still share the source's."""
     model, (own, far) = thin_repair_tasks()
     repaired = generalize(model, far)
     assert repaired.spd_repairs > 0
     assert (repaired.covs[:, 0, 0] != model.covs[:, 0, 0]).any()
     times = default_times(model.duration)
-    config = ReparamConfig()
     assert_warm_is_cold([lambda: regress(model, times).values,
                          lambda: regress(generalize(model, own), times).values,
                          lambda: regress(generalize(model, far), times).values,
                          lambda: regress(generalize(model, own), times).values,
-                         lambda: _regressed(model, [own, far], config, times),
-                         lambda: _regressed(model, [far, own], config, times),
-                         lambda: _regressed(model, [own, own], config, times),
+                         lambda: _curves(model, times, False),
+                         lambda: regress(generalize(model, far), times).values,
+                         lambda: _curves(model, times, True),
                          lambda: regress(generalize(model, own), times).values], min_hits=2)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.bench import _regressed, model_endpoints
+from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, _resampled, resample
 from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_angles,
                             _pose_stack,
@@ -13,6 +13,8 @@ from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_a
                             shape_deviation, shape_deviations, shape_reference)
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import sample_tasks
+
+from test_reparam import compiled_values
 
 
 def pose_rows(times, positions, rotvecs=None):
@@ -420,10 +422,11 @@ def assert_stack_matches_oracles(trajs, tasks, phases, reference):
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_metric_stacks_match_oracles_on_benchmark_trajectories(model, scene, times, mode,
                                                                ablate):
+    """Trajectories of benchmark tasks, taken from the compiled curves."""
     rngs = [np.random.default_rng([23, i]) for i in range(12)]
     tasks = sample_tasks(scene, mode, rngs, *model_endpoints(model))
     trajs = [Trajectory(times, values)
-             for values in _regressed(model, tasks, ReparamConfig(ablate), times)]
+             for values in compiled_values(model, tasks, ReparamConfig(ablate), times)]
     assert_stack_matches_oracles(trajs, tasks, model.phases, trajs[0])
 
 

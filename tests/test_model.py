@@ -53,6 +53,8 @@ def test_component_validation():
         one_component(cov=np.eye(3))  # shape mismatch
     with pytest.raises(ValueError):
         one_component(cov=[[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^component 0: parameters must be finite$"):
+        GmmModel([1.0], [[0.5, 0.0]], [[[1.0, 0.0], [0.0, 1e308]]], PhaseSchedule(0.2, 0.8, 1.0))
     # construction symmetrizes within the tolerance
     model = one_component(cov=[[1.0, 0.5], [0.5 + 1e-12, 1.0]])
     assert np.array_equal(model.covs, model.covs.transpose(0, 2, 1))
@@ -62,13 +64,15 @@ def test_component_validation():
 @pytest.mark.parametrize("mutate,problem", [
     (lambda covs, means: covs.__setitem__((1, 0, 0), np.nan), "parameters must be finite"),
     (lambda covs, means: means.__setitem__((1, 0), np.inf), "parameters must be finite"),
+    (lambda covs, means: covs.__setitem__((1, 1, 1), 1e308), "parameters must be finite"),
     (lambda covs, means: covs.__setitem__((1, 0, 1), 0.9), "covariance must be symmetric"),
     (lambda covs, means: covs.__setitem__(1, [[1.0, 2.0], [2.0, 1.0]]),
      "covariance must be symmetric positive definite"),
-], ids=["nan-cov", "inf-mean", "asymmetric", "indefinite"])
+], ids=["nan-cov", "inf-mean", "above-half-max", "asymmetric", "indefinite"])
 def test_checked_covs_names_the_first_failing_component(mutate, problem):
     """The checker GmmModel runs names the first failing component of its
-    one mixture."""
+    one mixture.  A finite entry above half the largest float fails as
+    non-finite: symmetrizing doubles it past the largest float."""
     priors = np.array([0.25, 0.25, 0.5])
     covs = np.tile(np.array([[1.0, 0.5], [0.5, 1.0]]), (3, 1, 1))
     means = np.zeros((3, 1))

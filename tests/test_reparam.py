@@ -10,7 +10,8 @@ from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.gmr import regress
 from gmmgen.model import GmmModel, load_model, model_to_dict, save_model
 from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd,
-                            _outers, _reparam, generalize, reparam_covariances, reparam_means)
+                            _curves, _outers, _reparam, generalize, reparam_covariances,
+                            reparam_means)
 from gmmgen.scene import sample_task
 
 from conftest import mutated
@@ -239,6 +240,15 @@ def thin_repair_tasks():
     model, far = thin_mixture_and_task(738)
     own = TaskSpec(Pose.from_vector(model.means[0, 1:]), Pose.from_vector(model.means[-1, 1:]))
     return model, [own, far]
+
+
+def compiled_values(model, tasks, config, times):
+    """(T, n, D): a + b * start + c * goal of the model's compiled curves
+    for each task."""
+    a, b, c = _curves(model, times, config.ablate_covariance)
+    starts = np.array([task.start_vector() for task in tasks])[:, None]
+    goals = np.array([task.goal_vector() for task in tasks])[:, None]
+    return a + b * starts + c * goals
 
 
 def thin_past_pi_tasks():

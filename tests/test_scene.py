@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.bench import _regressed
 from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, resample
 from gmmgen.metrics import FailureReason, boundary_error
 from gmmgen.reparam import ReparamConfig
@@ -16,6 +15,7 @@ from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, Scene, Slab, SuccessT
                           trajectory_success)
 
 from conftest import mutated
+from test_reparam import compiled_values
 
 UNIT_BOX = (1.0, 1.0, 1.0)
 ORIGIN = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
@@ -209,7 +209,8 @@ def test_two_stage_mask_matches_single_stage_oracle_on_trial_poses(model, scene,
                          *endpoints)
     second_stage_only = 0
     for ablate in (False, True):
-        for values in _regressed(model, tasks, ReparamConfig(ablate_covariance=ablate), times):
+        for values in compiled_values(model, tasks, ReparamConfig(ablate_covariance=ablate),
+                                      times):
             sampled = resample(Trajectory(times, values), 200)
             args = (sampled.positions(), sampled.orientations(), scene.box_dims, scene.slabs)
             mask = collision_mask(*args)
