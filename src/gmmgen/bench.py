@@ -23,11 +23,11 @@ from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _chec
                    _check_real, _resampled, _rotvec_angles)
 from .gmr import _validated_times, regress
 from .metrics import (EvalReport, _centered_paths, _jerk_differences, _mean_jerks, _phase_windows,
-                      _pose_stack, _procrustes, _window_deviations, boundary_errors,
-                      shape_reference)
+                      _pose_stack, _procrustes, _targets, _window_deviations,
+                      boundary_errors, shape_reference)
 from .model import GmmModel
 from .reparam import ReparamConfig, _curves, _reparam, generalize
-from .scene import Scene, SuccessThresholds, _verdicts, sample_tasks
+from .scene import SamplingError, Scene, SuccessThresholds, _verdicts, sample_tasks
 from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
 
 # Trials scored per chunk in run_benchmark.  A chunk holds its tasks' rows of
@@ -62,16 +62,17 @@ def _features(times: np.ndarray, values: np.ndarray, phases: PhaseSchedule, samp
             _resampled(times, values, samples)[1])
 
 
-def _scores(features, tasks, scene: Scene, reference: np.ndarray,
+def _scores(features, targets: np.ndarray, scene: Scene, reference: np.ndarray,
             thresholds: SuccessThresholds) -> list:
-    """The EvalReport of each task from its _features() rows, stacked (T, ...).
+    """The EvalReport of each task from its _features() rows, stacked (T, ...),
+    and its start and goal vectors, stacked (T, 2, 6) as targets.
 
     The verdicts take one _verdicts() call that reads the (T, 2, 2) boundary
     errors the reports show.  Each report's metric values are one row of a
     (T, 11) array whose columns follow the EvalReport fields.
     """
     ends, grasp, release, paths, diffs, sampled = features
-    boundaries = boundary_errors(ends, tasks)
+    boundaries = boundary_errors(ends, targets)
     verdicts = _verdicts(sampled, scene, boundaries, thresholds)
     rows = np.concatenate([boundaries.reshape(-1, 4),
                            _window_deviations((grasp, release)).reshape(-1, 4),
@@ -86,8 +87,8 @@ def evaluate_trajectories(times: np.ndarray, values: np.ndarray, tasks, scene: S
     """evaluate_trajectory() for each (n, 6) row of a (T, n, 6) stack sampled
     at times, each against its task; reference is the shape_reference() of
     the reference trajectory."""
-    return _scores(_features(times, values, phases, thresholds.collision_samples), tasks, scene,
-                   reference, thresholds)
+    return _scores(_features(times, values, phases, thresholds.collision_samples),
+                   _targets(tasks), scene, reference, thresholds)
 
 
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
@@ -147,8 +148,8 @@ class _Compiled:
 
     def reports(self, tasks) -> list:
         """The EvalReport of each task."""
-        starts = np.array([task.start_vector() for task in tasks])
-        goals = np.array([task.goal_vector() for task in tasks])
+        targets = _targets(tasks)
+        starts, goals = targets[:, 0], targets[:, 1]
         means, covs, repairs = _reparam(self.model, starts, goals, self.config)
         with np.errstate(over="ignore", invalid="ignore"):
             reach = self.reach[0] + self.reach[1] * np.abs(starts) + self.reach[2] * np.abs(goals)
@@ -167,8 +168,8 @@ class _Compiled:
         picked = np.flatnonzero(compiled)
         if len(picked):
             features = [_combined(f, coefs[:, picked]) for f in self.features]
-            for k, report in zip(picked, _scores(features, [tasks[k] for k in picked],
-                                                 self.scene, self.reference, self.thresholds)):
+            for k, report in zip(picked, _scores(features, targets[picked], self.scene,
+                                                 self.reference, self.thresholds)):
                 reports[k] = report
         return reports
 
@@ -215,16 +216,20 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     The reference trajectory for shape deviation defaults to the source
     model's own regression, and is resampled and normalized once per run.
     Trial i draws from default_rng([seed, i]), so results do not depend on
-    how many trials run before it.  Generalization and regression are
-    compiled once per run into curves, and every metric's linear map is
-    applied to them once (see _Compiled).  Trials are scored in chunks of
-    BATCH_TRIALS: each task's rows are a combination of the mapped curves,
-    and the chunk's poses are checked for collision in one call.  A
-    trial's record matches, to rounding, the one evaluate_trajectory()
-    gives for regress(generalize(model, task, config), times), whatever
-    chunk it falls in, and a rerun reproduces it bit for bit.  When a
-    chunk raises a ValueError, its tasks are run again one by one, and the
-    error names the first failing trial with that task's own message.
+    how many trials run before it.  All tasks are drawn in one sample_tasks
+    pass, which keeps one generator per trial alive until it ends (about
+    1 KB each, so about 50 KB for 50 trials); a task the sampler cannot
+    place is a ValueError naming its trial and endpoint.  Generalization
+    and regression are compiled once per run into curves, and every
+    metric's linear map is applied to them once (see _Compiled).  Trials
+    are scored in chunks of BATCH_TRIALS: each task's rows are a
+    combination of the mapped curves, and the chunk's poses are checked
+    for collision in one call.  A trial's record matches, to rounding, the
+    one evaluate_trajectory() gives for regress(generalize(model, task,
+    config), times), whatever chunk it falls in, and a rerun reproduces it
+    bit for bit.  When a chunk raises a ValueError, its tasks are run again
+    one by one, and the error names the first failing trial with that
+    task's own message.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
@@ -240,11 +245,15 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     base_start, base_goal = model_endpoints(model)
     compiled = _Compiled(model, config, times, scene, shape_ref, thresholds)
 
+    try:
+        all_tasks = sample_tasks(scene, mode, [np.random.default_rng([seed, i])
+                                               for i in range(trials)], base_start, base_goal)
+    except SamplingError as exc:
+        raise ValueError(f"trial {exc.index}, {exc.reason}") from None
     records = []
     for first in range(0, trials, BATCH_TRIALS):
         indices = range(first, min(first + BATCH_TRIALS, trials))
-        rngs = [np.random.default_rng([seed, i]) for i in indices]
-        tasks = sample_tasks(scene, mode, rngs, base_start, base_goal)
+        tasks = all_tasks[first:indices.stop]
         try:
             reports = compiled.reports(tasks)
         except ValueError:  # name the first failing trial with its one-task message

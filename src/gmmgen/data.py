@@ -8,6 +8,7 @@ approaching pi) are rejected at construction instead of handled.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,18 @@ def _memoized(memo: list, arrays, compute):
             a.flags.writeable = False
         memo[:] = [entry]
     return entry[1]
+
+
+@functools.cache
+def _rotation():
+    """scipy's Rotation class, imported on first use.
+
+    Loading scipy.spatial took about 0.3 s of CPU on a 2-vCPU Xeon VM, so
+    only the code that turns rotations (collision checks, yaws, geodesic
+    angles) pays it; the generalize and regress path never does.
+    """
+    from scipy.spatial.transform import Rotation
+    return Rotation
 
 
 def _check_int(name: str, value, minimum: int) -> None:

@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .data import PhaseSchedule, TaskSpec, Trajectory, _dot, _resampled
+from .data import PhaseSchedule, TaskSpec, Trajectory, _dot, _resampled, _rotation
 
 M_TO_MM = 1000.0
 RAD_TO_DEG = 180.0 / np.pi
@@ -80,7 +79,7 @@ def _quaternions(rotvecs) -> np.ndarray:
     """(4, ...) scalar-last quaternion components of (..., 3) rotation vectors,
     each component contiguous."""
     rotvecs = np.array(rotvecs, dtype=float)  # copy: scipy rejects read-only views
-    quat = Rotation.from_rotvec(rotvecs.reshape(-1, 3)).as_quat()
+    quat = _rotation().from_rotvec(rotvecs.reshape(-1, 3)).as_quat()
     return np.ascontiguousarray(quat.T).reshape(4, *rotvecs.shape[:-1])
 
 
@@ -97,7 +96,7 @@ def _geodesic_angles(rotvecs_a, rotvecs_b) -> np.ndarray:
     w = pw * qw - px * qx - py * qy - pz * qz
     quat = np.stack([x, y, z, w], axis=-1)
     quat /= np.sqrt(x * x + y * y + z * z + w * w)[..., None]
-    angles = Rotation(quat.reshape(-1, 4), normalize=False, copy=False).magnitude()
+    angles = _rotation()(quat.reshape(-1, 4), normalize=False, copy=False).magnitude()
     return angles.reshape(quat.shape[:-1])
 
 
@@ -107,11 +106,16 @@ def rotation_angle_deg(rotvec_a, rotvec_b) -> float:
                                   np.reshape(rotvec_b, (1, 3)))[0] * RAD_TO_DEG)
 
 
-def boundary_errors(values: np.ndarray, tasks) -> np.ndarray:
+def _targets(tasks) -> np.ndarray:
+    """(T, 2, 6): each task's start and goal vectors, as boundary_errors() takes them."""
+    return np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
+
+
+def boundary_errors(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """(T, 2, 2) boundary_error() of each (n, 6) row of a (T, n, 6) stack
-    against its task, indexed [trajectory, start | goal, mm | deg]."""
+    against its (2, 6) start and goal row of targets (T, 2, 6), indexed
+    [trajectory, start | goal, mm | deg]."""
     ends = values[:, [0, -1]]
-    targets = np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
     gaps = ends[..., :3] - targets[..., :3]
     pos_mm = np.sqrt(_dot(gaps, gaps)) * M_TO_MM
     rot_deg = _geodesic_angles(targets[..., 3:], ends[..., 3:]) * RAD_TO_DEG
@@ -120,7 +124,7 @@ def boundary_errors(values: np.ndarray, tasks) -> np.ndarray:
 
 def boundary_error(traj: Trajectory, task: TaskSpec):
     """((start mm, start deg), (goal mm, goal deg)) against the task endpoints."""
-    return tuple(map(tuple, boundary_errors(_pose_stack(traj)[1], [task])[0].tolist()))
+    return tuple(map(tuple, boundary_errors(_pose_stack(traj)[1], _targets([task]))[0].tolist()))
 
 
 def _phase_windows(times: np.ndarray, phases: PhaseSchedule):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec,
                    Trajectory, _check_int, _check_real, _frozen_array, _json_numbers, _read_json,
@@ -342,6 +341,8 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
     row's densities do not depend on the other rows passed with it, which
     lets em_fit pass only the distinct rows.
     """
+    from scipy.linalg.lapack import dtrtrs  # on first use: import gmmgen stays numpy-only
+
     n, d = data.shape
     out = np.empty((n, len(means)))
     norm = 0.5 * d * np.log(2.0 * np.pi)

@@ -12,14 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .data import (Pose, TaskSpec, Trajectory, _check_int, _check_real, _dot,
-                   _json_numbers, _read_json, _resampled, _write_json)
+                   _json_numbers, _read_json, _resampled, _rotation, _write_json)
 from .metrics import FailureReason, _pose_stack
 
 REST_CLEARANCE = 0.003
 SAMPLE_ATTEMPTS = 100  # endpoint draws before sample_task gives up
+
+
+class SamplingError(ValueError):
+    """sample_tasks() found no collision-free pose in SAMPLE_ATTEMPTS draws
+    for the endpoint ("start" or "goal") of the task at position index."""
+
+    def __init__(self, index: int, endpoint: str):
+        self.index = index
+        self.reason = f"{endpoint}: no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws"
+        super().__init__(f"generator {index}, {self.reason}")
 
 
 @dataclass(frozen=True)
@@ -130,23 +139,25 @@ def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
 
 def _collision_mask(positions, rotvecs, half_box, centers, half_slabs) -> np.ndarray:
     """collision_mask() on the arrays _obstacles() builds."""
-    positions = np.array(positions, dtype=float).reshape(-1, 3)
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     # copy: scipy rejects the read-only arrays Pose and Trajectory hand out
     rotvecs = np.array(rotvecs, dtype=float).reshape(-1, 3)
     if len(positions) != len(rotvecs):
         raise ValueError(f"positions {positions.shape} and rotvecs {rotvecs.shape} "
                          "hold different numbers of poses")
-    finite = np.isfinite(positions).all(axis=1) & np.isfinite(rotvecs).all(axis=1)
-    if not finite.all():
+    if not (np.isfinite(positions).all() and np.isfinite(rotvecs).all()):
+        finite = np.isfinite(positions).all(axis=1) & np.isfinite(rotvecs).all(axis=1)
         raise ValueError(f"pose {int(np.argmin(finite))}: position and rotation "
                          "vector must be finite")
-    rot = Rotation.from_rotvec(rotvecs).as_matrix()
+    rot = _rotation().from_rotvec(rotvecs).as_matrix()
     face_r_box = _dot(np.abs(rot), half_box).T  # (3, N): the box's support on e_i
     apart = np.zeros((len(centers), len(positions)), dtype=bool)  # (S, N)
     for i, p in enumerate(np.ascontiguousarray(positions.T)):
         apart |= np.abs(p - centers[:, i, None]) > half_slabs[:, i, None] + face_r_box[i]
 
     slab, pose = np.nonzero(~apart)  # the P pairs no face normal separates
+    if not len(pose):
+        return ~apart.T
     rot = rot[pose]
     box_axes = np.swapaxes(rot, 1, 2)  # row j is the box's axis j
     padded = np.concatenate([box_axes, np.zeros((len(pose), 3, 1))], axis=2)
@@ -219,7 +230,8 @@ def _yawed_orientations(bases: np.ndarray, yaws) -> np.ndarray:
     """Each (k, 3) base rotation vector turned by its yaw about vertical."""
     turns = np.zeros((len(yaws), 3))
     turns[:, 2] = yaws
-    return (Rotation.from_rotvec(turns) * Rotation.from_rotvec(bases)).as_rotvec()
+    rotation = _rotation()
+    return (rotation.from_rotvec(turns) * rotation.from_rotvec(bases)).as_rotvec()
 
 
 def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
@@ -234,6 +246,8 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
     collision row does not depend on the other poses in its call, so task
     k is sample_task(scene, variation, rngs[k], base_start, base_goal).
     The generators must be distinct objects: one passed twice is a ValueError.
+    A generator that spends SAMPLE_ATTEMPTS draws on one endpoint raises
+    SamplingError, naming the lowest such position in its round.
     """
     if variation not in ("translational", "combined"):
         raise ValueError(f"unknown variation '{variation}'")
@@ -247,8 +261,7 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
         positions, yaws = [], []
         for k in pending:
             if draws[k] == SAMPLE_ATTEMPTS:
-                raise ValueError(
-                    f"no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
+                raise SamplingError(k, ("start", "goal")[len(found[k])])
             draws[k] += 1
             rng, base = rngs[k], bases[len(found[k])]
             length = float(rng.uniform(*scene.length_range))

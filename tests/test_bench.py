@@ -17,7 +17,8 @@ from gmmgen.metrics import (EvalReport, FailureReason, _pose_stack, average_jerk
                             shape_reference)
 from gmmgen.model import GmmModel
 from gmmgen.reparam import ReparamConfig, generalize
-from gmmgen.scene import SuccessThresholds, _verdicts, collision_mask, sample_task, sample_tasks
+from gmmgen.scene import (SAMPLE_ATTEMPTS, SamplingError, SuccessThresholds, _verdicts,
+                          collision_mask, sample_task, sample_tasks)
 
 from test_reparam import compiled_values, thin_past_pi_tasks, thin_repair_tasks
 
@@ -110,9 +111,9 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
     30 trials span two chunks."""
     computed, judged = [], []
 
-    def counted_boundary_errors(values, tasks):
-        out = boundary_errors(values, tasks)
-        assert out.shape == (len(values), 2, 2) and len(tasks) == len(values)
+    def counted_boundary_errors(values, targets):
+        out = boundary_errors(values, targets)
+        assert out.shape == (len(values), 2, 2) and targets.shape == (len(values), 2, 6)
         computed.append(out)
         return out
 
@@ -439,6 +440,22 @@ def test_benchmark_chunk_turning_past_pi_raises(scene, monkeypatch):
                                              "magnitude 3.680180 rad must stay below pi$"):
             run_benchmark(model, scene, "combined", trials=trials, seed=0,
                           reference=regress(generalize(model, good_task), times))
+
+
+def test_benchmark_names_the_trial_the_sampler_could_not_place(model, scene, monkeypatch):
+    """All trials are drawn in one sample_tasks pass, so the generator the
+    sampler names is the trial."""
+    drawn = []
+
+    def exhausted(scene, mode, rngs, *bases):
+        drawn.append(len(rngs))
+        raise SamplingError(21, "goal")
+
+    monkeypatch.setattr(bench, "sample_tasks", exhausted)
+    with pytest.raises(ValueError, match=f"^trial 21, goal: no collision-free rest pose found "
+                                         f"in {SAMPLE_ATTEMPTS} draws$"):
+        run_benchmark(model, scene, "combined", trials=40, seed=0)
+    assert drawn == [40]
 
 
 def test_benchmark_chunk_failure_without_a_failing_task_reraises(model, scene, monkeypatch):

@@ -703,8 +703,8 @@ def test_benchmark_filled_cabinet_exit2(work, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["benchmark", "--model", str(work / "model.json"), "--scene", str(filled),
                  "--trials", "1", "--out-dir", str(out)]) == 2
-    assert ("error: no collision-free rest pose found in 100 draws"
-            in capsys.readouterr().err)
+    assert (capsys.readouterr().err
+            == "error: trial 0, start: no collision-free rest pose found in 100 draws\n")
     assert not out.exists()
 
 

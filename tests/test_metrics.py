@@ -406,7 +406,8 @@ def assert_stack_matches_oracles(trajs, tasks, phases, reference):
     values = np.stack([traj.values for traj in trajs])
     ref = shape_reference(reference)
     assert ref.tobytes() == oracle_unit_path(reference).tobytes()
-    stacks = (boundary_errors(values, tasks), phase_deviations(times, values, phases),
+    targets = np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
+    stacks = (boundary_errors(values, targets), phase_deviations(times, values, phases),
               shape_deviations(times, values, ref), average_jerks(times, values))
     assert [stack.shape for stack in stacks] == [(len(trajs), 2, 2), (len(trajs), 2, 2),
                                                  (len(trajs),), (len(trajs), 2)]

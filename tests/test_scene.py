@@ -9,10 +9,10 @@ from scipy.spatial.transform import Rotation
 from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, resample
 from gmmgen.metrics import FailureReason, boundary_error
 from gmmgen.reparam import ReparamConfig
-from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, Scene, Slab, SuccessThresholds,
-                          _collision_mask, collision_mask, default_scene, load_scene, rest_height,
-                          sample_task, sample_tasks, save_scene, scene_collides, scene_to_dict,
-                          trajectory_success)
+from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, SamplingError, Scene, Slab,
+                          SuccessThresholds, _collision_mask, collision_mask, default_scene,
+                          load_scene, rest_height, sample_task, sample_tasks, save_scene,
+                          scene_collides, scene_to_dict, trajectory_success)
 
 from conftest import mutated
 from test_reparam import compiled_values
@@ -610,6 +610,39 @@ def test_sample_tasks_give_up_after_the_attempt_limit(endpoints):
     with pytest.raises(ValueError, match=f"in {SAMPLE_ATTEMPTS} draws"):
         sample_tasks(filled, "combined", rngs, *endpoints)
     assert sample_tasks(scene, "combined", [], *endpoints) == []
+
+
+class Scripted:
+    """A generator stand-in drawing lengths from a list (its last entry
+    repeating), always on level 0."""
+
+    def __init__(self, *lengths):
+        self.lengths = list(lengths)
+
+    def uniform(self, low, high):
+        return self.lengths.pop(0) if len(self.lengths) > 1 else self.lengths[0]
+
+    def integers(self, high):
+        return 0
+
+
+FREE, ON_LIP = 0.2, 0.4  # lengths on level 0 away from and across the middle lip
+
+
+@pytest.mark.parametrize("rngs, index, endpoint", [
+    (lambda: [np.random.default_rng(0), Scripted(ON_LIP), Scripted(ON_LIP)], 1, "start"),
+    (lambda: [np.random.default_rng(0), Scripted(FREE, ON_LIP)], 1, "goal"),
+    (lambda: [Scripted(FREE, ON_LIP), Scripted(ON_LIP)], 1, "start"),
+])
+def test_sample_tasks_name_the_generator_and_endpoint_that_ran_out(endpoints, rngs, index,
+                                                                   endpoint):
+    """The first generator to spend its draws on one endpoint is named, the
+    lowest position among those running out in the same round."""
+    with pytest.raises(SamplingError) as caught:
+        sample_tasks(default_scene(), "translational", rngs(), *endpoints)
+    assert (caught.value.index, str(caught.value)) == (index, (
+        f"generator {index}, {endpoint}: no collision-free rest pose found in "
+        f"{SAMPLE_ATTEMPTS} draws"))
 
 
 def test_sample_tasks_refuse_a_generator_passed_twice(endpoints):
