@@ -81,23 +81,13 @@ def _scores(features, targets: np.ndarray, scene: Scene, reference: np.ndarray,
             for (success, reason), row in zip(verdicts, rows.tolist())]
 
 
-def evaluate_trajectories(times: np.ndarray, values: np.ndarray, tasks, scene: Scene,
-                          reference: np.ndarray, phases: PhaseSchedule,
-                          thresholds: SuccessThresholds = SuccessThresholds()) -> list:
-    """evaluate_trajectory() for each (n, 6) row of a (T, n, 6) stack sampled
-    at times, each against its task; reference is the shape_reference() of
-    the reference trajectory."""
-    return _scores(_features(times, values, phases, thresholds.collision_samples),
-                   _targets(tasks), scene, reference, thresholds)
-
-
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
                         reference: Trajectory, phases: PhaseSchedule,
                         thresholds: SuccessThresholds = SuccessThresholds()) -> EvalReport:
-    """Score one trajectory with the full metric suite plus the success check;
-    the report and the verdict read the same boundary errors."""
-    return evaluate_trajectories(*_pose_stack(traj), [task], scene, shape_reference(reference),
-                                 phases, thresholds)[0]
+    """Score one trajectory, as a stack of one, with the full metric suite plus
+    the success check; the report and the verdict read the same boundary errors."""
+    features = _features(*_pose_stack(traj), phases, thresholds.collision_samples)
+    return _scores(features, _targets([task]), scene, shape_reference(reference), thresholds)[0]
 
 
 def _mapped(feature: np.ndarray, dims: slice):
@@ -136,9 +126,10 @@ class _Compiled:
     """
 
     def __init__(self, model: GmmModel, config: ReparamConfig, times: np.ndarray, scene: Scene,
-                 reference: np.ndarray, thresholds: SuccessThresholds):
+                 reference: Trajectory, thresholds: SuccessThresholds):
         self.model, self.config, self.times = model, config, times
         self.scene, self.reference, self.thresholds = scene, reference, thresholds
+        self.shape = shape_reference(reference)
         curves = _curves(model, times, config.ablate_covariance)
         self.reach = np.abs(curves).max(axis=1)  # (3, 6): bounds every combined entry
         self.rotations = _mapped(curves[..., 3:], slice(3, 6))
@@ -162,14 +153,13 @@ class _Compiled:
         reports = [None] * len(tasks)
         for k in np.flatnonzero(~compiled):
             traj = regress(generalize(self.model, tasks[k], self.config), self.times)
-            reports[k] = evaluate_trajectories(*_pose_stack(traj), [tasks[k]], self.scene,
-                                               self.reference, self.model.phases,
-                                               self.thresholds)[0]
+            reports[k] = evaluate_trajectory(traj, tasks[k], self.scene, self.reference,
+                                             self.model.phases, self.thresholds)
         picked = np.flatnonzero(compiled)
         if len(picked):
             features = [_combined(f, coefs[:, picked]) for f in self.features]
             for k, report in zip(picked, _scores(features, targets[picked], self.scene,
-                                                 self.reference, self.thresholds)):
+                                                 self.shape, self.thresholds)):
                 reports[k] = report
         return reports
 
@@ -241,9 +231,9 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
         raise ValueError(f"method must be a non-empty string with no comma, double quote or "
                          f"line break (it is a summary.csv field), got {method!r}")
     times = _validated_times(default_times(model.duration, rate), model.duration)
-    shape_ref = shape_reference(regress(model, times) if reference is None else reference)
     base_start, base_goal = model_endpoints(model)
-    compiled = _Compiled(model, config, times, scene, shape_ref, thresholds)
+    compiled = _Compiled(model, config, times, scene,
+                         regress(model, times) if reference is None else reference, thresholds)
 
     try:
         all_tasks = sample_tasks(scene, mode, [np.random.default_rng([seed, i])

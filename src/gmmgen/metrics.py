@@ -107,15 +107,14 @@ def rotation_angle_deg(rotvec_a, rotvec_b) -> float:
 
 
 def _targets(tasks) -> np.ndarray:
-    """(T, 2, 6): each task's start and goal vectors, as boundary_errors() takes them."""
+    """(T, 2, 6): each task's start and goal vectors, the targets boundary_errors() takes."""
     return np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
 
 
-def boundary_errors(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(T, 2, 2) boundary_error() of each (n, 6) row of a (T, n, 6) stack
-    against its (2, 6) start and goal row of targets (T, 2, 6), indexed
-    [trajectory, start | goal, mm | deg]."""
-    ends = values[:, [0, -1]]
+def boundary_errors(ends: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(T, 2, 2) boundary_error() of each trajectory's first and last rows,
+    stacked (T, 2, 6) as ends, against its start and goal rows of targets
+    (T, 2, 6), indexed [trajectory, start | goal, mm | deg]."""
     gaps = ends[..., :3] - targets[..., :3]
     pos_mm = np.sqrt(_dot(gaps, gaps)) * M_TO_MM
     rot_deg = _geodesic_angles(targets[..., 3:], ends[..., 3:]) * RAD_TO_DEG
@@ -124,7 +123,8 @@ def boundary_errors(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def boundary_error(traj: Trajectory, task: TaskSpec):
     """((start mm, start deg), (goal mm, goal deg)) against the task endpoints."""
-    return tuple(map(tuple, boundary_errors(_pose_stack(traj)[1], _targets([task]))[0].tolist()))
+    ends = _pose_stack(traj)[1][:, [0, -1]]
+    return tuple(map(tuple, boundary_errors(ends, _targets([task]))[0].tolist()))
 
 
 def _phase_windows(times: np.ndarray, phases: PhaseSchedule):
@@ -140,8 +140,10 @@ def _phase_windows(times: np.ndarray, phases: PhaseSchedule):
 
 
 def _window_deviations(windows) -> np.ndarray:
-    """(T, 2, 2) phase deviations from the grasp and release window rows,
-    each a (T, k, 6) stack; phase_deviations() describes the layout."""
+    """(T, 2, 2) phase_deviation() of each trajectory, indexed [trajectory,
+    grasp | release, mm | deg], from its grasp and release window rows, each
+    a C-contiguous (T, k, 6) array: numpy then sums each trajectory's row of
+    a C-contiguous (T, k) array exactly as it sums one row."""
     out = np.empty((len(windows[0]), 2, 2))
     for side, rows in enumerate(windows):
         center = rows.mean(axis=1, keepdims=True)
@@ -152,20 +154,11 @@ def _window_deviations(windows) -> np.ndarray:
     return out
 
 
-def phase_deviations(times: np.ndarray, values: np.ndarray, phases: PhaseSchedule) -> np.ndarray:
-    """(T, 2, 2) phase_deviation() of each (n, 6) row of a (T, n, 6) stack
-    sampled at times, indexed [trajectory, grasp | release, mm | deg].
-
-    Each trajectory's means run along the last axis of a C-contiguous
-    (T, k) array, which numpy sums row by row exactly as it sums one row.
-    """
-    return _window_deviations([np.ascontiguousarray(values[:, window])
-                               for window in _phase_windows(times, phases)])
-
-
 def phase_deviation(traj: Trajectory, phases: PhaseSchedule):
     """Mean distance from the window-mean pose in the grasp and release windows."""
-    return tuple(map(tuple, phase_deviations(*_pose_stack(traj), phases)[0].tolist()))
+    times, values = _pose_stack(traj)
+    windows = [np.ascontiguousarray(values[:, window]) for window in _phase_windows(times, phases)]
+    return tuple(map(tuple, _window_deviations(windows)[0].tolist()))
 
 
 def _centered_paths(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -184,7 +177,7 @@ def _unit_paths(pts: np.ndarray) -> np.ndarray:
 
 
 def shape_reference(reference: Trajectory) -> np.ndarray:
-    """The reference path as shape_deviations() takes it: (SHAPE_POINTS, 3)."""
+    """The reference path as _procrustes() takes it: (SHAPE_POINTS, 3)."""
     return _unit_paths(_centered_paths(*_pose_stack(reference)))[0]
 
 
@@ -197,12 +190,6 @@ def _procrustes(paths: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.maximum(2.0 - 2.0 * proper, 0.0)
 
 
-def shape_deviations(times: np.ndarray, values: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """(T,) shape_deviation() of each (n, 6) row of a (T, n, 6) stack sampled
-    at times, against a shape_reference()."""
-    return _procrustes(_centered_paths(times, values), reference)
-
-
 def shape_deviation(traj: Trajectory, reference: Trajectory) -> float:
     """Squared Procrustes distance between open position paths, in [0, 2].
 
@@ -212,7 +199,7 @@ def shape_deviation(traj: Trajectory, reference: Trajectory) -> float:
     invariant to translation, uniform scale and proper rotation, not to
     reflection.
     """
-    return float(shape_deviations(*_pose_stack(traj), shape_reference(reference))[0])
+    return float(_procrustes(_centered_paths(*_pose_stack(traj)), shape_reference(reference))[0])
 
 
 def _jerk_differences(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -235,16 +222,10 @@ def _jerk_differences(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _mean_jerks(diffs: np.ndarray) -> np.ndarray:
     """(T, 2) mean linear and angular (deg) norms of (T, m, 6) third
-    differences; its means are taken as in phase_deviations()."""
+    differences; its means are taken as in _window_deviations()."""
     sq = diffs * diffs  # each norm adds its 3 squares in np.linalg.norm's order
     norms = [np.sqrt(sq[..., i] + sq[..., i + 1] + sq[..., i + 2]).mean(axis=1) for i in (0, 3)]
     return np.stack([norms[0], norms[1] * RAD_TO_DEG], axis=-1)
-
-
-def average_jerks(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(T, 2) average_jerk() of each (n, 6) row of a (T, n, 6) stack sampled
-    at times."""
-    return _mean_jerks(_jerk_differences(times, values))
 
 
 def average_jerk(traj: Trajectory):
@@ -254,4 +235,4 @@ def average_jerk(traj: Trajectory):
     differentiated with the five-point central third-difference stencil;
     the two edge samples on each side are dropped.
     """
-    return tuple(average_jerks(*_pose_stack(traj))[0].tolist())
+    return tuple(_mean_jerks(_jerk_differences(*_pose_stack(traj)))[0].tolist())

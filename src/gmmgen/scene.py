@@ -180,23 +180,10 @@ def scene_collides(pose: Pose, scene: Scene) -> bool:
     return bool(_collision_mask(pose.position, pose.orientation, *scene._obstacles).any())
 
 
-def trajectories_success(times: np.ndarray, values: np.ndarray, scene: Scene, boundaries,
-                         thresholds: SuccessThresholds = SuccessThresholds()) -> list:
-    """trajectory_success() for each (n, 6) row of a (T, n, 6) stack sampled
-    at times, with its boundary errors from the (T, 2, 2) boundaries that
-    metrics.boundary_errors() returns.
-
-    Every trajectory is resampled in one pass, and all T x collision_samples
-    poses go through one collision_mask call: a pose's collision row does
-    not depend on the other poses in the call.
-    """
-    return _verdicts(_resampled(times, values, thresholds.collision_samples)[1], scene,
-                     boundaries, thresholds)
-
-
 def _verdicts(sampled: np.ndarray, scene: Scene, boundaries, thresholds) -> list:
-    """trajectories_success() from each trajectory's (T, collision_samples, 6)
-    resampled poses."""
+    """(flag, reason) of each trajectory from its (T, collision_samples, 6)
+    resampled poses and its (T, 2, 2) metrics.boundary_errors(); all poses go
+    through one collision_mask call, as a pose's row does not depend on the rest."""
     poses = sampled.reshape(-1, 6)
     hits = _collision_mask(poses[:, :3], poses[:, 3:], *scene._obstacles)
     limits = np.array([thresholds.max_boundary_pos_mm, thresholds.max_boundary_rot_deg])
@@ -213,12 +200,22 @@ def trajectory_success(traj: Trajectory, scene: Scene, boundary,
     """(flag, reason): collision-free at sampled poses and boundary within bounds.
 
     boundary is ((start_mm, start_deg), (goal_mm, goal_deg)), traj's errors
-    against its task as the metrics module reports them; an error equal to
-    its threshold passes.  collision_samples poses, evenly spaced in time,
-    are checked for collision, and a collision outranks a boundary failure.
-    This is trajectories_success() for a stack of one.
+    against its task as the metrics module reports them: four finite,
+    non-negative numbers, else a ValueError.  An error equal to its
+    threshold passes.  collision_samples poses, evenly spaced in time, are
+    checked for collision, and a collision outranks a boundary failure.
+    This is _verdicts() for a stack of one.
     """
-    return trajectories_success(*_pose_stack(traj), scene, np.array([boundary]), thresholds)[0]
+    try:
+        errors = np.array(boundary, dtype=float)
+        valid = errors.shape == (2, 2) and bool(((0.0 <= errors) & (errors < np.inf)).all())
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError("boundary must be ((start_mm, start_deg), (goal_mm, goal_deg)), four "
+                         f"finite non-negative errors, got {boundary!r}")
+    return _verdicts(_resampled(*_pose_stack(traj), thresholds.collision_samples)[1], scene,
+                     errors[None], thresholds)[0]
 
 
 def rest_height(scene: Scene, level: float) -> float:

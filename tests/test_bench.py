@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from gmmgen import bench
 from gmmgen.bench import (SUMMARY_COLUMNS, SUMMARY_METRICS, _Compiled, default_times,
-                          evaluate_trajectories, evaluate_trajectory, model_endpoints,
-                          run_benchmark, summarize, summary_csv_lines, write_summary_csv,
-                          write_trials_jsonl)
+                          evaluate_trajectory, model_endpoints, run_benchmark, summarize,
+                          summary_csv_lines, write_summary_csv, write_trials_jsonl)
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, resample
 from gmmgen.gmr import regress
-from gmmgen.metrics import (EvalReport, FailureReason, _pose_stack, average_jerk,
-                            boundary_error, boundary_errors, phase_deviation, shape_deviation,
-                            shape_reference)
+from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
+                            boundary_errors, phase_deviation, shape_deviation)
 from gmmgen.model import GmmModel
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import (SAMPLE_ATTEMPTS, SamplingError, SuccessThresholds, _verdicts,
@@ -111,9 +109,9 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
     30 trials span two chunks."""
     computed, judged = [], []
 
-    def counted_boundary_errors(values, targets):
-        out = boundary_errors(values, targets)
-        assert out.shape == (len(values), 2, 2) and targets.shape == (len(values), 2, 6)
+    def counted_boundary_errors(ends, targets):
+        out = boundary_errors(ends, targets)
+        assert out.shape == (len(ends), 2, 2) and targets.shape == ends.shape == (len(ends), 2, 6)
         computed.append(out)
         return out
 
@@ -256,7 +254,7 @@ def chunk_pools(model, scene, endpoints):
     })
     pools.scene = scene
     # the fitted source's regression: the x-heavy sources regress to a static path
-    pools.reference = shape_reference(regress(model, default_times(model.duration)))
+    pools.reference = regress(model, default_times(model.duration))
     return pools
 
 
@@ -281,8 +279,8 @@ def one_task_outcome(model, task, config, times, scene, reference):
         return True, str(exc)
     try:
         traj = regress(adapted, times)
-        return adapted.spd_repairs > 0, evaluate_trajectories(
-            *_pose_stack(traj), [task], scene, reference, model.phases)[0]
+        return adapted.spd_repairs > 0, evaluate_trajectory(traj, task, scene, reference,
+                                                            model.phases)
     except ValueError as exc:
         return adapted.spd_repairs > 0, str(exc)
 

@@ -7,7 +7,6 @@ from scipy.special import logsumexp
 from gmmgen.bench import _Compiled, default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.gmr import _WEIGHTS_MEMO, regress
-from gmmgen.metrics import shape_reference
 from gmmgen.model import GmmModel
 from gmmgen.reparam import _SOURCE_MEMO, ReparamConfig, _curves, generalize
 from gmmgen.scene import SuccessThresholds, default_scene, sample_task
@@ -209,7 +208,7 @@ def test_regress_many_validation(model, times):
         regress(model, np.append(times, times[-1] + 1.0))
     thin, tasks = thin_past_pi_tasks()
     thin_times = default_times(thin.duration)
-    reference = shape_reference(regress(generalize(thin, tasks[0]), thin_times))
+    reference = regress(generalize(thin, tasks[0]), thin_times)
     chunk = _Compiled(thin, ReparamConfig(), thin_times, default_scene(), reference,
                       SuccessThresholds())
     with pytest.raises(ValueError, match="^sample 0: rotation-vector magnitude "

@@ -6,11 +6,11 @@ from scipy.spatial.transform import Rotation
 
 from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, _resampled, resample
-from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _geodesic_angles,
-                            _pose_stack,
-                            average_jerk, average_jerks, boundary_error, boundary_errors,
-                            phase_deviation, phase_deviations, rotation_angle_deg,
-                            shape_deviation, shape_deviations, shape_reference)
+from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _centered_paths,
+                            _geodesic_angles, _jerk_differences, _mean_jerks, _phase_windows,
+                            _pose_stack, _procrustes, _window_deviations, average_jerk,
+                            boundary_error, boundary_errors, phase_deviation, rotation_angle_deg,
+                            shape_deviation, shape_reference)
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import sample_tasks
 
@@ -69,8 +69,8 @@ def test_geodesic_angles_match_scipy_composition(seed, k, kinds, nearby):
        kind=st.sampled_from(sorted(ANGLE_RANGES)))
 @settings(max_examples=100)
 def test_geodesic_angles_broadcast_centre_matches_scipy(seed, shape, kind):
-    """A (T, 1, 3) centre against (T, k, 3) rows, as phase_deviations() passes
-    them, gives the (T, k) angles of the broadcast rows, bitwise."""
+    """A (T, 1, 3) centre against (T, k, 3) rows, as _window_deviations()
+    passes them, gives the (T, k) angles of the broadcast rows, bitwise."""
     rng = np.random.default_rng(seed)
     center = random_rotvecs(rng, (shape[0], 1), kind)
     rows = center + 1e-2 * random_rotvecs(rng, shape, "any")
@@ -83,7 +83,7 @@ def test_geodesic_angles_broadcast_centre_matches_scipy(seed, shape, kind):
 
 
 def test_pose_stack_is_a_read_only_view_of_the_values():
-    """One trajectory enters the stacked metrics as a read-only (1, n, 6)
+    """One trajectory enters the metric kernels as a read-only (1, n, 6)
     view of its values, bitwise its positions then its orientations, so no
     metric can write into it."""
     rng = np.random.default_rng(2)
@@ -303,8 +303,9 @@ def test_jerk_validation():
         average_jerk(Trajectory([0.0, 1.0], np.zeros((2, 2))))
 
 
-def oracle_average_jerks(times, values):
-    """average_jerks() with its stencil as one expression of fresh temporaries."""
+def oracle_mean_jerks(times, values):
+    """_mean_jerks(_jerk_differences()) with the stencil as one expression of
+    fresh temporaries."""
     duration = float(times[-1])
     n = int(round(duration * 100.0)) + 1
     grid = _resampled(times, values, n)[1]
@@ -318,14 +319,15 @@ def oracle_average_jerks(times, values):
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n_trajs=st.integers(1, 6), n=st.integers(2, 300),
        duration=st.floats(0.07, 9.0), log_scale=st.integers(-8, 8))
-def test_average_jerks_stencil_matches_one_expression_bitwise(seed, n_trajs, n, duration,
-                                                              log_scale):
+def test_mean_jerks_stencil_matches_one_expression_bitwise(seed, n_trajs, n, duration,
+                                                           log_scale):
     """Rough random rows on an uneven grid, at magnitudes from 1e-8 to 1e8."""
     rng = np.random.default_rng(seed)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, n - 1))])
     times *= duration / times[-1]
     values = rng.normal(scale=10.0 ** log_scale, size=(n_trajs, n, 6))
-    got, want = average_jerks(times, values), oracle_average_jerks(times, values)
+    got = _mean_jerks(_jerk_differences(times, values))
+    want = oracle_mean_jerks(times, values)
     assert got.shape == want.shape == (n_trajs, 2)
     assert got.tobytes() == want.tobytes()
 
@@ -398,17 +400,21 @@ def oracle_average_jerk(traj):
 
 
 def assert_stack_matches_oracles(trajs, tasks, phases, reference):
-    """Each stacked metric's .tolist() row, and each one-trajectory wrapper,
-    equals its oracle exactly (== on floats: bitwise for these finite
-    values)."""
+    """Each metric kernel's .tolist() row on the (T, n, 6) stack, and each
+    one-trajectory metric, equals its oracle exactly (== on floats: bitwise
+    for these finite values).  The window rows are copied C-contiguous, as
+    _window_deviations() requires."""
     times = trajs[0].times
     assert all(np.array_equal(traj.times, times) for traj in trajs)
     values = np.stack([traj.values for traj in trajs])
     ref = shape_reference(reference)
     assert ref.tobytes() == oracle_unit_path(reference).tobytes()
     targets = np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
-    stacks = (boundary_errors(values, targets), phase_deviations(times, values, phases),
-              shape_deviations(times, values, ref), average_jerks(times, values))
+    windows = [np.ascontiguousarray(values[:, window])
+               for window in _phase_windows(times, phases)]
+    stacks = (boundary_errors(values[:, [0, -1]], targets), _window_deviations(windows),
+              _procrustes(_centered_paths(times, values), ref),
+              _mean_jerks(_jerk_differences(times, values)))
     assert [stack.shape for stack in stacks] == [(len(trajs), 2, 2), (len(trajs), 2, 2),
                                                  (len(trajs),), (len(trajs), 2)]
     for traj, task, *rows in zip(trajs, tasks, *(stack.tolist() for stack in stacks)):

@@ -475,6 +475,21 @@ def test_trajectory_success_threshold_edges(scene, endpoint, unit, thresholds):
         False, FailureReason.COLLISION)
 
 
+@pytest.mark.parametrize("boundary", [
+    ((np.nan, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, np.inf)), ((0.0, -1e9), (0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ((0.0, 0.0), (0.0,)), (0.0, 0.0), "none",
+], ids=["nan", "inf", "negative", "2x3", "ragged", "flat", "string"])
+def test_trajectory_success_rejects_a_bad_boundary(scene, boundary):
+    """A boundary that is not four finite, non-negative errors in a (2, 2)
+    layout is a ValueError naming boundary, not a pass or a broadcast
+    error."""
+    _, arc = arc_paths(arc_task(scene))
+    with pytest.raises(ValueError, match=r"^boundary must be \(\(start_mm, start_deg\), "
+                                         r"\(goal_mm, goal_deg\)\), four finite non-negative "
+                                         r"errors, got "):
+        trajectory_success(arc, scene, boundary)
+
+
 def test_sample_task_translational_keeps_orientation(scene, endpoints):
     rng = np.random.default_rng(31)
     base_start, base_goal = endpoints
