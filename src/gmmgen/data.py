@@ -173,6 +173,11 @@ class TaskSpec:
     start: Pose
     goal: Pose
 
+    def __post_init__(self):
+        for name, end in vars(self).items():
+            if not isinstance(end, Pose):
+                raise TypeError(f"{name} must be a Pose, got {type(end).__name__}")
+
     def start_vector(self) -> np.ndarray:
         return self.start.as_vector()
 
@@ -193,58 +198,51 @@ class PhaseSchedule:
     duration: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.grasp_end < self.release_start < self.duration < np.inf):
             raise ValueError("phase boundaries must satisfy "
                              "0 < grasp_end < release_start < duration < inf")
 
 
 def _first_violation(times: np.ndarray, values: np.ndarray):
-    """(sample index, problem) for the first sample that breaks a trajectory
-    rule, or None.
+    """(sample index, problem) for the first sample of (n,) times and (n, D)
+    values that breaks a trajectory rule, or None.
 
     The rules: every entry is finite, the first time is 0, times strictly
     increase, and 6-D rows keep their rotation-vector magnitude below pi.
-    values is (n, D), or (K, n, D) series on the same times whose first
-    violating series is reported.  Valid samples cost whole-array checks
-    only; the offending one is located once one of them fails.
+    Valid samples cost whole-array checks only; the offending one is
+    located once one of them fails.
     """
-    angles = (_rotvec_angles(values[..., 3:6]) if values.shape[-1] == POSE_DIM
-              else np.zeros(values.shape[:-1]))
+    angles = (_rotvec_angles(values[:, 3:6]) if values.shape[1] == POSE_DIM
+              else np.zeros(len(values)))
     if (np.isfinite(times).all() and np.isfinite(values).all()
             and (times[:1] == 0.0).all() and (np.diff(times) > 0.0).all()
             and (angles < np.pi).all()):
         return None
-    finite = np.isfinite(times) & np.isfinite(values).all(axis=-1)
+    finite = np.isfinite(times) & np.isfinite(values).all(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf between non-finite times
         ordered = np.concatenate([times[:1] == 0.0, np.diff(times) > 0.0])
-    valid = finite & ordered & (angles < np.pi)
-    where = np.unravel_index(int(np.argmin(valid)), valid.shape)
-    index = int(where[-1])
-    if not finite[where]:
+    index = int(np.argmin(finite & ordered & (angles < np.pi)))
+    if not finite[index]:
         problem = "non-finite value"
     elif index == 0 and not ordered[0]:
         problem = f"first sample must start at t=0, got t={times[0]}"
     elif not ordered[index]:
         problem = f"time {times[index]} does not increase past {times[index - 1]}"
     else:
-        problem = f"rotation-vector magnitude {angles[where]:.6f} rad must stay below pi"
+        problem = f"rotation-vector magnitude {angles[index]:.6f} rad must stay below pi"
     return index, problem
-
-
-def _check_samples(times: np.ndarray, values: np.ndarray) -> None:
-    """Raise ValueError naming the first sample that breaks a _first_violation rule."""
-    found = _first_violation(times, values)
-    if found is not None:
-        raise ValueError("sample {}: {}".format(*found))
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """A time-indexed series of vectors, one row per sample.
 
-    ``values`` holds one pose row (or a lower-dimensional test vector) per
-    timestamp; pose columns are read through positions() and orientations(),
-    which raise for any other row size.  Samples keep _first_violation's rules.
+    ``values`` is (n, D), one row per timestamp; pose columns are read
+    through positions() and orientations(), which raise unless D is 6.
+    Samples keep _first_violation's rules.
     """
 
     times: np.ndarray
@@ -252,17 +250,16 @@ class Trajectory:
 
     def __post_init__(self):
         times = _frozen_array(self.times)
-        values = np.array(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        values.flags.writeable = False
+        values = _frozen_array(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.ndim != 2 or len(times) != len(values):
             raise ValueError("times must be (n,) and values (n, D)")
         if len(times) < 2:
             raise ValueError("a trajectory needs at least two samples")
-        _check_samples(times, values)
+        found = _first_violation(times, values)
+        if found is not None:
+            raise ValueError("sample {}: {}".format(*found))
 
     @property
     def n_samples(self) -> int:

@@ -75,17 +75,16 @@ def regress(model, times) -> Trajectory:
     """Expected pose at each query time.
 
     The weights are the max-shifted activations (n, G) divided by their row
-    sums, applied through two (n, G) matrix products: one with the slopes
-    and one with the per-component offsets.  Query times must be strictly
-    increasing within [0, duration]; the output trajectory is re-anchored
-    so its first timestamp is zero.
+    sums, applied through two (n, G) matrix products: one with the model's
+    stored slopes and one with the per-component offsets.  Query times must
+    be strictly increasing within [0, duration]; the output trajectory is
+    re-anchored so its first timestamp is zero.
     """
     try:
-        priors, means, covs, duration = model.priors, model.means, model.covs, model.duration
+        priors, means, covs = model.priors, model.means, model.covs
+        slopes, duration = model.slopes, model.duration
     except AttributeError:
         raise TypeError(f"cannot regress a {type(model).__name__}") from None
     times = _validated_times(times, duration)
-    t_vars = covs[:, 0, 0]
-    return Trajectory(times - times[0],
-                      _expected_poses(priors, means[:, 0], t_vars, means[:, 1:],
-                                      covs[:, 1:, 0] / t_vars[:, None], times))
+    return Trajectory(times - times[0], _expected_poses(priors, means[:, 0], covs[:, 0, 0],
+                                                        means[:, 1:], slopes, times))

@@ -8,11 +8,11 @@ that preserves its Schur complement, so adapted covariances stay SPD by
 construction.
 
 The terms that depend on the source model and eps alone (spans, masks,
-time fractions, old differences, old slope outer products, time
-variances) come from a one-entry memo keyed by the bytes of the model's
-means, of its covariances' first column and of eps.  A hit returns the
-arrays a miss computes with the same operations, and the task-dependent
-arithmetic keeps its order, so the output is bitwise the same.
+time fractions, old differences, old slope outer products) come from a
+one-entry memo keyed by the bytes of the model's means, of its
+covariances' first column and of eps.  A hit returns the arrays a miss
+computes with the same operations, and the task-dependent arithmetic
+keeps its order, so the output is bitwise the same.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class _SourceTerms(NamedTuple):
     keep: np.ndarray  # (G-1, D) consecutive mean difference below eps
     safe_d_old: np.ndarray  # (G-1, D) that difference, 1 where kept
     old_outers: np.ndarray  # (G-1, D, D) outer products of slopes[1:]
-    t_vars: np.ndarray  # (G-1, 1, 1) covs[1:, 0, 0]
 
 
 # The _SourceTerms of the last source model and eps, see _source_terms.
@@ -82,8 +81,7 @@ def _source_terms(model: GmmModel, eps) -> _SourceTerms:
         d_old = np.diff(means, axis=0)
         keep = np.abs(d_old) < eps
         return _SourceTerms(degenerate, np.where(degenerate, 1.0, span), alpha, keep,
-                            np.where(keep, 1.0, d_old), _outers(model.slopes[1:]),
-                            model.covs[1:, 0, 0, None, None])
+                            np.where(keep, 1.0, d_old), _outers(model.slopes[1:]))
     return _memoized(_SOURCE_MEMO, (model.means, model.covs[:, :, 0], eps), compute)
 
 
@@ -123,9 +121,10 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
 
 
 def _clamp_spd(cov: np.ndarray, floor: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    """A (..., D, D) stack with each matrix's eigenvalues raised to floor."""
+    vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
     vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def _outers(vecs: np.ndarray) -> np.ndarray:
@@ -172,10 +171,10 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     cov[..., 0, 1:] = moved
     cov[..., 1:, 0] = moved
     cov[..., 1:, 1:] = model.shapes[1:] + _outers(moved) - src.old_outers
-    cov *= src.t_vars
+    cov *= model.covs[1:, 0, 0, None, None]
     broken = _cholesky_fails(cov)
-    for index in zip(*np.nonzero(broken)):
-        cov[index] = _clamp_spd(cov[index], COV_FLOOR)
+    if broken.any():  # eigh on an empty stack alone costs ~15 us a query
+        cov[broken] = _clamp_spd(cov[broken], COV_FLOOR)
     return covs, broken.sum(axis=-1)
 
 

@@ -78,13 +78,12 @@ def _nominal_path(times: np.ndarray, cfg: SynthConfig, start: Pose, goal: Pose) 
 def _smooth_noise(times: np.ndarray, rng: np.random.Generator,
                   sigmas: np.ndarray) -> np.ndarray:
     """Per-dimension sums of a few random sinusoids with matched overall sigma."""
-    noise = np.zeros((len(times), len(sigmas)))
+    noise = np.empty((len(times), len(sigmas)))
     for d, sigma in enumerate(sigmas):
-        freqs = rng.uniform(*NOISE_FREQ_RANGE, NOISE_WAVES)
-        phases = rng.uniform(0.0, 2.0 * np.pi, NOISE_WAVES)
-        amp = sigma * np.sqrt(2.0 / NOISE_WAVES)
-        for f, p in zip(freqs, phases):
-            noise[:, d] += amp * np.sin(2.0 * np.pi * f * times + p)
+        freqs = rng.uniform(*NOISE_FREQ_RANGE, (NOISE_WAVES, 1))
+        phases = rng.uniform(0.0, 2.0 * np.pi, (NOISE_WAVES, 1))
+        waves = sigma * np.sqrt(2.0 / NOISE_WAVES) * np.sin(2.0 * np.pi * freqs * times + phases)
+        noise[:, d] = waves.sum(axis=0, initial=0.0)  # from +0.0, so zero sigma gives +0.0
     return noise
 
 

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmgen.bench import default_times
-from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, Trajectory,
-                         TrajectoryFormatError, _check_samples, _first_violation,
+from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, TaskSpec, Trajectory,
+                         TrajectoryFormatError, _first_violation,
                          _resampled, _rotvec_angles, load_trajectory, resample, save_trajectory)
 from gmmgen.metrics import average_jerk, phase_deviation
 from gmmgen.model import FitConfig
@@ -77,6 +78,24 @@ def test_phase_schedule_ordering():
             PhaseSchedule(*bad)
 
 
+@pytest.mark.parametrize("field", ["grasp_end", "release_start", "duration"])
+def test_phase_schedule_rejects_bools_and_non_numbers(field):
+    good = {"grasp_end": 1.0, "release_start": 6.0, "duration": 7.0}
+    for bad in (True, False, "3", None, [3.0]):
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "
+                                             rf"{re.escape(repr(bad))}$"):
+            PhaseSchedule(**{**good, field: bad})
+    assert PhaseSchedule(np.int64(1), np.float64(6.0), 7).duration == 7
+
+
+@pytest.mark.parametrize("field", ["start", "goal"])
+def test_task_spec_rejects_endpoints_that_are_not_poses(field):
+    pose = Pose(np.zeros(3), np.zeros(3))
+    for bad in (np.zeros(6), [0.0] * 6, None):
+        with pytest.raises(TypeError, match=f"^{field} must be a Pose, got {type(bad).__name__}$"):
+            TaskSpec(**{"start": pose, "goal": pose, field: bad})
+
+
 def test_trajectory_invariants():
     with pytest.raises(ValueError):
         Trajectory([0.0], [[1.0]])
@@ -95,36 +114,34 @@ def test_trajectory_invariants():
     assert np.allclose(t.orientations()[-1], [0.1, 0.2, 0.3])
 
 
-@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("index", [0, 2, 4])
 @pytest.mark.parametrize("broken,problem", [
     (lambda row: row.__setitem__(1, np.nan), "non-finite value"),
     (lambda row: row.__setitem__(slice(3, 6), [np.pi, 0.0, 0.0]),
      "rotation-vector magnitude 3.141593 rad must stay below pi"),
 ], ids=["nan", "pi"])
-def test_stacked_first_violation_names_trajectory_and_sample(k, broken, problem):
-    """In a (T, n, 6) stack, the first trajectory with a violation is the
-    one reported, with the sample and problem it reports alone."""
+def test_first_violation_names_the_first_bad_sample(index, broken, problem):
+    """The first sample with a violation is the one reported, by
+    _first_violation and by Trajectory alike; the later one is reported
+    once the first is mended."""
     times = np.linspace(0.0, 1.0, 7)
-    values = np.tile(np.linspace(0.0, 0.3, 7)[:, None], (5, 1, 6))
-    assert _first_violation(times, values) is None
-    _check_samples(times, values)
-    broken(values[k, 3])
-    broken(values[4, 5])  # a later violation is not the one reported
-    assert _first_violation(times, values) == (3, problem)
-    with pytest.raises(ValueError, match=rf"^sample 3: {problem}$"):
-        _check_samples(times, values)
-    # the same row alone: the same index and message
-    assert _first_violation(times, values[k]) == (3, problem)
-    with pytest.raises(ValueError, match=rf"^sample 3: {problem}$"):
-        Trajectory(times, values[k])
-    if k < 4:  # the later violation is reported once the first is mended
-        values[k, 3] = values[k, 2]
-        assert _first_violation(times, values) == (5, problem)
+    clean = np.tile(np.linspace(0.0, 0.3, 7)[:, None], (1, 6))
+    assert _first_violation(times, clean) is None
+    Trajectory(times, clean)
+    values = clean.copy()
+    broken(values[index])
+    broken(values[5])  # a later violation is not the one reported
+    assert _first_violation(times, values) == (index, problem)
+    with pytest.raises(ValueError, match=rf"^sample {index}: {problem}$"):
+        Trajectory(times, values)
+    values[index] = clean[index]
+    assert _first_violation(times, values) == (5, problem)
+    with pytest.raises(ValueError, match=rf"^sample 5: {problem}$"):
+        Trajectory(times, values)
 
 
-def test_stacked_first_violation_on_shared_times():
-    """A time-grid violation breaks every trajectory; its sample is named."""
-    values = np.zeros((3, 4, 6))
+def test_first_violation_names_the_sample_of_a_bad_time():
+    values = np.zeros((4, 6))
     assert _first_violation(np.array([0.0, 1.0, 1.0, 2.0]), values) == (
         2, "time 1.0 does not increase past 1.0")
     assert _first_violation(np.array([0.5, 1.0, 1.5, 2.0]), values) == (
@@ -132,10 +149,13 @@ def test_stacked_first_violation_on_shared_times():
 
 
 def test_trajectory_1d_values_allowed():
-    t = Trajectory([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
+    """One-dimensional rows, (n, 1), are a trajectory; (n,) values are not."""
+    t = Trajectory([0.0, 1.0, 2.0], [[0.0], [2.0], [2.0]])
     assert t.dim == 1
     with pytest.raises(ValueError):
         t.positions()  # pose accessors need 6-DoF rows
+    with pytest.raises(ValueError, match=r"^times must be \(n,\) and values \(n, D\)$"):
+        Trajectory([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
 
 
 def test_resample_midpoint_average():
@@ -148,7 +168,7 @@ def test_resample_midpoint_average():
 def test_resample_identity_on_uniform_grid():
     times = np.linspace(0.0, 2.0, 9)
     vals = np.sin(times)
-    traj = Trajectory(times, vals)
+    traj = Trajectory(times, vals[:, None])
     out = resample(traj, 9)
     assert np.array_equal(out.times, times)
     assert np.allclose(out.values[:, 0], vals, atol=1e-15)
@@ -156,7 +176,7 @@ def test_resample_identity_on_uniform_grid():
 
 def test_resample_piecewise_example():
     # {(0,0),(1,2),(2,2)} at n=5 -> {0,1,2,2,2}
-    traj = Trajectory([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
+    traj = Trajectory([0.0, 1.0, 2.0], [[0.0], [2.0], [2.0]])
     out = resample(traj, 5)
     assert np.allclose(out.values[:, 0], [0.0, 1.0, 2.0, 2.0, 2.0])
     with pytest.raises(ValueError):

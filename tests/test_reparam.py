@@ -59,10 +59,18 @@ def oracle_reparam_covariances(model, new_means, eps):
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            cov = _clamp_spd(cov, COV_FLOOR)
+            cov = oracle_clamp_spd(cov, COV_FLOOR)
             repairs += 1
         covs[g] = cov
     return covs, repairs
+
+
+def oracle_clamp_spd(cov, floor):
+    """One matrix's eigenvalues raised to floor: eigh of the symmetrized
+    matrix, then (vecs * vals) @ vecs.T, with no stacking."""
+    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    vals = np.maximum(vals, floor)
+    return (vecs * vals) @ vecs.T
 
 
 def terms(covs):
@@ -478,6 +486,28 @@ def test_clamp_spd_restores_definiteness():
     assert vals[0] == pytest.approx(floor, rel=1e-9)
     assert vals[1] == pytest.approx(3.0)
     assert np.allclose(fixed, fixed.T)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), size=st.integers(1, 7),
+       log_scale=st.floats(-6.0, 3.0), kind=st.sampled_from(["spd", "indefinite", "thin"]))
+def test_clamp_spd_stack_matches_one_matrix_at_a_time(seed, k, size, log_scale, kind):
+    """A (k, n, n) stack of symmetric matrices, definite, indefinite or with
+    eigenvalues down at rounding level, clamps bitwise as the matrices do
+    one by one."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, size, size))
+    if kind == "indefinite":
+        stack = a + np.swapaxes(a, -1, -2)
+    else:
+        stack = a @ np.swapaxes(a, -1, -2)
+        if kind == "thin":  # one eigenvalue at ~1e-13 of the rest
+            v = a[..., :, :1]
+            stack = v @ np.swapaxes(v, -1, -2) + 1e-13 * np.eye(size)
+    stack *= 10.0 ** log_scale
+    got = _clamp_spd(stack, COV_FLOOR)
+    want = np.stack([oracle_clamp_spd(m, COV_FLOOR) for m in stack])
+    assert got.shape == stack.shape and got.tobytes() == want.tobytes()
 
 
 def test_generalize_requires_pose_model():

@@ -1,10 +1,14 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmmgen.metrics import boundary_error
 from gmmgen.scene import trajectory_success
-from gmmgen.synth import (GRASP_DURATION, TRANSPORT_DURATION, SynthConfig,
-                          default_endpoints, generate_demonstrations)
+from gmmgen.synth import (GRASP_DURATION, NOISE_FREQ_RANGE, NOISE_WAVES, TRANSPORT_DURATION,
+                          SynthConfig, _smooth_noise, default_endpoints, generate_demonstrations)
 
 
 def straight_transport(scene, rate):
@@ -118,3 +122,35 @@ def test_default_endpoints_are_restful(scene):
     assert start.position[2] == pytest.approx(0.063)
     assert goal.position[2] == pytest.approx(0.463)
     assert np.array_equal(start.orientation, np.zeros(3))
+
+
+def oracle_smooth_noise(times, rng, sigmas):
+    """_smooth_noise one wave at a time: each dimension's column starts at
+    zero and adds amp * sin(2 pi f t + p) per drawn frequency and phase."""
+    noise = np.zeros((len(times), len(sigmas)))
+    for d, sigma in enumerate(sigmas):
+        freqs = rng.uniform(*NOISE_FREQ_RANGE, NOISE_WAVES)
+        phases = rng.uniform(0.0, 2.0 * np.pi, NOISE_WAVES)
+        amp = sigma * np.sqrt(2.0 / NOISE_WAVES)
+        for f, p in zip(freqs, phases):
+            noise[:, d] += amp * np.sin(2.0 * np.pi * f * times + p)
+    return noise
+
+
+NOISE_SIGMAS = st.just(0.0) | st.floats(1e-6, 2e-2)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), noise_pos=NOISE_SIGMAS, noise_rot=NOISE_SIGMAS)
+def test_smooth_noise_matches_the_per_wave_sum(scene, seed, noise_pos, noise_rot):
+    """The same draws give the same noise, and the demonstrations built on
+    it are the same bytes, signed zeros included."""
+    cfg = SynthConfig(n_demos=2, noise_pos=noise_pos, noise_rot=noise_rot, seed=seed)
+    times = np.linspace(0.0, cfg.phases().duration, 701)
+    sigmas = np.array([noise_pos] * 3 + [noise_rot] * 3)
+    got = _smooth_noise(times, np.random.default_rng(seed), sigmas)
+    assert np.array_equal(got, oracle_smooth_noise(times, np.random.default_rng(seed), sigmas))
+    demos, _ = generate_demonstrations(scene, cfg)
+    with patch("gmmgen.synth._smooth_noise", oracle_smooth_noise):
+        want, _ = generate_demonstrations(scene, cfg)
+    assert [d.values.tobytes() for d in demos] == [d.values.tobytes() for d in want]
