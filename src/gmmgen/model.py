@@ -8,14 +8,15 @@ component, sorted by time center, of fitted and generalized mixtures.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec,
-                   Trajectory, _check_int, _check_real, _frozen_array, _json_numbers, _read_json,
-                   _write_json)
+                   Trajectory, _check_int, _check_real, _exp, _frozen_array, _json_numbers,
+                   _read_json, _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -26,20 +27,34 @@ def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
     the matrix.
 
     One batched factorization covers the usual all-definite case; only when
-    it fails are the matrices factored one at a time to find the culprits.
+    it fails is the flattened stack bisected to find the culprits.
     """
     fails = np.zeros(mats.shape[:-2], dtype=bool)
     try:
         np.linalg.cholesky(mats)
-        return fails
     except np.linalg.LinAlgError:
-        pass
-    for index in np.ndindex(fails.shape):
-        try:
-            np.linalg.cholesky(mats[index])
-        except np.linalg.LinAlgError:
-            fails[index] = True
+        _flag_failures(mats.reshape(-1, *mats.shape[-2:]), fails.reshape(-1))
     return fails
+
+
+def _flag_failures(mats: np.ndarray, flags: np.ndarray) -> None:
+    """Set flags (a view of the (n,) flags) where Cholesky rejects a matrix of
+    the (n, D, D) stack mats, which it rejects as a whole.
+
+    Each half is factored in one batched call, and only a rejected half is
+    split again, down to single matrices.  Every matrix is factored by the
+    same LAPACK call however it is batched, so a half passes exactly when
+    each of its matrices would pass alone.
+    """
+    if len(mats) == 1:
+        flags[0] = True
+        return
+    mid = len(mats) // 2
+    for half in (slice(None, mid), slice(mid, None)):
+        try:
+            np.linalg.cholesky(mats[half])
+        except np.linalg.LinAlgError:
+            _flag_failures(mats[half], flags[half])
 
 
 def _first(flags: np.ndarray) -> str:
@@ -209,7 +224,10 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     so distances are not dominated by either axis; component statistics are
     computed on the unscaled data.  Returns (assignments, (priors, means,
     covs)) with clusters sorted by time center and assignments relabeled to
-    match.
+    match.  The rows must be finite, and small enough that their RMS
+    spreads do not overflow; otherwise a ValueError names the first
+    non-finite row, or the row holding the largest magnitude, before any
+    overflow warning.
 
     Lloyd's passes are bounded (Hamerly, SDM 2010): each row keeps an upper
     bound on the distance the full loop would compute to its own centroid,
@@ -237,9 +255,17 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     if n < n_clusters:
         raise ValueError(f"dataset of {n} rows cannot seed {n_clusters} clusters")
 
-    t_rms = float(data[:, 0].std())
-    x_dev = data[:, 1:] - data[:, 1:].mean(axis=0)
-    x_rms = float(np.sqrt(np.mean(x_dev**2)))
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"dataset row {int(np.argmin(finite))} must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_rms = float(data[:, 0].std())
+        x_dev = data[:, 1:] - data[:, 1:].mean(axis=0)
+        x_rms = float(np.sqrt(np.mean(x_dev**2)))
+    if not (np.isfinite(t_rms) and np.isfinite(x_rms)):
+        row = int(np.abs(data).max(axis=1).argmax())
+        raise ValueError(f"dataset row {row} is too large to cluster: the RMS spread of "
+                         "the rows overflows")
     scale = x_rms / t_rms if t_rms > 0.0 and x_rms > 0.0 else 1.0
     work = data.copy()
     work[:, 0] *= scale
@@ -311,21 +337,29 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
     Follows scipy's steps: the m entries equal to the maximum are left out
     of the shifted sum s, and the result is log1p(s / m) + log(m) + max.  A
     slice whose result is not finite (all -inf, or an infinite or nan entry)
-    takes log(sum(exp(a))) instead, as scipy's does.
+    takes log(sum(exp(a))) instead, as scipy's does.  The maximum is one
+    np.maximum per entry along axis, which EM's short rows make cheaper than
+    a strided max; a maximum is exact in any order and propagates nan as
+    a.max does.  Both exponentials go through data._exp, which skips the
+    entries exp rounds to 0, so the sums are bitwise the same.  An empty
+    axis is a ValueError.
     """
     a = np.asarray(a, dtype=float)
+    slices = np.moveaxis(a, axis, 0)
+    if len(slices) == 0:
+        raise ValueError(f"logsumexp needs a non-empty axis {axis}, got shape {a.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max(axis=axis, keepdims=True)
+        top = np.expand_dims(functools.reduce(np.maximum, slices), axis)
         at_top = a == top
         m = at_top.sum(axis=axis, keepdims=True, dtype=float)
         rest = a.copy(order="K")
         rest[at_top] = -np.inf
-        s = np.exp(rest - top).sum(axis=axis, keepdims=True)
+        s = _exp(rest - top).sum(axis=axis, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + top
         lost = ~np.isfinite(out)
         if lost.any():
-            out[lost] = np.log(np.exp(a).sum(axis=axis, keepdims=True))[lost]
+            out[lost] = np.log(_exp(a).sum(axis=axis, keepdims=True))[lost]
     return out if keepdims else out.squeeze(axis)
 
 
@@ -382,7 +416,10 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     densities are the same.)  The log-likelihood sum, the
     reset's worst datum (its first occurrence) and the M-step read the
     gathered full-length arrays, so every reduction adds in the same order
-    as on the full rows and the result is bitwise the same.
+    as on the full rows and the result is bitwise the same.  About two
+    thirds of the responsibilities' exponents (and of logsumexp's) lie
+    below -745.13, where exp is exactly +0.0; data._exp leaves those at
+    zero without running numpy's slow underflow path.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or len(data) < 1:
@@ -431,7 +468,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
         prev = loglik
         backup = (priors.copy(), means.copy(), covs.copy())
 
-        resp = np.exp(logp - row_loglik[:, None])[inverse]
+        resp = _exp(logp - row_loglik[:, None])[inverse]
         mass = resp.sum(axis=0)
         for g in range(n_comp):
             if mass[g] < COLLAPSE_EPS:

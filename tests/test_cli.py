@@ -133,6 +133,22 @@ def test_fit_fewer_distinct_times_than_components_exit2(tmp_path, capsys, compon
     assert "got 8 distinct of 8 samples and 4 distinct times" in err
 
 
+def test_fit_huge_finite_demo_value_exit2(work, tmp_path, capsys):
+    """A finite position too large to square fails k-means with the pooled
+    row named, exit 2, before any overflow warning (warnings are errors)."""
+    demo = load_trajectory(work / "demos" / "demo_00.csv")
+    values = demo.values.copy()
+    values[5, 0] = 1e160
+    big = tmp_path / "big.csv"
+    save_trajectory(Trajectory(demo.times, values), big)
+    code = main(["fit", "--demos", str(big), str(work / "demos" / "demo_01.csv"),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: dataset row 5 is too large to cluster: the RMS "
+                                       "spread of the rows overflows\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_csv_demos_too_short_for_default_phases_exit2(tmp_path, capsys):
     """CSV demonstrations carry no phases, so 1.5 s ones cannot take the
     default 1 s holds; the error says so."""

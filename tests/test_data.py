@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmgen.bench import default_times
-from gmmgen.data import (CSV_HEADER, PhaseSchedule, Pose, TaskSpec, Trajectory,
-                         TrajectoryFormatError, _first_violation,
+from gmmgen.data import (CSV_HEADER, EXP_ZERO, PhaseSchedule, Pose, TaskSpec, Trajectory,
+                         TrajectoryFormatError, _exp, _first_violation,
                          _resampled, _rotvec_angles, load_trajectory, resample, save_trajectory)
 from gmmgen.metrics import average_jerk, phase_deviation
 from gmmgen.model import FitConfig
@@ -430,3 +430,51 @@ def test_pose_consumers_share_the_pose_row_error(scene, tmp_path, consumer):
 def test_save_rejects_non_pose(tmp_path):
     with pytest.raises(ValueError):
         save_trajectory(Trajectory([0.0, 1.0], [0.0, 1.0]), tmp_path / "x.csv")
+
+
+# the largest input np.exp rounds to +0.0, and the next double up
+EXP_LAST_ZERO = -745.1332191019412
+EXP_FIRST_NONZERO = -745.1332191019411
+EXP_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, EXP_ZERO,
+                         np.nextafter(EXP_ZERO, -np.inf), np.nextafter(EXP_ZERO, np.inf),
+                         EXP_LAST_ZERO, EXP_FIRST_NONZERO])
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+       layout=st.sampled_from(["C", "step 2", "step 3", "reversed", "transposed"]))
+def test_exp_is_bitwise_np_exp(seed, n, layout):
+    """_exp matches np.exp bit for bit and in memory layout, on inputs across
+    [-1e5, 710], the subnormal band (-745.2, -708), and nan, +-inf and +-0.
+
+    numpy runs a negatively strided input through libm's exp, which can
+    round the last bit differently from its vectorized loop; _exp runs every
+    input through the vectorized loop, so there it matches np.exp of a
+    contiguous copy."""
+    rng = np.random.default_rng(seed)
+    step = {"step 2": 2, "step 3": 3}.get(layout, 1)
+    base = np.choose(rng.integers(0, 3, n * step),
+                     [rng.uniform(-1e5, 710.0, n * step), rng.uniform(-745.2, -708.0, n * step),
+                      rng.choice(EXP_SPECIALS, n * step)])
+    x = base[::step]
+    if layout == "reversed":
+        x = base[::-1]
+    elif layout == "transposed" and n % 2 == 0:
+        x = base.reshape(2, n // 2).T
+    with np.errstate(over="ignore"):
+        got = _exp(x)
+        want = np.exp(np.ascontiguousarray(x) if layout == "reversed" else x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8, 17])
+def test_np_exp_rounds_to_zero_where_exp_skips_it(n):
+    """_exp writes +0.0 for every input at or below EXP_ZERO without calling
+    np.exp; this pins that np.exp gives exactly that there, so a numpy
+    build that rounds differently fails here instead of moving bits."""
+    for x in (EXP_ZERO, np.nextafter(EXP_ZERO, -np.inf), -1e4, -np.inf, EXP_LAST_ZERO):
+        y = np.exp(np.full(n, x))
+        assert (y == 0.0).all() and not np.signbit(y).any()
+    assert (np.exp(np.full(n, EXP_FIRST_NONZERO)) > 0.0).all()

@@ -811,10 +811,11 @@ def test_second_corpus_fit_matches_oracle_bitwise(scene, fit_result):
 
 def logsumexp_rows(rng, n_rows, n_cols):
     """Rows of the kinds logsumexp must get right, in turn: plain, ties at
-    the max, some -inf, all equal, magnitude ~1e3, and all -inf."""
+    the max, some -inf, all equal, magnitude ~1e3, all -inf, and entries
+    on both sides of the point where exp rounds to 0 after the max shift."""
     a = rng.normal(scale=3.0, size=(n_rows, n_cols))
     for r in range(n_rows):
-        kind = r % 6
+        kind = r % 7
         if kind == 1:
             a[r, rng.integers(0, n_cols, 3)] = a[r].max()
         elif kind == 2:
@@ -825,6 +826,9 @@ def logsumexp_rows(rng, n_rows, n_cols):
             a[r] = a[r] * 1e3 + rng.choice([-1e3, 1e3])
         elif kind == 5:
             a[r] = -np.inf
+        elif kind == 6:
+            others = rng.permutation(np.delete(np.arange(n_cols), a[r].argmax()))[:4]
+            a[r, others] = a[r].max() - np.array([740.0, 745.2, 746.0, 1e4])[:len(others)]
     return a
 
 
@@ -836,3 +840,86 @@ def test_logsumexp_matches_scipy_bitwise(seed, n_rows, n_cols):
         for keepdims in (False, True):
             assert_bitwise(logsumexp(a, axis=axis, keepdims=keepdims),
                            scipy_logsumexp(a, axis=axis, keepdims=keepdims))
+
+
+@pytest.mark.parametrize("shape,axis", [((3, 0), 1), ((0, 3), 0), ((0,), 0), ((2, 0, 4), -2)])
+def test_logsumexp_over_an_empty_axis_raises(shape, axis):
+    with pytest.raises(ValueError):
+        logsumexp(np.zeros(shape), axis=axis)
+
+
+@pytest.mark.parametrize("shape,axis", [((0, 3), 1), ((3, 0), 0), ((2, 3, 4), -1),
+                                        ((2, 3, 4), 1), ((5,), 0)])
+def test_logsumexp_shapes_match_scipy(shape, axis):
+    a = np.random.default_rng(3).normal(scale=400.0, size=shape)
+    for keepdims in (False, True):
+        assert_bitwise(logsumexp(a, axis=axis, keepdims=keepdims),
+                       scipy_logsumexp(a, axis=axis, keepdims=keepdims))
+
+
+def test_logsumexp_non_finite_rows_match_scipy():
+    a = np.array([[0.0, np.nan, 1.0], [np.inf, 0.0, -np.inf], [np.inf, -np.inf, np.nan],
+                  [-np.inf, -np.inf, -np.inf], [np.inf, np.inf, 3.0], [-0.0, 0.0, -800.0]])
+    for axis in (0, 1):
+        assert_bitwise(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
+
+
+def oracle_cholesky_fails(mats):
+    """The former per-matrix locator: factor each matrix alone."""
+    fails = np.zeros(mats.shape[:-2], dtype=bool)
+    for index in np.ndindex(fails.shape):
+        try:
+            np.linalg.cholesky(mats[index])
+        except np.linalg.LinAlgError:
+            fails[index] = True
+    return fails
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.one_of(st.tuples(st.integers(1, 40)),
+                       st.tuples(st.integers(1, 16), st.integers(1, 16))),
+       dim=st.integers(1, 7), n_bad=st.integers(0, 3))
+def test_cholesky_fails_matches_per_matrix_oracle(seed, shape, dim, n_bad):
+    """Bisection flags exactly the matrices Cholesky rejects one at a time,
+    with 0-3 indefinite matrices at random places in the stack."""
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=(*shape, dim, dim))
+    mats = roots @ np.swapaxes(roots, -1, -2) + 0.1 * np.eye(dim)
+    flat = mats.reshape(-1, dim, dim)
+    bad = rng.choice(len(flat), size=min(n_bad, len(flat)), replace=False)
+    for b in bad:
+        low, high = np.linalg.eigvalsh(flat[b])[[0, -1]]
+        # some eigenvalue below 0; others above it unless dim is 1
+        flat[b] -= (low + rng.uniform(0.01, 1.0) * (high - low) + 1e-3) * np.eye(dim)
+    got = model_module._cholesky_fails(mats)
+    want = oracle_cholesky_fails(mats)
+    assert got.shape == shape and got.dtype == bool
+    assert np.array_equal(got, want)
+    assert np.flatnonzero(want).tolist() == sorted(bad.tolist())
+
+
+def test_cholesky_fails_keeps_the_stack_shape():
+    for mats, want in ((np.eye(3), False), (-np.eye(3), True)):
+        got = model_module._cholesky_fails(mats)
+        assert got.shape == () and bool(got) == want
+    assert model_module._cholesky_fails(np.zeros((0, 4, 4))).shape == (0,)
+    assert model_module._cholesky_fails(np.zeros((2, 0, 4, 4))).shape == (2, 0)
+
+
+@pytest.mark.parametrize("column", [0, 2])
+@pytest.mark.parametrize("value", [1e160, -1e160, 1e300])
+def test_kmeans_rejects_rows_whose_spread_overflows(column, value):
+    """Finite rows too large to square raise a ValueError naming the row
+    before any overflow warning fires (warnings are errors here)."""
+    data = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros((20, 2))])
+    data[13, column] = value
+    with pytest.raises(ValueError, match="^dataset row 13 is too large to cluster"):
+        kmeans_init(data, 3, seed=0)
+
+
+def test_kmeans_rejects_non_finite_rows():
+    data = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros((20, 2))])
+    data[4, 1] = np.nan
+    with pytest.raises(ValueError, match="^dataset row 4 must be finite$"):
+        kmeans_init(data, 3, seed=0)
