@@ -114,7 +114,7 @@ def _exp(x) -> np.ndarray:
     The result has np.exp's memory layout, so sums over it add in the same
     order.  (For a negatively strided x numpy itself runs libm's exp, which
     can differ in the last bit from its vectorized loop; _exp runs the
-    vectorized one for every layout.  EM and regression pass fresh arrays.)
+    vectorized one for every layout.  EM passes fresh arrays.)
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Trajectory, _exp, _memoized
+from .data import Trajectory, _memoized
 
 
 def _validated_times(times, duration: float) -> np.ndarray:
@@ -48,15 +48,13 @@ _WEIGHTS_MEMO = []
 def _weights(priors, t_means, t_vars, times):
     """(act, sums): the max-shifted activations (n, G) of (G,) time variances
     and their row sums (n, 1), from a one-entry memo keyed by the bytes of
-    all four inputs, so a hit returns exactly what a miss computes.  The
-    activations come from data._exp, which leaves the log weights that exp
-    rounds to 0 at zero without exponentiating them."""
+    all four inputs, so a hit returns exactly what a miss computes."""
     def compute():
         log_w = (times[:, None] - t_means) ** 2
         log_w /= 2.0 * t_vars
         np.subtract(np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars), log_w, out=log_w)
         log_w -= log_w.max(axis=1, keepdims=True)
-        act = _exp(log_w)
+        act = np.exp(log_w, out=log_w)
         return act, act.sum(axis=1, keepdims=True)
     return _memoized(_WEIGHTS_MEMO, (priors, t_means, t_vars, times), compute)
 

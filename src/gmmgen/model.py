@@ -27,34 +27,20 @@ def _cholesky_fails(mats: np.ndarray) -> np.ndarray:
     the matrix.
 
     One batched factorization covers the usual all-definite case; only when
-    it fails is the flattened stack bisected to find the culprits.
+    it fails are the matrices factored one at a time to find the culprits.
     """
     fails = np.zeros(mats.shape[:-2], dtype=bool)
     try:
         np.linalg.cholesky(mats)
+        return fails
     except np.linalg.LinAlgError:
-        _flag_failures(mats.reshape(-1, *mats.shape[-2:]), fails.reshape(-1))
-    return fails
-
-
-def _flag_failures(mats: np.ndarray, flags: np.ndarray) -> None:
-    """Set flags (a view of the (n,) flags) where Cholesky rejects a matrix of
-    the (n, D, D) stack mats, which it rejects as a whole.
-
-    Each half is factored in one batched call, and only a rejected half is
-    split again, down to single matrices.  Every matrix is factored by the
-    same LAPACK call however it is batched, so a half passes exactly when
-    each of its matrices would pass alone.
-    """
-    if len(mats) == 1:
-        flags[0] = True
-        return
-    mid = len(mats) // 2
-    for half in (slice(None, mid), slice(mid, None)):
+        pass
+    for index in np.ndindex(fails.shape):
         try:
-            np.linalg.cholesky(mats[half])
+            np.linalg.cholesky(mats[index])
         except np.linalg.LinAlgError:
-            _flag_failures(mats[half], flags[half])
+            fails[index] = True
+    return fails
 
 
 def _first(flags: np.ndarray) -> str:
@@ -216,6 +202,14 @@ def _cluster_means(cols: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> 
     return np.stack(sums, axis=1) / counts[:, None]
 
 
+def _check_finite_rows(data: np.ndarray) -> None:
+    """Raise a ValueError naming the first (n, D+1) dataset row that holds a
+    nan or an infinity."""
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"dataset row {int(np.argmin(finite))} must be finite")
+
+
 def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
                 cov_floor: float = FitConfig.cov_floor):
     """Seed mixture components by K-means over [t, x] rows.
@@ -255,9 +249,7 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     if n < n_clusters:
         raise ValueError(f"dataset of {n} rows cannot seed {n_clusters} clusters")
 
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"dataset row {int(np.argmin(finite))} must be finite")
+    _check_finite_rows(data)
     with np.errstate(over="ignore", invalid="ignore"):
         t_rms = float(data[:, 0].std())
         x_dev = data[:, 1:] - data[:, 1:].mean(axis=0)
@@ -337,12 +329,15 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
     Follows scipy's steps: the m entries equal to the maximum are left out
     of the shifted sum s, and the result is log1p(s / m) + log(m) + max.  A
     slice whose result is not finite (all -inf, or an infinite or nan entry)
-    takes log(sum(exp(a))) instead, as scipy's does.  The maximum is one
-    np.maximum per entry along axis, which EM's short rows make cheaper than
-    a strided max; a maximum is exact in any order and propagates nan as
-    a.max does.  Both exponentials go through data._exp, which skips the
-    entries exp rounds to 0, so the sums are bitwise the same.  An empty
-    axis is a ValueError.
+    takes log(sum(exp(a))) instead, as scipy's does.  An empty axis is a
+    ValueError.
+
+    Tuned for EM's rows of a few dozen entries: the maximum is one
+    np.maximum call per entry along axis, cheaper than a strided a.max on
+    a short axis but a Python-level loop on a long one (a maximum is exact
+    in any order and propagates nan as a.max does).  The shifted sum's
+    exponentials go through data._exp, which skips the entries exp rounds
+    to 0, so the sum is bitwise the same.
     """
     a = np.asarray(a, dtype=float)
     slices = np.moveaxis(a, axis, 0)
@@ -359,7 +354,7 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
         out = np.log1p(s) + np.log(m) + top
         lost = ~np.isfinite(out)
         if lost.any():
-            out[lost] = np.log(_exp(a).sum(axis=axis, keepdims=True))[lost]
+            out[lost] = np.log(np.exp(a).sum(axis=axis, keepdims=True))[lost]
     return out if keepdims else out.squeeze(axis)
 
 
@@ -425,9 +420,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     if data.ndim != 2 or len(data) < 1:
         raise ValueError("dataset must be a non-empty (n, D+1) array")
     n, d = data.shape
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"dataset row {int(np.argmin(finite))} must be finite")
+    _check_finite_rows(data)
     priors, means, covs = (np.array(a, dtype=float) for a in init)
     if means.ndim != 2 or means.shape[1] != d:
         raise ValueError(f"init means must be (G, {d}) rows as wide as the dataset, "

@@ -864,49 +864,6 @@ def test_logsumexp_non_finite_rows_match_scipy():
         assert_bitwise(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
 
 
-def oracle_cholesky_fails(mats):
-    """The former per-matrix locator: factor each matrix alone."""
-    fails = np.zeros(mats.shape[:-2], dtype=bool)
-    for index in np.ndindex(fails.shape):
-        try:
-            np.linalg.cholesky(mats[index])
-        except np.linalg.LinAlgError:
-            fails[index] = True
-    return fails
-
-
-@settings(max_examples=200)
-@given(seed=st.integers(0, 2**32 - 1),
-       shape=st.one_of(st.tuples(st.integers(1, 40)),
-                       st.tuples(st.integers(1, 16), st.integers(1, 16))),
-       dim=st.integers(1, 7), n_bad=st.integers(0, 3))
-def test_cholesky_fails_matches_per_matrix_oracle(seed, shape, dim, n_bad):
-    """Bisection flags exactly the matrices Cholesky rejects one at a time,
-    with 0-3 indefinite matrices at random places in the stack."""
-    rng = np.random.default_rng(seed)
-    roots = rng.normal(size=(*shape, dim, dim))
-    mats = roots @ np.swapaxes(roots, -1, -2) + 0.1 * np.eye(dim)
-    flat = mats.reshape(-1, dim, dim)
-    bad = rng.choice(len(flat), size=min(n_bad, len(flat)), replace=False)
-    for b in bad:
-        low, high = np.linalg.eigvalsh(flat[b])[[0, -1]]
-        # some eigenvalue below 0; others above it unless dim is 1
-        flat[b] -= (low + rng.uniform(0.01, 1.0) * (high - low) + 1e-3) * np.eye(dim)
-    got = model_module._cholesky_fails(mats)
-    want = oracle_cholesky_fails(mats)
-    assert got.shape == shape and got.dtype == bool
-    assert np.array_equal(got, want)
-    assert np.flatnonzero(want).tolist() == sorted(bad.tolist())
-
-
-def test_cholesky_fails_keeps_the_stack_shape():
-    for mats, want in ((np.eye(3), False), (-np.eye(3), True)):
-        got = model_module._cholesky_fails(mats)
-        assert got.shape == () and bool(got) == want
-    assert model_module._cholesky_fails(np.zeros((0, 4, 4))).shape == (0,)
-    assert model_module._cholesky_fails(np.zeros((2, 0, 4, 4))).shape == (2, 0)
-
-
 @pytest.mark.parametrize("column", [0, 2])
 @pytest.mark.parametrize("value", [1e160, -1e160, 1e300])
 def test_kmeans_rejects_rows_whose_spread_overflows(column, value):
