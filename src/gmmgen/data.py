@@ -123,16 +123,19 @@ def _exp(x) -> np.ndarray:
     return out
 
 
-def _rotvec_angles(rotvecs) -> np.ndarray:
+def _rotvec_angles(rotvecs: np.ndarray) -> np.ndarray:
     """Rotation-vector magnitudes over the last axis, sqrt(x*x + y*y + z*z)
     column by column: bitwise np.linalg.norm(rotvecs, axis=-1), which adds
     the three squares in that order, without its strided reduction.
 
     Pose and Trajectory both take them here, with one rounding, so every
-    row a Trajectory accepts is a valid Pose.
+    row a Trajectory accepts is a valid Pose.  A single vector runs as one
+    row through the same array loops: numpy's scalar arithmetic would
+    propagate another nan payload than the norm's.
     """
-    x, y, z = (rotvecs[..., i] for i in range(3))
-    return np.sqrt(x * x + y * y + z * z)
+    rows = rotvecs.reshape(-1, 3)
+    x, y, z = rows[:, 0], rows[:, 1], rows[:, 2]
+    return np.sqrt(x * x + y * y + z * z).reshape(rotvecs.shape[:-1])
 
 
 def _read_json(path, parse=lambda obj: obj):

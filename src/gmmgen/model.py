@@ -49,36 +49,41 @@ def _first(flags: np.ndarray) -> str:
 
 
 def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """covs symmetrized and read-only, once every component passes its checks.
+    """covs symmetrized into a fresh read-only array, once every component
+    passes its checks.
 
     priors are (G,), means (G, k) and covs (G, D+1, D+1) of one mixture.
     Every parameter must be finite, the covariances once symmetrized (an
     entry above half the largest float doubles past it), every prior
     positive, and every covariance symmetric to 1e-9 of its largest entry
     and, once symmetrized, accepted by Cholesky; an error names the first
-    failing component.
+    failing component.  Valid parameters cost whole-array checks only, and
+    an exactly symmetric stack (every stack generalize builds) skips the
+    per-matrix gap and scale reductions; the failing component is located
+    once a check fails.
     """
     flipped = np.swapaxes(covs, -2, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         symmetric = 0.5 * (covs + flipped)
-        gaps = np.abs(covs - flipped).max(axis=(-2, -1))
-    bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=-1)
-            & np.isfinite(symmetric).all(axis=(-2, -1)))
-    if bad.any():
+    if not (np.isfinite(priors).all() and np.isfinite(means).all()
+            and np.isfinite(symmetric).all()):
+        bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=-1)
+                & np.isfinite(symmetric).all(axis=(-2, -1)))
         raise ValueError(f"{_first(bad)}: parameters must be finite")
     if not (priors > 0.0).all():
         raise ValueError(f"{_first(~(priors > 0.0))}: prior must be positive")
-    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
-    asym = gaps > 1e-9 * scale
-    if asym.any():
-        raise ValueError(f"{_first(asym)}: covariance must be symmetric")
-    covs = symmetric
-    covs.flags.writeable = False
-    not_spd = _cholesky_fails(covs)
+    if not (symmetric == covs).all():  # all equal iff the finite covs is exactly symmetric
+        with np.errstate(over="ignore"):  # a gap between entries of opposite sign
+            gaps = np.abs(covs - flipped).max(axis=(-2, -1))
+        asym = gaps > 1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+        if asym.any():
+            raise ValueError(f"{_first(asym)}: covariance must be symmetric")
+    symmetric.flags.writeable = False
+    not_spd = _cholesky_fails(symmetric)
     if not_spd.any():
         raise ValueError(f"{_first(not_spd)}: covariance must be "
                          "symmetric positive definite")
-    return covs
+    return symmetric
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,9 @@ class GmmModel:
     A generalized model also records its task, whose poses need D = 6,
     whether the covariance update was ablated, and its SPD repair count; a
     model without a task keeps ablated=False and spd_repairs=0.  The
-    model's duration is its phase schedule's.
+    model's duration is its phase schedule's.  Every stored array is
+    read-only and never the caller's: priors and means are copied, and the
+    symmetrized covs, slopes and shapes computed here are frozen in place.
     """
 
     priors: np.ndarray
@@ -109,7 +116,7 @@ class GmmModel:
     def __post_init__(self):
         priors = _frozen_array(self.priors)
         means = _frozen_array(self.means)
-        covs = np.array(self.covs, dtype=float)
+        covs = np.asarray(self.covs, dtype=float)
         if priors.ndim != 1 or len(priors) < 1:
             raise ValueError("model needs at least one component")
         n_comp = len(priors)
@@ -122,7 +129,7 @@ class GmmModel:
         total = priors.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"priors must sum to 1, got {float(total)!r}")
-        if np.any(np.diff(means[:, 0]) <= 0.0):
+        if not (means[1:, 0] > means[:-1, 0]).all():  # the means are finite here
             raise ValueError("components must be strictly ordered by time center")
         if not isinstance(self.ablated, bool):
             raise ValueError(f"ablated must be a bool, got {self.ablated!r}")
@@ -136,10 +143,11 @@ class GmmModel:
             raise ValueError(f"task: its poses are {POSE_DIM}-D but the model is "
                              f"{n_dim - 1}-D")
         tt = covs[:, 0, 0]
-        slopes = _frozen_array(covs[:, 1:, 0] / tt[:, None])
-        shapes = _frozen_array(covs[:, 1:, 1:] / tt[:, None, None])
+        slopes = covs[:, 1:, 0] / tt[:, None]
+        shapes = covs[:, 1:, 1:] / tt[:, None, None]
         for name, value in (("priors", priors), ("means", means), ("covs", covs),
                             ("slopes", slopes), ("shapes", shapes)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -401,7 +409,10 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     trace non-decreasing.  The dataset must be finite, and init must hold
     (G,) positive priors, (G, D+1) finite means as wide as the dataset and
     (G, D+1, D+1) symmetric positive definite covs; an error names the
-    failing row, argument or component.
+    failing row, argument or component.  A squared Mahalanobis distance
+    that overflows is a ValueError, raised before any overflow warning,
+    naming the row of largest magnitude among those whose distance
+    overflows (its first occurrence).
 
     The E-step works once per distinct row: the log densities, logsumexp
     and responsibilities of a row depend on that row alone, so they are
@@ -448,7 +459,16 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     prev = None
     backup = None
     for _ in range(config.max_iters):
-        logp = _log_densities(rows, means, covs) + np.log(priors)
+        try:
+            with np.errstate(over="raise"):
+                logp = _log_densities(rows, means, covs)
+        except FloatingPointError:  # name the largest of the rows whose distance overflows
+            with np.errstate(over="ignore"):
+                lost = ~np.isfinite(_log_densities(rows, means, covs)).all(axis=1)
+            sizes = np.where(lost[inverse], np.abs(data).max(axis=1), -np.inf)
+            raise ValueError(f"dataset row {int(sizes.argmax())} is too large to fit: its "
+                             "squared Mahalanobis distance to a component overflows") from None
+        logp += np.log(priors)
         row_loglik = logsumexp(logp, axis=1)
         per_point = row_loglik[inverse]
         loglik = float(per_point.sum())

@@ -17,6 +17,7 @@ keeps its order, so the output is bitwise the same.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,6 +98,12 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
     Endpoints must be finite, and eps a finite, non-negative (D,) vector;
     a ValueError names the argument that is not.
     """
+    new_start, new_goal = _checked_endpoints(model, new_start, new_goal)
+    return _remapped_means(model, new_start, new_goal, _source_terms(model, eps))
+
+
+def _checked_endpoints(model: GmmModel, new_start, new_goal):
+    """reparam_means' endpoints as float arrays, once they pass its checks."""
     if model.n_components < 2:
         raise ValueError("mean reparameterization needs at least two components")
     new_start = np.asarray(new_start, dtype=float)
@@ -105,11 +112,15 @@ def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
         raise ValueError(f"endpoints must be vectors of length {model.dim}")
     if not (np.isfinite(new_start).all() and np.isfinite(new_goal).all()):
         raise ValueError("endpoints must be finite")
+    return new_start, new_goal
 
+
+def _remapped_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
+                    src: _SourceTerms) -> np.ndarray:
+    """reparam_means of checked endpoints, given the model's source terms."""
     means = model.means[:, 1:]
     first, last = means[0], means[-1]
     start, goal = new_start[..., None, :], new_goal[..., None, :]
-    src = _source_terms(model, eps)
     scale = np.where(src.degenerate, 0.0, (goal - start) / src.safe_span)
     scaled = start + scale * (means - first)
     offset = means + (1.0 - src.alpha) * (start - first) + src.alpha * (goal - last)
@@ -153,6 +164,13 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     (..., G, D), and eps a finite, non-negative (D,) vector; a ValueError
     names the argument that is not.
     """
+    new_means = _checked_new_means(model, new_means)
+    covs = _adapted_covs(model, new_means, _source_terms(model, eps))
+    return covs, _repair(covs)
+
+
+def _checked_new_means(model: GmmModel, new_means) -> np.ndarray:
+    """reparam_covariances' new_means as a float array, once it passes its checks."""
     new_means = np.asarray(new_means, dtype=float)
     shape = (model.n_components, model.dim)
     if new_means.shape[-2:] != shape:
@@ -160,7 +178,14 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
                          f"got shape {new_means.shape}")
     if not np.isfinite(new_means).all():
         raise ValueError("new_means must be finite")
-    src = _source_terms(model, eps)
+    return new_means
+
+
+def _adapted_covs(model: GmmModel, new_means: np.ndarray, src: _SourceTerms) -> np.ndarray:
+    """reparam_covariances' covs for checked new_means, given the model's
+    source terms, before the repair scan.  Every matrix of the stack is
+    exactly symmetric: the stored shapes are, so is each outer product
+    (v_i v_j = v_j v_i), and both cross blocks hold the same moved slopes."""
     d_new = np.diff(new_means, axis=-2)
     ratio = np.where(src.keep, 1.0, d_new / src.safe_d_old)
     moved = ratio * model.slopes[1:]
@@ -172,10 +197,17 @@ def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray)
     cov[..., 1:, 0] = moved
     cov[..., 1:, 1:] = model.shapes[1:] + _outers(moved) - src.old_outers
     cov *= model.covs[1:, 0, 0, None, None]
+    return covs
+
+
+def _repair(covs: np.ndarray) -> np.ndarray:
+    """Clamp in place to COV_FLOOR each adapted covariance, covs[..., 1:, :, :],
+    that Cholesky rejects; returns the count per stack, (...)."""
+    cov = covs[..., 1:, :, :]
     broken = _cholesky_fails(cov)
     if broken.any():  # eigh on an empty stack alone costs ~15 us a query
         cov[broken] = _clamp_spd(cov[broken], COV_FLOOR)
-    return covs, broken.sum(axis=-1)
+    return broken.sum(axis=-1)
 
 
 def _reparam(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
@@ -228,13 +260,27 @@ def generalize(model: GmmModel, task: TaskSpec,
 
     The result carries the task.  Its priors and time centers are the
     source model's, untouched, and so are its time variances unless an SPD
-    repair moved one.
+    repair moved one.  It is bitwise the GmmModel of reparam_means and
+    reparam_covariances, repair count and errors included, but looks the
+    source terms up once and factors the adapted stack once, in GmmModel's
+    check.  The stack is exactly symmetric, so that check factors the very
+    matrices reparam_covariances' repair scan would; only a stack it
+    rejects takes the scan and clamp, then a second construction.
     """
     if not isinstance(task, TaskSpec):
         raise TypeError(f"task must be a TaskSpec, got {type(task).__name__}")
     if not isinstance(config, ReparamConfig):
         raise TypeError(f"config must be a ReparamConfig, got {type(config).__name__}")
-    means, covs, repairs = _reparam(model, task.start_vector(), task.goal_vector(), config)
-    return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
-                    model.phases, task=task, ablated=config.ablate_covariance,
-                    spd_repairs=int(repairs))
+    start, goal = _checked_endpoints(model, task.start_vector(), task.goal_vector())
+    src = _source_terms(model, DEGENERATE_EPS)
+    means = _remapped_means(model, start, goal, src)
+    build = functools.partial(GmmModel, model.priors,
+                              np.column_stack([model.means[:, 0], means]), phases=model.phases,
+                              task=task, ablated=config.ablate_covariance)
+    if config.ablate_covariance:
+        return build(model.covs)
+    covs = _adapted_covs(model, _checked_new_means(model, means), src)
+    try:
+        return build(covs)
+    except ValueError:  # a stack that needs a repair, or that no repair saves
+        return build(covs, spd_repairs=int(_repair(covs)))

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from gmmgen import FitConfig, SynthConfig, default_scene, fit_gmm, generate_demonstrations
 from gmmgen.bench import default_times, model_endpoints
 
-# Property tests draw the same examples on every run and keep no example
-# database, so a failure reproduces from the test alone.
+# Property tests are derandomized and keep no example database, so one
+# pytest command draws the same examples on every run.  The examples can
+# still depend on which test modules that command loads (hypothesis 6.155
+# draws constants from the loaded code), so a failure reproduces with the
+# command that found it; tests/run_modules_alone.py runs each module alone.
 settings.register_profile("gmmgen", derandomize=True, database=None, deadline=None)
 settings.load_profile("gmmgen")
 

@@ -18,7 +18,8 @@ from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import (SAMPLE_ATTEMPTS, SamplingError, SuccessThresholds, _verdicts,
                           collision_mask, sample_task, sample_tasks)
 
-from test_reparam import compiled_values, thin_past_pi_tasks, thin_repair_tasks
+from test_reparam import (assert_generalize_composes, compiled_values, thin_past_pi_tasks,
+                          thin_repair_tasks)
 
 # A chunk scores compiled curves (bench._Compiled), so its records match the
 # one-trial evaluation to rounding: every metric within these tolerances,
@@ -267,6 +268,24 @@ def test_generalize_rejects_a_covariance_entry_above_half_the_largest_float(chun
         assert np.isfinite(generalize(source, task).covs).all()
     with pytest.raises(ValueError, match="^component 1: parameters must be finite$"):
         generalize(source, tasks[2])
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_generalize_is_the_model_of_reparam_on_every_pool(chunk_pools, ablate):
+    """Every pool's task generalizes bitwise to, or raises the error of, the
+    model built from reparam_means and reparam_covariances: the thin far
+    task's clamps and repair count, and the x-heavy sources' overflowing,
+    non-finite and above-half-max stacks included."""
+    config = ReparamConfig(ablate_covariance=ablate)
+    got = {(name, i): assert_generalize_composes(source, task, config)
+           for name, (source, tasks) in chunk_pools.items() for i, task in enumerate(tasks)}
+    finite = (ValueError, "component 1: parameters must be finite")
+    if ablate:
+        assert [key for key, out in got.items() if out == finite] == [("overflow", 4)]
+    else:
+        assert got["thin", 1][1] == 2
+        assert got["overflow", 3] == got["half-max", 2] == finite
+        assert got["overflow", 4] == (ValueError, "new_means must be finite")
 
 
 def one_task_outcome(model, task, config, times, scene, reference):

@@ -149,6 +149,25 @@ def test_fit_huge_finite_demo_value_exit2(work, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("value", [1e152, 1e153, 1e154])
+def test_fit_demo_value_whose_mahalanobis_distance_overflows_exit2(work, tmp_path, capsys,
+                                                                   value):
+    """A finite position small enough for k-means but whose squared
+    distance to a component overflows fails EM with the pooled row named,
+    exit 2, before any overflow warning (warnings are errors)."""
+    demo = load_trajectory(work / "demos" / "demo_00.csv")
+    values = demo.values.copy()
+    values[5, 0] = value
+    big = tmp_path / "big.csv"
+    save_trajectory(Trajectory(demo.times, values), big)
+    code = main(["fit", "--demos", str(big), str(work / "demos" / "demo_01.csv"),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: dataset row 5 is too large to fit: its squared "
+                                       "Mahalanobis distance to a component overflows\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_csv_demos_too_short_for_default_phases_exit2(tmp_path, capsys):
     """CSV demonstrations carry no phases, so 1.5 s ones cannot take the
     default 1 s holds; the error says so."""

@@ -880,3 +880,97 @@ def test_kmeans_rejects_non_finite_rows():
     data[4, 1] = np.nan
     with pytest.raises(ValueError, match="^dataset row 4 must be finite$"):
         kmeans_init(data, 3, seed=0)
+
+
+@pytest.mark.parametrize("value", [1e152, -1e153, 3e153])
+def test_em_fit_rejects_a_row_whose_mahalanobis_distance_overflows(value):
+    """A finite row that k-means can still cluster, but whose squared
+    distance to a component overflows, raises a ValueError naming the
+    largest such row, its first occurrence, before any overflow warning
+    fires (warnings are errors here)."""
+    data = np.column_stack([np.linspace(0.0, 1.0, 40), np.zeros((40, 2))])
+    data[:, 2] = np.sin(7.0 * data[:, 0])
+    data[13, 1] = value
+    data[30] = data[13]  # np.unique merges it with row 13
+    data[21, 1] = value / 10.0
+    _, init = kmeans_init(data, 3, seed=0)
+    with pytest.raises(ValueError, match="^dataset row 13 is too large to fit: its squared "
+                                         "Mahalanobis distance to a component overflows$"):
+        em_fit(data, init, FitConfig(n_components=3))
+
+
+def oracle_checked_covs(priors, means, covs):
+    """_checked_covs' checks with every reduction taken per component, the
+    reference its whole-array fast paths must match."""
+    flipped = np.swapaxes(covs, -2, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = 0.5 * (covs + flipped)
+        gaps = np.abs(covs - flipped).max(axis=(-2, -1))
+    bad = ~(np.isfinite(priors) & np.isfinite(means).all(axis=-1)
+            & np.isfinite(symmetric).all(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"component {np.flatnonzero(bad)[0]}: parameters must be finite")
+    if not (priors > 0.0).all():
+        raise ValueError(f"component {np.flatnonzero(~(priors > 0.0))[0]}: "
+                         "prior must be positive")
+    asym = gaps > 1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    if asym.any():
+        raise ValueError(f"component {np.flatnonzero(asym)[0]}: covariance must be symmetric")
+    for g, cov in enumerate(symmetric):
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"component {g}: covariance must be symmetric positive "
+                             "definite") from None
+    return symmetric
+
+
+COV_ENTRIES = st.sampled_from([0.0, -0.0, 1e-300, 1e-9, 0.5, 1.0, -1.0, 1e300, 1e308, -1e308,
+                               np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 4), size=st.integers(1, 4),
+       edits=st.lists(st.tuples(st.integers(0, 10**6), COV_ENTRIES, st.booleans(),
+                                st.sampled_from([0.0, 1e-12, 1e-6])), max_size=3),
+       prior=st.sampled_from([None, 0.0, -1.0, np.nan]))
+def test_checked_covs_matches_its_per_component_oracle(seed, n_comp, size, edits, prior):
+    """On SPD stacks with entries replaced, mirrored or not and nudged by a
+    relative gap, and with a bad prior, _checked_covs returns the oracle's
+    symmetrized stack bitwise, read-only and fresh, or raises its error."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_comp, size, size))
+    covs = a @ np.swapaxes(a, -1, -2) + np.eye(size)
+    priors = np.full(n_comp, 1.0 / n_comp)
+    means = rng.normal(size=(n_comp, size))
+    for where, value, mirror, gap in edits:
+        g, i, j = np.unravel_index(where % covs.size, covs.shape)
+        covs[g, i, j] = value
+        if mirror:
+            with np.errstate(over="ignore", invalid="ignore"):
+                covs[g, j, i] = value * (1.0 + gap)
+    if prior is not None:
+        priors[-1] = prior
+    try:
+        want = oracle_checked_covs(priors, means, covs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            _checked_covs(priors, means, covs)
+        return
+    got = _checked_covs(priors, means, covs)
+    assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    assert not np.shares_memory(got, covs)
+
+
+def test_model_never_stores_the_callers_arrays():
+    """GmmModel freezes the arrays it computes in place and copies the
+    caller's, even an exactly symmetric stack that symmetrizes to itself."""
+    covs = np.tile(np.array([[1.0, 0.5], [0.5, 1.0]]), (2, 1, 1))
+    priors, means = np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 1.0]])
+    model = GmmModel(priors, means, covs, PHASES_1S)
+    for name, given_array in (("priors", priors), ("means", means), ("covs", covs)):
+        assert not np.shares_memory(getattr(model, name), given_array)
+    for name in ("priors", "means", "covs", "slopes", "shapes"):
+        assert not getattr(model, name).flags.writeable
+    covs[0, 0, 0] = 2.0
+    assert model.covs[0, 0, 0] == 1.0

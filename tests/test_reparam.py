@@ -278,6 +278,94 @@ def test_generalize_many_counts_repairs_per_task():
     assert all(isinstance(count, int) for count in singles)
 
 
+def composed_generalize(model, task, config=ReparamConfig()):
+    """generalize() as the model built from reparam_means and
+    reparam_covariances, each doing its own checks, source-terms lookup and
+    repair scan."""
+    means = reparam_means(model, task.start_vector(), task.goal_vector(), DEGENERATE_EPS)
+    covs, repairs = model.covs, 0
+    if not config.ablate_covariance:
+        covs, repairs = reparam_covariances(model, means, DEGENERATE_EPS)
+    return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
+                    model.phases, task=task, ablated=config.ablate_covariance,
+                    spd_repairs=int(repairs))
+
+
+def outcome(build, task):
+    """The bytes of every array of the model build() returns, its repair
+    count and record, or the type and message of the ValueError it raises."""
+    try:
+        out = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ([a.tobytes() for a in (out.priors, out.means, out.covs, out.slopes, out.shapes)],
+            out.spd_repairs, out.task is task, out.ablated)
+
+
+def assert_generalize_composes(model, task, config=ReparamConfig()):
+    """generalize() gives the composed route's model bitwise, or its error;
+    returns that outcome."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(lambda: generalize(model, task, config), task)
+        assert got == outcome(lambda: composed_generalize(model, task, config), task)
+    return got
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8), thin=st.booleans(),
+       reach=st.sampled_from([2.0, 30.0]), ablate=st.booleans())
+def test_generalize_is_the_model_of_reparam_bitwise(seed, n_comp, thin, reach, ablate):
+    """On random mixtures, thin ones whose far tasks need SPD repairs
+    included, generalize() is bitwise the model built from reparam_means and
+    reparam_covariances, repair count included."""
+    rng = np.random.default_rng(seed)
+    model = random_spd_mixture(rng, n_comp, 6, thin, scale=rng.choice([0.1, 0.3, 1.0]))
+    first, last = model.means[0, 1:], model.means[-1, 1:]
+    start = rng.uniform(-1.0, 1.0, 6)
+    goal = start + rng.uniform(-reach, reach, 6) * (last - first)
+    turn = goal[3:] - start[3:]
+    goal[3:] = start[3:] + turn / max(1.0, np.linalg.norm(turn))  # a valid pose
+    task = TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+    assert_generalize_composes(model, task, ReparamConfig(ablate_covariance=ablate))
+
+
+def test_generalize_repairs_as_reparam_covariances_does():
+    """Seed 738's far task needs clamps: generalize() takes the repair scan
+    after GmmModel rejects the unrepaired stack, and gives the composed
+    route's clamped covariances and repair count bitwise."""
+    model, (own, far) = thin_repair_tasks()
+    assert assert_generalize_composes(model, own)[1] == 0
+    assert assert_generalize_composes(model, far)[1] == 2
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_generalize_factors_once_without_a_repair(model, scene, endpoints, monkeypatch,
+                                                  ablate):
+    """On sampled tasks that need no repair, each generalize() makes exactly
+    one Cholesky call, GmmModel's check of the adapted stack, for the full
+    and the ablated method; a task that needs repairs takes more."""
+    rng = np.random.default_rng(5)
+    tasks = [sample_task(scene, mode, rng, *endpoints)
+             for mode in ("combined", "translational") for _ in range(4)]
+    thin, (_, far) = thin_repair_tasks()
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    config = ReparamConfig(ablate_covariance=ablate)
+    for task in tasks:
+        calls.clear()
+        assert generalize(model, task, config).spd_repairs == 0
+        assert calls == [model.covs.shape]
+    calls.clear()
+    assert generalize(thin, far, config).spd_repairs == (0 if ablate else 2)
+    assert len(calls) == 1 if ablate else len(calls) > 2
+
+
 def pose_task(start, goal):
     """The task between two 6-vectors; hypothesis discards a draw that is no pose."""
     assume(max(np.linalg.norm(start[3:]), np.linalg.norm(goal[3:])) < 3.0)
