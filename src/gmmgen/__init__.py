@@ -8,7 +8,7 @@ from .metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
                       phase_deviation, rotation_angle_deg, shape_deviation)
 from .model import (FitConfig, FitResult, GmmModel, em_fit, fit_gmm, kmeans_init,
                     load_model, save_model)
-from .reparam import ReparamConfig, generalize, reparam_covariances, reparam_means
+from .reparam import ReparamConfig, generalize
 from .scene import (Scene, Slab, SuccessThresholds, default_scene, load_scene, sample_task,
                     save_scene, trajectory_success)
 from .synth import SynthConfig, generate_demonstrations
@@ -21,7 +21,7 @@ __all__ = [
     "SuccessThresholds", "SynthConfig", "TaskSpec", "Trajectory",
     "average_jerk", "boundary_error", "default_scene", "em_fit", "fit_gmm",
     "generalize", "generate_demonstrations", "kmeans_init", "load_model", "load_scene",
-    "load_trajectory", "phase_deviation", "regress", "reparam_covariances",
-    "reparam_means", "resample", "rotation_angle_deg", "sample_task", "save_model",
-    "save_scene", "save_trajectory", "shape_deviation", "trajectory_success",
+    "load_trajectory", "phase_deviation", "regress", "resample", "rotation_angle_deg",
+    "sample_task", "save_model", "save_scene", "save_trajectory", "shape_deviation",
+    "trajectory_success",
 ]

@@ -26,7 +26,7 @@ from .metrics import (EvalReport, _centered_paths, _jerk_differences, _mean_jerk
                       _pose_stack, _procrustes, _targets, _window_deviations,
                       boundary_errors, shape_reference)
 from .model import GmmModel
-from .reparam import ReparamConfig, _curves, _reparam, generalize
+from .reparam import ReparamConfig, _curves, _plain_tasks, generalize
 from .scene import SamplingError, Scene, SuccessThresholds, _verdicts, sample_tasks
 from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
 
@@ -116,13 +116,15 @@ class _Compiled:
     combination of the mapped curves.  A task's scores then match the
     one-trial evaluation to rounding, not bit for bit.
 
-    A chunk still runs _reparam over its tasks, with its one batched
-    Cholesky for the full method.  A task goes through the one-trajectory
-    path, evaluate_trajectory(regress(generalize())), which raises that
-    task's own error, when reparam repaired one of its covariances, when
-    its means are not finite or a covariance entry exceeds half the largest
-    float (GmmModel would not store them unchanged), when its combination
-    could overflow, or when a combined rotation row does not stay below pi.
+    A chunk routes its tasks on generalize's own kernels (reparam's
+    _plain_tasks): one stack of remapped means and, for the full method,
+    one batched Cholesky of the adapted covariances.  A task goes through
+    the one-trajectory path, evaluate_trajectory(regress(generalize())),
+    which raises that task's own error, when generalize would not store its
+    means and covariances unchanged (means not finite, a covariance entry
+    above half the largest float, an SPD repair), when its combination
+    could overflow, or when a combined rotation row does not stay below
+    pi.  A model generalize rejects makes the chunk raise its ValueError.
     """
 
     def __init__(self, model: GmmModel, config: ReparamConfig, times: np.ndarray, scene: Scene,
@@ -141,12 +143,10 @@ class _Compiled:
         """The EvalReport of each task."""
         targets = _targets(tasks)
         starts, goals = targets[:, 0], targets[:, 1]
-        means, covs, repairs = _reparam(self.model, starts, goals, self.config)
+        compiled = _plain_tasks(self.model, starts, goals, self.config.ablate_covariance)
         with np.errstate(over="ignore", invalid="ignore"):
             reach = self.reach[0] + self.reach[1] * np.abs(starts) + self.reach[2] * np.abs(goals)
-        compiled = ((repairs == 0) & np.isfinite(means).all(axis=(1, 2))
-                    & (np.abs(covs) <= np.finfo(float).max / 2).all(axis=(1, 2, 3))
-                    & np.isfinite(reach).all(axis=1))
+        compiled &= np.isfinite(reach).all(axis=1)
         coefs = np.stack([np.ones(starts.shape), starts, goals]).transpose(2, 1, 0)  # (D, T, 3)
         rotations = _combined(self.rotations, coefs[:, compiled])
         compiled[compiled] = (_rotvec_angles(rotations) < np.pi).all(axis=1)
@@ -217,9 +217,10 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     for collision in one call.  A trial's record matches, to rounding, the
     one evaluate_trajectory() gives for regress(generalize(model, task,
     config), times), whatever chunk it falls in, and a rerun reproduces it
-    bit for bit.  When a chunk raises a ValueError, its tasks are run again
-    one by one, and the error names the first failing trial with that
-    task's own message.
+    bit for bit.  When a chunk raises a ValueError, as a task it routes to
+    the one-trajectory path can, its tasks are run again one by one, and
+    the error names the first failing trial with that task's own message.
+    A model that is not a GmmModel is a TypeError naming its type.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
@@ -230,6 +231,8 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     if not (isinstance(method, str) and method) or any(c in method for c in ',"\r\n'):
         raise ValueError(f"method must be a non-empty string with no comma, double quote or "
                          f"line break (it is a summary.csv field), got {method!r}")
+    if not isinstance(model, GmmModel):
+        raise TypeError(f"model must be a GmmModel, got {type(model).__name__}")
     times = _validated_times(default_times(model.duration, rate), model.duration)
     base_start, base_goal = model_endpoints(model)
     compiled = _Compiled(model, config, times, scene,

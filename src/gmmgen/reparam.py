@@ -5,7 +5,10 @@ components land exactly on the requested endpoints, then each component's
 time-normalized slope and spatial shape are rescaled by the change in
 consecutive mean differences.  The spatial shape gets a rank-two update
 that preserves its Schur complement, so adapted covariances stay SPD by
-construction.
+construction.  generalize() is the one public entry; _plain_tasks runs
+its kernels, _remapped_means and _adapted_covs, on a stack of tasks so a
+benchmark chunk can route them, and _curves compiles them for a fixed
+time grid.
 
 The terms that depend on the source model and eps alone (spans, masks,
 time fractions, old differences, old slope outer products) come from a
@@ -48,8 +51,8 @@ class ReparamConfig:
 
 
 class _SourceTerms(NamedTuple):
-    """What reparam_means and reparam_covariances compute from the source
-    model and eps alone, the same for every pair of endpoints."""
+    """What _remapped_means and _adapted_covs read from the source model and
+    eps alone, the same for every pair of endpoints."""
 
     degenerate: np.ndarray  # (D,) endpoint span below eps
     safe_span: np.ndarray  # (D,) that span, 1 where degenerate
@@ -64,20 +67,18 @@ _SOURCE_MEMO = []
 
 
 def _source_terms(model: GmmModel, eps) -> _SourceTerms:
-    """The model's _SourceTerms for eps, from a one-entry memo keyed by the
-    bytes of the means, of covs[:, :, 0] (time variances and the slopes'
-    numerators) and of eps, so a hit returns exactly what a miss computes.
-    eps is checked on a miss only, so a rejected eps never becomes the entry."""
+    """The model's _SourceTerms for a (D,) eps, from a one-entry memo keyed
+    by the bytes of the means, of covs[:, :, 0] (time variances and the
+    slopes' numerators) and of eps, so a hit returns exactly what a miss
+    computes."""
     eps = np.asarray(eps, dtype=float)
 
     def compute():
-        if eps.shape != (model.dim,) or not np.all((0.0 <= eps) & (eps < np.inf)):
-            raise ValueError(f"eps must be a finite, non-negative vector of length {model.dim}")
         means = model.means[:, 1:]
         span = means[-1] - means[0]
         degenerate = np.abs(span) < eps
         centers = model.means[:, 0, None]
-        with np.errstate(invalid="ignore"):  # 0/0 for one component; reparam_means rejects it
+        with np.errstate(invalid="ignore"):  # 0/0 for one component; generalize rejects it
             alpha = (centers - centers[0]) / (centers[-1] - centers[0])
         d_old = np.diff(means, axis=0)
         keep = np.abs(d_old) < eps
@@ -86,38 +87,15 @@ def _source_terms(model: GmmModel, eps) -> _SourceTerms:
     return _memoized(_SOURCE_MEMO, (model.means, model.covs[:, :, 0], eps), compute)
 
 
-def reparam_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
-                  eps: np.ndarray) -> np.ndarray:
-    """Remap spatial means onto new endpoints, dimension by dimension.
-
-    Dimensions whose demonstrated endpoint span exceeds eps are scaled
-    about the first component's mean; degenerate dimensions instead blend
-    the two endpoint offsets linearly in each component's time center.
-    Rows 0 and G-1 are set to the requested endpoints exactly.  Endpoints
-    of shape (..., D) give means of shape (..., G, D), one set per pair.
-    Endpoints must be finite, and eps a finite, non-negative (D,) vector;
-    a ValueError names the argument that is not.
-    """
-    new_start, new_goal = _checked_endpoints(model, new_start, new_goal)
-    return _remapped_means(model, new_start, new_goal, _source_terms(model, eps))
-
-
-def _checked_endpoints(model: GmmModel, new_start, new_goal):
-    """reparam_means' endpoints as float arrays, once they pass its checks."""
-    if model.n_components < 2:
-        raise ValueError("mean reparameterization needs at least two components")
-    new_start = np.asarray(new_start, dtype=float)
-    new_goal = np.asarray(new_goal, dtype=float)
-    if new_start.shape[-1:] != (model.dim,) or new_goal.shape != new_start.shape:
-        raise ValueError(f"endpoints must be vectors of length {model.dim}")
-    if not (np.isfinite(new_start).all() and np.isfinite(new_goal).all()):
-        raise ValueError("endpoints must be finite")
-    return new_start, new_goal
-
-
 def _remapped_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
                     src: _SourceTerms) -> np.ndarray:
-    """reparam_means of checked endpoints, given the model's source terms."""
+    """Spatial means remapped onto new endpoints, dimension by dimension.
+
+    Dimensions whose endpoint span exceeds eps are scaled about the first
+    component's mean; degenerate ones blend the two endpoint offsets
+    linearly in each component's time center.  Rows 0 and G-1 are the
+    endpoints exactly.  Endpoints (..., D) give means (..., G, D).
+    """
     means = model.means[:, 1:]
     first, last = means[0], means[-1]
     start, goal = new_start[..., None, :], new_goal[..., None, :]
@@ -143,49 +121,19 @@ def _outers(vecs: np.ndarray) -> np.ndarray:
     return vecs[..., :, None] * vecs[..., None, :]
 
 
-def reparam_covariances(model: GmmModel, new_means: np.ndarray, eps: np.ndarray):
-    """Rescale slopes by the change in consecutive mean differences.
+def _adapted_covs(model: GmmModel, new_means: np.ndarray, src: _SourceTerms) -> np.ndarray:
+    """Covariances for new means (..., G, D), (..., G, D+1, D+1), before
+    any SPD repair.
 
     Component 1 is left untouched.  For g >= 2 each slope dimension is
-    multiplied by (new difference / old difference); dimensions whose old
-    consecutive difference falls below eps keep their slope.  The spatial
-    shape gets the rank-two update C + m'm'^T - mm^T, which leaves the
-    Schur complement C - mm^T unchanged, and the covariance is reassembled
-    as cov_tt [[1, m'^T], [m', C']].  Returns (covs, repairs), where repairs
-    counts reassembled covariances that rounding left indefinite and that
-    were clamped to COV_FLOOR; the model built from covs derives its slopes
-    and shapes from them, so a repair reaches regression.  New means of
-    shape (..., G, D) give covs (..., G, D+1, D+1) and repairs (...), one
-    per set of means.  As component 1 keeps its slope, scaling the goal
-    offsets (start at the first mean, goal first + s * span) scales the
-    regression about the first mean only if component 1 is static (zero
-    slope) and each dimension with s != 1 has its span and every
-    consecutive difference at least eps.  new_means must be finite and
-    (..., G, D), and eps a finite, non-negative (D,) vector; a ValueError
-    names the argument that is not.
+    multiplied by (new difference / old difference), except where the old
+    consecutive difference falls below eps.  The spatial shape gets the
+    rank-two update C + m'm'^T - mm^T, which leaves the Schur complement
+    C - mm^T unchanged, and the covariance is reassembled as
+    cov_tt [[1, m'^T], [m', C']].  Every matrix is exactly symmetric: the
+    stored shapes are, so is each outer product, and both cross blocks
+    hold the same moved slopes.
     """
-    new_means = _checked_new_means(model, new_means)
-    covs = _adapted_covs(model, new_means, _source_terms(model, eps))
-    return covs, _repair(covs)
-
-
-def _checked_new_means(model: GmmModel, new_means) -> np.ndarray:
-    """reparam_covariances' new_means as a float array, once it passes its checks."""
-    new_means = np.asarray(new_means, dtype=float)
-    shape = (model.n_components, model.dim)
-    if new_means.shape[-2:] != shape:
-        raise ValueError(f"new_means must be (..., {shape[0]}, {shape[1]}), "
-                         f"got shape {new_means.shape}")
-    if not np.isfinite(new_means).all():
-        raise ValueError("new_means must be finite")
-    return new_means
-
-
-def _adapted_covs(model: GmmModel, new_means: np.ndarray, src: _SourceTerms) -> np.ndarray:
-    """reparam_covariances' covs for checked new_means, given the model's
-    source terms, before the repair scan.  Every matrix of the stack is
-    exactly symmetric: the stored shapes are, so is each outer product
-    (v_i v_j = v_j v_i), and both cross blocks hold the same moved slopes."""
     d_new = np.diff(new_means, axis=-2)
     ratio = np.where(src.keep, 1.0, d_new / src.safe_d_old)
     moved = ratio * model.slopes[1:]
@@ -210,29 +158,18 @@ def _repair(covs: np.ndarray) -> np.ndarray:
     return broken.sum(axis=-1)
 
 
-def _reparam(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
-             config: ReparamConfig):
-    """(means, covs, repairs) for endpoints of shape (D,), or (T, D) stacked."""
-    means = reparam_means(model, starts, goals, DEGENERATE_EPS)
-    if config.ablate_covariance:
-        lead = means.shape[:-2]
-        return (means, np.broadcast_to(model.covs, (*lead, *model.covs.shape)),
-                np.zeros(lead, dtype=int))
-    return (means, *reparam_covariances(model, means, DEGENERATE_EPS))
-
-
 def _curves(model: GmmModel, times: np.ndarray, ablate: bool) -> np.ndarray:
     """(3, n, D) curves a, b, c such that regress(generalize(model, task),
     times).values is a + b * start + c * goal, dimension by dimension, up
     to rounding, for any task that needs no SPD repair.  times must be
     valid query times from 0.
 
-    reparam_means() is affine in the endpoints, one dimension at a time,
-    and the slope ratios of reparam_covariances() are affine in the new
-    means; priors, time centers and time variances stay the source's, so
-    the GMR weights are the same for every task.  Each curve is the
-    regression of one coefficient set of means and slopes, taken from the
-    formulas above, not from differences of regressions.
+    _remapped_means() is affine in the endpoints, one dimension at a time,
+    and the slope ratios of _adapted_covs() are affine in the new means;
+    priors, time centers and time variances stay the source's, so the GMR
+    weights are the same for every task.  Each curve is the regression of
+    one coefficient set of means and slopes, taken from those formulas,
+    not from differences of regressions.
     """
     src = _source_terms(model, DEGENERATE_EPS)
     means = model.means[:, 1:]
@@ -254,24 +191,36 @@ def _curves(model: GmmModel, times: np.ndarray, ablate: bool) -> np.ndarray:
     return values.reshape(len(times), 3, -1).transpose(1, 0, 2)
 
 
+def _check_endpoints(model: GmmModel, start: np.ndarray) -> None:
+    """generalize's preconditions on the model and a start (..., D)."""
+    if model.n_components < 2:
+        raise ValueError("mean reparameterization needs at least two components")
+    if start.shape[-1:] != (model.dim,):
+        raise ValueError(f"endpoints must be vectors of length {model.dim}")
+
+
 def generalize(model: GmmModel, task: TaskSpec,
                config: ReparamConfig = ReparamConfig()) -> GmmModel:
     """Adapt a fitted or generalized model to the task's start and goal poses.
 
-    The result carries the task.  Its priors and time centers are the
-    source model's, untouched, and so are its time variances unless an SPD
-    repair moved one.  It is bitwise the GmmModel of reparam_means and
-    reparam_covariances, repair count and errors included, but looks the
-    source terms up once and factors the adapted stack once, in GmmModel's
-    check.  The stack is exactly symmetric, so that check factors the very
-    matrices reparam_covariances' repair scan would; only a stack it
-    rejects takes the scan and clamp, then a second construction.
+    The means are remapped onto the task's endpoints (_remapped_means) and,
+    unless config ablates it, each covariance is adapted to them
+    (_adapted_covs).  The result carries the task.  Its priors and time
+    centers are the source model's, untouched, and so are its time
+    variances unless an SPD repair moved one.  The adapted stack is exactly
+    symmetric, so GmmModel's check factors the very matrices the repair
+    scan would; only a stack it rejects takes the scan and clamp
+    (_repair), then a second construction.  A task, config or model of
+    another type is a TypeError naming its type.
     """
     if not isinstance(task, TaskSpec):
         raise TypeError(f"task must be a TaskSpec, got {type(task).__name__}")
     if not isinstance(config, ReparamConfig):
         raise TypeError(f"config must be a ReparamConfig, got {type(config).__name__}")
-    start, goal = _checked_endpoints(model, task.start_vector(), task.goal_vector())
+    if not isinstance(model, GmmModel):
+        raise TypeError(f"model must be a GmmModel, got {type(model).__name__}")
+    start, goal = task.start_vector(), task.goal_vector()
+    _check_endpoints(model, start)
     src = _source_terms(model, DEGENERATE_EPS)
     means = _remapped_means(model, start, goal, src)
     build = functools.partial(GmmModel, model.priors,
@@ -279,8 +228,30 @@ def generalize(model: GmmModel, task: TaskSpec,
                               task=task, ablated=config.ablate_covariance)
     if config.ablate_covariance:
         return build(model.covs)
-    covs = _adapted_covs(model, _checked_new_means(model, means), src)
+    if not np.isfinite(means).all():
+        raise ValueError("new_means must be finite")
+    covs = _adapted_covs(model, means, src)
     try:
         return build(covs)
     except ValueError:  # a stack that needs a repair, or that no repair saves
         return build(covs, spd_repairs=int(_repair(covs)))
+
+
+def _plain_tasks(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
+                 ablate: bool) -> np.ndarray:
+    """(T,) flags for endpoints (T, D): True where generalize() would store
+    the kernels' means and, for the full method, adapted covariances
+    unchanged.  A task is flagged False when its means are not finite, or
+    when an adapted covariance has an entry above half the largest float
+    or needs an SPD repair; generalize() raises or repairs for such a task.
+    A model or endpoints generalize() rejects raise its ValueError."""
+    _check_endpoints(model, starts)
+    src = _source_terms(model, DEGENERATE_EPS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = _remapped_means(model, starts, goals, src)
+        plain = np.isfinite(means).all(axis=(1, 2))
+        if not ablate:
+            covs = _adapted_covs(model, means, src)
+            plain &= ((np.abs(covs) <= np.finfo(float).max / 2).all(axis=(1, 2, 3))
+                      & ~_cholesky_fails(covs[:, 1:]).any(axis=1))
+    return plain

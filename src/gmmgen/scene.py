@@ -83,6 +83,9 @@ class Scene:
         if (len(self.length_range) != 2 or not np.isfinite(self.length_range).all()
                 or self.length_range[0] >= self.length_range[1]):
             raise ValueError("length_range must be an increasing, finite (min, max) pair")
+        for i, slab in enumerate(self.slabs):
+            if not isinstance(slab, Slab):
+                raise TypeError(f"slab {i} must be a Slab, got {type(slab).__name__}")
         object.__setattr__(self, "_obstacles", _obstacles(dims, self.slabs))  # built once
 
 

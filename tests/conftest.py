@@ -15,6 +15,9 @@ from gmmgen.bench import default_times, model_endpoints
 # still depend on which test modules that command loads (hypothesis 6.155
 # draws constants from the loaded code), so a failure reproduces with the
 # command that found it; tests/run_modules_alone.py runs each module alone.
+# Shared helpers assert too; rewrite them as pytest rewrites test modules.
+pytest.register_assert_rewrite("helpers")
+
 settings.register_profile("gmmgen", derandomize=True, database=None, deadline=None)
 settings.load_profile("gmmgen")
 

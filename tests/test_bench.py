@@ -18,8 +18,8 @@ from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import (SAMPLE_ATTEMPTS, SamplingError, SuccessThresholds, _verdicts,
                           collision_mask, sample_task, sample_tasks)
 
-from test_reparam import (assert_generalize_composes, compiled_values, thin_past_pi_tasks,
-                          thin_repair_tasks)
+from helpers import (assert_generalize_composes, compiled_values, thin_past_pi_tasks,
+                     thin_repair_tasks)
 
 # A chunk scores compiled curves (bench._Compiled), so its records match the
 # one-trial evaluation to rounding: every metric within these tolerances,
@@ -273,7 +273,7 @@ def test_generalize_rejects_a_covariance_entry_above_half_the_largest_float(chun
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_generalize_is_the_model_of_reparam_on_every_pool(chunk_pools, ablate):
     """Every pool's task generalizes bitwise to, or raises the error of, the
-    model built from reparam_means and reparam_covariances: the thin far
+    model built from the per-component oracles: the thin far
     task's clamps and repair count, and the x-heavy sources' overflowing,
     non-finite and above-half-max stacks included."""
     config = ReparamConfig(ablate_covariance=ablate)
@@ -320,8 +320,7 @@ def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, a
     routed one, or raises the message one of its tasks raises alone.  The
     one-trial path runs once for every routed task, a repaired one or one
     whose components GmmModel rejects (+inf or non-finite entries, an entry
-    it would symmetrize to inf), in order up to the first that raises; none
-    when reparam rejects the whole chunk."""
+    it would symmetrize to inf), in order up to the first that raises."""
     source, pool_tasks = chunk_pools[pool]
     tasks = [pool_tasks[i % len(pool_tasks)] for i in picks]
     config = ReparamConfig(ablate_covariance=ablate)
@@ -350,12 +349,11 @@ def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, a
     else:
         assert message in failed
     routed = []
-    if message != "new_means must be finite":  # reparam's own check of the whole chunk
-        for task, (is_routed, outcome) in zip(tasks, outcomes):
-            if is_routed:
-                routed.append(task)
-                if isinstance(outcome, str):
-                    break
+    for task, (is_routed, outcome) in zip(tasks, outcomes):
+        if is_routed:
+            routed.append(task)
+            if isinstance(outcome, str):
+                break
     assert calls == routed
 
 
@@ -489,6 +487,24 @@ def test_benchmark_chunk_failure_without_a_failing_task_reraises(model, scene, m
 def test_benchmark_rejects_a_method_label_that_breaks_the_csv(model, scene, method):
     with pytest.raises(ValueError, match="^method must be a non-empty string"):
         run_benchmark(model, scene, "combined", trials=1, seed=0, method=method)
+
+
+@pytest.mark.parametrize("bad", ["model.json", None])
+def test_run_benchmark_rejects_a_model_of_another_type(scene, bad):
+    with pytest.raises(TypeError, match=f"^model must be a GmmModel, got {type(bad).__name__}$"):
+        run_benchmark(bad, scene, "combined", trials=1, seed=0)
+
+
+@pytest.mark.parametrize("ablate", [False, True])
+def test_run_benchmark_rejects_a_one_component_model(model, scene, ablate):
+    """A chunk raises for a model generalize rejects, so the first trial
+    names generalize's message for both methods."""
+    single = GmmModel([1.0], model.means[:1], model.covs[:1], model.phases)
+    assert single.dim == 6
+    with pytest.raises(ValueError, match="^trial 0: mean reparameterization needs at least "
+                                         "two components$"):
+        run_benchmark(single, scene, "combined", trials=3, seed=0,
+                      config=ReparamConfig(ablate_covariance=ablate))
 
 
 def test_summarize_hand_check(model, scene):

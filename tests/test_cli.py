@@ -9,7 +9,7 @@ from gmmgen.data import TaskSpec, Trajectory, load_trajectory, save_trajectory
 from gmmgen.model import load_model, save_model
 from gmmgen.reparam import generalize
 
-from test_reparam import random_spd_mixture
+from helpers import random_spd_mixture
 
 SCENE_JSON = Path(__file__).resolve().parents[1] / "scenes" / "shelf_default.json"
 

@@ -11,8 +11,8 @@ from gmmgen.model import GmmModel
 from gmmgen.reparam import _SOURCE_MEMO, ReparamConfig, _curves, generalize
 from gmmgen.scene import SuccessThresholds, default_scene, sample_task
 
-from test_reparam import (compiled_values, pose_task, random_endpoints, random_pose_mixture,
-                          random_spd_mixture, thin_past_pi_tasks, thin_repair_tasks)
+from helpers import (compiled_values, pose_task, random_endpoints, random_pose_mixture,
+                     random_spd_mixture, thin_past_pi_tasks, thin_repair_tasks)
 
 
 def two_component_model(priors=(0.5, 0.5), t_means=(1.0, 3.0), x_means=(0.0, 1.0),

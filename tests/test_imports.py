@@ -1,7 +1,8 @@
-"""scipy is imported on first use, so the online path never loads it.
+"""The package's public names, and that scipy is imported on first use, so
+the online path never loads it.
 
-Each check runs in a fresh interpreter, since the test process itself has
-long loaded scipy.
+Each scipy check runs in a fresh interpreter, since the test process
+itself has long loaded scipy.
 """
 
 import json
@@ -56,3 +57,19 @@ def test_fit_loads_scipy_linalg_only(tmp_path, capsys):
                                             "--out", tmp_path / "model.json"]))
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.spatial")]
+
+
+def test_public_names_are_pinned():
+    """gmmgen exports exactly these names, and each resolves."""
+    assert gmmgen.__all__ == [
+        "EvalReport", "FailureReason", "FitConfig", "FitResult", "GmmModel",
+        "PhaseSchedule", "Pose", "ReparamConfig", "Scene", "Slab",
+        "SuccessThresholds", "SynthConfig", "TaskSpec", "Trajectory",
+        "average_jerk", "boundary_error", "default_scene", "em_fit", "fit_gmm",
+        "generalize", "generate_demonstrations", "kmeans_init", "load_model", "load_scene",
+        "load_trajectory", "phase_deviation", "regress", "resample", "rotation_angle_deg",
+        "sample_task", "save_model", "save_scene", "save_trajectory", "shape_deviation",
+        "trajectory_success",
+    ]
+    for name in gmmgen.__all__:
+        assert getattr(gmmgen, name).__module__.startswith("gmmgen.")

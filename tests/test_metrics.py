@@ -14,7 +14,7 @@ from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _centered_p
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import sample_tasks
 
-from test_reparam import compiled_values
+from helpers import compiled_values
 
 
 def pose_rows(times, positions, rotvecs=None):

@@ -361,7 +361,7 @@ def test_model_json_roundtrip(tmp_path, model, scene, endpoints, kind):
 def test_model_with_stored_terms_loads_them_from_sigma():
     """A generalized model file in the older format, whose components also
     carry their slope "m" and shape "C", still loads.  The file was written
-    by gmmgen at b3bc441: a 3-component 6-D test_reparam.random_spd_mixture
+    by gmmgen at b3bc441: a 3-component 6-D helpers.random_spd_mixture
     (default_rng(1), scale 0.1) generalized to a task."""
     path = Path(__file__).parent / "data" / "parent_generalized_model.json"
     doc = json.loads(path.read_text())

@@ -2,19 +2,22 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmgen.bench import default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.gmr import regress
 from gmmgen.model import GmmModel, load_model, model_to_dict, save_model
-from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _clamp_spd,
-                            _curves, _outers, _reparam, generalize, reparam_covariances,
-                            reparam_means)
+from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConfig,
+                            _adapted_covs, _clamp_spd, _outers, _remapped_means, _repair,
+                            _source_terms, generalize)
 from gmmgen.scene import sample_task
 
 from conftest import mutated
+from helpers import (assert_generalize_composes, oracle_clamp_spd, oracle_reparam_covariances,
+                     oracle_reparam_means, pose_task, random_endpoints, random_pose_mixture,
+                     random_spd_mixture, terms, thin_repair_tasks)
 
 
 def model_1d(x_means, slope=0.2, shape=1.0, tt=0.5):
@@ -32,82 +35,16 @@ def model_1d(x_means, slope=0.2, shape=1.0, tt=0.5):
 EPS_1D = np.array([1e-4])
 
 
-def oracle_reparam_covariances(model, new_means, eps):
-    """Per-component reference for reparam_covariances, one g at a time.
-
-    Slopes and shapes are derived here from the covariances themselves, so
-    the check does not rest on the model's own derived terms.
-    """
-    means = model.means[:, 1:]
-    slopes, spatial = terms(model.covs)
-    covs = np.array(model.covs, dtype=float)
-    repairs = 0
-    for g in range(1, model.n_components):
-        tt = float(model.covs[g][0, 0])
-        d_old = means[g] - means[g - 1]
-        d_new = new_means[g] - new_means[g - 1]
-        keep = np.abs(d_old) < eps
-        ratio = np.where(keep, 1.0, d_new / np.where(keep, 1.0, d_old))
-        slope = ratio * slopes[g]
-        shape = spatial[g] + np.outer(slope, slope) - np.outer(slopes[g], slopes[g])
-        out = np.empty((model.dim + 1, model.dim + 1))
-        out[0, 0] = 1.0
-        out[0, 1:] = slope
-        out[1:, 0] = slope
-        out[1:, 1:] = shape
-        cov = tt * out
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            cov = oracle_clamp_spd(cov, COV_FLOOR)
-            repairs += 1
-        covs[g] = cov
-    return covs, repairs
+def remapped_means(model, new_start, new_goal, eps):
+    """_remapped_means of endpoints (..., D) with the model's source terms for eps."""
+    return _remapped_means(model, new_start, new_goal, _source_terms(model, eps))
 
 
-def oracle_clamp_spd(cov, floor):
-    """One matrix's eigenvalues raised to floor: eigh of the symmetrized
-    matrix, then (vecs * vals) @ vecs.T, with no stacking."""
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
-
-
-def terms(covs):
-    """Slopes cov_xt / cov_tt and shapes cov_xx / cov_tt of a covariance stack,
-    computed one component at a time."""
-    return (np.stack([cov[1:, 0] / float(cov[0, 0]) for cov in covs]),
-            np.stack([cov[1:, 1:] / float(cov[0, 0]) for cov in covs]))
-
-
-def random_spd_mixture(rng, n_comp, dim, thin, static_start=False, scale=1.0):
-    """Random time-sorted mixture of SPD components.
-
-    With thin=True every Schur complement C - mm^T is ~1e-13, so rounding in
-    the rank-two update can break definiteness and force SPD repairs.  With
-    static_start=True the first component has zero slope.  scale multiplies
-    every spatial length: means, slopes, and the square root of each shape.
-    """
-    t_means = np.cumsum(rng.uniform(0.2, 1.0, n_comp))
-    covs = []
-    for g in range(n_comp):
-        slope = scale * rng.uniform(-2.0, 2.0, dim)
-        if static_start and g == 0:
-            slope[:] = 0.0
-        a = rng.normal(size=(dim, dim))
-        schur = a @ a.T / dim + np.eye(dim)
-        schur *= (1e-13 if thin else 0.1) * scale**2
-        cov = np.empty((dim + 1, dim + 1))
-        cov[0, 0] = 1.0
-        cov[0, 1:] = slope
-        cov[1:, 0] = slope
-        cov[1:, 1:] = schur + np.outer(slope, slope)
-        covs.append(rng.uniform(0.05, 1.0) * cov)
-    duration = float(t_means[-1]) + 1.0
-    phases = PhaseSchedule(0.25 * duration, 0.75 * duration, duration)
-    return GmmModel(rng.dirichlet(np.ones(n_comp)),
-                    np.column_stack([t_means, scale * rng.normal(size=(n_comp, dim))]),
-                    covs, phases)
+def adapted_covs(model, new_means, eps):
+    """(covs, repairs) of new means (..., G, D): _adapted_covs with the
+    model's source terms for eps, then the repair scan."""
+    covs = _adapted_covs(model, new_means, _source_terms(model, eps))
+    return covs, _repair(covs)
 
 
 def assert_bitwise_equal(got, want):
@@ -125,26 +62,8 @@ def test_reparam_covariances_matches_oracle_bitwise(seed, n_comp, dim, thin, spr
     model = random_spd_mixture(rng, n_comp, dim, thin)
     new_means = model.means[:, 1:] * rng.uniform(-spread, spread, (n_comp, dim))
     eps = rng.uniform(1e-4, 0.5, dim)  # some consecutive differences keep their slope
-    got = reparam_covariances(model, new_means, eps)
+    got = adapted_covs(model, new_means, eps)
     assert_bitwise_equal(got, oracle_reparam_covariances(model, new_means, eps))
-
-
-def oracle_reparam_means(model, new_start, new_goal, eps):
-    """reparam_means for one endpoint pair in its former 1-D form."""
-    means = model.means[:, 1:]
-    first, last = means[0], means[-1]
-    span = last - first
-    degenerate = np.abs(span) < eps
-    scale = np.where(degenerate, 0.0, (new_goal - new_start) / np.where(degenerate, 1.0, span))
-    scaled = new_start + scale * (means - first)
-    centers = model.means[:, 0]
-    alpha = (centers - centers[0]) / (centers[-1] - centers[0])
-    offset = (means + np.outer(1.0 - alpha, new_start - first)
-              + np.outer(alpha, new_goal - last))
-    out = np.where(degenerate[None, :], offset, scaled)
-    out[0] = new_start
-    out[-1] = new_goal
-    return out
 
 
 @settings(max_examples=100)
@@ -160,13 +79,13 @@ def test_stacked_reparam_matches_one_set_at_a_time(seed, n_comp, dim, thin, n_se
     starts = rng.normal(size=(n_sets, dim))
     goals = starts + rng.uniform(-30.0, 30.0, (n_sets, dim)) * span
     eps = rng.uniform(1e-4, 0.5, dim)
-    means = reparam_means(model, starts, goals, eps)
-    covs, repairs = reparam_covariances(model, means, eps)
+    means = remapped_means(model, starts, goals, eps)
+    covs, repairs = adapted_covs(model, means, eps)
     assert means.shape == (n_sets, n_comp, dim) and repairs.shape == (n_sets,)
     for k in range(n_sets):
         one = oracle_reparam_means(model, starts[k], goals[k], eps)
         assert means[k].tobytes() == one.tobytes()
-        assert reparam_means(model, starts[k], goals[k], eps).tobytes() == one.tobytes()
+        assert remapped_means(model, starts[k], goals[k], eps).tobytes() == one.tobytes()
         assert_bitwise_equal((covs[k], repairs[k]), oracle_reparam_covariances(model, one, eps))
 
 
@@ -174,7 +93,7 @@ def test_stacked_reparam_matches_one_set_at_a_time(seed, n_comp, dim, thin, n_se
 @given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 6), dim=st.integers(1, 4),
        thin=st.booleans())
 def test_memoized_source_terms_match_the_oracles(seed, n_comp, dim, thin):
-    """reparam_means and reparam_covariances, with the source terms the
+    """The remapped means and adapted covariances, with the source terms the
     calls before them left in the memo, stay bitwise equal to the oracles:
     models A, B, A, a second eps, A's covariances under other spatial means
     and A's means with other covariances (each a miss)."""
@@ -192,9 +111,9 @@ def test_memoized_source_terms_match_the_oracles(seed, n_comp, dim, thin):
         span = model.means[-1, 1:] - model.means[0, 1:]
         start = rng.normal(size=dim)
         goal = start + rng.uniform(-30.0, 30.0, dim) * span
-        means = reparam_means(model, start, goal, e)
+        means = remapped_means(model, start, goal, e)
         assert means.tobytes() == oracle_reparam_means(model, start, goal, e).tobytes()
-        assert_bitwise_equal(reparam_covariances(model, means, e),
+        assert_bitwise_equal(adapted_covs(model, means, e),
                              oracle_reparam_covariances(model, means, e))
         hits += _SOURCE_MEMO[0] is entry
         assert len(_SOURCE_MEMO) == 1
@@ -202,9 +121,14 @@ def test_memoized_source_terms_match_the_oracles(seed, n_comp, dim, thin):
 
 
 def reparam_stack(model, tasks, config=ReparamConfig()):
-    """(means, covs, repairs) of many tasks generalized as one stack."""
-    return _reparam(model, np.array([task.start_vector() for task in tasks]),
-                    np.array([task.goal_vector() for task in tasks]), config)
+    """(means, covs, repairs) of many tasks generalized as one stack, on
+    generalize()'s kernels."""
+    starts = np.array([task.start_vector() for task in tasks])
+    means = remapped_means(model, starts, np.array([task.goal_vector() for task in tasks]),
+                           DEGENERATE_EPS)
+    if config.ablate_covariance:
+        return means, np.broadcast_to(model.covs, (len(tasks), *model.covs.shape)), [0] * len(tasks)
+    return (means, *adapted_covs(model, means, DEGENERATE_EPS))
 
 
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
@@ -229,44 +153,6 @@ def test_generalize_many_matches_generalize(model, scene, endpoints, ablate):
                      model.phases, task=task, ablated=ablate, spd_repairs=int(repair))))
 
 
-def thin_mixture_and_task(seed):
-    """A thin 6-D mixture and a far task drawn as the repair test below
-    draws them: seed 738 gives a task that needs repairs, and seed 31 one
-    whose regressed first pose turns past pi (as in test_cli)."""
-    rng = np.random.default_rng(seed)
-    scale = rng.choice([0.3, 1.0])
-    model = random_spd_mixture(rng, 5, 6, thin=True, scale=scale)
-    first, last = model.means[0, 1:], model.means[-1, 1:]
-    start = rng.uniform(-1.0, 1.0, 6)
-    goal = start + rng.uniform(-30.0, 30.0, 6) * (last - first)
-    return model, TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
-
-
-def thin_repair_tasks():
-    """Seed 738's mixture, with a task that needs no repair (the model's
-    own endpoints) and then one that does."""
-    model, far = thin_mixture_and_task(738)
-    own = TaskSpec(Pose.from_vector(model.means[0, 1:]), Pose.from_vector(model.means[-1, 1:]))
-    return model, [own, far]
-
-
-def compiled_values(model, tasks, config, times):
-    """(T, n, D): a + b * start + c * goal of the model's compiled curves
-    for each task."""
-    a, b, c = _curves(model, times, config.ablate_covariance)
-    starts = np.array([task.start_vector() for task in tasks])[:, None]
-    goals = np.array([task.goal_vector() for task in tasks])[:, None]
-    return a + b * starts + c * goals
-
-
-def thin_past_pi_tasks():
-    """Seed 31's mixture, with a task it regresses validly and then one
-    whose regression turns past pi."""
-    model, far = thin_mixture_and_task(31)
-    rest = Pose.from_vector(np.zeros(6))
-    return model, [TaskSpec(rest, rest), far]
-
-
 def test_generalize_many_counts_repairs_per_task():
     """The repairing task and a task that needs none, in one stack, keep
     their own counts."""
@@ -278,46 +164,14 @@ def test_generalize_many_counts_repairs_per_task():
     assert all(isinstance(count, int) for count in singles)
 
 
-def composed_generalize(model, task, config=ReparamConfig()):
-    """generalize() as the model built from reparam_means and
-    reparam_covariances, each doing its own checks, source-terms lookup and
-    repair scan."""
-    means = reparam_means(model, task.start_vector(), task.goal_vector(), DEGENERATE_EPS)
-    covs, repairs = model.covs, 0
-    if not config.ablate_covariance:
-        covs, repairs = reparam_covariances(model, means, DEGENERATE_EPS)
-    return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
-                    model.phases, task=task, ablated=config.ablate_covariance,
-                    spd_repairs=int(repairs))
-
-
-def outcome(build, task):
-    """The bytes of every array of the model build() returns, its repair
-    count and record, or the type and message of the ValueError it raises."""
-    try:
-        out = build()
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return ([a.tobytes() for a in (out.priors, out.means, out.covs, out.slopes, out.shapes)],
-            out.spd_repairs, out.task is task, out.ablated)
-
-
-def assert_generalize_composes(model, task, config=ReparamConfig()):
-    """generalize() gives the composed route's model bitwise, or its error;
-    returns that outcome."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = outcome(lambda: generalize(model, task, config), task)
-        assert got == outcome(lambda: composed_generalize(model, task, config), task)
-    return got
-
-
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8), thin=st.booleans(),
        reach=st.sampled_from([2.0, 30.0]), ablate=st.booleans())
 def test_generalize_is_the_model_of_reparam_bitwise(seed, n_comp, thin, reach, ablate):
     """On random mixtures, thin ones whose far tasks need SPD repairs
-    included, generalize() is bitwise the model built from reparam_means and
-    reparam_covariances, repair count included."""
+    included, generalize() is bitwise the model built from the per-component
+    oracles of the mean remap and the covariance update, repair count
+    included."""
     rng = np.random.default_rng(seed)
     model = random_spd_mixture(rng, n_comp, 6, thin, scale=rng.choice([0.1, 0.3, 1.0]))
     first, last = model.means[0, 1:], model.means[-1, 1:]
@@ -366,26 +220,6 @@ def test_generalize_factors_once_without_a_repair(model, scene, endpoints, monke
     assert len(calls) == 1 if ablate else len(calls) > 2
 
 
-def pose_task(start, goal):
-    """The task between two 6-vectors; hypothesis discards a draw that is no pose."""
-    assume(max(np.linalg.norm(start[3:]), np.linalg.norm(goal[3:])) < 3.0)
-    return TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
-
-
-def random_pose_mixture(seed, n_comp, static_start=False):
-    rng = np.random.default_rng(seed)
-    model = random_spd_mixture(rng, n_comp, 6, thin=False, static_start=static_start,
-                               scale=0.1)
-    return rng, model, model.means[0, 1:], model.means[-1, 1:]
-
-
-def random_endpoints(rng, first, last):
-    """Any start, and a goal whose span in each dimension is the source's
-    scaled by 0.5-2 either way, so no slope is rescaled by more than ~2."""
-    start = first + rng.uniform(-0.5, 0.5, 6)
-    return start, start + rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6) * (last - first)
-
-
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8))
 def test_generalize_keeps_schur_spectra_of_random_mixtures(seed, n_comp):
@@ -415,8 +249,9 @@ def test_generalize_regress_translates_with_the_task(seed, n_comp):
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8))
 def test_generalize_regress_scales_with_the_goal_from_a_static_start(seed, n_comp):
-    """The condition in reparam_covariances: a static first component, and
-    only dimensions whose span and consecutive differences exceed eps scaled."""
+    """As component 1 keeps its slope, scaling the goal offsets scales the
+    regression about the first mean when component 1 is static, and only
+    in dimensions whose span and consecutive differences reach eps."""
     rng, model, first, last = random_pose_mixture(seed, n_comp, static_start=True)
     live = ((np.abs(last - first) >= DEGENERATE_EPS)
             & (np.abs(np.diff(model.means[:, 1:], axis=0)) >= DEGENERATE_EPS).all(axis=0))
@@ -433,7 +268,7 @@ def test_reparam_covariances_repairs_match_oracle(model, scene, endpoints):
         rng = np.random.default_rng(seed)
         thin = random_spd_mixture(rng, 5, 3, thin=True)
         new_means = thin.means[:, 1:] * rng.uniform(-30.0, 30.0, (5, 3))
-        got = reparam_covariances(thin, new_means, np.full(3, 1e-4))
+        got = adapted_covs(thin, new_means, np.full(3, 1e-4))
         assert_bitwise_equal(got, oracle_reparam_covariances(thin, new_means,
                                                              np.full(3, 1e-4)))
         repairs += got[1]
@@ -443,8 +278,8 @@ def test_reparam_covariances_repairs_match_oracle(model, scene, endpoints):
     rng = np.random.default_rng(31)
     for _ in range(5):
         task = sample_task(scene, "combined", rng, *endpoints)
-        new_means = reparam_means(model, task.start_vector(), task.goal_vector(), eps)
-        assert_bitwise_equal(reparam_covariances(model, new_means, eps),
+        new_means = remapped_means(model, task.start_vector(), task.goal_vector(), eps)
+        assert_bitwise_equal(adapted_covs(model, new_means, eps),
                              oracle_reparam_covariances(model, new_means, eps))
 
 
@@ -468,7 +303,7 @@ def test_repaired_model_regresses_from_its_own_covariances():
 
 def test_mean_scaling_hand_case():
     model = model_1d([1.0, 2.0, 3.0])
-    out = reparam_means(model, np.array([1.0]), np.array([5.0]), EPS_1D)
+    out = remapped_means(model, np.array([1.0]), np.array([5.0]), EPS_1D)
     # scale (5-1)/(3-1)=2 about the first mean: middle 1 + 2*(2-1) = 3
     assert np.allclose(out[:, 0], [1.0, 3.0, 5.0], atol=1e-14)
     assert np.array_equal(out[0], [1.0])
@@ -477,34 +312,37 @@ def test_mean_scaling_hand_case():
 
 def test_mean_degenerate_offset_blend():
     model = model_1d([2.0, 2.5, 2.0])  # endpoint span 0 -> degenerate
-    out = reparam_means(model, np.array([5.0]), np.array([5.5]), EPS_1D)
+    out = remapped_means(model, np.array([5.0]), np.array([5.5]), EPS_1D)
     # alpha over time centers [0,1,2] is [0, .5, 1]; blended offsets 3 and 3.5
     assert np.allclose(out[:, 0], [5.0, 5.75, 5.5], atol=1e-14)
 
 
 def test_mean_identity_and_translation():
     model = model_1d([1.0, 2.5, 4.0])
-    same = reparam_means(model, np.array([1.0]), np.array([4.0]), EPS_1D)
+    same = remapped_means(model, np.array([1.0]), np.array([4.0]), EPS_1D)
     assert np.allclose(same[:, 0], [1.0, 2.5, 4.0], atol=1e-14)
-    moved = reparam_means(model, np.array([11.0]), np.array([14.0]), EPS_1D)
+    moved = remapped_means(model, np.array([11.0]), np.array([14.0]), EPS_1D)
     assert np.allclose(moved[:, 0], [11.0, 12.5, 14.0], atol=1e-12)
 
 
 def test_mean_input_validation():
-    model = model_1d([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        reparam_means(model, np.zeros(2), np.zeros(1), EPS_1D)
-    with pytest.raises(ValueError):
-        reparam_means(model, np.array([np.nan]), np.array([1.0]), EPS_1D)
-    single = GmmModel([1.0], [[0.5, 0.0]], [np.eye(2)], PhaseSchedule(0.25, 0.75, 1.0))
-    with pytest.raises(ValueError):
-        reparam_means(single, np.zeros(1), np.ones(1), EPS_1D)
+    """generalize() names a model whose poses are not the task's 6-D ones
+    and a model with one component; a task's poses are finite, so its
+    endpoints are."""
+    task = TaskSpec(Pose(np.zeros(3), np.zeros(3)), Pose(np.ones(3), np.zeros(3)))
+    with pytest.raises(ValueError, match="^endpoints must be vectors of length 1$"):
+        generalize(model_1d([1.0, 2.0, 3.0]), task)
+    with pytest.raises(ValueError, match="^pose entries must be finite$"):
+        Pose([np.nan, 0.0, 0.0], np.zeros(3))
+    single = GmmModel([1.0], [[0.5, *np.zeros(6)]], [np.eye(7)], PhaseSchedule(0.25, 0.75, 1.0))
+    with pytest.raises(ValueError, match="^mean reparameterization needs at least two components$"):
+        generalize(single, task)
 
 
 def test_covariance_slope_scaling_hand_case():
     model = model_1d([0.0, 1.0, 2.0], slope=0.2, shape=1.0, tt=0.5)
-    new_means = reparam_means(model, np.array([0.0]), np.array([6.0]), EPS_1D)
-    covs, repairs = reparam_covariances(model, new_means, EPS_1D)
+    new_means = remapped_means(model, np.array([0.0]), np.array([6.0]), EPS_1D)
+    covs, repairs = adapted_covs(model, new_means, EPS_1D)
     slopes, shapes = terms(covs)
     # consecutive differences triple, so slopes triple for g >= 2
     assert slopes[0, 0] == 0.2  # first component untouched
@@ -521,8 +359,8 @@ def test_covariance_slope_scaling_hand_case():
 
 def test_covariance_schur_complement_preserved():
     model = model_1d([0.0, 1.0, 2.0], slope=0.3, shape=1.5)
-    new_means = reparam_means(model, np.array([-2.0]), np.array([10.0]), EPS_1D)
-    slopes, shapes = terms(reparam_covariances(model, new_means, EPS_1D)[0])
+    new_means = remapped_means(model, np.array([-2.0]), np.array([10.0]), EPS_1D)
+    slopes, shapes = terms(adapted_covs(model, new_means, EPS_1D)[0])
     for g in range(model.n_components):
         old = 1.5 - 0.3**2
         new = shapes[g, 0, 0] - slopes[g, 0] ** 2
@@ -532,39 +370,9 @@ def test_covariance_schur_complement_preserved():
 def test_covariance_degenerate_difference_keeps_slope():
     model = model_1d([1.0, 1.0 + 1e-6])  # consecutive difference below eps
     new_means = np.array([[2.0], [5.0]])
-    covs, _ = reparam_covariances(model, new_means, np.array([0.5]))
+    covs, _ = adapted_covs(model, new_means, np.array([0.5]))
     assert terms(covs)[0][1, 0] == 0.2
     assert np.allclose(covs[1], model.covs[1], atol=1e-15)
-
-
-def test_reparam_covariances_rejects_bad_new_means(model):
-    """Non-finite means used to give NaN covariances with no repair counted,
-    and wrong shapes a numpy broadcast or axis error."""
-    means = np.array(model.means[:, 1:])
-    for value in (np.nan, np.inf, -np.inf):
-        bad = np.stack([means, means])
-        bad[1, 3, 2] = value
-        with pytest.raises(ValueError, match="new_means must be finite"):
-            reparam_covariances(model, bad, DEGENERATE_EPS)
-    for bad in (means[:3], means[:, :5], means[0]):
-        with pytest.raises(ValueError, match=r"new_means must be \(\.\.\., 15, 6\), got shape"):
-            reparam_covariances(model, bad, DEGENERATE_EPS)
-
-
-@pytest.mark.parametrize("eps", [DEGENERATE_EPS[:5], np.r_[DEGENERATE_EPS[:5], np.nan],
-                                 np.r_[DEGENERATE_EPS[:5], -1e-3],
-                                 np.r_[DEGENERATE_EPS[:5], np.inf]],
-                         ids=["short", "nan", "negative", "inf"])
-def test_reparam_rejects_a_bad_eps_and_keeps_the_memo(model, eps):
-    start, goal = model.means[0, 1:], model.means[-1, 1:]
-    means = reparam_means(model, start, goal, DEGENERATE_EPS)
-    entry = _SOURCE_MEMO[0]
-    message = "eps must be a finite, non-negative vector of length 6"
-    with pytest.raises(ValueError, match=message):
-        reparam_means(model, start, goal, eps)
-    with pytest.raises(ValueError, match=message):
-        reparam_covariances(model, means, eps)
-    assert len(_SOURCE_MEMO) == 1 and _SOURCE_MEMO[0] is entry
 
 
 def test_clamp_spd_restores_definiteness():
@@ -615,6 +423,13 @@ def test_generalize_rejects_a_task_or_config_of_another_type(model, endpoints):
         with pytest.raises(TypeError, match=f"^task must be a TaskSpec, got "
                                             f"{type(bad).__name__}$"):
             generalize(model, bad)
+
+
+def test_generalize_rejects_a_model_of_another_type(endpoints):
+    for bad in ("model.json", None):
+        with pytest.raises(TypeError, match=f"^model must be a GmmModel, got "
+                                            f"{type(bad).__name__}$"):
+            generalize(bad, TaskSpec(*endpoints))
 
 
 def test_generalize_pins_endpoints_and_carryovers(model, scene, endpoints):

@@ -15,7 +15,7 @@ from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, SamplingError, Scene,
                           scene_collides, scene_to_dict, trajectory_success)
 
 from conftest import mutated
-from test_reparam import compiled_values
+from helpers import compiled_values
 
 UNIT_BOX = (1.0, 1.0, 1.0)
 ORIGIN = Pose([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
@@ -686,6 +686,13 @@ def test_default_scene_geometry(scene):
     # but dropping it below the clearance hits the base board
     sunk = Pose([0.2, 0.225, 0.5 * 0.12 - 0.001], [0.0, 0.0, 0.0])
     assert scene_collides(sunk, scene)
+
+
+def test_scene_rejects_a_slab_of_another_type(scene):
+    corners = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    for slabs in ([corners], [*scene.slabs, corners]):
+        with pytest.raises(TypeError, match=f"^slab {len(slabs) - 1} must be a Slab, got tuple$"):
+            Scene(slabs, scene.box_dims, scene.levels, scene.length_range)
 
 
 def test_scene_json_roundtrip(tmp_path, scene):
