@@ -5,7 +5,7 @@ from .data import (PhaseSchedule, Pose, TaskSpec, Trajectory, load_trajectory, r
                    save_trajectory)
 from .gmr import regress
 from .metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
-                      phase_deviation, rotation_angle_deg, shape_deviation)
+                      phase_deviation, shape_deviation)
 from .model import (FitConfig, FitResult, GmmModel, em_fit, fit_gmm, kmeans_init,
                     load_model, save_model)
 from .reparam import ReparamConfig, generalize
@@ -21,7 +21,6 @@ __all__ = [
     "SuccessThresholds", "SynthConfig", "TaskSpec", "Trajectory",
     "average_jerk", "boundary_error", "default_scene", "em_fit", "fit_gmm",
     "generalize", "generate_demonstrations", "kmeans_init", "load_model", "load_scene",
-    "load_trajectory", "phase_deviation", "regress", "resample", "rotation_angle_deg",
-    "sample_task", "save_model", "save_scene", "save_trajectory", "shape_deviation",
-    "trajectory_success",
+    "load_trajectory", "phase_deviation", "regress", "resample", "sample_task",
+    "save_model", "save_scene", "save_trajectory", "shape_deviation", "trajectory_success",
 ]

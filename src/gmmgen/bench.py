@@ -261,20 +261,15 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     return BenchmarkResult(method, mode, seed, tuple(records), summary)
 
 
-def summary_csv_lines(summaries) -> list:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in summaries:
-        fields = []
-        for col in SUMMARY_COLUMNS:
-            value = row[col]
-            fields.append(value if isinstance(value, str) else str(float(value)))
-        lines.append(",".join(fields))
-    return lines
+def summary_csv_lines(summary: dict) -> list:
+    """summary.csv's header line and its one row, summary's SUMMARY_COLUMNS."""
+    values = (summary[col] for col in SUMMARY_COLUMNS)
+    return [",".join(SUMMARY_COLUMNS),
+            ",".join(v if isinstance(v, str) else str(float(v)) for v in values)]
 
 
-def write_summary_csv(summaries, path) -> None:
-    Path(path).write_text("\n".join(summary_csv_lines(summaries)) + "\n",
-                          encoding="utf-8")
+def write_summary_csv(summary: dict, path) -> None:
+    Path(path).write_text("\n".join(summary_csv_lines(summary)) + "\n", encoding="utf-8")
 
 
 def trial_to_dict(result: BenchmarkResult, record: TrialRecord) -> dict:

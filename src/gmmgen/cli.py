@@ -59,11 +59,17 @@ def _add_threshold_flags(sub):
 def _save_all_or_nothing(saves) -> None:
     """Run each (save, obj, path) as save(obj, temporary file beside path),
     then move the files into place only once every save succeeded, so a
-    failed save leaves none of them behind.  A path that is a directory is
-    refused before anything is saved, as moving a file onto it would fail
-    only after the files before it had been moved."""
+    failed save leaves none of them behind.  Two paths that resolve to one
+    file, and a path that is a directory, are refused before anything is
+    saved: the second move would replace the first output, and a move onto
+    a directory would fail only after the files before it had been moved."""
     temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.{i}.tmp")
              for i, (_, _, path) in enumerate(saves)]
+    resolved = [Path(path).resolve() for _, _, path in saves]
+    for i, (_, _, path) in enumerate(saves):
+        first = resolved.index(resolved[i])
+        if first < i:
+            raise ValueError(f"outputs {saves[first][2]} and {path} are the same file")
     for _, _, path in saves:
         if Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -202,7 +208,7 @@ def cmd_benchmark(args) -> int:
                                  method=args.method, rate=args.rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _save_all_or_nothing([(bench.write_summary_csv, [result.summary], out_dir / "summary.csv"),
+    _save_all_or_nothing([(bench.write_summary_csv, result.summary, out_dir / "summary.csv"),
                           (bench.write_trials_jsonl, result, out_dir / "trials.jsonl")])
     print(f"{result.method} {result.mode}: success {result.summary['success_rate']:.1f}% "
           f"over {args.trials} trials; results in {out_dir}")
@@ -212,10 +218,7 @@ def cmd_benchmark(args) -> int:
 def cmd_plot(args) -> int:
     trajectories = [load_trajectory(p) for p in args.traj]
     scene = load_scene(args.scene) if args.scene else None
-    saves = [(lambda trajs, path: plot.save_svg(trajs, path, scene), trajectories, args.out)]
-    if args.out_csv:
-        saves.append((save_trajectory, trajectories[0], args.out_csv))
-    _save_all_or_nothing(saves)
+    plot.save_svg(trajectories, args.out, scene)
     print(f"plot written to {args.out}")
     return EXIT_OK
 
@@ -303,8 +306,6 @@ def build_parser():
     s.add_argument("--traj", nargs="+", required=True)
     s.add_argument("--scene", default=None)
     s.add_argument("--out", required=True)
-    s.add_argument("--out-csv", default=None,
-                   help="also export the first trajectory's plotted data")
 
     return parser, registry
 
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

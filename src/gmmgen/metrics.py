@@ -59,10 +59,6 @@ class EvalReport:
         out["failure_reason"] = self.failure_reason.value
         return out
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EvalReport":
-        return cls(**obj)
-
 
 _METRIC_FIELDS = tuple(f.name for f in fields(EvalReport)[2:])
 
@@ -98,12 +94,6 @@ def _geodesic_angles(rotvecs_a, rotvecs_b) -> np.ndarray:
     quat /= np.sqrt(x * x + y * y + z * z + w * w)[..., None]
     angles = _rotation()(quat.reshape(-1, 4), normalize=False, copy=False).magnitude()
     return angles.reshape(quat.shape[:-1])
-
-
-def rotation_angle_deg(rotvec_a, rotvec_b) -> float:
-    """Geodesic angle between two orientations given as rotation vectors."""
-    return float(_geodesic_angles(np.reshape(rotvec_a, (1, 3)),
-                                  np.reshape(rotvec_b, (1, 3)))[0] * RAD_TO_DEG)
 
 
 def _targets(tasks) -> np.ndarray:

@@ -331,39 +331,34 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     return assign, (priors, means, covs)
 
 
-def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) along axis, bitwise equal to scipy.special.logsumexp.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of an (n, G) array with G >= 1,
+    bitwise equal to scipy.special.logsumexp(a, axis=1).
 
-    Follows scipy's steps: the m entries equal to the maximum are left out
-    of the shifted sum s, and the result is log1p(s / m) + log(m) + max.  A
-    slice whose result is not finite (all -inf, or an infinite or nan entry)
-    takes log(sum(exp(a))) instead, as scipy's does.  An empty axis is a
-    ValueError.
+    Follows scipy's steps: the m entries equal to the row's maximum are
+    left out of the shifted sum s, and the result is log1p(s / m) + log(m)
+    + max.  A row whose result is not finite (all -inf, or an infinite or
+    nan entry) takes log(sum(exp(row))) instead, as scipy's does.
 
     Tuned for EM's rows of a few dozen entries: the maximum is one
-    np.maximum call per entry along axis, cheaper than a strided a.max on
-    a short axis but a Python-level loop on a long one (a maximum is exact
-    in any order and propagates nan as a.max does).  The shifted sum's
-    exponentials go through data._exp, which skips the entries exp rounds
-    to 0, so the sum is bitwise the same.
+    np.maximum call per column, cheaper than a.max(axis=1) on short rows
+    (a maximum is exact in any order and propagates nan as a.max does).
+    The shifted sum's exponentials go through data._exp, which skips the
+    entries exp rounds to 0, so the sum is bitwise the same.
     """
-    a = np.asarray(a, dtype=float)
-    slices = np.moveaxis(a, axis, 0)
-    if len(slices) == 0:
-        raise ValueError(f"logsumexp needs a non-empty axis {axis}, got shape {a.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.expand_dims(functools.reduce(np.maximum, slices), axis)
-        at_top = a == top
-        m = at_top.sum(axis=axis, keepdims=True, dtype=float)
+        top = functools.reduce(np.maximum, a.T)
+        at_top = a == top[:, None]
+        m = at_top.sum(axis=1, dtype=float)
         rest = a.copy(order="K")
         rest[at_top] = -np.inf
-        s = _exp(rest - top).sum(axis=axis, keepdims=True)
+        s = _exp(rest - top[:, None]).sum(axis=1)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + top
         lost = ~np.isfinite(out)
         if lost.any():
-            out[lost] = np.log(np.exp(a).sum(axis=axis, keepdims=True))[lost]
-    return out if keepdims else out.squeeze(axis)
+            out[lost] = np.log(np.exp(a).sum(axis=1))[lost]
+    return out
 
 
 def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -469,7 +464,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
             raise ValueError(f"dataset row {int(sizes.argmax())} is too large to fit: its "
                              "squared Mahalanobis distance to a component overflows") from None
         logp += np.log(priors)
-        row_loglik = logsumexp(logp, axis=1)
+        row_loglik = logsumexp(logp)
         per_point = row_loglik[inverse]
         loglik = float(per_point.sum())
         if prev is not None and loglik < prev:

@@ -208,6 +208,16 @@ def x_heavy_model(t_var, slope, shape):
     return GmmModel(np.full(3, 1.0 / 3.0), means, covs, PhaseSchedule(1.0, 2.0, 3.0))
 
 
+def far_middle_model():
+    """x_heavy_model(0.1, 0, 0.01) with component 1's x mean at 1e306, far
+    outside the x span [0, 1], and its prior at 1e-300, so that its weight
+    keeps every regressed curve finite."""
+    base = x_heavy_model(0.1, 0.0, 0.01)
+    means = base.means.copy()
+    means[1, 1] = 1e306
+    return GmmModel(np.array([0.5, 1e-300, 0.5]), means, base.covs, base.phases)
+
+
 def x_task(model, start_x, goal_x):
     """The source's first mean pose with x at start_x, to that pose with x at
     goal_x; x_heavy_model's x span is 1, so goal_x - start_x scales it."""
@@ -238,20 +248,25 @@ def chunk_pools(model, scene, endpoints):
     endpoints at -1e308 and 1e308 give non-finite means.  half-max: time
     variance 7e307, where doubling the x span gives a finite cross
     covariance above half the largest float, which GmmModel's symmetrize
-    would turn into inf, so GmmModel rejects it.  The other x-span tasks
-    scale the span by 0.5 to 2 and regress.
+    would turn into inf, so GmmModel rejects it.  far-middle: a goal 1000
+    x spans from the start overflows the far middle mean, while the
+    compiled curves' reach stays finite; only the means' own finiteness
+    routes that task.  The other x-span tasks scale the span by 0.5 to 2
+    and regress.
     """
     rng = np.random.default_rng(23)
     sampled = [sample_task(scene, mode, rng, *endpoints)
                for mode in ("combined", "translational") for _ in range(4)]
     overflow = x_heavy_model(0.1, 1e152, 2e304)
     half_max = x_heavy_model(7e307, 0.7, 0.491)
+    far_middle = far_middle_model()
     pools = TaskPools({
         "fitted": (model, sampled),
         "thin": thin_repair_tasks(),
         "overflow": (overflow, [x_task(overflow, 0.0, x) for x in (0.5, 1.0, 2.0, 1000.0)]
                      + [x_task(overflow, -1e308, 1e308)]),
         "half-max": (half_max, [x_task(half_max, 0.0, x) for x in (0.5, 1.2, 2.0)]),
+        "far-middle": (far_middle, [x_task(far_middle, 0.0, x) for x in (0.5, 1000.0)]),
     })
     pools.scene = scene
     # the fitted source's regression: the x-heavy sources regress to a static path
@@ -281,11 +296,13 @@ def test_generalize_is_the_model_of_reparam_on_every_pool(chunk_pools, ablate):
            for name, (source, tasks) in chunk_pools.items() for i, task in enumerate(tasks)}
     finite = (ValueError, "component 1: parameters must be finite")
     if ablate:
-        assert [key for key, out in got.items() if out == finite] == [("overflow", 4)]
+        assert [key for key, out in got.items() if out == finite] == [("overflow", 4),
+                                                                      ("far-middle", 1)]
     else:
         assert got["thin", 1][1] == 2
         assert got["overflow", 3] == got["half-max", 2] == finite
-        assert got["overflow", 4] == (ValueError, "new_means must be finite")
+        assert (got["overflow", 4] == got["far-middle", 1]
+                == (ValueError, "new_means must be finite"))
 
 
 def one_task_outcome(model, task, config, times, scene, reference):
@@ -366,7 +383,9 @@ def test_compiled_curves_match_regress_generalize(model, scene, chunk_pools, mon
     routes thin_repair_tasks()' repaired task to the one-trial path and
     compiles the other, routes a task whose combination could overflow and
     one whose rotation rows pass pi, and a benchmark over the overflow and
-    half-max pools raises the message the failing task raises alone."""
+    half-max pools raises the message the failing task raises alone, and
+    so does one over the far-middle pool, whose failing task only the
+    means' finiteness routes."""
     config = ReparamConfig(ablate_covariance=ablate)
     times = default_times(model.duration)
     tasks = sample_tasks(scene, mode, [np.random.default_rng([29, i]) for i in range(40)],
@@ -399,8 +418,9 @@ def test_compiled_curves_match_regress_generalize(model, scene, chunk_pools, mon
         assert str(chunked.value) == str(alone.value) == message
         assert calls == [odd]
 
-    # without the covariance update only the infinite span fails
-    for pool, bad in ((("overflow", 4),) if ablate else (("overflow", 3), ("half-max", 2))):
+    # without the covariance update only the non-finite means fail
+    for pool, bad in ((("overflow", 4), ("far-middle", 1)) if ablate
+                      else (("overflow", 3), ("half-max", 2), ("far-middle", 1))):
         source, pool_tasks = chunk_pools[pool]
         with pytest.raises(ValueError) as alone, np.errstate(over="ignore", invalid="ignore"):
             regress(generalize(source, pool_tasks[bad], config), default_times(source.duration))
@@ -529,7 +549,7 @@ def test_benchmark_deterministic_and_order_free(model, scene):
         config = ReparamConfig(ablate_covariance=ablate)
         a = run_benchmark(model, scene, "combined", trials=20, seed=11, config=config)
         b = run_benchmark(model, scene, "combined", trials=20, seed=11, config=config)
-        assert summary_csv_lines([a.summary]) == summary_csv_lines([b.summary])
+        assert summary_csv_lines(a.summary) == summary_csv_lines(b.summary)
         for ra, rb in zip(a.trials, b.trials):
             assert np.array_equal(ra.task.start_vector(), rb.task.start_vector())
             assert ra.report == rb.report
@@ -568,7 +588,7 @@ def test_benchmark_validation(model, scene):
 def test_summary_csv_and_trials_jsonl_format(model, scene, tmp_path):
     result = run_benchmark(model, scene, "translational", trials=3, seed=8)
     csv_path = tmp_path / "summary.csv"
-    write_summary_csv([result.summary], csv_path)
+    write_summary_csv(result.summary, csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ",".join(SUMMARY_COLUMNS)
     assert len(lines) == 2

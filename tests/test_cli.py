@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmgen.cli import _parse_pose, main
+from gmmgen import cli
+from gmmgen.cli import _parse_pose, build_parser, main
 from gmmgen.data import TaskSpec, Trajectory, load_trajectory, save_trajectory
 from gmmgen.model import load_model, save_model
+from gmmgen.plot import render_svg
 from gmmgen.reparam import generalize
 
 from helpers import random_spd_mixture
@@ -294,6 +296,23 @@ def test_generalize_unwritable_output_writes_no_file(work, tmp_path, endpoint_ar
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spelled", [lambda out: out,
+                                     lambda out: out.parent / "x" / ".." / out.name],
+                         ids=["same", "dotdot"])
+def test_generalize_two_outputs_naming_one_file_writes_nothing(work, tmp_path, endpoint_args,
+                                                              capsys, spelled):
+    """--out-model and --out-traj resolving to one file would leave only the
+    trajectory there: both are refused, and nothing is written."""
+    start, goal = endpoint_args
+    out = tmp_path / "same.json"
+    code = main(["generalize", "--model", str(work / "model.json"), "--start", start,
+                 "--goal", goal, "--out-model", str(out), "--out-traj", str(spelled(out))])
+    assert code == 2
+    assert (f"error: outputs {out} and {spelled(out)} are the same file"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags",[("--start", "--goal"), ("--sta", "--go")])
 def test_pose_with_negative_first_number_as_its_own_token(work, tmp_path, flags):
     """"--start -0.38,..." reads the pose as "--start=-0.38,..." does, in
@@ -395,9 +414,8 @@ def test_benchmark_method_label_with_a_comma_exit2(work, tmp_path, capsys, via_c
 def test_plot_svg_structure(work, tmp_path):
     demo_files = sorted(str(p) for p in (work / "demos").glob("demo_*.csv"))
     out_svg = tmp_path / "fig.svg"
-    out_csv = tmp_path / "plotted.csv"
     assert main(["plot", "--traj", *demo_files, "--scene", str(SCENE_JSON),
-                 "--out", str(out_svg), "--out-csv", str(out_csv)]) == 0
+                 "--out", str(out_svg)]) == 0
     text = out_svg.read_text()
     # one x-z path plus three position and three rotation series per file
     assert text.count("<polyline") == 7 * len(demo_files)
@@ -405,22 +423,15 @@ def test_plot_svg_structure(work, tmp_path):
     assert text.count("<rect") == 1 + 3 + 6
     first_points = text.split('points="')[1].split('"')[0]
     assert len(first_points.split()) == 701
-    back = load_trajectory(out_csv)
-    orig = load_trajectory(demo_files[0])
-    assert np.array_equal(back.values, orig.values)
 
     bare = tmp_path / "bare.svg"
     assert main(["plot", "--traj", demo_files[0], "--out", str(bare)]) == 0
     assert bare.read_text().count("<rect") == 1 + 3
 
 
-def test_plot_unwritable_csv_leaves_no_svg(work, tmp_path, capsys):
-    out_svg = tmp_path / "p.svg"
-    missing = tmp_path / "nodir" / "x.csv"
-    assert main(["plot", "--traj", str(work / "demos" / "demo_00.csv"), "--out", str(out_svg),
-                 "--out-csv", str(missing)]) == 2
-    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+def test_render_svg_needs_a_trajectory():
+    with pytest.raises(ValueError, match="^need at least one trajectory to plot$"):
+        render_svg([])
 
 
 def test_config_file_defaults_and_flag_priority(tmp_path):
@@ -796,3 +807,48 @@ def test_config_switch_true_matches_flag(work, tmp_path, endpoint_args):
     assert main(args + [str(tmp_path / "cfg.json"), "--config", str(cfg)]) == 0
     assert json.loads((tmp_path / "cfg.json").read_text())["ablate_covariance"] is True
     assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+
+
+def test_cli_flags_are_pinned():
+    """Each subcommand takes exactly these flags, in this order, besides --help."""
+    thresholds = ["--max-boundary-pos", "--max-boundary-rot", "--collision-samples"]
+    _, registry = build_parser()
+    assert {name: [flag for action in sub._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")]
+            for name, sub in registry.items()} == {
+        "synth": ["--config", "--out-dir", "--scene", "--demos", "--lift", "--noise-pos-mm",
+                  "--noise-rot-deg", "--rate", "--seed"],
+        "fit": ["--config", "--demos", "--components", "--out", "--seed", "--max-iters", "--tol",
+                "--cov-floor", "--grasp-end", "--release-start"],
+        "generalize": ["--config", "--model", "--start", "--goal", "--ablate-covariance",
+                       "--out-model", "--out-traj", "--rate"],
+        "regress": ["--config", "--model", "--out", "--rate"],
+        "evaluate": ["--config", "--traj", "--model", "--start", "--goal", "--scene", "--ref",
+                     "--out", "--rate", *thresholds],
+        "benchmark": ["--config", "--model", "--scene", "--mode", "--trials", "--seed",
+                      "--out-dir", "--ablate-covariance", "--method", "--ref", "--rate",
+                      *thresholds],
+        "plot": ["--config", "--traj", "--scene", "--out"],
+    }
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["fit", "--config"], "argument --config: expected one argument"),
+], ids=["no-command", "config-without-path"])
+def test_usage_errors_exit_2_through_argparse(capsys, argv, message):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_1(work, tmp_path, capsys, monkeypatch):
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_model", broken)
+    assert main(["regress", "--model", str(work / "model.json"),
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == "internal error: boom\n"
+    assert list(tmp_path.iterdir()) == []

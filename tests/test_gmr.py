@@ -101,6 +101,9 @@ def test_regress_identity_on_fitted_model(model, times, demos):
 
 def test_regress_times_validation():
     model = two_component_model()
+    for times in ([], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="^times must be a non-empty 1-D array$"):
+            regress(model, times)
     with pytest.raises(ValueError):
         regress(model, [0.0])
     with pytest.raises(ValueError):

@@ -67,9 +67,8 @@ def test_public_names_are_pinned():
         "SuccessThresholds", "SynthConfig", "TaskSpec", "Trajectory",
         "average_jerk", "boundary_error", "default_scene", "em_fit", "fit_gmm",
         "generalize", "generate_demonstrations", "kmeans_init", "load_model", "load_scene",
-        "load_trajectory", "phase_deviation", "regress", "resample", "rotation_angle_deg",
-        "sample_task", "save_model", "save_scene", "save_trajectory", "shape_deviation",
-        "trajectory_success",
+        "load_trajectory", "phase_deviation", "regress", "resample", "sample_task",
+        "save_model", "save_scene", "save_trajectory", "shape_deviation", "trajectory_success",
     ]
     for name in gmmgen.__all__:
         assert getattr(gmmgen, name).__module__.startswith("gmmgen.")

@@ -6,10 +6,10 @@ from scipy.spatial.transform import Rotation
 
 from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, _resampled, resample
-from gmmgen.metrics import (SHAPE_POINTS, EvalReport, FailureReason, _centered_paths,
-                            _geodesic_angles, _jerk_differences, _mean_jerks, _phase_windows,
-                            _pose_stack, _procrustes, _window_deviations, average_jerk,
-                            boundary_error, boundary_errors, phase_deviation, rotation_angle_deg,
+from gmmgen.metrics import (RAD_TO_DEG, SHAPE_POINTS, EvalReport, FailureReason,
+                            _centered_paths, _geodesic_angles, _jerk_differences, _mean_jerks,
+                            _phase_windows, _pose_stack, _procrustes, _window_deviations,
+                            average_jerk, boundary_error, boundary_errors, phase_deviation,
                             shape_deviation, shape_reference)
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import sample_tasks
@@ -25,10 +25,13 @@ def pose_rows(times, positions, rotvecs=None):
 
 
 def test_rotation_angle_hand_cases():
-    assert rotation_angle_deg([0, 0, 0], [0, 0, np.pi / 4]) == pytest.approx(45.0)
-    assert rotation_angle_deg([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]) == pytest.approx(0.0, abs=1e-12)
+    degrees = _geodesic_angles(np.array([[0, 0, 0], [0.1, 0.2, 0.3], [np.pi / 2, 0, 0]]),
+                               np.array([[0, 0, np.pi / 4], [0.1, 0.2, 0.3], [0, np.pi / 2, 0]]))
+    degrees *= RAD_TO_DEG
+    assert degrees[0] == pytest.approx(45.0)
+    assert degrees[1] == pytest.approx(0.0, abs=1e-12)
     # two 90-degree turns about orthogonal axes sit 120 degrees apart
-    assert rotation_angle_deg([np.pi / 2, 0, 0], [0, np.pi / 2, 0]) == pytest.approx(120.0)
+    assert degrees[2] == pytest.approx(120.0)
 
 
 def oracle_geodesic_angles(rotvecs_a, rotvecs_b):
@@ -337,7 +340,7 @@ def test_eval_report_roundtrip_and_validation():
                         0.5, 0.6, 0.7, 0.8, 0.001, 1.5, 2.5)
     obj = report.to_dict()
     assert obj["failure_reason"] == "none"
-    assert EvalReport.from_dict(obj) == report
+    assert EvalReport(**obj) == report
     failed = EvalReport(False, "collision", 0.1, 0.2, 0.3, 0.4,
                         0.5, 0.6, 0.7, 0.8, 0.001, 1.5, 2.5)
     assert failed.failure_reason is FailureReason.COLLISION

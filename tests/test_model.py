@@ -212,6 +212,14 @@ def test_em_fit_rejects_bad_input_naming_the_argument(edit, message):
         em_fit(data, init, FitConfig(n_components=2))
 
 
+@pytest.mark.parametrize("rows", [lambda data: data[0], lambda data: data[:0]],
+                         ids=["1d", "empty"])
+def test_em_fit_rejects_a_dataset_that_is_not_rows(rows):
+    data, init = em_input(lambda data, init: None)
+    with pytest.raises(ValueError, match=r"^dataset must be a non-empty \(n, D\+1\) array$"):
+        em_fit(rows(data), init, FitConfig(n_components=2))
+
+
 def test_em_single_component_closed_form():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(200, 3))
@@ -835,33 +843,23 @@ def logsumexp_rows(rng, n_rows, n_cols):
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40), n_cols=st.integers(1, 20))
 def test_logsumexp_matches_scipy_bitwise(seed, n_rows, n_cols):
+    """Over the rows of the array and of its transpose, a strided view."""
     a = logsumexp_rows(np.random.default_rng(seed), n_rows, n_cols)
-    for axis in (0, 1):
-        for keepdims in (False, True):
-            assert_bitwise(logsumexp(a, axis=axis, keepdims=keepdims),
-                           scipy_logsumexp(a, axis=axis, keepdims=keepdims))
+    for rows in (a, a.T):
+        assert_bitwise(logsumexp(rows), scipy_logsumexp(rows, axis=1))
 
 
-@pytest.mark.parametrize("shape,axis", [((3, 0), 1), ((0, 3), 0), ((0,), 0), ((2, 0, 4), -2)])
-def test_logsumexp_over_an_empty_axis_raises(shape, axis):
-    with pytest.raises(ValueError):
-        logsumexp(np.zeros(shape), axis=axis)
-
-
-@pytest.mark.parametrize("shape,axis", [((0, 3), 1), ((3, 0), 0), ((2, 3, 4), -1),
-                                        ((2, 3, 4), 1), ((5,), 0)])
-def test_logsumexp_shapes_match_scipy(shape, axis):
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5, 1), (2, 40)])
+def test_logsumexp_shapes_match_scipy(shape):
     a = np.random.default_rng(3).normal(scale=400.0, size=shape)
-    for keepdims in (False, True):
-        assert_bitwise(logsumexp(a, axis=axis, keepdims=keepdims),
-                       scipy_logsumexp(a, axis=axis, keepdims=keepdims))
+    assert_bitwise(logsumexp(a), scipy_logsumexp(a, axis=1))
 
 
 def test_logsumexp_non_finite_rows_match_scipy():
     a = np.array([[0.0, np.nan, 1.0], [np.inf, 0.0, -np.inf], [np.inf, -np.inf, np.nan],
                   [-np.inf, -np.inf, -np.inf], [np.inf, np.inf, 3.0], [-0.0, 0.0, -800.0]])
-    for axis in (0, 1):
-        assert_bitwise(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
+    for rows in (a, a.T):
+        assert_bitwise(logsumexp(rows), scipy_logsumexp(rows, axis=1))
 
 
 @pytest.mark.parametrize("column", [0, 2])
