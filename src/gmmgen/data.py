@@ -268,7 +268,9 @@ class Trajectory:
 
     ``values`` is (n, D), one row per timestamp; pose columns are read
     through positions() and orientations(), which raise unless D is 6.
-    Samples keep _first_violation's rules.
+    Samples keep _first_violation's rules: the constructor checks them all,
+    while gmr.regress's trajectories (_derived) inherit the time rules from
+    their checked query grid and check only the values.
     """
 
     times: np.ndarray
@@ -286,6 +288,27 @@ class Trajectory:
         found = _first_violation(times, values)
         if found is not None:
             raise ValueError("sample {}: {}".format(*found))
+
+    @classmethod
+    def _derived(cls, times: np.ndarray, values: np.ndarray) -> Trajectory:
+        """The trajectory gmr.regress derives on its checked query grid:
+        fresh (n,) times, n >= 2, finite and strictly increasing from 0,
+        and fresh values (n, D), both frozen in place and stored.
+
+        Only the values are checked, whole-array: every entry finite and,
+        for 6-D rows, every rotation-vector magnitude below pi.  When a
+        check fails, the same arrays go to Trajectory(...), which raises
+        its error; otherwise the stored arrays are bitwise what
+        Trajectory(...) stores.
+        """
+        if not (np.isfinite(values).all() and (values.shape[1] != POSE_DIM or (
+                _rotvec_angles(values[:, 3:6]) < np.pi).all())):
+            return cls(times, values)
+        traj = object.__new__(cls)
+        for name, value in (("times", times), ("values", values)):
+            value.flags.writeable = False
+            object.__setattr__(traj, name, value)
+        return traj
 
     @property
     def n_samples(self) -> int:

@@ -34,7 +34,7 @@ def _validated_times(times, duration: float) -> np.ndarray:
         raise ValueError("regression needs at least two query times")
     if not np.isfinite(times).all():
         raise ValueError("query times must be finite")
-    if not np.all(np.diff(times) > 0.0):
+    if not (times[1:] > times[:-1]).all():  # finite, so the same as np.diff(times) > 0.0
         raise ValueError("query times must be strictly increasing")
     if times[0] < -1e-9 or times[-1] > duration + 1e-9:
         raise ValueError(f"query times must lie within [0, {duration}]")
@@ -79,6 +79,13 @@ def regress(model, times) -> Trajectory:
     stored slopes and one with the per-component offsets.  Query times must
     be strictly increasing within [0, duration]; the output trajectory is
     re-anchored so its first timestamp is zero.
+
+    On a grid that starts at 0.0 (or -0.0) the re-anchored times are the
+    grid checked here, so the trajectory is derived (Trajectory._derived):
+    only its values are checked, finite and with 6-D rotation rows below
+    pi.  Any other grid, or values that fail, go through Trajectory(...),
+    which raises its error.  Either way the stored arrays are bitwise the
+    public constructor's.
     """
     try:
         priors, means, covs = model.priors, model.means, model.covs
@@ -86,5 +93,7 @@ def regress(model, times) -> Trajectory:
     except AttributeError:
         raise TypeError(f"cannot regress a {type(model).__name__}") from None
     times = _validated_times(times, duration)
-    return Trajectory(times - times[0], _expected_poses(priors, means[:, 0], covs[:, 0, 0],
-                                                        means[:, 1:], slopes, times))
+    values = _expected_poses(priors, means[:, 0], covs[:, 0, 0], means[:, 1:], slopes, times)
+    # From a start at +-0.0, times - times[0] keeps every rule _validated_times checked.
+    build = Trajectory._derived if times[0] == 0.0 else Trajectory
+    return build(times - times[0], values)

@@ -19,6 +19,8 @@ from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Po
                    _read_json, _write_json)
 
 COLLAPSE_EPS = 1e-12
+# Largest magnitude whose double is finite: symmetrizing a covariance adds two entries.
+_HALF_MAX = np.finfo(float).max / 2
 KMEANS_MAX_ITERS = 300
 
 
@@ -101,6 +103,11 @@ class GmmModel:
     model's duration is its phase schedule's.  Every stored array is
     read-only and never the caller's: priors and means are copied, and the
     symmetrized covs, slopes and shapes computed here are frozen in place.
+
+    The constructor checks every input in full.  generalize builds its
+    result through _derived instead, which inherits the source model's
+    checked priors, time centers and phases and checks only what a task
+    can change; it stores the same bits.
     """
 
     priors: np.ndarray
@@ -142,13 +149,44 @@ class GmmModel:
         elif n_dim - 1 != POSE_DIM:
             raise ValueError(f"task: its poses are {POSE_DIM}-D but the model is "
                              f"{n_dim - 1}-D")
-        tt = covs[:, 0, 0]
-        slopes = covs[:, 1:, 0] / tt[:, None]
-        shapes = covs[:, 1:, 1:] / tt[:, None, None]
+        self._store(priors, means, covs)
+
+    def _store(self, priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
+        """Freeze fresh priors, means and covs in place and store them with
+        the slopes and shapes derived from covs."""
+        scaled = covs / covs[:, 0, 0, None, None]  # one pass, then C-ordered copies
         for name, value in (("priors", priors), ("means", means), ("covs", covs),
-                            ("slopes", slopes), ("shapes", shapes)):
+                            ("slopes", scaled[:, 1:, 0].copy()),
+                            ("shapes", scaled[:, 1:, 1:].copy())):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _derived(cls, source: GmmModel, means: np.ndarray, covs: np.ndarray, task: TaskSpec,
+                 ablated: bool) -> GmmModel:
+        """The model generalize derives from source, a checked model: fresh
+        means (G, D+1) on the source's time centers and fresh, exactly
+        symmetric covs (G, D+1, D+1), both taken over.
+
+        The source's priors (copied), time centers and phases are not
+        checked again.  Checked are finite means, covariance entries at
+        most half the largest float (so symmetrizing cannot overflow) and a
+        6-D mixture; when one fails, the same arrays go to GmmModel(...),
+        which raises its error.  Then one batched Cholesky raises
+        np.linalg.LinAlgError, locating nothing, if a matrix is not positive
+        definite.  An exactly symmetric C is 0.5 * (C + C^T), so every stored
+        array is bitwise what GmmModel(...) stores.
+        """
+        if not (np.isfinite(means).all() and (np.abs(covs) <= _HALF_MAX).all()
+                and means.shape[1] - 1 == POSE_DIM):
+            return cls(source.priors, means, covs, source.phases, task=task, ablated=ablated)
+        np.linalg.cholesky(covs)
+        model = object.__new__(cls)
+        for name, value in (("phases", source.phases), ("task", task), ("ablated", ablated),
+                            ("spd_repairs", 0)):
+            object.__setattr__(model, name, value)
+        model._store(source.priors.copy(), means, covs)
+        return model
 
     @property
     def duration(self) -> float:

@@ -20,7 +20,6 @@ keeps its order, so the output is bitwise the same.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .data import TaskSpec, _frozen_array, _memoized
 from .gmr import _expected_poses
-from .model import GmmModel, _cholesky_fails
+from .model import _HALF_MAX, GmmModel, _cholesky_fails
 
 # Endpoint spans and consecutive mean differences below these count as
 # degenerate: 1e-4 m on the position axes, 1e-3 rad on the rotation axes.
@@ -207,11 +206,17 @@ def generalize(model: GmmModel, task: TaskSpec,
     unless config ablates it, each covariance is adapted to them
     (_adapted_covs).  The result carries the task.  Its priors and time
     centers are the source model's, untouched, and so are its time
-    variances unless an SPD repair moved one.  The adapted stack is exactly
-    symmetric, so GmmModel's check factors the very matrices the repair
-    scan would; only a stack it rejects takes the scan and clamp
-    (_repair), then a second construction.  A task, config or model of
-    another type is a TypeError naming its type.
+    variances unless an SPD repair moved one.
+
+    The result is derived (GmmModel._derived): it inherits the priors,
+    time centers and phases its source passed, and the query checks only
+    finite means and covariances and makes one batched Cholesky of the
+    exactly symmetric adapted stack.  A stack that Cholesky rejects goes
+    straight to the repair scan and clamp (_repair), then to GmmModel(...),
+    which checks the repaired stack in full; a failed finite check takes
+    the same arrays to GmmModel(...).  So errors, repair counts and stored
+    bits are the public constructor's.  A task, config or model of another
+    type is a TypeError naming its type.
     """
     if not isinstance(task, TaskSpec):
         raise TypeError(f"task must be a TaskSpec, got {type(task).__name__}")
@@ -222,19 +227,18 @@ def generalize(model: GmmModel, task: TaskSpec,
     start, goal = task.start_vector(), task.goal_vector()
     _check_endpoints(model, start)
     src = _source_terms(model, DEGENERATE_EPS)
-    means = _remapped_means(model, start, goal, src)
-    build = functools.partial(GmmModel, model.priors,
-                              np.column_stack([model.means[:, 0], means]), phases=model.phases,
-                              task=task, ablated=config.ablate_covariance)
+    spatial = _remapped_means(model, start, goal, src)
+    means = np.column_stack([model.means[:, 0], spatial])
     if config.ablate_covariance:
-        return build(model.covs)
-    if not np.isfinite(means).all():
+        return GmmModel._derived(model, means, model.covs.copy(), task, ablated=True)
+    if not np.isfinite(spatial).all():
         raise ValueError("new_means must be finite")
-    covs = _adapted_covs(model, means, src)
+    covs = _adapted_covs(model, spatial, src)
     try:
-        return build(covs)
+        return GmmModel._derived(model, means, covs, task, ablated=False)
     except ValueError:  # a stack that needs a repair, or that no repair saves
-        return build(covs, spd_repairs=int(_repair(covs)))
+        return GmmModel(model.priors, means, covs, model.phases, task=task,
+                        spd_repairs=int(_repair(covs)))
 
 
 def _plain_tasks(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
@@ -252,6 +256,6 @@ def _plain_tasks(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
         plain = np.isfinite(means).all(axis=(1, 2))
         if not ablate:
             covs = _adapted_covs(model, means, src)
-            plain &= ((np.abs(covs) <= np.finfo(float).max / 2).all(axis=(1, 2, 3))
+            plain &= ((np.abs(covs) <= _HALF_MAX).all(axis=(1, 2, 3))
                       & ~_cholesky_fails(covs[:, 1:]).any(axis=1))
     return plain

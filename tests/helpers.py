@@ -8,9 +8,11 @@ operation order that makes them bitwise equal to generalize()'s kernels.
 import numpy as np
 from hypothesis import assume
 
+from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.model import GmmModel
 from gmmgen.reparam import COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _curves, generalize
+from gmmgen.scene import sample_task
 
 
 def oracle_reparam_means(model, new_start, new_goal, eps):
@@ -170,16 +172,36 @@ def outcome(build, task):
         out = build()
     except ValueError as exc:
         return type(exc), str(exc)
-    return ([a.tobytes() for a in (out.priors, out.means, out.covs, out.slopes, out.shapes)],
+    return ([getattr(out, name).tobytes() for name in MODEL_ARRAYS],
             out.spd_repairs, out.task is task, out.ablated)
 
 
+MODEL_ARRAYS = ("priors", "means", "covs", "slopes", "shapes")
+
+
+def assert_stored_as_public(model):
+    """The model holds what GmmModel(...) stores when rebuilt from its own
+    fields: every array with the same bytes, dtype, shape and layout,
+    read-only and its own, and the same phases, task and records."""
+    rebuilt = GmmModel(model.priors, model.means, model.covs, model.phases, task=model.task,
+                       ablated=model.ablated, spd_repairs=model.spd_repairs)
+    for name in MODEL_ARRAYS:
+        got, want = getattr(model, name), getattr(rebuilt, name)
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides), name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable and got.flags.owndata == want.flags.owndata, name
+    assert (model.phases, model.task, model.ablated, model.spd_repairs) == (
+        rebuilt.phases, rebuilt.task, rebuilt.ablated, rebuilt.spd_repairs)
+
+
 def assert_generalize_composes(model, task, config=ReparamConfig()):
-    """generalize() gives the composed route's model bitwise, or its error;
-    returns that outcome."""
+    """generalize() gives the composed route's model bitwise, or its error,
+    and stores what GmmModel(...) would; returns that outcome."""
     with np.errstate(over="ignore", invalid="ignore"):
         got = outcome(lambda: generalize(model, task, config), task)
         assert got == outcome(lambda: composed_generalize(model, task, config), task)
+        if isinstance(got[0], list):  # a model, not an error
+            assert_stored_as_public(generalize(model, task, config))
     return got
 
 
@@ -201,3 +223,12 @@ def random_endpoints(rng, first, last):
     scaled by 0.5-2 either way, so no slope is rescaled by more than ~2."""
     start = first + rng.uniform(-0.5, 0.5, 6)
     return start, start + rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6) * (last - first)
+
+
+def adapt_pool(model, scene, seed=1):
+    """The 32 tasks perfbench's adapt workload draws for a run seed: modes
+    alternate translational and combined, about the model's endpoints."""
+    rng = np.random.default_rng([seed])
+    start, goal = model_endpoints(model)
+    return [sample_task(scene, ("translational", "combined")[i % 2], rng, start, goal)
+            for i in range(32)]

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from gmmgen.bench import _Compiled, default_times
-from gmmgen.data import PhaseSchedule, Pose, TaskSpec
-from gmmgen.gmr import _WEIGHTS_MEMO, regress
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
+from gmmgen.gmr import _WEIGHTS_MEMO, _expected_poses, regress
 from gmmgen.model import GmmModel
 from gmmgen.reparam import _SOURCE_MEMO, ReparamConfig, _curves, generalize
 from gmmgen.scene import SuccessThresholds, default_scene, sample_task
@@ -217,6 +217,55 @@ def test_regress_many_validation(model, times):
     with pytest.raises(ValueError, match="^sample 0: rotation-vector magnitude "
                                          "3.680180 rad must stay below pi$"):
         chunk.reports(tasks)
+
+
+GRID_STARTS = [0.0, -0.0, -1e-10, 0.5]
+
+
+def stored_or_raised(build):
+    """Each array build()'s trajectory stores, with its layout, ownership and
+    write flag, or the type and message of the ValueError it raises."""
+    try:
+        traj = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(a.tobytes(), a.dtype, a.shape, a.strides, a.flags.owndata, a.flags.writeable)
+            for a in (traj.times, traj.values)]
+
+
+def assert_regress_stores_as_public(model, start):
+    """regress() on the model's 100 Hz grid, started at `start`, stores what
+    the public Trajectory(times - times[0], values) stores, or raises its
+    error."""
+    grid = default_times(model.duration)
+    times = np.concatenate([[start], grid[grid > start]])
+    values = _expected_poses(model.priors, model.means[:, 0], model.covs[:, 0, 0],
+                             model.means[:, 1:], model.slopes, times)
+    got = stored_or_raised(lambda: regress(model, times))
+    assert got == stored_or_raised(lambda: Trajectory(times - times[0], values))
+    return got
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(1, 8), dim=st.integers(1, 6),
+       thin=st.booleans(), start=st.sampled_from(GRID_STARTS))
+def test_regress_stores_what_the_public_trajectory_stores(seed, n_comp, dim, thin, start):
+    """On random mixtures, 6-D ones whose rotation rows can pass pi included,
+    and grids from 0.0, -0.0, -1e-10 and 0.5, regress() gives the public
+    Trajectory's arrays bitwise, or its error."""
+    model = random_spd_mixture(np.random.default_rng(seed), n_comp, dim, thin)
+    assert_regress_stores_as_public(model, start)
+
+
+@pytest.mark.parametrize("start", GRID_STARTS)
+def test_regress_past_pi_raises_the_public_trajectory_error(start):
+    """Seed 31's thin far task regresses past pi: on every grid regress()
+    raises the public Trajectory's error, and its valid task stores the
+    public Trajectory's arrays."""
+    thin, (rest, far) = thin_past_pi_tasks()
+    assert isinstance(assert_regress_stores_as_public(generalize(thin, rest), start), list)
+    assert assert_regress_stores_as_public(generalize(thin, far), start)[1].startswith(
+        "sample 0: rotation-vector magnitude ")
 
 
 # Random mixtures stay below 6-D: a random 6-D mean path can turn a regressed

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmgen.bench import default_times
-from gmmgen.data import PhaseSchedule, Pose, TaskSpec
+from gmmgen import data as gdata
+from gmmgen import model as gmodel
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.gmr import regress
 from gmmgen.model import GmmModel, load_model, model_to_dict, save_model
 from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConfig,
@@ -15,7 +17,7 @@ from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConf
 from gmmgen.scene import sample_task
 
 from conftest import mutated
-from helpers import (assert_generalize_composes, oracle_clamp_spd, oracle_reparam_covariances,
+from helpers import (adapt_pool, assert_generalize_composes, oracle_clamp_spd, oracle_reparam_covariances,
                      oracle_reparam_means, pose_task, random_endpoints, random_pose_mixture,
                      random_spd_mixture, terms, thin_repair_tasks)
 
@@ -192,6 +194,25 @@ def test_generalize_repairs_as_reparam_covariances_does():
     assert assert_generalize_composes(model, far)[1] == 2
 
 
+def test_generalize_scans_a_repaired_stack_once(monkeypatch):
+    """Seed 738's far task: the one batched Cholesky of the adapted stack
+    fails, the repair scan factors the stack after the first component and
+    then each of its 4 matrices, and GmmModel checks the repaired stack:
+    7 calls, down from 12 when GmmModel's own scan located the failure
+    before the repair scanned again."""
+    model, (_, far) = thin_repair_tasks()
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert generalize(model, far).spd_repairs == 2
+    assert calls == [(5, 7, 7), (4, 7, 7)] + [(7, 7)] * 4 + [(5, 7, 7)]
+
+
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_generalize_factors_once_without_a_repair(model, scene, endpoints, monkeypatch,
                                                   ablate):
@@ -218,6 +239,37 @@ def test_generalize_factors_once_without_a_repair(model, scene, endpoints, monke
     calls.clear()
     assert generalize(thin, far, config).spd_repairs == (0 if ablate else 2)
     assert len(calls) == 1 if ablate else len(calls) > 2
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_adapt_queries_recheck_nothing_the_library_built(model, scene, times, monkeypatch,
+                                                         ablate):
+    """On the adapt workload's task pool (run seed 1), no regress(generalize())
+    query runs GmmModel's parameter checks (_checked_covs) or Trajectory's
+    sample checks (_first_violation): the model inherits what its source
+    passed and the trajectory what the query grid passed.  The public
+    constructors still run both on the same values."""
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(gmodel, "_checked_covs")
+    counted(gdata, "_first_violation")
+    config = ReparamConfig(ablate_covariance=ablate)
+    for task in adapt_pool(model, scene):
+        adapted = generalize(model, task, config)
+        traj = regress(adapted, times)
+        assert calls == []
+    GmmModel(adapted.priors, adapted.means, adapted.covs, adapted.phases, task=task,
+             ablated=ablate)
+    Trajectory(traj.times, traj.values)
+    assert calls == ["_checked_covs", "_first_violation"]
 
 
 @settings(max_examples=60)
