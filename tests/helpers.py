@@ -165,6 +165,9 @@ def composed_generalize(model, task, config=ReparamConfig()):
                     spd_repairs=int(repairs))
 
 
+MODEL_ARRAYS = ("priors", "means", "covs", "slopes", "shapes")
+
+
 def outcome(build, task):
     """The bytes of every array of the model build() returns, its repair
     count and record, or the type and message of the ValueError it raises."""
@@ -174,9 +177,6 @@ def outcome(build, task):
         return type(exc), str(exc)
     return ([getattr(out, name).tobytes() for name in MODEL_ARRAYS],
             out.spd_repairs, out.task is task, out.ablated)
-
-
-MODEL_ARRAYS = ("priors", "means", "covs", "slopes", "shapes")
 
 
 def assert_stored_as_public(model):

@@ -3,9 +3,10 @@
 Every file the pipeline writes is hashed with sha256 and compared with the
 committed digests in tests/data/golden_digests.json, so any change of one
 output bit fails here.  So are the regress(generalize()) values of the
-benchmark's adapt task pool, which no CLI output covers.  The digests hold for the numpy, scipy and BLAS
-versions recorded beside them; on other versions the test is skipped and
-names both sets, since floating-point results may legitimately differ.
+benchmark's adapt task pool, which no CLI output covers.  The digests
+hold for the numpy, scipy and BLAS versions recorded beside them; on
+other versions the test is skipped and names both sets, since
+floating-point results may legitimately differ.
 
 A change that moves an output on purpose rewrites the file with
 

@@ -17,9 +17,10 @@ from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConf
 from gmmgen.scene import sample_task
 
 from conftest import mutated
-from helpers import (adapt_pool, assert_generalize_composes, oracle_clamp_spd, oracle_reparam_covariances,
-                     oracle_reparam_means, pose_task, random_endpoints, random_pose_mixture,
-                     random_spd_mixture, terms, thin_repair_tasks)
+from helpers import (adapt_pool, assert_generalize_composes, oracle_clamp_spd,
+                     oracle_reparam_covariances, oracle_reparam_means, pose_task,
+                     random_endpoints, random_pose_mixture, random_spd_mixture, terms,
+                     thin_repair_tasks)
 
 
 def model_1d(x_means, slope=0.2, shape=1.0, tt=0.5):
