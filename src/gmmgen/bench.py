@@ -143,7 +143,7 @@ class _Compiled:
         """The EvalReport of each task."""
         targets = _targets(tasks)
         starts, goals = targets[:, 0], targets[:, 1]
-        compiled = _plain_tasks(self.model, starts, goals, self.config.ablate_covariance)
+        compiled = _plain_tasks(self.model, targets, self.config.ablate_covariance)
         with np.errstate(over="ignore", invalid="ignore"):
             reach = self.reach[0] + self.reach[1] * np.abs(starts) + self.reach[2] * np.abs(goals)
         compiled &= np.isfinite(reach).all(axis=1)

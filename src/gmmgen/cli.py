@@ -48,12 +48,15 @@ def _thresholds(args) -> SuccessThresholds:
 
 
 def _add_threshold_flags(sub):
-    sub.add_argument("--max-boundary-pos", type=float, help="boundary position threshold, mm",
+    sub.add_argument("--max-boundary-pos", type=float,
+                     help="boundary position threshold, mm (default: %(default)g)",
                      default=SuccessThresholds.max_boundary_pos_mm)
-    sub.add_argument("--max-boundary-rot", type=float, help="boundary rotation threshold, deg",
+    sub.add_argument("--max-boundary-rot", type=float,
+                     help="boundary rotation threshold, deg (default: %(default)g)",
                      default=SuccessThresholds.max_boundary_rot_deg)
     sub.add_argument("--collision-samples", type=int, default=SuccessThresholds.collision_samples,
-                     help="poses sampled along the trajectory for collision checks")
+                     help="poses sampled along the trajectory for collision checks "
+                          "(default: %(default)s)")
 
 
 def _save_all_or_nothing(saves) -> None:
@@ -239,73 +242,103 @@ def build_parser():
         return s
 
     s = sub("synth", cmd_synth, help="generate synthetic demonstrations")
-    s.add_argument("--out-dir", required=True)
+    s.add_argument("--out-dir", required=True,
+                   help="directory for the demo CSVs and manifest.json, made if missing")
     s.add_argument("--scene", default=None, help="scene JSON (default: built-in shelf)")
-    s.add_argument("--demos", type=int, default=SynthConfig.n_demos)
+    s.add_argument("--demos", type=int, default=SynthConfig.n_demos,
+                   help="number of demonstrations (default: %(default)s)")
     s.add_argument("--lift", type=float, default=SynthConfig.lift_height,
-                   help="transport arc lift, m")
-    s.add_argument("--noise-pos-mm", type=float, default=SynthConfig.noise_pos * 1000.0)
+                   help="transport arc lift, m (default: %(default)g)")
+    s.add_argument("--noise-pos-mm", type=float, default=SynthConfig.noise_pos * 1000.0,
+                   help="position noise standard deviation, mm (default: %(default)g)")
     s.add_argument("--noise-rot-deg", type=float,
-                   default=float(np.rad2deg(SynthConfig.noise_rot)))
-    s.add_argument("--rate", type=float, default=SynthConfig.sample_rate)
-    s.add_argument("--seed", type=int, default=SynthConfig.seed)
+                   default=float(np.rad2deg(SynthConfig.noise_rot)),
+                   help="rotation noise standard deviation, deg (default: %(default)g)")
+    s.add_argument("--rate", type=float, default=SynthConfig.sample_rate,
+                   help="sample rate, Hz (default: %(default)g)")
+    s.add_argument("--seed", type=int, default=SynthConfig.seed,
+                   help="random seed (default: %(default)s)")
 
     s = sub("fit", cmd_fit, help="fit a mixture model to demonstrations")
     s.add_argument("--demos", nargs="+", required=True,
                    help="demo CSVs, or a single synth manifest JSON")
-    s.add_argument("--components", type=int, default=FitConfig.n_components)
-    s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=FitConfig.seed)
-    s.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
-    s.add_argument("--tol", type=float, default=FitConfig.loglik_tol)
-    s.add_argument("--cov-floor", type=float, default=FitConfig.cov_floor)
-    s.add_argument("--grasp-end", type=float, default=None)
-    s.add_argument("--release-start", type=float, default=None)
+    s.add_argument("--components", type=int, default=FitConfig.n_components,
+                   help="mixture components (default: %(default)s)")
+    s.add_argument("--out", required=True, help="model JSON to write")
+    s.add_argument("--seed", type=int, default=FitConfig.seed,
+                   help="k-means seed (default: %(default)s)")
+    s.add_argument("--max-iters", type=int, default=FitConfig.max_iters,
+                   help="EM iteration cap (default: %(default)s)")
+    s.add_argument("--tol", type=float, default=FitConfig.loglik_tol,
+                   help="EM stops once the log-likelihood gains less than this fraction "
+                        "of its magnitude (default: %(default)g)")
+    s.add_argument("--cov-floor", type=float, default=FitConfig.cov_floor,
+                   help="added to every covariance's diagonal (default: %(default)g)")
+    s.add_argument("--grasp-end", type=float, default=None,
+                   help="grasp phase end, s; with --release-start it replaces the "
+                        "manifest's phases")
+    s.add_argument("--release-start", type=float, default=None,
+                   help="release phase start, s; given with --grasp-end")
 
     s = sub("generalize", cmd_generalize, help="adapt a model to new start/goal poses")
-    s.add_argument("--model", required=True)
+    s.add_argument("--model", required=True, help="source model JSON")
     s.add_argument("--start", required=True, help="px,py,pz,rx,ry,rz")
     s.add_argument("--goal", required=True, help="px,py,pz,rx,ry,rz")
     s.add_argument("--ablate-covariance", action="store_true",
                    help="keep source covariances; remap means only")
-    s.add_argument("--out-model", required=True)
-    s.add_argument("--out-traj", default=None)
-    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
+    s.add_argument("--out-model", required=True, help="generalized model JSON to write")
+    s.add_argument("--out-traj", default=None,
+                   help="also write the generalized model's regression to this CSV")
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE,
+                   help="--out-traj sample rate, Hz (default: %(default)g)")
 
     s = sub("regress", cmd_regress, help="regress a trajectory from a model")
     s.add_argument("--model", required=True, help="fitted or generalized model JSON")
-    s.add_argument("--out", required=True)
-    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
+    s.add_argument("--out", required=True, help="trajectory CSV to write")
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE,
+                   help="sample rate, Hz (default: %(default)g)")
 
     s = sub("evaluate", cmd_evaluate, help="score a trajectory against a task")
-    s.add_argument("--traj", required=True)
-    s.add_argument("--model", required=True)
-    s.add_argument("--start", required=True)
-    s.add_argument("--goal", required=True)
-    s.add_argument("--scene", default=None)
+    s.add_argument("--traj", required=True, help="trajectory CSV to score")
+    s.add_argument("--model", required=True,
+                   help="model JSON whose phases, and without --ref whose regression, "
+                        "the scores use")
+    s.add_argument("--start", required=True, help="task start pose px,py,pz,rx,ry,rz")
+    s.add_argument("--goal", required=True, help="task goal pose px,py,pz,rx,ry,rz")
+    s.add_argument("--scene", default=None, help="scene JSON (default: built-in shelf)")
     s.add_argument("--ref", default=None, help="reference CSV for shape deviation")
-    s.add_argument("--out", default=None)
-    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
+    s.add_argument("--out", default=None, help="report JSON to write (default: stdout)")
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE,
+                   help="sample rate of the model's regression used without --ref, Hz "
+                        "(default: %(default)g)")
     _add_threshold_flags(s)
 
     s = sub("benchmark", cmd_benchmark, help="run randomized generalization trials")
-    s.add_argument("--model", required=True)
-    s.add_argument("--scene", default=None)
+    s.add_argument("--model", required=True, help="source model JSON")
+    s.add_argument("--scene", default=None, help="scene JSON (default: built-in shelf)")
     s.add_argument("--mode", choices=("translational", "combined"),
-                   default="translational")
-    s.add_argument("--trials", type=int, default=50)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out-dir", required=True)
-    s.add_argument("--ablate-covariance", action="store_true")
+                   default="translational",
+                   help="task variation: translational keeps the base orientations, "
+                        "combined also turns them (default: %(default)s)")
+    s.add_argument("--trials", type=int, default=50,
+                   help="number of trials (default: %(default)s)")
+    s.add_argument("--seed", type=int, default=0,
+                   help="task sampling seed (default: %(default)s)")
+    s.add_argument("--out-dir", required=True,
+                   help="directory for summary.csv and trials.jsonl, made if missing")
+    s.add_argument("--ablate-covariance", action="store_true",
+                   help="keep source covariances; remap means only")
     s.add_argument("--method", default=None, help="label for the summary row")
-    s.add_argument("--ref", default=None)
-    s.add_argument("--rate", type=float, default=SAMPLE_RATE)
+    s.add_argument("--ref", default=None,
+                   help="reference CSV for shape deviation (default: the model's regression)")
+    s.add_argument("--rate", type=float, default=SAMPLE_RATE,
+                   help="trajectory sample rate, Hz (default: %(default)g)")
     _add_threshold_flags(s)
 
     s = sub("plot", cmd_plot, help="render trajectories (and scene) to SVG")
-    s.add_argument("--traj", nargs="+", required=True)
-    s.add_argument("--scene", default=None)
-    s.add_argument("--out", required=True)
+    s.add_argument("--traj", nargs="+", required=True, help="trajectory CSVs to draw")
+    s.add_argument("--scene", default=None, help="scene JSON to draw behind them (default: none)")
+    s.add_argument("--out", required=True, help="SVG file to write")
 
     return parser, registry
 

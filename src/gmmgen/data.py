@@ -35,25 +35,6 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return out
 
 
-def _memoized(memo: list, arrays, compute):
-    """compute()'s tuple of arrays, kept in memo, a list of at most one entry.
-
-    The entry is keyed by the dtype, shape and exact bytes of every array in
-    arrays, so a hit returns what compute() would return for those inputs;
-    a miss computes and replaces it.  The returned arrays are read-only.
-    Each call returns the entry it matched or made, so threads racing on one
-    memo at worst compute the same value twice.
-    """
-    key = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
-    entry = memo[0] if memo else None
-    if entry is None or entry[0] != key:
-        entry = (key, compute())
-        for a in entry[1]:
-            a.flags.writeable = False
-        memo[:] = [entry]
-    return entry[1]
-
-
 @functools.cache
 def _rotation():
     """scipy's Rotation class, imported on first use.

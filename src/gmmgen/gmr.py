@@ -10,10 +10,11 @@ instead of underflowing to 0/0.
 
 A generalized model keeps its source's priors, time centers and (unless
 an SPD repair moved one) time variances, so the activations and their
-row sums are the same for every task on one time grid.  They come from a
-one-entry memo keyed by the dtype, shape and bytes of the priors, time
-centers, time variances and query times; a miss computes them as a
-query always did, so a hit gives bitwise the same values.  Regression is
+row sums are the same for every task on one time grid.  They live in the
+model's grid cache, which a derived model shares with its source, next
+to the checked grid; its one entry is keyed by the float64 times' shape
+and bytes and the model's duration.  A miss computes them as a query
+always did, so a hit gives bitwise the same values.  Regression is
 linear in the means and slopes, so the benchmark's compiled curves
 (reparam._curves) regress their coefficient sets side by side as the
 columns of one (G, 3D) mixture.
@@ -21,9 +22,12 @@ columns of one (G, 3D) mixture.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .data import Trajectory, _memoized
+from .data import Trajectory
+from .model import GmmModel
 
 
 def _validated_times(times, duration: float) -> np.ndarray:
@@ -41,37 +45,66 @@ def _validated_times(times, duration: float) -> np.ndarray:
     return times
 
 
-# The (n, G) activations and their row sums of the last query, see _weights.
-_WEIGHTS_MEMO = []
-
-
 def _weights(priors, t_means, t_vars, times):
     """(act, sums): the max-shifted activations (n, G) of (G,) time variances
-    and their row sums (n, 1), from a one-entry memo keyed by the bytes of
-    all four inputs, so a hit returns exactly what a miss computes."""
-    def compute():
-        log_w = (times[:, None] - t_means) ** 2
-        log_w /= 2.0 * t_vars
-        np.subtract(np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars), log_w, out=log_w)
-        log_w -= log_w.max(axis=1, keepdims=True)
-        act = np.exp(log_w, out=log_w)
-        return act, act.sum(axis=1, keepdims=True)
-    return _memoized(_WEIGHTS_MEMO, (priors, t_means, t_vars, times), compute)
+    and their row sums (n, 1)."""
+    log_w = (times[:, None] - t_means) ** 2
+    log_w /= 2.0 * t_vars
+    np.subtract(np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars), log_w, out=log_w)
+    log_w -= log_w.max(axis=1, keepdims=True)
+    act = np.exp(log_w, out=log_w)
+    return act, act.sum(axis=1, keepdims=True)
 
 
-def _expected_poses(priors, t_means, t_vars, mu, slopes, times) -> np.ndarray:
-    """Regressed values (n, k) of one mixture: its (G,) priors, time centers
-    and time variances weigh the (G, k) spatial means mu and time-normalized
-    slopes at each of the n query times."""
-    act, sums = _weights(priors, t_means, t_vars, times)
-    offsets = mu - slopes * t_means[:, None]
-    values = times[:, None] * (act @ slopes)
+class _GridTerms(NamedTuple):
+    """What regress reads from a model and its checked query grid alone."""
+
+    times: np.ndarray  # (n,) the checked grid
+    act: np.ndarray  # (n, G) max-shifted activations
+    times_wide: np.ndarray  # (n, D) the grid repeated across the model's width
+    sums_wide: np.ndarray  # (n, D) the activations' row sums, repeated likewise
+
+
+def _grid_terms(model: GmmModel, times) -> _GridTerms:
+    """The read-only _GridTerms of the model and the caller's times, from the
+    model's grid cache.
+
+    Its one entry is keyed by the times as float64, by their shape and
+    bytes, and by the model's duration: those fix _validated_times'
+    verdict, so a hit skips the check.  A miss checks the times, raising
+    its ValueError, and replaces the entry.
+    """
+    times = np.asarray(times, dtype=float)
+    key = (times.shape, times.tobytes(), model.duration)
+    entry = model._grid_cache[0]
+    if entry is None or entry[0] != key:
+        _validated_times(times, model.duration)
+        times = times.copy()  # the caller may change theirs
+        act, sums = _weights(model.priors, model.means[:, 0], model.covs[:, 0, 0], times)
+        width = (len(times), model.dim)
+        terms = _GridTerms(times, act, np.broadcast_to(times[:, None], width).copy(),
+                           np.broadcast_to(sums, width).copy())
+        for array in terms:
+            array.flags.writeable = False
+        entry = (key, terms)
+        model._grid_cache[0] = entry
+    return entry[1]
+
+
+def _expected_poses(act, centers, mu, slopes, times, sums) -> np.ndarray:
+    """Regressed values (n, k) of one mixture: its (n, G) activations and
+    (G, 1) time centers weigh the (G, k) spatial means mu and
+    time-normalized slopes at the query times, (n, 1) or (n, k), whose
+    activation row sums are sums, (n, 1) or (n, k)."""
+    offsets = mu - slopes * centers
+    values = act @ slopes
+    values *= times
     values += act @ offsets
     values /= sums
     return values
 
 
-def regress(model, times) -> Trajectory:
+def regress(model: GmmModel, times) -> Trajectory:
     """Expected pose at each query time.
 
     The weights are the max-shifted activations (n, G) divided by their row
@@ -87,13 +120,12 @@ def regress(model, times) -> Trajectory:
     which raises its error.  Either way the stored arrays are bitwise the
     public constructor's.
     """
-    try:
-        priors, means, covs = model.priors, model.means, model.covs
-        slopes, duration = model.slopes, model.duration
-    except AttributeError:
-        raise TypeError(f"cannot regress a {type(model).__name__}") from None
-    times = _validated_times(times, duration)
-    values = _expected_poses(priors, means[:, 0], covs[:, 0, 0], means[:, 1:], slopes, times)
+    if not isinstance(model, GmmModel):
+        raise TypeError(f"cannot regress a {type(model).__name__}")
+    grid = _grid_terms(model, times)
+    values = _expected_poses(grid.act, model.means[:, :1], model.means[:, 1:], model.slopes,
+                             grid.times_wide, grid.sums_wide)
+    times = grid.times
     # From a start at +-0.0, times - times[0] keeps every rule _validated_times checked.
     build = Trajectory._derived if times[0] == 0.0 else Trajectory
     return build(times - times[0], values)

@@ -22,6 +22,9 @@ JERK_RATE = 100.0
 
 
 class FailureReason(str, Enum):
+    """Why a trial failed: a sampled pose collided with the scene, or else an
+    endpoint missed its target beyond the success thresholds; NONE on success."""
+
     NONE = "none"
     COLLISION = "collision"
     BOUNDARY = "boundary"

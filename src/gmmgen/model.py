@@ -108,6 +108,14 @@ class GmmModel:
     result through _derived instead, which inherits the source model's
     checked priors, time centers and phases and checks only what a task
     can change; it stores the same bits.
+
+    Two private one-entry caches hold what a query computes from the
+    frozen arrays alone; neither is ever invalidated.  _source_cache holds
+    reparam's source terms for one eps.  _grid_cache holds gmr's checked
+    query grid and its activations; a derived model shares its source's,
+    since both hold the same priors, time centers and time variances.
+    Each is a one-slot list whose slot is replaced by one tuple, so
+    threads racing on it at worst compute an entry twice.
     """
 
     priors: np.ndarray
@@ -149,43 +157,48 @@ class GmmModel:
         elif n_dim - 1 != POSE_DIM:
             raise ValueError(f"task: its poses are {POSE_DIM}-D but the model is "
                              f"{n_dim - 1}-D")
-        self._store(priors, means, covs)
+        self._store(priors, means, covs, [None])
 
-    def _store(self, priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
+    def _store(self, priors: np.ndarray, means: np.ndarray, covs: np.ndarray,
+               grid_cache: list) -> None:
         """Freeze fresh priors, means and covs in place and store them with
-        the slopes and shapes derived from covs."""
-        scaled = covs / covs[:, 0, 0, None, None]  # one pass, then C-ordered copies
+        the slopes and shapes derived from covs, an empty source cache and
+        the given grid cache."""
+        t_vars = covs[:, 0, 0, None]
         for name, value in (("priors", priors), ("means", means), ("covs", covs),
-                            ("slopes", scaled[:, 1:, 0].copy()),
-                            ("shapes", scaled[:, 1:, 1:].copy())):
+                            ("slopes", covs[:, 1:, 0] / t_vars),
+                            ("shapes", covs[:, 1:, 1:] / t_vars[..., None])):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_source_cache", [None])
+        object.__setattr__(self, "_grid_cache", grid_cache)
 
     @classmethod
     def _derived(cls, source: GmmModel, means: np.ndarray, covs: np.ndarray, task: TaskSpec,
                  ablated: bool) -> GmmModel:
         """The model generalize derives from source, a checked model: fresh
-        means (G, D+1) on the source's time centers and fresh, exactly
-        symmetric covs (G, D+1, D+1), both taken over.
+        finite means (G, D+1) on the source's time centers and fresh,
+        exactly symmetric covs (G, D+1, D+1), both taken over.
 
         The source's priors (copied), time centers and phases are not
-        checked again.  Checked are finite means, covariance entries at
-        most half the largest float (so symmetrizing cannot overflow) and a
-        6-D mixture; when one fails, the same arrays go to GmmModel(...),
-        which raises its error.  Then one batched Cholesky raises
-        np.linalg.LinAlgError, locating nothing, if a matrix is not positive
-        definite.  An exactly symmetric C is 0.5 * (C + C^T), so every stored
-        array is bitwise what GmmModel(...) stores.
+        checked again, and generalize has checked the means.  Checked are
+        covariance entries at most half the largest float (so symmetrizing
+        cannot overflow) and a 6-D mixture; when one fails, the same arrays
+        go to GmmModel(...), which raises its error.  Then one batched
+        Cholesky raises np.linalg.LinAlgError, locating nothing, if a
+        matrix is not positive definite.  An exactly symmetric C is
+        0.5 * (C + C^T), so every stored array is bitwise what GmmModel(...)
+        stores.  The caller keeps the source's time variances, so the
+        model shares the source's grid cache.
         """
-        if not (np.isfinite(means).all() and (np.abs(covs) <= _HALF_MAX).all()
-                and means.shape[1] - 1 == POSE_DIM):
+        if not ((np.abs(covs) <= _HALF_MAX).all() and means.shape[1] - 1 == POSE_DIM):
             return cls(source.priors, means, covs, source.phases, task=task, ablated=ablated)
         np.linalg.cholesky(covs)
         model = object.__new__(cls)
         for name, value in (("phases", source.phases), ("task", task), ("ablated", ablated),
                             ("spd_repairs", 0)):
             object.__setattr__(model, name, value)
-        model._store(source.priors.copy(), means, covs)
+        model._store(source.priors.copy(), means, covs, source._grid_cache)
         return model
 
     @property
@@ -204,6 +217,10 @@ class GmmModel:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Mixture fit settings: component count, the EM iteration cap and its
+    relative log-likelihood tolerance, the covariance floor added to every
+    component, and the k-means seed."""
+
     n_components: int = 15
     max_iters: int = 200
     loglik_tol: float = 1e-6
@@ -534,6 +551,9 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted model and its EM log-likelihood trace, one entry per kept
+    iteration, non-decreasing."""
+
     model: GmmModel
     loglik_trace: np.ndarray
 
@@ -670,8 +690,11 @@ def model_from_dict(obj: dict) -> GmmModel:
 
 
 def save_model(model: GmmModel, path) -> None:
+    """Write the model as model_to_dict's JSON object."""
     _write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> GmmModel:
+    """Read a model file save_model wrote; an invalid one is a ValueError
+    prefixed with the path."""
     return _read_json(path, model_from_dict)

@@ -11,11 +11,11 @@ benchmark chunk can route them, and _curves compiles them for a fixed
 time grid.
 
 The terms that depend on the source model and eps alone (spans, masks,
-time fractions, old differences, old slope outer products) come from a
-one-entry memo keyed by the bytes of the model's means, of its
-covariances' first column and of eps.  A hit returns the arrays a miss
-computes with the same operations, and the task-dependent arithmetic
-keeps its order, so the output is bitwise the same.
+time fractions, old differences, old slope outer products, the endpoint
+rows and the time variances) live in the model's one-entry source cache,
+keyed by the bytes of eps.  The model's arrays are frozen, so a hit
+returns what a miss computes, and the task-dependent arithmetic keeps
+its operands and order: the output is bitwise the same.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import TaskSpec, _frozen_array, _memoized
-from .gmr import _expected_poses
+from .data import TaskSpec, _frozen_array
+from .gmr import _expected_poses, _grid_terms
 from .model import _HALF_MAX, GmmModel, _cholesky_fails
 
 # Endpoint spans and consecutive mean differences below these count as
@@ -56,55 +56,65 @@ class _SourceTerms(NamedTuple):
     degenerate: np.ndarray  # (D,) endpoint span below eps
     safe_span: np.ndarray  # (D,) that span, 1 where degenerate
     alpha: np.ndarray  # (G, 1) time-center fraction from first to last component
+    complement: np.ndarray  # (G, 1) 1 - alpha
+    ends: np.ndarray  # (2, D) spatial means of the first and last components
+    from_first: np.ndarray  # (G, D) spatial means minus the first one
     keep: np.ndarray  # (G-1, D) consecutive mean difference below eps
     safe_d_old: np.ndarray  # (G-1, D) that difference, 1 where kept
     old_outers: np.ndarray  # (G-1, D, D) outer products of slopes[1:]
-
-
-# The _SourceTerms of the last source model and eps, see _source_terms.
-_SOURCE_MEMO = []
+    t_vars: np.ndarray  # (G-1, 1, 1) time variances of components 1 onwards
+    cov0: np.ndarray  # (D+1, D+1) component 0's covariance
 
 
 def _source_terms(model: GmmModel, eps) -> _SourceTerms:
-    """The model's _SourceTerms for a (D,) eps, from a one-entry memo keyed
-    by the bytes of the means, of covs[:, :, 0] (time variances and the
-    slopes' numerators) and of eps, so a hit returns exactly what a miss
-    computes."""
+    """The model's read-only _SourceTerms for a (D,) eps, from its source
+    cache, whose one entry is keyed by the shape and bytes of eps."""
     eps = np.asarray(eps, dtype=float)
-
-    def compute():
+    key = (eps.shape, eps.tobytes())
+    entry = model._source_cache[0]
+    if entry is None or entry[0] != key:
         means = model.means[:, 1:]
-        span = means[-1] - means[0]
+        ends = means[[0, -1]]
+        span = ends[1] - ends[0]
         degenerate = np.abs(span) < eps
         centers = model.means[:, 0, None]
         with np.errstate(invalid="ignore"):  # 0/0 for one component; generalize rejects it
             alpha = (centers - centers[0]) / (centers[-1] - centers[0])
-        d_old = np.diff(means, axis=0)
+        d_old = means[1:] - means[:-1]
         keep = np.abs(d_old) < eps
-        return _SourceTerms(degenerate, np.where(degenerate, 1.0, span), alpha, keep,
-                            np.where(keep, 1.0, d_old), _outers(model.slopes[1:]))
-    return _memoized(_SOURCE_MEMO, (model.means, model.covs[:, :, 0], eps), compute)
+        terms = _SourceTerms(degenerate, np.where(degenerate, 1.0, span), alpha, 1.0 - alpha,
+                             ends, means - ends[0], keep, np.where(keep, 1.0, d_old),
+                             _outers(model.slopes[1:]), model.covs[1:, 0, 0, None, None],
+                             model.covs[0])
+        for array in terms:
+            array.flags.writeable = False
+        entry = (key, terms)
+        model._source_cache[0] = entry
+    return entry[1]
 
 
-def _remapped_means(model: GmmModel, new_start: np.ndarray, new_goal: np.ndarray,
-                    src: _SourceTerms) -> np.ndarray:
-    """Spatial means remapped onto new endpoints, dimension by dimension.
+def _remapped_means(model: GmmModel, ends: np.ndarray, src: _SourceTerms) -> np.ndarray:
+    """Means remapped onto new endpoints, dimension by dimension.
 
-    Dimensions whose endpoint span exceeds eps are scaled about the first
+    ends (..., 2, D) holds rows [start, goal]; the result (..., G, D+1)
+    holds rows [t, x] on the source's time centers.  Spatial dimensions
+    whose endpoint span exceeds eps are scaled about the first
     component's mean; degenerate ones blend the two endpoint offsets
     linearly in each component's time center.  Rows 0 and G-1 are the
-    endpoints exactly.  Endpoints (..., D) give means (..., G, D).
+    endpoints exactly.
     """
-    means = model.means[:, 1:]
-    first, last = means[0], means[-1]
-    start, goal = new_start[..., None, :], new_goal[..., None, :]
+    start, goal = ends[..., :1, :], ends[..., 1:, :]
     scale = np.where(src.degenerate, 0.0, (goal - start) / src.safe_span)
-    scaled = start + scale * (means - first)
-    offset = means + (1.0 - src.alpha) * (start - first) + src.alpha * (goal - last)
+    scaled = start + scale * src.from_first
+    moved = ends - src.ends  # rows [start - first, goal - last]
+    offset = (model.means[:, 1:] + src.complement * moved[..., :1, :]
+              + src.alpha * moved[..., 1:, :])
 
-    out = np.where(src.degenerate, offset, scaled)
-    out[..., 0, :] = new_start
-    out[..., -1, :] = new_goal
+    out = np.empty((*ends.shape[:-2], *model.means.shape))
+    out[..., 0] = model.means[:, 0]
+    out[..., 1:] = np.where(src.degenerate, offset, scaled)
+    out[..., 0, 1:] = ends[..., 0, :]
+    out[..., -1, 1:] = ends[..., 1, :]
     return out
 
 
@@ -133,17 +143,17 @@ def _adapted_covs(model: GmmModel, new_means: np.ndarray, src: _SourceTerms) -> 
     stored shapes are, so is each outer product, and both cross blocks
     hold the same moved slopes.
     """
-    d_new = np.diff(new_means, axis=-2)
+    d_new = new_means[..., 1:, :] - new_means[..., :-1, :]
     ratio = np.where(src.keep, 1.0, d_new / src.safe_d_old)
     moved = ratio * model.slopes[1:]
     covs = np.empty((*moved.shape[:-2], *model.covs.shape))
-    covs[..., 0, :, :] = model.covs[0]
+    covs[..., 0, :, :] = src.cov0
     cov = covs[..., 1:, :, :]  # a view: the updates below fill covs
     cov[..., 0, 0] = 1.0
     cov[..., 0, 1:] = moved
     cov[..., 1:, 0] = moved
     cov[..., 1:, 1:] = model.shapes[1:] + _outers(moved) - src.old_outers
-    cov *= model.covs[1:, 0, 0, None, None]
+    cov *= src.t_vars
     return covs
 
 
@@ -161,7 +171,8 @@ def _curves(model: GmmModel, times: np.ndarray, ablate: bool) -> np.ndarray:
     """(3, n, D) curves a, b, c such that regress(generalize(model, task),
     times).values is a + b * start + c * goal, dimension by dimension, up
     to rounding, for any task that needs no SPD repair.  times must be
-    valid query times from 0.
+    valid query times from 0; they and their activations come from the
+    model's grid cache, as a query's do.
 
     _remapped_means() is affine in the endpoints, one dimension at a time,
     and the slope ratios of _adapted_covs() are affine in the new means;
@@ -171,30 +182,31 @@ def _curves(model: GmmModel, times: np.ndarray, ablate: bool) -> np.ndarray:
     not from differences of regressions.
     """
     src = _source_terms(model, DEGENERATE_EPS)
-    means = model.means[:, 1:]
-    first, last = means[0], means[-1]
-    fraction = (means - first) / src.safe_span  # where each scaled mean sits on the span
-    mu = np.stack([np.where(src.degenerate, means - (1.0 - src.alpha) * first - src.alpha * last,
-                            0.0),
-                   np.where(src.degenerate, 1.0 - src.alpha, 1.0 - fraction),
+    first, last = src.ends
+    fraction = src.from_first / src.safe_span  # where each scaled mean sits on the span
+    mu = np.stack([np.where(src.degenerate,
+                            model.means[:, 1:] - src.complement * first - src.alpha * last, 0.0),
+                   np.where(src.degenerate, src.complement, 1.0 - fraction),
                    np.where(src.degenerate, src.alpha, fraction)])
     mu[:, [0, -1]] = 0.0  # the endpoints themselves
     mu[1, 0] = mu[2, -1] = 1.0
     slopes = np.zeros_like(mu)
     slopes[0] = model.slopes
     if not ablate:
-        ratio = np.diff(mu, axis=1) / src.safe_d_old
+        ratio = (mu[:, 1:] - mu[:, :-1]) / src.safe_d_old
         slopes[:, 1:] = np.where(src.keep, slopes[:, 1:], ratio * model.slopes[1:])
     flat = [np.concatenate(list(terms), axis=1) for terms in (mu, slopes)]  # (G, 3D)
-    values = _expected_poses(model.priors, model.means[:, 0], model.covs[:, 0, 0], *flat, times)
-    return values.reshape(len(times), 3, -1).transpose(1, 0, 2)
+    grid = _grid_terms(model, times)
+    values = _expected_poses(grid.act, model.means[:, :1], *flat, np.tile(grid.times_wide, 3),
+                             np.tile(grid.sums_wide, 3))
+    return values.reshape(len(grid.times), 3, -1).transpose(1, 0, 2)
 
 
-def _check_endpoints(model: GmmModel, start: np.ndarray) -> None:
-    """generalize's preconditions on the model and a start (..., D)."""
+def _check_endpoints(model: GmmModel, ends: np.ndarray) -> None:
+    """generalize's preconditions on the model and endpoints (..., 2, D)."""
     if model.n_components < 2:
         raise ValueError("mean reparameterization needs at least two components")
-    if start.shape[-1:] != (model.dim,):
+    if ends.shape[-1:] != (model.dim,):
         raise ValueError(f"endpoints must be vectors of length {model.dim}")
 
 
@@ -210,11 +222,12 @@ def generalize(model: GmmModel, task: TaskSpec,
 
     The result is derived (GmmModel._derived): it inherits the priors,
     time centers and phases its source passed, and the query checks only
-    finite means and covariances and makes one batched Cholesky of the
-    exactly symmetric adapted stack.  A stack that Cholesky rejects goes
-    straight to the repair scan and clamp (_repair), then to GmmModel(...),
-    which checks the repaired stack in full; a failed finite check takes
-    the same arrays to GmmModel(...).  So errors, repair counts and stored
+    finite means (once) and covariances and makes one batched Cholesky of
+    the exactly symmetric adapted stack.  A stack that Cholesky rejects
+    goes straight to the repair scan and clamp (_repair), then to
+    GmmModel(...), which checks the repaired stack in full; a failed
+    finite check takes the same arrays to GmmModel(...), or for the full
+    method raises before adapting.  So errors, repair counts and stored
     bits are the public constructor's.  A task, config or model of another
     type is a TypeError naming its type.
     """
@@ -224,16 +237,20 @@ def generalize(model: GmmModel, task: TaskSpec,
         raise TypeError(f"config must be a ReparamConfig, got {type(config).__name__}")
     if not isinstance(model, GmmModel):
         raise TypeError(f"model must be a GmmModel, got {type(model).__name__}")
-    start, goal = task.start_vector(), task.goal_vector()
-    _check_endpoints(model, start)
+    start, goal = task.start, task.goal
+    ends = np.concatenate([start.position, start.orientation,
+                           goal.position, goal.orientation]).reshape(2, -1)
+    _check_endpoints(model, ends)
     src = _source_terms(model, DEGENERATE_EPS)
-    spatial = _remapped_means(model, start, goal, src)
-    means = np.column_stack([model.means[:, 0], spatial])
+    means = _remapped_means(model, ends, src)
+    if not np.isfinite(means).all():
+        if not config.ablate_covariance:
+            raise ValueError("new_means must be finite")
+        # raises the constructor's located error
+        return GmmModel(model.priors, means, model.covs, model.phases, task=task, ablated=True)
     if config.ablate_covariance:
         return GmmModel._derived(model, means, model.covs.copy(), task, ablated=True)
-    if not np.isfinite(spatial).all():
-        raise ValueError("new_means must be finite")
-    covs = _adapted_covs(model, spatial, src)
+    covs = _adapted_covs(model, means[:, 1:], src)
     try:
         return GmmModel._derived(model, means, covs, task, ablated=False)
     except ValueError:  # a stack that needs a repair, or that no repair saves
@@ -241,21 +258,21 @@ def generalize(model: GmmModel, task: TaskSpec,
                         spd_repairs=int(_repair(covs)))
 
 
-def _plain_tasks(model: GmmModel, starts: np.ndarray, goals: np.ndarray,
-                 ablate: bool) -> np.ndarray:
-    """(T,) flags for endpoints (T, D): True where generalize() would store
-    the kernels' means and, for the full method, adapted covariances
-    unchanged.  A task is flagged False when its means are not finite, or
-    when an adapted covariance has an entry above half the largest float
-    or needs an SPD repair; generalize() raises or repairs for such a task.
-    A model or endpoints generalize() rejects raise its ValueError."""
-    _check_endpoints(model, starts)
+def _plain_tasks(model: GmmModel, ends: np.ndarray, ablate: bool) -> np.ndarray:
+    """(T,) flags for endpoints (T, 2, D), rows [start, goal]: True where
+    generalize() would store the kernels' means and, for the full method,
+    adapted covariances unchanged.  A task is flagged False when its means
+    are not finite, or when an adapted covariance has an entry above half
+    the largest float or needs an SPD repair; generalize() raises or
+    repairs for such a task.  A model or endpoints generalize() rejects
+    raise its ValueError."""
+    _check_endpoints(model, ends)
     src = _source_terms(model, DEGENERATE_EPS)
     with np.errstate(over="ignore", invalid="ignore"):
-        means = _remapped_means(model, starts, goals, src)
+        means = _remapped_means(model, ends, src)
         plain = np.isfinite(means).all(axis=(1, 2))
         if not ablate:
-            covs = _adapted_covs(model, means, src)
+            covs = _adapted_covs(model, means[..., 1:], src)
             plain &= ((np.abs(covs) <= _HALF_MAX).all(axis=(1, 2, 3))
                       & ~_cholesky_fails(covs[:, 1:]).any(axis=1))
     return plain

@@ -91,6 +91,10 @@ class Scene:
 
 @dataclass(frozen=True)
 class SuccessThresholds:
+    """When a trial succeeds: both endpoints within max_boundary_pos_mm and
+    max_boundary_rot_deg of their targets, and none of collision_samples
+    poses resampled along the trajectory colliding."""
+
     max_boundary_pos_mm: float = 10.0
     max_boundary_rot_deg: float = 5.0
     collision_samples: int = 200
@@ -366,8 +370,11 @@ def scene_from_dict(obj: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
+    """Write the scene as scene_to_dict's JSON object."""
     _write_json(path, scene_to_dict(scene))
 
 
 def load_scene(path) -> Scene:
+    """Read a scene file save_scene wrote; an invalid one is a ValueError
+    prefixed with the path."""
     return _read_json(path, scene_from_dict)

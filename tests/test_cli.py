@@ -832,6 +832,18 @@ def test_cli_flags_are_pinned():
     }
 
 
+def test_every_flag_has_help():
+    """Every subcommand flag but --help says what it sets, and each help
+    text renders."""
+    _, registry = build_parser()
+    assert [(name, action.option_strings) for name, sub in registry.items()
+            for action in sub._actions
+            if action.option_strings and "--help" not in action.option_strings
+            and not (action.help and action.help.strip())] == []
+    for sub in registry.values():
+        sub.format_help()  # a bad %-placeholder raises here
+
+
 @pytest.mark.parametrize("argv,message", [
     ([], "the following arguments are required: command"),
     (["fit", "--config"], "argument --config: expected one argument"),

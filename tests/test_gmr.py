@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,10 @@ from scipy.special import logsumexp
 
 from gmmgen.bench import _Compiled, default_times
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
-from gmmgen.gmr import _WEIGHTS_MEMO, _expected_poses, regress
+from gmmgen import gmr
+from gmmgen.gmr import _expected_poses, _weights, regress
 from gmmgen.model import GmmModel
-from gmmgen.reparam import _SOURCE_MEMO, ReparamConfig, _curves, generalize
+from gmmgen.reparam import ReparamConfig, _curves, generalize
 from gmmgen.scene import SuccessThresholds, default_scene, sample_task
 
 from helpers import (compiled_values, pose_task, random_endpoints, random_pose_mixture,
@@ -239,8 +242,9 @@ def assert_regress_stores_as_public(model, start):
     error."""
     grid = default_times(model.duration)
     times = np.concatenate([[start], grid[grid > start]])
-    values = _expected_poses(model.priors, model.means[:, 0], model.covs[:, 0, 0],
-                             model.means[:, 1:], model.slopes, times)
+    act, sums = _weights(model.priors, model.means[:, 0], model.covs[:, 0, 0], times)
+    values = _expected_poses(act, model.means[:, :1], model.means[:, 1:], model.slopes,
+                             times[:, None], sums)
     got = stored_or_raised(lambda: regress(model, times))
     assert got == stored_or_raised(lambda: Trajectory(times - times[0], values))
     return got
@@ -301,28 +305,29 @@ def test_regress_far_from_every_component_stays_in_prediction_range(seed, n_comp
     assert np.all((values >= lo - slack) & (values <= hi + slack))
 
 
+def cold(model):
+    """A fresh GmmModel built from the model's arrays: its caches start empty."""
+    return GmmModel(model.priors, model.means, model.covs, model.phases, task=model.task,
+                    ablated=model.ablated, spd_repairs=model.spd_repairs)
+
+
 def warm_and_cold(queries):
-    """Each query's values with the memos the queries before it left, then
-    with the memos cleared just before it, and how many of the warm queries
-    took their GMR weights from the memo."""
-    _WEIGHTS_MEMO.clear()
-    _SOURCE_MEMO.clear()
+    """Each query's values on its model as the queries before it left the
+    model's caches, then on a cold copy of that model, and how many of the
+    warm queries took their GMR weights from a cache.  A query is a pair
+    (run, model): run(model) gives the values."""
     warm, hits = [], 0
-    for query in queries:
-        entry = _WEIGHTS_MEMO[0] if _WEIGHTS_MEMO else None
-        warm.append(query())
-        hits += _WEIGHTS_MEMO[0] is entry
-    cold = []
-    for query in queries:
-        _WEIGHTS_MEMO.clear()
-        _SOURCE_MEMO.clear()
-        cold.append(query())
-    return warm, cold, hits
+    with mock.patch.object(gmr, "_weights", wraps=gmr._weights) as weights:
+        for run, model in queries:
+            computed = weights.call_count
+            warm.append(run(model))
+            hits += weights.call_count == computed
+    return warm, [run(cold(model)) for run, model in queries], hits
 
 
 def assert_warm_is_cold(queries, min_hits):
-    warm, cold, hits = warm_and_cold(queries)
-    for got, want in zip(warm, cold):
+    warm, cold_values, hits = warm_and_cold(queries)
+    for got, want in zip(warm, cold_values):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert hits >= min_hits
 
@@ -330,11 +335,11 @@ def assert_warm_is_cold(queries, min_hits):
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 2), n_comp=st.integers(2, 8), ablate=st.booleans())
 def test_memoized_queries_regress_bitwise_as_cold_ones(seed, n_comp, ablate):
-    """regress(generalize()) with the weights and source terms the previous
-    queries left in their memos is bitwise the result with both memos
-    cleared: for models A, B, A, at two rates, for a model generalized
-    twice (same priors and time centers, other means), for A with other
-    priors or shifted time centers, full or ablated."""
+    """regress(generalize()) with the source terms and grid terms the
+    previous queries left in the models' caches is bitwise the result on a
+    cold copy of the model: for models A, B, A, at two rates, for a model
+    generalized twice (it shares A's grid cache), for A with other priors
+    or shifted time centers, full or ablated."""
     rng, a, first, last = random_pose_mixture(seed, n_comp)
     b = random_pose_mixture(seed + 1, n_comp)[1]
     one, two = (pose_task(*random_endpoints(rng, first, last)) for _ in range(2))
@@ -343,7 +348,7 @@ def test_memoized_queries_regress_bitwise_as_cold_ones(seed, n_comp, ablate):
     fast, slow = default_times(a.duration), default_times(a.duration, 10.0)
 
     def query(model, task, times):
-        return lambda: regress(generalize(model, task, config), times).values
+        return (lambda m: regress(generalize(m, task, config), times).values), model
 
     twice = generalize(a, one, config)
     assert twice.means[:, 1:].tobytes() != a.means[:, 1:].tobytes()
@@ -354,7 +359,7 @@ def test_memoized_queries_regress_bitwise_as_cold_ones(seed, n_comp, ablate):
                          query(a, one, fast), query(a, two, slow), query(a, one, fast),
                          query(twice, two, fast), query(a, two, fast),
                          query(reweighted, two, fast), query(shifted, two, fast),
-                         query(a, one, fast)], min_hits=3)
+                         query(a, one, fast)], min_hits=4)
 
 
 def test_memoized_weights_follow_a_repair_that_moves_a_time_variance():
@@ -366,26 +371,84 @@ def test_memoized_weights_follow_a_repair_that_moves_a_time_variance():
     assert repaired.spd_repairs > 0
     assert (repaired.covs[:, 0, 0] != model.covs[:, 0, 0]).any()
     times = default_times(model.duration)
-    assert_warm_is_cold([lambda: regress(model, times).values,
-                         lambda: regress(generalize(model, own), times).values,
-                         lambda: regress(generalize(model, far), times).values,
-                         lambda: regress(generalize(model, own), times).values,
-                         lambda: _curves(model, times, False),
-                         lambda: regress(generalize(model, far), times).values,
-                         lambda: _curves(model, times, True),
-                         lambda: regress(generalize(model, own), times).values], min_hits=2)
+    assert_warm_is_cold([(lambda m: regress(m, times).values, model),
+                         (lambda m: regress(generalize(m, own), times).values, model),
+                         (lambda m: regress(generalize(m, far), times).values, model),
+                         (lambda m: regress(generalize(m, own), times).values, model),
+                         (lambda m: _curves(m, times, False), model),
+                         (lambda m: regress(generalize(m, far), times).values, model),
+                         (lambda m: _curves(m, times, True), model),
+                         (lambda m: regress(generalize(m, own), times).values, model)],
+                        min_hits=5)
 
 
 def test_memos_hold_one_read_only_entry():
-    """After 50 distinct models each memo holds one entry, and no cached
-    array can be written."""
+    """After two grids and 50 distinct models each model's caches hold one
+    entry, the last query's, and no cached array can be written."""
     for seed in range(50):
         rng, model, first, last = random_pose_mixture(seed, 2 + seed % 7)
         start, goal = random_endpoints(rng, first, last)
         task = TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
-        regress(generalize(model, task), default_times(model.duration))
-        assert len(_WEIGHTS_MEMO) == len(_SOURCE_MEMO) == 1
-    for memo in (_WEIGHTS_MEMO, _SOURCE_MEMO):
-        for array in memo[0][1]:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+        for rate in (10.0, 100.0):
+            times = default_times(model.duration, rate)
+            regress(generalize(model, task), times)
+        assert len(model._grid_cache) == len(model._source_cache) == 1
+        assert model._grid_cache[0][0][:2] == (times.shape, times.tobytes())
+        for cache in (model._grid_cache, model._source_cache):
+            for array in cache[0][1]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+
+
+def test_grid_cache_keys_on_the_float64_grid_and_the_duration():
+    """With the model's grid cache holding its 100 Hz grid, the same grid as
+    a list, as float32, as a strided view or as a (1, n) array, and that
+    grid changed in place after a query, each regress what a cold model
+    regresses, or raise its error.  So does a model with the same time
+    terms but a shorter duration, even handed the first model's cache."""
+    rng, model, first, last = random_pose_mixture(5, 6)
+    times = default_times(model.duration)
+
+    def warm_and_cold(m, grid):
+        regress(m, times)  # the cache holds the 100 Hz grid
+        return (stored_or_raised(lambda: regress(m, grid)),
+                stored_or_raised(lambda: regress(cold(m), grid)))
+
+    for grid in (times.tolist(), times.astype(np.float32), np.repeat(times, 2)[::2],
+                 times[None, :]):
+        warm, want = warm_and_cold(model, grid)
+        assert warm == want
+    for edit, error in ((lambda g: g.__setitem__(3, g[3] + 1e-3), None),
+                        (lambda g: g.__setitem__(5, g[4]), "strictly increasing"),
+                        (lambda g: g.__setitem__(-1, model.duration + 1.0), "lie within")):
+        changed = times.copy()
+        regress(model, changed)
+        edit(changed)
+        want = stored_or_raised(lambda: regress(cold(model), changed))
+        assert stored_or_raised(lambda: regress(model, changed)) == want
+        assert error is None or error in want[1]
+    shorter = GmmModel(model.priors, model.means, model.covs,
+                       PhaseSchedule(model.phases.grasp_end, model.phases.release_start,
+                                     0.5 * (model.phases.release_start + model.duration)))
+    object.__setattr__(shorter, "_grid_cache", model._grid_cache)  # shared, as if derived
+    regress(model, times)
+    warm, want = stored_or_raised(lambda: regress(shorter, times)), stored_or_raised(
+        lambda: regress(cold(shorter), times))
+    assert warm == want and "lie within" in want[1]
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_a_derived_model_shares_its_sources_grid_cache_only_unrepaired(ablate):
+    """generalize() hands its result the source's grid cache when the
+    result keeps the source's time variances bitwise (no SPD repair), and
+    a repaired result a cache of its own; each regresses as a cold model."""
+    model, (own, far) = thin_repair_tasks()
+    times = default_times(model.duration)
+    config = ReparamConfig(ablate_covariance=ablate)
+    for task in (own, far):
+        derived = generalize(model, task, config)
+        same = derived.covs[:, 0, 0].tobytes() == model.covs[:, 0, 0].tobytes()
+        assert (derived._grid_cache is model._grid_cache) == (derived.spd_repairs == 0) == same
+        assert regress(derived, times).values.tobytes() == \
+            regress(cold(derived), times).values.tobytes()
+    assert generalize(model, far).spd_repairs > 0

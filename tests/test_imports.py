@@ -72,3 +72,16 @@ def test_public_names_are_pinned():
     ]
     for name in gmmgen.__all__:
         assert getattr(gmmgen, name).__module__.startswith("gmmgen.")
+
+
+def test_every_export_has_its_own_docstring():
+    """Each name in gmmgen.__all__ carries a docstring of its own: a class in
+    its own body, where a dataclass's generated signature does not count,
+    and a function in its definition."""
+    undocumented = []
+    for name in gmmgen.__all__:
+        obj = getattr(gmmgen, name)
+        doc = vars(obj).get("__doc__") if isinstance(obj, type) else obj.__doc__
+        if not (doc and doc.strip()) or doc.startswith(f"{name}("):
+            undocumented.append(name)
+    assert undocumented == []

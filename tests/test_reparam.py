@@ -11,9 +11,9 @@ from gmmgen import model as gmodel
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.gmr import regress
 from gmmgen.model import GmmModel, load_model, model_to_dict, save_model
-from gmmgen.reparam import (_SOURCE_MEMO, COV_FLOOR, DEGENERATE_EPS, ReparamConfig,
-                            _adapted_covs, _clamp_spd, _outers, _remapped_means, _repair,
-                            _source_terms, generalize)
+from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _adapted_covs,
+                            _clamp_spd, _outers, _remapped_means, _repair, _source_terms,
+                            generalize)
 from gmmgen.scene import sample_task
 
 from conftest import mutated
@@ -39,8 +39,10 @@ EPS_1D = np.array([1e-4])
 
 
 def remapped_means(model, new_start, new_goal, eps):
-    """_remapped_means of endpoints (..., D) with the model's source terms for eps."""
-    return _remapped_means(model, new_start, new_goal, _source_terms(model, eps))
+    """The spatial means (..., G, D) _remapped_means gives endpoints (..., D)
+    with the model's source terms for eps."""
+    ends = np.stack(np.broadcast_arrays(new_start, new_goal), axis=-2)
+    return _remapped_means(model, ends, _source_terms(model, eps))[..., 1:]
 
 
 def adapted_covs(model, new_means, eps):
@@ -97,20 +99,21 @@ def test_stacked_reparam_matches_one_set_at_a_time(seed, n_comp, dim, thin, n_se
        thin=st.booleans())
 def test_memoized_source_terms_match_the_oracles(seed, n_comp, dim, thin):
     """The remapped means and adapted covariances, with the source terms the
-    calls before them left in the memo, stay bitwise equal to the oracles:
-    models A, B, A, a second eps, A's covariances under other spatial means
-    and A's means with other covariances (each a miss)."""
+    calls before them left in each model's source cache, stay bitwise
+    equal to the oracles: models A, B, A, a second eps, A's covariances
+    under other spatial means and A's means with other covariances.  Each
+    model keeps one entry, so A hits again after B and misses after the
+    second eps."""
     rng = np.random.default_rng(seed)
     a, b = (random_spd_mixture(rng, n_comp, dim, thin) for _ in range(2))
     moved = GmmModel(a.priors, np.column_stack([a.means[:, 0], b.means[:, 1:]]), a.covs, a.phases)
     recast = GmmModel(a.priors, a.means, b.covs, a.phases)
     eps = rng.uniform(1e-4, 0.5, dim)
     wide = 2.0 * eps
-    _SOURCE_MEMO.clear()
     hits = 0
     for model, e in [(a, eps), (a, eps), (b, eps), (a, eps), (a, wide), (a, eps), (moved, eps),
                      (moved, eps), (a, eps), (recast, eps), (a, eps)]:
-        entry = _SOURCE_MEMO[0] if _SOURCE_MEMO else None
+        entry = model._source_cache[0]
         span = model.means[-1, 1:] - model.means[0, 1:]
         start = rng.normal(size=dim)
         goal = start + rng.uniform(-30.0, 30.0, dim) * span
@@ -118,9 +121,9 @@ def test_memoized_source_terms_match_the_oracles(seed, n_comp, dim, thin):
         assert means.tobytes() == oracle_reparam_means(model, start, goal, e).tobytes()
         assert_bitwise_equal(adapted_covs(model, means, e),
                              oracle_reparam_covariances(model, means, e))
-        hits += _SOURCE_MEMO[0] is entry
-        assert len(_SOURCE_MEMO) == 1
-    assert hits == 2
+        hits += model._source_cache[0] is entry
+        assert len(model._source_cache) == 1
+    assert hits == 5
 
 
 def reparam_stack(model, tasks, config=ReparamConfig()):
