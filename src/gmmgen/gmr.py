@@ -81,9 +81,8 @@ def _grid_terms(model: GmmModel, times) -> _GridTerms:
         _validated_times(times, model.duration)
         times = times.copy()  # the caller may change theirs
         act, sums = _weights(model.priors, model.means[:, 0], model.covs[:, 0, 0], times)
-        width = (len(times), model.dim)
-        terms = _GridTerms(times, act, np.broadcast_to(times[:, None], width).copy(),
-                           np.broadcast_to(sums, width).copy())
+        terms = _GridTerms(times, act, np.repeat(times[:, None], model.dim, axis=1),
+                           np.repeat(sums, model.dim, axis=1))
         for array in terms:
             array.flags.writeable = False
         entry = (key, terms)
