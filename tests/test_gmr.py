@@ -406,18 +406,13 @@ def test_grid_cache_keys_on_the_float64_grid_and_the_duration():
     grid changed in place after a query, each regress what a cold model
     regresses, or raise its error.  So does a model with the same time
     terms but a shorter duration, even handed the first model's cache."""
-    rng, model, first, last = random_pose_mixture(5, 6)
+    model = random_pose_mixture(5, 6)[1]
     times = default_times(model.duration)
-
-    def warm_and_cold(m, grid):
-        regress(m, times)  # the cache holds the 100 Hz grid
-        return (stored_or_raised(lambda: regress(m, grid)),
-                stored_or_raised(lambda: regress(cold(m), grid)))
-
     for grid in (times.tolist(), times.astype(np.float32), np.repeat(times, 2)[::2],
                  times[None, :]):
-        warm, want = warm_and_cold(model, grid)
-        assert warm == want
+        regress(model, times)  # the cache holds the 100 Hz grid
+        want = stored_or_raised(lambda: regress(cold(model), grid))
+        assert stored_or_raised(lambda: regress(model, grid)) == want
     for edit, error in ((lambda g: g.__setitem__(3, g[3] + 1e-3), None),
                         (lambda g: g.__setitem__(5, g[4]), "strictly increasing"),
                         (lambda g: g.__setitem__(-1, model.duration + 1.0), "lie within")):
@@ -432,9 +427,9 @@ def test_grid_cache_keys_on_the_float64_grid_and_the_duration():
                                      0.5 * (model.phases.release_start + model.duration)))
     object.__setattr__(shorter, "_grid_cache", model._grid_cache)  # shared, as if derived
     regress(model, times)
-    warm, want = stored_or_raised(lambda: regress(shorter, times)), stored_or_raised(
-        lambda: regress(cold(shorter), times))
-    assert warm == want and "lie within" in want[1]
+    want = stored_or_raised(lambda: regress(cold(shorter), times))
+    assert stored_or_raised(lambda: regress(shorter, times)) == want
+    assert "lie within" in want[1]
 
 
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
