@@ -22,8 +22,8 @@ import numpy as np
 from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int,
                    _check_real, _resampled, _rotvec_angles)
 from .gmr import _validated_times, regress
-from .metrics import (EvalReport, _centered_paths, _jerk_differences, _mean_jerks, _phase_windows,
-                      _pose_stack, _procrustes, _targets, _window_deviations,
+from .metrics import (EvalReport, _centered_paths, _eval_reports, _jerk_differences, _mean_jerks,
+                      _phase_windows, _pose_stack, _procrustes, _targets, _window_deviations,
                       boundary_errors, shape_reference)
 from .model import GmmModel
 from .reparam import ReparamConfig, _curves, _plain_tasks, generalize
@@ -69,7 +69,8 @@ def _scores(features, targets: np.ndarray, scene: Scene, reference: np.ndarray,
 
     The verdicts take one _verdicts() call that reads the (T, 2, 2) boundary
     errors the reports show.  Each report's metric values are one row of a
-    (T, 11) array whose columns follow the EvalReport fields.
+    (T, 11) array whose columns follow the EvalReport fields, and the rows
+    pass EvalReport's rule once for the batch (metrics._eval_reports).
     """
     ends, grasp, release, paths, diffs, sampled = features
     boundaries = boundary_errors(ends, targets)
@@ -77,8 +78,7 @@ def _scores(features, targets: np.ndarray, scene: Scene, reference: np.ndarray,
     rows = np.concatenate([boundaries.reshape(-1, 4),
                            _window_deviations((grasp, release)).reshape(-1, 4),
                            _procrustes(paths, reference)[:, None], _mean_jerks(diffs)], axis=1)
-    return [EvalReport(success, reason, *row)
-            for (success, reason), row in zip(verdicts, rows.tolist())]
+    return _eval_reports(verdicts, rows)
 
 
 def evaluate_trajectory(traj: Trajectory, task: TaskSpec, scene: Scene,
@@ -125,6 +125,16 @@ class _Compiled:
     above half the largest float, an SPD repair), when its combination
     could overflow, or when a combined rotation row does not stay below
     pi.  A model generalize rejects makes the chunk raise its ValueError.
+
+    The pi certificate: reach = |a| + |b| |start| + |c| |goal|, with each
+    curve's largest magnitude over time, bounds every entry of a task's
+    combined rows, so a task whose reach rotation vector has norm
+    |reach[3:6]| * (1 + 1e-9) < pi has every combined rotation row below
+    pi.  The margin covers rounding: the combination rounds each entry by
+    at most about 3u * reach and the norm by about 2u, with u = 2^-53 the
+    unit roundoff, far under 1e-9.  Only the tasks the bound leaves
+    uncertified have their rotation rows combined and checked, so every
+    task is routed as by that check alone.
     """
 
     def __init__(self, model: GmmModel, config: ReparamConfig, times: np.ndarray, scene: Scene,
@@ -146,10 +156,13 @@ class _Compiled:
         compiled = _plain_tasks(self.model, targets, self.config.ablate_covariance)
         with np.errstate(over="ignore", invalid="ignore"):
             reach = self.reach[0] + self.reach[1] * np.abs(starts) + self.reach[2] * np.abs(goals)
+            certified = _rotvec_angles(reach[:, 3:6]) * (1.0 + 1e-9) < np.pi
         compiled &= np.isfinite(reach).all(axis=1)
         coefs = np.stack([np.ones(starts.shape), starts, goals]).transpose(2, 1, 0)  # (D, T, 3)
-        rotations = _combined(self.rotations, coefs[:, compiled])
-        compiled[compiled] = (_rotvec_angles(rotations) < np.pi).all(axis=1)
+        unsure = compiled & ~certified
+        if unsure.any():
+            rotations = _combined(self.rotations, coefs[:, unsure])
+            compiled[unsure] = (_rotvec_angles(rotations) < np.pi).all(axis=1)
         reports = [None] * len(tasks)
         for k in np.flatnonzero(~compiled):
             traj = regress(generalize(self.model, tasks[k], self.config), self.times)

@@ -4,6 +4,14 @@ Poses are 6-vectors: position in meters followed by an axis-angle rotation
 vector in radians.  Rotation vectors are treated as plain Euclidean
 coordinates everywhere; poses near the axis-angle singularity (magnitude
 approaching pi) are rejected at construction instead of handled.
+
+The trust boundary: every public constructor (Pose, TaskSpec, Trajectory,
+GmmModel, EvalReport, ...), every loader and every CLI path checks all of
+its input.  Values the library has just computed from checked ones are
+checked once per batch against the same rules instead of once per
+object, then built through _trusted, the one route past __post_init__;
+when a batch fails, the public constructors run and raise their own
+errors.
 """
 
 from __future__ import annotations
@@ -45,6 +53,20 @@ def _rotation():
     """
     from scipy.spatial.transform import Rotation
     return Rotation
+
+
+def _trusted(cls, fields):
+    """An instance of the frozen dataclass cls holding fields, a mapping or
+    (name, value) pairs, exactly as given: __post_init__ does not run.
+
+    The caller has checked the values against the rules cls's constructor
+    applies, and passes them in the form it stores (read-only float arrays
+    of the stored shape, a FailureReason, ...); each call site names the
+    rule it checked.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -140,6 +162,12 @@ def _read_json(path, parse=lambda obj: obj):
 def _write_json(path, obj) -> None:
     """Write obj as 2-space-indented JSON plus a trailing newline."""
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+def _valid_poses(vectors: np.ndarray) -> bool:
+    """Pose's rules on a (..., 6) stack of pose vectors at once: every entry
+    finite and every rotation-vector magnitude below pi."""
+    return bool(np.isfinite(vectors).all() and (_rotvec_angles(vectors[..., 3:]) < np.pi).all())
 
 
 @dataclass(frozen=True)
@@ -285,11 +313,9 @@ class Trajectory:
         if not (np.isfinite(values).all() and (values.shape[1] != POSE_DIM or (
                 _rotvec_angles(values[:, 3:6]) < np.pi).all())):
             return cls(times, values)
-        traj = object.__new__(cls)
-        for name, value in (("times", times), ("values", values)):
-            value.flags.writeable = False
-            object.__setattr__(traj, name, value)
-        return traj
+        times.flags.writeable = values.flags.writeable = False
+        # times: the query grid's rules; values: finite, rotation rows below pi
+        return _trusted(cls, {"times": times, "values": values})
 
     @property
     def n_samples(self) -> int:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import PhaseSchedule, TaskSpec, Trajectory, _dot, _resampled, _rotation
+from .data import PhaseSchedule, TaskSpec, Trajectory, _dot, _resampled, _rotation, _trusted
 
 M_TO_MM = 1000.0
 RAD_TO_DEG = 180.0 / np.pi
@@ -63,7 +63,29 @@ class EvalReport:
         return out
 
 
-_METRIC_FIELDS = tuple(f.name for f in fields(EvalReport)[2:])
+_REPORT_FIELDS = tuple(f.name for f in fields(EvalReport))
+_METRIC_FIELDS = _REPORT_FIELDS[2:]
+
+
+def _eval_reports(verdicts, rows: np.ndarray) -> list:
+    """The EvalReport of each (success, failure_reason) verdict with its
+    row of a (T, 11) array of metric values, in _METRIC_FIELDS order.
+
+    The whole batch is checked once against EvalReport's rule: every value
+    finite and non-negative, every reason a FailureReason, and NONE exactly
+    when the trial succeeded.  A batch that passes is built on the trusted
+    route; one that fails goes through EvalReport(...) row by row, which
+    raises its error.
+    """
+    values = rows.tolist()
+    if not (np.isfinite(rows).all() and (rows >= 0.0).all()
+            and all(isinstance(reason, FailureReason)
+                    and (reason is FailureReason.NONE) == bool(success)
+                    for success, reason in verdicts)):
+        return [EvalReport(*verdict, *row) for verdict, row in zip(verdicts, values)]
+    # EvalReport's rule, checked on the whole batch above
+    return [_trusted(EvalReport, zip(_REPORT_FIELDS, (*verdict, *row)))
+            for verdict, row in zip(verdicts, values)]
 
 
 def _pose_stack(traj: Trajectory):

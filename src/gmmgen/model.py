@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec,
                    Trajectory, _check_int, _check_real, _exp, _frozen_array, _json_numbers,
-                   _read_json, _write_json)
+                   _read_json, _trusted, _write_json)
 
 COLLAPSE_EPS = 1e-12
 # Largest magnitude whose double is finite: symmetrizing a covariance adds two entries.
@@ -157,49 +157,55 @@ class GmmModel:
         elif n_dim - 1 != POSE_DIM:
             raise ValueError(f"task: its poses are {POSE_DIM}-D but the model is "
                              f"{n_dim - 1}-D")
-        self._store(priors, means, covs, [None])
-
-    def _store(self, priors: np.ndarray, means: np.ndarray, covs: np.ndarray,
-               grid_cache: list) -> None:
-        """Freeze fresh priors, means and covs in place and store them with
-        the slopes and shapes derived from covs, an empty source cache and
-        the given grid cache."""
-        t_vars = covs[:, 0, 0, None]
-        for name, value in (("priors", priors), ("means", means), ("covs", covs),
-                            ("slopes", covs[:, 1:, 0] / t_vars),
-                            ("shapes", covs[:, 1:, 1:] / t_vars[..., None])):
-            value.flags.writeable = False
+        for name, value in self._stored(priors, means, covs, [None]).items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_source_cache", [None])
-        object.__setattr__(self, "_grid_cache", grid_cache)
+
+    @staticmethod
+    def _stored(priors: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                grid_cache: list) -> dict:
+        """The arrays and caches a model stores beside its record: fresh
+        priors, means and covs frozen in place, the slopes and shapes
+        derived from covs, an empty source cache and the given grid cache."""
+        t_vars = covs[:, 0, 0, None]
+        arrays = {"priors": priors, "means": means, "covs": covs,
+                  "slopes": covs[:, 1:, 0] / t_vars, "shapes": covs[:, 1:, 1:] / t_vars[..., None]}
+        for value in arrays.values():
+            value.flags.writeable = False
+        return {**arrays, "_source_cache": [None], "_grid_cache": grid_cache}
 
     @classmethod
-    def _derived(cls, source: GmmModel, means: np.ndarray, covs: np.ndarray, task: TaskSpec,
-                 ablated: bool) -> GmmModel:
-        """The model generalize derives from source, a checked model: fresh
-        finite means (G, D+1) on the source's time centers and fresh,
-        exactly symmetric covs (G, D+1, D+1), both taken over.
+    def _derived(cls, source: GmmModel, means: np.ndarray, task: TaskSpec,
+                 covs: np.ndarray | None = None) -> GmmModel:
+        """The model generalize derives from source, a checked model, for a
+        task whose 6-D poses generalize has matched to the model: fresh
+        finite means (G, D+1) on the source's time centers, taken over, and
+        either fresh, exactly symmetric covs (G, D+1, D+1), taken over, or
+        None for the ablated method, which stores a copy of the source's.
 
         The source's priors (copied), time centers and phases are not
-        checked again, and generalize has checked the means.  Checked are
-        covariance entries at most half the largest float (so symmetrizing
-        cannot overflow) and a 6-D mixture; when one fails, the same arrays
-        go to GmmModel(...), which raises its error.  Then one batched
-        Cholesky raises np.linalg.LinAlgError, locating nothing, if a
-        matrix is not positive definite.  An exactly symmetric C is
-        0.5 * (C + C^T), so every stored array is bitwise what GmmModel(...)
-        stores.  The caller keeps the source's time variances, so the
-        model shares the source's grid cache.
+        checked again, and generalize has checked the means.  Nor are an
+        ablated model's covariances: the source's constructor accepted
+        those exact bits.  Adapted covs are checked: every entry at most
+        half the largest float (so symmetrizing cannot overflow) and a 6-D
+        mixture; when one fails, the same arrays go to GmmModel(...), which
+        raises its error.  Then one batched Cholesky raises
+        np.linalg.LinAlgError, locating nothing, if a matrix is not
+        positive definite.  An exactly symmetric C is 0.5 * (C + C^T), so
+        every stored array is bitwise what GmmModel(...) stores.  The
+        caller keeps the source's time variances, so the model shares the
+        source's grid cache.
         """
-        if not ((np.abs(covs) <= _HALF_MAX).all() and means.shape[1] - 1 == POSE_DIM):
-            return cls(source.priors, means, covs, source.phases, task=task, ablated=ablated)
-        np.linalg.cholesky(covs)
-        model = object.__new__(cls)
-        for name, value in (("phases", source.phases), ("task", task), ("ablated", ablated),
-                            ("spd_repairs", 0)):
-            object.__setattr__(model, name, value)
-        model._store(source.priors.copy(), means, covs, source._grid_cache)
-        return model
+        ablated = covs is None
+        if ablated:
+            covs = source.covs.copy()
+        else:
+            if not ((np.abs(covs) <= _HALF_MAX).all() and means.shape[1] - 1 == POSE_DIM):
+                return cls(source.priors, means, covs, source.phases, task=task)
+            np.linalg.cholesky(covs)
+        # GmmModel's rules: the source's checks, generalize's for the means, the above for covs
+        return _trusted(cls, {"phases": source.phases, "task": task, "ablated": ablated,
+                              "spd_repairs": 0, **cls._stored(source.priors.copy(), means, covs,
+                                                              source._grid_cache)})
 
     @property
     def duration(self) -> float:

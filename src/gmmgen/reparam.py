@@ -223,7 +223,9 @@ def generalize(model: GmmModel, task: TaskSpec,
     The result is derived (GmmModel._derived): it inherits the priors,
     time centers and phases its source passed, and the query checks only
     finite means (once) and covariances and makes one batched Cholesky of
-    the exactly symmetric adapted stack.  A stack that Cholesky rejects
+    the exactly symmetric adapted stack.  The ablated method stores a copy
+    of the source's covariances, which its constructor accepted, and
+    factors nothing.  A stack that Cholesky rejects
     goes straight to the repair scan and clamp (_repair), then to
     GmmModel(...), which checks the repaired stack in full; a failed
     finite check takes the same arrays to GmmModel(...), or for the full
@@ -249,10 +251,10 @@ def generalize(model: GmmModel, task: TaskSpec,
         # raises the constructor's located error
         return GmmModel(model.priors, means, model.covs, model.phases, task=task, ablated=True)
     if config.ablate_covariance:
-        return GmmModel._derived(model, means, model.covs.copy(), task, ablated=True)
+        return GmmModel._derived(model, means, task)
     covs = _adapted_covs(model, means[:, 1:], src)
     try:
-        return GmmModel._derived(model, means, covs, task, ablated=False)
+        return GmmModel._derived(model, means, task, covs)
     except ValueError:  # a stack that needs a repair, or that no repair saves
         return GmmModel(model.priors, means, covs, model.phases, task=task,
                         spd_repairs=int(_repair(covs)))

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (Pose, TaskSpec, Trajectory, _check_int, _check_real, _dot,
-                   _json_numbers, _read_json, _resampled, _rotation, _write_json)
+from .data import (POSE_DIM, Pose, TaskSpec, Trajectory, _check_int, _check_real, _dot,
+                   _json_numbers, _read_json, _resampled, _rotation, _trusted, _valid_poses,
+                   _write_json)
 from .metrics import FailureReason, _pose_stack
 
 REST_CLEARANCE = 0.003
@@ -86,7 +87,10 @@ class Scene:
         for i, slab in enumerate(self.slabs):
             if not isinstance(slab, Slab):
                 raise TypeError(f"slab {i} must be a Slab, got {type(slab).__name__}")
-        object.__setattr__(self, "_obstacles", _obstacles(dims, self.slabs))  # built once
+        # built once: the collision arrays and the box's rest height on each level
+        object.__setattr__(self, "_obstacles", _obstacles(dims, self.slabs))
+        object.__setattr__(self, "_rest_heights",
+                           np.array([rest_height(self, level) for level in self.levels]))
 
 
 @dataclass(frozen=True)
@@ -245,44 +249,75 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
     Draws run in rounds: in each, every task still missing an endpoint
     makes one draw from its own generator, the round's yaws are composed
     in one Rotation product, and its candidate poses are checked in one
-    collision_mask call.  A generator makes the same draws in the same
-    order as on its own (the start's draws, then the goal's), and a pose's
-    collision row does not depend on the other poses in its call, so task
-    k is sample_task(scene, variation, rngs[k], base_start, base_goal).
+    collision_mask call.  A candidate is its base's pose vector with the
+    drawn length and the rest height of the drawn level put in, both taken
+    by indexing (the scene's rest heights are computed once per Scene).
+    A generator makes the same draws in the same order as on its own (the
+    start's draws, then the goal's), and a pose's collision row does not
+    depend on the other poses in its call, so task k is
+    sample_task(scene, variation, rngs[k], base_start, base_goal).
     The generators must be distinct objects: one passed twice is a ValueError.
     A generator that spends SAMPLE_ATTEMPTS draws on one endpoint raises
     SamplingError, naming the lowest such position in its round.
+
+    After the last round the accepted endpoints are taken into one
+    read-only (T, 2, 6) block, rows [start, goal] of pose vectors
+    [position, rotation vector].  The whole block is checked once against
+    Pose's rules (_valid_poses), and every Pose, whose arrays are views of
+    its block row, and every TaskSpec is built on the trusted route.  A
+    block that fails goes through Pose(...), which raises its error.
     """
     if variation not in ("translational", "combined"):
         raise ValueError(f"unknown variation '{variation}'")
     if len({id(rng) for rng in rngs}) < len(rngs):
         raise ValueError("each task needs a generator of its own; one was passed twice")
-    bases = (base_start, base_goal)
-    found = [[] for _ in rngs]  # accepted endpoints, start first
+    combined = variation == "combined"
+    (low, high), heights = scene.length_range, scene._rest_heights
+    n_levels = len(heights)
+    bases = np.concatenate([base_start.position, base_start.orientation,
+                            base_goal.position, base_goal.orientation]).reshape(2, POSE_DIM)
+    drawn = [np.empty((0, POSE_DIM))]  # every round's candidates, in order, after an empty start
+    kept = [0] * (2 * len(rngs))  # row 2k + side: task k's accepted start or goal among them
+    found = [0] * len(rngs)  # endpoints accepted, so the side (0 start, 1 goal) being drawn
     draws = [0] * len(rngs)  # draws spent on the endpoint being sampled
     pending = list(range(len(rngs)))
+    offset = 0
     while pending:
-        positions, yaws = [], []
+        lengths, levels, yaws = [], [], []
         for k in pending:
             if draws[k] == SAMPLE_ATTEMPTS:
-                raise SamplingError(k, ("start", "goal")[len(found[k])])
+                raise SamplingError(k, ("start", "goal")[found[k]])
             draws[k] += 1
-            rng, base = rngs[k], bases[len(found[k])]
-            length = float(rng.uniform(*scene.length_range))
-            level = scene.levels[int(rng.integers(len(scene.levels)))]
-            positions.append([length, base.position[1], rest_height(scene, level)])
-            if variation == "combined":
-                yaws.append(float(rng.uniform(-np.pi / 4.0, np.pi / 4.0)))
-        orientations = np.array([bases[len(found[k])].orientation for k in pending])
-        if yaws:
-            orientations = _yawed_orientations(orientations, yaws)
-        hits = _collision_mask(positions, orientations, *scene._obstacles).any(axis=1)
-        for k, p, r, hit in zip(pending, positions, orientations, hits):
+            rng = rngs[k]
+            lengths.append(rng.uniform(low, high))
+            levels.append(rng.integers(n_levels))
+            if combined:
+                yaws.append(rng.uniform(-np.pi / 4.0, np.pi / 4.0))
+        candidates = bases.take([found[k] for k in pending], axis=0)
+        candidates[:, 0] = lengths
+        candidates[:, 2] = heights.take(levels)
+        positions, rotations = candidates[:, :3], candidates[:, 3:]
+        if combined:
+            rotations[:] = _yawed_orientations(rotations, yaws)
+        hits = _collision_mask(positions, rotations, *scene._obstacles).any(axis=1)
+        for row, (k, hit) in enumerate(zip(pending, hits.tolist()), offset):
             if not hit:
-                found[k].append(Pose(p, r))
+                kept[2 * k + found[k]] = row
+                found[k] += 1
                 draws[k] = 0
-        pending = [k for k in pending if len(found[k]) < 2]
-    return [TaskSpec(*poses) for poses in found]
+        drawn.append(candidates)
+        offset += len(pending)
+        pending = [k for k in pending if found[k] < 2]
+    block = np.concatenate(drawn).take(kept, axis=0).reshape(-1, 2, POSE_DIM)
+    block.flags.writeable = False
+    if not _valid_poses(block):
+        return [TaskSpec(Pose(start[:3], start[3:]), Pose(goal[:3], goal[3:]))
+                for start, goal in block]
+    # Pose's rules, checked on the whole block above; TaskSpec's, as both are Poses
+    halves = iter(block.reshape(-1, 3))  # each endpoint's position, then its rotation vector
+    poses = iter([_trusted(Pose, {"position": position, "orientation": rotation})
+                  for position, rotation in zip(halves, halves)])
+    return [_trusted(TaskSpec, {"start": start, "goal": goal}) for start, goal in zip(poses, poses)]
 
 
 def sample_task(scene: Scene, variation: str, rng, base_start: Pose,

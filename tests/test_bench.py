@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmgen import bench
-from gmmgen.bench import (SUMMARY_COLUMNS, SUMMARY_METRICS, _Compiled, default_times,
+from gmmgen.bench import (SUMMARY_COLUMNS, SUMMARY_METRICS, _combined, _Compiled, default_times,
                           evaluate_trajectory, model_endpoints, run_benchmark, summarize,
                           summary_csv_lines, write_summary_csv, write_trials_jsonl)
-from gmmgen.data import PhaseSchedule, Pose, TaskSpec, resample
+from gmmgen.data import PhaseSchedule, Pose, TaskSpec, _rotvec_angles, resample
 from gmmgen.gmr import regress
 from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
                             boundary_errors, phase_deviation, shape_deviation)
@@ -433,6 +433,41 @@ def test_compiled_curves_match_regress_generalize(model, scene, chunk_pools, mon
         assert str(chunked.value) == f"trial {bad}: {alone.value}"
 
 
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_chunk_checks_rotation_rows_only_where_the_reach_bound_reaches_pi(model, chunk_pools,
+                                                                          monkeypatch, ablate):
+    """The reach bound certifies every sampled task of the fitted pool, so a
+    chunk of them combines no rotation rows.  A task turned 2 rad about x at
+    both ends has a bound above pi but rows near 2 rad: its rows alone are
+    combined and checked, and it stays compiled, its report matching the
+    one-trial evaluation to rounding.  (A task whose rows reach pi is
+    routed: test_compiled_curves_match_regress_generalize.)"""
+    config = ReparamConfig(ablate_covariance=ablate)
+    chunk = compiled_chunk(model, config, chunk_pools)
+    start, goal = (pose.as_vector() for pose in model_endpoints(model))
+    start[3:] = goal[3:] = [2.0, 0.0, 0.0]
+    turned = TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+    reach = chunk.reach[0] + chunk.reach[1] * np.abs(start) + chunk.reach[2] * np.abs(goal)
+    assert _rotvec_angles(reach[3:]) * (1.0 + 1e-9) >= np.pi
+    rows = compiled_values(model, [turned], config, chunk.times)[0, :, 3:]
+    assert _rotvec_angles(rows).max() < 3.0
+
+    combined, calls = [], []
+    monkeypatch.setattr(bench, "_combined", lambda mapped, coefs: combined.append(
+        (mapped is chunk.rotations, coefs.shape[1])) or _combined(mapped, coefs))
+    monkeypatch.setattr(bench, "generalize", lambda *args: calls.append(args[1])
+                        or generalize(*args))
+    sampled = chunk_pools["fitted"][1]
+    chunk.reports(sampled)
+    assert not any(rot for rot, _ in combined)
+    combined.clear()
+    reports = chunk.reports([*sampled[:3], turned])
+    assert [entry for entry in combined if entry[0]] == [(True, 1)] and calls == []
+    want = one_task_outcome(model, turned, config, chunk.times, chunk.scene, chunk.reference)
+    assert want[0] is False
+    assert_report_close(reports[-1], want[1])
+
+
 @pytest.mark.parametrize("mode", ["combined", "translational"])
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_benchmark_chunk_factors_adapted_covariances_once(model, scene, monkeypatch, mode,
@@ -457,6 +492,21 @@ def test_benchmark_chunk_factors_adapted_covariances_once(model, scene, monkeypa
     assert len(result.trials) == 200
     chunks = -(-200 // bench.BATCH_TRIALS)
     assert counts == {"cholesky": 0 if ablate else chunks, "generalize": 0}
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_benchmark_checks_its_tasks_and_reports_once_per_batch(model, scene, monkeypatch,
+                                                                ablate):
+    """A 40-trial run checks its tasks and reports as batches: no Pose,
+    TaskSpec or EvalReport constructor runs its checks, except the two
+    Poses of the model's endpoints that anchor the sampler."""
+    checked = []
+    for cls in (Pose, TaskSpec, EvalReport):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: (
+            checked.append(type(self).__name__), check(self))[1])
+    result = run_benchmark(model, scene, "combined", trials=40, seed=3,
+                           config=ReparamConfig(ablate_covariance=ablate))
+    assert len(result.trials) == 40 and checked == ["Pose", "Pose"]
 
 
 def test_benchmark_chunk_turning_past_pi_raises(scene, monkeypatch):

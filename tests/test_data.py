@@ -1,19 +1,25 @@
+import ast
 import re
+from dataclasses import fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmmgen.bench import default_times
+import gmmgen
+from gmmgen.bench import default_times, evaluate_trajectory
 from gmmgen.data import (CSV_HEADER, EXP_ZERO, PhaseSchedule, Pose, TaskSpec, Trajectory,
                          TrajectoryFormatError, _exp, _first_violation,
                          _resampled, _rotvec_angles, load_trajectory, resample, save_trajectory)
-from gmmgen.metrics import average_jerk, phase_deviation
-from gmmgen.model import FitConfig
+from gmmgen.gmr import regress
+from gmmgen.metrics import EvalReport, average_jerk, phase_deviation
+from gmmgen.model import FitConfig, GmmModel
 from gmmgen.plot import render_svg
-from gmmgen.scene import SuccessThresholds, trajectory_success
+from gmmgen.reparam import ReparamConfig, generalize
+from gmmgen.scene import SuccessThresholds, sample_tasks, trajectory_success
 from gmmgen.synth import SynthConfig
 
 
@@ -478,3 +484,60 @@ def test_np_exp_rounds_to_zero_where_exp_skips_it(n):
         y = np.exp(np.full(n, x))
         assert (y == 0.0).all() and not np.signbit(y).any()
     assert (np.exp(np.full(n, EXP_FIRST_NONZERO)) > 0.0).all()
+
+
+def assert_built_as_public(got, want):
+    """got, built on the trusted route, equals want, the public
+    constructor's object on the same fields: the same type, every array
+    field with the same bytes, dtype, shape and read-only flag, every Pose
+    field likewise, and every other field equal."""
+    assert type(got) is type(want)
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+            assert not a.flags.writeable and not b.flags.writeable, field.name
+        elif isinstance(b, Pose):
+            assert_built_as_public(a, b)
+        else:
+            assert a == b, field.name
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["translational", "combined"]),
+       ablate=st.booleans())
+def test_trusted_construction_equals_the_public_constructors(model, scene, endpoints, times,
+                                                             seed, mode, ablate):
+    """Each object the library builds on the trusted route (sampled Poses
+    and TaskSpecs, generalize's GmmModel, regress's Trajectory and the
+    batch-checked EvalReport) equals the public constructor's object built
+    from its fields."""
+    rngs = [np.random.default_rng([seed, i]) for i in range(3)]
+    for task in sample_tasks(scene, mode, rngs, *endpoints):
+        ends = [Pose(pose.position, pose.orientation) for pose in (task.start, task.goal)]
+        assert_built_as_public(task, TaskSpec(*ends))
+        adapted = generalize(model, task, ReparamConfig(ablate_covariance=ablate))
+        assert_built_as_public(adapted, GmmModel(model.priors, adapted.means, adapted.covs,
+                                                 model.phases, task=task, ablated=ablate))
+        traj = regress(adapted, times)
+        assert_built_as_public(traj, Trajectory(traj.times, traj.values))
+        report = evaluate_trajectory(traj, task, scene, traj, model.phases)
+        public = EvalReport(*(getattr(report, field.name) for field in fields(EvalReport)))
+        assert_built_as_public(report, public)
+        assert report == public
+
+
+def test_object_new_appears_only_in_the_trusted_helper():
+    """The library's one route past a constructor's checks is data._trusted:
+    no other code in the package names object.__new__."""
+    found = []
+    for path in sorted(Path(gmmgen.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
+                       and node.name == "_trusted"), None) if path.name == "data.py" else None
+        allowed = set(map(id, ast.walk(helper))) if helper else set()
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"
+                  and id(node) not in allowed]
+    assert found == []

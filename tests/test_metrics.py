@@ -7,10 +7,10 @@ from scipy.spatial.transform import Rotation
 from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, _resampled, resample
 from gmmgen.metrics import (RAD_TO_DEG, SHAPE_POINTS, EvalReport, FailureReason,
-                            _centered_paths, _geodesic_angles, _jerk_differences, _mean_jerks,
-                            _phase_windows, _pose_stack, _procrustes, _window_deviations,
-                            average_jerk, boundary_error, boundary_errors, phase_deviation,
-                            shape_deviation, shape_reference)
+                            _centered_paths, _eval_reports, _geodesic_angles, _jerk_differences,
+                            _mean_jerks, _phase_windows, _pose_stack, _procrustes,
+                            _window_deviations, average_jerk, boundary_error, boundary_errors,
+                            phase_deviation, shape_deviation, shape_reference)
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import sample_tasks
 
@@ -350,6 +350,29 @@ def test_eval_report_roundtrip_and_validation():
     with pytest.raises(ValueError):
         EvalReport(False, FailureReason.BOUNDARY, -0.1, 0.2, 0.3, 0.4,
                    0.5, 0.6, 0.7, 0.8, 0.001, 1.5, 2.5)
+
+
+@pytest.mark.parametrize("verdict, row, message", [
+    ((True, FailureReason.NONE), [np.nan] + [0.5] * 10, "metric values must be finite"),
+    ((False, FailureReason.BOUNDARY), [-0.1] + [0.5] * 10, "metric values must be finite"),
+    ((True, FailureReason.BOUNDARY), [0.5] * 11, "a successful report cannot carry"),
+    ((False, "collision"), [0.5] * 11, None),
+    ((False, FailureReason.NONE), [0.5] * 11, None),
+], ids=["nan", "negative", "success-with-reason", "reason-string", "failure-without-reason"])
+def test_a_report_batch_that_breaks_the_rule_goes_through_the_constructor(verdict, row,
+                                                                          message):
+    """A batch with one row or verdict outside the trusted rule is built by
+    EvalReport(...) row by row: its error, or its reports (a reason given
+    as a string, a failure with reason NONE)."""
+    good = ((False, FailureReason.COLLISION), [0.25] * 11)
+    verdicts, rows = zip(good, (verdict, row))
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _eval_reports(list(verdicts), np.array(rows))
+    else:
+        got = _eval_reports(list(verdicts), np.array(rows))
+        assert got == [EvalReport(*v, *r) for v, r in zip(verdicts, rows)]
+        assert got[1].failure_reason is FailureReason(verdict[1])
 
 
 # The four metrics one trajectory at a time, in their former 1-D form: the

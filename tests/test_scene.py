@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, resample
+from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, _trusted, resample
 from gmmgen.metrics import FailureReason, boundary_error
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, SamplingError, Scene, Slab,
@@ -598,23 +598,26 @@ def test_sample_task_on_a_shared_generator_draws_as_before(scene, endpoints, mod
 @pytest.mark.parametrize("mode", ["combined", "translational"])
 def test_sample_tasks_build_poses_only_for_kept_endpoints(monkeypatch, endpoints, mode):
     """A candidate that collides is dropped before it becomes a Pose, so
-    every Pose built is a task's start or goal."""
+    every Pose built, on the trusted route, is a task's start or goal."""
     built, rejected = [], []
 
-    def counted_pose(*args):
-        built.append(args)
-        return Pose(*args)
+    def counted_trusted(cls, fields):
+        obj = _trusted(cls, fields)
+        if cls is Pose:
+            built.append(obj)
+        return obj
 
     def counted_mask(*args):
         hits = _collision_mask(*args)
         rejected.append(int(hits.any(axis=1).sum()))
         return hits
 
-    monkeypatch.setattr("gmmgen.scene.Pose", counted_pose)
+    monkeypatch.setattr("gmmgen.scene._trusted", counted_trusted)
     monkeypatch.setattr("gmmgen.scene._collision_mask", counted_mask)
     rngs = [np.random.default_rng([1, i]) for i in range(24)]
     tasks = sample_tasks(crowded_scene(), mode, rngs, *endpoints)
     assert sum(rejected) > 0 and len(built) == 2 * len(tasks) == 48
+    assert [id(pose) for task in tasks for pose in (task.start, task.goal)] == list(map(id, built))
 
 
 def test_sample_tasks_give_up_after_the_attempt_limit(endpoints):
@@ -625,6 +628,68 @@ def test_sample_tasks_give_up_after_the_attempt_limit(endpoints):
     with pytest.raises(ValueError, match=f"in {SAMPLE_ATTEMPTS} draws"):
         sample_tasks(filled, "combined", rngs, *endpoints)
     assert sample_tasks(scene, "combined", [], *endpoints) == []
+
+
+def filled_bays_scene():
+    """The default shelf with both bays filled but for a window on the upper
+    level about 2 cm long in x, which few draws hit: generators give up at
+    different rounds, on either endpoint."""
+    scene = default_scene()
+    fill = (Slab((-0.05, 0.0, 0.0), (0.85, 0.45, 0.30)),
+            Slab((-0.05, 0.0, 0.30), (0.44, 0.45, 0.535)),
+            Slab((0.68, 0.0, 0.30), (0.85, 0.45, 0.535)))
+    return Scene(scene.slabs + fill, scene.box_dims, scene.levels, scene.length_range)
+
+
+def replayed_failure(scene, variation, rngs, base_start, base_goal):
+    """(position, endpoint, endpoints found per generator) of the
+    SamplingError sample_tasks raises, found by replaying each generator's
+    draws round by round, one candidate at a time as oracle_sample_task
+    draws them: in each round every generator still missing an endpoint
+    draws once, in position order, until one has spent SAMPLE_ATTEMPTS
+    draws on its endpoint."""
+    found, draws = [0] * len(rngs), [0] * len(rngs)
+    pending = list(range(len(rngs)))
+    while pending:
+        for k in pending:
+            if draws[k] == SAMPLE_ATTEMPTS:
+                return k, ("start", "goal")[found[k]], found
+            draws[k] += 1
+            rng, base = rngs[k], (base_start, base_goal)[found[k]]
+            length = float(rng.uniform(*scene.length_range))
+            level = scene.levels[int(rng.integers(len(scene.levels)))]
+            orientation = base.orientation
+            if variation == "combined":
+                yaw = float(rng.uniform(-np.pi / 4.0, np.pi / 4.0))
+                orientation = (Rotation.from_rotvec([0.0, 0.0, yaw])
+                               * Rotation.from_rotvec(np.array(base.orientation))).as_rotvec()
+            pose = Pose([length, base.position[1], rest_height(scene, level)], orientation)
+            if not scene_collides(pose, scene):
+                found[k] += 1
+                draws[k] = 0
+        pending = [k for k in pending if found[k] < 2]
+    raise AssertionError("every task was placed")
+
+
+@pytest.mark.parametrize("mode, seed", [("translational", 1), ("translational", 2),
+                                        ("combined", 1)])
+def test_sample_tasks_failure_leaves_each_generator_where_its_draws_stopped(endpoints, mode,
+                                                                            seed):
+    """On a shelf with both bays filled, the SamplingError names the lowest
+    position that ran out in its round, and every generator's state after
+    the raise is the replay's: the positions before it drew once more in
+    that round, the rest did not."""
+    scene = filled_bays_scene()
+    rngs = [np.random.default_rng([seed, i]) for i in range(12)]
+    replay = [np.random.default_rng([seed, i]) for i in range(12)]
+    with pytest.raises(SamplingError) as caught:
+        sample_tasks(scene, mode, rngs, *endpoints)
+    index, endpoint, found = replayed_failure(scene, mode, replay, *endpoints)
+    assert index > 0 and any(found)  # not the first position, and some endpoints were placed
+    assert (caught.value.index, caught.value.reason) == (
+        index, f"{endpoint}: no collision-free rest pose found in {SAMPLE_ATTEMPTS} draws")
+    assert [rng.bit_generator.state for rng in rngs] == [
+        rng.bit_generator.state for rng in replay]
 
 
 class Scripted:
@@ -658,6 +723,20 @@ def test_sample_tasks_name_the_generator_and_endpoint_that_ran_out(endpoints, rn
     assert (caught.value.index, str(caught.value)) == (index, (
         f"generator {index}, {endpoint}: no collision-free rest pose found in "
         f"{SAMPLE_ATTEMPTS} draws"))
+
+
+def test_sample_tasks_raise_pose_errors_for_a_block_that_breaks_its_rules(endpoints,
+                                                                         monkeypatch):
+    """Yaws turned to a rotation vector of magnitude pi pass the collision
+    check, but the endpoint block does not pass Pose's rules, so the
+    sampler builds its Poses through Pose(...), which raises."""
+    def half_turns(bases, yaws):
+        return np.tile([np.pi, 0.0, 0.0], (len(yaws), 1))
+
+    monkeypatch.setattr("gmmgen.scene._yawed_orientations", half_turns)
+    with pytest.raises(ValueError, match="^rotation-vector magnitude 3.141593 rad must stay "
+                                         "below pi$"):
+        sample_tasks(default_scene(), "combined", [np.random.default_rng(0)], *endpoints)
 
 
 def test_sample_tasks_refuse_a_generator_passed_twice(endpoints):
