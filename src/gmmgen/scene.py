@@ -308,13 +308,14 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
         drawn.append(candidates)
         offset += len(pending)
         pending = [k for k in pending if found[k] < 2]
-    block = np.concatenate(drawn).take(kept, axis=0).reshape(-1, 2, POSE_DIM)
-    block.flags.writeable = False
+    rows = np.concatenate(drawn).take(kept, axis=0)
+    rows.flags.writeable = False  # so every view of it is read-only too
+    block = rows.reshape(-1, 2, POSE_DIM)
     if not _valid_poses(block):
         return [TaskSpec(Pose(start[:3], start[3:]), Pose(goal[:3], goal[3:]))
                 for start, goal in block]
     # Pose's rules, checked on the whole block above; TaskSpec's, as both are Poses
-    halves = iter(block.reshape(-1, 3))  # each endpoint's position, then its rotation vector
+    halves = iter(rows.reshape(-1, 3))  # each endpoint's position, then its rotation vector
     poses = iter([_trusted(Pose, {"position": position, "orientation": rotation})
                   for position, rotation in zip(halves, halves)])
     return [_trusted(TaskSpec, {"start": start, "goal": goal}) for start, goal in zip(poses, poses)]
