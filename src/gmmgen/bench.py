@@ -30,8 +30,9 @@ from .reparam import ReparamConfig, _curves, _plain_tasks, generalize
 from .scene import SamplingError, Scene, SuccessThresholds, _verdicts, sample_tasks
 from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
 
-# Trials scored per chunk in run_benchmark.  A chunk holds its tasks' rows of
-# the mapped curves, about 1 MB in all; outputs do not depend on it.
+# Trials scored per chunk in run_benchmark.  A chunk combines its tasks' rows
+# of one mapped feature at a time and drops them once scored, peaking at about
+# 0.7 MB (tracemalloc, 16 tasks); outputs do not depend on it.
 BATCH_TRIALS = 16
 
 # summary.csv metric column -> the EvalReport field it averages over trials
@@ -67,17 +68,25 @@ def _scores(features, targets: np.ndarray, scene: Scene, reference: np.ndarray,
     """The EvalReport of each task from its _features() rows, stacked (T, ...),
     and its start and goal vectors, stacked (T, 2, 6) as targets.
 
+    features is any iterable of the six in _features() order, and each is
+    taken when its kernel runs: the ends give the boundary errors, grasp
+    and release the window deviations, the paths the shape, the jerk
+    differences the jerks and the collision samples the verdicts.  A
+    generator of combined features so holds one at a time, and the largest,
+    the jerk differences, is freed before the collision samples exist.
     The verdicts take one _verdicts() call that reads the (T, 2, 2) boundary
     errors the reports show.  Each report's metric values are one row of a
     (T, 11) array whose columns follow the EvalReport fields, and the rows
     pass EvalReport's rule once for the batch (metrics._eval_reports).
     """
-    ends, grasp, release, paths, diffs, sampled = features
-    boundaries = boundary_errors(ends, targets)
-    verdicts = _verdicts(sampled, scene, boundaries, thresholds)
-    rows = np.concatenate([boundaries.reshape(-1, 4),
-                           _window_deviations((grasp, release)).reshape(-1, 4),
-                           _procrustes(paths, reference)[:, None], _mean_jerks(diffs)], axis=1)
+    features = iter(features)
+    boundaries = boundary_errors(next(features), targets)
+    windows = _window_deviations((next(features), next(features)))
+    shapes = _procrustes(next(features), reference)
+    jerks = _mean_jerks(next(features))
+    verdicts = _verdicts(next(features), scene, boundaries, thresholds)
+    rows = np.concatenate([boundaries.reshape(-1, 4), windows.reshape(-1, 4), shapes[:, None],
+                           jerks], axis=1)
     return _eval_reports(verdicts, rows)
 
 
@@ -170,7 +179,8 @@ class _Compiled:
                                              self.model.phases, self.thresholds)
         picked = np.flatnonzero(compiled)
         if len(picked):
-            features = [_combined(f, coefs[:, picked]) for f in self.features]
+            coefs = coefs[:, picked]
+            features = (_combined(f, coefs) for f in self.features)  # one alive at a time
             for k, report in zip(picked, _scores(features, targets[picked], self.scene,
                                                  self.shape, self.thresholds)):
                 reports[k] = report
@@ -199,13 +209,17 @@ def model_endpoints(model: GmmModel):
 
 
 def summarize(records, method: str) -> dict:
+    """summary.csv's values: the success rate, and each SUMMARY_METRICS mean
+    as one row of a C-contiguous (11, T) array, so it sums as np.mean of
+    that column alone would."""
     reports = [r.report for r in records]
     summary = {
         "method": method,
         "success_rate": 100.0 * sum(r.success for r in reports) / len(reports),
     }
-    summary.update({column: float(np.mean([getattr(r, field) for r in reports]))
-                    for column, field in SUMMARY_METRICS.items()})
+    columns = np.array([[getattr(r, field) for r in reports]
+                        for field in SUMMARY_METRICS.values()])  # (11, T)
+    summary.update(zip(SUMMARY_METRICS, columns.mean(axis=1).tolist()))
     return summary
 
 

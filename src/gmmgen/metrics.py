@@ -123,7 +123,9 @@ def _geodesic_angles(rotvecs_a, rotvecs_b) -> np.ndarray:
 
 def _targets(tasks) -> np.ndarray:
     """(T, 2, 6): each task's start and goal vectors, the targets boundary_errors() takes."""
-    return np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
+    poses = [(t.start.position, t.start.orientation, t.goal.position, t.goal.orientation)
+             for t in tasks]
+    return np.array(poses).reshape(-1, 2, 6)
 
 
 def boundary_errors(ends: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -237,9 +239,18 @@ def _jerk_differences(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _mean_jerks(diffs: np.ndarray) -> np.ndarray:
     """(T, 2) mean linear and angular (deg) norms of (T, m, 6) third
-    differences; its means are taken as in _window_deviations()."""
-    sq = diffs * diffs  # each norm adds its 3 squares in np.linalg.norm's order
-    norms = [np.sqrt(sq[..., i] + sq[..., i + 1] + sq[..., i + 2]).mean(axis=1) for i in (0, 3)]
+    differences; its means are taken as in _window_deviations().
+
+    Each norm adds its three squares in np.linalg.norm's order, one
+    dimension at a time into one (T, m) accumulator, then takes the square
+    root in place: no (T, m, 6) array of squares is built.
+    """
+    norms = []
+    for i in (0, 3):
+        acc = diffs[..., i] * diffs[..., i]
+        acc += diffs[..., i + 1] * diffs[..., i + 1]
+        acc += diffs[..., i + 2] * diffs[..., i + 2]
+        norms.append(np.sqrt(acc, out=acc).mean(axis=1))
     return np.stack([norms[0], norms[1] * RAD_TO_DEG], axis=-1)
 
 

@@ -149,7 +149,14 @@ def collision_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
 
 
 def _collision_mask(positions, rotvecs, half_box, centers, half_slabs) -> np.ndarray:
-    """collision_mask() on the arrays _obstacles() builds."""
+    """collision_mask() on the arrays _obstacles() builds.
+
+    It works in place where it can: |R| is taken on the (N, 3, 3) stack
+    that as_matrix() returns, stage 1 runs each face axis through two
+    reused (S, N) buffers and frees them, and stage 2 rebuilds the signed
+    rotations of its P pairs alone from their rotation vectors (scipy
+    converts row by row, so these are rows of the full stack bit for bit).
+    """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     # copy: scipy rejects the read-only arrays Pose and Trajectory hand out
     rotvecs = np.array(rotvecs, dtype=float).reshape(-1, 3)
@@ -161,15 +168,18 @@ def _collision_mask(positions, rotvecs, half_box, centers, half_slabs) -> np.nda
         raise ValueError(f"pose {int(np.argmin(finite))}: position and rotation "
                          "vector must be finite")
     rot = _rotation().from_rotvec(rotvecs).as_matrix()
-    face_r_box = _dot(np.abs(rot), half_box).T  # (3, N): the box's support on e_i
+    face_r_box = _dot(np.abs(rot, out=rot), half_box).T  # (3, N): the box's support on e_i
     apart = np.zeros((len(centers), len(positions)), dtype=bool)  # (S, N)
+    gap, reach = np.empty(apart.shape), np.empty(apart.shape)
     for i, p in enumerate(np.ascontiguousarray(positions.T)):
-        apart |= np.abs(p - centers[:, i, None]) > half_slabs[:, i, None] + face_r_box[i]
+        np.abs(np.subtract(p, centers[:, i, None], out=gap), out=gap)
+        apart |= gap > np.add(half_slabs[:, i, None], face_r_box[i], out=reach)
 
+    del rot, gap, reach  # stage 1's |R| and buffers, freed before stage 2 allocates
     slab, pose = np.nonzero(~apart)  # the P pairs no face normal separates
     if not len(pose):
         return ~apart.T
-    rot = rot[pose]
+    rot = _rotation().from_rotvec(rotvecs[pose]).as_matrix()
     box_axes = np.swapaxes(rot, 1, 2)  # row j is the box's axis j
     padded = np.concatenate([box_axes, np.zeros((len(pose), 3, 1))], axis=2)
     edges = np.swapaxes(padded[:, :, _CROSS_INDEX] * _CROSS_SIGN, 1, 2)  # e_i x axis j

@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmmgen import bench
@@ -11,7 +12,7 @@ from gmmgen.bench import (SUMMARY_COLUMNS, SUMMARY_METRICS, _combined, _Compiled
                           summary_csv_lines, write_summary_csv, write_trials_jsonl)
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, _rotvec_angles, resample
 from gmmgen.gmr import regress
-from gmmgen.metrics import (EvalReport, FailureReason, average_jerk, boundary_error,
+from gmmgen.metrics import (EvalReport, FailureReason, _targets, average_jerk, boundary_error,
                             boundary_errors, phase_deviation, shape_deviation)
 from gmmgen.model import GmmModel
 from gmmgen.reparam import ReparamConfig, generalize
@@ -588,6 +589,78 @@ def test_summarize_hand_check(model, scene):
     assert result.summary["jerk_lin"] == pytest.approx(
         np.mean([r.jerk_linear for r in reports]))
     assert set(result.summary) == set(SUMMARY_COLUMNS)
+
+
+def _random_reports(rng, count):
+    """count EvalReports with random verdicts and metric values from 1e-6 to 1e6."""
+    reports = []
+    for _ in range(count):
+        success = bool(rng.integers(2))
+        reason = FailureReason.NONE if success else FailureReason.COLLISION
+        values = rng.uniform(0.0, 1.0, 11) * 10.0 ** rng.integers(-6, 7, 11)
+        reports.append(EvalReport(success, reason, *values.tolist()))
+    return reports
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 300))
+@example(seed=0, trials=1)
+@example(seed=1, trials=33)
+def test_summarize_takes_each_column_mean_as_np_mean_bitwise(seed, trials):
+    """summarize's one (11, T) reduction gives bitwise the np.mean of each
+    column's list, and success_rate stays the sum's percentage."""
+    reports = _random_reports(np.random.default_rng(seed), trials)
+    records = [bench.TrialRecord(i, None, report) for i, report in enumerate(reports)]
+    summary = summarize(records, "full")
+    assert summary["success_rate"] == 100.0 * sum(r.success for r in reports) / trials
+    for column, field in SUMMARY_METRICS.items():
+        want = float(np.mean([getattr(r, field) for r in reports]))
+        assert type(summary[column]) is float and summary[column].hex() == want.hex(), column
+
+
+def _report_bytes(reports) -> bytes:
+    return np.array([[getattr(r, f) for f in SUMMARY_METRICS.values()] for r in reports]).tobytes()
+
+
+def test_scores_read_a_generator_of_features_as_a_tuple(model, scene, chunk_pools):
+    """A chunk streams its combined features to _scores through a generator;
+    the same features as a tuple, as evaluate_trajectory passes them, give
+    bitwise the same reports."""
+    tasks = sample_tasks(scene, "combined", [np.random.default_rng([9, i]) for i in range(16)],
+                         *model_endpoints(model))
+    for ablate in (False, True):
+        chunk = compiled_chunk(model, ReparamConfig(ablate_covariance=ablate), chunk_pools)
+        coefs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench, "_combined", lambda mapped, c: coefs.append(c)
+                          or _combined(mapped, c))
+            streamed = chunk.reports(tasks)
+        assert len(coefs) == len(chunk.features) and len({id(c) for c in coefs}) == 1
+        features = tuple(_combined(f, coefs[0]) for f in chunk.features)
+        listed = bench._scores(features, _targets(tasks), chunk.scene, chunk.shape,
+                               chunk.thresholds)
+        assert [(r.success, r.failure_reason) for r in streamed] == \
+            [(r.success, r.failure_reason) for r in listed]
+        assert _report_bytes(streamed) == _report_bytes(listed)
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
+def test_warm_chunk_peak_memory_stays_under_one_megabyte(model, scene, chunk_pools, ablate):
+    """A warm 16-task chunk holds one combined feature at a time and its
+    kernels work in place: its tracemalloc peak stays under 1 MB (about
+    0.7 MB; about 1.6 MB when every feature was combined up front)."""
+    tasks = sample_tasks(scene, "combined",
+                         [np.random.default_rng([0, i]) for i in range(bench.BATCH_TRIALS)],
+                         *model_endpoints(model))
+    chunk = compiled_chunk(model, ReparamConfig(ablate_covariance=ablate), chunk_pools)
+    chunk.reports(tasks)
+    tracemalloc.start()
+    try:
+        chunk.reports(tasks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_benchmark_deterministic_and_order_free(model, scene):

@@ -8,7 +8,7 @@ from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory, _resampled, resample
 from gmmgen.metrics import (RAD_TO_DEG, SHAPE_POINTS, EvalReport, FailureReason,
                             _centered_paths, _eval_reports, _geodesic_angles, _jerk_differences,
-                            _mean_jerks, _phase_windows, _pose_stack, _procrustes,
+                            _mean_jerks, _phase_windows, _pose_stack, _procrustes, _targets,
                             _window_deviations, average_jerk, boundary_error, boundary_errors,
                             phase_deviation, shape_deviation, shape_reference)
 from gmmgen.reparam import ReparamConfig
@@ -314,7 +314,12 @@ def oracle_mean_jerks(times, values):
     grid = _resampled(times, values, n)[1]
     h = duration / (n - 1)
     third = (grid[:, 4:] - 2.0 * grid[:, 3:-1] + 2.0 * grid[:, 1:-3] - grid[:, :-4]) / (2.0 * h**3)
-    sq = third * third
+    return squared_mean_jerks(third)
+
+
+def squared_mean_jerks(diffs):
+    """_mean_jerks() from one (T, m, 6) array of squares."""
+    sq = diffs * diffs
     norms = [np.sqrt(sq[..., i] + sq[..., i + 1] + sq[..., i + 2]).mean(axis=1) for i in (0, 3)]
     return np.stack([norms[0], norms[1] * (180.0 / np.pi)], axis=-1)
 
@@ -333,6 +338,38 @@ def test_mean_jerks_stencil_matches_one_expression_bitwise(seed, n_trajs, n, dur
     want = oracle_mean_jerks(times, values)
     assert got.shape == want.shape == (n_trajs, 2)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_trajs=st.integers(1, 20), m=st.integers(1, 800),
+       log_scale=st.integers(-8, 8))
+def test_mean_jerks_accumulates_as_the_array_of_squares_bitwise(seed, n_trajs, m, log_scale):
+    """_mean_jerks adds its squares one dimension at a time, bitwise as the
+    (T, m, 6) array of squares did: on a C-ordered (1, m, 6) array, as one
+    trajectory's stencil gives it, and on a (6, T, m)-ordered view, as a
+    chunk's _combined() gives it."""
+    rng = np.random.default_rng(seed)
+    one = rng.normal(scale=10.0 ** log_scale, size=(1, m, 6))
+    chunk = rng.normal(scale=10.0 ** log_scale, size=(6, n_trajs, m)).transpose(1, 2, 0)
+    for diffs in (one, chunk):
+        got, want = _mean_jerks(diffs), squared_mean_jerks(diffs)
+        assert got.shape == want.shape == (len(diffs), 2)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_targets_are_the_tasks_concatenated_pose_vectors(model, scene):
+    """_targets() stacks each task's start and goal vectors bytewise as two
+    concatenations per task did, on sampled and hand-built tasks."""
+    rngs = [np.random.default_rng([5, i]) for i in range(17)]
+    sampled = sample_tasks(scene, "combined", rngs, *model_endpoints(model))
+    hand = [TaskSpec(Pose([0.0, -0.0, 1e-300], [-0.0, 0.0, 0.0]),
+                     Pose([-1e300, 2.5, 3], [3.0, 0.0, -0.1])),
+            TaskSpec(Pose([1, 2, 3], [0.1, 0.2, 0.3]), Pose([4, 5, 6], [0.0, -3.14, 0.0]))]
+    for tasks in (sampled, hand, sampled[:1]):
+        want = np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
+        got = _targets(tasks)
+        assert got.shape == want.shape == (len(tasks), 2, 6) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_eval_report_roundtrip_and_validation():

@@ -151,6 +151,25 @@ def test_collision_mask_rows_do_not_depend_on_the_batch(poses):
         assert np.array_equal(mask[k:k + 1], one)
 
 
+_small_rotvec = st.builds(lambda d, angle: angle * d / np.linalg.norm(d),
+                          _direction, st.floats(0.0, 1e-3))
+
+
+@given(rotvecs=st.lists(st.one_of(_random_rotvec, _quarter_rotvec, _small_rotvec), min_size=1,
+                        max_size=40),
+       picks=st.lists(st.integers(0, 39), min_size=1, max_size=60))
+def test_signed_rotations_rebuilt_from_picked_rotvecs_are_rows_of_the_full_stack(rotvecs,
+                                                                                 picks):
+    """Stage 2 of _collision_mask rebuilds the signed rotations of its pairs
+    from their rotation vectors, in any order and with repeats; they are
+    bitwise the rows of the full as_matrix() stack that stage 1 reads.
+    Small angles take scipy's series branch."""
+    rotvecs = np.array(rotvecs)
+    pose = np.array(picks) % len(rotvecs)
+    rebuilt = Rotation.from_rotvec(rotvecs[pose]).as_matrix()
+    assert rebuilt.tobytes() == Rotation.from_rotvec(rotvecs).as_matrix()[pose].tobytes()
+
+
 def oracle_single_stage_mask(positions, rotvecs, box_dims, slabs) -> np.ndarray:
     """The batched kernel in its former single-stage form, all 15 axes on
     every (pose, slab) pair: the bitwise reference for the two-stage
