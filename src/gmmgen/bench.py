@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import (SAMPLE_RATE, PhaseSchedule, Pose, TaskSpec, Trajectory, _check_int,
-                   _check_real, _resampled, _rotvec_angles)
-from .gmr import _validated_times, regress
+                   _resampled, _rotvec_angles, default_times)
+from .gmr import regress
 from .metrics import (EvalReport, _centered_paths, _eval_reports, _jerk_differences, _mean_jerks,
                       _phase_windows, _pose_stack, _procrustes, _targets, _window_deviations,
                       boundary_errors, shape_reference)
 from .model import GmmModel
-from .reparam import ReparamConfig, _curves, _plain_tasks, generalize
+from .reparam import ReparamConfig, _curves, _generalized, generalize
 from .scene import SamplingError, Scene, SuccessThresholds, _verdicts, sample_tasks
 from .scene import trajectory_success  # noqa: F401  perfbench traces it through bench
 
@@ -44,11 +44,6 @@ SUMMARY_METRICS = {
     "shape_dev": "shape_deviation", "jerk_lin": "jerk_linear", "jerk_ang": "jerk_angular",
 }
 SUMMARY_COLUMNS = ("method", "success_rate", *SUMMARY_METRICS)
-
-
-def default_times(duration: float, rate: float = SAMPLE_RATE) -> np.ndarray:
-    _check_real("rate", rate)
-    return np.linspace(0.0, duration, int(round(duration * rate)) + 1)
 
 
 def _features(times: np.ndarray, values: np.ndarray, phases: PhaseSchedule, samples: int):
@@ -125,15 +120,15 @@ class _Compiled:
     combination of the mapped curves.  A task's scores then match the
     one-trial evaluation to rounding, not bit for bit.
 
-    A chunk routes its tasks on generalize's own kernels (reparam's
-    _plain_tasks): one stack of remapped means and, for the full method,
-    one batched Cholesky of the adapted covariances.  A task goes through
-    the one-trajectory path, evaluate_trajectory(regress(generalize())),
-    which raises that task's own error, when generalize would not store its
-    means and covariances unchanged (means not finite, a covariance entry
-    above half the largest float, an SPD repair), when its combination
-    could overflow, or when a combined rotation row does not stay below
-    pi.  A model generalize rejects makes the chunk raise its ValueError.
+    A chunk routes its tasks on generalize's own kernels and rule
+    (reparam._generalized): one stack of remapped means and, for the full
+    method, one batched Cholesky of the adapted covariances.  A task goes
+    through the one-trajectory path, evaluate_trajectory(regress(
+    generalize())), which raises that task's own error, when the rule says
+    generalize would not store its means and covariances unchanged, when
+    its combination could overflow, or when a combined rotation row does
+    not stay below pi.  A model generalize rejects makes the chunk raise
+    its ValueError.
 
     The pi certificate: reach = |a| + |b| |start| + |c| |goal|, with each
     curve's largest magnitude over time, bounds every entry of a task's
@@ -162,8 +157,8 @@ class _Compiled:
         """The EvalReport of each task."""
         targets = _targets(tasks)
         starts, goals = targets[:, 0], targets[:, 1]
-        compiled = _plain_tasks(self.model, targets, self.config.ablate_covariance)
         with np.errstate(over="ignore", invalid="ignore"):
+            compiled = _generalized(self.model, targets, self.config.ablate_covariance)[3]
             reach = self.reach[0] + self.reach[1] * np.abs(starts) + self.reach[2] * np.abs(goals)
             certified = _rotvec_angles(reach[:, 3:6]) * (1.0 + 1e-9) < np.pi
         compiled &= np.isfinite(reach).all(axis=1)
@@ -260,7 +255,7 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
                          f"line break (it is a summary.csv field), got {method!r}")
     if not isinstance(model, GmmModel):
         raise TypeError(f"model must be a GmmModel, got {type(model).__name__}")
-    times = _validated_times(default_times(model.duration, rate), model.duration)
+    times = default_times(model.duration, rate)  # the grid cache checks it on first use
     base_start, base_goal = model_endpoints(model)
     compiled = _Compiled(model, config, times, scene,
                          regress(model, times) if reference is None else reference, thresholds)

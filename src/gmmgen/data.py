@@ -31,6 +31,18 @@ GRASP_DURATION = 1.0  # s, the start hold of a demonstration
 RELEASE_DURATION = 1.0  # s, the goal hold
 
 
+def default_times(duration: float, rate: float = SAMPLE_RATE) -> np.ndarray:
+    """The uniform grid over [0, duration] at rate Hz: round(duration * rate)
+    + 1 samples.  A rate that is not finite and positive, or one for which
+    duration * rate is not finite, is a ValueError naming it."""
+    _check_real("rate", rate)
+    samples = float(duration) * float(rate)
+    if not np.isfinite(samples):
+        raise ValueError(f"rate {rate:g} Hz over a duration of {duration:g} s gives "
+                         "no finite sample count")
+    return np.linspace(0.0, duration, int(round(samples)) + 1)
+
+
 class TrajectoryFormatError(ValueError):
     """A trajectory file violates the CSV schema (header, row shape, or ordering)."""
 
@@ -164,10 +176,12 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _valid_poses(vectors: np.ndarray) -> bool:
-    """Pose's rules on a (..., 6) stack of pose vectors at once: every entry
-    finite and every rotation-vector magnitude below pi."""
-    return bool(np.isfinite(vectors).all() and (_rotvec_angles(vectors[..., 3:]) < np.pi).all())
+def _valid_rows(values: np.ndarray) -> bool:
+    """Pose's and Trajectory's rule on a (..., D) stack of rows at once:
+    every entry finite and, for 6-D rows, every rotation-vector magnitude
+    below pi."""
+    return bool(np.isfinite(values).all() and (
+        values.shape[-1] != POSE_DIM or (_rotvec_angles(values[..., 3:]) < np.pi).all()))
 
 
 @dataclass(frozen=True)
@@ -250,12 +264,11 @@ def _first_violation(times: np.ndarray, values: np.ndarray):
     Valid samples cost whole-array checks only; the offending one is
     located once one of them fails.
     """
+    if (np.isfinite(times).all() and (times[:1] == 0.0).all() and (np.diff(times) > 0.0).all()
+            and _valid_rows(values)):
+        return None
     angles = (_rotvec_angles(values[:, 3:6]) if values.shape[1] == POSE_DIM
               else np.zeros(len(values)))
-    if (np.isfinite(times).all() and np.isfinite(values).all()
-            and (times[:1] == 0.0).all() and (np.diff(times) > 0.0).all()
-            and (angles < np.pi).all()):
-        return None
     finite = np.isfinite(times) & np.isfinite(values).all(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf between non-finite times
         ordered = np.concatenate([times[:1] == 0.0, np.diff(times) > 0.0])
@@ -278,8 +291,9 @@ class Trajectory:
     ``values`` is (n, D), one row per timestamp; pose columns are read
     through positions() and orientations(), which raise unless D is 6.
     Samples keep _first_violation's rules: the constructor checks them all,
-    while gmr.regress's trajectories (_derived) inherit the time rules from
-    their checked query grid and check only the values.
+    while gmr.regress builds its trajectories on the trusted route, with
+    the time rules inherited from its checked query grid and the values
+    checked by _valid_rows.
     """
 
     times: np.ndarray
@@ -297,25 +311,6 @@ class Trajectory:
         found = _first_violation(times, values)
         if found is not None:
             raise ValueError("sample {}: {}".format(*found))
-
-    @classmethod
-    def _derived(cls, times: np.ndarray, values: np.ndarray) -> Trajectory:
-        """The trajectory gmr.regress derives on its checked query grid:
-        fresh (n,) times, n >= 2, finite and strictly increasing from 0,
-        and fresh values (n, D), both frozen in place and stored.
-
-        Only the values are checked, whole-array: every entry finite and,
-        for 6-D rows, every rotation-vector magnitude below pi.  When a
-        check fails, the same arrays go to Trajectory(...), which raises
-        its error; otherwise the stored arrays are bitwise what
-        Trajectory(...) stores.
-        """
-        if not (np.isfinite(values).all() and (values.shape[1] != POSE_DIM or (
-                _rotvec_angles(values[:, 3:6]) < np.pi).all())):
-            return cls(times, values)
-        times.flags.writeable = values.flags.writeable = False
-        # times: the query grid's rules; values: finite, rotation rows below pi
-        return _trusted(cls, {"times": times, "values": values})
 
     @property
     def n_samples(self) -> int:

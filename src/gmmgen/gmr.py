@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Trajectory
+from .data import Trajectory, _trusted, _valid_rows
 from .model import GmmModel
 
 
@@ -113,18 +113,19 @@ def regress(model: GmmModel, times) -> Trajectory:
     re-anchored so its first timestamp is zero.
 
     On a grid that starts at 0.0 (or -0.0) the re-anchored times are the
-    grid checked here, so the trajectory is derived (Trajectory._derived):
-    only its values are checked, finite and with 6-D rotation rows below
-    pi.  Any other grid, or values that fail, go through Trajectory(...),
-    which raises its error.  Either way the stored arrays are bitwise the
-    public constructor's.
+    grid checked here, so only the values are checked (data._valid_rows)
+    and the trajectory is built on the trusted route.  Any other grid, or
+    values that fail, go through Trajectory(...), which raises its error.
+    Either way the stored arrays are bitwise the public constructor's.
     """
     if not isinstance(model, GmmModel):
         raise TypeError(f"cannot regress a {type(model).__name__}")
     grid = _grid_terms(model, times)
     values = _expected_poses(grid.act, model.means[:, :1], model.means[:, 1:], model.slopes,
                              grid.times_wide, grid.sums_wide)
-    times = grid.times
-    # From a start at +-0.0, times - times[0] keeps every rule _validated_times checked.
-    build = Trajectory._derived if times[0] == 0.0 else Trajectory
-    return build(times - times[0], values)
+    times = grid.times - grid.times[0]
+    if not (grid.times[0] == 0.0 and _valid_rows(values)):
+        return Trajectory(times, values)
+    times.flags.writeable = values.flags.writeable = False
+    # times: from a start at +-0.0, every rule _validated_times checked; values: _valid_rows
+    return _trusted(Trajectory, {"times": times, "values": values})

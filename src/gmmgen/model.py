@@ -19,8 +19,6 @@ from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Po
                    _read_json, _trusted, _write_json)
 
 COLLAPSE_EPS = 1e-12
-# Largest magnitude whose double is finite: symmetrizing a covariance adds two entries.
-_HALF_MAX = np.finfo(float).max / 2
 KMEANS_MAX_ITERS = 300
 
 
@@ -104,10 +102,10 @@ class GmmModel:
     read-only and never the caller's: priors and means are copied, and the
     symmetrized covs, slopes and shapes computed here are frozen in place.
 
-    The constructor checks every input in full.  generalize builds its
-    result through _derived instead, which inherits the source model's
-    checked priors, time centers and phases and checks only what a task
-    can change; it stores the same bits.
+    The constructor checks every input in full.  generalize builds a
+    result its rule passed (reparam._generalized) through _derived instead,
+    which inherits the source model's checked priors, time centers and
+    phases and checks nothing; it stores the same bits.
 
     Two private one-entry caches hold what a query computes from the
     frozen arrays alone; neither is ever invalidated.  _source_cache holds
@@ -177,32 +175,17 @@ class GmmModel:
     def _derived(cls, source: GmmModel, means: np.ndarray, task: TaskSpec,
                  covs: np.ndarray | None = None) -> GmmModel:
         """The model generalize derives from source, a checked model, for a
-        task whose 6-D poses generalize has matched to the model: fresh
-        finite means (G, D+1) on the source's time centers, taken over, and
-        either fresh, exactly symmetric covs (G, D+1, D+1), taken over, or
-        None for the ablated method, which stores a copy of the source's.
-
-        The source's priors (copied), time centers and phases are not
-        checked again, and generalize has checked the means.  Nor are an
-        ablated model's covariances: the source's constructor accepted
-        those exact bits.  Adapted covs are checked: every entry at most
-        half the largest float (so symmetrizing cannot overflow) and a 6-D
-        mixture; when one fails, the same arrays go to GmmModel(...), which
-        raises its error.  Then one batched Cholesky raises
-        np.linalg.LinAlgError, locating nothing, if a matrix is not
-        positive definite.  An exactly symmetric C is 0.5 * (C + C^T), so
-        every stored array is bitwise what GmmModel(...) stores.  The
-        caller keeps the source's time variances, so the model shares the
-        source's grid cache.
+        task its rule passed (reparam._generalized), checking nothing: fresh
+        means (G, D+1), taken over, and fresh adapted covs (G, D+1, D+1),
+        taken over, or None for the ablated method, which stores a copy of
+        the source's.  Exactly symmetric covs C are 0.5 * (C + C^T), so every
+        stored array is bitwise what GmmModel(...) stores.  The caller keeps
+        the source's time variances, so the model shares its grid cache.
         """
         ablated = covs is None
         if ablated:
             covs = source.covs.copy()
-        else:
-            if not ((np.abs(covs) <= _HALF_MAX).all() and means.shape[1] - 1 == POSE_DIM):
-                return cls(source.priors, means, covs, source.phases, task=task)
-            np.linalg.cholesky(covs)
-        # GmmModel's rules: the source's checks, generalize's for the means, the above for covs
+        # GmmModel's rules: the source's checks, and generalize's rule for the means and covs
         return _trusted(cls, {"phases": source.phases, "task": task, "ablated": ablated,
                               "spd_repairs": 0, **cls._stored(source.priors.copy(), means, covs,
                                                               source._grid_cache)})

@@ -5,10 +5,10 @@ components land exactly on the requested endpoints, then each component's
 time-normalized slope and spatial shape are rescaled by the change in
 consecutive mean differences.  The spatial shape gets a rank-two update
 that preserves its Schur complement, so adapted covariances stay SPD by
-construction.  generalize() is the one public entry; _plain_tasks runs
-its kernels, _remapped_means and _adapted_covs, on a stack of tasks so a
-benchmark chunk can route them, and _curves compiles them for a fixed
-time grid.
+construction.  generalize() is the one public entry; _generalized runs
+its kernels, _remapped_means and _adapted_covs, and its rule for storing
+them unchanged, on one task or a benchmark chunk's stack, and _curves
+compiles them for a fixed time grid.
 
 The terms that depend on the source model and eps alone (spans, masks,
 time fractions, old differences, old slope outer products, the endpoint
@@ -27,13 +27,15 @@ import numpy as np
 
 from .data import TaskSpec, _frozen_array
 from .gmr import _expected_poses, _grid_terms
-from .model import _HALF_MAX, GmmModel, _cholesky_fails
+from .model import GmmModel, _cholesky_fails
 
 # Endpoint spans and consecutive mean differences below these count as
 # degenerate: 1e-4 m on the position axes, 1e-3 rad on the rotation axes.
 DEGENERATE_EPS = _frozen_array([1e-4] * 3 + [1e-3] * 3)
 # Eigenvalue clamp for a reassembled covariance that rounding left indefinite.
 COV_FLOOR = 1e-6
+# Largest magnitude whose double is finite: symmetrizing a covariance adds two entries.
+_HALF_MAX = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -157,12 +159,12 @@ def _adapted_covs(model: GmmModel, new_means: np.ndarray, src: _SourceTerms) -> 
     return covs
 
 
-def _repair(covs: np.ndarray) -> np.ndarray:
+def _repair(covs: np.ndarray, broken: np.ndarray) -> np.ndarray:
     """Clamp in place to COV_FLOOR each adapted covariance, covs[..., 1:, :, :],
-    that Cholesky rejects; returns the count per stack, (...)."""
-    cov = covs[..., 1:, :, :]
-    broken = _cholesky_fails(cov)
+    that broken (..., G-1) flags as rejected by Cholesky; returns the count
+    per stack, (...)."""
     if broken.any():  # eigh on an empty stack alone costs ~15 us a query
+        cov = covs[..., 1:, :, :]
         cov[broken] = _clamp_spd(cov[broken], COV_FLOOR)
     return broken.sum(axis=-1)
 
@@ -202,12 +204,33 @@ def _curves(model: GmmModel, times: np.ndarray, ablate: bool) -> np.ndarray:
     return values.reshape(len(grid.times), 3, -1).transpose(1, 0, 2)
 
 
-def _check_endpoints(model: GmmModel, ends: np.ndarray) -> None:
-    """generalize's preconditions on the model and endpoints (..., 2, D)."""
+def _generalized(model: GmmModel, ends: np.ndarray, ablate: bool):
+    """(means, covs, broken, plain): generalize's kernels and rule on
+    endpoints (..., 2, D), rows [start, goal], for one task or a stack.
+
+    means (..., G, D+1) are remapped; covs (..., G, D+1, D+1) are adapted,
+    unrepaired, and broken (..., G-1) flags those after component 0 (the
+    source's, factored by its constructor) that Cholesky rejects.  covs and
+    broken are None for the ablated method, or when no means are finite.
+    plain (...) is True where generalize() stores the kernels' arrays
+    unchanged: finite means and, for the full method, no broken flag and
+    no covariance entry above half the largest float (symmetrizing would
+    overflow).  A one-component model or endpoints of another width is a
+    ValueError.
+    """
     if model.n_components < 2:
         raise ValueError("mean reparameterization needs at least two components")
     if ends.shape[-1:] != (model.dim,):
         raise ValueError(f"endpoints must be vectors of length {model.dim}")
+    src = _source_terms(model, DEGENERATE_EPS)
+    means = _remapped_means(model, ends, src)
+    plain = np.isfinite(means).all(axis=(-2, -1))
+    if ablate or not plain.any():
+        return means, None, None, plain
+    covs = _adapted_covs(model, means[..., 1:], src)
+    broken = _cholesky_fails(covs[..., 1:, :, :])
+    plain &= (np.abs(covs) <= _HALF_MAX).all(axis=(-3, -2, -1)) & ~broken.any(axis=-1)
+    return means, covs, broken, plain
 
 
 def generalize(model: GmmModel, task: TaskSpec,
@@ -220,18 +243,15 @@ def generalize(model: GmmModel, task: TaskSpec,
     centers are the source model's, untouched, and so are its time
     variances unless an SPD repair moved one.
 
-    The result is derived (GmmModel._derived): it inherits the priors,
-    time centers and phases its source passed, and the query checks only
-    finite means (once) and covariances and makes one batched Cholesky of
-    the exactly symmetric adapted stack.  The ablated method stores a copy
-    of the source's covariances, which its constructor accepted, and
-    factors nothing.  A stack that Cholesky rejects
-    goes straight to the repair scan and clamp (_repair), then to
-    GmmModel(...), which checks the repaired stack in full; a failed
-    finite check takes the same arrays to GmmModel(...), or for the full
-    method raises before adapting.  So errors, repair counts and stored
-    bits are the public constructor's.  A task, config or model of another
-    type is a TypeError naming its type.
+    The query runs a chunk's kernels and rule (_generalized) on a stack of
+    one.  A task the rule passes is built by GmmModel._derived; the ablated
+    method stores a copy of the source's covariances and factors nothing.
+    Otherwise the full method raises on non-finite means before adapting,
+    and GmmModel(...) checks the rest in full: the adapted stack after the
+    flagged matrices are clamped (_repair), or the ablated method's
+    non-finite means.  So errors, repair counts and stored bits are the
+    public constructor's.  A task, config or model of another type is a
+    TypeError naming its type.
     """
     if not isinstance(task, TaskSpec):
         raise TypeError(f"task must be a TaskSpec, got {type(task).__name__}")
@@ -242,39 +262,13 @@ def generalize(model: GmmModel, task: TaskSpec,
     start, goal = task.start, task.goal
     ends = np.concatenate([start.position, start.orientation,
                            goal.position, goal.orientation]).reshape(2, -1)
-    _check_endpoints(model, ends)
-    src = _source_terms(model, DEGENERATE_EPS)
-    means = _remapped_means(model, ends, src)
-    if not np.isfinite(means).all():
+    means, covs, broken, plain = _generalized(model, ends, config.ablate_covariance)
+    if plain:
+        return GmmModel._derived(model, means, task, covs)
+    if covs is None:
         if not config.ablate_covariance:
             raise ValueError("new_means must be finite")
         # raises the constructor's located error
         return GmmModel(model.priors, means, model.covs, model.phases, task=task, ablated=True)
-    if config.ablate_covariance:
-        return GmmModel._derived(model, means, task)
-    covs = _adapted_covs(model, means[:, 1:], src)
-    try:
-        return GmmModel._derived(model, means, task, covs)
-    except ValueError:  # a stack that needs a repair, or that no repair saves
-        return GmmModel(model.priors, means, covs, model.phases, task=task,
-                        spd_repairs=int(_repair(covs)))
-
-
-def _plain_tasks(model: GmmModel, ends: np.ndarray, ablate: bool) -> np.ndarray:
-    """(T,) flags for endpoints (T, 2, D), rows [start, goal]: True where
-    generalize() would store the kernels' means and, for the full method,
-    adapted covariances unchanged.  A task is flagged False when its means
-    are not finite, or when an adapted covariance has an entry above half
-    the largest float or needs an SPD repair; generalize() raises or
-    repairs for such a task.  A model or endpoints generalize() rejects
-    raise its ValueError."""
-    _check_endpoints(model, ends)
-    src = _source_terms(model, DEGENERATE_EPS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = _remapped_means(model, ends, src)
-        plain = np.isfinite(means).all(axis=(1, 2))
-        if not ablate:
-            covs = _adapted_covs(model, means[..., 1:], src)
-            plain &= ((np.abs(covs) <= _HALF_MAX).all(axis=(1, 2, 3))
-                      & ~_cholesky_fails(covs[:, 1:]).any(axis=1))
-    return plain
+    return GmmModel(model.priors, means, covs, model.phases, task=task,
+                    spd_repairs=int(_repair(covs, broken)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (POSE_DIM, Pose, TaskSpec, Trajectory, _check_int, _check_real, _dot,
-                   _json_numbers, _read_json, _resampled, _rotation, _trusted, _valid_poses,
+                   _json_numbers, _read_json, _resampled, _rotation, _trusted, _valid_rows,
                    _write_json)
 from .metrics import FailureReason, _pose_stack
 
@@ -273,7 +273,7 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
     After the last round the accepted endpoints are taken into one
     read-only (T, 2, 6) block, rows [start, goal] of pose vectors
     [position, rotation vector].  The whole block is checked once against
-    Pose's rules (_valid_poses), and every Pose, whose arrays are views of
+    Pose's rules (_valid_rows), and every Pose, whose arrays are views of
     its block row, and every TaskSpec is built on the trusted route.  A
     block that fails goes through Pose(...), which raises its error.
     """
@@ -321,7 +321,7 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
     rows = np.concatenate(drawn).take(kept, axis=0)
     rows.flags.writeable = False  # so every view of it is read-only too
     block = rows.reshape(-1, 2, POSE_DIM)
-    if not _valid_poses(block):
+    if not _valid_rows(block):
         return [TaskSpec(Pose(start[:3], start[3:]), Pose(goal[:3], goal[3:]))
                 for start, goal in block]
     # Pose's rules, checked on the whole block above; TaskSpec's, as both are Poses

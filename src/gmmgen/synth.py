@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (GRASP_DURATION, RELEASE_DURATION, SAMPLE_RATE, PhaseSchedule, Pose,
-                   TaskSpec, Trajectory, _check_int, _check_real)
+                   TaskSpec, Trajectory, _check_int, _check_real, default_times)
 from .metrics import boundary_error
 from .scene import Scene, SuccessThresholds, rest_height, trajectory_success
 
@@ -97,8 +97,7 @@ def generate_demonstrations(scene: Scene, cfg: SynthConfig = SynthConfig()):
     start, goal = default_endpoints(scene)
     task = TaskSpec(start, goal)
     total = cfg.phases().duration
-    n = int(round(total * cfg.sample_rate)) + 1
-    times = np.linspace(0.0, total, n)
+    times = default_times(total, cfg.sample_rate)
     base = _nominal_path(times, cfg, start, goal)
     sigmas = np.array([cfg.noise_pos] * 3 + [cfg.noise_rot] * 3)
     # noise fades to zero through the holds so every demonstration pins the

@@ -507,7 +507,7 @@ def test_config_file_number_for_float_flag(tmp_path):
     assert manifest["config"]["lift"] == 0.0 and isinstance(manifest["config"]["lift"], float)
 
 
-@pytest.mark.parametrize("rate", ["inf", "nan"])
+@pytest.mark.parametrize("rate", ["inf", "nan", "1e308"])
 @pytest.mark.parametrize("command", ["synth", "generalize", "regress", "evaluate",
                                      "benchmark"])
 def test_non_finite_rate_exit2(work, tmp_path, endpoint_args, capsys, command, rate):
@@ -524,7 +524,11 @@ def test_non_finite_rate_exit2(work, tmp_path, endpoint_args, capsys, command, r
         "benchmark": ["--model", model, "--trials", "1", "--out-dir", str(out)],
     }[command]
     assert main([command, *argv, "--rate", rate]) == 2
-    assert "finite and positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # 1e308 is finite, but duration * rate, the sample count, is not
+    assert ("rate 1e+308 Hz over a duration of 7 s" if rate == "1e308"
+            else "finite and positive") in err
     assert not out.exists()
 
 

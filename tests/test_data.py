@@ -13,7 +13,8 @@ import gmmgen
 from gmmgen.bench import default_times, evaluate_trajectory
 from gmmgen.data import (CSV_HEADER, EXP_ZERO, PhaseSchedule, Pose, TaskSpec, Trajectory,
                          TrajectoryFormatError, _exp, _first_violation,
-                         _resampled, _rotvec_angles, load_trajectory, resample, save_trajectory)
+                         _resampled, _rotvec_angles, _valid_rows, load_trajectory, resample,
+                         save_trajectory)
 from gmmgen.gmr import regress
 from gmmgen.metrics import EvalReport, average_jerk, phase_deviation
 from gmmgen.model import FitConfig, GmmModel
@@ -525,6 +526,51 @@ def test_trusted_construction_equals_the_public_constructors(model, scene, endpo
         public = EvalReport(*(getattr(report, field.name) for field in fields(EvalReport)))
         assert_built_as_public(report, public)
         assert report == public
+
+
+# Rotation-vector norms just below, at and just above pi.
+NEAR_PI = (np.nextafter(np.pi, 0.0), np.pi, np.nextafter(np.pi, 4.0))
+
+
+@st.composite
+def rows_stacks(draw):
+    """(n, D) arrays, D in 1..7 (6 more often), of small numbers and +-0.0,
+    and in half the arrays nan and +-inf too; a 6-D row's rotation
+    columns may instead hold a vector whose norm sits at a neighbour of pi."""
+    dim, n = draw(st.integers(1, 7) | st.just(6)), draw(st.integers(2, 4))
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)
+    if draw(st.booleans()):
+        entry |= st.sampled_from([np.nan, np.inf, -np.inf])
+    values = np.array(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                    min_size=n, max_size=n)))
+    for row in values if dim == 6 else ():
+        if draw(st.booleans()):
+            axis = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+            if draw(st.booleans()) or not np.linalg.norm(axis) > 0.1:
+                axis = np.eye(3)[draw(st.integers(0, 2))] * draw(st.sampled_from([-1.0, 1.0]))
+            row[3:] = axis / np.linalg.norm(axis) * draw(st.sampled_from(NEAR_PI))
+    return values
+
+
+def constructs(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300)
+@given(values=rows_stacks())
+def test_valid_rows_agrees_with_the_public_constructors(values):
+    """_valid_rows is True exactly when Trajectory accepts the rows on a
+    valid grid and, for 6-D rows, when every row builds a Pose, whatever
+    stack the rows are arranged in."""
+    valid = _valid_rows(values)
+    assert valid == constructs(Trajectory, np.arange(len(values), dtype=float), values)
+    assert _valid_rows(values[None, None]) == valid
+    if values.shape[1] == 6:
+        assert valid == all(constructs(Pose, row[:3], row[3:]) for row in values)
 
 
 def test_object_new_appears_only_in_the_trusted_helper():

@@ -10,10 +10,10 @@ from gmmgen import data as gdata
 from gmmgen import model as gmodel
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.gmr import regress
-from gmmgen.model import GmmModel, load_model, model_to_dict, save_model
+from gmmgen.model import GmmModel, _cholesky_fails, load_model, model_to_dict, save_model
 from gmmgen.reparam import (COV_FLOOR, DEGENERATE_EPS, ReparamConfig, _adapted_covs,
-                            _clamp_spd, _outers, _remapped_means, _repair, _source_terms,
-                            generalize)
+                            _clamp_spd, _generalized, _outers, _remapped_means, _repair,
+                            _source_terms, generalize)
 from gmmgen.scene import sample_task
 
 from conftest import mutated
@@ -49,7 +49,7 @@ def adapted_covs(model, new_means, eps):
     """(covs, repairs) of new means (..., G, D): _adapted_covs with the
     model's source terms for eps, then the repair scan."""
     covs = _adapted_covs(model, new_means, _source_terms(model, eps))
-    return covs, _repair(covs)
+    return covs, _repair(covs, _cholesky_fails(covs[..., 1:, :, :]))
 
 
 def assert_bitwise_equal(got, want):
@@ -189,6 +189,48 @@ def test_generalize_is_the_model_of_reparam_bitwise(seed, n_comp, thin, reach, a
     assert_generalize_composes(model, task, ReparamConfig(ablate_covariance=ablate))
 
 
+def far_task(rng, model, reach):
+    """A random task whose goal lies up to reach times the source's span
+    from its start, in each dimension; at reach 30 a thin mixture's task
+    often needs SPD repairs."""
+    first, last = model.means[0, 1:], model.means[-1, 1:]
+    start = rng.uniform(-1.0, 1.0, 6)
+    goal = start + rng.uniform(-reach, reach, 6) * (last - first)
+    turn = goal[3:] - start[3:]
+    goal[3:] = start[3:] + turn / max(1.0, np.linalg.norm(turn))  # a valid pose
+    return TaskSpec(Pose.from_vector(start), Pose.from_vector(goal))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_comp=st.integers(2, 8), thin=st.booleans(),
+       n_tasks=st.integers(1, 6), ablate=st.booleans())
+def test_a_stack_of_one_and_a_chunk_take_the_same_route(seed, n_comp, thin, n_tasks, ablate):
+    """On random mixtures, thin ones whose far tasks need SPD repairs
+    included, each row of _generalized on a chunk's stack of tasks is
+    bitwise the one-task call's means, covs, broken flags and rule; and for
+    each task generalize() accepts, the rule holds exactly when the result
+    took the derived route, which shares its source's grid cache."""
+    rng = np.random.default_rng(seed)
+    model = random_spd_mixture(rng, n_comp, 6, thin, scale=rng.choice([0.1, 0.3, 1.0]))
+    tasks = [far_task(rng, model, rng.choice([2.0, 30.0])) for _ in range(n_tasks)]
+    ends = np.array([[task.start_vector(), task.goal_vector()] for task in tasks])
+    stacked = _generalized(model, ends, ablate)
+    config = ReparamConfig(ablate_covariance=ablate)
+    for k, task in enumerate(tasks):
+        single = _generalized(model, ends[k], ablate)
+        assert (single[1] is None) == ablate  # every task's means are finite
+        for got, rows in zip(single, stacked):
+            if got is None:
+                assert rows is None
+            else:
+                assert (got.shape, got.tobytes()) == (rows[k].shape, rows[k].tobytes())
+        try:
+            out = generalize(model, task, config)
+        except ValueError:
+            continue
+        assert (out._grid_cache is model._grid_cache) == bool(single[3])
+
+
 def test_generalize_repairs_as_reparam_covariances_does():
     """Seed 738's far task needs clamps: generalize() takes the repair scan
     after GmmModel rejects the unrepaired stack, and gives the composed
@@ -199,11 +241,10 @@ def test_generalize_repairs_as_reparam_covariances_does():
 
 
 def test_generalize_scans_a_repaired_stack_once(monkeypatch):
-    """Seed 738's far task: the one batched Cholesky of the adapted stack
-    fails, the repair scan factors the stack after the first component and
-    then each of its 4 matrices, and GmmModel checks the repaired stack:
-    7 calls, down from 12 when GmmModel's own scan located the failure
-    before the repair scanned again."""
+    """Seed 738's far task: the rule's one batched Cholesky of the adapted
+    stack after the first component fails, its scan factors each of those
+    4 matrices, the repair clamps the flagged ones without factoring
+    again, and GmmModel checks the repaired stack: 6 calls in all."""
     model, (_, far) = thin_repair_tasks()
     calls = []
     cholesky = np.linalg.cholesky
@@ -214,17 +255,17 @@ def test_generalize_scans_a_repaired_stack_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     assert generalize(model, far).spd_repairs == 2
-    assert calls == [(5, 7, 7), (4, 7, 7)] + [(7, 7)] * 4 + [(5, 7, 7)]
+    assert calls == [(4, 7, 7)] + [(7, 7)] * 4 + [(5, 7, 7)]
 
 
 @pytest.mark.parametrize("ablate", [False, True], ids=["full", "ablated"])
 def test_generalize_factors_once_without_a_repair(model, scene, endpoints, monkeypatch,
                                                   ablate):
     """On sampled tasks that need no repair, each full generalize() makes
-    exactly one Cholesky call, GmmModel's check of the adapted stack, and
-    an ablated one none, on the thin far task too: it stores the source's
-    covariances, which the source's constructor accepted.  A full task
-    that needs repairs takes more."""
+    exactly one Cholesky call, the rule's check of the adapted stack after
+    the source's first component, and an ablated one none, on the thin far
+    task too: it stores the source's covariances, which the source's
+    constructor accepted.  A full task that needs repairs takes more."""
     rng = np.random.default_rng(5)
     tasks = [sample_task(scene, mode, rng, *endpoints)
              for mode in ("combined", "translational") for _ in range(4)]
@@ -241,7 +282,7 @@ def test_generalize_factors_once_without_a_repair(model, scene, endpoints, monke
     for task in tasks:
         calls.clear()
         assert generalize(model, task, config).spd_repairs == 0
-        assert calls == ([] if ablate else [model.covs.shape])
+        assert calls == ([] if ablate else [model.covs[1:].shape])
     calls.clear()
     assert generalize(thin, far, config).spd_repairs == (0 if ablate else 2)
     assert len(calls) == 0 if ablate else len(calls) > 2
