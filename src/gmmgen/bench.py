@@ -124,11 +124,11 @@ class _Compiled:
     (reparam._generalized): one stack of remapped means and, for the full
     method, one batched Cholesky of the adapted covariances.  A task goes
     through the one-trajectory path, evaluate_trajectory(regress(
-    generalize())), which raises that task's own error, when the rule says
-    generalize would not store its means and covariances unchanged, when
-    its combination could overflow, or when a combined rotation row does
-    not stay below pi.  A model generalize rejects makes the chunk raise
-    its ValueError.
+    generalize())), when the rule says generalize would not store its means
+    and covariances unchanged, when its combination could overflow, or when
+    a combined rotation row does not stay below pi; that path runs once per
+    routed task, and its error is raised under the task's trial index.  A
+    one-component model, which generalize rejects, fails to compile.
 
     The pi certificate: reach = |a| + |b| |start| + |c| |goal|, with each
     curve's largest magnitude over time, bounds every entry of a task's
@@ -153,8 +153,10 @@ class _Compiled:
                          for feature in _features(times, curves, model.phases,
                                                   thresholds.collision_samples)]
 
-    def reports(self, tasks) -> list:
-        """The EvalReport of each task."""
+    def reports(self, tasks, first: int = 0) -> list:
+        """The EvalReport of each task, tasks[k] being trial first + k.  A
+        routed task's ValueError is raised as "trial {first + k}: {error}";
+        one from scoring the compiled tasks is raised as it is."""
         targets = _targets(tasks)
         starts, goals = targets[:, 0], targets[:, 1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -169,9 +171,12 @@ class _Compiled:
             compiled[unsure] = (_rotvec_angles(rotations) < np.pi).all(axis=1)
         reports = [None] * len(tasks)
         for k in np.flatnonzero(~compiled):
-            traj = regress(generalize(self.model, tasks[k], self.config), self.times)
-            reports[k] = evaluate_trajectory(traj, tasks[k], self.scene, self.reference,
-                                             self.model.phases, self.thresholds)
+            try:
+                traj = regress(generalize(self.model, tasks[k], self.config), self.times)
+                reports[k] = evaluate_trajectory(traj, tasks[k], self.scene, self.reference,
+                                                 self.model.phases, self.thresholds)
+            except ValueError as exc:
+                raise ValueError(f"trial {first + k}: {exc}") from None
         picked = np.flatnonzero(compiled)
         if len(picked):
             coefs = coefs[:, picked]
@@ -239,10 +244,11 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     for collision in one call.  A trial's record matches, to rounding, the
     one evaluate_trajectory() gives for regress(generalize(model, task,
     config), times), whatever chunk it falls in, and a rerun reproduces it
-    bit for bit.  When a chunk raises a ValueError, as a task it routes to
-    the one-trajectory path can, its tasks are run again one by one, and
-    the error names the first failing trial with that task's own message.
-    A model that is not a GmmModel is a TypeError naming its type.
+    bit for bit.  Each trial runs once: a task the chunk routes to the
+    one-trajectory path and that fails there raises a ValueError naming
+    its trial with that task's own message.  A model generalize rejects
+    is a ValueError before any task is drawn, and one that is not a
+    GmmModel is a TypeError naming its type.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
@@ -269,16 +275,7 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     for first in range(0, trials, BATCH_TRIALS):
         indices = range(first, min(first + BATCH_TRIALS, trials))
         tasks = all_tasks[first:indices.stop]
-        try:
-            reports = compiled.reports(tasks)
-        except ValueError:  # name the first failing trial with its one-task message
-            for i, task in zip(indices, tasks):
-                try:
-                    regress(generalize(model, task, config), times)
-                except ValueError as exc:
-                    raise ValueError(f"trial {i}: {exc}") from None
-            raise
-        records += map(TrialRecord, indices, tasks, reports)
+        records += map(TrialRecord, indices, tasks, compiled.reports(tasks, first))
     summary = summarize(records, method)
     return BenchmarkResult(method, mode, seed, tuple(records), summary)
 

@@ -198,7 +198,8 @@ class Pose:
         object.__setattr__(self, "orientation", rot)
         if not (np.isfinite(pos).all() and np.isfinite(rot).all()):
             raise ValueError("pose entries must be finite")
-        angle = float(_rotvec_angles(rot))
+        with np.errstate(over="ignore"):  # a huge finite entry squares to inf
+            angle = float(_rotvec_angles(rot))
         if angle >= np.pi:
             raise ValueError(
                 f"rotation-vector magnitude {angle:.6f} rad must stay below pi"
@@ -264,14 +265,15 @@ def _first_violation(times: np.ndarray, values: np.ndarray):
     Valid samples cost whole-array checks only; the offending one is
     located once one of them fails.
     """
-    if (np.isfinite(times).all() and (times[:1] == 0.0).all() and (np.diff(times) > 0.0).all()
-            and _valid_rows(values)):
-        return None
-    angles = (_rotvec_angles(values[:, 3:6]) if values.shape[1] == POSE_DIM
-              else np.zeros(len(values)))
-    finite = np.isfinite(times) & np.isfinite(values).all(axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf between non-finite times
+    # huge finite entries square or subtract to inf; inf - inf between non-finite times
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (np.isfinite(times).all() and (times[:1] == 0.0).all()
+                and (np.diff(times) > 0.0).all() and _valid_rows(values)):
+            return None
+        angles = (_rotvec_angles(values[:, 3:6]) if values.shape[1] == POSE_DIM
+                  else np.zeros(len(values)))
         ordered = np.concatenate([times[:1] == 0.0, np.diff(times) > 0.0])
+    finite = np.isfinite(times) & np.isfinite(values).all(axis=1)
     index = int(np.argmin(finite & ordered & (angles < np.pi)))
     if not finite[index]:
         problem = "non-finite value"

@@ -57,10 +57,9 @@ def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np
     entry above half the largest float doubles past it), every prior
     positive, and every covariance symmetric to 1e-9 of its largest entry
     and, once symmetrized, accepted by Cholesky; an error names the first
-    failing component.  Valid parameters cost whole-array checks only, and
-    an exactly symmetric stack (every stack generalize builds) skips the
-    per-matrix gap and scale reductions; the failing component is located
-    once a check fails.
+    failing component.  Valid parameters cost whole-array checks and the
+    per-matrix gap and scale reductions only; the failing component is
+    located once a check fails.
     """
     flipped = np.swapaxes(covs, -2, -1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -72,12 +71,11 @@ def _checked_covs(priors: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np
         raise ValueError(f"{_first(bad)}: parameters must be finite")
     if not (priors > 0.0).all():
         raise ValueError(f"{_first(~(priors > 0.0))}: prior must be positive")
-    if not (symmetric == covs).all():  # all equal iff the finite covs is exactly symmetric
-        with np.errstate(over="ignore"):  # a gap between entries of opposite sign
-            gaps = np.abs(covs - flipped).max(axis=(-2, -1))
-        asym = gaps > 1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
-        if asym.any():
-            raise ValueError(f"{_first(asym)}: covariance must be symmetric")
+    with np.errstate(over="ignore"):  # a gap between entries of opposite sign
+        gaps = np.abs(covs - flipped).max(axis=(-2, -1))
+    asym = gaps > 1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    if asym.any():
+        raise ValueError(f"{_first(asym)}: covariance must be symmetric")
     symmetric.flags.writeable = False
     not_spd = _cholesky_fails(symmetric)
     if not_spd.any():

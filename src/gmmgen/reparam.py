@@ -70,7 +70,10 @@ class _SourceTerms(NamedTuple):
 
 def _source_terms(model: GmmModel, eps) -> _SourceTerms:
     """The model's read-only _SourceTerms for a (D,) eps, from its source
-    cache, whose one entry is keyed by the shape and bytes of eps."""
+    cache, whose one entry is keyed by the shape and bytes of eps.  A
+    one-component model, which has no span to remap, is a ValueError."""
+    if model.n_components < 2:
+        raise ValueError("mean reparameterization needs at least two components")
     eps = np.asarray(eps, dtype=float)
     key = (eps.shape, eps.tobytes())
     entry = model._source_cache[0]
@@ -80,8 +83,7 @@ def _source_terms(model: GmmModel, eps) -> _SourceTerms:
         span = ends[1] - ends[0]
         degenerate = np.abs(span) < eps
         centers = model.means[:, 0, None]
-        with np.errstate(invalid="ignore"):  # 0/0 for one component; generalize rejects it
-            alpha = (centers - centers[0]) / (centers[-1] - centers[0])
+        alpha = (centers - centers[0]) / (centers[-1] - centers[0])
         d_old = means[1:] - means[:-1]
         keep = np.abs(d_old) < eps
         terms = _SourceTerms(degenerate, np.where(degenerate, 1.0, span), alpha, 1.0 - alpha,
@@ -215,14 +217,12 @@ def _generalized(model: GmmModel, ends: np.ndarray, ablate: bool):
     plain (...) is True where generalize() stores the kernels' arrays
     unchanged: finite means and, for the full method, no broken flag and
     no covariance entry above half the largest float (symmetrizing would
-    overflow).  A one-component model or endpoints of another width is a
-    ValueError.
+    overflow).  A one-component model (_source_terms) or endpoints of
+    another width is a ValueError.
     """
-    if model.n_components < 2:
-        raise ValueError("mean reparameterization needs at least two components")
+    src = _source_terms(model, DEGENERATE_EPS)
     if ends.shape[-1:] != (model.dim,):
         raise ValueError(f"endpoints must be vectors of length {model.dim}")
-    src = _source_terms(model, DEGENERATE_EPS)
     means = _remapped_means(model, ends, src)
     plain = np.isfinite(means).all(axis=(-2, -1))
     if ablate or not plain.any():

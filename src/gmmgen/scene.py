@@ -270,12 +270,13 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
     A generator that spends SAMPLE_ATTEMPTS draws on one endpoint raises
     SamplingError, naming the lowest such position in its round.
 
-    After the last round the accepted endpoints are taken into one
-    read-only (T, 2, 6) block, rows [start, goal] of pose vectors
-    [position, rotation vector].  The whole block is checked once against
-    Pose's rules (_valid_rows), and every Pose, whose arrays are views of
-    its block row, and every TaskSpec is built on the trusted route.  A
-    block that fails goes through Pose(...), which raises its error.
+    Each accepted endpoint is written once into a (T, 2, 6) block, rows
+    [start, goal] of pose vectors [position, rotation vector], which is
+    frozen read-only after the last round.  The whole block is checked
+    once against Pose's rules (_valid_rows), and every Pose, whose arrays
+    are views of its block row, and every TaskSpec is built on the trusted
+    route.  A block that fails goes through Pose(...), which raises its
+    error.
     """
     if variation not in ("translational", "combined"):
         raise ValueError(f"unknown variation '{variation}'")
@@ -286,12 +287,10 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
     n_levels = len(heights)
     bases = np.concatenate([base_start.position, base_start.orientation,
                             base_goal.position, base_goal.orientation]).reshape(2, POSE_DIM)
-    drawn = [np.empty((0, POSE_DIM))]  # every round's candidates, in order, after an empty start
-    kept = [0] * (2 * len(rngs))  # row 2k + side: task k's accepted start or goal among them
+    block = np.empty((len(rngs), 2, POSE_DIM))
     found = [0] * len(rngs)  # endpoints accepted, so the side (0 start, 1 goal) being drawn
     draws = [0] * len(rngs)  # draws spent on the endpoint being sampled
     pending = list(range(len(rngs)))
-    offset = 0
     while pending:
         lengths, levels, yaws = [], [], []
         for k in pending:
@@ -310,22 +309,18 @@ def sample_tasks(scene: Scene, variation: str, rngs, base_start: Pose,
         if combined:
             rotations[:] = _yawed_orientations(rotations, yaws)
         hits = _collision_mask(positions, rotations, *scene._obstacles).any(axis=1)
-        for row, (k, hit) in enumerate(zip(pending, hits.tolist()), offset):
+        for row, (k, hit) in enumerate(zip(pending, hits.tolist())):
             if not hit:
-                kept[2 * k + found[k]] = row
+                block[k, found[k]] = candidates[row]
                 found[k] += 1
                 draws[k] = 0
-        drawn.append(candidates)
-        offset += len(pending)
         pending = [k for k in pending if found[k] < 2]
-    rows = np.concatenate(drawn).take(kept, axis=0)
-    rows.flags.writeable = False  # so every view of it is read-only too
-    block = rows.reshape(-1, 2, POSE_DIM)
+    block.flags.writeable = False  # so every view of it is read-only too
     if not _valid_rows(block):
         return [TaskSpec(Pose(start[:3], start[3:]), Pose(goal[:3], goal[3:]))
                 for start, goal in block]
     # Pose's rules, checked on the whole block above; TaskSpec's, as both are Poses
-    halves = iter(rows.reshape(-1, 3))  # each endpoint's position, then its rotation vector
+    halves = iter(block.reshape(-1, 3))  # each endpoint's position, then its rotation vector
     poses = iter([_trusted(Pose, {"position": position, "orientation": rotation})
                   for position, rotation in zip(halves, halves)])
     return [_trusted(TaskSpec, {"start": start, "goal": goal}) for start, goal in zip(poses, poses)]

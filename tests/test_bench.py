@@ -335,10 +335,12 @@ def compiled_chunk(model, config, pools):
 def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, ablate, picks):
     """A chunk of 1-6 tasks in any order gives each task's one-trial
     evaluation, to rounding for a compiled task and bit for bit for a
-    routed one, or raises the message one of its tasks raises alone.  The
-    one-trial path runs once for every routed task, a repaired one or one
-    whose components GmmModel rejects (+inf or non-finite entries, an entry
-    it would symmetrize to inf), in order up to the first that raises."""
+    routed one, or raises a message one of its tasks raises alone: the
+    first failing routed task's, named by its trial, or else a compiled
+    task's as scoring raises it.  The one-trial path runs once for every
+    routed task, a repaired one or one whose components GmmModel rejects
+    (+inf or non-finite entries, an entry it would symmetrize to inf), in
+    order up to the first that raises."""
     source, pool_tasks = chunk_pools[pool]
     tasks = [pool_tasks[i % len(pool_tasks)] for i in picks]
     config = ReparamConfig(ablate_covariance=ablate)
@@ -357,15 +359,19 @@ def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, a
             got, message = chunk.reports(tasks), None
         except ValueError as exc:
             got, message = None, str(exc)
-    failed = [outcome for _, outcome in outcomes if isinstance(outcome, str)]
+    failed = [(routed, i) for i, (routed, outcome) in enumerate(outcomes)
+              if isinstance(outcome, str)]
     if message is None:
         assert not failed
         for report, (routed, want) in zip(got, outcomes):
             if routed:
                 assert report == want
             assert_report_close(report, want)
+    elif any(routed for routed, _ in failed):
+        first = next(i for routed, i in failed if routed)
+        assert message == f"trial {first}: {outcomes[first][1]}"
     else:
-        assert message in failed
+        assert message in [outcomes[i][1] for _, i in failed]
     routed = []
     for task, (is_routed, outcome) in zip(tasks, outcomes):
         if is_routed:
@@ -383,7 +389,8 @@ def test_compiled_curves_match_regress_generalize(model, scene, chunk_pools, mon
     is regress(generalize()).values to 1e-12 for 40 sampled tasks.  A chunk
     routes thin_repair_tasks()' repaired task to the one-trial path and
     compiles the other, routes a task whose combination could overflow and
-    one whose rotation rows pass pi, and a benchmark over the overflow and
+    one whose rotation rows pass pi, naming each one's trial with the
+    message it raises alone, and a benchmark over the overflow and
     half-max pools raises the message the failing task raises alone, and
     so does one over the far-middle pool, whose failing task only the
     means' finiteness routes."""
@@ -416,7 +423,8 @@ def test_compiled_curves_match_regress_generalize(model, scene, chunk_pools, mon
             calls.clear()
             with pytest.raises(ValueError) as chunked:
                 compiled_chunk(model, config, chunk_pools).reports([tasks[0], odd])
-        assert str(chunked.value) == str(alone.value) == message
+        assert str(alone.value) == message
+        assert str(chunked.value) == f"trial 1: {message}"
         assert calls == [odd]
 
     # without the covariance update only the non-finite means fail
@@ -528,6 +536,29 @@ def test_benchmark_chunk_turning_past_pi_raises(scene, monkeypatch):
                           reference=regress(generalize(model, good_task), times))
 
 
+def test_benchmark_names_a_routed_trial_where_it_fails_and_runs_it_once(scene, monkeypatch):
+    """A routed task whose scoring fails raises under its own trial index,
+    here trial 17 in the second chunk, and every routed task up to it goes
+    through generalize once: no trial is run a second time to name it."""
+    model, (own, far) = thin_repair_tasks()
+    failing = TaskSpec(far.start, far.goal)  # routed as far is, told apart by identity
+    tasks = [far if i == 1 else failing if i == 17 else own for i in range(20)]
+    calls = []
+
+    def evaluated(traj, task, *args):
+        if task is failing:
+            raise ValueError("boom")
+        return evaluate_trajectory(traj, task, *args)
+
+    monkeypatch.setattr(bench, "sample_tasks", lambda scene, mode, rngs, *bases: tasks)
+    monkeypatch.setattr(bench, "evaluate_trajectory", evaluated)
+    monkeypatch.setattr(bench, "generalize", lambda *args: calls.append(args[1])
+                        or generalize(*args))
+    with pytest.raises(ValueError, match="^trial 17: boom$"):
+        run_benchmark(model, scene, "combined", trials=len(tasks), seed=0)
+    assert [task is failing for task in calls] == [False, True]
+
+
 def test_benchmark_names_the_trial_the_sampler_could_not_place(model, scene, monkeypatch):
     """All trials are drawn in one sample_tasks pass, so the generator the
     sampler names is the trial."""
@@ -567,15 +598,18 @@ def test_run_benchmark_rejects_a_model_of_another_type(scene, bad):
 
 
 @pytest.mark.parametrize("ablate", [False, True])
-def test_run_benchmark_rejects_a_one_component_model(model, scene, ablate):
-    """A chunk raises for a model generalize rejects, so the first trial
-    names generalize's message for both methods."""
+def test_run_benchmark_rejects_a_one_component_model(model, scene, monkeypatch, ablate):
+    """A model generalize rejects is rejected with generalize's message for
+    both methods, once, before any task is drawn."""
     single = GmmModel([1.0], model.means[:1], model.covs[:1], model.phases)
     assert single.dim == 6
-    with pytest.raises(ValueError, match="^trial 0: mean reparameterization needs at least "
+    drawn = []
+    monkeypatch.setattr(bench, "sample_tasks", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="^mean reparameterization needs at least "
                                          "two components$"):
         run_benchmark(single, scene, "combined", trials=3, seed=0,
                       config=ReparamConfig(ablate_covariance=ablate))
+    assert drawn == []
 
 
 def test_summarize_hand_check(model, scene):

@@ -259,6 +259,28 @@ def test_generalize_bad_pose_exit2(work, capsys):
         assert f"error: pose '{start}': " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["pose", "csv"])
+def test_huge_finite_rotation_entry_exit2_with_one_error_line(work, tmp_path, endpoint_args,
+                                                              capsys, where):
+    """A rotation entry whose square overflows is rejected as a rotation
+    past pi, with the error line alone on stderr: no numpy overflow
+    warning comes first, for a --start pose or row 2 of a trajectory CSV."""
+    start, goal = endpoint_args
+    model = str(work / "model.json")
+    if where == "pose":
+        argv = ["generalize", "--model", model, "--start", "0,0,0,1e200,0,0", "--goal", goal,
+                "--out-model", str(tmp_path / "gen.json")]
+        want = "error: pose '0,0,0,1e200,0,0': rotation-vector magnitude inf rad must stay below pi"
+    else:
+        traj_csv = tmp_path / "traj.csv"
+        traj_csv.write_text("t,px,py,pz,rx,ry,rz\n0,0,0,0,1e200,0,0\n1,0,0,0,0,0,0\n")
+        argv = ["evaluate", "--traj", str(traj_csv), "--model", model, "--start", start,
+                "--goal", goal]
+        want = f"error: {traj_csv}: row 2: rotation-vector magnitude inf rad must stay below pi"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want + "\n"
+
+
 def test_generalize_rejected_trajectory_writes_no_file(tmp_path, capsys):
     """A thin mixture whose regressed first pose turns past pi: regress
     rejects the trajectory, and neither output file is written."""

@@ -207,7 +207,8 @@ def test_regress_many_matches_regress_on_random_mixtures(seed, n_comp, n_tasks, 
 def test_regress_many_validation(model, times):
     """Regression takes only models and query times within their duration,
     and a benchmark chunk whose task regresses past a trajectory rule
-    raises the error naming the sample that task raises alone."""
+    raises the error naming the sample that task raises alone, under the
+    task's trial."""
     with pytest.raises(TypeError, match="cannot regress a str"):
         regress("model", times)
     with pytest.raises(ValueError, match="within"):
@@ -217,7 +218,7 @@ def test_regress_many_validation(model, times):
     reference = regress(generalize(thin, tasks[0]), thin_times)
     chunk = _Compiled(thin, ReparamConfig(), thin_times, default_scene(), reference,
                       SuccessThresholds())
-    with pytest.raises(ValueError, match="^sample 0: rotation-vector magnitude "
+    with pytest.raises(ValueError, match="^trial 1: sample 0: rotation-vector magnitude "
                                          "3.680180 rad must stay below pi$"):
         chunk.reports(tasks)
 
