@@ -153,10 +153,21 @@ class _Compiled:
                          for feature in _features(times, curves, model.phases,
                                                   thresholds.collision_samples)]
 
+    def _alone(self, task: TaskSpec, trial: int) -> EvalReport:
+        """task's one-trajectory evaluation, evaluate_trajectory(regress(
+        generalize())), its ValueError raised as "trial {trial}: {error}"."""
+        try:
+            traj = regress(generalize(self.model, task, self.config), self.times)
+            return evaluate_trajectory(traj, task, self.scene, self.reference,
+                                       self.model.phases, self.thresholds)
+        except ValueError as exc:
+            raise ValueError(f"trial {trial}: {exc}") from None
+
     def reports(self, tasks, first: int = 0) -> list:
         """The EvalReport of each task, tasks[k] being trial first + k.  A
-        routed task's ValueError is raised as "trial {first + k}: {error}";
-        one from scoring the compiled tasks is raised as it is."""
+        ValueError is raised by _alone(), naming its trial: a routed task's,
+        or, when scoring the compiled tasks fails, the first of them that
+        fails alone (if none does, the chunk's own error propagates)."""
         targets = _targets(tasks)
         starts, goals = targets[:, 0], targets[:, 1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -169,22 +180,19 @@ class _Compiled:
         if unsure.any():
             rotations = _combined(self.rotations, coefs[:, unsure])
             compiled[unsure] = (_rotvec_angles(rotations) < np.pi).all(axis=1)
-        reports = [None] * len(tasks)
-        for k in np.flatnonzero(~compiled):
-            try:
-                traj = regress(generalize(self.model, tasks[k], self.config), self.times)
-                reports[k] = evaluate_trajectory(traj, tasks[k], self.scene, self.reference,
-                                                 self.model.phases, self.thresholds)
-            except ValueError as exc:
-                raise ValueError(f"trial {first + k}: {exc}") from None
+        reports = {k: self._alone(tasks[k], first + k) for k in np.flatnonzero(~compiled)}
         picked = np.flatnonzero(compiled)
         if len(picked):
             coefs = coefs[:, picked]
             features = (_combined(f, coefs) for f in self.features)  # one alive at a time
-            for k, report in zip(picked, _scores(features, targets[picked], self.scene,
-                                                 self.shape, self.thresholds)):
-                reports[k] = report
-        return reports
+            try:
+                reports.update(zip(picked, _scores(features, targets[picked], self.scene,
+                                                   self.shape, self.thresholds)))
+            except ValueError:
+                for k in picked:
+                    self._alone(tasks[k], first + k)
+                raise
+        return [reports[k] for k in range(len(tasks))]
 
 
 @dataclass(frozen=True)
@@ -244,9 +252,9 @@ def run_benchmark(model: GmmModel, scene: Scene, mode: str, trials: int, seed: i
     for collision in one call.  A trial's record matches, to rounding, the
     one evaluate_trajectory() gives for regress(generalize(model, task,
     config), times), whatever chunk it falls in, and a rerun reproduces it
-    bit for bit.  Each trial runs once: a task the chunk routes to the
-    one-trajectory path and that fails there raises a ValueError naming
-    its trial with that task's own message.  A model generalize rejects
+    bit for bit.  Each trial runs once unless its chunk fails to score,
+    and a failing task raises a ValueError naming its trial with the
+    message it raises alone (_Compiled.reports).  A model generalize rejects
     is a ValueError before any task is drawn, and one that is not a
     GmmModel is a TypeError naming its type.
     """

@@ -47,10 +47,14 @@ def _validated_times(times, duration: float) -> np.ndarray:
 
 def _weights(priors, t_means, t_vars, times):
     """(act, sums): the max-shifted activations (n, G) of (G,) time variances
-    and their row sums (n, 1)."""
+    and their row sums (n, 1).  Where 2 pi t_var overflows (t_var above about
+    2.86e307), its finite log is taken as log(2 pi) + log(t_var)."""
     log_w = (times[:, None] - t_means) ** 2
     log_w /= 2.0 * t_vars
-    np.subtract(np.log(priors) - 0.5 * np.log(2.0 * np.pi * t_vars), log_w, out=log_w)
+    with np.errstate(over="ignore"):
+        scaled = 2.0 * np.pi * t_vars
+    log_norm = np.where(scaled < np.inf, np.log(scaled), np.log(2.0 * np.pi) + np.log(t_vars))
+    np.subtract(np.log(priors) - 0.5 * log_norm, log_w, out=log_w)
     log_w -= log_w.max(axis=1, keepdims=True)
     act = np.exp(log_w, out=log_w)
     return act, act.sum(axis=1, keepdims=True)

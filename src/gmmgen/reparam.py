@@ -246,12 +246,12 @@ def generalize(model: GmmModel, task: TaskSpec,
     The query runs a chunk's kernels and rule (_generalized) on a stack of
     one.  A task the rule passes is built by GmmModel._derived; the ablated
     method stores a copy of the source's covariances and factors nothing.
-    Otherwise the full method raises on non-finite means before adapting,
-    and GmmModel(...) checks the rest in full: the adapted stack after the
-    flagged matrices are clamped (_repair), or the ablated method's
-    non-finite means.  So errors, repair counts and stored bits are the
-    public constructor's.  A task, config or model of another type is a
-    TypeError naming its type.
+    Otherwise GmmModel(...) checks the result in full: non-finite means
+    raise its located error for either method, before any covariance is
+    adapted, and the full method's adapted stack is checked once the
+    flagged matrices are clamped (_repair).  So errors, repair counts and
+    stored bits are the public constructor's.  A task, config or model of
+    another type is a TypeError naming its type.
     """
     if not isinstance(task, TaskSpec):
         raise TypeError(f"task must be a TaskSpec, got {type(task).__name__}")
@@ -265,10 +265,7 @@ def generalize(model: GmmModel, task: TaskSpec,
     means, covs, broken, plain = _generalized(model, ends, config.ablate_covariance)
     if plain:
         return GmmModel._derived(model, means, task, covs)
-    if covs is None:
-        if not config.ablate_covariance:
-            raise ValueError("new_means must be finite")
-        # raises the constructor's located error
-        return GmmModel(model.priors, means, model.covs, model.phases, task=task, ablated=True)
+    if covs is None:  # non-finite means: raises the constructor's located error
+        return GmmModel(model.priors, means, model.covs, model.phases, task=task)
     return GmmModel(model.priors, means, covs, model.phases, task=task,
                     spd_repairs=int(_repair(covs, broken)))

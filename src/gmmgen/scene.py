@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (POSE_DIM, Pose, TaskSpec, Trajectory, _check_int, _check_real, _dot,
-                   _json_numbers, _read_json, _resampled, _rotation, _trusted, _valid_rows,
-                   _write_json)
-from .metrics import FailureReason, _pose_stack
+                   _frozen_array, _json_numbers, _read_json, _resampled, _rotation, _trusted,
+                   _valid_rows, _write_json)
+from .metrics import FailureReason, _pose_stack, _targets, boundary_errors
 
 REST_CLEARANCE = 0.003
 SAMPLE_ATTEMPTS = 100  # endpoint draws before sample_task gives up
@@ -34,16 +34,14 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class Slab:
-    """An axis-aligned box obstacle given by two opposite corners."""
+    """An axis-aligned box obstacle: two opposite corners, stored as read-only copies."""
 
     min_corner: np.ndarray
     max_corner: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.min_corner, dtype=float).reshape(3)
-        hi = np.asarray(self.max_corner, dtype=float).reshape(3)
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        lo = _frozen_array(self.min_corner, 3)
+        hi = _frozen_array(self.max_corner, 3)
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -62,7 +60,7 @@ class Slab:
 
 @dataclass(frozen=True)
 class Scene:
-    """Obstacles plus the sampling ranges used by the task generator."""
+    """Obstacles plus the task generator's sampling ranges; box_dims is a read-only copy."""
 
     slabs: tuple
     box_dims: np.ndarray
@@ -71,8 +69,7 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "slabs", tuple(self.slabs))
-        dims = np.asarray(self.box_dims, dtype=float).reshape(3)
-        dims.flags.writeable = False
+        dims = _frozen_array(self.box_dims, 3)
         object.__setattr__(self, "box_dims", dims)
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         object.__setattr__(self, "length_range",
@@ -216,27 +213,20 @@ def _verdicts(sampled: np.ndarray, scene: Scene, boundaries, thresholds) -> list
             for hit, miss in zip(collided, missed)]
 
 
-def trajectory_success(traj: Trajectory, scene: Scene, boundary,
+def trajectory_success(traj: Trajectory, scene: Scene, task: TaskSpec,
                        thresholds: SuccessThresholds = SuccessThresholds()):
     """(flag, reason): collision-free at sampled poses and boundary within bounds.
 
-    boundary is ((start_mm, start_deg), (goal_mm, goal_deg)), traj's errors
-    against its task as the metrics module reports them: four finite,
-    non-negative numbers, else a ValueError.  An error equal to its
-    threshold passes.  collision_samples poses, evenly spaced in time, are
-    checked for collision, and a collision outranks a boundary failure.
-    This is _verdicts() for a stack of one.
-    """
-    try:
-        errors = np.array(boundary, dtype=float)
-        valid = errors.shape == (2, 2) and bool(((0.0 <= errors) & (errors < np.inf)).all())
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise ValueError("boundary must be ((start_mm, start_deg), (goal_mm, goal_deg)), four "
-                         f"finite non-negative errors, got {boundary!r}")
-    return _verdicts(_resampled(*_pose_stack(traj), thresholds.collision_samples)[1], scene,
-                     errors[None], thresholds)[0]
+    traj's first and last rows are scored against task's start and goal
+    (metrics.boundary_errors), and an error equal to its threshold passes.
+    collision_samples poses, evenly spaced in time, are checked for
+    collision, which outranks a boundary failure.  This is _verdicts() for
+    a stack of one; a task of another type is a TypeError naming its type."""
+    if not isinstance(task, TaskSpec):
+        raise TypeError(f"task must be a TaskSpec, got {type(task).__name__}")
+    times, values = _pose_stack(traj)
+    return _verdicts(_resampled(times, values, thresholds.collision_samples)[1], scene,
+                     boundary_errors(values[:, [0, -1]], _targets([task])), thresholds)[0]
 
 
 def rest_height(scene: Scene, level: float) -> float:

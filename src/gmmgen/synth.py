@@ -15,8 +15,7 @@ import numpy as np
 
 from .data import (GRASP_DURATION, RELEASE_DURATION, SAMPLE_RATE, PhaseSchedule, Pose,
                    TaskSpec, Trajectory, _check_int, _check_real, default_times)
-from .metrics import boundary_error
-from .scene import Scene, SuccessThresholds, rest_height, trajectory_success
+from .scene import Scene, rest_height, trajectory_success
 
 NOISE_WAVES = 3
 NOISE_FREQ_RANGE = (0.15, 0.6)
@@ -104,7 +103,6 @@ def generate_demonstrations(scene: Scene, cfg: SynthConfig = SynthConfig()):
     # exact task endpoints; constant dimensions then stay exactly constant
     s = _transport_progress(times)
     envelope = (4.0 * s * (1.0 - s))[:, None]
-    thresholds = SuccessThresholds()
 
     demos = []
     for j in range(cfg.n_demos):
@@ -112,7 +110,7 @@ def generate_demonstrations(scene: Scene, cfg: SynthConfig = SynthConfig()):
             rng = np.random.default_rng([cfg.seed, j, attempt])
             noise = _smooth_noise(times, rng, sigmas * 0.5**attempt)
             traj = Trajectory(times, base + envelope * noise)
-            ok, _ = trajectory_success(traj, scene, boundary_error(traj, task), thresholds)
+            ok, _ = trajectory_success(traj, scene, task)
             if ok:
                 demos.append(traj)
                 break

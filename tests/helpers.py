@@ -152,13 +152,12 @@ def compiled_values(model, tasks, config, times):
 
 
 def composed_generalize(model, task, config=ReparamConfig()):
-    """generalize() as the model built from the per-component oracles, which
-    need finite new means for the covariance update."""
+    """generalize() as the model built from the per-component oracles.  The
+    covariance update needs finite new means, so non-finite ones go to
+    GmmModel with the source's covariances, which rejects them."""
     means = oracle_reparam_means(model, task.start_vector(), task.goal_vector(), DEGENERATE_EPS)
     covs, repairs = model.covs, 0
-    if not config.ablate_covariance:
-        if not np.isfinite(means).all():
-            raise ValueError("new_means must be finite")
+    if not config.ablate_covariance and np.isfinite(means).all():
         covs, repairs = oracle_reparam_covariances(model, means, DEGENERATE_EPS)
     return GmmModel(model.priors, np.column_stack([model.means[:, 0], means]), covs,
                     model.phases, task=task, ablated=config.ablate_covariance,

@@ -11,13 +11,13 @@ from gmmgen.bench import (SUMMARY_COLUMNS, SUMMARY_METRICS, _combined, _Compiled
                           evaluate_trajectory, model_endpoints, run_benchmark, summarize,
                           summary_csv_lines, write_summary_csv, write_trials_jsonl)
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec, _rotvec_angles, resample
-from gmmgen.gmr import regress
+from gmmgen.gmr import _grid_terms, regress
 from gmmgen.metrics import (EvalReport, FailureReason, _targets, average_jerk, boundary_error,
                             boundary_errors, phase_deviation, shape_deviation)
 from gmmgen.model import GmmModel
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import (SAMPLE_ATTEMPTS, SamplingError, SuccessThresholds, _verdicts,
-                          collision_mask, sample_task, sample_tasks)
+                          collision_mask, sample_task, sample_tasks, trajectory_success)
 
 from helpers import (assert_generalize_composes, compiled_values, thin_past_pi_tasks,
                      thin_repair_tasks)
@@ -144,6 +144,8 @@ def test_evaluate_trajectory_matches_two_call_oracle(model, scene, times, monkey
         want = oracle_evaluate(traj, task, scene, reference, model.phases, thresholds)
         assert evaluate_trajectory(traj, task, scene, reference, model.phases,
                                    thresholds) == want
+        assert trajectory_success(traj, scene, task, thresholds) == (want.success,
+                                                                     want.failure_reason)
         assert_report_close(record.report, want)
     reasons = {record.report.failure_reason for record in result.trials}
     assert FailureReason.COLLISION in reasons
@@ -301,9 +303,8 @@ def test_generalize_is_the_model_of_reparam_on_every_pool(chunk_pools, ablate):
                                                                       ("far-middle", 1)]
     else:
         assert got["thin", 1][1] == 2
-        assert got["overflow", 3] == got["half-max", 2] == finite
-        assert (got["overflow", 4] == got["far-middle", 1]
-                == (ValueError, "new_means must be finite"))
+        assert (got["overflow", 3] == got["half-max", 2] == got["overflow", 4]
+                == got["far-middle", 1] == finite)
 
 
 def one_task_outcome(model, task, config, times, scene, reference):
@@ -335,12 +336,14 @@ def compiled_chunk(model, config, pools):
 def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, ablate, picks):
     """A chunk of 1-6 tasks in any order gives each task's one-trial
     evaluation, to rounding for a compiled task and bit for bit for a
-    routed one, or raises a message one of its tasks raises alone: the
-    first failing routed task's, named by its trial, or else a compiled
-    task's as scoring raises it.  The one-trial path runs once for every
-    routed task, a repaired one or one whose components GmmModel rejects
-    (+inf or non-finite entries, an entry it would symmetrize to inf), in
-    order up to the first that raises."""
+    routed one, or raises the message of the first failing routed task,
+    named by its trial, or else, when scoring the compiled tasks fails, of
+    the first compiled task that fails alone, named likewise.  The
+    one-trial path runs once for every routed task, a repaired one or one
+    whose components GmmModel rejects (+inf or non-finite entries, an
+    entry it would symmetrize to inf), in order up to the first that
+    raises, and after a scoring failure for the compiled tasks in order up
+    to the first that raises."""
     source, pool_tasks = chunk_pools[pool]
     tasks = [pool_tasks[i % len(pool_tasks)] for i in picks]
     config = ReparamConfig(ablate_covariance=ablate)
@@ -361,24 +364,70 @@ def test_chunk_stacks_only_tasks_the_model_stores_unchanged(chunk_pools, pool, a
             got, message = None, str(exc)
     failed = [(routed, i) for i, (routed, outcome) in enumerate(outcomes)
               if isinstance(outcome, str)]
+    routed_at = [i for i, (is_routed, _) in enumerate(outcomes) if is_routed]
+    rerun = []  # the compiled tasks a scoring failure runs alone
     if message is None:
         assert not failed
-        for report, (routed, want) in zip(got, outcomes):
-            if routed:
+        for report, (is_routed, want) in zip(got, outcomes):
+            if is_routed:
                 assert report == want
             assert_report_close(report, want)
     elif any(routed for routed, _ in failed):
         first = next(i for routed, i in failed if routed)
         assert message == f"trial {first}: {outcomes[first][1]}"
     else:
-        assert message in [outcomes[i][1] for _, i in failed]
-    routed = []
-    for task, (is_routed, outcome) in zip(tasks, outcomes):
-        if is_routed:
-            routed.append(task)
-            if isinstance(outcome, str):
+        first = failed[0][1]
+        assert message == f"trial {first}: {outcomes[first][1]}"
+        rerun = [i for i in range(len(tasks)) if i not in routed_at]
+
+    def up_to_first_failure(indices):
+        run = []
+        for i in indices:
+            run.append(tasks[i])
+            if isinstance(outcomes[i][1], str):
                 break
-    assert calls == routed
+        return run
+
+    assert calls == up_to_first_failure(routed_at) + up_to_first_failure(rerun)
+
+
+def test_benchmark_names_the_first_compiled_trial_that_fails_alone(chunk_pools, monkeypatch):
+    """When scoring a chunk's compiled tasks fails, the error names the
+    first of them, in trial order, that fails alone, with its own message:
+    on the x-heavy source a task with no x span regresses to a static
+    path, whose shape deviation is undefined, so of the second chunk's
+    tasks [0.5 span, no span, 0.5 span, no span] at trials 16-19 trial 17
+    is named, after trials 16 and 17 ran alone once each.  On the half-max
+    source every task regresses to a static path, so a chunk at trials
+    16-17 names trial 16."""
+    source = x_heavy_model(0.1, 0.0, 0.01)
+    spanned, flat = x_task(source, 0.0, 0.5), x_task(source, 0.3, 0.3)
+    drawn = [spanned] * 17 + [flat, spanned, flat]
+    monkeypatch.setattr(bench, "sample_tasks", lambda scene, mode, rngs, *bases: drawn)
+    calls = []
+    monkeypatch.setattr(bench, "generalize", lambda *args: calls.append(args[1])
+                        or generalize(*args))
+    message = "shape deviation is undefined for a degenerate point set"
+    with pytest.raises(ValueError, match=f"^trial 17: {message}$"):
+        run_benchmark(source, chunk_pools.scene, "combined", trials=len(drawn), seed=0,
+                      reference=chunk_pools.reference)
+    assert calls == [spanned, flat]
+
+    half_max, (half_span, *_) = chunk_pools["half-max"]
+    chunk = compiled_chunk(half_max, ReparamConfig(), chunk_pools)
+    with pytest.raises(ValueError, match=f"^trial 16: {message}$"):
+        chunk.reports([half_span, half_span], 16)
+
+
+def test_regress_weighs_a_time_variance_whose_normalizer_overflows():
+    """The half-max source's components 1-2 have time variance 7e307, where
+    2 pi t_var overflows but its log, about 710.68, is finite: regress
+    prints no warning (pytest turns one into an error) and gives those
+    components positive activations."""
+    source = x_heavy_model(7e307, 0.7, 0.491)  # fresh: its grid cache misses
+    times = default_times(source.duration)
+    assert np.isfinite(regress(source, times).values).all()
+    assert (_grid_terms(source, times).act[:, 1:] > 0.0).all()
 
 
 @pytest.mark.parametrize("mode", ["combined", "translational"])

@@ -420,9 +420,9 @@ def test_pose_consumers_share_the_pose_row_error(scene, tmp_path, consumer):
     """Every reader of pose columns goes through Trajectory's pose-row rule
     (positions(), orientations()), so a non-pose trajectory fails with its
     one error."""
+    rest = Pose(np.zeros(3), np.zeros(3))
     call = {
-        "trajectory_success": lambda traj: trajectory_success(traj, scene,
-                                                              ((0.0, 0.0), (0.0, 0.0))),
+        "trajectory_success": lambda traj: trajectory_success(traj, scene, TaskSpec(rest, rest)),
         "phase_deviation": lambda traj: phase_deviation(traj, PhaseSchedule(1.0, 2.0, 3.0)),
         "average_jerk": average_jerk,
         "render_svg": lambda traj: render_svg([traj]),

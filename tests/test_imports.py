@@ -1,10 +1,11 @@
-"""The package's public names, and that scipy is imported on first use, so
-the online path never loads it.
+"""The package's public names, its trusted construction routes, and that
+scipy is imported on first use, so the online path never loads it.
 
 Each scipy check runs in a fresh interpreter, since the test process
 itself has long loaded scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -72,6 +73,26 @@ def test_public_names_are_pinned():
     ]
     for name in gmmgen.__all__:
         assert getattr(gmmgen, name).__module__.startswith("gmmgen.")
+
+
+def trusted_routes() -> set:
+    """(module, class) of every data._trusted(<class>, ...) call in the
+    package's source, the class as its first argument is spelled."""
+    routes = set()
+    for path in sorted(Path(gmmgen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_trusted"):
+                routes.add((path.stem, ast.unparse(node.args[0])))
+    return routes
+
+
+def test_trusted_routes_are_pinned():
+    """data._trusted builds an instance past its constructor's checks, so
+    each (module, class) that calls it is listed here: a new route past a
+    constructor is reviewed, as a new export is."""
+    assert trusted_routes() == {("gmr", "Trajectory"), ("metrics", "EvalReport"),
+                                ("model", "cls"), ("scene", "Pose"), ("scene", "TaskSpec")}
 
 
 def test_every_export_has_its_own_docstring():

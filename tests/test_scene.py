@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from gmmgen.data import Pose, TaskSpec, Trajectory, _dot, _trusted, resample
-from gmmgen.metrics import FailureReason, boundary_error
+from gmmgen.metrics import FailureReason
 from gmmgen.reparam import ReparamConfig
 from gmmgen.scene import (REST_CLEARANCE, SAMPLE_ATTEMPTS, SamplingError, Scene, Slab,
-                          SuccessThresholds, _collision_mask, collision_mask, default_scene,
-                          load_scene, rest_height, sample_task, sample_tasks, save_scene,
-                          scene_collides, scene_to_dict, trajectory_success)
+                          SuccessThresholds, _collision_mask, _verdicts, collision_mask,
+                          default_scene, load_scene, rest_height, sample_task, sample_tasks,
+                          save_scene, scene_collides, scene_to_dict, trajectory_success)
 
 from conftest import mutated
 from helpers import compiled_values
@@ -349,6 +349,26 @@ def test_slab_and_scene_validation():
         SuccessThresholds(max_boundary_pos_mm=0.0)
 
 
+def test_slab_and_scene_store_copies_of_the_callers_arrays(scene):
+    """A caller's array edited after Slab(...) or Scene(...) changes nothing
+    the object stores or caches: the corners and box_dims are read-only
+    copies, so the collision half-box and rest heights keep matching."""
+    lo, hi = np.zeros(3), np.ones(3)
+    slab = Slab(lo, hi)
+    lo[0] = 5.0
+    hi[:] = -1.0
+    assert slab.min_corner.tolist() == [0.0, 0.0, 0.0]
+    assert slab.max_corner.tolist() == [1.0, 1.0, 1.0]
+    dims = np.array(scene.box_dims)
+    own = Scene(scene.slabs, dims, scene.levels, scene.length_range)
+    dims[0] = 9.0
+    assert np.array_equal(own.box_dims, scene.box_dims)
+    assert np.array_equal(own._obstacles[0], scene._obstacles[0])
+    assert np.array_equal(own._rest_heights, scene._rest_heights)
+    for array in (slab.min_corner, slab.max_corner, own.box_dims):
+        assert not array.flags.writeable
+
+
 @pytest.mark.parametrize("field", ["max_boundary_pos_mm", "max_boundary_rot_deg"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_success_thresholds_reject_non_finite(field, value):
@@ -454,20 +474,17 @@ def arc_paths(task):
 def test_trajectory_success_reasons(scene):
     task = arc_task(scene)
     slide, arc = arc_paths(task)
-    assert trajectory_success(slide, scene, boundary_error(slide, task)) == (
-        False, FailureReason.COLLISION)
-    assert trajectory_success(arc, scene, boundary_error(arc, task)) == (
-        True, FailureReason.NONE)
+    assert trajectory_success(slide, scene, task) == (False, FailureReason.COLLISION)
+    assert trajectory_success(arc, scene, task) == (True, FailureReason.NONE)
     # collision-free but ending 50 mm short of the goal
     values = arc.values.copy()
     values[-1, 0] -= 0.05
     miss = Trajectory(arc.times, values)
-    assert trajectory_success(miss, scene, boundary_error(miss, task)) == (
-        False, FailureReason.BOUNDARY)
+    assert trajectory_success(miss, scene, task) == (False, FailureReason.BOUNDARY)
     # a non-pose trajectory is an error, not a failed trial
     flat = Trajectory([0.0, 1.0], np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        trajectory_success(flat, scene, ((0.0, 0.0), (0.0, 0.0)))
+        trajectory_success(flat, scene, task)
 
 
 @pytest.mark.parametrize("endpoint,unit", [(0, 0), (0, 1), (1, 0), (1, 1)],
@@ -476,37 +493,33 @@ def test_trajectory_success_reasons(scene):
                          ids=["default", "custom"])
 def test_trajectory_success_threshold_edges(scene, endpoint, unit, thresholds):
     """Each of the four boundary errors passes at its threshold and fails
-    one float above it; a collision outranks an out-of-bound error."""
+    one float above it; a collision outranks an out-of-bound error.  The
+    errors are set by hand, so this drives _verdicts, which owns the
+    comparison trajectory_success makes."""
     slide, arc = arc_paths(arc_task(scene))
     limit = (thresholds.max_boundary_pos_mm, thresholds.max_boundary_rot_deg)[unit]
 
-    def boundary(error):
-        errors = [[0.0, 0.0], [0.0, 0.0]]
-        errors[endpoint][unit] = error
-        return tuple(map(tuple, errors))
+    def verdict(traj, error):
+        errors = np.zeros((1, 2, 2))
+        errors[0, endpoint, unit] = error
+        sampled = resample(traj, thresholds.collision_samples).values[None]
+        return _verdicts(sampled, scene, errors, thresholds)[0]
 
-    above = boundary(np.nextafter(limit, np.inf))
-    assert trajectory_success(arc, scene, boundary(limit), thresholds) == (
-        True, FailureReason.NONE)
-    assert trajectory_success(arc, scene, above, thresholds) == (
-        False, FailureReason.BOUNDARY)
-    assert trajectory_success(slide, scene, above, thresholds) == (
-        False, FailureReason.COLLISION)
+    above = np.nextafter(limit, np.inf)
+    assert verdict(arc, limit) == (True, FailureReason.NONE)
+    assert verdict(arc, above) == (False, FailureReason.BOUNDARY)
+    assert verdict(slide, above) == (False, FailureReason.COLLISION)
 
 
-@pytest.mark.parametrize("boundary", [
-    ((np.nan, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, np.inf)), ((0.0, -1e9), (0.0, 0.0)),
-    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ((0.0, 0.0), (0.0,)), (0.0, 0.0), "none",
-], ids=["nan", "inf", "negative", "2x3", "ragged", "flat", "string"])
-def test_trajectory_success_rejects_a_bad_boundary(scene, boundary):
-    """A boundary that is not four finite, non-negative errors in a (2, 2)
-    layout is a ValueError naming boundary, not a pass or a broadcast
-    error."""
+@pytest.mark.parametrize("task", [((0.0, 0.0), (0.0, 0.0)), ORIGIN, None],
+                         ids=["boundary", "pose", "none"])
+def test_trajectory_success_rejects_a_task_of_another_type(scene, task):
+    """trajectory_success computes the boundary errors from its task, so
+    anything but a TaskSpec, the former boundary errors included, is a
+    TypeError naming its type."""
     _, arc = arc_paths(arc_task(scene))
-    with pytest.raises(ValueError, match=r"^boundary must be \(\(start_mm, start_deg\), "
-                                         r"\(goal_mm, goal_deg\)\), four finite non-negative "
-                                         r"errors, got "):
-        trajectory_success(arc, scene, boundary)
+    with pytest.raises(TypeError, match=f"^task must be a TaskSpec, got {type(task).__name__}$"):
+        trajectory_success(arc, scene, task)
 
 
 def test_sample_task_translational_keeps_orientation(scene, endpoints):

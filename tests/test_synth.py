@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmmgen.metrics import boundary_error
 from gmmgen.scene import trajectory_success
 from gmmgen.synth import (GRASP_DURATION, NOISE_FREQ_RANGE, NOISE_WAVES, TRANSPORT_DURATION,
                           SynthConfig, _smooth_noise, default_endpoints, generate_demonstrations)
@@ -90,7 +89,7 @@ def test_demos_vary_midway_within_noise_budget(demos, synth_config):
 def test_demos_all_pass_success_check(demos, corpus, scene):
     _, task = corpus
     for demo in demos:
-        ok, reason = trajectory_success(demo, scene, boundary_error(demo, task))
+        ok, reason = trajectory_success(demo, scene, task)
         assert ok, reason
 
 
@@ -113,7 +112,7 @@ def test_retry_shrinks_noise_until_feasible(scene):
     cfg = SynthConfig(n_demos=2, noise_pos=0.25, seed=4)
     demos, task = generate_demonstrations(scene, cfg)
     for demo in demos:
-        ok, _ = trajectory_success(demo, scene, boundary_error(demo, task))
+        ok, _ = trajectory_success(demo, scene, task)
         assert ok
 
 
