@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose, TaskSpec,
-                   Trajectory, _check_int, _check_real, _exp, _frozen_array, _json_numbers,
-                   _read_json, _trusted, _write_json)
+from .data import (EXP_ZERO, GRASP_DURATION, POSE_DIM, RELEASE_DURATION, PhaseSchedule, Pose,
+                   TaskSpec, Trajectory, _check_int, _check_real, _exp, _frozen_array,
+                   _json_numbers, _read_json, _trusted, _write_json)
 
 COLLAPSE_EPS = 1e-12
 KMEANS_MAX_ITERS = 300
@@ -403,35 +403,183 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log densities, (n, G), via Cholesky solves.
+def _sq_distances(rows: np.ndarray, mean: np.ndarray, chol: np.ndarray, g: int) -> np.ndarray:
+    """Squared Mahalanobis distances |chol^-1 (row - mean)|^2 of (m, D+1)
+    rows to component g, (m,).
 
-    One stacked Cholesky factors every component.  Each solve calls LAPACK's
-    dtrtrs with the arguments scipy's solve_triangular(chol, b, lower=True)
-    passes for a C-ordered factor, so the result is bitwise equal to it.
-    The (D+1, n) solution's squared column norms are added row by row below
-    D+1 = 8, where numpy's pairwise sum adds a column one entry after
-    another, so they are bitwise its sum; wider rows take numpy's sum.  A
-    row's densities do not depend on the other rows passed with it, which
-    lets em_fit pass only the distinct rows.
+    Each solve calls LAPACK's dtrtrs with the arguments scipy's
+    solve_triangular(chol, b, lower=True) passes for a C-ordered factor, so
+    the result is bitwise equal to it.  The (D+1, m) solution's squared
+    column norms are added row by row below D+1 = 8, where numpy's pairwise
+    sum adds a column one entry after another, so they are bitwise its sum;
+    wider rows take numpy's sum.  A row's distance does not depend on the
+    other rows passed with it, which lets em_fit pass any subset of the
+    distinct rows.
     """
     from scipy.linalg.lapack import dtrtrs  # on first use: import gmmgen stays numpy-only
 
-    n, d = data.shape
-    out = np.empty((n, len(means)))
-    norm = 0.5 * d * np.log(2.0 * np.pi)
-    for g, chol in enumerate(np.linalg.cholesky(covs)):
-        sol, info = dtrtrs(chol.T, (data - means[g]).T, lower=0, trans=1, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"component {g}: triangular solve failed (info {info})")
-        if d >= 8:
-            sq_norms = (sol**2).sum(axis=0)
-        else:
-            sq_norms = sol[0] * sol[0]
-            for row in sol[1:]:
-                sq_norms += row * row
-        out[:, g] = -norm - np.log(np.diag(chol)).sum() - 0.5 * sq_norms
+    sol, info = dtrtrs(chol.T, (rows - mean).T, lower=0, trans=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"component {g}: triangular solve failed (info {info})")
+    if len(sol) >= 8:
+        return (sol**2).sum(axis=0)
+    sq_norms = sol[0] * sol[0]
+    for row in sol[1:]:
+        sq_norms += row * row
+    return sq_norms
+
+
+def _log_norms(chols: np.ndarray) -> np.ndarray:
+    """Each component's log normalizer -log((2 pi)^((D+1)/2) det L), (G,),
+    from its (D+1, D+1) Cholesky factor L."""
+    d = chols.shape[-1]
+    return -(0.5 * d * np.log(2.0 * np.pi)) - np.log(np.diagonal(chols, 0, 1, 2)).sum(axis=1)
+
+
+def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Per-component Gaussian log densities of every row, (n, G), without
+    the priors: one stacked Cholesky factors every component, and
+    _sq_distances solves each.
+
+    em_fit's E-step (_BoundedEStep) computes these same entries, bitwise,
+    for every pair its bounds cannot certify at least 746 below the row's
+    maximum, and -inf for the others, whose exponentials are +0.0 either
+    way; it solves every pair on the first iteration, after a collapse
+    reset, while a factor is ill-conditioned and while a skipped pair could
+    overflow (em_fit states the certificate and its margins).  em_fit calls
+    this full form to name the row whose distance overflows.
+    """
+    chols = np.linalg.cholesky(covs)
+    out = np.empty((len(data), len(means)))
+    for g, const in enumerate(_log_norms(chols)):
+        out[:, g] = const - 0.5 * _sq_distances(data, means[g], chols[g], g)
     return out
+
+
+# The bounded E-step (see em_fit).  A factor whose error bound eps_g exceeds
+# SOLVE_EPS_MAX is ill-conditioned; pairs are skipped only while every
+# distance is certified below DISTANCE_MAX and every row and mean below its
+# square, far from overflow; and the windows are chosen as if each row's
+# maximum fell by TOP_MARGIN.
+SOLVE_EPS_MAX = 1e-6
+DISTANCE_MAX = 1e150
+TOP_MARGIN = 1.0
+
+
+class _BoundedEStep:
+    """EM's log densities plus log priors over the distinct rows, (n, G),
+    solving only the pairs whose responsibility can be non-zero; a skipped
+    entry is -inf.  em_fit states the certificate and its margins.
+
+    Carried from one call to the next: the lower bounds, (G, n), or None
+    when the next call must solve every pair; the row maxima of the last
+    result; and the factors and means it was solved with.  After a call,
+    windows holds each component's solved row range [lo, hi), (G, 2), or is
+    None where every pair was solved, and fixups counts the pairs the
+    fix-up pass solved.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        with np.errstate(over="ignore"):
+            self.reach = np.sqrt(rows.shape[1]) * np.abs(rows).max()  # >= every row's norm
+        self.lower = self.work = self.top = self.chols = self.means = None
+        self.windows, self.fixups = None, 0
+
+    def forget(self) -> None:
+        """Make the next call solve every pair."""
+        self.lower = None
+
+    def __call__(self, means: np.ndarray, covs: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
+        rows = self.rows
+        n, d = rows.shape
+        with np.errstate(over="raise"):
+            chols = np.linalg.cholesky(covs)
+            consts = _log_norms(chols)
+        with np.errstate(all="ignore"):
+            try:
+                inv = np.linalg.inv(chols)
+            except np.linalg.LinAlgError:  # numerically singular: solve every pair
+                inv = np.full_like(chols, np.nan)
+            inv_norms = np.linalg.norm(inv, axis=(1, 2))
+            eps = 64.0 * d * np.finfo(float).eps * np.linalg.norm(chols, axis=(1, 2)) * inv_norms
+            radius = self.reach + np.linalg.norm(means, axis=1)
+            guarded = bool(eps.max() <= SOLVE_EPS_MAX and radius.max() < DISTANCE_MAX**2
+                           and (radius * inv_norms).max() < DISTANCE_MAX)
+            lower = self._carried(chols, inv, means, eps) if guarded else None
+            if lower is not None:  # each component's window under the guessed row maxima
+                guess = self.top - TOP_MARGIN
+                levels = consts + log_priors - EXP_ZERO
+                certified = _certified(lower, levels, guess, self.work)
+                self.windows = np.where(~certified.all(axis=1)[:, None], np.column_stack(
+                    [certified.argmin(axis=1), n - certified[:, ::-1].argmin(axis=1)]), 0)
+            else:
+                lower = np.empty((len(means), n))
+                self.work = np.empty_like(lower)
+                self.windows = None
+        windows = [(0, n)] * len(means) if self.windows is None else self.windows
+        self.fixups = 0
+        logp = np.full((n, len(means)), -np.inf)
+        with np.errstate(over="raise"):
+            for g, (lo, hi) in enumerate(windows):
+                if lo < hi:
+                    self._solve(logp, lower, slice(lo, hi), g, means, chols, consts, eps)
+            logp += log_priors
+            top = functools.reduce(np.maximum, logp.T)
+            fell = np.flatnonzero(top < guess) if self.windows is not None else ()
+            if len(fell):  # fix-up: solve the skipped pairs these maxima leave uncertified
+                fix = ~_certified(lower[:, fell], levels, top[fell])
+                fix &= (fell < windows[:, :1]) | (fell >= windows[:, 1:])
+                for g in np.flatnonzero(fix.any(axis=1)):
+                    idx = fell[fix[g]]
+                    self._solve(logp, lower, idx, g, means, chols, consts, eps)
+                    logp[idx, g] += log_priors[g]
+                    self.fixups += len(idx)
+                if self.fixups:
+                    top = functools.reduce(np.maximum, logp.T)
+        self.lower = lower if guarded else None
+        self.top, self.chols, self.means = top, chols, means.copy()
+        return logp
+
+    def _solve(self, logp, lower, rows, g, means, chols, consts, eps):
+        """Solve component g on the given rows (a slice or an index array):
+        their log densities into logp's column g and their bounds, reset to
+        the solved distances, into lower's row g."""
+        sq = _sq_distances(self.rows[rows], means[g], chols[g], g)
+        logp[rows, g] = consts[g] - 0.5 * sq
+        lower[g, rows] = np.sqrt(sq) * (1.0 - eps[g])
+
+    def _carried(self, chols, inv, means, eps):
+        """The last call's bounds moved to the new factors and means, in
+        place, or None if there are none or a shift is out of range."""
+        if self.lower is None:
+            return None
+        moved = inv @ self.chols  # L_t^-1 L_{t-1}
+        gram = np.linalg.eigvalsh(np.swapaxes(moved, 1, 2) @ moved)
+        shrink = np.sqrt(np.maximum(gram[:, 0] - 4.0 * eps * gram[:, -1], 0.0))
+        shift = np.linalg.norm(inv @ (means - self.means)[:, :, None], axis=(1, 2))
+        shift *= 1.0 + 2.0 * eps
+        if not shift.max() < DISTANCE_MAX:
+            return None
+        lower = self.lower
+        lower *= shrink[:, None]
+        lower -= shift[:, None]
+        return np.maximum(lower, 0.0, out=lower)
+
+
+def _certified(lower: np.ndarray, levels: np.ndarray, tops: np.ndarray,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """(G, m) flags, True where a pair's bound certifies it below its row:
+    lower_g^2 >= 2 (levels_g - tops_r) / (1 - SOLVE_EPS_MAX), each level
+    c_g + log pi_g + 746 raised by 32 eps_mach of the terms' magnitudes,
+    far above the rounding of the few operations that give an entry and
+    this test.  A nan anywhere certifies nothing.  work, if given, is a
+    scratch array shaped like lower."""
+    levels = levels + 32.0 * np.finfo(float).eps * (np.abs(levels) + np.abs(tops).max())
+    scale = 2.0 / (1.0 - SOLVE_EPS_MAX)
+    work = np.multiply(lower, lower, out=work)
+    work -= (scale * levels)[:, None]
+    return work >= -scale * tops
 
 
 def em_fit(dataset: np.ndarray, init, config: FitConfig):
@@ -463,6 +611,36 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     thirds of the responsibilities' exponents (and of logsumexp's) lie
     below -745.13, where exp is exactly +0.0; data._exp leaves those at
     zero without running numpy's slow underflow path.
+
+    The E-step is bounded (_BoundedEStep): it solves only the (row,
+    component) pairs whose exponent can lie above EXP_ZERO = -746.  Each
+    component g keeps a lower bound lb on every distinct row's distance
+    d_t = |L_t^-1 (x - mu_t)| and carries it to the next iteration as
+    d_t >= s_t d_{t-1} - e_t, with s_t <= sigma_min(L_t^-1 L_{t-1}) (from
+    the eigenvalues of its Gram matrix) and e_t >= |L_t^-1 (mu_t -
+    mu_{t-1})|; a solved pair's bound is reset to its solved distance.
+    eps_g = 64 (D+1) eps_mach |L_g|_F |L_g^-1|_F bounds the relative error
+    of a squared distance the triangular solve computes, and pads each
+    bound outward: s_t^2 by 4 eps_g of the Gram matrix's largest
+    eigenvalue, e_t by a factor 1 + 2 eps_g, a reset bound by 1 - eps_g.  A pair is skipped,
+    its entry -inf, only when c_g + log pi_g - 1/2 (1 - SOLVE_EPS_MAX) lb^2
+    is at least 746 plus a rounding slack of 32 eps_mach of the terms
+    below its row's maximum (c_g is the log normalizer).  Rounding is
+    monotone, so the entry the full E-step would compute then lies at or
+    below -746 after logsumexp's shift by the row maximum and after the
+    responsibilities' shift by the row's larger log-likelihood: it is +0.0
+    in both, skipped or not, and no later value moves.  The rows come out
+    of np.unique in time order, so each component solves one contiguous
+    window [first, last needed) through _sq_distances, whose rows do not
+    depend on each other.  The windows are chosen against the last row
+    maxima less TOP_MARGIN; in each row whose maximum fell further, a
+    fix-up pass then solves every skipped pair the actual maximum leaves
+    uncertified.  Every pair is solved on the first iteration, after a
+    component reset, while a factor is ill-conditioned (eps_g above
+    SOLVE_EPS_MAX), and while a skipped pair could overflow (a row norm
+    plus a mean norm, times |L_g^-1|_F, not certified below DISTANCE_MAX =
+    1e150), so an overflow raises the ValueError above, naming the same
+    row, on the same iteration.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or len(data) < 1:
@@ -491,21 +669,20 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
     global_mean = data.mean(axis=0)
     global_cov = (data - global_mean).T @ (data - global_mean) / n
     rows, inverse = np.unique(data, axis=0, return_inverse=True)
+    e_step = _BoundedEStep(rows)
 
     trace = []
     prev = None
     backup = None
     for _ in range(config.max_iters):
         try:
-            with np.errstate(over="raise"):
-                logp = _log_densities(rows, means, covs)
+            logp = e_step(means, covs, np.log(priors))
         except FloatingPointError:  # name the largest of the rows whose distance overflows
             with np.errstate(over="ignore"):
                 lost = ~np.isfinite(_log_densities(rows, means, covs)).all(axis=1)
             sizes = np.where(lost[inverse], np.abs(data).max(axis=1), -np.inf)
             raise ValueError(f"dataset row {int(sizes.argmax())} is too large to fit: its "
                              "squared Mahalanobis distance to a component overflows") from None
-        logp += np.log(priors)
         row_loglik = logsumexp(logp)
         per_point = row_loglik[inverse]
         loglik = float(per_point.sum())
@@ -526,6 +703,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
                 means[g] = data[worst]
                 covs[g] = global_cov + config.cov_floor * eye
                 mass[g] = 1.0
+                e_step.forget()
                 continue
             means[g] = resp[:, g] @ data / mass[g]
             diff = data - means[g]

@@ -10,7 +10,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from gmmgen import SynthConfig, generate_demonstrations
 from gmmgen import model as model_module
-from gmmgen.data import PhaseSchedule, Pose, TaskSpec, Trajectory
+from gmmgen.data import EXP_ZERO, PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
                           _kmeans_distances, _log_densities, em_fit, fit_gmm, kmeans_init,
                           load_model, logsumexp, model_to_dict, save_model)
@@ -726,20 +726,105 @@ def test_em_fit_matches_oracle_on_repeated_rows(seed, width, n, n_comp):
     assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, init, config))
 
 
+def record_e_steps(patch):
+    """Patch em_fit's E-step to record, per call, the rows of every solve
+    and whether the call solved every pair; returns the list of records.
+
+    Each call is also checked against oracle_log_densities: a solved entry
+    is bitwise the oracle's, and a skipped one (-inf) lies at least 746
+    below its row's maximum, where its exponentials are +0.0."""
+    calls = []
+    step, solve = model_module._BoundedEStep.__call__, model_module._sq_distances
+
+    def stepped(self, means, covs, log_priors):
+        calls.append({"solves": [], "fixups": 0})
+        want = oracle_log_densities(self.rows, means, covs) + log_priors
+        out = step(self, means, covs, log_priors)
+        calls[-1].update(every=self.windows is None, fixups=self.fixups)
+        skipped = np.isneginf(out) & ~np.isneginf(want)
+        assert_bitwise(out[~skipped], want[~skipped])
+        assert (want - want.max(axis=1, keepdims=True) <= EXP_ZERO)[skipped].all()
+        return out
+
+    def solved(rows, *args):
+        calls[-1]["solves"].append(rows.copy())
+        return solve(rows, *args)
+
+    patch.setattr(model_module._BoundedEStep, "__call__", stepped)
+    patch.setattr(model_module, "_sq_distances", solved)
+    return calls
+
+
 def test_em_densities_run_on_distinct_corpus_rows(demos, monkeypatch):
     """808 of the seed-0 corpus's 3505 rows repeat another, mostly in the
-    grasp and release holds; EM computes densities for the 2697 others."""
-    seen = []
-
-    def counted(data, means, covs):
-        seen.append(len(data))
-        return _log_densities(data, means, covs)
-
-    monkeypatch.setattr("gmmgen.model._log_densities", counted)
+    grasp and release holds.  Every solve sees distinct corpus rows only;
+    the first iteration solves all 2697 for each of the 15 components, and
+    the bounded iterations after it solve fewer pairs than that."""
+    calls = record_e_steps(monkeypatch)
     data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
+    distinct = np.unique(data, axis=0)
     _, init = kmeans_init(data, 15, seed=0)
     em_fit(data, init, FitConfig(max_iters=3))
-    assert len(data) == 3505 and seen == [2697] * 3
+    assert len(data) == 3505 and len(distinct) == 2697 and len(calls) == 3
+    for call in calls:
+        for rows in call["solves"]:
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert np.isin(rows.view(np.void), distinct.view(np.void)).all()
+    assert calls[0]["every"] and [len(rows) for rows in calls[0]["solves"]] == [2697] * 15
+    assert all(not call["every"] and sum(map(len, call["solves"])) < 2697 * 15
+               for call in calls[1:])
+
+
+def separated_rows(rng, n, dim, n_true):
+    """n rows [t, x] around n_true centers tens of spreads apart, so that
+    most pairs' log densities lie more than 746 below their row maximum."""
+    centers = np.column_stack([np.sort(rng.uniform(0.0, 100.0, n_true)),
+                               rng.normal(scale=30.0, size=(n_true, dim))])
+    labels = rng.integers(0, n_true, n)
+    spread = rng.uniform(0.05, 0.5, (n_true, dim + 1))
+    return centers[labels] + spread[labels] * rng.normal(size=(n, dim + 1))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([3, 7, 8, 10]),
+       path=st.sampled_from(["skips", "reset", "ill-conditioned", "overflow guard", "fix-up"]))
+def test_bounded_e_step_matches_oracle_on_every_path(seed, width, path):
+    """The bounded E-step skips only pairs whose responsibility is +0.0, so
+    em_fit stays bitwise equal to oracle_em_fit whether it skips pairs or
+    solves every one: on the first iteration (every fit), after a collapse
+    reset, with ill-conditioned factors (a constant column beside a spread
+    of 1e5, so the floored covariances stay ill-conditioned), with a row
+    whose distances the overflow guard cannot certify, and in fix-up
+    passes, forced by guessing every row maximum 1e4 above the last one.
+    Widths 3 and 7 add squared norms row by row, 8 and 10 by numpy's sum."""
+    rng = np.random.default_rng(seed)
+    data = separated_rows(rng, 120, width - 1, 4)
+    if path == "ill-conditioned":
+        data *= 1e5
+        data[:, -1] = 0.5
+    elif path == "overflow guard":
+        data[int(rng.integers(120)), -1] = 1e151
+    _, init = kmeans_init(data, 4, seed=seed % 1000)
+    if path == "reset":  # the last component sits far from every datum, so its mass underflows
+        init[1][-1] = 1e4
+        init[2][-1] = 1e-4 * np.eye(width)
+    config = FitConfig(n_components=4, max_iters=25)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_e_steps(patch)
+        if path == "fix-up":
+            patch.setattr(model_module, "TOP_MARGIN", -1e4)
+        got = em_fit(data, init, config)
+    assert_same_fit(got, oracle_em_fit(data, init, config))
+    assert len(calls) >= 2 and calls[0]["every"]
+    skipped = [not call["every"] for call in calls[1:]]
+    if path == "skips":
+        assert any(skipped)
+    elif path == "reset":
+        assert calls[1]["every"]
+    elif path in ("ill-conditioned", "overflow guard"):
+        assert not any(skipped)
+    else:
+        assert sum(call["fixups"] for call in calls) > 0
 
 
 def test_fit_sorts_the_corpus_rows_once(demos, monkeypatch):
