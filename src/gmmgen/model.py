@@ -444,9 +444,9 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
     em_fit's E-step (_BoundedEStep) computes these same entries, bitwise,
     for every pair its bounds cannot certify at least 746 below the row's
     maximum, and -inf for the others, whose exponentials are +0.0 either
-    way; it solves every pair on the first iteration, after a collapse
-    reset, while a factor is ill-conditioned and while a skipped pair could
-    overflow (em_fit states the certificate and its margins).  em_fit calls
+    way; it solves every pair on the first iteration, while a factor is
+    ill-conditioned and while a skipped pair could overflow (em_fit states
+    the certificate and its margins).  em_fit calls
     this full form to name the row whose distance overflows.
     """
     chols = np.linalg.cholesky(covs)
@@ -483,12 +483,8 @@ class _BoundedEStep:
         self.rows = rows
         with np.errstate(over="ignore"):
             self.reach = np.sqrt(rows.shape[1]) * np.abs(rows).max()  # >= every row's norm
-        self.lower = self.work = self.top = self.chols = self.means = None
+        self.lower = self.top = self.chols = self.means = None
         self.windows, self.fixups = None, 0
-
-    def forget(self) -> None:
-        """Make the next call solve every pair."""
-        self.lower = None
 
     def __call__(self, means: np.ndarray, covs: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
         rows = self.rows
@@ -497,10 +493,7 @@ class _BoundedEStep:
             chols = np.linalg.cholesky(covs)
             consts = _log_norms(chols)
         with np.errstate(all="ignore"):
-            try:
-                inv = np.linalg.inv(chols)
-            except np.linalg.LinAlgError:  # numerically singular: solve every pair
-                inv = np.full_like(chols, np.nan)
+            inv = _inverses(chols)
             inv_norms = np.linalg.norm(inv, axis=(1, 2))
             eps = 64.0 * d * np.finfo(float).eps * np.linalg.norm(chols, axis=(1, 2)) * inv_norms
             radius = self.reach + np.linalg.norm(means, axis=1)
@@ -510,12 +503,11 @@ class _BoundedEStep:
             if lower is not None:  # each component's window under the guessed row maxima
                 guess = self.top - TOP_MARGIN
                 levels = consts + log_priors - EXP_ZERO
-                certified = _certified(lower, levels, guess, self.work)
+                certified = _certified(lower, levels, guess)
                 self.windows = np.where(~certified.all(axis=1)[:, None], np.column_stack(
                     [certified.argmin(axis=1), n - certified[:, ::-1].argmin(axis=1)]), 0)
             else:
                 lower = np.empty((len(means), n))
-                self.work = np.empty_like(lower)
                 self.windows = None
         windows = [(0, n)] * len(means) if self.windows is None else self.windows
         self.fixups = 0
@@ -555,8 +547,11 @@ class _BoundedEStep:
         if self.lower is None:
             return None
         moved = inv @ self.chols  # L_t^-1 L_{t-1}
-        gram = np.linalg.eigvalsh(np.swapaxes(moved, 1, 2) @ moved)
-        shrink = np.sqrt(np.maximum(gram[:, 0] - 4.0 * eps * gram[:, -1], 0.0))
+        gram = np.swapaxes(moved, 1, 2) @ moved
+        top = np.abs(gram).sum(axis=2).max(axis=1)  # >= its largest eigenvalue
+        spread = _radius_bound(np.eye(len(gram[0])) - gram / top[:, None, None])
+        smallest = top * (1.0 - spread)  # <= its smallest eigenvalue
+        shrink = np.sqrt(np.maximum(smallest - 4.0 * eps * top, 0.0))
         shift = np.linalg.norm(inv @ (means - self.means)[:, :, None], axis=(1, 2))
         shift *= 1.0 + 2.0 * eps
         if not shift.max() < DISTANCE_MAX:
@@ -567,19 +562,47 @@ class _BoundedEStep:
         return np.maximum(lower, 0.0, out=lower)
 
 
-def _certified(lower: np.ndarray, levels: np.ndarray, tops: np.ndarray,
-               work: np.ndarray | None = None) -> np.ndarray:
+def _inverses(chols: np.ndarray) -> np.ndarray:
+    """The inverses of (G, D+1, D+1) lower-triangular factors, each solved
+    by the dtrtrs kernel _sq_distances loads; all nan for a singular one."""
+    from scipy.linalg.lapack import dtrtrs
+
+    eye = np.eye(chols.shape[-1])
+    out = np.empty_like(chols)
+    for g, chol in enumerate(chols):
+        out[g], info = dtrtrs(chol, eye, lower=1)
+        if info != 0:
+            out[g] = np.nan
+    return out
+
+
+def _radius_bound(a: np.ndarray, squarings: int = 4) -> np.ndarray:
+    """Upper bounds on the spectral radii of (m, k, k) matrices, (m,), from
+    rho(A)^(2^j) = rho(A^(2^j)) <= |A^(2^j)|_F; each square is taken of the
+    last one scaled to unit Frobenius norm.  For a symmetric A the bound is
+    at most k^(1/2^(j+1)) rho(A): 1.07 rho(A) for k = 8 and j = 4.  It takes
+    matrix products only, as cheap here as an eigenvalue solver."""
+    scales = []
+    for _ in range(squarings):
+        norm = np.linalg.norm(a, axis=(1, 2))
+        scales.append(np.where(norm > 0.0, norm, 1.0))  # a zero matrix stays zero
+        a = a / scales[-1][:, None, None]
+        a = a @ a
+    bound = np.linalg.norm(a, axis=(1, 2))
+    for scale in reversed(scales):
+        bound = scale * np.sqrt(bound)
+    return bound
+
+
+def _certified(lower: np.ndarray, levels: np.ndarray, tops: np.ndarray) -> np.ndarray:
     """(G, m) flags, True where a pair's bound certifies it below its row:
     lower_g^2 >= 2 (levels_g - tops_r) / (1 - SOLVE_EPS_MAX), each level
     c_g + log pi_g + 746 raised by 32 eps_mach of the terms' magnitudes,
     far above the rounding of the few operations that give an entry and
-    this test.  A nan anywhere certifies nothing.  work, if given, is a
-    scratch array shaped like lower."""
+    this test.  A nan anywhere certifies nothing."""
     levels = levels + 32.0 * np.finfo(float).eps * (np.abs(levels) + np.abs(tops).max())
     scale = 2.0 / (1.0 - SOLVE_EPS_MAX)
-    work = np.multiply(lower, lower, out=work)
-    work -= (scale * levels)[:, None]
-    return work >= -scale * tops
+    return lower * lower - (scale * levels)[:, None] >= -scale * tops
 
 
 def em_fit(dataset: np.ndarray, init, config: FitConfig):
@@ -614,33 +637,35 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
 
     The E-step is bounded (_BoundedEStep): it solves only the (row,
     component) pairs whose exponent can lie above EXP_ZERO = -746.  Each
-    component g keeps a lower bound lb on every distinct row's distance
-    d_t = |L_t^-1 (x - mu_t)| and carries it to the next iteration as
-    d_t >= s_t d_{t-1} - e_t, with s_t <= sigma_min(L_t^-1 L_{t-1}) (from
-    the eigenvalues of its Gram matrix) and e_t >= |L_t^-1 (mu_t -
-    mu_{t-1})|; a solved pair's bound is reset to its solved distance.
-    eps_g = 64 (D+1) eps_mach |L_g|_F |L_g^-1|_F bounds the relative error
-    of a squared distance the triangular solve computes, and pads each
-    bound outward: s_t^2 by 4 eps_g of the Gram matrix's largest
-    eigenvalue, e_t by a factor 1 + 2 eps_g, a reset bound by 1 - eps_g.  A pair is skipped,
-    its entry -inf, only when c_g + log pi_g - 1/2 (1 - SOLVE_EPS_MAX) lb^2
-    is at least 746 plus a rounding slack of 32 eps_mach of the terms
-    below its row's maximum (c_g is the log normalizer).  Rounding is
-    monotone, so the entry the full E-step would compute then lies at or
-    below -746 after logsumexp's shift by the row maximum and after the
-    responsibilities' shift by the row's larger log-likelihood: it is +0.0
-    in both, skipped or not, and no later value moves.  The rows come out
-    of np.unique in time order, so each component solves one contiguous
-    window [first, last needed) through _sq_distances, whose rows do not
-    depend on each other.  The windows are chosen against the last row
-    maxima less TOP_MARGIN; in each row whose maximum fell further, a
+    component g keeps a lower bound lb on every distinct row's distance d_t
+    = |L_t^-1 (x - mu_t)| and carries it to the next iteration as d_t >= s_t
+    d_{t-1} - e_t, with s_t <= sigma_min(L_t^-1 L_{t-1}) and e_t >= |L_t^-1
+    (mu_t - mu_{t-1})|; a solved pair's bound is reset to its solved
+    distance.  s_t^2 is h (1 - r), the smallest eigenvalue of the Gram matrix
+    H of L_t^-1 L_{t-1} or less: h is H's largest absolute row sum, and r
+    bounds the spectral radius of I - H / h (_radius_bound).  The carried bound
+    holds across any change of a mean or factor, a collapse reset's
+    included.  eps_g = 64 (D+1) eps_mach |L_g|_F |L_g^-1|_F bounds the
+    relative error of a squared distance the triangular solve computes, and
+    pads each bound outward: s_t^2 by 4 eps_g h, e_t by a factor 1 + 2
+    eps_g, a solved bound by 1 - eps_g.  A
+    pair is skipped, its entry -inf, only when c_g + log pi_g - 1/2 (1 -
+    SOLVE_EPS_MAX) lb^2 is at least 746 plus a rounding slack of 32 eps_mach
+    of the terms below its row's maximum (c_g is the log normalizer).
+    Rounding is monotone, so the entry the full E-step would compute then
+    lies at or below -746 after logsumexp's shift by the row maximum and
+    after the responsibilities' shift by the row's larger log-likelihood: it
+    is +0.0 in both, skipped or not, and no later value moves.  The rows
+    come out of np.unique in time order, so each component solves one
+    contiguous window [first, last needed) through _sq_distances, whose rows
+    do not depend on each other.  The windows are chosen against the last
+    row maxima less TOP_MARGIN; in each row whose maximum fell further, a
     fix-up pass then solves every skipped pair the actual maximum leaves
-    uncertified.  Every pair is solved on the first iteration, after a
-    component reset, while a factor is ill-conditioned (eps_g above
-    SOLVE_EPS_MAX), and while a skipped pair could overflow (a row norm
-    plus a mean norm, times |L_g^-1|_F, not certified below DISTANCE_MAX =
-    1e150), so an overflow raises the ValueError above, naming the same
-    row, on the same iteration.
+    uncertified.  Every pair is solved on the first iteration, while a
+    factor is ill-conditioned (eps_g above SOLVE_EPS_MAX), and while a
+    skipped pair could overflow (a row norm plus a mean norm, times
+    |L_g^-1|_F, not certified below DISTANCE_MAX = 1e150), so an overflow
+    raises the ValueError above, naming the same row, on the same iteration.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or len(data) < 1:
@@ -703,7 +728,6 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
                 means[g] = data[worst]
                 covs[g] = global_cov + config.cov_floor * eye
                 mass[g] = 1.0
-                e_step.forget()
                 continue
             means[g] = resp[:, g] @ data / mass[g]
             diff = data - means[g]

@@ -18,39 +18,24 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gmmgen import FitConfig, SynthConfig, default_scene, generate_demonstrations  # noqa: E402
 from gmmgen import model  # noqa: E402
+from helpers import record_e_steps  # noqa: E402
 
 
 def solve_stats(seed: int) -> tuple[int, list[dict]]:
-    """(distinct row count, one record per EM iteration) of the seed's fit."""
+    """(distinct row count, helpers.record_e_steps' records) of the seed's fit."""
     demos, _ = generate_demonstrations(default_scene(), SynthConfig(seed=seed))
     data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
     config = FitConfig()
     _, init = model.kmeans_init(data, config.n_components, config.seed, config.cov_floor)
-    records = []
-    step, solve = model._BoundedEStep.__call__, model._sq_distances
-
-    def stepped(self, *args):
-        records.append({"pairs": 0})
-        out = step(self, *args)
-        windows = self.windows
-        records[-1].update(every=windows is None, fixups=self.fixups,
-                           widths=None if windows is None else windows[:, 1] - windows[:, 0])
-        return out
-
-    def solved(rows, *args):
-        records[-1]["pairs"] += len(rows)
-        return solve(rows, *args)
-
-    model._BoundedEStep.__call__, model._sq_distances = stepped, solved
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        records = record_e_steps(patch)
         model.em_fit(data, init, config)
-    finally:
-        model._BoundedEStep.__call__, model._sq_distances = step, solve
     return len(np.unique(data, axis=0)), records
 
 
@@ -64,19 +49,20 @@ def main(argv=None) -> None:
           f"components = {total} pairs per iteration")
     print(f"{'iter':>4} {'solved':>7} {'share':>6} {'win min':>7} {'median':>7} {'max':>7} "
           f"{'fix-ups':>7}  every pair")
-    for i, rec in enumerate(records, 1):
-        widths = rec["widths"]
+    pairs = [sum(map(len, rec["solves"])) for rec in records]
+    every = [rec["windows"] is None for rec in records]
+    for i, (rec, solved) in enumerate(zip(records, pairs), 1):
+        windows = rec["windows"]
+        widths = None if windows is None else windows[:, 1] - windows[:, 0]
         spans = ("-", "-", "-") if widths is None else (
             int(widths.min()), int(np.median(widths)), int(widths.max()))
-        print(f"{i:>4} {rec['pairs']:>7} {rec['pairs'] / total:>6.3f} {spans[0]:>7} "
-              f"{spans[1]:>7} {spans[2]:>7} {rec['fixups']:>7}  {'yes' if rec['every'] else ''}")
-    every = [i for i, rec in enumerate(records, 1) if rec["every"]]
-    bounded = [rec["pairs"] / total for rec in records if not rec["every"]]
-    share = sum(rec["pairs"] for rec in records) / (total * len(records))
-    print(f"{len(records)} iterations; solved {share:.3f} "
+        print(f"{i:>4} {solved:>7} {solved / total:>6.3f} {spans[0]:>7} "
+              f"{spans[1]:>7} {spans[2]:>7} {rec['fixups']:>7}  {'yes' if every[i - 1] else ''}")
+    bounded = [solved / total for solved, full in zip(pairs, every) if not full]
+    print(f"{len(records)} iterations; solved {sum(pairs) / (total * len(records)):.3f} "
           f"of all pairs, {np.mean(bounded) if bounded else float('nan'):.3f} on bounded "
           f"iterations; {sum(r['fixups'] for r in records)} fix-up pairs; every pair solved "
-          f"on iterations {every}")
+          f"on iterations {[i for i, full in enumerate(every, 1) if full]}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ operation order that makes them bitwise equal to generalize()'s kernels.
 import numpy as np
 from hypothesis import assume
 
+from gmmgen import model as model_module
 from gmmgen.bench import model_endpoints
 from gmmgen.data import PhaseSchedule, Pose, TaskSpec
 from gmmgen.model import GmmModel
@@ -231,3 +232,31 @@ def adapt_pool(model, scene, seed=1):
     start, goal = model_endpoints(model)
     return [sample_task(scene, ("translational", "combined")[i % 2], rng, start, goal)
             for i in range(32)]
+
+
+def record_e_steps(patch, check=None):
+    """Patch em_fit's bounded E-step through patch (a pytest MonkeyPatch) to
+    record each call; returns the list of records, one per call.
+
+    A record holds the rows of every solve ("solves", in order), the
+    windows the call solved ("windows", None where it solved every pair)
+    and its fix-up pairs ("fixups").  check, if given, is called as
+    check(e_step, means, covs, log_priors, out) after each call."""
+    calls = []
+    step, solve = model_module._BoundedEStep.__call__, model_module._sq_distances
+
+    def stepped(self, means, covs, log_priors):
+        calls.append({"solves": []})
+        out = step(self, means, covs, log_priors)
+        calls[-1].update(windows=self.windows, fixups=self.fixups)
+        if check is not None:
+            check(self, means, covs, log_priors, out)
+        return out
+
+    def solved(rows, *args):
+        calls[-1]["solves"].append(rows)
+        return solve(rows, *args)
+
+    patch.setattr(model_module._BoundedEStep, "__call__", stepped)
+    patch.setattr(model_module, "_sq_distances", solved)
+    return calls

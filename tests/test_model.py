@@ -12,12 +12,14 @@ from gmmgen import SynthConfig, generate_demonstrations
 from gmmgen import model as model_module
 from gmmgen.data import EXP_ZERO, PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
-                          _kmeans_distances, _log_densities, em_fit, fit_gmm, kmeans_init,
-                          load_model, logsumexp, model_to_dict, save_model)
+                          _inverses, _kmeans_distances, _log_densities, _radius_bound, em_fit,
+                          fit_gmm, kmeans_init, load_model, logsumexp, model_to_dict,
+                          save_model)
 from gmmgen.reparam import ReparamConfig, generalize
 from gmmgen.scene import sample_task
 
 from conftest import assert_monotone_loglik
+from helpers import record_e_steps
 
 PHASES_1S = PhaseSchedule(0.2, 0.8, 1.0)
 
@@ -726,33 +728,17 @@ def test_em_fit_matches_oracle_on_repeated_rows(seed, width, n, n_comp):
     assert_same_fit(em_fit(data, init, config), oracle_em_fit(data, init, config))
 
 
-def record_e_steps(patch):
-    """Patch em_fit's E-step to record, per call, the rows of every solve
-    and whether the call solved every pair; returns the list of records.
-
-    Each call is also checked against oracle_log_densities: a solved entry
-    is bitwise the oracle's, and a skipped one (-inf) lies at least 746
-    below its row's maximum, where its exponentials are +0.0."""
-    calls = []
-    step, solve = model_module._BoundedEStep.__call__, model_module._sq_distances
-
-    def stepped(self, means, covs, log_priors):
-        calls.append({"solves": [], "fixups": 0})
-        want = oracle_log_densities(self.rows, means, covs) + log_priors
-        out = step(self, means, covs, log_priors)
-        calls[-1].update(every=self.windows is None, fixups=self.fixups)
+def checked_e_steps(patch):
+    """record_e_steps, checking each call against oracle_log_densities: a
+    solved entry is bitwise the oracle's, and a skipped one (-inf) lies at
+    least 746 below its row's maximum, where its exponentials are +0.0."""
+    def check(e_step, means, covs, log_priors, out):
+        want = oracle_log_densities(e_step.rows, means, covs) + log_priors
         skipped = np.isneginf(out) & ~np.isneginf(want)
         assert_bitwise(out[~skipped], want[~skipped])
         assert (want - want.max(axis=1, keepdims=True) <= EXP_ZERO)[skipped].all()
-        return out
 
-    def solved(rows, *args):
-        calls[-1]["solves"].append(rows.copy())
-        return solve(rows, *args)
-
-    patch.setattr(model_module._BoundedEStep, "__call__", stepped)
-    patch.setattr(model_module, "_sq_distances", solved)
-    return calls
+    return record_e_steps(patch, check)
 
 
 def test_em_densities_run_on_distinct_corpus_rows(demos, monkeypatch):
@@ -760,7 +746,7 @@ def test_em_densities_run_on_distinct_corpus_rows(demos, monkeypatch):
     grasp and release holds.  Every solve sees distinct corpus rows only;
     the first iteration solves all 2697 for each of the 15 components, and
     the bounded iterations after it solve fewer pairs than that."""
-    calls = record_e_steps(monkeypatch)
+    calls = checked_e_steps(monkeypatch)
     data = np.vstack([np.column_stack([d.times, d.values]) for d in demos])
     distinct = np.unique(data, axis=0)
     _, init = kmeans_init(data, 15, seed=0)
@@ -770,8 +756,9 @@ def test_em_densities_run_on_distinct_corpus_rows(demos, monkeypatch):
         for rows in call["solves"]:
             assert len(np.unique(rows, axis=0)) == len(rows)
             assert np.isin(rows.view(np.void), distinct.view(np.void)).all()
-    assert calls[0]["every"] and [len(rows) for rows in calls[0]["solves"]] == [2697] * 15
-    assert all(not call["every"] and sum(map(len, call["solves"])) < 2697 * 15
+    assert calls[0]["windows"] is None
+    assert [len(rows) for rows in calls[0]["solves"]] == [2697] * 15
+    assert all(call["windows"] is not None and sum(map(len, call["solves"])) < 2697 * 15
                for call in calls[1:])
 
 
@@ -791,12 +778,14 @@ def separated_rows(rng, n, dim, n_true):
 def test_bounded_e_step_matches_oracle_on_every_path(seed, width, path):
     """The bounded E-step skips only pairs whose responsibility is +0.0, so
     em_fit stays bitwise equal to oracle_em_fit whether it skips pairs or
-    solves every one: on the first iteration (every fit), after a collapse
-    reset, with ill-conditioned factors (a constant column beside a spread
+    solves every one: on the first iteration (every fit), with
+    ill-conditioned factors (a constant column beside a spread
     of 1e5, so the floored covariances stay ill-conditioned), with a row
     whose distances the overflow guard cannot certify, and in fix-up
     passes, forced by guessing every row maximum 1e4 above the last one.
-    Widths 3 and 7 add squared norms row by row, 8 and 10 by numpy's sum."""
+    After a collapse reset the carried bounds still hold, so the reset path
+    skips pairs too.  Widths 3 and 7 add squared norms row by row, 8 and 10
+    by numpy's sum."""
     rng = np.random.default_rng(seed)
     data = separated_rows(rng, 120, width - 1, 4)
     if path == "ill-conditioned":
@@ -810,21 +799,47 @@ def test_bounded_e_step_matches_oracle_on_every_path(seed, width, path):
         init[2][-1] = 1e-4 * np.eye(width)
     config = FitConfig(n_components=4, max_iters=25)
     with pytest.MonkeyPatch.context() as patch:
-        calls = record_e_steps(patch)
+        calls = checked_e_steps(patch)
         if path == "fix-up":
             patch.setattr(model_module, "TOP_MARGIN", -1e4)
         got = em_fit(data, init, config)
     assert_same_fit(got, oracle_em_fit(data, init, config))
-    assert len(calls) >= 2 and calls[0]["every"]
-    skipped = [not call["every"] for call in calls[1:]]
+    assert len(calls) >= 2 and calls[0]["windows"] is None
+    skipped = [call["windows"] is not None for call in calls[1:]]
     if path == "skips":
         assert any(skipped)
-    elif path == "reset":
-        assert calls[1]["every"]
+    elif path == "reset":  # the first M-step moves the last mean onto a datum
+        moved = em_fit(data, init, FitConfig(n_components=4, max_iters=1))[0][1][-1]
+        assert (data == moved).all(axis=1).any()
     elif path in ("ill-conditioned", "overflow guard"):
         assert not any(skipped)
     else:
         assert sum(call["fixups"] for call in calls) > 0
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+       scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e100]))
+def test_radius_bound_brackets_the_spectral_radius(seed, k, scale):
+    """_radius_bound is never below a symmetric matrix's spectral radius and
+    at most k^(1/32) above it, on spread and on near-identity spectra (the
+    E-step's I - H / h); a zero matrix gives 0.  _inverses inverts each
+    factor as np.linalg.inv does and gives nan for a singular one."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(6, k, k))
+    a = a + np.swapaxes(a, 1, 2)
+    a[1] = np.eye(k) + 1e-6 * a[1]
+    a[2] = 0.0
+    a *= scale
+    radius = np.abs(np.linalg.eigvalsh(a)).max(axis=1)
+    bound = _radius_bound(a)
+    assert (bound >= radius * (1.0 - 1e-12)).all()
+    assert (bound <= radius * k ** (1 / 32) * (1.0 + 1e-12)).all()
+    assert bound[2] == 0.0
+    chols = np.linalg.cholesky(a[[0]] @ a[[0]] + np.eye(k)[None])
+    np.testing.assert_allclose(_inverses(chols), np.linalg.inv(chols), rtol=1e-9, atol=1e-12)
+    chols[0, -1, -1] = 0.0
+    assert np.isnan(_inverses(chols)).all()
 
 
 def test_fit_sorts_the_corpus_rows_once(demos, monkeypatch):
