@@ -576,14 +576,15 @@ def _inverses(chols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radius_bound(a: np.ndarray, squarings: int = 4) -> np.ndarray:
+def _radius_bound(a: np.ndarray) -> np.ndarray:
     """Upper bounds on the spectral radii of (m, k, k) matrices, (m,), from
-    rho(A)^(2^j) = rho(A^(2^j)) <= |A^(2^j)|_F; each square is taken of the
-    last one scaled to unit Frobenius norm.  For a symmetric A the bound is
-    at most k^(1/2^(j+1)) rho(A): 1.07 rho(A) for k = 8 and j = 4.  It takes
-    matrix products only, as cheap here as an eigenvalue solver."""
+    rho(A)^(2^j) = rho(A^(2^j)) <= |A^(2^j)|_F with j = 4; each square is
+    taken of the last one scaled to unit Frobenius norm.  For a symmetric A
+    the bound is at most k^(1/2^(j+1)) rho(A), 1.07 rho(A) for k = 8.  Made
+    of matrix products only, it is as fast here as an eigenvalue solver,
+    whose LAPACK code would add to the resident memory of every fit."""
     scales = []
-    for _ in range(squarings):
+    for _ in range(4):
         norm = np.linalg.norm(a, axis=(1, 2))
         scales.append(np.where(norm > 0.0, norm, 1.0))  # a zero matrix stays zero
         a = a / scales[-1][:, None, None]
