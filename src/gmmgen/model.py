@@ -8,7 +8,6 @@ component, sorted by time center, of fitted and generalized mixtures.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -374,32 +373,60 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(row))) of each row of an (n, G) array with G >= 1,
-    bitwise equal to scipy.special.logsumexp(a, axis=1).
+    """log(sum(exp(column))) of each column of a (G, n) array with G >= 1,
+    bitwise equal to scipy.special.logsumexp(np.ascontiguousarray(a.T),
+    axis=1) whatever a's layout (scipy's sums follow its input's layout).
 
-    Follows scipy's steps: the m entries equal to the row's maximum are
+    Follows scipy's steps: the m entries equal to the column's maximum are
     left out of the shifted sum s, and the result is log1p(s / m) + log(m)
-    + max.  A row whose result is not finite (all -inf, or an infinite or
-    nan entry) takes log(sum(exp(row))) instead, as scipy's does.
+    + max.  A column whose result is not finite (all -inf, or an infinite
+    or nan entry) takes log(sum(exp(column))) instead, as scipy's does.
 
-    Tuned for EM's rows of a few dozen entries: the maximum is one
-    np.maximum call per column, cheaper than a.max(axis=1) on short rows
-    (a maximum is exact in any order and propagates nan as a.max does).
-    The shifted sum's exponentials go through data._exp, which skips the
-    entries exp rounds to 0, so the sum is bitwise the same.
+    Laid out for EM's log densities, one row per component: the maximum
+    and both sums run over whole rows, the sums in the order numpy adds
+    each of scipy's rows (_column_sums).  The shifted sum's exponentials go
+    through data._exp, which skips the entries exp rounds to 0, so the sum
+    is bitwise the same.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = functools.reduce(np.maximum, a.T)
-        at_top = a == top[:, None]
-        m = at_top.sum(axis=1, dtype=float)
-        rest = a.copy(order="K")
-        rest[at_top] = -np.inf
-        s = _exp(rest - top[:, None]).sum(axis=1)
+        top = a.max(axis=0)
+        at_top = a == top
+        m = at_top.sum(axis=0, dtype=float)
+        rest = np.where(at_top, -np.inf, a)
+        rest -= top
+        s = _column_sums(_exp(rest))
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + top
         lost = ~np.isfinite(out)
         if lost.any():
-            out[lost] = np.log(np.exp(a).sum(axis=1))[lost]
+            out[lost] = np.log(_column_sums(np.exp(a[:, lost])))
+    return out
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """The sums over the rows of a (G, n) array, (n,), bitwise
+    np.ascontiguousarray(a.T).sum(axis=1), added whole rows at a time.
+
+    numpy sums a contiguous row of G entries pairwise (Higham 1993): below
+    8 entries one after another; up to 128 in 8 interleaved accumulators
+    combined as a tree, then the rest one after another; and a longer row
+    as its two halves, split at a multiple of 8.  The reduction starts from
+    +0.0, which only turns an all -0.0 sum into +0.0.
+    """
+    g = len(a)
+    if g > 128:
+        half = g // 2 - g // 2 % 8
+        return _column_sums(a[:half]) + _column_sums(a[half:])
+    out = np.zeros(a.shape[1:])
+    tail = g - g % 8
+    if tail:
+        acc = a[:8]
+        for i in range(8, tail, 8):
+            acc = acc + a[i:i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        out += (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in a[tail:]:
+        out += row
     return out
 
 
@@ -441,13 +468,13 @@ def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.
     the priors: one stacked Cholesky factors every component, and
     _sq_distances solves each.
 
-    em_fit's E-step (_BoundedEStep) computes these same entries, bitwise,
-    for every pair its bounds cannot certify at least 746 below the row's
-    maximum, and -inf for the others, whose exponentials are +0.0 either
-    way; it solves every pair on the first iteration, while a factor is
-    ill-conditioned and while a skipped pair could overflow (em_fit states
-    the certificate and its margins).  em_fit calls
-    this full form to name the row whose distance overflows.
+    em_fit's E-step (_BoundedEStep) computes these same entries, bitwise
+    and transposed to (G, n), for every pair its bounds cannot certify at
+    least 746 below the row's maximum, and -inf for the others, whose
+    exponentials are +0.0 either way; it solves every pair on the first
+    iteration, while a factor is ill-conditioned and while a skipped pair
+    could overflow (em_fit states the certificate and its margins).  em_fit
+    calls this full form to name the row whose distance overflows.
     """
     chols = np.linalg.cholesky(covs)
     out = np.empty((len(data), len(means)))
@@ -467,9 +494,10 @@ TOP_MARGIN = 1.0
 
 
 class _BoundedEStep:
-    """EM's log densities plus log priors over the distinct rows, (n, G),
-    solving only the pairs whose responsibility can be non-zero; a skipped
-    entry is -inf.  em_fit states the certificate and its margins.
+    """EM's log densities plus log priors over the distinct rows,
+    component-major (G, n), solving only the pairs whose responsibility can
+    be non-zero; a skipped entry is -inf.  em_fit states the certificate
+    and its margins.
 
     Carried from one call to the next: the lower bounds, (G, n), or None
     when the next call must solve every pair; the row maxima of the last
@@ -511,13 +539,13 @@ class _BoundedEStep:
                 self.windows = None
         windows = [(0, n)] * len(means) if self.windows is None else self.windows
         self.fixups = 0
-        logp = np.full((n, len(means)), -np.inf)
+        logp = np.full((len(means), n), -np.inf)
         with np.errstate(over="raise"):
             for g, (lo, hi) in enumerate(windows):
                 if lo < hi:
                     self._solve(logp, lower, slice(lo, hi), g, means, chols, consts, eps)
-            logp += log_priors
-            top = functools.reduce(np.maximum, logp.T)
+            logp += log_priors[:, None]
+            top = logp.max(axis=0)
             fell = np.flatnonzero(top < guess) if self.windows is not None else ()
             if len(fell):  # fix-up: solve the skipped pairs these maxima leave uncertified
                 fix = ~_certified(lower[:, fell], levels, top[fell])
@@ -525,20 +553,20 @@ class _BoundedEStep:
                 for g in np.flatnonzero(fix.any(axis=1)):
                     idx = fell[fix[g]]
                     self._solve(logp, lower, idx, g, means, chols, consts, eps)
-                    logp[idx, g] += log_priors[g]
+                    logp[g, idx] += log_priors[g]
                     self.fixups += len(idx)
                 if self.fixups:
-                    top = functools.reduce(np.maximum, logp.T)
+                    top = logp.max(axis=0)
         self.lower = lower if guarded else None
         self.top, self.chols, self.means = top, chols, means.copy()
         return logp
 
     def _solve(self, logp, lower, rows, g, means, chols, consts, eps):
         """Solve component g on the given rows (a slice or an index array):
-        their log densities into logp's column g and their bounds, reset to
-        the solved distances, into lower's row g."""
+        their log densities and their bounds, reset to the solved
+        distances, into row g of logp and of lower."""
         sq = _sq_distances(self.rows[rows], means[g], chols[g], g)
-        logp[rows, g] = consts[g] - 0.5 * sq
+        logp[g, rows] = consts[g] - 0.5 * sq
         lower[g, rows] = np.sqrt(sq) * (1.0 - eps[g])
 
     def _carried(self, chols, inv, means, eps):
@@ -709,7 +737,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
             sizes = np.where(lost[inverse], np.abs(data).max(axis=1), -np.inf)
             raise ValueError(f"dataset row {int(sizes.argmax())} is too large to fit: its "
                              "squared Mahalanobis distance to a component overflows") from None
-        row_loglik = logsumexp(logp)
+        row_loglik = logsumexp(logp)  # logp is (G, n): one column per distinct row
         per_point = row_loglik[inverse]
         loglik = float(per_point.sum())
         if prev is not None and loglik < prev:
@@ -721,7 +749,7 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
         prev = loglik
         backup = (priors.copy(), means.copy(), covs.copy())
 
-        resp = _exp(logp - row_loglik[:, None])[inverse]
+        resp = _exp(logp - row_loglik).T[inverse]
         mass = resp.sum(axis=0)
         for g in range(n_comp):
             if mass[g] < COLLAPSE_EPS:

@@ -311,6 +311,43 @@ def test_csv_errors_name_the_row(tmp_path):
         load_trajectory(tmp_path / "missing.csv")
 
 
+def test_csv_parses_alike_with_and_without_blank_lines(tmp_path):
+    """A file of data rows only is parsed in one numpy conversion, and a
+    file with a blank line row by row with float(); both give float()'s
+    values, bit for bit, on cells float() reads in its own ways."""
+    cells = [["0", "5.", "-0", "1_0e-1", "+.25", " 0.5 ", "-1e-400"],
+             ["1e0", "0.1", "\u0661", "-0.0", "0.3", "1_000e-3", "2.5e-1"],
+             ["2", "  -.5", "0", "0", "0", "0", "0"]]
+    rows = [",".join(row) for row in cells]
+    want = np.array([[float(cell) for cell in row] for row in cells])
+    for name, lines in (("fast", rows), ("loop", rows[:1] + [""] + rows[1:] + ["  "])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join([CSV_HEADER] + lines) + "\n", encoding="utf-8")
+        back = load_trajectory(path)
+        assert back.times.tobytes() == want[:, 0].tobytes()
+        assert back.values.tobytes() == np.ascontiguousarray(want[:, 1:]).tobytes()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,0,0,0,0,0,0\n\n1,0,0,0,0,0,0\n2,0,0,nan,0,0,0\n", "row 5: non-finite value"),
+    ("0,0,0,0,0,0,0\n1,0,0,0,0,0,0,0\n", "row 3: expected 7 columns, got 8"),
+    ("0,0,0,0,0,0,0\n1,0,0,0x10,0,0,0\n", "row 3: non-numeric value"),
+    ("0,0,0,0,0,0,0\n1,0,nan,0,0,0,0\n", "row 3: non-finite value"),
+    ("0,0,0,0,0,0,0\n", "needs at least two data rows"),
+    ("", "needs at least two data rows"),
+])
+def test_csv_errors_keep_their_message_and_row(tmp_path, body, message):
+    """The whole message, row number included, whichever parse reads the
+    file: a blank line or a row of the wrong width takes the row loop, a
+    non-numeric cell fails the one-conversion parse and the row loop words
+    it, and a nan cell or a single row passes the parse to the row rules."""
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + body)
+    with pytest.raises(TrajectoryFormatError) as err:
+        load_trajectory(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def _accepts(build) -> bool:
     try:
         build()

@@ -731,8 +731,10 @@ def test_em_fit_matches_oracle_on_repeated_rows(seed, width, n, n_comp):
 def checked_e_steps(patch):
     """record_e_steps, checking each call against oracle_log_densities: a
     solved entry is bitwise the oracle's, and a skipped one (-inf) lies at
-    least 746 below its row's maximum, where its exponentials are +0.0."""
+    least 746 below its row's maximum, where its exponentials are +0.0.
+    The E-step's output is component-major, (G, n): it is read transposed."""
     def check(e_step, means, covs, log_priors, out):
+        out = out.T
         want = oracle_log_densities(e_step.rows, means, covs) + log_priors
         skipped = np.isneginf(out) & ~np.isneginf(want)
         assert_bitwise(out[~skipped], want[~skipped])
@@ -943,23 +945,57 @@ def logsumexp_rows(rng, n_rows, n_cols):
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40), n_cols=st.integers(1, 20))
 def test_logsumexp_matches_scipy_bitwise(seed, n_rows, n_cols):
-    """Over the rows of the array and of its transpose, a strided view."""
+    """Over the rows of the array and of its transpose.  logsumexp reduces
+    the columns of a (G, n) array, in the order scipy's reduces C-ordered
+    (n, G) rows (scipy's own order follows its input's memory layout), so
+    each is passed transposed, both as a strided view and contiguous."""
     a = logsumexp_rows(np.random.default_rng(seed), n_rows, n_cols)
-    for rows in (a, a.T):
-        assert_bitwise(logsumexp(rows), scipy_logsumexp(rows, axis=1))
+    for rows in (a, np.ascontiguousarray(a.T)):
+        want = scipy_logsumexp(rows, axis=1)
+        for cols in (rows.T, np.ascontiguousarray(rows.T)):
+            assert_bitwise(logsumexp(cols), want)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1),
+       g=st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 300]), n=st.integers(0, 12),
+       order=st.sampled_from("CF"))
+def test_column_sums_add_in_numpys_row_order(seed, g, n, order):
+    """_column_sums is bitwise numpy's sum of each C-ordered row of a.T, so
+    a numpy release that changes its pairwise order fails here instead of
+    moving the fit: across row counts on both sides of numpy's 8 and 128
+    entry steps, magnitudes that round differently in another order, signed
+    zeros (a column of -0.0 sums to +0.0), infinities and nan, in either
+    memory layout.  A nan sum matches any nan: which of two nan operands an
+    add returns is the instruction's choice, not the order's."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(g, n)) * 10.0 ** rng.integers(-4, 5, size=(g, n))
+    odd = rng.random(n) < 0.3  # the columns that also take huge, infinite and nan entries
+    for value, share in ((0.0, 0.1), (-0.0, 0.1), (1e308, 0.05), (np.inf, 0.03),
+                         (-np.inf, 0.03), (np.nan, 0.03)):
+        a[(rng.random((g, n)) < share) & (odd | (value == 0.0))] = value
+    a[:, :1] = -0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.ascontiguousarray(a.T).sum(axis=1)
+        got = model_module._column_sums(np.asarray(a, order=order))
+    nan = np.isnan(want)
+    assert_bitwise(np.isnan(got), nan)
+    assert_bitwise(got[~nan], want[~nan])
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5, 1), (2, 40)])
 def test_logsumexp_shapes_match_scipy(shape):
     a = np.random.default_rng(3).normal(scale=400.0, size=shape)
-    assert_bitwise(logsumexp(a), scipy_logsumexp(a, axis=1))
+    assert_bitwise(logsumexp(a.T), scipy_logsumexp(a, axis=1))
 
 
 def test_logsumexp_non_finite_rows_match_scipy():
     a = np.array([[0.0, np.nan, 1.0], [np.inf, 0.0, -np.inf], [np.inf, -np.inf, np.nan],
                   [-np.inf, -np.inf, -np.inf], [np.inf, np.inf, 3.0], [-0.0, 0.0, -800.0]])
-    for rows in (a, a.T):
-        assert_bitwise(logsumexp(rows), scipy_logsumexp(rows, axis=1))
+    for rows in (a, np.ascontiguousarray(a.T)):
+        want = scipy_logsumexp(rows, axis=1)
+        for cols in (rows.T, np.ascontiguousarray(rows.T)):
+            assert_bitwise(logsumexp(cols), want)
 
 
 @pytest.mark.parametrize("column", [0, 2])
