@@ -389,36 +389,29 @@ def load_trajectory(path) -> Trajectory:
         raise TrajectoryFormatError(
             f"{path}: row 1: expected header '{CSV_HEADER}', got '{lines[0].strip()}'"
         )
-    body, width = lines[1:], len(CSV_COLUMNS)
-    data = None
-    if body and all(line.count(",") == width - 1 for line in body):
-        try:  # no line is blank: numpy converts each cell as float() does
-            data = np.array(",".join(body).split(","), dtype=float).reshape(-1, width)
-            row_numbers = range(2, len(lines) + 1)
-        except ValueError:
-            pass  # the row loop names the non-numeric row
-    if data is None:
-        rows, row_numbers = [], []
-        for lineno, line in enumerate(body, start=2):
-            if not line.strip():
-                continue
+    width = len(CSV_COLUMNS)
+    numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    try:  # numpy converts each cell as float() does
+        if any(line.count(",") != width - 1 for _, line in numbered):
+            raise ValueError("a row of another width")
+        cells = ",".join(line for _, line in numbered).split(",") if numbered else []
+        data = np.array(cells, dtype=float).reshape(-1, width)
+    except ValueError:  # name the first row of another width or with a non-numeric cell
+        for lineno, line in numbered:
             parts = line.split(",")
             if len(parts) != width:
                 raise TrajectoryFormatError(
                     f"{path}: row {lineno}: expected {width} columns, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise TrajectoryFormatError(
-                    f"{path}: row {lineno}: non-numeric value"
                 ) from None
-            row_numbers.append(lineno)
-        data = np.array(rows).reshape(-1, width)
+            try:
+                np.array(parts, dtype=float)
+            except ValueError:
+                raise TrajectoryFormatError(f"{path}: row {lineno}: non-numeric value") from None
+        raise
     found = _first_violation(data[:, 0], data[:, 1:])
     if found is not None:
         index, problem = found
-        raise TrajectoryFormatError(f"{path}: row {row_numbers[index]}: {problem}")
+        raise TrajectoryFormatError(f"{path}: row {numbered[index][0]}: {problem}")
     if len(data) < 2:
         raise TrajectoryFormatError(f"{path}: needs at least two data rows")
     return Trajectory(data[:, 0], data[:, 1:])

@@ -293,8 +293,8 @@ def kmeans_init(dataset: np.ndarray, n_clusters: int, seed: int,
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("dataset must be (n, D+1) rows [t, x]")
     n = len(data)
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be positive")
+    _check_int("n_clusters", n_clusters, 1)
+    _check_int("seed", seed, 0)
     if n < n_clusters:
         raise ValueError(f"dataset of {n} rows cannot seed {n_clusters} clusters")
 
@@ -437,23 +437,17 @@ def _sq_distances(rows: np.ndarray, mean: np.ndarray, chol: np.ndarray, g: int) 
     Each solve calls LAPACK's dtrtrs with the arguments scipy's
     solve_triangular(chol, b, lower=True) passes for a C-ordered factor, so
     the result is bitwise equal to it.  The (D+1, m) solution's squared
-    column norms are added row by row below D+1 = 8, where numpy's pairwise
-    sum adds a column one entry after another, so they are bitwise its sum;
-    wider rows take numpy's sum.  A row's distance does not depend on the
-    other rows passed with it, which lets em_fit pass any subset of the
-    distinct rows.
+    columns are added by _column_sums, in numpy's pairwise order for any
+    D+1, so they are bitwise numpy's sum.  A row's distance does not depend
+    on the other rows passed with it, which lets em_fit pass any subset of
+    the distinct rows.
     """
     from scipy.linalg.lapack import dtrtrs  # on first use: import gmmgen stays numpy-only
 
     sol, info = dtrtrs(chol.T, (rows - mean).T, lower=0, trans=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"component {g}: triangular solve failed (info {info})")
-    if len(sol) >= 8:
-        return (sol**2).sum(axis=0)
-    sq_norms = sol[0] * sol[0]
-    for row in sol[1:]:
-        sq_norms += row * row
-    return sq_norms
+    return _column_sums(np.multiply(sol, sol, out=sol))
 
 
 def _log_norms(chols: np.ndarray) -> np.ndarray:
@@ -461,26 +455,6 @@ def _log_norms(chols: np.ndarray) -> np.ndarray:
     from its (D+1, D+1) Cholesky factor L."""
     d = chols.shape[-1]
     return -(0.5 * d * np.log(2.0 * np.pi)) - np.log(np.diagonal(chols, 0, 1, 2)).sum(axis=1)
-
-
-def _log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log densities of every row, (n, G), without
-    the priors: one stacked Cholesky factors every component, and
-    _sq_distances solves each.
-
-    em_fit's E-step (_BoundedEStep) computes these same entries, bitwise
-    and transposed to (G, n), for every pair its bounds cannot certify at
-    least 746 below the row's maximum, and -inf for the others, whose
-    exponentials are +0.0 either way; it solves every pair on the first
-    iteration, while a factor is ill-conditioned and while a skipped pair
-    could overflow (em_fit states the certificate and its margins).  em_fit
-    calls this full form to name the row whose distance overflows.
-    """
-    chols = np.linalg.cholesky(covs)
-    out = np.empty((len(data), len(means)))
-    for g, const in enumerate(_log_norms(chols)):
-        out[:, g] = const - 0.5 * _sq_distances(data, means[g], chols[g], g)
-    return out
 
 
 # The bounded E-step (see em_fit).  A factor whose error bound eps_g exceeds
@@ -543,8 +517,8 @@ class _BoundedEStep:
         with np.errstate(over="raise"):
             for g, (lo, hi) in enumerate(windows):
                 if lo < hi:
-                    self._solve(logp, lower, slice(lo, hi), g, means, chols, consts, eps)
-            logp += log_priors[:, None]
+                    self._solve(logp, lower, slice(lo, hi), g, means, chols, consts, log_priors,
+                                eps)
             top = logp.max(axis=0)
             fell = np.flatnonzero(top < guess) if self.windows is not None else ()
             if len(fell):  # fix-up: solve the skipped pairs these maxima leave uncertified
@@ -552,8 +526,7 @@ class _BoundedEStep:
                 fix &= (fell < windows[:, :1]) | (fell >= windows[:, 1:])
                 for g in np.flatnonzero(fix.any(axis=1)):
                     idx = fell[fix[g]]
-                    self._solve(logp, lower, idx, g, means, chols, consts, eps)
-                    logp[g, idx] += log_priors[g]
+                    self._solve(logp, lower, idx, g, means, chols, consts, log_priors, eps)
                     self.fixups += len(idx)
                 if self.fixups:
                     top = logp.max(axis=0)
@@ -561,12 +534,12 @@ class _BoundedEStep:
         self.top, self.chols, self.means = top, chols, means.copy()
         return logp
 
-    def _solve(self, logp, lower, rows, g, means, chols, consts, eps):
+    def _solve(self, logp, lower, rows, g, means, chols, consts, log_priors, eps):
         """Solve component g on the given rows (a slice or an index array):
-        their log densities and their bounds, reset to the solved
-        distances, into row g of logp and of lower."""
+        their log densities plus log prior and their bounds, reset to the
+        solved distances, into row g of logp and of lower."""
         sq = _sq_distances(self.rows[rows], means[g], chols[g], g)
-        logp[g, rows] = consts[g] - 0.5 * sq
+        logp[g, rows] = consts[g] - 0.5 * sq + log_priors[g]
         lower[g, rows] = np.sqrt(sq) * (1.0 - eps[g])
 
     def _carried(self, chols, inv, means, eps):
@@ -732,8 +705,11 @@ def em_fit(dataset: np.ndarray, init, config: FitConfig):
         try:
             logp = e_step(means, covs, np.log(priors))
         except FloatingPointError:  # name the largest of the rows whose distance overflows
+            chols = np.linalg.cholesky(covs)
+            lost = np.zeros(len(rows), dtype=bool)
             with np.errstate(over="ignore"):
-                lost = ~np.isfinite(_log_densities(rows, means, covs)).all(axis=1)
+                for g, chol in enumerate(chols):
+                    lost |= ~np.isfinite(_sq_distances(rows, means[g], chol, g))
             sizes = np.where(lost[inverse], np.abs(data).max(axis=1), -np.inf)
             raise ValueError(f"dataset row {int(sizes.argmax())} is too large to fit: its "
                              "squared Mahalanobis distance to a component overflows") from None

@@ -220,9 +220,9 @@ def _generalized(model: GmmModel, ends: np.ndarray, ablate: bool):
     overflow).  A one-component model (_source_terms) or endpoints of
     another width is a ValueError.
     """
-    src = _source_terms(model, DEGENERATE_EPS)
     if ends.shape[-1:] != (model.dim,):
         raise ValueError(f"endpoints must be vectors of length {model.dim}")
+    src = _source_terms(model, DEGENERATE_EPS)
     means = _remapped_means(model, ends, src)
     plain = np.isfinite(means).all(axis=(-2, -1))
     if ablate or not plain.any():

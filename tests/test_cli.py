@@ -259,6 +259,19 @@ def test_generalize_bad_pose_exit2(work, capsys):
         assert f"error: pose '{start}': " in capsys.readouterr().err
 
 
+def test_generalize_model_of_another_width_exit2(tmp_path, capsys):
+    """A valid 3-D model file cannot take the 6-D task poses: one error
+    line naming the width, and no output file."""
+    save_model(random_spd_mixture(np.random.default_rng(3), 3, 3, thin=False),
+               tmp_path / "m3.json")
+    out = tmp_path / "gen.json"
+    code = main(["generalize", "--model", str(tmp_path / "m3.json"), "--start", "0,0,0,0,0,0",
+                 "--goal", "1,1,1,0,0,0", "--out-model", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: endpoints must be vectors of length 3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["pose", "csv"])
 def test_huge_finite_rotation_entry_exit2_with_one_error_line(work, tmp_path, endpoint_args,
                                                               capsys, where):

@@ -311,10 +311,22 @@ def test_csv_errors_name_the_row(tmp_path):
         load_trajectory(tmp_path / "missing.csv")
 
 
+def test_demo_csv_with_blank_lines_loads_as_its_blank_free_twin(demos, tmp_path):
+    """Blank and whitespace-only lines between and after a demonstration's
+    rows are skipped: the file loads bitwise as the one without them."""
+    save_trajectory(demos[0], tmp_path / "demo.csv")
+    header, *rows = (tmp_path / "demo.csv").read_text().splitlines()
+    spaced = [header] + [line for row in rows for line in (row, "", " \t")] + ["", ""]
+    (tmp_path / "spaced.csv").write_text("\n".join(spaced) + "\n")
+    want, got = load_trajectory(tmp_path / "demo.csv"), load_trajectory(tmp_path / "spaced.csv")
+    assert got.times.tobytes() == want.times.tobytes() == demos[0].times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes() == demos[0].values.tobytes()
+
+
 def test_csv_parses_alike_with_and_without_blank_lines(tmp_path):
-    """A file of data rows only is parsed in one numpy conversion, and a
-    file with a blank line row by row with float(); both give float()'s
-    values, bit for bit, on cells float() reads in its own ways."""
+    """A file is parsed in one numpy conversion, blank lines or not; both
+    give float()'s values, bit for bit, on cells float() reads in its own
+    ways."""
     cells = [["0", "5.", "-0", "1_0e-1", "+.25", " 0.5 ", "-1e-400"],
              ["1e0", "0.1", "\u0661", "-0.0", "0.3", "1_000e-3", "2.5e-1"],
              ["2", "  -.5", "0", "0", "0", "0", "0"]]
@@ -335,12 +347,15 @@ def test_csv_parses_alike_with_and_without_blank_lines(tmp_path):
     ("0,0,0,0,0,0,0\n1,0,nan,0,0,0,0\n", "row 3: non-finite value"),
     ("0,0,0,0,0,0,0\n", "needs at least two data rows"),
     ("", "needs at least two data rows"),
+    ("\n \n", "needs at least two data rows"),
+    ("0,0,0,0,0,0,0\n1,0,x,0,0,0,0\n\n2,0,0,0,0,0\n", "row 3: non-numeric value"),
+    ("0,0,0,0,0,0,0\n\n1,0,0,0,0,0\n2,0,x,0,0,0,0\n", "row 4: expected 7 columns, got 6"),
 ])
 def test_csv_errors_keep_their_message_and_row(tmp_path, body, message):
-    """The whole message, row number included, whichever parse reads the
-    file: a blank line or a row of the wrong width takes the row loop, a
-    non-numeric cell fails the one-conversion parse and the row loop words
-    it, and a nan cell or a single row passes the parse to the row rules."""
+    """The whole message, row number included: a row of the wrong width or
+    a non-numeric cell fails the one conversion, and the row loop names
+    the first such row in file order; a nan cell or a single row passes the
+    conversion to the row rules."""
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER + "\n" + body)
     with pytest.raises(TrajectoryFormatError) as err:

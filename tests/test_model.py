@@ -12,7 +12,7 @@ from gmmgen import SynthConfig, generate_demonstrations
 from gmmgen import model as model_module
 from gmmgen.data import EXP_ZERO, PhaseSchedule, Pose, TaskSpec, Trajectory
 from gmmgen.model import (COLLAPSE_EPS, FitConfig, GmmModel, _checked_covs, _cluster_means,
-                          _inverses, _kmeans_distances, _log_densities, _radius_bound, em_fit,
+                          _inverses, _kmeans_distances, _radius_bound, em_fit,
                           fit_gmm, kmeans_init, load_model, logsumexp, model_to_dict,
                           save_model)
 from gmmgen.reparam import ReparamConfig, generalize
@@ -172,6 +172,21 @@ def test_kmeans_input_validation():
         kmeans_init(data, 0, seed=0)
     with pytest.raises(ValueError):
         kmeans_init(data[:, 0], 2, seed=0)
+
+
+@pytest.mark.parametrize("n_clusters, seed, message", [
+    (2.5, 0, "n_clusters must be an integer, got 2.5"),
+    (True, 0, "n_clusters must be an integer, got True"),
+    (0, 0, "n_clusters must be at least 1"),
+    (2, 1.5, "seed must be an integer, got 1.5"),
+    (2, -1, "seed must be at least 0"),
+])
+def test_kmeans_checks_its_integers_with_the_shared_rule(n_clusters, seed, message):
+    """kmeans_init words a bad cluster count or seed as FitConfig does."""
+    data = np.random.default_rng(0).normal(size=(5, 2))
+    with pytest.raises(ValueError) as err:
+        kmeans_init(data, n_clusters, seed)
+    assert str(err.value) == message
 
 
 def em_input(edit):

@@ -431,6 +431,11 @@ def test_mean_input_validation():
     task = TaskSpec(Pose(np.zeros(3), np.zeros(3)), Pose(np.ones(3), np.zeros(3)))
     with pytest.raises(ValueError, match="^endpoints must be vectors of length 1$"):
         generalize(model_1d([1.0, 2.0, 3.0]), task)
+    for dim in (2, 3, 5, 7):  # widths that do not broadcast against the 6-entry eps
+        model = random_spd_mixture(np.random.default_rng(dim), 3, dim, thin=False)
+        with pytest.raises(ValueError, match=f"^endpoints must be vectors of length {dim}$"):
+            generalize(model, task)
+        assert model._source_cache == [None]
     with pytest.raises(ValueError, match="^pose entries must be finite$"):
         Pose([np.nan, 0.0, 0.0], np.zeros(3))
     single = GmmModel([1.0], [[0.5, *np.zeros(6)]], [np.eye(7)], PhaseSchedule(0.25, 0.75, 1.0))
